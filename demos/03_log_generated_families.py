@@ -45,7 +45,7 @@ def main() -> None:
     print(f"\nindices forced to zero on support {{1, 2}} at order 4: "
           f"{sorted(a.entries for a in forced)}")
 
-    # admissible supports: every bilinear sum is empty or cancellable
+    # admissible supports: the subsets of the band N/2 < |alpha| <= N
     for rank, order in ((1, 2), (2, 2), (2, 3)):
         patterns = enumerate_valid_constant_supports(rank, order)
         print(f"\nadmissible supports at rank {rank}, order {order}: {len(patterns)}")

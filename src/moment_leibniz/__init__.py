@@ -58,7 +58,6 @@ from .coeffsolve import (
     SupportPattern,
     check_constraint,
     constraint_indices,
-    decomposition_pairs,
     enumerate_valid_constant_supports,
     find_constant_certificate,
     forced_zero_analysis,

@@ -34,7 +34,6 @@ from .coeffsolve import (
     ConstraintViolation,
     SupportPattern,
     enumerate_valid_constant_supports,
-    find_constant_certificate,
     is_structure_valid,
     random_valid_family,
 )
@@ -102,6 +101,7 @@ def _config_hash(config: dict) -> str:
 
 def run_verify_leibniz(args: argparse.Namespace) -> Outcome:
     _positive_int("pairs", args.pairs, 1)
+    _positive_int("degree", args.degree, 0)
     rng = random.Random(args.seed)
     failures: List[dict] = []
     for k in range(args.pairs):
@@ -163,6 +163,8 @@ def run_verify_family(args: argparse.Namespace) -> Outcome:
 
 
 def run_search_supports(args: argparse.Namespace) -> Outcome:
+    if args.max_support_size is not None:
+        _positive_int("max-support-size", args.max_support_size, 0)
     patterns = enumerate_valid_constant_supports(
         args.rank, args.order, args.max_support_size, args.budget
     )
@@ -223,12 +225,10 @@ def run_gen_family(args: argparse.Namespace) -> Outcome:
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise InputError(f"bad --support: {exc}") from exc
         if not is_structure_valid(pattern):
-            cert = find_constant_certificate(pattern)
-            if cert is None:
-                raise InputError(
-                    "support admits decompositions and no constant certificate exists"
-                )
-            pattern = SupportPattern(args.rank, args.order, support, cert)
+            raise InputError(
+                f"support leaves the band {args.order}/2 < |alpha| <= {args.order}, "
+                "where the constraint forces coefficients to zero"
+            )
     else:
         support = frozenset(
             a

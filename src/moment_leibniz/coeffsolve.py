@@ -7,11 +7,21 @@ satisfies the binomial moment identity exactly when, for every alpha with
     sum_{0 < beta < alpha} C(alpha, beta) c_beta(x) c_{alpha-beta}(x) = 0,
 
 the sum running over strictly interior beta.  Height-1 alphas impose
-nothing: their interior range is empty.  This module checks the
-constraint on sample points, derives which coefficients it forces to
-vanish identically, enumerates support patterns that satisfy it for free
-or via an explicit cancellation certificate, and draws random families
-on valid supports.
+nothing: their interior range is empty.
+
+With E(t) = sum_{|beta| >= 1} c_beta(x) t^beta / beta!, the sum above is
+alpha! times the t^alpha coefficient of E(t)^2, so the constraint says
+that E(t)^2 has no terms of degree 2..N.  If E_m is the lowest nonzero
+homogeneous part of E, the degree-2m part of E^2 is E_m^2, which is
+nonzero.  Hence the constraint holds at x exactly when c_alpha(x) = 0
+for every 2|alpha| <= N: the admissible supports are the subsets of the
+band N/2 < |alpha| <= N, every constrained sum over such a support is
+empty, and no support reaching below the band has a nonzero
+cancellation certificate.
+
+This module checks the constraint on sample points, reports which
+support indices it forces to vanish, enumerates the admissible support
+patterns, and draws random families on them.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .multiindex import (
     MultiIndex,
@@ -47,7 +57,7 @@ class ConstraintViolation(ValueError):
 
 
 class InvalidSupport(ValueError):
-    """Support pattern admits decompositions and carries no certificate."""
+    """Support pattern leaves the band N/2 < |alpha| <= N."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -193,8 +203,8 @@ class SupportPattern:
     """Which c_alpha are allowed to be nonzero, plus an optional certificate.
 
     A certificate assigns nonzero constants to the support making every
-    constrained sum vanish; structure-valid patterns need none because
-    all their sums are empty.
+    constrained sum vanish.  Admissible patterns never need one, since
+    all their sums are empty, so the enumeration leaves it None.
     """
 
     rank: int
@@ -251,93 +261,42 @@ class SupportPattern:
         )
 
 
-def decomposition_pairs(
-    alpha: MultiIndex, support: Iterable[MultiIndex]
-) -> List[Tuple[MultiIndex, MultiIndex]]:
-    """Ordered interior splittings alpha = beta + gamma with both parts in support."""
-    sup = set(support)
-    return [
-        (beta, alpha - beta)
-        for beta in enumerate_strictly_between(alpha)
-        if beta in sup and (alpha - beta) in sup
-    ]
-
-
 def is_structure_valid(pattern: SupportPattern) -> bool:
-    """No constrained alpha decomposes inside the support, so every sum is empty.
+    """Every support index lies in the band N/2 < |alpha| <= N.
 
-    Equivalent test: |beta + gamma| > order for all beta, gamma in the
-    support, repetition allowed.
+    Equivalently no constrained alpha splits inside the support, so every
+    bilinear sum is empty: two band heights add up to more than N, while
+    an index gamma below the band has its square 2*gamma constrained.
     """
-    elems = list(pattern.support)
-    for i, beta in enumerate(elems):
-        for gamma in elems[i:]:
-            if (beta + gamma).height <= pattern.order:
-                return False
-    return True
+    return all(2 * a.height > pattern.order for a in pattern.support)
 
 
 def forced_zero_analysis(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
-    """Support indices the constraint forces to vanish identically.
+    """Support indices the constraint forces to vanish: those with 2|alpha| <= N.
 
-    If 2*gamma is reachable (|2*gamma| <= order) and gamma + gamma is its
-    only decomposition inside the support, the alpha = 2*gamma sum
-    reduces to C(2g, g) * c_gamma^2, so c_gamma must vanish.  Removing
-    gamma can turn other squares into sole decompositions, hence the
-    fixpoint iteration.
+    Cascade: among the remaining such indices of least height, take the
+    lexicographically largest gamma.  Any splitting beta + beta' of
+    2*gamma inside the support has |beta| = |beta'| = |gamma|, and unless
+    beta = gamma one of the two parts is lexicographically above gamma.
+    So gamma + gamma is the only decomposition, the alpha = 2*gamma sum
+    is C(2g, g) * c_gamma^2, and c_gamma must vanish; drop gamma and
+    repeat.  Band indices are never forced: their squares lie above N.
     """
-    active = set(pattern.support)
-    forced: set[MultiIndex] = set()
-    while True:
-        newly = []
-        for gamma in sorted(active, key=lambda a: (a.height, a.entries)):
-            double = gamma + gamma
-            if double.height > pattern.order:
-                continue
-            decomp = {beta for beta, _ in decomposition_pairs(double, active)}
-            if decomp == {gamma}:
-                newly.append(gamma)
-        if not newly:
-            return frozenset(forced)
-        forced.update(newly)
-        active.difference_update(newly)
-
-
-# Certificate search bound, not a theorem: constants are drawn from
-# {-3..-1, 1..3} and at most _SEARCH_CAP assignments are tried per support.
-_CERT_VALUES = tuple(Fraction(v) for v in (-3, -2, -1, 1, 2, 3))
-_SEARCH_CAP = 50000
+    return frozenset(a for a in pattern.support if 2 * a.height <= pattern.order)
 
 
 def find_constant_certificate(
     pattern: SupportPattern,
-    values: Sequence[Fraction] = _CERT_VALUES,
-    cap: int = _SEARCH_CAP,
 ) -> Optional[Dict[MultiIndex, Fraction]]:
-    """Exhaustive exact search for nonzero constants cancelling every sum.
+    """Nonzero constants on the support that satisfy every constrained sum.
 
-    Supports with a forced-zero index are skipped outright: their sole
-    diagonal constraint C(2g,g) * c_g^2 = 0 has no nonzero solution.
-    Returns None when no assignment within the bound works.
+    None when the support leaves the band, since a forced-zero index
+    admits no nonzero value.  Inside the band every sum is empty and any
+    nonzero constants work; this returns all ones.
     """
-    if forced_zero_analysis(pattern):
+    if not is_structure_valid(pattern):
         return None
-    elems = pattern.sorted_support()
-    if len(values) ** len(elems) > cap:
-        return None
-    systems = []
-    for alpha in constraint_indices(pattern.rank, pattern.order):
-        pairs = decomposition_pairs(alpha, pattern.support)
-        if pairs:
-            systems.append([(binom(alpha, beta), beta, gamma) for beta, gamma in pairs])
-    for assignment in itertools.product(values, repeat=len(elems)):
-        cert = dict(zip(elems, assignment))
-        if all(
-            sum(w * cert[b] * cert[g] for w, b, g in system) == 0
-            for system in systems
-        ):
-            return cert
-    return None
+    return {a: Fraction(1) for a in pattern.support}
 
 
 def enumerate_valid_constant_supports(
@@ -348,32 +307,28 @@ def enumerate_valid_constant_supports(
 ) -> List[SupportPattern]:
     """Every support pattern usable with constant coefficients.
 
-    Structure-valid patterns are returned as-is; patterns admitting
-    decompositions are returned only with an explicit cancellation
-    certificate.  Raises BudgetExceeded when the index set
-    {alpha : 0 < |alpha| <= order} has more than budget elements.
+    These are the subsets of the band N/2 < |alpha| <= N with at most
+    max_support_size elements, smallest first, each size in combinations
+    order over the band sorted by (height, entries).  Raises
+    BudgetExceeded when the index set {alpha : 0 < |alpha| <= order} has
+    more than budget elements.
     """
     index_set = [a for a in enumerate_height_at_most(rank, order) if a.height >= 1]
     if len(index_set) > budget:
         raise BudgetExceeded(
             f"index set has {len(index_set)} elements, budget is {budget}"
         )
-    index_set.sort(key=lambda a: (a.height, a.entries))
+    band = sorted(
+        (a for a in index_set if 2 * a.height > order),
+        key=lambda a: (a.height, a.entries),
+    )
     if max_support_size is None:
-        max_support_size = len(index_set)
-    out: List[SupportPattern] = []
-    for size in range(0, min(max_support_size, len(index_set)) + 1):
-        for combo in itertools.combinations(index_set, size):
-            pattern = SupportPattern(rank, order, frozenset(combo))
-            if is_structure_valid(pattern):
-                out.append(pattern)
-                continue
-            cert = find_constant_certificate(pattern)
-            if cert is not None:
-                out.append(
-                    SupportPattern(rank, order, frozenset(combo), cert)
-                )
-    return out
+        max_support_size = len(band)
+    return [
+        SupportPattern(rank, order, frozenset(combo))
+        for size in range(min(max_support_size, len(band)) + 1)
+        for combo in itertools.combinations(band, size)
+    ]
 
 
 def random_valid_family(
@@ -383,29 +338,21 @@ def random_valid_family(
 ) -> CoeffFamily:
     """Seeded random coefficient family guaranteed to satisfy the constraint.
 
-    Structure-valid supports take independent random polynomials; a
-    certificate support takes one shared random polynomial scaled by the
-    certificate constants, so every bilinear sum inherits the exact
-    cancellation.
+    The support must lie in the band, where every bilinear sum is empty,
+    so each index takes an independent random polynomial.
     """
-    rng = random.Random(f"coeff-family:{seed}")
-    coeffs: Dict[MultiIndex, FuncExpr] = {}
-    if pattern.certificate is not None:
-        shared = polycalc.random_polynomial(
-            rng, pattern.rank, max_degree=coeff_degree, terms=3, coeff_bound=4
-        )
-        for idx in pattern.sorted_support():
-            coeffs[idx] = PolyLeaf(shared * pattern.certificate[idx])
-    elif is_structure_valid(pattern):
-        for idx in pattern.sorted_support():
-            coeffs[idx] = PolyLeaf(
-                polycalc.random_polynomial(
-                    rng, pattern.rank, max_degree=coeff_degree, terms=3, coeff_bound=4
-                )
-            )
-    else:
+    if not is_structure_valid(pattern):
         raise InvalidSupport(
-            f"support {[a.entries for a in pattern.sorted_support()]} admits "
-            "decompositions and carries no certificate"
+            f"support {[a.entries for a in pattern.sorted_support()]} leaves "
+            f"the band {pattern.order}/2 < |alpha| <= {pattern.order}"
         )
+    rng = random.Random(f"coeff-family:{seed}")
+    coeffs: Dict[MultiIndex, FuncExpr] = {
+        idx: PolyLeaf(
+            polycalc.random_polynomial(
+                rng, pattern.rank, max_degree=coeff_degree, terms=3, coeff_bound=4
+            )
+        )
+        for idx in pattern.sorted_support()
+    }
     return CoeffFamily(pattern.rank, pattern.order, coeffs)

@@ -351,14 +351,6 @@ def as_polynomial(expr: FuncExpr) -> Polynomial:
     return expr._expand()
 
 
-def is_zero_expr(expr: FuncExpr) -> bool:
-    """True when the tree provably expands to the zero polynomial."""
-    try:
-        return as_polynomial(expr).is_zero()
-    except NotPolynomial:
-        return False
-
-
 def const_expr(dim: int, value: Scalar) -> PolyLeaf:
     return PolyLeaf(Polynomial.constant(dim, value))
 

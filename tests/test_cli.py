@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -51,6 +52,14 @@ def test_bad_rank_is_input_error(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_INPUT
     assert "rank" in captured.err
+
+
+def test_negative_degree_is_input_error(capsys):
+    code = main(["verify-leibniz", "--degree", "-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert "degree" in captured.err
 
 
 def test_bad_samples_is_input_error(capsys):
@@ -160,6 +169,14 @@ def test_search_supports_budget(capsys):
     assert report["count"] == 128
 
 
+def test_search_supports_negative_max_size_is_input_error(capsys):
+    code = main(["search-supports", "--max-support-size", "-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert "max-support-size" in captured.err
+
+
 # ---- verify-semigroup ----
 
 
@@ -216,6 +233,31 @@ def test_gen_family_rejects_impossible_support(capsys):
 
 
 # ---- determinism and seeding ----
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["search-supports", "--rank", "2", "--order", "4"],
+            "14d42ef7df652098703ab6ffdfad25425a87bfe6c8a68e337a8952ccfb696e15",
+        ),
+        (
+            ["search-supports", "--rank", "1", "--order", "12", "--max-support-size", "3"],
+            "4a80f516e47cfa0d69291225a6653f70c6d802abb5c1c3476765b0d9670a6d61",
+        ),
+        (
+            ["gen-family", "--rank", "2", "--order", "3", "--seed", "5"],
+            "0b6eb7fa96c4dc1830c21a1641d8a5d57d488560596c8b227e4a9ab0c104ea93",
+        ),
+    ],
+)
+def test_report_bytes_are_pinned(capsys, argv, digest):
+    # reference digests from the exhaustive subset search: the band
+    # enumeration must reproduce those reports byte for byte
+    assert main(argv) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reports_are_byte_identical_for_same_config(tmp_path):

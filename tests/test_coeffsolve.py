@@ -7,8 +7,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moment_leibniz.multiindex import MultiIndex, binom, enumerate_strictly_between
+from moment_leibniz.multiindex import (
+    MultiIndex,
+    binom,
+    enumerate_height_at_most,
+    enumerate_strictly_between,
+)
 from moment_leibniz.polycalc import Polynomial
 from moment_leibniz.funcmodel import Domain, PolyLeaf, const_expr
 from moment_leibniz.coeffsolve import (
@@ -18,13 +25,15 @@ from moment_leibniz.coeffsolve import (
     SupportPattern,
     check_constraint,
     constraint_indices,
-    decomposition_pairs,
     enumerate_valid_constant_supports,
     find_constant_certificate,
     forced_zero_analysis,
     is_structure_valid,
     random_valid_family,
 )
+
+import _coeff_oracle as oracle
+from _coeff_oracle import decomposition_pairs
 
 
 def _mi(*entries: int) -> MultiIndex:
@@ -235,6 +244,17 @@ def test_no_certificate_for_forced_square():
     assert find_constant_certificate(_pattern(1, 2, (1,), (2,))) is None
 
 
+def test_certificate_on_band_support_has_no_size_cap():
+    # eight band indices at rank 2, order 4: 6^8 assignments, beyond the
+    # oracle's capped search
+    band = [a.entries for a in enumerate_height_at_most(2, 4) if a.height >= 3]
+    pattern = _pattern(2, 4, *band[:8])
+    cert = find_constant_certificate(pattern)
+    assert cert is not None and set(cert) == pattern.support
+    assert all(v != 0 for v in cert.values())
+    SupportPattern(2, 4, pattern.support, cert)  # a well-formed certificate
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_valid_constant_supports(3, 6)
@@ -268,14 +288,20 @@ def test_random_family_rejects_uncertified_support():
 
 
 def test_random_family_with_certificate_cancels():
-    # hand-build a certificate-style pattern: scaling one shared
-    # polynomial by constants k_beta satisfies each sum iff the constants
-    # cancel, which the constructor relies on
+    # a certificate on a band support is carried along but changes
+    # nothing: every constrained sum is empty either way
     pattern = _pattern(1, 2, (2,))
     cert_pattern = SupportPattern(1, 2, pattern.support, {_mi(2): Fraction(3)})
     cf = random_valid_family(cert_pattern, seed=8)
     dom = Domain.unit(1)
     assert check_constraint(cf, dom.sample_points).passed
+
+
+def test_random_family_rejects_certificate_below_band():
+    # a hand-written certificate cannot rescue a forced-zero index
+    pattern = SupportPattern(1, 2, frozenset({_mi(1)}), {_mi(1): Fraction(1)})
+    with pytest.raises(InvalidSupport):
+        random_valid_family(pattern, seed=0)
 
 
 def test_support_pattern_json_roundtrip():
@@ -290,3 +316,47 @@ def test_certificate_must_cover_support_with_nonzeros():
         SupportPattern(1, 2, frozenset({_mi(2)}), {_mi(2): Fraction(0)})
     with pytest.raises(ValueError):
         SupportPattern(1, 3, frozenset({_mi(2), _mi(3)}), {_mi(2): Fraction(1)})
+
+
+# ---- closed forms against the brute-force oracle ----
+
+
+def _assert_matches_oracle(pattern: SupportPattern) -> bool:
+    """Check the closed forms on one support; return the oracle's admissibility."""
+    forced = oracle.forced_zero_fixpoint(pattern)
+    admissible = oracle.admissible(pattern, forced)
+    assert is_structure_valid(pattern) == oracle.structure_valid(pattern) == admissible
+    assert forced_zero_analysis(pattern) == forced
+    assert (find_constant_certificate(pattern) is None) == (not admissible)
+    return admissible
+
+
+@pytest.mark.parametrize("rank,max_order", [(1, 6), (2, 4), (3, 2)])
+def test_closed_forms_match_oracle_on_every_support(rank, max_order):
+    for order in range(max_order + 1):
+        admissible = [p for p in oracle.all_supports(rank, order) if _assert_matches_oracle(p)]
+        # the enumeration lists exactly the oracle's admissible supports,
+        # in subset order, with no certificate attached
+        got = enumerate_valid_constant_supports(rank, order)
+        assert [p.support for p in got] == [p.support for p in admissible]
+        assert all(p.certificate is None for p in got)
+        for size in (0, 1, 2):
+            capped = enumerate_valid_constant_supports(rank, order, max_support_size=size)
+            assert [p.support for p in capped] == [
+                p.support for p in admissible if len(p.support) <= size
+            ]
+
+
+@st.composite
+def _supports(draw):
+    rank = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 5))
+    index_set = [a for a in enumerate_height_at_most(rank, order) if a.height >= 1]
+    chosen = draw(st.sets(st.sampled_from(index_set), max_size=8)) if index_set else set()
+    return SupportPattern(rank, order, frozenset(chosen))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_supports())
+def test_closed_forms_match_oracle_on_random_supports(pattern):
+    _assert_matches_oracle(pattern)
