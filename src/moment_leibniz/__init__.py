@@ -12,9 +12,9 @@ from .multiindex import (
     DimensionMismatch,
     MultiIndex,
     binom,
+    convolution_terms,
     enumerate_below,
     enumerate_height_at_most,
-    enumerate_strictly_between,
 )
 from .polycalc import (
     Polynomial,
@@ -47,6 +47,7 @@ from .funcmodel import (
     eval_exact,
     eval_expr,
     expr_from_json,
+    judge,
     poly_expr,
     power_sign_apply,
 )
@@ -86,7 +87,6 @@ from .semigroup import (
     Monoid,
     check_exponential,
     check_monoid_axioms,
-    convolution_terms,
     intvec_additive,
     make_exponential_moment_seq,
     random_probe_pairs,

@@ -23,7 +23,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .multiindex import MultiIndex, enumerate_height_at_most
@@ -59,16 +58,6 @@ class InputError(ValueError):
     """Bad configuration or malformed descriptor input."""
 
 
-@dataclass
-class Outcome:
-    """What a subcommand handler feeds into the report envelope."""
-
-    payload: dict
-    failures: List[dict]
-    max_residual: float
-    passed: bool
-
-
 def _positive_int(name: str, value: int, minimum: int) -> None:
     if value < minimum:
         raise InputError(f"--{name} must be >= {minimum}, got {value}")
@@ -97,9 +86,12 @@ def _config_hash(config: dict) -> str:
 
 
 # ---- subcommand handlers ----
+#
+# Each handler returns its report body: ``failures``, ``max_residual`` and
+# ``pass``, plus its own fields.  ``main`` merges the body into the envelope.
 
 
-def run_verify_leibniz(args: argparse.Namespace) -> Outcome:
+def run_verify_leibniz(args: argparse.Namespace) -> dict:
     _positive_int("pairs", args.pairs, 1)
     _positive_int("degree", args.degree, 0)
     rng = random.Random(args.seed)
@@ -116,11 +108,17 @@ def run_verify_leibniz(args: argparse.Namespace) -> Outcome:
                     "g": g.to_json(),
                 }
             )
-    payload = {"pairs": args.pairs, "max_height": args.order, "exact": True}
-    return Outcome(payload, failures, 0.0, not failures)
+    return {
+        "pairs": args.pairs,
+        "max_height": args.order,
+        "exact": True,
+        "failures": failures,
+        "max_residual": 0.0,
+        "pass": not failures,
+    }
 
 
-def run_verify_family(args: argparse.Namespace) -> Outcome:
+def run_verify_family(args: argparse.Namespace) -> dict:
     if args.descriptor == "-":
         raw = sys.stdin.read()
     else:
@@ -135,50 +133,61 @@ def run_verify_family(args: argparse.Namespace) -> Outcome:
         raise InputError(f"descriptor is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "r" not in data:
         raise InputError("descriptor must be a JSON object with an 'r' field")
+    rank = data["r"]
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        raise InputError(f"descriptor 'r' must be an integer >= 1, got {rank!r}")
     _positive_int("probes", args.probes, 1)
     domain = Domain.unit(
-        data["r"], n_samples=args.samples, seed=args.seed, float_tolerance=args.tol
+        rank, n_samples=args.samples, seed=args.seed, float_tolerance=args.tol
     )
     try:
         family = family_from_json(data, domain)
     except ConstraintViolation as exc:
         report = exc.report
-        return Outcome(
-            {"family": data, "constraint_report": report.to_json()},
-            report.failures,
-            report.max_residual,
-            False,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return {
+            "family": data,
+            "constraint_report": report.to_json(),
+            "failures": report.failures,
+            "max_residual": report.max_residual,
+            "pass": False,
+        }
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"bad family descriptor: {exc}") from exc
     rng = random.Random(args.seed)
     probes = default_probe_pairs(domain, args.probes, rng)
-    report = verify_moment(family, probes, domain, tol=args.tol, seed=args.seed)
-    return Outcome(
-        {"report": report.to_json()},
-        report.failures,
-        report.max_residual,
-        report.passed,
-    )
+    try:
+        report = verify_moment(family, probes, domain, tol=args.tol, seed=args.seed)
+    except ArithmeticError as exc:
+        # only the descriptor's values can overflow: the probes are small
+        # polynomials on the unit box
+        raise InputError(f"descriptor values do not evaluate: {exc}") from exc
+    return {
+        "report": report.to_json(),
+        "failures": report.failures,
+        "max_residual": report.max_residual,
+        "pass": report.passed,
+    }
 
 
-def run_search_supports(args: argparse.Namespace) -> Outcome:
+def run_search_supports(args: argparse.Namespace) -> dict:
     if args.max_support_size is not None:
         _positive_int("max-support-size", args.max_support_size, 0)
     patterns = enumerate_valid_constant_supports(
         args.rank, args.order, args.max_support_size, args.budget
     )
-    payload = {
+    return {
         "patterns": [p.to_json() for p in patterns],
         "count": len(patterns),
         "index_set_size": len(
             [a for a in enumerate_height_at_most(args.rank, args.order) if a.height >= 1]
         ),
+        "failures": [],
+        "max_residual": 0.0,
+        "pass": True,
     }
-    return Outcome(payload, [], 0.0, True)
 
 
-def run_verify_semigroup(args: argparse.Namespace) -> Outcome:
+def run_verify_semigroup(args: argparse.Namespace) -> dict:
     _positive_int("probes", args.probes, 1)
     if args.tamper and args.order < 1:
         raise InputError("--tamper needs --order >= 1")
@@ -213,10 +222,15 @@ def run_verify_semigroup(args: argparse.Namespace) -> Outcome:
                 "pass": report.passed,
             }
         )
-    return Outcome({"sweeps": sweeps}, failures, max_residual, not failures)
+    return {
+        "sweeps": sweeps,
+        "failures": failures,
+        "max_residual": max_residual,
+        "pass": not failures,
+    }
 
 
-def run_gen_family(args: argparse.Namespace) -> Outcome:
+def run_gen_family(args: argparse.Namespace) -> dict:
     if args.support is not None:
         try:
             indices = json.loads(args.support)
@@ -243,9 +257,13 @@ def run_gen_family(args: argparse.Namespace) -> Outcome:
         "N": args.order,
         "coefficients": cf.to_json()["coefficients"],
     }
-    return Outcome(
-        {"family": descriptor, "pattern": pattern.to_json()}, [], 0.0, True
-    )
+    return {
+        "family": descriptor,
+        "pattern": pattern.to_json(),
+        "failures": [],
+        "max_residual": 0.0,
+        "pass": True,
+    }
 
 
 # ---- wiring ----
@@ -348,7 +366,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_INPUT
     try:
         _validate_common(args)
-        outcome = args.func(args)
+        body = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -361,13 +379,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "config": config,
         "config_hash": _config_hash(config),
         "seed": args.seed,
-        "failures": outcome.failures,
-        "max_residual": outcome.max_residual,
-        "pass": outcome.passed,
-        **outcome.payload,
+        **body,
     }
     _emit(report, args.out)
-    return EXIT_PASS if outcome.passed else EXIT_FAIL
+    return EXIT_PASS if body["pass"] else EXIT_FAIL
 
 
 if __name__ == "__main__":

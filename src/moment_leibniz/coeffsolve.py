@@ -35,9 +35,8 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Un
 from .multiindex import (
     MultiIndex,
     as_multiindex,
-    binom,
+    convolution_terms,
     enumerate_height_at_most,
-    enumerate_strictly_between,
 )
 from .polycalc import Polynomial, RationalPoint, Scalar
 from .funcmodel import CheckReport, FuncExpr, PolyLeaf, eval_expr
@@ -171,10 +170,11 @@ def check_constraint(
     max_abs = 0.0
     checked = 0
     for alpha in constraint_indices(cf.rank, cf.order):
+        # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
         pairs = [
-            (binom(alpha, beta), cf.coefficients[beta], cf.coefficients[alpha - beta])
-            for beta in enumerate_strictly_between(alpha)
-            if beta in cf.coefficients and (alpha - beta) in cf.coefficients
+            (w, cf.coefficients[beta], cf.coefficients[gamma])
+            for w, beta, gamma in convolution_terms(alpha)
+            if beta in cf.coefficients and gamma in cf.coefficients
         ]
         for x in points:
             value = sum(w * eval_expr(cb, x) * eval_expr(cg, x) for w, cb, cg in pairs)

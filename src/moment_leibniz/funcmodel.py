@@ -542,6 +542,20 @@ class CheckReport:
         }
 
 
+def judge(lhs, rhs, exact: bool, tol: float) -> Tuple[float, bool]:
+    """The residual of one identity instance lhs = rhs, and whether it passes.
+
+    Exact instances compare rational values: the residual is |lhs - rhs|
+    and only equality passes.  Float instances use the relative residual
+    |lhs - rhs| / (1 + |lhs|) and pass when it is <= tol, so a NaN
+    residual fails.
+    """
+    if exact:
+        return float(abs(lhs - rhs)), lhs == rhs
+    r = abs(lhs - rhs) / (1.0 + abs(lhs))
+    return r, r <= tol
+
+
 # ---- power-sign multiplicative maps ----
 
 
@@ -606,9 +620,9 @@ def check_multiplicative(
         for x in domain.sample_points:
             lhs = apply_fn(m, fg, x)
             rhs = apply_fn(m, f, x) * apply_fn(m, g, x)
-            residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+            residual, ok = judge(lhs, rhs, False, tol)
             max_residual = max(max_residual, residual)
-            if residual > tol:
+            if not ok:
                 failures.append(
                     {
                         "type": "multiplicativity",

@@ -9,20 +9,17 @@ plain multiplicativity of T_0.  Families built from exact polynomial
 data (trivial, derivative, and their reparametrized conjugates) are
 verified with zero tolerance in rational arithmetic; families involving
 f*ln|f| are verified in floating point against the domain tolerance.
+Both kinds run the same loop over ``convolution_terms`` and differ only
+in the evaluator; ``funcmodel.judge`` turns each instance into a
+residual and a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .multiindex import (
-    MultiIndex,
-    binom,
-    enumerate_below,
-    enumerate_height_at_most,
-)
+from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from .polycalc import Polynomial, RationalPoint, dalpha, random_polynomial
 from .funcmodel import (
     CheckReport,
@@ -40,6 +37,7 @@ from .funcmodel import (
     eval_exact,
     eval_expr,
     expr_from_json,
+    judge,
 )
 from .coeffsolve import CoeffFamily, ConstraintViolation, check_constraint
 
@@ -305,41 +303,25 @@ def verify_moment(
         tol = domain.float_tolerance
     if domain.rank != family.rank:
         raise ValueError(f"domain rank {domain.rank}, family rank {family.rank}")
+    evaluate = eval_exact if family.exact else eval_expr
     alphas = enumerate_height_at_most(family.rank, family.order)
+    terms = {alpha: convolution_terms(alpha) for alpha in alphas}
     points = [family.eval_point(x) for x in domain.sample_points]
     per_alpha = {_alpha_key(a): 0.0 for a in alphas}
     failures: List[dict] = []
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         fg = f * g
-        if family.exact:
-            vf = {b: [eval_exact(family.apply(b, f), y) for y in points] for b in alphas}
-            vg = {b: [eval_exact(family.apply(b, g), y) for y in points] for b in alphas}
-            vfg = {a: [eval_exact(family.apply(a, fg), y) for y in points] for a in alphas}
-        else:
-            vf = {b: [eval_expr(family.apply(b, f), y) for y in points] for b in alphas}
-            vg = {b: [eval_expr(family.apply(b, g), y) for y in points] for b in alphas}
-            vfg = {a: [eval_expr(family.apply(a, fg), y) for y in points] for a in alphas}
-        for alpha in alphas:
+        vf = {b: [evaluate(family.apply(b, f), y) for y in points] for b in alphas}
+        vg = {b: [evaluate(family.apply(b, g), y) for y in points] for b in alphas}
+        vfg = {a: [evaluate(family.apply(a, fg), y) for y in points] for a in alphas}
+        for alpha, splits in terms.items():
             key = _alpha_key(alpha)
-            below = enumerate_below(alpha)
-            weights = [binom(alpha, b) for b in below]
             for i, x in enumerate(domain.sample_points):
                 lhs = vfg[alpha][i]
-                if family.exact:
-                    rhs = sum(
-                        (
-                            w * vf[b][i] * vg[alpha - b][i]
-                            for w, b in zip(weights, below)
-                        ),
-                        Fraction(0),
-                    )
-                    residual = float(abs(lhs - rhs))
-                    ok = lhs == rhs
-                else:
-                    rhs = sum(w * vf[b][i] * vg[alpha - b][i] for w, b in zip(weights, below))
-                    residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-                    ok = residual <= tol
+                # a plain sum: exact terms are Fractions, so it stays exact
+                rhs = sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
+                residual, ok = judge(lhs, rhs, family.exact, tol)
                 per_alpha[key] = max(per_alpha[key], residual)
                 max_residual = max(max_residual, residual)
                 if not ok:
@@ -417,9 +399,9 @@ def assert_trivial_collapse(
             for x, y, v0 in zip(domain.sample_points, points, zero_vals):
                 lhs = v0  # T_alpha(f*0) is T_alpha applied to the zero product
                 rhs = eval_expr(expr_f, y) + v0
-                residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+                residual, ok = judge(lhs, rhs, False, tol)
                 max_residual = max(max_residual, residual)
-                if residual > tol:
+                if not ok:
                     failures.append(
                         {
                             "instance": "T_alpha(f*0) = T_alpha(f) + T_alpha(0)",
@@ -534,30 +516,21 @@ def check_second_order(
     """
     if tol is None:
         tol = domain.float_tolerance
+    evaluate = eval_exact if pair.exact else eval_expr
     failures: List[dict] = []
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         tf, tg, tfg = pair.apply_T(f), pair.apply_T(g), pair.apply_T(f * g)
         af, ag = pair.apply_A(f), pair.apply_A(g)
         for x in domain.sample_points:
-            if pair.exact:
-                lhs = eval_exact(tfg, x)
-                rhs = (
-                    eval_exact(tf, x) * g(x)
-                    + f(x) * eval_exact(tg, x)
-                    + 2 * eval_exact(af, x) * eval_exact(ag, x)
-                )
-                residual = float(abs(lhs - rhs))
-                ok = lhs == rhs
-            else:
-                lhs = eval_expr(tfg, x)
-                rhs = (
-                    eval_expr(tf, x) * float(g(x))
-                    + float(f(x)) * eval_expr(tg, x)
-                    + 2.0 * eval_expr(af, x) * eval_expr(ag, x)
-                )
-                residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-                ok = residual <= tol
+            lhs = evaluate(tfg, x)
+            # f(x) and g(x) are Fractions; times a float they round to float first
+            rhs = (
+                evaluate(tf, x) * g(x)
+                + f(x) * evaluate(tg, x)
+                + 2 * evaluate(af, x) * evaluate(ag, x)
+            )
+            residual, ok = judge(lhs, rhs, pair.exact, tol)
             max_residual = max(max_residual, residual)
             if not ok:
                 failures.append(

@@ -4,6 +4,10 @@ A multi-index is a tuple of nonnegative integers.  Height, factorial,
 binomial coefficients and the componentwise partial order are the usual
 ones; binomials are products of entrywise ``math.comb`` values, so every
 identity checked downstream is exact integer arithmetic.
+
+``convolution_terms(alpha)`` lists the weighted splittings
+(C(alpha, beta), beta, alpha - beta) of the binomial convolution
+identity; every verifier in the package sums over that one list.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Tuple
 
 
 class DimensionMismatch(ValueError):
@@ -127,25 +131,6 @@ def as_multiindex(value: "MultiIndex | Iterable[int]") -> MultiIndex:
     return MultiIndex(tuple(value))
 
 
-# ---- the core operations as module functions ----
-
-
-def add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return a + b
-
-
-def sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return a - b
-
-
-def leq(a: MultiIndex, b: MultiIndex) -> bool:
-    return a <= b
-
-
-def height(a: MultiIndex) -> int:
-    return a.height
-
-
 def binom(a: MultiIndex, b: MultiIndex) -> int:
     """Entrywise binomial product C(a, b) = prod_i C(a_i, b_i).
 
@@ -168,10 +153,13 @@ def enumerate_below(alpha: MultiIndex) -> List[MultiIndex]:
     return [MultiIndex(t) for t in itertools.product(*ranges)]
 
 
-def enumerate_strictly_between(alpha: MultiIndex) -> List[MultiIndex]:
-    """All beta with 0 < beta < alpha strictly (both ends excluded)."""
-    zero = MultiIndex.zero(alpha.rank)
-    return [b for b in enumerate_below(alpha) if b != zero and b != alpha]
+def convolution_terms(alpha: MultiIndex) -> List[Tuple[int, MultiIndex, MultiIndex]]:
+    """The exact weighted splittings (C(alpha,beta), beta, alpha-beta) of the identity.
+
+    One entry per beta <= alpha, in the order of ``enumerate_below``, so
+    the first entry is beta = 0 and the last is beta = alpha.
+    """
+    return [(binom(alpha, beta), beta, alpha - beta) for beta in enumerate_below(alpha)]
 
 
 def enumerate_height_at_most(rank: int, max_height: int) -> List[MultiIndex]:

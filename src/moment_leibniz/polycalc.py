@@ -21,8 +21,7 @@ from .multiindex import (
     DimensionMismatch,
     MultiIndex,
     as_multiindex,
-    binom,
-    enumerate_below,
+    convolution_terms,
     enumerate_height_at_most,
 )
 
@@ -272,8 +271,8 @@ def leibniz_rhs(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> Polynomial:
     """The binomial convolution sum_{beta <= alpha} C(alpha,beta) D^beta f D^{alpha-beta} g."""
     f._check_dim(g)
     total = Polynomial.zero(f.dim)
-    for beta in enumerate_below(alpha):
-        total = total + binom(alpha, beta) * (dalpha(f, beta) * dalpha(g, alpha - beta))
+    for w, beta, gamma in convolution_terms(alpha):
+        total = total + w * (dalpha(f, beta) * dalpha(g, gamma))
     return total
 
 
@@ -298,8 +297,8 @@ def check_leibniz_all(
     failures = []
     for alpha in alphas:
         rhs = Polynomial.zero(f.dim)
-        for beta in enumerate_below(alpha):
-            rhs = rhs + binom(alpha, beta) * (df[beta] * dg[alpha - beta])
+        for w, beta, gamma in convolution_terms(alpha):
+            rhs = rhs + w * (df[beta] * dg[gamma])
         if rhs != dalpha(fg, alpha):
             failures.append(alpha)
     return failures

@@ -17,8 +17,8 @@ from moment_leibniz.coeffsolve import SupportPattern, constraint_indices
 from moment_leibniz.multiindex import (
     MultiIndex,
     binom,
+    enumerate_below,
     enumerate_height_at_most,
-    enumerate_strictly_between,
 )
 
 # Search bound, not a theorem: constants are drawn from {-3..-1, 1..3}
@@ -34,7 +34,7 @@ def decomposition_pairs(
     sup = set(support)
     return [
         (beta, alpha - beta)
-        for beta in enumerate_strictly_between(alpha)
+        for beta in enumerate_below(alpha)[1:-1]
         if beta in sup and (alpha - beta) in sup
     ]
 

@@ -38,7 +38,6 @@ from moment_leibniz import (
     default_probe_pairs,
     enumerate_below,
     enumerate_height_at_most,
-    enumerate_strictly_between,
     enumerate_valid_constant_supports,
     eval_expr,
     forced_zero_analysis,
@@ -260,7 +259,7 @@ def _brute_forced(support, rank, order):
     equations = []
     for alpha in constraint_indices(rank, order):
         total = sympy.Integer(0)
-        for beta in enumerate_strictly_between(alpha):
+        for beta in enumerate_below(alpha)[1:-1]:
             gamma = alpha - beta
             if beta in syms and gamma in syms:
                 total += binom(alpha, beta) * syms[beta] * syms[gamma]

@@ -119,19 +119,22 @@ def test_verify_family_exact_kinds_have_zero_residual(capsys, tmp_path):
     assert report["report"]["exact"] is True
 
 
+# c_[1] = 1 leaves the alpha = [2] constraint sum at 2 * c_[1]^2 = 2
+VIOLATING = {
+    "kind": "identity_generated",
+    "r": 1,
+    "N": 2,
+    "coefficients": [
+        {
+            "index": [1],
+            "expr": {"kind": "poly", "dim": 1, "terms": [{"exponent": [0], "coeff": "1"}]},
+        }
+    ],
+}
+
+
 def test_verify_family_constraint_violation_fails_with_witness(capsys, tmp_path):
-    descriptor = {
-        "kind": "identity_generated",
-        "r": 1,
-        "N": 2,
-        "coefficients": [
-            {
-                "index": [1],
-                "expr": {"kind": "poly", "dim": 1, "terms": [{"exponent": [0], "coeff": "1"}]},
-            }
-        ],
-    }
-    code, report = _run(capsys, ["verify-family", _family_file(tmp_path, descriptor)])
+    code, report = _run(capsys, ["verify-family", _family_file(tmp_path, VIOLATING)])
     assert code == EXIT_FAIL
     assert report["pass"] is False
     assert report["failures"][0]["alpha"] == [2]
@@ -147,6 +150,38 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
     bad_kind = _family_file(tmp_path, {"kind": "nope", "r": 1})
     code3, _ = _run(capsys, ["verify-family", bad_kind])
     assert code3 == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"kind": "derivative", "r": "x", "N": 2},
+        {"kind": "derivative", "r": 0, "N": 2},
+        {"kind": "derivative", "r": -1, "N": 2},
+        {"kind": "derivative", "r": True, "N": 2},
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": 2,
+            "tau": {"rank": 1, "components": [[{"exponent": [0], "coeff": "1/0"}]]},
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1e400"}]},
+        },
+    ],
+    ids=["r-str", "r-zero", "r-negative", "r-bool", "tau-div-zero", "coeff-overflow"],
+)
+def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
+    # a descriptor the verifier cannot evaluate is invalid input (exit 2),
+    # never a failed identity (exit 1) nor a pass
+    code = main(["verify-family", _family_file(tmp_path, descriptor)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # ---- search-supports ----
@@ -235,27 +270,76 @@ def test_gen_family_rejects_impossible_support(capsys):
 # ---- determinism and seeding ----
 
 
+# (argv, descriptor, exit code, sha256 of stdout).  A descriptor is written
+# to family.json in the working directory; a list stands for the gen-family
+# argv whose family is written.  Each digest was recorded before the code
+# behind its report was rewritten.
+PINNED = [
+    (
+        ["search-supports", "--rank", "2", "--order", "4"],
+        None,
+        EXIT_PASS,
+        "14d42ef7df652098703ab6ffdfad25425a87bfe6c8a68e337a8952ccfb696e15",
+    ),
+    (
+        ["search-supports", "--rank", "1", "--order", "12", "--max-support-size", "3"],
+        None,
+        EXIT_PASS,
+        "4a80f516e47cfa0d69291225a6653f70c6d802abb5c1c3476765b0d9670a6d61",
+    ),
+    (
+        ["gen-family", "--rank", "2", "--order", "3", "--seed", "5"],
+        None,
+        EXIT_PASS,
+        "0b6eb7fa96c4dc1830c21a1641d8a5d57d488560596c8b227e4a9ab0c104ea93",
+    ),
+    (
+        ["verify-leibniz", "--rank", "2", "--order", "4", "--pairs", "3"],
+        None,
+        EXIT_PASS,
+        "0e23ee3eea553e956d96027070f9f470a6446dd8dd8b5a7c034eb576c912a59d",
+    ),
+    (
+        ["verify-family", "family.json"],
+        {"kind": "derivative", "r": 2, "N": 3},
+        EXIT_PASS,
+        "6f7ffb3c83aae6707fec4abd4cf1ca6ec078d0a08db44cec151435b01f3b3c81",
+    ),
+    (
+        ["verify-family", "family.json"],
+        ["gen-family", "--rank", "2", "--order", "3", "--seed", "5"],
+        EXIT_PASS,
+        "6059a4326617e3b778e1018edd61c281f563d36e963ab4d6f4184c337011add8",
+    ),
+    (
+        ["verify-family", "family.json"],
+        VIOLATING,
+        EXIT_FAIL,
+        "3a323de21748edf9c4a9fcc64a05c1e4888510cfd45af4239260c792d70fc2e3",
+    ),
+    (
+        ["verify-semigroup", "--rank", "2", "--order", "3", "--tamper"],
+        None,
+        EXIT_FAIL,
+        "d3c0e61ee44bc609ec3d1d807c66c913948b2638e8ff5a51eb900755ca933819",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (
-            ["search-supports", "--rank", "2", "--order", "4"],
-            "14d42ef7df652098703ab6ffdfad25425a87bfe6c8a68e337a8952ccfb696e15",
-        ),
-        (
-            ["search-supports", "--rank", "1", "--order", "12", "--max-support-size", "3"],
-            "4a80f516e47cfa0d69291225a6653f70c6d802abb5c1c3476765b0d9670a6d61",
-        ),
-        (
-            ["gen-family", "--rank", "2", "--order", "3", "--seed", "5"],
-            "0b6eb7fa96c4dc1830c21a1641d8a5d57d488560596c8b227e4a9ab0c104ea93",
-        ),
-    ],
+    "argv,descriptor,code,digest",
+    PINNED,
+    ids=[f"argv{i}-{case[-1]}" for i, case in enumerate(PINNED)],
 )
-def test_report_bytes_are_pinned(capsys, argv, digest):
-    # reference digests from the exhaustive subset search: the band
-    # enumeration must reproduce those reports byte for byte
-    assert main(argv) == EXIT_PASS
+def test_report_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, descriptor, code, digest):
+    # the descriptor path is part of the reported config, so it stays relative
+    monkeypatch.chdir(tmp_path)
+    if isinstance(descriptor, list):
+        assert main(descriptor) == EXIT_PASS
+        descriptor = json.loads(capsys.readouterr().out)["family"]
+    if descriptor is not None:
+        (tmp_path / "family.json").write_text(json.dumps(descriptor))
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

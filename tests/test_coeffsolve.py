@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from moment_leibniz.multiindex import (
     MultiIndex,
     binom,
+    enumerate_below,
     enumerate_height_at_most,
-    enumerate_strictly_between,
 )
 from moment_leibniz.polycalc import Polynomial
 from moment_leibniz.funcmodel import Domain, PolyLeaf, const_expr
@@ -55,7 +55,7 @@ def _sympy_constraint_sums(support, rank: int, order: int):
     sums = {}
     for alpha in constraint_indices(rank, order):
         total = sympy.Integer(0)
-        for beta in enumerate_strictly_between(alpha):
+        for beta in enumerate_below(alpha)[1:-1]:
             gamma = alpha - beta
             if beta in syms and gamma in syms:
                 total += binom(alpha, beta) * syms[beta] * syms[gamma]

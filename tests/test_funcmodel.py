@@ -29,6 +29,7 @@ from moment_leibniz.funcmodel import (
     eval_exact,
     eval_expr,
     expr_from_json,
+    judge,
     poly_expr,
     power_sign_apply,
 )
@@ -267,6 +268,26 @@ def test_check_multiplicative_catches_sign_stripping():
     assert not report.passed
     assert not report.details["sign_preserved"]
     assert any(f["type"] == "sign_preservation" for f in report.failures)
+
+
+def test_check_multiplicative_fails_on_nan():
+    dom = Domain.unit(1)
+    m = PowerSignMap(const_expr(1, 2), TauMap.identity(1))
+    probes = [(Polynomial.constant(1, 2), Polynomial.constant(1, 3))]
+    report = check_multiplicative(m, probes, dom, apply_fn=lambda m, f, x: math.nan)
+    assert not report.passed
+    # the sign probe keeps its absolute rule, so only the product instances fail
+    assert len(report.failures) == len(dom.sample_points)
+    assert all(f["type"] == "multiplicativity" for f in report.failures)
+
+
+def test_judge_exact_and_relative_rules():
+    assert judge(Fraction(1, 3), Fraction(1, 3), True, 0.0) == (0.0, True)
+    assert judge(Fraction(1, 3), Fraction(1, 2), True, 1.0) == (1 / 6, False)
+    assert judge(3.0, 3.5, False, 0.125) == (0.125, True)  # |3 - 3.5| / (1 + 3)
+    assert judge(3.0, 3.5, False, 0.1) == (0.125, False)
+    residual, ok = judge(math.nan, 1.0, False, 1e-10)
+    assert math.isnan(residual) and not ok
 
 
 def test_check_report_json_shape():

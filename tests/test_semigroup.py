@@ -122,6 +122,22 @@ def test_zero_f0_with_nonzero_tail_fails():
     assert all(tuple(f["alpha"]) == (1,) for f in report.failures)
 
 
+def test_nan_sequence_fails():
+    # a NaN residual compares False with everything, so "residual > tol"
+    # let it through; the shared rule passes only "residual <= tol"
+    nan = float("nan")
+    seq = MomentSeq(
+        1,
+        1,
+        reals_additive(),
+        {_mi(0): lambda x: nan, _mi(1): lambda x: nan},
+    )
+    report = verify_moment_seq(seq, _pairs(seq.monoid, 3, 6))
+    assert not report.passed
+    assert len(report.failures) == 6  # every alpha at every probe
+    assert not check_exponential(lambda x: nan, seq.monoid, _pairs(seq.monoid, 3, 6))
+
+
 def test_multiplicativity_is_the_alpha_zero_row():
     # f_0(x) = e^x is multiplicative; x -> x is not
     reals = reals_additive()
