@@ -46,10 +46,12 @@ from .funcmodel import (
     const_expr,
     eval_exact,
     eval_expr,
+    eval_table,
     expr_from_json,
     judge,
     poly_expr,
     power_sign_apply,
+    worse,
 )
 from .coeffsolve import (
     BudgetExceeded,

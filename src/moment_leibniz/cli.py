@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from .multiindex import MultiIndex, enumerate_height_at_most
 from .polycalc import check_leibniz_all, random_polynomial
-from .funcmodel import Domain
+from .funcmodel import Domain, worse
 from .coeffsolve import (
     BudgetExceeded,
     ConstraintViolation,
@@ -212,7 +212,7 @@ def run_verify_semigroup(args: argparse.Namespace) -> dict:
         report = verify_moment_seq(seq, probes, tol=args.tol, seed=args.seed)
         for failure in report.failures:
             failures.append({"rate": rate, **failure})
-        max_residual = max(max_residual, report.max_residual)
+        max_residual = worse(max_residual, report.max_residual)
         sweeps.append(
             {
                 "rate": rate,

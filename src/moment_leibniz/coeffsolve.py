@@ -39,7 +39,7 @@ from .multiindex import (
     enumerate_height_at_most,
 )
 from .polycalc import Polynomial, RationalPoint, Scalar
-from .funcmodel import CheckReport, FuncExpr, PolyLeaf, eval_expr
+from .funcmodel import CheckReport, FuncExpr, PolyLeaf, eval_expr, worse
 from . import polycalc
 
 
@@ -179,8 +179,8 @@ def check_constraint(
         for x in points:
             value = sum(w * eval_expr(cb, x) * eval_expr(cg, x) for w, cb, cg in pairs)
             checked += 1
-            max_abs = max(max_abs, abs(value))
-            if abs(value) > tol:
+            max_abs = worse(max_abs, abs(value))
+            if not abs(value) <= tol:
                 failures.append(
                     {
                         "alpha": alpha.to_json(),

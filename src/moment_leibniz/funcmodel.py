@@ -4,8 +4,9 @@ Expressions combine exact polynomial leaves with sums, products, rational
 scalar multiples, the continuous extension of t -> t*ln|t| (value 0 at
 t = 0), and first/second derivative contractions whose differentiated
 operand is always an exact polynomial.  Trees evaluate to floats at
-rational sample points; polynomial-only trees also evaluate exactly and
-expand back to a ``Polynomial``.
+rational sample points, node by node.  Polynomial-only trees also expand
+back to a ``Polynomial``; their exact values are the expansion evaluated
+at the point, and ``eval_table`` expands once for a whole set of points.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ def _to_float(value: Fraction, path: str) -> float:
 
 
 class FuncExpr:
-    """Base class; concrete nodes implement _eval/_eval_exact/_expand."""
+    """Base class; concrete nodes implement _eval (float value) and _expand.
+
+    There is no exact per-node evaluator: exact values come from _expand.
+    """
 
     dim: int
 
     def _eval(self, x: RationalPoint, path: str) -> float:
-        raise NotImplementedError
-
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
         raise NotImplementedError
 
     def _expand(self) -> Polynomial:
@@ -69,9 +70,6 @@ class PolyLeaf(FuncExpr):
 
     def _eval(self, x: RationalPoint, path: str) -> float:
         return _to_float(eval_poly(self.poly, x), path)
-
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
-        return eval_poly(self.poly, x)
 
     def _expand(self) -> Polynomial:
         return self.poly
@@ -95,9 +93,6 @@ class Sum(FuncExpr):
         return math.fsum(
             c._eval(x, f"{path}.sum[{i}]") for i, c in enumerate(self.children)
         )
-
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
-        return sum((c._eval_exact(x) for c in self.children), Fraction(0))
 
     def _expand(self) -> Polynomial:
         out = Polynomial.zero(self.dim)
@@ -128,12 +123,6 @@ class Product(FuncExpr):
             raise NonFiniteValue(f"non-finite value at {path}.product")
         return out
 
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
-        out = Fraction(1)
-        for c in self.children:
-            out *= c._eval_exact(x)
-        return out
-
     def _expand(self) -> Polynomial:
         out = Polynomial.constant(self.dim, 1)
         for c in self.children:
@@ -158,9 +147,6 @@ class Scale(FuncExpr):
 
     def _eval(self, x: RationalPoint, path: str) -> float:
         return float(self.factor) * self.child._eval(x, f"{path}.scale")
-
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
-        return self.factor * self.child._eval_exact(x)
 
     def _expand(self) -> Polynomial:
         return self.child._expand() * self.factor
@@ -188,9 +174,6 @@ class XLogAbs(FuncExpr):
         if v == 0.0:
             return 0.0
         return v * math.log(abs(v))
-
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
-        raise NotPolynomial("u*ln|u| has no exact rational value")
 
     def _expand(self) -> Polynomial:
         raise NotPolynomial("u*ln|u| is not polynomial")
@@ -228,15 +211,6 @@ class GradDot(FuncExpr):
         return math.fsum(
             _to_float(eval_poly(gi, x), path) * bi._eval(x, f"{path}.graddot[{i}]")
             for i, (gi, bi) in enumerate(zip(self._grad, self.field_))
-        )
-
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
-        return sum(
-            (
-                eval_poly(gi, x) * bi._eval_exact(x)
-                for gi, bi in zip(self._grad, self.field_)
-            ),
-            Fraction(0),
         )
 
     def _expand(self) -> Polynomial:
@@ -293,17 +267,6 @@ class HessQuad(FuncExpr):
             for j in range(self.dim)
         )
 
-    def _eval_exact(self, x: RationalPoint) -> Fraction:
-        vals = [c._eval_exact(x) for c in self.field_]
-        return sum(
-            (
-                eval_poly(self._hess[i][j], x) * vals[i] * vals[j]
-                for i in range(self.dim)
-                for j in range(self.dim)
-            ),
-            Fraction(0),
-        )
-
     def _expand(self) -> Polynomial:
         fields = [c._expand() for c in self.field_]
         out = Polynomial.zero(self.dim)
@@ -343,7 +306,15 @@ def eval_exact(expr: FuncExpr, x: RationalPoint) -> Fraction:
     """Exact rational value; raises NotPolynomial on log-bearing trees."""
     if expr.dim != x.rank:
         raise DimensionMismatch(f"expr dim {expr.dim} vs point rank {x.rank}")
-    return expr._eval_exact(x)
+    return eval_poly(as_polynomial(expr), x)
+
+
+def eval_table(expr: FuncExpr, points: Sequence[RationalPoint], exact: bool) -> list:
+    """The tree's values at every point: exact ones from one expansion, else floats."""
+    if exact:
+        poly = as_polynomial(expr)
+        return [eval_poly(poly, x) for x in points]
+    return [eval_expr(expr, x) for x in points]
 
 
 def as_polynomial(expr: FuncExpr) -> Polynomial:
@@ -556,6 +527,14 @@ def judge(lhs, rhs, exact: bool, tol: float) -> Tuple[float, bool]:
     return r, r <= tol
 
 
+def worse(current: float, residual: float) -> float:
+    """The running maximum of residuals, which stays NaN once any residual is NaN.
+
+    ``max(0.0, nan)`` is 0.0, so the builtin would hide a NaN residual.
+    """
+    return residual if residual > current or math.isnan(residual) else current
+
+
 # ---- power-sign multiplicative maps ----
 
 
@@ -621,7 +600,7 @@ def check_multiplicative(
             lhs = apply_fn(m, fg, x)
             rhs = apply_fn(m, f, x) * apply_fn(m, g, x)
             residual, ok = judge(lhs, rhs, False, tol)
-            max_residual = max(max_residual, residual)
+            max_residual = worse(max_residual, residual)
             if not ok:
                 failures.append(
                     {
@@ -638,8 +617,8 @@ def check_multiplicative(
     for x in domain.sample_points:
         val = apply_fn(m, minus_one, x)
         residual = abs(val + 1.0)
-        max_residual = max(max_residual, residual)
-        if residual > tol:
+        max_residual = worse(max_residual, residual)
+        if not residual <= tol:
             sign_ok = False
             failures.append(
                 {

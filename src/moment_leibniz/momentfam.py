@@ -9,9 +9,10 @@ plain multiplicativity of T_0.  Families built from exact polynomial
 data (trivial, derivative, and their reparametrized conjugates) are
 verified with zero tolerance in rational arithmetic; families involving
 f*ln|f| are verified in floating point against the domain tolerance.
-Both kinds run the same loop over ``convolution_terms`` and differ only
-in the evaluator; ``funcmodel.judge`` turns each instance into a
-residual and a verdict.
+Both kinds apply each operator once per probe, tabulate its values at
+the sample points with ``funcmodel.eval_table`` (exact values come from
+one expansion), and run the same loop over ``convolution_terms``;
+``funcmodel.judge`` turns each instance into a residual and a verdict.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
-    eval_exact,
     eval_expr,
+    eval_table,
     expr_from_json,
     judge,
+    worse,
 )
 from .coeffsolve import CoeffFamily, ConstraintViolation, check_constraint
 
@@ -303,7 +305,6 @@ def verify_moment(
         tol = domain.float_tolerance
     if domain.rank != family.rank:
         raise ValueError(f"domain rank {domain.rank}, family rank {family.rank}")
-    evaluate = eval_exact if family.exact else eval_expr
     alphas = enumerate_height_at_most(family.rank, family.order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
     points = [family.eval_point(x) for x in domain.sample_points]
@@ -312,9 +313,9 @@ def verify_moment(
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         fg = f * g
-        vf = {b: [evaluate(family.apply(b, f), y) for y in points] for b in alphas}
-        vg = {b: [evaluate(family.apply(b, g), y) for y in points] for b in alphas}
-        vfg = {a: [evaluate(family.apply(a, fg), y) for y in points] for a in alphas}
+        vf = {b: eval_table(family.apply(b, f), points, family.exact) for b in alphas}
+        vg = {b: eval_table(family.apply(b, g), points, family.exact) for b in alphas}
+        vfg = {a: eval_table(family.apply(a, fg), points, family.exact) for a in alphas}
         for alpha, splits in terms.items():
             key = _alpha_key(alpha)
             for i, x in enumerate(domain.sample_points):
@@ -322,8 +323,8 @@ def verify_moment(
                 # a plain sum: exact terms are Fractions, so it stays exact
                 rhs = sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
                 residual, ok = judge(lhs, rhs, family.exact, tol)
-                per_alpha[key] = max(per_alpha[key], residual)
-                max_residual = max(max_residual, residual)
+                per_alpha[key] = worse(per_alpha[key], residual)
+                max_residual = worse(max_residual, residual)
                 if not ok:
                     failures.append(
                         {
@@ -370,7 +371,7 @@ def assert_trivial_collapse(
     for f in probes:
         expr = candidate.apply(zero_index, f)
         for x, y in zip(domain.sample_points, points):
-            if abs(eval_expr(expr, y) - 1.0) > tol:
+            if not abs(eval_expr(expr, y) - 1.0) <= tol:
                 raise ValueError(
                     f"candidate does not have T_0 = 1 at sample {x.to_json()}"
                 )
@@ -383,8 +384,8 @@ def assert_trivial_collapse(
         zero_vals = [eval_expr(at_zero, y) for y in points]
         for x, v in zip(domain.sample_points, zero_vals):
             residual = abs(v)
-            max_residual = max(max_residual, residual)
-            if residual > tol:
+            max_residual = worse(max_residual, residual)
+            if not residual <= tol:
                 failures.append(
                     {
                         "instance": "T_alpha(0) = 0",
@@ -400,7 +401,7 @@ def assert_trivial_collapse(
                 lhs = v0  # T_alpha(f*0) is T_alpha applied to the zero product
                 rhs = eval_expr(expr_f, y) + v0
                 residual, ok = judge(lhs, rhs, False, tol)
-                max_residual = max(max_residual, residual)
+                max_residual = worse(max_residual, residual)
                 if not ok:
                     failures.append(
                         {
@@ -516,22 +517,26 @@ def check_second_order(
     """
     if tol is None:
         tol = domain.float_tolerance
-    evaluate = eval_exact if pair.exact else eval_expr
+    points = domain.sample_points
     failures: List[dict] = []
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
-        tf, tg, tfg = pair.apply_T(f), pair.apply_T(g), pair.apply_T(f * g)
-        af, ag = pair.apply_A(f), pair.apply_A(g)
-        for x in domain.sample_points:
-            lhs = evaluate(tfg, x)
-            # f(x) and g(x) are Fractions; times a float they round to float first
-            rhs = (
-                evaluate(tf, x) * g(x)
-                + f(x) * evaluate(tg, x)
-                + 2 * evaluate(af, x) * evaluate(ag, x)
+        tf, tg, tfg, af, ag = (
+            eval_table(expr, points, pair.exact)
+            for expr in (
+                pair.apply_T(f),
+                pair.apply_T(g),
+                pair.apply_T(f * g),
+                pair.apply_A(f),
+                pair.apply_A(g),
             )
+        )
+        for i, x in enumerate(points):
+            lhs = tfg[i]
+            # f(x) and g(x) are Fractions; times a float they round to float first
+            rhs = tf[i] * g(x) + f(x) * tg[i] + 2 * af[i] * ag[i]
             residual, ok = judge(lhs, rhs, pair.exact, tol)
-            max_residual = max(max_residual, residual)
+            max_residual = worse(max_residual, residual)
             if not ok:
                 failures.append(
                     {

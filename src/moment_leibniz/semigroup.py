@@ -12,8 +12,9 @@ operation.  On (R, +) the sequences
 
 satisfy the identity by the per-coordinate binomial theorem; the rank-1
 case is the classical power-times-exponential recurrence.  The verifier
-sums over ``multiindex.convolution_terms``, re-exported here, and judges
-each instance with ``funcmodel.judge``.
+evaluates each f_alpha once at x, y and x + y per probe, sums over
+``multiindex.convolution_terms``, re-exported here, and judges each
+instance with ``funcmodel.judge``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
-from .funcmodel import CheckReport, judge
+from .funcmodel import CheckReport, judge, worse
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,13 @@ def verify_moment_seq(
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
     for k, (x, y) in enumerate(probes):
         xy = seq.monoid.op(x, y)
+        vx = {b: seq.value(b, x) for b in alphas}
+        vy = {b: seq.value(b, y) for b in alphas}
         for alpha in alphas:
             lhs = seq.value(alpha, xy)
-            rhs = math.fsum(
-                w * seq.value(beta, x) * seq.value(gamma, y)
-                for w, beta, gamma in terms[alpha]
-            )
+            rhs = math.fsum(w * vx[beta] * vy[gamma] for w, beta, gamma in terms[alpha])
             residual, ok = judge(lhs, rhs, False, tol)
-            max_residual = max(max_residual, residual)
+            max_residual = worse(max_residual, residual)
             if not ok:
                 failures.append(
                     {

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from moment_leibniz.multiindex import DimensionMismatch
 from moment_leibniz.polycalc import Polynomial, RationalPoint, random_polynomial
@@ -32,6 +33,7 @@ from moment_leibniz.funcmodel import (
     judge,
     poly_expr,
     power_sign_apply,
+    worse,
 )
 
 
@@ -146,6 +148,7 @@ def test_hessquad_pinned():
     h = HessQuad(f, c)
     assert as_polynomial(h) == Polynomial(2, {(0, 1): 2, (2, 0): 4})
     assert eval_expr(h, _pt(1, 1)) == pytest.approx(6.0)
+    assert eval_exact(h, _pt(1, 1)) == 6
 
 
 def test_field_rank_checked():
@@ -161,6 +164,83 @@ def test_exact_eval_rejects_log():
         eval_exact(expr, _pt(Fraction(1, 2)))
     with pytest.raises(NotPolynomial):
         as_polynomial(expr)
+
+
+def _random_tree(rng: random.Random, dim: int, depth: int):
+    """A seeded log-free tree of height <= depth over small random polynomials."""
+
+    def poly():
+        return random_polynomial(rng, dim, max_degree=2, terms=3, coeff_bound=4)
+
+    kind = rng.choice(("poly", "sum", "product", "scale", "graddot", "hessquad"))
+    if depth == 0 or kind == "poly":
+        return PolyLeaf(poly())
+
+    def sub():
+        return _random_tree(rng, dim, depth - 1)
+
+    if kind == "sum":
+        return Sum(tuple(sub() for _ in range(rng.randint(1, 3))))
+    if kind == "product":
+        return Product(tuple(sub() for _ in range(rng.randint(1, 2))))
+    if kind == "scale":
+        return Scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), sub())
+    node = GradDot if kind == "graddot" else HessQuad
+    return node(poly(), tuple(sub() for _ in range(dim)))
+
+
+def _sympy_value(expr, point):
+    """The tree's value at the point, computed independently with sympy."""
+    xs = sympy.symbols(f"x0:{point.rank}")
+
+    def poly(p):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x**e for x, e in zip(xs, idx.entries)))
+                for idx, c in p.terms.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    def build(e):
+        if isinstance(e, PolyLeaf):
+            return poly(e.poly)
+        if isinstance(e, Sum):
+            return sympy.Add(*(build(c) for c in e.children))
+        if isinstance(e, Product):
+            return sympy.Mul(*(build(c) for c in e.children))
+        if isinstance(e, Scale):
+            return sympy.Rational(e.factor.numerator, e.factor.denominator) * build(e.child)
+        p, field = poly(e.poly), [build(c) for c in e.field_]
+        if isinstance(e, GradDot):
+            return sum((sympy.diff(p, xs[i]) * field[i] for i in range(len(xs))), sympy.Integer(0))
+        return sum(
+            (
+                sympy.diff(p, xs[i], xs[j]) * field[i] * field[j]
+                for i in range(len(xs))
+                for j in range(len(xs))
+            ),
+            sympy.Integer(0),
+        )
+
+    value = build(expr).subs(
+        {x: sympy.Rational(c.numerator, c.denominator) for x, c in zip(xs, point.coords)}
+    )
+    return Fraction(int(value.p), int(value.q))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exact_eval_matches_sympy_on_random_trees(dim):
+    rng = random.Random(600 + dim)
+    for _ in range(30):
+        expr = _random_tree(rng, dim, rng.randint(0, 3))
+        x = RationalPoint(
+            tuple(Fraction(rng.randint(-63, 63), 64) for _ in range(dim))
+        )
+        exact = eval_exact(expr, x)
+        assert exact == _sympy_value(expr, x)
+        assert math.isclose(eval_expr(expr, x), float(exact), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_non_finite_carries_node_path():
@@ -276,9 +356,36 @@ def test_check_multiplicative_fails_on_nan():
     probes = [(Polynomial.constant(1, 2), Polynomial.constant(1, 3))]
     report = check_multiplicative(m, probes, dom, apply_fn=lambda m, f, x: math.nan)
     assert not report.passed
-    # the sign probe keeps its absolute rule, so only the product instances fail
-    assert len(report.failures) == len(dom.sample_points)
-    assert all(f["type"] == "multiplicativity" for f in report.failures)
+    # every product instance and every sign probe fails
+    types = [f["type"] for f in report.failures]
+    assert types.count("multiplicativity") == len(dom.sample_points)
+    assert types.count("sign_preservation") == len(dom.sample_points)
+    assert math.isnan(report.max_residual)
+
+
+def test_sign_probe_fails_on_nan():
+    # "residual > tol" is False for a NaN residual; the probe must fail it
+    dom = Domain.unit(1)
+    m = PowerSignMap(const_expr(1, 2), TauMap.identity(1))
+    minus_one = Polynomial.constant(1, -1)
+
+    def nan_on_minus_one(m, f, x):
+        return math.nan if f == minus_one else power_sign_apply(m, f, x)
+
+    probes = [(Polynomial.constant(1, 2), Polynomial.constant(1, 3))]
+    report = check_multiplicative(m, probes, dom, apply_fn=nan_on_minus_one)
+    assert not report.passed
+    assert report.details["sign_preserved"] is False
+    assert [f["type"] for f in report.failures] == ["sign_preservation"] * len(
+        dom.sample_points
+    )
+    assert math.isnan(report.max_residual)
+
+
+def test_worse_keeps_nan():
+    assert worse(0.0, 0.5) == 0.5 and worse(0.5, 0.25) == 0.5
+    assert math.isnan(worse(0.0, math.nan))
+    assert math.isnan(worse(math.nan, 1.0))
 
 
 def test_judge_exact_and_relative_rules():

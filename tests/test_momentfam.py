@@ -429,6 +429,25 @@ def test_second_order_violation_detected():
 # ---- reports and descriptors ----
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_verify_moment_applies_each_operator_once_per_probe(exact):
+    # T_beta(f), T_beta(g) and T_alpha(fg) are built once per probe and
+    # tabulated over the sample points
+    inner = make_derivative(2, 3) if exact else make_first_order_leibniz(const_expr(2, 3), 2)
+    calls = []
+
+    def rule(alpha, f):
+        calls.append(alpha)
+        return inner.rule(alpha, f)
+
+    family = custom_family(2, inner.order, rule, exact=exact)
+    dom = Domain.unit(2, seed=7)
+    probes = _probes(dom, 5, 9)
+    assert verify_moment(family, probes, dom).passed
+    alphas = enumerate_height_at_most(2, inner.order)
+    assert len(calls) == 3 * len(alphas) * len(probes)
+
+
 def test_moment_report_json_shape():
     dom = Domain.unit(1, seed=20)
     report = verify_moment(make_trivial(1, 1), _probes(dom, 4, 8), dom, seed=9)

@@ -138,6 +138,40 @@ def test_nan_sequence_fails():
     assert not check_exponential(lambda x: nan, seq.monoid, _pairs(seq.monoid, 3, 6))
 
 
+def test_nan_sequence_reports_nan_max_residual():
+    nan = float("nan")
+    seq = MomentSeq(
+        1,
+        1,
+        reals_additive(),
+        {_mi(0): lambda x: 1.0, _mi(1): lambda x: nan},
+    )
+    report = verify_moment_seq(seq, _pairs(seq.monoid, 3, 6))
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+
+
+def test_each_function_evaluated_once_per_probe_point():
+    # f_alpha is called at x, y and x + y once per probe, not once per
+    # convolution term
+    base = make_exponential_moment_seq(2, 3, 0.5, [1.0, 1.5])
+    calls = dict.fromkeys(base.functions, 0)
+
+    def counted(alpha, fn):
+        def f(x):
+            calls[alpha] += 1
+            return fn(x)
+
+        return f
+
+    seq = MomentSeq(
+        2, 3, base.monoid, {a: counted(a, fn) for a, fn in base.functions.items()}
+    )
+    probes = _pairs(seq.monoid, 7, 8)
+    assert verify_moment_seq(seq, probes).passed
+    assert set(calls.values()) == {3 * len(probes)}
+
+
 def test_multiplicativity_is_the_alpha_zero_row():
     # f_0(x) = e^x is multiplicative; x -> x is not
     reals = reals_additive()
