@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -68,8 +69,8 @@ def _validate_common(args: argparse.Namespace) -> None:
     _positive_int("order", args.order, 0)
     _positive_int("samples", args.samples, 8)
     _positive_int("budget", args.budget, 1)
-    if args.tol <= 0:
-        raise InputError(f"--tol must be > 0, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be finite and > 0, got {args.tol}")
 
 
 def _config_dict(args: argparse.Namespace, command: str) -> dict:

@@ -65,6 +65,9 @@ class OperatorFamily:
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, value in (("rank", self.rank), ("order", self.order)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.order < 0:

@@ -8,12 +8,20 @@ identity checked downstream is exact integer arithmetic.
 ``convolution_terms(alpha)`` lists the weighted splittings
 (C(alpha, beta), beta, alpha - beta) of the binomial convolution
 identity; every verifier in the package sums over that one list.
+
+``MultiIndex(...)`` validates its entries.  Results the package already
+knows to be valid skip that check through the private
+``MultiIndex._trusted(entries)``: its callers pass a tuple of nonnegative
+ints of the right rank (a sum of two same-rank indices, a difference
+after the ``<=`` check, a tuple drawn from ``range``).  Trusted and
+validated indices with equal entries are equal and hash alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
@@ -40,6 +48,16 @@ class MultiIndex:
         if any(e < 0 for e in ent):
             raise ValueError(f"negative entry in multi-index {ent}")
         object.__setattr__(self, "entries", ent)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "MultiIndex":
+        """An index on entries known to be a nonempty tuple of ints >= 0; no checks."""
+        idx = object.__new__(cls)
+        object.__setattr__(idx, "entries", entries)
+        return idx
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     # ---- basic views ----
 
@@ -80,13 +98,13 @@ class MultiIndex:
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         self._check_rank(other)
-        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return MultiIndex._trusted(tuple(map(operator.add, self.entries, other.entries)))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         self._check_rank(other)
         if not other <= self:
             raise ValueError(f"{other.entries} is not componentwise <= {self.entries}")
-        return MultiIndex(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return MultiIndex._trusted(tuple(map(operator.sub, self.entries, other.entries)))
 
     def __le__(self, other: "MultiIndex") -> bool:
         self._check_rank(other)
@@ -150,7 +168,7 @@ def enumerate_below(alpha: MultiIndex) -> List[MultiIndex]:
     Exactly prod_i (alpha_i + 1) indices.
     """
     ranges = [range(e + 1) for e in alpha.entries]
-    return [MultiIndex(t) for t in itertools.product(*ranges)]
+    return [MultiIndex._trusted(t) for t in itertools.product(*ranges)]
 
 
 def convolution_terms(alpha: MultiIndex) -> List[Tuple[int, MultiIndex, MultiIndex]]:
@@ -171,8 +189,8 @@ def enumerate_height_at_most(rank: int, max_height: int) -> List[MultiIndex]:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if max_height < 0:
         raise ValueError(f"max_height must be >= 0, got {max_height}")
-    out = []
-    for t in itertools.product(range(max_height + 1), repeat=rank):
-        if sum(t) <= max_height:
-            out.append(MultiIndex(t))
-    return out
+    return [
+        MultiIndex._trusted(t)
+        for t in itertools.product(range(max_height + 1), repeat=rank)
+        if sum(t) <= max_height
+    ]

@@ -7,11 +7,28 @@ equality is structural and the product-derivative identity
     D^alpha(f*g) = sum_{beta <= alpha} C(alpha, beta) D^beta(f) D^{alpha-beta}(g)
 
 is checked with zero tolerance.  D^0 is the identity map.
+
+``Polynomial(dim, terms)`` canonicalizes and validates whatever it is
+given.  Results the module already knows to be canonical skip that work
+through the private ``Polynomial._make(dim, terms)``: its callers pass a
+term map whose keys are distinct ``MultiIndex`` of rank ``dim`` and whose
+coefficients are nonzero ``Fraction``.  ``+``, unary ``-``, ``*`` and
+``dalpha`` build their results that way.  Products and convolution sums
+accumulate ``w * a * b`` in place into a map keyed by plain exponent
+tuples (``_accumulate``), which ``_canonical_terms`` turns into a term
+map once, dropping zeros and wrapping each key in a ``MultiIndex``.
+
+``eval_poly`` sums integer numerators over one common denominator, the
+lcm of the coefficient denominators times prod_i d_i^maxdeg_i for the
+point's coordinates n_i/d_i, and normalizes a single ``Fraction`` at the
+end; Fractions are canonical, so the value is the same number as a
+term-by-term Fraction sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,6 +121,14 @@ class Polynomial:
         self.dim = dim
         self.terms = canonical
 
+    @classmethod
+    def _make(cls, dim: int, terms: Dict[MultiIndex, Fraction]) -> "Polynomial":
+        """A polynomial on a term map that is already canonical; no checks, no copy."""
+        poly = object.__new__(cls)
+        poly.dim = dim
+        poly.terms = terms
+        return poly
+
     # ---- constructors ----
 
     @classmethod
@@ -149,15 +174,19 @@ class Polynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
-            val = out.get(idx, Fraction(0)) + coeff
-            if val == 0:
-                out.pop(idx, None)
-            else:
+            prev = out.get(idx)
+            if prev is None:
+                out[idx] = coeff
+                continue
+            val = prev + coeff
+            if val:
                 out[idx] = val
-        return Polynomial(self.dim, out)
+            else:
+                del out[idx]
+        return Polynomial._make(self.dim, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {idx: -c for idx, c in self.terms.items()})
+        return Polynomial._make(self.dim, {idx: -c for idx, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -165,18 +194,14 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check_dim(other)
-            out: Dict[MultiIndex, Fraction] = {}
-            for ia, ca in self.terms.items():
-                for ib, cb in other.terms.items():
-                    idx = ia + ib
-                    val = out.get(idx, Fraction(0)) + ca * cb
-                    if val == 0:
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = val
-            return Polynomial(self.dim, out)
-        return Polynomial(
-            self.dim, {idx: c * _as_fraction(other) for idx, c in self.terms.items()}
+            acc: Dict[Tuple[int, ...], Fraction] = {}
+            _accumulate(acc, 1, self, other)
+            return Polynomial._make(self.dim, _canonical_terms(acc))
+        factor = _as_fraction(other)
+        if not factor:
+            return Polynomial._make(self.dim, {})
+        return Polynomial._make(
+            self.dim, {idx: c * factor for idx, c in self.terms.items()}
         )
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
@@ -231,49 +256,92 @@ class Polynomial:
 # ---- calculus ----
 
 
+def _accumulate(
+    acc: Dict[Tuple[int, ...], Fraction], w: int, a: Polynomial, b: Polynomial
+) -> None:
+    """acc += w * a * b, in place; acc is keyed by exponent tuples and may hold zeros."""
+    add, get = operator.add, acc.get
+    b_terms = [(ib.entries, cb) for ib, cb in b.terms.items()]
+    for ia, ca in a.terms.items():
+        ea, wa = ia.entries, w * ca
+        for eb, cb in b_terms:
+            key = tuple(map(add, ea, eb))
+            prev = get(key)
+            acc[key] = wa * cb if prev is None else prev + wa * cb
+
+
+def _canonical_terms(acc: Dict[Tuple[int, ...], Fraction]) -> Dict[MultiIndex, Fraction]:
+    """The term map of an accumulator: zeros dropped, keys wrapped once."""
+    trusted = MultiIndex._trusted
+    return {trusted(exp): c for exp, c in acc.items() if c}
+
+
 def dalpha(f: Polynomial, alpha: MultiIndex) -> Polynomial:
     """Exact mixed partial derivative of order alpha.
 
     Each monomial x^e maps to (prod_i perm(e_i, alpha_i)) * x^(e-alpha);
     monomials with any e_i < alpha_i vanish.  dalpha(f, 0) is f itself.
+    Distinct monomials keep distinct exponents and nonzero coefficients,
+    so the result is canonical as built.
     """
     if f.dim != alpha.rank:
         raise DimensionMismatch(f"poly dim {f.dim} vs index rank {alpha.rank}")
     if alpha.is_zero():
         return f
+    a = alpha.entries
+    trusted, perm = MultiIndex._trusted, math.perm
     out: Dict[MultiIndex, Fraction] = {}
     for exp, coeff in f.terms.items():
-        if not alpha <= exp:
-            continue
+        e = exp.entries
         scale = 1
-        for e, a in zip(exp.entries, alpha.entries):
-            if a:
-                scale *= math.perm(e, a)
-        out[exp - alpha] = coeff * scale
-    return Polynomial(f.dim, out)
+        for ei, ai in zip(e, a):
+            if ei < ai:
+                break
+            if ai:
+                scale *= perm(ei, ai)
+        else:
+            out[trusted(tuple(map(operator.sub, e, a)))] = coeff * scale
+    return Polynomial._make(f.dim, out)
 
 
 def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
-    """Exact evaluation of f at a rational point."""
+    """Exact evaluation of f at a rational point.
+
+    With x_i = n_i/d_i, M_i the largest exponent of x_i in f and L the
+    lcm of the coefficient denominators, every term c * x^e equals
+    (c * L) * prod_i n_i^e_i d_i^(M_i - e_i) over the common denominator
+    L * prod_i d_i^M_i, so the sum is one integer over that denominator.
+    """
     if f.dim != x.rank:
         raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
-    total = Fraction(0)
-    for exp, coeff in f.terms.items():
-        term = coeff
-        for xi, e in zip(x.coords, exp.entries):
-            if e:
-                term *= xi**e
+    terms = [(exp.entries, coeff) for exp, coeff in f.terms.items()]
+    if not terms:
+        return Fraction(0)
+    lcm = math.lcm(*[c.denominator for _, c in terms])
+    den = lcm
+    # tables[i][e] = n_i^e * d_i^(M_i - e)
+    tables = []
+    for i, xi in enumerate(x.coords):
+        top = max(e[i] for e, _ in terms)
+        n, d = xi.numerator, xi.denominator
+        tables.append([n**e * d ** (top - e) for e in range(top + 1)])
+        den *= d**top
+    total = 0
+    for exp, coeff in terms:
+        term = coeff.numerator * (lcm // coeff.denominator)
+        for table, e in zip(tables, exp):
+            term *= table[e]
         total += term
-    return total
+    return Fraction(total, den)
 
 
 def leibniz_rhs(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> Polynomial:
     """The binomial convolution sum_{beta <= alpha} C(alpha,beta) D^beta f D^{alpha-beta} g."""
     f._check_dim(g)
-    total = Polynomial.zero(f.dim)
+    acc: Dict[Tuple[int, ...], Fraction] = {}
     for w, beta, gamma in convolution_terms(alpha):
-        total = total + w * (dalpha(f, beta) * dalpha(g, gamma))
-    return total
+        _accumulate(acc, w, dalpha(f, beta), dalpha(g, gamma))
+    return Polynomial._make(f.dim, _canonical_terms(acc))
 
 
 def check_leibniz(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> bool:
@@ -296,10 +364,10 @@ def check_leibniz_all(
     fg = f * g
     failures = []
     for alpha in alphas:
-        rhs = Polynomial.zero(f.dim)
+        acc: Dict[Tuple[int, ...], Fraction] = {}
         for w, beta, gamma in convolution_terms(alpha):
-            rhs = rhs + w * (df[beta] * dg[gamma])
-        if rhs != dalpha(fg, alpha):
+            _accumulate(acc, w, df[beta], dg[gamma])
+        if _canonical_terms(acc) != dalpha(fg, alpha).terms:
             failures.append(alpha)
     return failures
 

@@ -67,6 +67,23 @@ def test_bad_samples_is_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-semigroup", "--rank", "1", "--order", "2", "--tol", "nan"],
+        ["verify-semigroup", "--rank", "1", "--order", "2", "--tol", "inf", "--tamper"],
+        ["verify-leibniz", "--tol", "inf"],
+        ["verify-leibniz", "--tol=-inf"],
+    ],
+    ids=["nan", "inf-tamper", "inf", "minus-inf"],
+)
+def test_non_finite_tol_is_input_error(capsys, argv):
+    # nan would fail every instance and inf would pass a tampered sequence
+    code, report = _run(capsys, argv)
+    assert code == EXIT_INPUT
+    assert report is None
+
+
 # ---- verify-family ----
 
 
@@ -171,8 +188,29 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
             "r": 1,
             "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1e400"}]},
         },
+        {"kind": "derivative", "r": 1, "N": 2.5},
+        {"kind": "derivative", "r": 1, "N": 1e9},
+        {"kind": "trivial", "r": 1, "N": True},
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": 2,
+            "tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1/2"}]]},
+            "inner": {"kind": "derivative", "r": 1, "N": 2.5},
+        },
     ],
-    ids=["r-str", "r-zero", "r-negative", "r-bool", "tau-div-zero", "coeff-overflow"],
+    ids=[
+        "r-str",
+        "r-zero",
+        "r-negative",
+        "r-bool",
+        "tau-div-zero",
+        "coeff-overflow",
+        "N-float",
+        "N-float-large",
+        "N-bool",
+        "N-float-conjugated",
+    ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
     # a descriptor the verifier cannot evaluate is invalid input (exit 2),

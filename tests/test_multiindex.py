@@ -152,3 +152,32 @@ def test_json_roundtrip():
     a = _mi(1, 0, 2)
     assert a.to_json() == [1, 0, 2]
     assert MultiIndex.from_json([1, 0, 2]) == a
+
+
+# ---- trusted results ----
+
+
+def test_trusted_and_validated_indices_hash_alike():
+    rng = random.Random(17)
+    for _ in range(30):
+        rank = rng.randint(1, 4)
+        a, b = _random_index(rng, rank), _random_index(rng, rank)
+        built = a + b  # a trusted result
+        validated = MultiIndex(built.entries)
+        assert built == validated and validated == built
+        assert hash(built) == hash(validated) == hash(built.entries)
+        assert {validated: "v"}[built] == "v"
+        assert {built: "b"}[validated] == "b"
+        assert (built - b) == a and {a: 1}[built - b] == 1
+
+
+def test_trusted_results_are_valid_indices():
+    # every index the arithmetic and the enumerations hand out could have
+    # been built by the validating constructor unchanged
+    rng = random.Random(18)
+    a, b = _random_index(rng, 3), _random_index(rng, 3)
+    found = [a + b, (a + b) - b, *enumerate_below(a), *enumerate_height_at_most(2, 3)]
+    for idx in found:
+        assert type(idx) is MultiIndex
+        assert all(type(e) is int and e >= 0 for e in idx.entries)
+        assert MultiIndex(idx.entries).entries == idx.entries

@@ -85,6 +85,9 @@ def test_eval_pinned():
     c = Polynomial.constant(3, Fraction(5, 7))
     assert eval_poly(c, RationalPoint.of(1, 2, 3)) == Fraction(5, 7)
     assert eval_poly(Polynomial.zero(1), RationalPoint.of(9)) == 0
+    # 1/2 x^3 y - 2/3 y^2 + 5 at (-1/2, 3/4): -3/64 - 3/8 + 5
+    q = Polynomial(2, {(3, 1): Fraction(1, 2), (0, 2): Fraction(-2, 3), (0, 0): 5})
+    assert eval_poly(q, RationalPoint.of(Fraction(-1, 2), Fraction(3, 4))) == Fraction(293, 64)
 
 
 def test_eval_is_ring_homomorphism():
@@ -96,6 +99,101 @@ def test_eval_is_ring_homomorphism():
         x = RationalPoint(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)))
         assert eval_poly(f * g, x) == eval_poly(f, x) * eval_poly(g, x)
         assert eval_poly(f + g, x) == eval_poly(f, x) + eval_poly(g, x)
+
+
+def _naive_eval(f: Polynomial, x: RationalPoint) -> Fraction:
+    # term-by-term Fraction arithmetic, the reference for eval_poly
+    total = Fraction(0)
+    for exp, coeff in f.terms.items():
+        term = coeff
+        for xi, e in zip(x.coords, exp.entries):
+            term *= xi**e
+        total += term
+    return total
+
+
+def _random_point(rng: random.Random, dim: int) -> RationalPoint:
+    # zero and negative coordinates and non-unit denominators all occur
+    return RationalPoint(
+        tuple(Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 4, 9))) for _ in range(dim))
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eval_matches_term_by_term_fractions(dim):
+    rng = random.Random(300 + dim)
+    zero = Polynomial.zero(dim)
+    for _ in range(60):
+        f = random_polynomial(
+            rng, dim, max_degree=7, terms=rng.randint(1, 8), denominators=(1, 2, 3, 5, 12)
+        )
+        for x in (_random_point(rng, dim), RationalPoint((Fraction(0),) * dim)):
+            value = eval_poly(f, x)
+            assert type(value) is Fraction
+            assert value == _naive_eval(f, x)
+            assert eval_poly(zero, x) == 0
+
+
+def _assert_canonical(p: Polynomial, dim: int) -> None:
+    assert p.dim == dim
+    assert Polynomial(p.dim, p.terms) == p
+    for idx, coeff in p.terms.items():
+        assert type(idx) is MultiIndex and idx.rank == dim
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_results_are_canonical(dim):
+    rng = random.Random(310 + dim)
+    for _ in range(25):
+        f = random_polynomial(rng, dim, max_degree=5)
+        g = random_polynomial(rng, dim, max_degree=5)
+        alpha = MultiIndex(tuple(rng.randint(0, 2) for _ in range(dim)))
+        results = [
+            f + g,
+            f + (-f),
+            f - g,
+            f - f,
+            -f,
+            f * g,
+            f * (-f),
+            f * Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            f * 3,
+            f * 0,
+            0 * f,
+            dalpha(f, alpha),
+            dalpha(f * g, alpha),
+            leibniz_rhs(f, g, alpha),
+        ]
+        for p in results:
+            _assert_canonical(p, dim)
+
+
+def test_ops_never_recanonicalize(monkeypatch):
+    # once the inputs exist, the ring operations and the identity checks
+    # build every result from a map that is already canonical
+    rng = random.Random(320)
+    f = random_polynomial(rng, 2, max_degree=5)
+    g = random_polynomial(rng, 2, max_degree=5)
+    assert f and g
+    alpha = _mi(2, 1)
+    calls = []
+    init = Polynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    f + g
+    f - g
+    f * g
+    f * Fraction(2, 3)
+    f * 0
+    dalpha(f, alpha)
+    leibniz_rhs(f, g, alpha)
+    assert check_leibniz_all(f, g, 3) == []
+    assert calls == []
 
 
 # ---- derivatives ----
