@@ -62,7 +62,6 @@ from .coeffsolve import (
     check_constraint,
     constraint_indices,
     enumerate_valid_constant_supports,
-    find_constant_certificate,
     forced_zero_analysis,
     is_structure_valid,
     random_valid_family,
@@ -87,9 +86,6 @@ from .momentfam import (
 from .semigroup import (
     MomentSeq,
     Monoid,
-    check_exponential,
-    check_monoid_axioms,
-    intvec_additive,
     make_exponential_moment_seq,
     random_probe_pairs,
     reals_additive,

@@ -157,7 +157,7 @@ def run_verify_family(args: argparse.Namespace) -> dict:
     rng = random.Random(args.seed)
     probes = default_probe_pairs(domain, args.probes, rng)
     try:
-        report = verify_moment(family, probes, domain, tol=args.tol, seed=args.seed)
+        report = verify_moment(family, probes, domain, seed=args.seed)
     except ArithmeticError as exc:
         # only the descriptor's values can overflow: the probes are small
         # polynomials on the unit box

@@ -16,8 +16,8 @@ homogeneous part of E, the degree-2m part of E^2 is E_m^2, which is
 nonzero.  Hence the constraint holds at x exactly when c_alpha(x) = 0
 for every 2|alpha| <= N: the admissible supports are the subsets of the
 band N/2 < |alpha| <= N, every constrained sum over such a support is
-empty, and no support reaching below the band has a nonzero
-cancellation certificate.
+empty, and no support reaching below the band admits nonzero constant
+coefficients.
 
 This module checks the constraint on sample points, reports which
 support indices it forces to vanish, enumerates the admissible support
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .multiindex import (
@@ -100,11 +99,6 @@ class CoeffFamily:
     def value(self, alpha: MultiIndex, x: RationalPoint) -> float:
         expr = self.coefficients.get(alpha)
         return 0.0 if expr is None else eval_expr(expr, x)
-
-    def support(self) -> "SupportPattern":
-        return SupportPattern(
-            self.rank, self.order, frozenset(self.coefficients.keys())
-        )
 
     @classmethod
     def from_constants(
@@ -200,17 +194,11 @@ def check_constraint(
 
 @dataclass(frozen=True)
 class SupportPattern:
-    """Which c_alpha are allowed to be nonzero, plus an optional certificate.
-
-    A certificate assigns nonzero constants to the support making every
-    constrained sum vanish.  Admissible patterns never need one, since
-    all their sums are empty, so the enumeration leaves it None.
-    """
+    """Which c_alpha are allowed to be nonzero."""
 
     rank: int
     order: int
     support: FrozenSet[MultiIndex]
-    certificate: Optional[Mapping[MultiIndex, Fraction]] = None
 
     def __post_init__(self) -> None:
         support = frozenset(as_multiindex(a) for a in self.support)
@@ -220,44 +208,25 @@ class SupportPattern:
                 raise ValueError(
                     f"support index {a.entries} outside 0 < |alpha| <= {self.order}"
                 )
-        if self.certificate is not None:
-            cert = {as_multiindex(a): Fraction(v) for a, v in self.certificate.items()}
-            if set(cert) != support:
-                raise ValueError("certificate must assign exactly the support")
-            if any(v == 0 for v in cert.values()):
-                raise ValueError("certificate values must be nonzero")
-            object.__setattr__(self, "certificate", cert)
 
     def sorted_support(self) -> List[MultiIndex]:
         return sorted(self.support, key=lambda a: (a.height, a.entries))
 
     def to_json(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = [
-                {"index": a.to_json(), "value": str(self.certificate[a])}
-                for a in self.sorted_support()
-            ]
         return {
             "rank": self.rank,
             "order": self.order,
             "support": [a.to_json() for a in self.sorted_support()],
-            "certificate": cert,
+            # kept for the search-supports and gen-family bytes pinned in perfbench/golden.json
+            "certificate": None,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "SupportPattern":
-        cert = None
-        if data.get("certificate") is not None:
-            cert = {
-                MultiIndex.from_json(item["index"]): Fraction(item["value"])
-                for item in data["certificate"]
-            }
         return cls(
             data["rank"],
             data["order"],
             frozenset(MultiIndex.from_json(a) for a in data["support"]),
-            cert,
         )
 
 
@@ -283,20 +252,6 @@ def forced_zero_analysis(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
     repeat.  Band indices are never forced: their squares lie above N.
     """
     return frozenset(a for a in pattern.support if 2 * a.height <= pattern.order)
-
-
-def find_constant_certificate(
-    pattern: SupportPattern,
-) -> Optional[Dict[MultiIndex, Fraction]]:
-    """Nonzero constants on the support that satisfy every constrained sum.
-
-    None when the support leaves the band, since a forced-zero index
-    admits no nonzero value.  Inside the band every sum is empty and any
-    nonzero constants work; this returns all ones.
-    """
-    if not is_structure_valid(pattern):
-        return None
-    return {a: Fraction(1) for a in pattern.support}
 
 
 def enumerate_valid_constant_supports(
@@ -331,11 +286,7 @@ def enumerate_valid_constant_supports(
     ]
 
 
-def random_valid_family(
-    pattern: SupportPattern,
-    seed: int,
-    coeff_degree: int = 2,
-) -> CoeffFamily:
+def random_valid_family(pattern: SupportPattern, seed: int) -> CoeffFamily:
     """Seeded random coefficient family guaranteed to satisfy the constraint.
 
     The support must lie in the band, where every bilinear sum is empty,
@@ -350,7 +301,7 @@ def random_valid_family(
     coeffs: Dict[MultiIndex, FuncExpr] = {
         idx: PolyLeaf(
             polycalc.random_polynomial(
-                rng, pattern.rank, max_degree=coeff_degree, terms=3, coeff_bound=4
+                rng, pattern.rank, max_degree=2, terms=3, coeff_bound=4
             )
         )
         for idx in pattern.sorted_support()

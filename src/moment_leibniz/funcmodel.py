@@ -331,6 +331,8 @@ def poly_expr(poly: Polynomial) -> PolyLeaf:
 
 
 def expr_from_json(data: dict) -> FuncExpr:
+    if not isinstance(data, dict):
+        raise ValueError(f"expression must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "poly":
         return PolyLeaf(Polynomial.from_json(data["terms"], data["dim"]))
@@ -400,16 +402,14 @@ class Domain:
         n_samples: int = 12,
         seed: int = 0,
         float_tolerance: float = 1e-9,
-        denominator: int = 64,
     ) -> "Domain":
-        """Deterministic rational samples lo + (hi-lo)*k/denominator, 0 < k < denominator."""
+        """Deterministic rational samples lo + (hi-lo)*k/64, 0 < k < 64."""
         rng = random.Random(seed)
         fbox = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
         points = []
         for _ in range(n_samples):
             coords = tuple(
-                lo + (hi - lo) * Fraction(rng.randint(1, denominator - 1), denominator)
-                for lo, hi in fbox
+                lo + (hi - lo) * Fraction(rng.randint(1, 63), 64) for lo, hi in fbox
             )
             points.append(RationalPoint(coords))
         return cls(fbox, tuple(points), float_tolerance)
@@ -516,15 +516,27 @@ class CheckReport:
 def judge(lhs, rhs, exact: bool, tol: float) -> Tuple[float, bool]:
     """The residual of one identity instance lhs = rhs, and whether it passes.
 
-    Exact instances compare rational values: the residual is |lhs - rhs|
-    and only equality passes.  Float instances use the relative residual
-    |lhs - rhs| / (1 + |lhs|) and pass when it is <= tol, so a NaN
-    residual fails.
+    Exact instances compare rational values: the residual is |lhs - rhs|,
+    or inf when it is too large for a float, and only equality passes.
+    Float instances use the relative residual |lhs - rhs| / (1 + |lhs|)
+    and pass when it is <= tol, so a NaN residual fails.
     """
     if exact:
-        return float(abs(lhs - rhs)), lhs == rhs
+        try:
+            residual = float(abs(lhs - rhs))
+        except OverflowError:
+            residual = math.inf
+        return residual, lhs == rhs
     r = abs(lhs - rhs) / (1.0 + abs(lhs))
     return r, r <= tol
+
+
+def witness_float(value) -> float:
+    """A witness side as a float: an exact value too large for one is +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def worse(current: float, residual: float) -> float:
@@ -578,7 +590,6 @@ def check_multiplicative(
     m: PowerSignMap,
     probes: Sequence[Tuple[Polynomial, Polynomial]],
     domain: Domain,
-    tol: Optional[float] = None,
     apply_fn: Callable[[PowerSignMap, Polynomial, RationalPoint], float] = power_sign_apply,
     seed: Optional[int] = None,
 ) -> CheckReport:
@@ -586,10 +597,10 @@ def check_multiplicative(
 
     The sign probe evaluates M on the constant -1, whose image must stay
     -1; plain product checks cannot tell M from the sign-stripped
-    |f(tau(x))|^{p(x)}, so the probe is always included.
+    |f(tau(x))|^{p(x)}, so the probe is always included.  Both checks use
+    the domain tolerance.
     """
-    if tol is None:
-        tol = domain.float_tolerance
+    tol = domain.float_tolerance
     m.validate(domain)
     failures: List[dict] = []
     max_residual = 0.0

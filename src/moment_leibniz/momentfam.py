@@ -39,6 +39,7 @@ from .funcmodel import (
     eval_table,
     expr_from_json,
     judge,
+    witness_float,
     worse,
 )
 from .coeffsolve import CoeffFamily, ConstraintViolation, check_constraint
@@ -294,18 +295,16 @@ def verify_moment(
     family: OperatorFamily,
     probes: Sequence[Tuple[Polynomial, Polynomial]],
     domain: Domain,
-    tol: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> MomentReport:
     """Check the binomial moment identity on every probe pair and sample.
 
     Exact families compare rational values and demand residual exactly
     zero; float families use the relative residual
-    |lhs - rhs| / (1 + |lhs|) against ``tol`` (domain tolerance by
-    default).  Failures carry the witnessing alpha, probe and point.
+    |lhs - rhs| / (1 + |lhs|) against the domain tolerance.  Failures
+    carry the witnessing alpha, probe and point.
     """
-    if tol is None:
-        tol = domain.float_tolerance
+    tol = domain.float_tolerance
     if domain.rank != family.rank:
         raise ValueError(f"domain rank {domain.rank}, family rank {family.rank}")
     alphas = enumerate_height_at_most(family.rank, family.order)
@@ -334,8 +333,8 @@ def verify_moment(
                             "alpha": alpha.to_json(),
                             "probe": k,
                             "point": x.to_json(),
-                            "lhs": float(lhs),
-                            "rhs": float(rhs),
+                            "lhs": witness_float(lhs),
+                            "rhs": witness_float(rhs),
                             "residual": residual,
                         }
                     )
@@ -356,7 +355,6 @@ def assert_trivial_collapse(
     candidate: OperatorFamily,
     probes: Sequence[Polynomial],
     domain: Domain,
-    tol: Optional[float] = None,
 ) -> CheckReport:
     """Candidates with T_0 = 1 must have every other T_alpha vanish.
 
@@ -364,10 +362,10 @@ def assert_trivial_collapse(
     collapse down: T_alpha(0) = 0 (from T_alpha(0) = 2 T_alpha(0)) and
     T_alpha(f*0) = T_alpha(f) + T_alpha(0).  Any candidate with some
     nonzero T_alpha violates one of them; the violated instance is the
-    witness.  Requires T_0 = 1 on probes and samples up front.
+    witness.  Requires T_0 = 1 on probes and samples up front.  Every
+    bound is the domain tolerance.
     """
-    if tol is None:
-        tol = domain.float_tolerance
+    tol = domain.float_tolerance
     zero_index = MultiIndex.zero(candidate.rank)
     zero_poly = Polynomial.zero(candidate.rank)
     points = [candidate.eval_point(x) for x in domain.sample_points]
@@ -430,11 +428,16 @@ def assert_trivial_collapse(
 # ---- second-order pairs ----
 
 
-def _field_is_zero(exprs: Sequence[FuncExpr]) -> bool:
+def _vanishes(exprs: Sequence[FuncExpr]) -> Optional[bool]:
+    """Whether every expression expands to the zero polynomial.
+
+    None when some expression is not polynomial at all.
+    """
     try:
-        return all(as_polynomial(e).is_zero() for e in exprs)
+        polys = [as_polynomial(e) for e in exprs]
     except NotPolynomial:
-        return False
+        return None
+    return all(p.is_zero() for p in polys)
 
 
 @dataclass
@@ -454,13 +457,19 @@ class SecondOrderPair:
     c: tuple[FuncExpr, ...]
     exact: bool
 
+    def __post_init__(self) -> None:
+        # which parts T(f) has, decided once per pair
+        self._has_c = not _vanishes(self.c)
+        self._has_b = not _vanishes(self.b)
+        self._has_a = not _vanishes([self.a])
+
     def apply_T(self, f: Polynomial) -> FuncExpr:
         parts: List[FuncExpr] = []
-        if not _field_is_zero(self.c):
+        if self._has_c:
             parts.append(HessQuad(f, self.c))
-        if not _field_is_zero(self.b):
+        if self._has_b:
             parts.append(GradDot(f, self.b))
-        if not _field_is_zero([self.a]):
+        if self._has_a:
             parts.append(Product((self.a, XLogAbs(PolyLeaf(f)))))
         if not parts:
             return PolyLeaf(Polynomial.zero(self.rank))
@@ -489,37 +498,27 @@ def make_second_order_leibniz(
         raise ValueError(f"b and c need {rank} components")
     if smoothness not in (0, 1, 2):
         raise ValueError(f"smoothness must be 0, 1 or 2, got {smoothness}")
-    if smoothness <= 1 and not _field_is_zero(c):
+    b_zero, c_zero = _vanishes(b), _vanishes(c)
+    if smoothness <= 1 and not c_zero:
         raise ValueError("smoothness <= 1 forces c = 0")
-    if smoothness == 0 and not _field_is_zero(b):
+    if smoothness == 0 and not b_zero:
         raise ValueError("smoothness = 0 forces b = 0")
-    exact = _field_is_zero([a]) and _fields_polynomial(b) and _fields_polynomial(c)
+    exact = _vanishes([a]) is True and b_zero is not None and c_zero is not None
     return SecondOrderPair(rank, smoothness, a, b, c, exact)
-
-
-def _fields_polynomial(exprs: Sequence[FuncExpr]) -> bool:
-    try:
-        for e in exprs:
-            as_polynomial(e)
-        return True
-    except NotPolynomial:
-        return False
 
 
 def check_second_order(
     pair: SecondOrderPair,
     probes: Sequence[Tuple[Polynomial, Polynomial]],
     domain: Domain,
-    tol: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> CheckReport:
     """Check T(fg) = T(f) g + f T(g) + 2 A(f) A(g) on probes and samples.
 
     Exact pairs (no log term, polynomial fields) compare rational values
-    with zero tolerance.
+    with zero tolerance; the others use the domain tolerance.
     """
-    if tol is None:
-        tol = domain.float_tolerance
+    tol = domain.float_tolerance
     points = domain.sample_points
     failures: List[dict] = []
     max_residual = 0.0
@@ -545,8 +544,8 @@ def check_second_order(
                     {
                         "probe": k,
                         "point": x.to_json(),
-                        "lhs": float(lhs),
-                        "rhs": float(rhs),
+                        "lhs": witness_float(lhs),
+                        "rhs": witness_float(rhs),
                         "residual": residual,
                     }
                 )
@@ -571,6 +570,8 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
     Identity-generated descriptors re-run the coefficient constraint
     check against the provided domain.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"family descriptor must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "trivial":
         return make_trivial(data["r"], data["N"])
@@ -589,5 +590,10 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
         return make_first_order_leibniz(expr_from_json(data["c"]), data["r"])
     if kind == "conjugated":
         inner = family_from_json(data["inner"], domain)
+        order = data["N"]
+        if type(order) is not int or order != inner.order:
+            raise ValueError(
+                f"conjugated N must be the inner order {inner.order}, got {order!r}"
+            )
         return conjugate(inner, TauMap.from_json(data["tau"]), domain)
     raise ValueError(f"unknown family kind {kind!r}")

@@ -11,10 +11,11 @@ operation.  On (R, +) the sequences
     f_alpha(x) = exp(rate * x) * prod_i (scales[i] * x)^{alpha_i}
 
 satisfy the identity by the per-coordinate binomial theorem; the rank-1
-case is the classical power-times-exponential recurrence.  The verifier
-evaluates each f_alpha once at x, y and x + y per probe, sums over
-``multiindex.convolution_terms``, re-exported here, and judges each
-instance with ``funcmodel.judge``.
+case is the classical power-times-exponential recurrence.  A ``Monoid``
+carries only the operation and a seeded sampler, and (R, +) is the one
+carrier built here.  The verifier evaluates each f_alpha once at x, y
+and x + y per probe, sums over ``multiindex.convolution_terms``,
+re-exported here, and judges each instance with ``funcmodel.judge``.
 """
 
 from __future__ import annotations
@@ -32,52 +33,13 @@ from .funcmodel import CheckReport, judge, worse
 class Monoid:
     """A commutative monoid carrier with a seeded element sampler."""
 
-    name: str
     op: Callable[[Any, Any], Any]
-    neutral: Any
     sampler: Callable[[random.Random], Any]
 
 
 def reals_additive() -> Monoid:
-    """(R, +, 0) with elements sampled uniformly from [-2, 2]."""
-    return Monoid(
-        name="reals_add",
-        op=lambda a, b: a + b,
-        neutral=0.0,
-        sampler=lambda rng: rng.uniform(-2.0, 2.0),
-    )
-
-
-def intvec_additive(dim: int) -> Monoid:
-    """(Z^dim, +, 0) with small random integer vectors."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return Monoid(
-        name=f"intvec_add_{dim}",
-        op=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-        neutral=(0,) * dim,
-        sampler=lambda rng: tuple(rng.randint(-3, 3) for _ in range(dim)),
-    )
-
-
-def _close(a, b, tol: float) -> bool:
-    if isinstance(a, tuple):
-        return all(_close(x, y, tol) for x, y in zip(a, b))
-    return abs(a - b) <= tol
-
-
-def check_monoid_axioms(
-    monoid: Monoid, probes: Sequence[Tuple[Any, Any, Any]], tol: float = 1e-12
-) -> bool:
-    """Associativity, commutativity and the neutral element on probe triples."""
-    for x, y, z in probes:
-        if not _close(monoid.op(monoid.op(x, y), z), monoid.op(x, monoid.op(y, z)), tol):
-            return False
-        if not _close(monoid.op(x, y), monoid.op(y, x), tol):
-            return False
-        if not _close(monoid.op(x, monoid.neutral), x, tol):
-            return False
-    return True
+    """(R, +) with elements sampled uniformly from [-2, 2]."""
+    return Monoid(op=lambda a, b: a + b, sampler=lambda rng: rng.uniform(-2.0, 2.0))
 
 
 @dataclass
@@ -88,20 +50,9 @@ class MomentSeq:
     order: int
     monoid: Monoid
     functions: Dict[MultiIndex, Callable[[Any], float]]
-    params: Optional[dict] = None
 
     def value(self, alpha: MultiIndex, x: Any) -> float:
         return self.functions[alpha](x)
-
-    def to_json(self) -> dict:
-        if self.params is None:
-            raise ValueError("only parametrized sequences serialize")
-        return {
-            "carrier": self.monoid.name,
-            "rank": self.rank,
-            "order": self.order,
-            **self.params,
-        }
 
 
 def make_exponential_moment_seq(
@@ -133,21 +84,7 @@ def make_exponential_moment_seq(
 
     for alpha in enumerate_height_at_most(rank, order):
         functions[alpha] = make(alpha)
-    return MomentSeq(
-        rank,
-        order,
-        reals_additive(),
-        functions,
-        params={"rate": rate, "scales": list(scales)},
-    )
-
-
-def seq_from_json(data: dict) -> MomentSeq:
-    if data.get("carrier") != "reals_add":
-        raise ValueError(f"unknown carrier {data.get('carrier')!r}")
-    return make_exponential_moment_seq(
-        data["rank"], data["order"], data["rate"], data["scales"]
-    )
+    return MomentSeq(rank, order, reals_additive(), functions)
 
 
 def verify_moment_seq(
@@ -198,24 +135,6 @@ def verify_moment_seq(
     )
 
 
-def check_exponential(
-    f0: Callable[[Any], float],
-    monoid: Monoid,
-    probes: Sequence[Tuple[Any, Any]],
-    tol: float = 1e-10,
-) -> bool:
-    """Multiplicative over the monoid and not identically zero on probes."""
-    seen_nonzero = False
-    for x, y in probes:
-        lhs = f0(monoid.op(x, y))
-        rhs = f0(x) * f0(y)
-        if not judge(lhs, rhs, False, tol)[1]:
-            return False
-        if lhs != 0.0 or f0(x) != 0.0:
-            seen_nonzero = True
-    return seen_nonzero
-
-
 def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:
     """Copy of the sequence with f_alpha multiplied by ``scale``."""
     if alpha not in seq.functions:
@@ -223,7 +142,7 @@ def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:
     functions = dict(seq.functions)
     original = functions[alpha]
     functions[alpha] = lambda x: scale * original(x)
-    return MomentSeq(seq.rank, seq.order, seq.monoid, functions, params=None)
+    return MomentSeq(seq.rank, seq.order, seq.monoid, functions)
 
 
 def random_probe_pairs(

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moment_leibniz.multiindex import enumerate_height_at_most
 from moment_leibniz.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -198,6 +203,20 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
             "tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1/2"}]]},
             "inner": {"kind": "derivative", "r": 1, "N": 2.5},
         },
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": 2.5,
+            "tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1/2"}]]},
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": 3,
+            "tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1/2"}]]},
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
     ],
     ids=[
         "r-str",
@@ -210,6 +229,8 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
         "N-float-large",
         "N-bool",
         "N-float-conjugated",
+        "N-float-conjugated-outer",
+        "N-mismatch-conjugated",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
@@ -429,3 +450,93 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_PASS
     assert json.loads(proc.stdout)["pass"] is True
+
+
+# ---- the exit-code contract under random descriptors ----
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _poly(draw, dim):
+    return [
+        {
+            "exponent": draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim)),
+            "coeff": f"{draw(st.integers(-4, 4))}/{draw(st.integers(1, 3))}",
+        }
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+
+
+def _halved(dim, i):
+    """The tau component x_i / 2, which keeps the unit box samples inside it."""
+    return [{"exponent": [int(j == i) for j in range(dim)], "coeff": "1/2"}]
+
+
+@st.composite
+def _descriptor(draw, conjugated=True):
+    """A small descriptor of any kind, up to two of its fields replaced by JSON scalars."""
+    kinds = ["trivial", "derivative", "identity_generated", "first_order_leibniz"]
+    kind = draw(st.sampled_from(kinds + ["conjugated"] if conjugated else kinds))
+    r, n = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    if kind in ("trivial", "derivative"):
+        data = {"kind": kind, "r": r, "N": n}
+    elif kind == "identity_generated":
+        indices = [a.entries for a in enumerate_height_at_most(r, n) if a.height >= 1]
+        chosen = draw(st.lists(st.sampled_from(indices), max_size=3)) if indices else []
+        coefficients = [
+            {"index": list(i), "expr": {"kind": "poly", "dim": r, "terms": draw(_poly(r))}}
+            for i in chosen
+        ]
+        data = {"kind": kind, "r": r, "N": n, "coefficients": coefficients}
+    elif kind == "first_order_leibniz":
+        data = {"kind": kind, "r": r, "c": {"kind": "poly", "dim": r, "terms": draw(_poly(r))}}
+    else:
+        inner = draw(_descriptor(conjugated=False))
+        r = inner["r"] if inner.get("r") in (1, 2) else r
+        components = [draw(st.one_of(st.just(_halved(r, i)), _poly(r))) for i in range(r)]
+        tau = {"rank": r, "components": components}
+        data = {"kind": kind, "r": r, "N": inner.get("N", 1), "tau": tau, "inner": inner}
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=2, unique=True)):
+        data[key] = draw(_SCALARS)
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _descriptor(),
+    st.integers(1, 2),
+    st.integers(8, 9),
+    st.integers(0, 3),
+)
+def test_verify_family_exit_code_contract(descriptor, probes, samples, seed):
+    # no exception escapes; exit 1 carries witnesses, exit 0 a pass, exit 2
+    # no report; a report re-dumps to its own bytes.  The descriptor goes in
+    # on stdin because hypothesis does not reset function-scoped fixtures.
+    argv = ["verify-family", "-", "--probes", str(probes)]
+    argv += ["--samples", str(samples), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(descriptor))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INPUT)
+    if code == EXIT_INPUT:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        return
+    text = out.getvalue()
+    report = json.loads(text)
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == text
+    if code == EXIT_FAIL:
+        assert report["pass"] is False and report["failures"]
+    else:
+        assert report["pass"] is True

@@ -26,7 +26,6 @@ from moment_leibniz.coeffsolve import (
     check_constraint,
     constraint_indices,
     enumerate_valid_constant_supports,
-    find_constant_certificate,
     forced_zero_analysis,
     is_structure_valid,
     random_valid_family,
@@ -216,7 +215,7 @@ def test_enumeration_rank1_order2():
     patterns = enumerate_valid_constant_supports(1, 2)
     supports = [sorted(a.entries for a in p.support) for p in patterns]
     assert supports == [[], [(2,)]]
-    assert all(p.certificate is None for p in patterns)
+    assert all(p.to_json()["certificate"] is None for p in patterns)
 
 
 def test_enumeration_rank1_order3():
@@ -240,19 +239,21 @@ def test_enumeration_respects_max_support_size():
 
 
 def test_no_certificate_for_forced_square():
-    assert find_constant_certificate(_pattern(1, 2, (1,))) is None
-    assert find_constant_certificate(_pattern(1, 2, (1,), (2,))) is None
+    # the oracle's search finds no nonzero constants, and the band rejects both
+    for pattern in (_pattern(1, 2, (1,)), _pattern(1, 2, (1,), (2,))):
+        assert oracle.certificate_search(pattern) is None
+        assert not is_structure_valid(pattern)
 
 
 def test_certificate_on_band_support_has_no_size_cap():
     # eight band indices at rank 2, order 4: 6^8 assignments, beyond the
-    # oracle's capped search
+    # oracle's capped search; all ones passes the constraint outright
     band = [a.entries for a in enumerate_height_at_most(2, 4) if a.height >= 3]
     pattern = _pattern(2, 4, *band[:8])
-    cert = find_constant_certificate(pattern)
-    assert cert is not None and set(cert) == pattern.support
-    assert all(v != 0 for v in cert.values())
-    SupportPattern(2, 4, pattern.support, cert)  # a well-formed certificate
+    assert is_structure_valid(pattern)
+    ones = CoeffFamily.from_constants(2, 4, {a: 1 for a in pattern.support})
+    report = check_constraint(ones, Domain.unit(2).sample_points)
+    assert report.passed and report.max_residual == 0.0
 
 
 def test_budget_exceeded():
@@ -287,35 +288,11 @@ def test_random_family_rejects_uncertified_support():
         random_valid_family(_pattern(1, 2, (1,)), seed=0)
 
 
-def test_random_family_with_certificate_cancels():
-    # a certificate on a band support is carried along but changes
-    # nothing: every constrained sum is empty either way
-    pattern = _pattern(1, 2, (2,))
-    cert_pattern = SupportPattern(1, 2, pattern.support, {_mi(2): Fraction(3)})
-    cf = random_valid_family(cert_pattern, seed=8)
-    dom = Domain.unit(1)
-    assert check_constraint(cf, dom.sample_points).passed
-
-
-def test_random_family_rejects_certificate_below_band():
-    # a hand-written certificate cannot rescue a forced-zero index
-    pattern = SupportPattern(1, 2, frozenset({_mi(1)}), {_mi(1): Fraction(1)})
-    with pytest.raises(InvalidSupport):
-        random_valid_family(pattern, seed=0)
-
-
 def test_support_pattern_json_roundtrip():
-    pattern = SupportPattern(1, 2, frozenset({_mi(2)}), {_mi(2): Fraction(-2)})
-    back = SupportPattern.from_json(pattern.to_json())
-    assert back.support == pattern.support
-    assert back.certificate == pattern.certificate
-
-
-def test_certificate_must_cover_support_with_nonzeros():
-    with pytest.raises(ValueError):
-        SupportPattern(1, 2, frozenset({_mi(2)}), {_mi(2): Fraction(0)})
-    with pytest.raises(ValueError):
-        SupportPattern(1, 3, frozenset({_mi(2), _mi(3)}), {_mi(2): Fraction(1)})
+    pattern = _pattern(1, 3, (2,), (3,))
+    data = pattern.to_json()
+    assert data["certificate"] is None
+    assert SupportPattern.from_json(data) == pattern
 
 
 # ---- closed forms against the brute-force oracle ----
@@ -327,7 +304,6 @@ def _assert_matches_oracle(pattern: SupportPattern) -> bool:
     admissible = oracle.admissible(pattern, forced)
     assert is_structure_valid(pattern) == oracle.structure_valid(pattern) == admissible
     assert forced_zero_analysis(pattern) == forced
-    assert (find_constant_certificate(pattern) is None) == (not admissible)
     return admissible
 
 
@@ -336,10 +312,10 @@ def test_closed_forms_match_oracle_on_every_support(rank, max_order):
     for order in range(max_order + 1):
         admissible = [p for p in oracle.all_supports(rank, order) if _assert_matches_oracle(p)]
         # the enumeration lists exactly the oracle's admissible supports,
-        # in subset order, with no certificate attached
+        # in subset order, each reported with a null certificate
         got = enumerate_valid_constant_supports(rank, order)
         assert [p.support for p in got] == [p.support for p in admissible]
-        assert all(p.certificate is None for p in got)
+        assert all(p.to_json()["certificate"] is None for p in got)
         for size in (0, 1, 2):
             capped = enumerate_valid_constant_supports(rank, order, max_support_size=size)
             assert [p.support for p in capped] == [

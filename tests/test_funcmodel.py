@@ -397,6 +397,12 @@ def test_judge_exact_and_relative_rules():
     assert math.isnan(residual) and not ok
 
 
+def test_judge_exact_overflow_is_inf():
+    # an exact residual too large for a float is inf, and still fails
+    assert judge(Fraction(10**400), Fraction(0), True, 0.0) == (math.inf, False)
+    assert judge(-(10**400), 10**400, True, 0.0) == (math.inf, False)
+
+
 def test_check_report_json_shape():
     dom = Domain.unit(1)
     m = PowerSignMap(const_expr(1, 1), TauMap.identity(1))

@@ -12,6 +12,7 @@ from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
 from moment_leibniz.polycalc import Polynomial, RationalPoint, dalpha, random_polynomial
 from moment_leibniz.funcmodel import (
     Domain,
+    GradDot,
     PolyLeaf,
     TauMap,
     XLogAbs,
@@ -173,6 +174,25 @@ def test_broken_derivative_rule_detected_exactly():
     report = verify_moment(fam, _probes(dom, 6, 2), dom)
     assert not report.passed
     assert any(tuple(f["alpha"]) == (2,) for f in report.failures)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_overflow_fails_with_infinite_witness(sign):
+    # T_0 = +-10^400 misses multiplicativity by more than a float holds:
+    # the instance fails with residual inf and witness sides +-inf
+    huge = Polynomial.constant(1, sign * 10**400)
+    fam = custom_family(1, 0, lambda alpha, f: PolyLeaf(huge), exact=True)
+    dom = Domain.unit(1, seed=22)
+    one = Polynomial.constant(1, 1)
+    report = verify_moment(fam, [(one, one)], dom)
+    assert not report.passed
+    assert report.max_residual == math.inf
+    witness = report.failures[0]
+    assert (witness["lhs"], witness["rhs"], witness["residual"]) == (
+        sign * math.inf,
+        math.inf,
+        math.inf,
+    )
 
 
 # ---- identity-generated families ----
@@ -416,14 +436,34 @@ def test_second_order_violation_detected():
             return pair.apply_T(f)
 
         def apply_A(self, f):
-            from moment_leibniz.funcmodel import GradDot
-
             return GradDot(f, (const_expr(1, 2),))
 
     dom = Domain.unit(1, seed=19)
     f = Polynomial.monomial((2,))
     report = check_second_order(_Mismatched(), [(f, f)], dom)
     assert not report.passed
+
+
+def test_second_order_overflow_witness_is_infinite():
+    # A(f) = 10^400 f' makes 2 A(f) A(g) too large for a float
+    zero = const_expr(1, 0)
+    pair = make_second_order_leibniz(zero, [zero], [const_expr(1, 1)], 2, 1)
+
+    class _Huge:
+        exact = True
+        smoothness = 2
+
+        def apply_T(self, f):
+            return pair.apply_T(f)
+
+        def apply_A(self, f):
+            return GradDot(f, (const_expr(1, 10**400),))
+
+    f = Polynomial.monomial((2,))
+    report = check_second_order(_Huge(), [(f, f)], Domain.unit(1, seed=19))
+    assert not report.passed and report.max_residual == math.inf
+    witness = report.failures[0]
+    assert math.isfinite(witness["lhs"]) and witness["rhs"] == math.inf
 
 
 # ---- reports and descriptors ----

@@ -10,14 +10,10 @@ import pytest
 from moment_leibniz.multiindex import MultiIndex
 from moment_leibniz.semigroup import (
     MomentSeq,
-    check_exponential,
-    check_monoid_axioms,
     convolution_terms,
-    intvec_additive,
     make_exponential_moment_seq,
     random_probe_pairs,
     reals_additive,
-    seq_from_json,
     tampered,
     verify_moment_seq,
 )
@@ -29,20 +25,6 @@ def _mi(*entries: int) -> MultiIndex:
 
 def _pairs(monoid, count: int, seed: int):
     return random_probe_pairs(monoid, count, random.Random(seed))
-
-
-# ---- carriers ----
-
-
-def test_monoid_axioms_on_probes():
-    rng = random.Random(51)
-    reals = reals_additive()
-    triples = [(reals.sampler(rng), reals.sampler(rng), reals.sampler(rng)) for _ in range(20)]
-    assert check_monoid_axioms(reals, triples)
-    ints = intvec_additive(3)
-    triples2 = [(ints.sampler(rng), ints.sampler(rng), ints.sampler(rng)) for _ in range(20)]
-    assert check_monoid_axioms(ints, triples2, tol=0)
-    assert ints.op((1, 2, 3), (0, -1, 1)) == (1, 1, 4)
 
 
 # ---- the exponential constructor ----
@@ -82,10 +64,17 @@ def test_exponential_sequences_verify_across_rates():
             assert report.passed, (rank, rate, report.failures[:1])
 
 
+def _order0(f0) -> MomentSeq:
+    """The order-0 sequence whose only row is multiplicativity of f0."""
+    return MomentSeq(1, 0, reals_additive(), {_mi(0): f0})
+
+
 def test_f0_never_identically_zero():
     seq = make_exponential_moment_seq(1, 2, -1.0, [2.0])
     f0 = seq.functions[_mi(0)]
-    assert check_exponential(f0, seq.monoid, _pairs(seq.monoid, 20, 2))
+    probes = _pairs(seq.monoid, 20, 2)
+    assert verify_moment_seq(_order0(f0), probes).passed
+    assert all(f0(x) != 0.0 for x, _ in probes)
 
 
 def test_scale_count_checked():
@@ -135,7 +124,6 @@ def test_nan_sequence_fails():
     report = verify_moment_seq(seq, _pairs(seq.monoid, 3, 6))
     assert not report.passed
     assert len(report.failures) == 6  # every alpha at every probe
-    assert not check_exponential(lambda x: nan, seq.monoid, _pairs(seq.monoid, 3, 6))
 
 
 def test_nan_sequence_reports_nan_max_residual():
@@ -173,13 +161,15 @@ def test_each_function_evaluated_once_per_probe_point():
 
 
 def test_multiplicativity_is_the_alpha_zero_row():
-    # f_0(x) = e^x is multiplicative; x -> x is not
-    reals = reals_additive()
-    probes = _pairs(reals, 20, 5)
-    assert check_exponential(math.exp, reals, probes)
-    assert check_exponential(lambda x: 1.0, reals, probes)
-    assert not check_exponential(lambda x: x, reals, probes)
-    assert not check_exponential(lambda x: 0.0, reals, probes)  # identically zero
+    # f_0(x) = e^x is multiplicative; x -> x is not.  The identity alone
+    # also admits f_0 = 0, the collapse of test_zero_collapse_sequence_passes
+    probes = _pairs(reals_additive(), 20, 5)
+    assert verify_moment_seq(_order0(math.exp), probes).passed
+    assert verify_moment_seq(_order0(lambda x: 1.0), probes).passed
+    assert verify_moment_seq(_order0(lambda x: 0.0), probes).passed
+    report = verify_moment_seq(_order0(lambda x: x), probes)
+    assert not report.passed
+    assert {tuple(f["alpha"]) for f in report.failures} == {(0,)}
 
 
 def test_tamper_detected_at_its_index():
@@ -221,22 +211,3 @@ def test_rank1_agrees_with_handwritten_verifier():
                 for j in range(k + 1)
             )
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
-
-
-# ---- serialization ----
-
-
-def test_seq_json_roundtrip():
-    seq = make_exponential_moment_seq(2, 3, -1.0, [1.0, 0.5])
-    data = seq.to_json()
-    assert data == {
-        "carrier": "reals_add",
-        "rank": 2,
-        "order": 3,
-        "rate": -1.0,
-        "scales": [1.0, 0.5],
-    }
-    back = seq_from_json(data)
-    assert back.value(_mi(1, 2), 0.7) == seq.value(_mi(1, 2), 0.7)
-    with pytest.raises(ValueError):
-        tampered(seq, _mi(1, 1), 2.0).to_json()
