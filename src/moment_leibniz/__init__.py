@@ -21,6 +21,7 @@ from .polycalc import (
     RationalPoint,
     check_leibniz,
     check_leibniz_all,
+    convolution_sum,
     dalpha,
     eval_poly,
     leibniz_rhs,

@@ -4,9 +4,10 @@ Expressions combine exact polynomial leaves with sums, products, rational
 scalar multiples, the continuous extension of t -> t*ln|t| (value 0 at
 t = 0), and first/second derivative contractions whose differentiated
 operand is always an exact polynomial.  Trees evaluate to floats at
-rational sample points, node by node.  Polynomial-only trees also expand
+rational sample points, node by node, and ``eval_table`` lists those
+floats for a whole set of points.  Polynomial-only trees also expand
 back to a ``Polynomial``; their exact values are the expansion evaluated
-at the point, and ``eval_table`` expands once for a whole set of points.
+at the point, and the exact verifiers compare the expansions themselves.
 """
 
 from __future__ import annotations
@@ -309,11 +310,8 @@ def eval_exact(expr: FuncExpr, x: RationalPoint) -> Fraction:
     return eval_poly(as_polynomial(expr), x)
 
 
-def eval_table(expr: FuncExpr, points: Sequence[RationalPoint], exact: bool) -> list:
-    """The tree's values at every point: exact ones from one expansion, else floats."""
-    if exact:
-        poly = as_polynomial(expr)
-        return [eval_poly(poly, x) for x in points]
+def eval_table(expr: FuncExpr, points: Sequence[RationalPoint]) -> List[float]:
+    """The tree's float values at every point."""
     return [eval_expr(expr, x) for x in points]
 
 

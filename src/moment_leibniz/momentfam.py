@@ -5,14 +5,25 @@ The identity under test is the binomial convolution
     T_alpha(f*g) = sum_{beta <= alpha} C(alpha, beta) T_beta(f) T_{alpha-beta}(g)
 
 for all |alpha| <= N at every sample point; its alpha = 0 instance is
-plain multiplicativity of T_0.  Families built from exact polynomial
-data (trivial, derivative, and their reparametrized conjugates) are
-verified with zero tolerance in rational arithmetic; families involving
-f*ln|f| are verified in floating point against the domain tolerance.
-Both kinds apply each operator once per probe, tabulate its values at
-the sample points with ``funcmodel.eval_table`` (exact values come from
-one expansion), and run the same loop over ``convolution_terms``;
-``funcmodel.judge`` turns each instance into a residual and a verdict.
+plain multiplicativity of T_0.  Both kinds of family apply each operator
+once per probe.
+
+Families built from exact polynomial data (trivial, derivative, and
+their reparametrized conjugates) expand each operator to a polynomial,
+and each (probe, alpha) instance is one comparison in Q[x]: T_alpha(fg)
+against ``polycalc.convolution_sum`` over ``convolution_terms(alpha)``.
+Equal polynomials agree at every point, and so at every image under the
+conjugating maps, so the instance passes with residual 0.0 and nothing
+is evaluated.  Only unequal ones are evaluated at the mapped sample
+points, where they must agree exactly; Fractions are canonical, so these
+values are the pointwise convolution sums, and the witnesses are the
+ones a pointwise loop finds.  A difference that vanishes on every sample
+therefore passes.  Exact second-order pairs are checked the same way.
+
+Families involving f*ln|f| tabulate float values at the sample points
+with ``funcmodel.eval_table`` and sum the convolution per point, against
+the domain tolerance.  ``funcmodel.judge`` turns each evaluated instance
+into a residual and a verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +32,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
-from .polycalc import Polynomial, RationalPoint, dalpha, random_polynomial
+from .polycalc import (
+    Polynomial,
+    RationalPoint,
+    convolution_sum,
+    dalpha,
+    eval_poly,
+    random_polynomial,
+)
 from .funcmodel import (
     CheckReport,
     Domain,
@@ -299,10 +317,13 @@ def verify_moment(
 ) -> MomentReport:
     """Check the binomial moment identity on every probe pair and sample.
 
-    Exact families compare rational values and demand residual exactly
-    zero; float families use the relative residual
-    |lhs - rhs| / (1 + |lhs|) against the domain tolerance.  Failures
-    carry the witnessing alpha, probe and point.
+    Exact families compare, per probe and alpha, the polynomial T_alpha(fg)
+    with the convolution sum; equal polynomials are equal at every point,
+    so the instance passes with residual 0.0 unevaluated.  Unequal ones
+    are evaluated at the samples and must agree exactly there.  Float
+    families use the relative residual |lhs - rhs| / (1 + |lhs|) against
+    the domain tolerance.  Failures carry the witnessing alpha, probe and
+    point.
     """
     tol = domain.float_tolerance
     if domain.rank != family.rank:
@@ -315,15 +336,32 @@ def verify_moment(
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         fg = f * g
-        vf = {b: eval_table(family.apply(b, f), points, family.exact) for b in alphas}
-        vg = {b: eval_table(family.apply(b, g), points, family.exact) for b in alphas}
-        vfg = {a: eval_table(family.apply(a, fg), points, family.exact) for a in alphas}
+        if family.exact:
+            tf = {b: as_polynomial(family.apply(b, f)) for b in alphas}
+            tg = {b: as_polynomial(family.apply(b, g)) for b in alphas}
+            tfg = {a: as_polynomial(family.apply(a, fg)) for a in alphas}
+        else:
+            vf = {b: eval_table(family.apply(b, f), points) for b in alphas}
+            vg = {b: eval_table(family.apply(b, g), points) for b in alphas}
+            vfg = {a: eval_table(family.apply(a, fg), points) for a in alphas}
         for alpha, splits in terms.items():
+            if family.exact:
+                lhs_poly = tfg[alpha]
+                rhs_poly = convolution_sum(tf, tg, splits)
+                if lhs_poly == rhs_poly:
+                    continue
+                # only a witness needs values: Fractions are canonical, so
+                # these equal the pointwise convolution sums
+                lhs_vals = [eval_poly(lhs_poly, y) for y in points]
+                rhs_vals = [eval_poly(rhs_poly, y) for y in points]
+            else:
+                lhs_vals = vfg[alpha]
+                rhs_vals = [
+                    sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
+                    for i in range(len(points))
+                ]
             key = _alpha_key(alpha)
-            for i, x in enumerate(domain.sample_points):
-                lhs = vfg[alpha][i]
-                # a plain sum: exact terms are Fractions, so it stays exact
-                rhs = sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
+            for x, lhs, rhs in zip(domain.sample_points, lhs_vals, rhs_vals):
                 residual, ok = judge(lhs, rhs, family.exact, tol)
                 per_alpha[key] = worse(per_alpha[key], residual)
                 max_residual = worse(max_residual, residual)
@@ -515,28 +553,38 @@ def check_second_order(
 ) -> CheckReport:
     """Check T(fg) = T(f) g + f T(g) + 2 A(f) A(g) on probes and samples.
 
-    Exact pairs (no log term, polynomial fields) compare rational values
-    with zero tolerance; the others use the domain tolerance.
+    Exact pairs (no log term, polynomial fields) compare both sides as
+    polynomials per probe, and evaluate them at the samples only when they
+    differ, with zero tolerance there; the others use the domain tolerance.
     """
     tol = domain.float_tolerance
     points = domain.sample_points
     failures: List[dict] = []
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
-        tf, tg, tfg, af, ag = (
-            eval_table(expr, points, pair.exact)
-            for expr in (
-                pair.apply_T(f),
-                pair.apply_T(g),
-                pair.apply_T(f * g),
-                pair.apply_A(f),
-                pair.apply_A(g),
-            )
+        exprs = (
+            pair.apply_T(f),
+            pair.apply_T(g),
+            pair.apply_T(f * g),
+            pair.apply_A(f),
+            pair.apply_A(g),
         )
-        for i, x in enumerate(points):
-            lhs = tfg[i]
+        if pair.exact:
+            tf, tg, tfg, af, ag = (as_polynomial(expr) for expr in exprs)
+            rhs_poly = tf * g + f * tg + af * ag * 2
+            if tfg == rhs_poly:
+                continue
+            lhs_vals = [eval_poly(tfg, x) for x in points]
+            rhs_vals = [eval_poly(rhs_poly, x) for x in points]
+        else:
+            tf, tg, tfg, af, ag = (eval_table(expr, points) for expr in exprs)
+            lhs_vals = tfg
             # f(x) and g(x) are Fractions; times a float they round to float first
-            rhs = tf[i] * g(x) + f(x) * tg[i] + 2 * af[i] * ag[i]
+            rhs_vals = [
+                tf[i] * g(x) + f(x) * tg[i] + 2 * af[i] * ag[i]
+                for i, x in enumerate(points)
+            ]
+        for x, lhs, rhs in zip(points, lhs_vals, rhs_vals):
             residual, ok = judge(lhs, rhs, pair.exact, tol)
             max_residual = worse(max_residual, residual)
             if not ok:
@@ -587,6 +635,10 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
         )
         return make_identity_generated(cf, domain)
     if kind == "first_order_leibniz":
+        # "N" may be left out, since the order is always 1
+        order = data.get("N", 1)
+        if type(order) is not int or order != 1:
+            raise ValueError(f"first_order_leibniz N must be 1, got {order!r}")
         return make_first_order_leibniz(expr_from_json(data["c"]), data["r"])
     if kind == "conjugated":
         inner = family_from_json(data["inner"], domain)

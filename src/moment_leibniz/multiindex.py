@@ -9,7 +9,8 @@ identity checked downstream is exact integer arithmetic.
 (C(alpha, beta), beta, alpha - beta) of the binomial convolution
 identity; every verifier in the package sums over that one list.
 
-``MultiIndex(...)`` validates its entries.  Results the package already
+``MultiIndex(...)`` validates its entries: ints >= 0, with floats and
+bools rejected rather than truncated.  Results the package already
 knows to be valid skip that check through the private
 ``MultiIndex._trusted(entries)``: its callers pass a tuple of nonnegative
 ints of the right rank (a sum of two same-rank indices, a difference
@@ -42,7 +43,11 @@ class MultiIndex:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ent = tuple(int(e) for e in self.entries)
+        ent = tuple(self.entries)
+        for e in ent:
+            # int() would truncate 2.7 to 2 and read True as 1
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValueError(f"multi-index entries must be integers, got {e!r}")
         if len(ent) == 0:
             raise ValueError("multi-index needs rank >= 1")
         if any(e < 0 for e in ent):

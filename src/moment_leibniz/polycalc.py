@@ -17,6 +17,11 @@ coefficients are nonzero ``Fraction``.  ``+``, unary ``-``, ``*`` and
 accumulate ``w * a * b`` in place into a map keyed by plain exponent
 tuples (``_accumulate``), which ``_canonical_terms`` turns into a term
 map once, dropping zeros and wrapping each key in a ``MultiIndex``.
+``convolution_sum`` is the one public form of that accumulator: the
+canonical sum of w * left[beta] * right[gamma] over one alpha's
+``convolution_terms``, from two tables of derivatives or operator
+values.  ``leibniz_rhs``, ``check_leibniz_all`` and the exact moment
+verifier all build their convolution sides with it.
 
 ``eval_poly`` sums integer numerators over one common denominator, the
 lcm of the coefficient denominators times prod_i d_i^maxdeg_i for the
@@ -335,13 +340,31 @@ def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
     return Fraction(total, den)
 
 
+def convolution_sum(
+    left: Mapping[MultiIndex, Polynomial],
+    right: Mapping[MultiIndex, Polynomial],
+    splits: Sequence[Tuple[int, MultiIndex, MultiIndex]],
+) -> Polynomial:
+    """The canonical sum of w * left[beta] * right[gamma] over one alpha's splits.
+
+    ``splits`` is ``convolution_terms(alpha)``; the tables hold a polynomial
+    for every beta and gamma it names, all of one dimension.
+    """
+    acc: Dict[Tuple[int, ...], Fraction] = {}
+    for w, beta, gamma in splits:
+        a, b = left[beta], right[gamma]
+        a._check_dim(b)
+        _accumulate(acc, w, a, b)
+    return Polynomial._make(a.dim, _canonical_terms(acc))
+
+
 def leibniz_rhs(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> Polynomial:
     """The binomial convolution sum_{beta <= alpha} C(alpha,beta) D^beta f D^{alpha-beta} g."""
     f._check_dim(g)
-    acc: Dict[Tuple[int, ...], Fraction] = {}
-    for w, beta, gamma in convolution_terms(alpha):
-        _accumulate(acc, w, dalpha(f, beta), dalpha(g, gamma))
-    return Polynomial._make(f.dim, _canonical_terms(acc))
+    splits = convolution_terms(alpha)
+    df = {beta: dalpha(f, beta) for _, beta, _ in splits}
+    dg = {gamma: dalpha(g, gamma) for _, _, gamma in splits}
+    return convolution_sum(df, dg, splits)
 
 
 def check_leibniz(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> bool:
@@ -364,10 +387,7 @@ def check_leibniz_all(
     fg = f * g
     failures = []
     for alpha in alphas:
-        acc: Dict[Tuple[int, ...], Fraction] = {}
-        for w, beta, gamma in convolution_terms(alpha):
-            _accumulate(acc, w, df[beta], dg[gamma])
-        if _canonical_terms(acc) != dalpha(fg, alpha).terms:
+        if convolution_sum(df, dg, convolution_terms(alpha)) != dalpha(fg, alpha):
             failures.append(alpha)
     return failures
 

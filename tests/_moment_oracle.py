@@ -1,0 +1,141 @@
+"""Pointwise moment verifiers, kept only as an oracle for the tests.
+
+These are the sample-point loops that ``momentfam.verify_moment`` and
+``momentfam.check_second_order`` ran before exact families were decided
+as polynomial identities: every operator is tabulated at every sample
+point (exact values from one expansion), and both sides of every
+instance are summed and judged point by point.  They know nothing of the
+polynomial comparison, so equal report bytes are evidence that skipping
+the points on equal polynomials changes no verdict, residual or witness.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+from moment_leibniz.funcmodel import (
+    CheckReport,
+    Domain,
+    as_polynomial,
+    eval_expr,
+    judge,
+    witness_float,
+    worse,
+)
+from moment_leibniz.momentfam import MomentReport, OperatorFamily
+from moment_leibniz.multiindex import convolution_terms, enumerate_height_at_most
+from moment_leibniz.polycalc import Polynomial, eval_poly
+
+
+def _table(expr, points, exact: bool) -> list:
+    """Values at every point: exact ones from one expansion, else floats."""
+    if exact:
+        poly = as_polynomial(expr)
+        return [eval_poly(poly, x) for x in points]
+    return [eval_expr(expr, x) for x in points]
+
+
+def _alpha_key(alpha) -> str:
+    return ",".join(str(e) for e in alpha.entries)
+
+
+def verify_moment_pointwise(
+    family: OperatorFamily,
+    probes: Sequence[Tuple[Polynomial, Polynomial]],
+    domain: Domain,
+    seed: Optional[int] = None,
+) -> MomentReport:
+    tol = domain.float_tolerance
+    if domain.rank != family.rank:
+        raise ValueError(f"domain rank {domain.rank}, family rank {family.rank}")
+    alphas = enumerate_height_at_most(family.rank, family.order)
+    terms = {alpha: convolution_terms(alpha) for alpha in alphas}
+    points = [family.eval_point(x) for x in domain.sample_points]
+    per_alpha = {_alpha_key(a): 0.0 for a in alphas}
+    failures: List[dict] = []
+    max_residual = 0.0
+    for k, (f, g) in enumerate(probes):
+        fg = f * g
+        vf = {b: _table(family.apply(b, f), points, family.exact) for b in alphas}
+        vg = {b: _table(family.apply(b, g), points, family.exact) for b in alphas}
+        vfg = {a: _table(family.apply(a, fg), points, family.exact) for a in alphas}
+        for alpha, splits in terms.items():
+            key = _alpha_key(alpha)
+            for i, x in enumerate(domain.sample_points):
+                lhs = vfg[alpha][i]
+                # a plain sum: exact terms are Fractions, so it stays exact
+                rhs = sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
+                residual, ok = judge(lhs, rhs, family.exact, tol)
+                per_alpha[key] = worse(per_alpha[key], residual)
+                max_residual = worse(max_residual, residual)
+                if not ok:
+                    failures.append(
+                        {
+                            "alpha": alpha.to_json(),
+                            "probe": k,
+                            "point": x.to_json(),
+                            "lhs": witness_float(lhs),
+                            "rhs": witness_float(rhs),
+                            "residual": residual,
+                        }
+                    )
+    return MomentReport(
+        family=family.descriptor,
+        probe_count=len(probes),
+        per_alpha_max_residual=per_alpha,
+        max_residual=max_residual,
+        passed=not failures,
+        failures=failures,
+        tolerance=tol,
+        exact=family.exact,
+        seed=seed,
+    )
+
+
+def check_second_order_pointwise(
+    pair,
+    probes: Sequence[Tuple[Polynomial, Polynomial]],
+    domain: Domain,
+    seed: Optional[int] = None,
+) -> CheckReport:
+    tol = domain.float_tolerance
+    points = domain.sample_points
+    failures: List[dict] = []
+    max_residual = 0.0
+    for k, (f, g) in enumerate(probes):
+        tf, tg, tfg, af, ag = (
+            _table(expr, points, pair.exact)
+            for expr in (
+                pair.apply_T(f),
+                pair.apply_T(g),
+                pair.apply_T(f * g),
+                pair.apply_A(f),
+                pair.apply_A(g),
+            )
+        )
+        for i, x in enumerate(points):
+            lhs = tfg[i]
+            # f(x) and g(x) are Fractions; times a float they round to float first
+            rhs = tf[i] * g(x) + f(x) * tg[i] + 2 * af[i] * ag[i]
+            residual, ok = judge(lhs, rhs, pair.exact, tol)
+            max_residual = worse(max_residual, residual)
+            if not ok:
+                failures.append(
+                    {
+                        "probe": k,
+                        "point": x.to_json(),
+                        "lhs": witness_float(lhs),
+                        "rhs": witness_float(rhs),
+                        "residual": residual,
+                    }
+                )
+    return CheckReport(
+        check="second_order_rule",
+        passed=not failures,
+        max_residual=max_residual,
+        tolerance=tol,
+        failures=failures,
+        counts={"probes": len(probes), "points": len(domain.sample_points)},
+        seed=seed,
+        details={"exact": pair.exact, "smoothness": pair.smoothness},
+    )

@@ -217,6 +217,34 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
             "tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1/2"}]]},
             "inner": {"kind": "derivative", "r": 1, "N": 2},
         },
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "N": 5,
+            "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]},
+        },
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "N": 1.0,
+            "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]},
+        },
+        {
+            "kind": "identity_generated",
+            "r": 1,
+            "N": 3,
+            "coefficients": [
+                {
+                    "index": [2.7],
+                    "expr": {"kind": "poly", "dim": 1, "terms": [{"exponent": [0], "coeff": "1"}]},
+                }
+            ],
+        },
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1.9], "coeff": "1"}]},
+        },
     ],
     ids=[
         "r-str",
@@ -231,6 +259,10 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
         "N-float-conjugated",
         "N-float-conjugated-outer",
         "N-mismatch-conjugated",
+        "N-first-order-5",
+        "N-first-order-float",
+        "index-float",
+        "exponent-float",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
@@ -324,6 +356,16 @@ def test_gen_family_rejects_impossible_support(capsys):
         capsys, ["gen-family", "--rank", "1", "--order", "2", "--support", "[[1]]"]
     )
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("support", ["[[2.5]]", "[[2.0]]", "[[true, 1]]"])
+def test_gen_family_non_integer_support_is_input_error(capsys, support):
+    # int() used to truncate [2.5] to the admissible index [2]
+    code = main(["gen-family", "--rank", "1", "--order", "3", "--support", support])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert "integer" in captured.err
 
 
 # ---- determinism and seeding ----

@@ -74,6 +74,14 @@ def test_negative_entries_rejected():
         MultiIndex(())
 
 
+@pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None])
+def test_non_integer_entries_rejected(entry):
+    with pytest.raises(ValueError, match="integers"):
+        MultiIndex((1, entry))
+    with pytest.raises(ValueError, match="integers"):
+        MultiIndex.from_json([entry])
+
+
 def test_zero_and_unit():
     assert MultiIndex.zero(3) == _mi(0, 0, 0)
     assert MultiIndex.unit(3, 1) == _mi(0, 1, 0)

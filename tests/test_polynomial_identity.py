@@ -1,0 +1,193 @@
+"""Exact families are decided as polynomial identities, points only for witnesses.
+
+``verify_moment`` and ``check_second_order`` compare both sides of each
+exact instance as polynomials and evaluate them at the samples only when
+they differ.  The pointwise loops they replaced live on in
+``tests/_moment_oracle.py``; the reports must match them byte for byte,
+including the rule that a nonzero difference vanishing on every sample
+passes.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moment_leibniz import funcmodel, momentfam, polycalc
+from moment_leibniz.funcmodel import Domain, GradDot, PolyLeaf, TauMap, const_expr
+from moment_leibniz.momentfam import (
+    check_second_order,
+    conjugate,
+    custom_family,
+    default_probe_pairs,
+    make_derivative,
+    make_first_order_leibniz,
+    make_second_order_leibniz,
+    make_trivial,
+    verify_moment,
+)
+from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
+from moment_leibniz.polycalc import Polynomial, dalpha, random_polynomial
+
+from _moment_oracle import check_second_order_pointwise, verify_moment_pointwise
+
+SAMPLES = 8
+KINDS = ("derivative", "trivial", "tamper-visible", "tamper-vanishing", "first-order")
+
+
+def _dumps(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _affine_tau(rng: random.Random, rank: int) -> TauMap:
+    """x -> b + w * y with y_i = x_{p(i)} or 1 - x_{p(i)}: maps (0,1)^r into itself."""
+    perm = list(range(rank))
+    rng.shuffle(perm)
+    matrix = [[Fraction(0)] * rank for _ in range(rank)]
+    offset = []
+    for i in range(rank):
+        w = Fraction(rng.randint(1, 6), 8)
+        b = Fraction(rng.randint(0, int((1 - w) * 8)), 8)
+        if rng.random() < 0.5:  # reflect: w * (1 - x_j)
+            matrix[i][perm[i]] = -w
+            b += w
+        else:
+            matrix[i][perm[i]] = w
+        offset.append(b)
+    return TauMap.affine(matrix, offset)
+
+
+def _tampered(rank: int, order: int, alpha0: MultiIndex, extra: Polynomial):
+    """The derivative family with ``extra`` added to T_alpha0 of every function."""
+
+    def rule(alpha, f):
+        d = dalpha(f, alpha)
+        return PolyLeaf(d + extra if alpha == alpha0 else d)
+
+    return custom_family(rank, order, rule, exact=True)
+
+
+def _family(kind, rank, order, tau, dom, rng):
+    if kind == "derivative":
+        return make_derivative(rank, order)
+    if kind == "trivial":
+        return make_trivial(rank, order)
+    if kind == "first-order":
+        return make_first_order_leibniz(PolyLeaf(random_polynomial(rng, rank, 2, 3)), rank)
+    alpha0 = rng.choice(enumerate_height_at_most(rank, order))
+    if kind == "tamper-visible":
+        extra = random_polynomial(rng, rank, 2, 3) + Polynomial.constant(rank, 1)
+    else:
+        # a product of one linear factor per sample, as seen through tau
+        extra = Polynomial.constant(rank, 1)
+        for x in dom.sample_points:
+            y = tau(x) if tau is not None else x
+            extra = extra * (Polynomial.variable(rank, 0) - Polynomial.constant(rank, y[0]))
+    return _tampered(rank, order, alpha0, extra)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    rank=st.integers(1, 3),
+    order=st.integers(1, 4),
+    conjugated=st.booleans(),
+    probes=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, probes, seed):
+    rng = random.Random(seed)
+    dom = Domain.unit(rank, n_samples=SAMPLES, seed=seed)
+    tau = _affine_tau(rng, rank) if conjugated else None
+    family = _family(kind, rank, order, tau, dom, rng)
+    if tau is not None:
+        family = conjugate(family, tau, dom)
+    pairs = default_probe_pairs(dom, probes, rng)
+    report = verify_moment(family, pairs, dom, seed=seed)
+    assert _dumps(report) == _dumps(verify_moment_pointwise(family, pairs, dom, seed=seed))
+    if kind in ("derivative", "trivial", "tamper-vanishing"):
+        # a difference that vanishes on every sample passes, as it always has
+        assert report.passed and report.max_residual == 0.0
+
+
+class _Mismatched:
+    """T from a correct exact pair with A(f) = <f', 2c> in place of <f', c>."""
+
+    exact = True
+    smoothness = 2
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def apply_T(self, f):
+        return self.pair.apply_T(f)
+
+    def apply_A(self, f):
+        return GradDot(f, tuple(const_expr(f.dim, 2) for _ in range(f.dim)))
+
+
+@pytest.mark.parametrize("variant", ["exact", "mismatched", "log"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_check_second_order_matches_pointwise_oracle(variant, rank, seed):
+    rng = random.Random(seed)
+    dom = Domain.unit(rank, n_samples=SAMPLES, seed=seed)
+    a = const_expr(rank, 3 if variant == "log" else 0)
+    b = [PolyLeaf(random_polynomial(rng, rank, 2, 2)) for _ in range(rank)]
+    c = [const_expr(rank, 1) for _ in range(rank)]
+    pair = make_second_order_leibniz(a, b, c, 2, rank)
+    if variant == "mismatched":
+        pair = _Mismatched(pair)
+    pairs = default_probe_pairs(dom, 4, rng)
+    report = check_second_order(pair, pairs, dom, seed=seed)
+    oracle = check_second_order_pointwise(pair, pairs, dom, seed=seed)
+    assert _dumps(report) == _dumps(oracle)
+    assert report.passed is (variant != "mismatched")
+
+
+# ---- work counts ----
+
+
+def _count_point_evaluations(monkeypatch):
+    """Count every ``eval_poly`` call, wherever the package looks it up."""
+    calls = []
+    real = polycalc.eval_poly
+
+    def counting(f, x):
+        calls.append(x)
+        return real(f, x)
+
+    for module in (polycalc, funcmodel, momentfam):
+        if hasattr(module, "eval_poly"):
+            monkeypatch.setattr(module, "eval_poly", counting)
+    return calls
+
+
+def test_passing_exact_family_evaluates_no_points(monkeypatch):
+    dom = Domain.unit(2, seed=4)
+    pairs = default_probe_pairs(dom, 8, random.Random(4))
+    conjugated = conjugate(make_derivative(2, 3), _affine_tau(random.Random(4), 2), dom)
+    calls = _count_point_evaluations(monkeypatch)
+    report = verify_moment(make_derivative(2, 3), pairs, dom)
+    assert report.passed and calls == []
+    report = verify_moment(conjugated, pairs, dom)
+    # only the samples' images under tau, one evaluation per component
+    assert report.passed and len(calls) == 2 * len(dom.sample_points)
+
+
+def test_tampered_family_evaluates_points_only_where_it_fails(monkeypatch):
+    dom = Domain.unit(2, seed=5)
+    pairs = default_probe_pairs(dom, 8, random.Random(5))
+    family = _tampered(2, 3, MultiIndex((1, 0)), Polynomial.constant(2, 1))
+    calls = _count_point_evaluations(monkeypatch)
+    report = verify_moment(family, pairs, dom)
+    failing = {(w["probe"], tuple(w["alpha"])) for w in report.failures}
+    instances = len(pairs) * len(report.per_alpha_max_residual)
+    assert 0 < len(failing) < instances
+    # both sides, at every sample, of each failing instance and no other
+    assert len(calls) == 2 * len(dom.sample_points) * len(failing)
