@@ -33,13 +33,13 @@ def main() -> None:
     print(f"\nall orders |alpha| <= 4: {'exact match' if not failures else failures}")
 
     alpha = MultiIndex((2, 1))
-    print(f"\nsummands for alpha = {alpha.entries}:")
+    print(f"\nsummands for alpha = {tuple(alpha)}:")
     for beta in enumerate_below(alpha):
         gamma = alpha - beta
         term = binom(alpha, beta) * dalpha(f, beta) * dalpha(g, gamma)
         print(
-            f"  C{alpha.entries},{beta.entries} * D^{beta.entries}(f)"
-            f" * D^{gamma.entries}(g) = {term}"
+            f"  C{tuple(alpha)},{tuple(beta)} * D^{tuple(beta)}(f)"
+            f" * D^{tuple(gamma)}(g) = {term}"
         )
     print(f"  total: {leibniz_rhs(f, g, alpha)}")
     print(f"  direct: {dalpha(f * g, alpha)}")

@@ -43,14 +43,14 @@ def main() -> None:
 
     forced = forced_zero_analysis(SupportPattern(1, 4, full))
     print(f"\nindices forced to zero on support {{1, 2}} at order 4: "
-          f"{sorted(a.entries for a in forced)}")
+          f"{sorted(tuple(a) for a in forced)}")
 
     # admissible supports: the subsets of the band N/2 < |alpha| <= N
     for rank, order in ((1, 2), (2, 2), (2, 3)):
         patterns = enumerate_valid_constant_supports(rank, order)
         print(f"\nadmissible supports at rank {rank}, order {order}: {len(patterns)}")
         for pattern in patterns[:4]:
-            print(f"  {sorted(a.entries for a in pattern.support)}")
+            print(f"  {sorted(tuple(a) for a in pattern.support)}")
         if len(patterns) > 4:
             print(f"  ... and {len(patterns) - 4} more")
 
@@ -61,7 +61,7 @@ def main() -> None:
     family = make_identity_generated(coeffs, domain2)
     probes = default_probe_pairs(domain2, 10, random.Random(5))
     report = verify_moment(family, probes, domain2)
-    print(f"\nrandom family on support {sorted(a.entries for a in pattern.support)}:")
+    print(f"\nrandom family on support {sorted(tuple(a) for a in pattern.support)}:")
     print(f"  pass: {report.passed}, max residual: {report.max_residual:.3e}")
 
 

@@ -38,7 +38,7 @@ def main() -> None:
     for k in (2, 3):
         terms = convolution_terms(MultiIndex((k,)))
         rendered = " + ".join(
-            f"{w}*f_{b.entries[0]}(x)*f_{g.entries[0]}(y)" for w, b, g in terms
+            f"{w}*f_{b[0]}(x)*f_{g[0]}(y)" for w, b, g in terms
         )
         print(f"  f_{k}(x+y) = {rendered}")
 

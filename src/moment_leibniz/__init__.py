@@ -45,7 +45,6 @@ from .funcmodel import (
     as_polynomial,
     check_multiplicative,
     const_expr,
-    eval_exact,
     eval_expr,
     eval_table,
     expr_from_json,

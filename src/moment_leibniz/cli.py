@@ -132,6 +132,8 @@ def run_verify_family(args: argparse.Namespace) -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"descriptor is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("descriptor nests too deeply") from exc
     if not isinstance(data, dict) or "r" not in data:
         raise InputError("descriptor must be a JSON object with an 'r' field")
     rank = data["r"]
@@ -152,15 +154,15 @@ def run_verify_family(args: argparse.Namespace) -> dict:
             "max_residual": report.max_residual,
             "pass": False,
         }
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
         raise InputError(f"bad family descriptor: {exc}") from exc
     rng = random.Random(args.seed)
     probes = default_probe_pairs(domain, args.probes, rng)
     try:
         report = verify_moment(family, probes, domain, seed=args.seed)
-    except ArithmeticError as exc:
-        # only the descriptor's values can overflow: the probes are small
-        # polynomials on the unit box
+    except (ArithmeticError, RecursionError) as exc:
+        # only the descriptor can overflow or nest too deeply: the probes
+        # are small polynomials on the unit box
         raise InputError(f"descriptor values do not evaluate: {exc}") from exc
     return {
         "report": report.to_json(),
@@ -237,7 +239,7 @@ def run_gen_family(args: argparse.Namespace) -> dict:
             indices = json.loads(args.support)
             support = frozenset(MultiIndex.from_json(a) for a in indices)
             pattern = SupportPattern(args.rank, args.order, support)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"bad --support: {exc}") from exc
         if not is_structure_valid(pattern):
             raise InputError(
@@ -382,7 +384,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "seed": args.seed,
         **body,
     }
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_PASS if body["pass"] else EXIT_FAIL
 
 

@@ -79,16 +79,16 @@ class CoeffFamily:
             idx = as_multiindex(idx)
             if idx.rank != self.rank:
                 raise ValueError(
-                    f"coefficient index {idx.entries} has rank {idx.rank}, "
+                    f"coefficient index {tuple(idx)} has rank {idx.rank}, "
                     f"expected {self.rank}"
                 )
             if not 1 <= idx.height <= self.order:
                 raise ValueError(
-                    f"coefficient index {idx.entries} outside 0 < |alpha| <= {self.order}"
+                    f"coefficient index {tuple(idx)} outside 0 < |alpha| <= {self.order}"
                 )
             if expr.dim != self.rank:
                 raise ValueError(
-                    f"coefficient at {idx.entries} has dim {expr.dim}, expected {self.rank}"
+                    f"coefficient at {tuple(idx)} has dim {expr.dim}, expected {self.rank}"
                 )
             coeffs[idx] = expr
         self.coefficients = coeffs
@@ -122,7 +122,7 @@ class CoeffFamily:
         )
 
     def to_json(self) -> dict:
-        items = sorted(self.coefficients.items(), key=lambda kv: kv[0].entries)
+        items = sorted(self.coefficients.items(), key=lambda kv: tuple(kv[0]))
         return {
             "rank": self.rank,
             "order": self.order,
@@ -163,7 +163,8 @@ def check_constraint(
     failures: List[dict] = []
     max_abs = 0.0
     checked = 0
-    for alpha in constraint_indices(cf.rank, cf.order):
+    alphas = constraint_indices(cf.rank, cf.order)
+    for alpha in alphas:
         # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
         pairs = [
             (w, cf.coefficients[beta], cf.coefficients[gamma])
@@ -188,7 +189,7 @@ def check_constraint(
         max_residual=max_abs,
         tolerance=tol,
         failures=failures,
-        counts={"alphas": len(constraint_indices(cf.rank, cf.order)), "evaluations": checked},
+        counts={"alphas": len(alphas), "evaluations": checked},
     )
 
 
@@ -206,11 +207,11 @@ class SupportPattern:
         for a in support:
             if a.rank != self.rank or not 1 <= a.height <= self.order:
                 raise ValueError(
-                    f"support index {a.entries} outside 0 < |alpha| <= {self.order}"
+                    f"support index {tuple(a)} outside 0 < |alpha| <= {self.order}"
                 )
 
     def sorted_support(self) -> List[MultiIndex]:
-        return sorted(self.support, key=lambda a: (a.height, a.entries))
+        return sorted(self.support, key=lambda a: (a.height, tuple(a)))
 
     def to_json(self) -> dict:
         return {
@@ -275,7 +276,7 @@ def enumerate_valid_constant_supports(
         )
     band = sorted(
         (a for a in index_set if 2 * a.height > order),
-        key=lambda a: (a.height, a.entries),
+        key=lambda a: (a.height, tuple(a)),
     )
     if max_support_size is None:
         max_support_size = len(band)
@@ -294,7 +295,7 @@ def random_valid_family(pattern: SupportPattern, seed: int) -> CoeffFamily:
     """
     if not is_structure_valid(pattern):
         raise InvalidSupport(
-            f"support {[a.entries for a in pattern.sorted_support()]} leaves "
+            f"support {[tuple(a) for a in pattern.sorted_support()]} leaves "
             f"the band {pattern.order}/2 < |alpha| <= {pattern.order}"
         )
     rng = random.Random(f"coeff-family:{seed}")

@@ -303,13 +303,6 @@ def eval_expr(expr: FuncExpr, x: RationalPoint) -> float:
     return expr._eval(x, "root")
 
 
-def eval_exact(expr: FuncExpr, x: RationalPoint) -> Fraction:
-    """Exact rational value; raises NotPolynomial on log-bearing trees."""
-    if expr.dim != x.rank:
-        raise DimensionMismatch(f"expr dim {expr.dim} vs point rank {x.rank}")
-    return eval_poly(as_polynomial(expr), x)
-
-
 def eval_table(expr: FuncExpr, points: Sequence[RationalPoint]) -> List[float]:
     """The tree's float values at every point."""
     return [eval_expr(expr, x) for x in points]

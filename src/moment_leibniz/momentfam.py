@@ -306,7 +306,7 @@ class MomentReport:
 
 
 def _alpha_key(alpha: MultiIndex) -> str:
-    return ",".join(str(e) for e in alpha.entries)
+    return ",".join(map(str, alpha))
 
 
 def verify_moment(

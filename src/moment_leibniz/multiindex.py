@@ -1,21 +1,26 @@
 """Exact combinatorics of rank-r multi-indices.
 
-A multi-index is a tuple of nonnegative integers.  Height, factorial,
-binomial coefficients and the componentwise partial order are the usual
-ones; binomials are products of entrywise ``math.comb`` values, so every
-identity checked downstream is exact integer arithmetic.
+A multi-index is a tuple of nonnegative integers, and ``MultiIndex`` is
+a ``tuple`` subclass: the one key type for indices, monomial exponents
+and index-keyed tables.  Hashing and equality are tuple's own, so an
+index equals its plain tuple and answers plain-tuple dict lookups.
+``+`` and ``-`` are componentwise (``-`` only down the order), and
+``<=``/``<`` are the componentwise partial order; sort keys therefore
+use ``tuple(idx)``.  Height, factorial and binomial coefficients are
+the usual ones; binomials are products of entrywise ``math.comb``
+values, so every identity checked downstream is exact integer
+arithmetic.
 
 ``convolution_terms(alpha)`` lists the weighted splittings
 (C(alpha, beta), beta, alpha - beta) of the binomial convolution
 identity; every verifier in the package sums over that one list.
 
-``MultiIndex(...)`` validates its entries: ints >= 0, with floats and
-bools rejected rather than truncated.  Results the package already
-knows to be valid skip that check through the private
-``MultiIndex._trusted(entries)``: its callers pass a tuple of nonnegative
+``MultiIndex(...)`` validates each component: ints >= 0, with floats and
+bools rejected rather than truncated, and rank >= 1.  Results the
+package already knows to be valid skip that check through the private
+``MultiIndex._trusted(values)``: its callers pass a tuple of nonnegative
 ints of the right rank (a sum of two same-rank indices, a difference
-after the ``<=`` check, a tuple drawn from ``range``).  Trusted and
-validated indices with equal entries are equal and hash alike.
+after the ``<=`` check, a tuple drawn from ``range``).
 """
 
 from __future__ import annotations
@@ -23,27 +28,29 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 
 class DimensionMismatch(ValueError):
     """Two multi-indices (or a point and an index) of different ranks met."""
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(tuple):
     """An element of N^r under componentwise order and addition.
 
-    The order comparisons implement the componentwise partial order:
-    ``a <= b`` means a_i <= b_i for every i, and ``a < b`` additionally
-    requires a != b.  Incomparable pairs make both ``<=`` checks False.
+    A tuple of ints: it hashes and compares equal like the plain
+    tuple, so index-keyed tables answer plain-tuple lookups.  ``+`` and
+    ``-`` are componentwise, not concatenation, and the order comparisons
+    implement the componentwise partial order: ``a <= b`` means
+    a_i <= b_i for every i, and ``a < b`` additionally requires a != b.
+    Incomparable pairs make both ``<=`` checks False, so sort keys use
+    ``tuple(idx)``.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ent = tuple(self.entries)
+    def __new__(cls, values: Iterable[int]) -> "MultiIndex":
+        ent = tuple(values)
         for e in ent:
             # int() would truncate 2.7 to 2 and read True as 1
             if isinstance(e, bool) or not isinstance(e, int):
@@ -52,71 +59,55 @@ class MultiIndex:
             raise ValueError("multi-index needs rank >= 1")
         if any(e < 0 for e in ent):
             raise ValueError(f"negative entry in multi-index {ent}")
-        object.__setattr__(self, "entries", ent)
+        return tuple.__new__(cls, ent)
 
     @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> "MultiIndex":
-        """An index on entries known to be a nonempty tuple of ints >= 0; no checks."""
-        idx = object.__new__(cls)
-        object.__setattr__(idx, "entries", entries)
-        return idx
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    def _trusted(cls, values: tuple[int, ...]) -> "MultiIndex":
+        """An index on values known to be a nonempty tuple of ints >= 0; no checks."""
+        return tuple.__new__(cls, values)
 
     # ---- basic views ----
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     @property
     def height(self) -> int:
-        return sum(self.entries)
+        return sum(self)
 
     def factorial(self) -> int:
         """alpha! = prod_i alpha_i!"""
         out = 1
-        for e in self.entries:
+        for e in self:
             out *= math.factorial(e)
         return out
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
     def __repr__(self) -> str:
-        return f"MultiIndex({self.entries})"
+        return f"MultiIndex({tuple(self)})"
 
     # ---- arithmetic ----
 
     def _check_rank(self, other: "MultiIndex") -> None:
         if self.rank != other.rank:
-            raise DimensionMismatch(
-                f"rank mismatch: {self.entries} vs {other.entries}"
-            )
+            raise DimensionMismatch(f"rank mismatch: {tuple(self)} vs {tuple(other)}")
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         self._check_rank(other)
-        return MultiIndex._trusted(tuple(map(operator.add, self.entries, other.entries)))
+        return MultiIndex._trusted(tuple(map(operator.add, self, other)))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         self._check_rank(other)
         if not other <= self:
-            raise ValueError(f"{other.entries} is not componentwise <= {self.entries}")
-        return MultiIndex._trusted(tuple(map(operator.sub, self.entries, other.entries)))
+            raise ValueError(f"{tuple(other)} is not componentwise <= {tuple(self)}")
+        return MultiIndex._trusted(tuple(map(operator.sub, self, other)))
 
     def __le__(self, other: "MultiIndex") -> bool:
         self._check_rank(other)
-        return all(a <= b for a, b in zip(self.entries, other.entries))
+        return all(map(operator.le, self, other))
 
     def __lt__(self, other: "MultiIndex") -> bool:
-        return self <= other and self.entries != other.entries
+        return self <= other and self != other
 
     def __ge__(self, other: "MultiIndex") -> bool:
         return other <= self
@@ -141,17 +132,17 @@ class MultiIndex:
         return MultiIndex(tuple(1 if j == i else 0 for j in range(rank)))
 
     def to_json(self) -> List[int]:
-        return list(self.entries)
+        return list(self)
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "MultiIndex":
-        return cls(tuple(data))
+        return cls(data)
 
 
 def as_multiindex(value: "MultiIndex | Iterable[int]") -> MultiIndex:
     if isinstance(value, MultiIndex):
         return value
-    return MultiIndex(tuple(value))
+    return MultiIndex(value)
 
 
 def binom(a: MultiIndex, b: MultiIndex) -> int:
@@ -160,9 +151,9 @@ def binom(a: MultiIndex, b: MultiIndex) -> int:
     Requires b <= a; equals a! / (b! * (a-b)!) on that range.
     """
     if not b <= a:
-        raise ValueError(f"binom needs {b.entries} <= {a.entries} componentwise")
+        raise ValueError(f"binom needs {tuple(b)} <= {tuple(a)} componentwise")
     out = 1
-    for ai, bi in zip(a.entries, b.entries):
+    for ai, bi in zip(a, b):
         out *= math.comb(ai, bi)
     return out
 
@@ -172,7 +163,7 @@ def enumerate_below(alpha: MultiIndex) -> List[MultiIndex]:
 
     Exactly prod_i (alpha_i + 1) indices.
     """
-    ranges = [range(e + 1) for e in alpha.entries]
+    ranges = [range(e + 1) for e in alpha]
     return [MultiIndex._trusted(t) for t in itertools.product(*ranges)]
 
 

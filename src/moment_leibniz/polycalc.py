@@ -1,8 +1,9 @@
 """Exact multivariate polynomial calculus over the rationals.
 
-Polynomials are sparse maps from monomial exponents (multi-indices) to
-``Fraction`` coefficients, kept canonical with no zero entries, so
-equality is structural and the product-derivative identity
+Polynomials are sparse maps from monomial exponents (``MultiIndex``, a
+validated tuple) to ``Fraction`` coefficients, kept canonical with no
+zero entries, so equality is structural and the product-derivative
+identity
 
     D^alpha(f*g) = sum_{beta <= alpha} C(alpha, beta) D^beta(f) D^{alpha-beta}(g)
 
@@ -13,10 +14,12 @@ given.  Results the module already knows to be canonical skip that work
 through the private ``Polynomial._make(dim, terms)``: its callers pass a
 term map whose keys are distinct ``MultiIndex`` of rank ``dim`` and whose
 coefficients are nonzero ``Fraction``.  ``+``, unary ``-``, ``*`` and
-``dalpha`` build their results that way.  Products and convolution sums
-accumulate ``w * a * b`` in place into a map keyed by plain exponent
-tuples (``_accumulate``), which ``_canonical_terms`` turns into a term
-map once, dropping zeros and wrapping each key in a ``MultiIndex``.
+``dalpha`` build their results that way.  A term key is its exponent
+tuple, so ``_accumulate``, ``dalpha`` and ``eval_poly`` iterate keys
+directly.  Products and convolution sums accumulate ``w * a * b`` in
+place into a map keyed by plain exponent tuples (``_accumulate``), which
+``_canonical_terms`` turns into a term map once, dropping zeros and
+wrapping each key in a ``MultiIndex``.
 ``convolution_sum`` is the one public form of that accumulator: the
 canonical sum of w * left[beta] * right[gamma] over one alpha's
 ``convolution_terms``, from two tables of derivatives or operator
@@ -116,7 +119,7 @@ class Polynomial:
             idx = as_multiindex(exp)
             if idx.rank != dim:
                 raise DimensionMismatch(
-                    f"exponent {idx.entries} has rank {idx.rank}, expected {dim}"
+                    f"exponent {tuple(idx)} has rank {idx.rank}, expected {dim}"
                 )
             val = canonical.get(idx, Fraction(0)) + _as_fraction(coeff)
             if val == 0:
@@ -171,7 +174,7 @@ class Polynomial:
         return max(idx.height for idx in self.terms)
 
     def sorted_terms(self) -> List[Tuple[MultiIndex, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].entries)
+        return sorted(self.terms.items(), key=lambda kv: tuple(kv[0]))
 
     # ---- ring operations ----
 
@@ -235,7 +238,7 @@ class Polynomial:
         for idx, coeff in self.sorted_terms():
             mono = "*".join(
                 f"x{i}^{e}" if e > 1 else f"x{i}"
-                for i, e in enumerate(idx.entries)
+                for i, e in enumerate(idx)
                 if e > 0
             )
             parts.append(f"{coeff}*{mono}" if mono else f"{coeff}")
@@ -266,9 +269,9 @@ def _accumulate(
 ) -> None:
     """acc += w * a * b, in place; acc is keyed by exponent tuples and may hold zeros."""
     add, get = operator.add, acc.get
-    b_terms = [(ib.entries, cb) for ib, cb in b.terms.items()]
-    for ia, ca in a.terms.items():
-        ea, wa = ia.entries, w * ca
+    b_terms = b.terms.items()
+    for ea, ca in a.terms.items():
+        wa = w * ca
         for eb, cb in b_terms:
             key = tuple(map(add, ea, eb))
             prev = get(key)
@@ -293,19 +296,17 @@ def dalpha(f: Polynomial, alpha: MultiIndex) -> Polynomial:
         raise DimensionMismatch(f"poly dim {f.dim} vs index rank {alpha.rank}")
     if alpha.is_zero():
         return f
-    a = alpha.entries
     trusted, perm = MultiIndex._trusted, math.perm
     out: Dict[MultiIndex, Fraction] = {}
-    for exp, coeff in f.terms.items():
-        e = exp.entries
+    for e, coeff in f.terms.items():
         scale = 1
-        for ei, ai in zip(e, a):
+        for ei, ai in zip(e, alpha):
             if ei < ai:
                 break
             if ai:
                 scale *= perm(ei, ai)
         else:
-            out[trusted(tuple(map(operator.sub, e, a)))] = coeff * scale
+            out[trusted(tuple(map(operator.sub, e, alpha)))] = coeff * scale
     return Polynomial._make(f.dim, out)
 
 
@@ -319,7 +320,7 @@ def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
     """
     if f.dim != x.rank:
         raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
-    terms = [(exp.entries, coeff) for exp, coeff in f.terms.items()]
+    terms = f.terms.items()
     if not terms:
         return Fraction(0)
     lcm = math.lcm(*[c.denominator for _, c in terms])

@@ -76,7 +76,7 @@ def make_exponential_moment_seq(
     def make(alpha: MultiIndex) -> Callable[[float], float]:
         def f(x: float) -> float:
             out = math.exp(rate * x)
-            for s, e in zip(scales, alpha.entries):
+            for s, e in zip(scales, alpha):
                 out *= (s * x) ** e
             return out
 
@@ -138,7 +138,7 @@ def verify_moment_seq(
 def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:
     """Copy of the sequence with f_alpha multiplied by ``scale``."""
     if alpha not in seq.functions:
-        raise ValueError(f"sequence has no index {alpha.entries}")
+        raise ValueError(f"sequence has no index {tuple(alpha)}")
     functions = dict(seq.functions)
     original = functions[alpha]
     functions[alpha] = lambda x: scale * original(x)

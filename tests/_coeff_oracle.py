@@ -56,7 +56,7 @@ def forced_zero_fixpoint(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
     forced: set[MultiIndex] = set()
     while True:
         newly = []
-        for gamma in sorted(active, key=lambda a: (a.height, a.entries)):
+        for gamma in sorted(active, key=lambda a: (a.height, tuple(a))):
             double = gamma + gamma
             if double.height > pattern.order:
                 continue
@@ -112,7 +112,7 @@ def all_supports(rank: int, order: int) -> List[SupportPattern]:
     over the index set sorted by (height, entries)."""
     index_set = sorted(
         (a for a in enumerate_height_at_most(rank, order) if a.height >= 1),
-        key=lambda a: (a.height, a.entries),
+        key=lambda a: (a.height, tuple(a)),
     )
     return [
         SupportPattern(rank, order, frozenset(combo))

@@ -36,7 +36,7 @@ def _table(expr, points, exact: bool) -> list:
 
 
 def _alpha_key(alpha) -> str:
-    return ",".join(str(e) for e in alpha.entries)
+    return ",".join(str(e) for e in alpha)
 
 
 def verify_moment_pointwise(

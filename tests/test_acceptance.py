@@ -254,8 +254,8 @@ def _brute_forced(support, rank, order):
     outright; an index is forced exactly when its symbol is zero in
     every solution branch.
     """
-    ordered = sorted(support, key=lambda m: (m.height, m.entries))
-    syms = {a: sympy.Symbol(f"c{'_'.join(map(str, a.entries))}") for a in ordered}
+    ordered = sorted(support, key=lambda m: (m.height, tuple(m)))
+    syms = {a: sympy.Symbol(f"c{'_'.join(map(str, a))}") for a in ordered}
     equations = []
     for alpha in constraint_indices(rank, order):
         total = sympy.Integer(0)

@@ -174,6 +174,36 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
     assert code3 == EXIT_INPUT
 
 
+_TAU_ID = '"tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1"}]]}'
+_LEAF = '{"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # too deep for the JSON decoder
+        ('{"kind": "conjugated", "r": 1, "N": 1, ' + _TAU_ID + ', "inner": ') * 3000
+        + '{"kind": "derivative", "r": 1, "N": 1}'
+        + "}" * 3000,
+        # decodes, but too deep to build or evaluate
+        '{"kind": "first_order_leibniz", "r": 1, "c": '
+        + '{"kind": "sum", "children": [' * 450
+        + _LEAF
+        + "]}" * 450
+        + "}",
+    ],
+    ids=["conjugated-3000", "sum-450"],
+)
+def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code = main(["verify-family", str(path), "--probes", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "descriptor",
     [
@@ -368,6 +398,15 @@ def test_gen_family_non_integer_support_is_input_error(capsys, support):
     assert "integer" in captured.err
 
 
+def test_gen_family_deeply_nested_support_is_input_error(capsys):
+    support = "[" * 5000 + "]" * 5000
+    code = main(["gen-family", "--rank", "1", "--order", "2", "--support", support])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --support")
+
+
 # ---- determinism and seeding ----
 
 
@@ -484,6 +523,16 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert report["pass"] is True
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_path_is_input_error(capsys, tmp_path, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    code = main(["verify-leibniz", "--pairs", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "moment_leibniz.cli", "verify-leibniz", "--pairs", "2"],
@@ -530,7 +579,7 @@ def _descriptor(draw, conjugated=True):
     if kind in ("trivial", "derivative"):
         data = {"kind": kind, "r": r, "N": n}
     elif kind == "identity_generated":
-        indices = [a.entries for a in enumerate_height_at_most(r, n) if a.height >= 1]
+        indices = [tuple(a) for a in enumerate_height_at_most(r, n) if a.height >= 1]
         chosen = draw(st.lists(st.sampled_from(indices), max_size=3)) if indices else []
         coefficients = [
             {"index": list(i), "expr": {"kind": "poly", "dim": r, "terms": draw(_poly(r))}}
@@ -573,6 +622,89 @@ def test_verify_family_exit_code_contract(descriptor, probes, samples, seed):
         sys.stdin = stdin
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INPUT)
     if code == EXIT_INPUT:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        return
+    text = out.getvalue()
+    report = json.loads(text)
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == text
+    if code == EXIT_FAIL:
+        assert report["pass"] is False and report["failures"]
+    else:
+        assert report["pass"] is True
+
+
+# ---- the exit-code contract under random flags ----
+
+_TOLS = ["1e-12", "1e-9", "0.5"]
+_BAD_TOLS = ["nan", "inf", "-inf", "0", "-1e-9"]
+_MALFORMED = ["", "[[2]", "[[2],]", "not json", "{", "[[1, 2]] x"]
+_NOT_INDICES = ["null", "5", '"x"', '{"a": 1}', "[[]]", "[[2.5]]", "[[true]]", "[2]", '[["1"]]']
+
+
+@st.composite
+def _support(draw):
+    """A --support value: a list of small integer lists, or JSON that is not one."""
+    lists = st.lists(st.lists(st.integers(-1, 4), min_size=1, max_size=3), max_size=3)
+    return draw(
+        st.one_of(
+            lists.map(json.dumps),
+            st.sampled_from(_NOT_INDICES),
+            st.sampled_from(_MALFORMED),
+        )
+    )
+
+
+@st.composite
+def _argv(draw):
+    """Small random flags for every subcommand except verify-family.
+
+    Half the examples draw every flag from its valid range, so that they
+    reach the subcommand; the rest may also draw values below it.  Flags
+    are passed as ``--flag=value``, as a user passes a value such as
+    ``-inf`` that argparse would otherwise read as an option.
+    """
+    command = draw(
+        st.sampled_from(["verify-leibniz", "search-supports", "verify-semigroup", "gen-family"])
+    )
+    valid = draw(st.booleans())
+
+    def value(lowest, top):
+        return draw(st.integers(lowest if valid else -1, top))
+
+    tols = _TOLS if valid else _TOLS + _BAD_TOLS
+    flags = {
+        "rank": value(1, 2),
+        "order": value(0, 3),
+        "seed": draw(st.integers(0, 3)),
+        "tol": draw(st.sampled_from(tols)),
+    }
+    if draw(st.booleans()):
+        flags["budget"] = value(1, 12)
+    if command == "verify-leibniz":
+        flags["pairs"] = value(1, 3)
+        flags["degree"] = value(0, 4)
+    elif command == "search-supports":
+        if draw(st.booleans()):
+            flags["max-support-size"] = value(0, 5)
+    elif command == "verify-semigroup":
+        flags["probes"] = value(1, 3)
+    elif draw(st.booleans()):
+        flags["support"] = draw(_support())
+    argv = [command] + [f"--{name}={v}" for name, v in flags.items()]
+    if command == "verify-semigroup" and draw(st.booleans()):
+        argv.append("--tamper")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_other_subcommands_exit_code_contract(argv):
+    # as for verify-family, plus exit 3 (over budget), which carries no report
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_BUDGET)
+    if code in (EXIT_INPUT, EXIT_BUDGET):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
         return
     text = out.getvalue()

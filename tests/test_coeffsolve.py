@@ -50,7 +50,7 @@ def _sympy_constraint_sums(support, rank: int, order: int):
     sum C(alpha, beta) c_beta c_{alpha-beta}; the toolkit's analysis
     must agree with what these polynomials force.
     """
-    syms = {a: sympy.Symbol(f"c_{'_'.join(map(str, a.entries))}") for a in support}
+    syms = {a: sympy.Symbol(f"c_{'_'.join(map(str, a))}") for a in support}
     sums = {}
     for alpha in constraint_indices(rank, order):
         total = sympy.Integer(0)
@@ -213,14 +213,14 @@ def test_decomposition_pairs():
 
 def test_enumeration_rank1_order2():
     patterns = enumerate_valid_constant_supports(1, 2)
-    supports = [sorted(a.entries for a in p.support) for p in patterns]
+    supports = [sorted(tuple(a) for a in p.support) for p in patterns]
     assert supports == [[], [(2,)]]
     assert all(p.to_json()["certificate"] is None for p in patterns)
 
 
 def test_enumeration_rank1_order3():
     patterns = enumerate_valid_constant_supports(1, 3)
-    supports = {tuple(sorted(a.entries for a in p.support)) for p in patterns}
+    supports = {tuple(sorted(tuple(a) for a in p.support)) for p in patterns}
     assert supports == {(), ((2,),), ((3,),), ((2,), (3,))}
 
 
@@ -248,7 +248,7 @@ def test_no_certificate_for_forced_square():
 def test_certificate_on_band_support_has_no_size_cap():
     # eight band indices at rank 2, order 4: 6^8 assignments, beyond the
     # oracle's capped search; all ones passes the constraint outright
-    band = [a.entries for a in enumerate_height_at_most(2, 4) if a.height >= 3]
+    band = [tuple(a) for a in enumerate_height_at_most(2, 4) if a.height >= 3]
     pattern = _pattern(2, 4, *band[:8])
     assert is_structure_valid(pattern)
     ones = CoeffFamily.from_constants(2, 4, {a: 1 for a in pattern.support})

@@ -33,6 +33,10 @@ def test_add_sub_height():
     assert a + b == _mi(3, 3, 1)
     assert (a + b).height == 7
     assert _mi(3, 3, 1) - b == a
+    # componentwise, not tuple concatenation
+    assert a + b == (3, 3, 1) and type(a + b) is MultiIndex
+    assert _mi(3, 3, 1) - b == (2, 0, 1) and type(_mi(3, 3, 1) - b) is MultiIndex
+    assert _mi(1,) + _mi(2,) == (3,)
     assert _mi(4,).factorial() == 24
     assert _mi(2, 3).factorial() == 12
 
@@ -53,6 +57,9 @@ def test_partial_order():
     assert _mi(1, 0) <= _mi(2, 0)
     assert not _mi(2, 0) <= _mi(1, 5)
     assert not _mi(1, 5) <= _mi(2, 0)  # incomparable both ways
+    # tuples order (1, 5) below (2, 0) lexicographically; indices do not
+    assert not _mi(1, 5) < _mi(2, 0) and not _mi(2, 0) < _mi(1, 5)
+    assert not _mi(1, 5) >= _mi(2, 0) and not _mi(1, 5) > _mi(2, 0)
     assert _mi(1, 0) < _mi(1, 1)
     assert not _mi(1, 1) < _mi(1, 1)
     assert _mi(1, 1) <= _mi(1, 1)
@@ -72,6 +79,10 @@ def test_negative_entries_rejected():
         _mi(1, -1)
     with pytest.raises(ValueError):
         MultiIndex(())
+    with pytest.raises(ValueError, match="negative"):
+        MultiIndex.from_json([1, -1])
+    with pytest.raises(ValueError, match="rank"):
+        MultiIndex.from_json([])
 
 
 @pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None])
@@ -94,7 +105,7 @@ def test_zero_and_unit():
 
 
 def test_enumerate_below_lexicographic():
-    got = [a.entries for a in enumerate_below(_mi(1, 1))]
+    got = [tuple(a) for a in enumerate_below(_mi(1, 1))]
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -104,7 +115,7 @@ def test_enumerate_below_count_and_bounds():
         rank = rng.randint(1, 3)
         alpha = _random_index(rng, rank, cap=3)
         below = enumerate_below(alpha)
-        expected = math.prod(e + 1 for e in alpha.entries)
+        expected = math.prod(e + 1 for e in alpha)
         assert len(below) == expected
         assert len(set(below)) == expected
         assert all(b <= alpha for b in below)
@@ -121,7 +132,7 @@ def test_enumerate_height_at_most_counts():
 
 
 def test_enumerate_height_at_most_lexicographic():
-    got = [a.entries for a in enumerate_height_at_most(2, 1)]
+    got = [tuple(a) for a in enumerate_height_at_most(2, 1)]
     assert got == [(0, 0), (0, 1), (1, 0)]
 
 
@@ -171,12 +182,15 @@ def test_trusted_and_validated_indices_hash_alike():
         rank = rng.randint(1, 4)
         a, b = _random_index(rng, rank), _random_index(rng, rank)
         built = a + b  # a trusted result
-        validated = MultiIndex(built.entries)
+        validated = MultiIndex(tuple(built))
         assert built == validated and validated == built
-        assert hash(built) == hash(validated) == hash(built.entries)
+        assert hash(built) == hash(validated) == hash(tuple(built))
+        assert built == tuple(built) and {validated: "v"}[tuple(built)] == "v"
         assert {validated: "v"}[built] == "v"
         assert {built: "b"}[validated] == "b"
         assert (built - b) == a and {a: 1}[built - b] == 1
+    assert MultiIndex((1, 2)) == (1, 2) and (1, 2) == MultiIndex((1, 2))
+    assert {MultiIndex((1, 2)): "i"}[(1, 2)] == "i"
 
 
 def test_trusted_results_are_valid_indices():
@@ -187,5 +201,5 @@ def test_trusted_results_are_valid_indices():
     found = [a + b, (a + b) - b, *enumerate_below(a), *enumerate_height_at_most(2, 3)]
     for idx in found:
         assert type(idx) is MultiIndex
-        assert all(type(e) is int and e >= 0 for e in idx.entries)
-        assert MultiIndex(idx.entries).entries == idx.entries
+        assert all(type(e) is int and e >= 0 for e in idx)
+        assert MultiIndex(tuple(idx)) == idx

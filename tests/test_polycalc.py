@@ -29,7 +29,7 @@ def _to_sympy(f: Polynomial, symbols) -> sympy.Expr:
     expr = sympy.Integer(0)
     for exp, coeff in f.terms.items():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for s, e in zip(symbols, exp.entries):
+        for s, e in zip(symbols, exp):
             term *= s**e
         expr += term
     return sympy.expand(expr)
@@ -106,7 +106,7 @@ def _naive_eval(f: Polynomial, x: RationalPoint) -> Fraction:
     total = Fraction(0)
     for exp, coeff in f.terms.items():
         term = coeff
-        for xi, e in zip(x.coords, exp.entries):
+        for xi, e in zip(x.coords, exp):
             term *= xi**e
         total += term
     return total
@@ -234,7 +234,7 @@ def test_dalpha_matches_sympy():
         f = random_polynomial(rng, dim, max_degree=5)
         alpha = MultiIndex(tuple(rng.randint(0, 3) for _ in range(dim)))
         expected = _to_sympy(f, symbols)
-        for s, e in zip(symbols, alpha.entries):
+        for s, e in zip(symbols, alpha):
             expected = sympy.diff(expected, s, e)
         assert _to_sympy(dalpha(f, alpha), symbols) == sympy.expand(expected)
 

@@ -192,7 +192,7 @@ def test_rank1_terms_match_scalar_binomial_recurrence():
     # term-for-term: the rank-1 convolution at order k is the classical
     # sum over C(k, j) f_j f_{k-j}
     for k in range(0, 5):
-        got = [(w, b.entries, c.entries) for w, b, c in convolution_terms(_mi(k))]
+        got = [(w, tuple(b), tuple(c)) for w, b, c in convolution_terms(_mi(k))]
         expected = [(math.comb(k, j), (j,), (k - j,)) for j in range(k + 1)]
         assert got == expected
 
