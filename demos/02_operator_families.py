@@ -11,13 +11,13 @@ import random
 
 from moment_leibniz import (
     Domain,
+    OperatorFamily,
+    PolyLeaf,
     Polynomial,
     assert_trivial_collapse,
-    custom_family,
     default_probe_pairs,
     make_derivative,
     make_trivial,
-    poly_expr,
     verify_moment,
 )
 
@@ -40,10 +40,10 @@ def main() -> None:
     # a family with T_0 = 1 cannot carry any other nonzero member
     def rule(alpha, f):
         if alpha.is_zero():
-            return poly_expr(Polynomial.constant(2, 1))
-        return poly_expr(f)  # nonzero tail: T_alpha(f) = f
+            return PolyLeaf(Polynomial.constant(2, 1))
+        return PolyLeaf(f)  # nonzero tail: T_alpha(f) = f
 
-    candidate = custom_family(2, 2, rule)
+    candidate = OperatorFamily(2, 2, rule)
     x = Polynomial.variable(2, 0)
     collapse_probes = [Polynomial.constant(2, 2), x + Polynomial.constant(2, 1)]
     verdict = assert_trivial_collapse(candidate, collapse_probes, domain)

@@ -11,12 +11,12 @@ import random
 
 from moment_leibniz import (
     Domain,
+    PolyLeaf,
     Polynomial,
     PowerSignMap,
     TauMap,
     check_multiplicative,
     const_expr,
-    poly_expr,
     power_sign_apply,
 )
 from fractions import Fraction
@@ -43,7 +43,7 @@ def main() -> None:
     cases = [
         ("p = 1,     tau = id   ", const_expr(1, 1), TauMap.identity(1)),
         ("p = 2,     tau = id   ", const_expr(1, 2), TauMap.identity(1)),
-        ("p = 1/2+x, tau = 1 - x", poly_expr(half_plus_x), TauMap.affine([[-1]], [1])),
+        ("p = 1/2+x, tau = 1 - x", PolyLeaf(half_plus_x), TauMap.affine([[-1]], [1])),
     ]
     for label, exponent, tau in cases:
         mapping = PowerSignMap(exponent, tau)

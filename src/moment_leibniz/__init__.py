@@ -4,8 +4,8 @@ The package checks, exactly where the data allows and by seeded sampling
 otherwise: the generalized product-derivative identity on rational
 polynomials, moment-type operator families under the binomial
 convolution identity, the bilinear constraint their coefficients must
-satisfy, power-sign multiplicative maps, and moment sequences on
-commutative monoids.
+satisfy, power-sign multiplicative maps, and moment sequences on the
+additive reals.
 """
 
 from .multiindex import (
@@ -49,7 +49,6 @@ from .funcmodel import (
     eval_table,
     expr_from_json,
     judge,
-    poly_expr,
     power_sign_apply,
     worse,
 )
@@ -59,10 +58,12 @@ from .coeffsolve import (
     ConstraintViolation,
     InvalidSupport,
     SupportPattern,
+    band,
     check_constraint,
     constraint_indices,
     enumerate_valid_constant_supports,
     forced_zero_analysis,
+    index_set_size,
     is_structure_valid,
     random_valid_family,
 )
@@ -73,7 +74,6 @@ from .momentfam import (
     assert_trivial_collapse,
     check_second_order,
     conjugate,
-    custom_family,
     default_probe_pairs,
     family_from_json,
     make_derivative,
@@ -85,10 +85,8 @@ from .momentfam import (
 )
 from .semigroup import (
     MomentSeq,
-    Monoid,
     make_exponential_moment_seq,
     random_probe_pairs,
-    reals_additive,
     tampered,
     verify_moment_seq,
 )

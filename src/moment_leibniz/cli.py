@@ -32,9 +32,11 @@ from .funcmodel import Domain, worse
 from .coeffsolve import (
     BudgetExceeded,
     ConstraintViolation,
+    InvalidSupport,
     SupportPattern,
+    band,
     enumerate_valid_constant_supports,
-    is_structure_valid,
+    index_set_size,
     random_valid_family,
 )
 from .momentfam import default_probe_pairs, family_from_json, verify_moment
@@ -181,9 +183,7 @@ def run_search_supports(args: argparse.Namespace) -> dict:
     return {
         "patterns": [p.to_json() for p in patterns],
         "count": len(patterns),
-        "index_set_size": len(
-            [a for a in enumerate_height_at_most(args.rank, args.order) if a.height >= 1]
-        ),
+        "index_set_size": index_set_size(args.rank, args.order),
         "failures": [],
         "max_residual": 0.0,
         "pass": True,
@@ -211,7 +211,7 @@ def run_verify_semigroup(args: argparse.Namespace) -> dict:
             )
             seq = tampered(seq, alpha, 1.01)
             tampered_index = alpha.to_json()
-        probes = random_probe_pairs(seq.monoid, args.probes, rng)
+        probes = random_probe_pairs(args.probes, rng)
         report = verify_moment_seq(seq, probes, tol=args.tol, seed=args.seed)
         for failure in report.failures:
             failures.append({"rate": rate, **failure})
@@ -237,23 +237,19 @@ def run_gen_family(args: argparse.Namespace) -> dict:
     if args.support is not None:
         try:
             indices = json.loads(args.support)
-            support = frozenset(MultiIndex.from_json(a) for a in indices)
+            support = frozenset(MultiIndex(a) for a in indices)
             pattern = SupportPattern(args.rank, args.order, support)
         except (json.JSONDecodeError, TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"bad --support: {exc}") from exc
-        if not is_structure_valid(pattern):
-            raise InputError(
-                f"support leaves the band {args.order}/2 < |alpha| <= {args.order}, "
-                "where the constraint forces coefficients to zero"
-            )
     else:
-        support = frozenset(
-            a
-            for a in enumerate_height_at_most(args.rank, args.order)
-            if 2 * a.height > args.order and a.height >= 1
-        )
+        support = frozenset(band(args.rank, args.order))
         pattern = SupportPattern(args.rank, args.order, support)
-    cf = random_valid_family(pattern, args.seed)
+    try:
+        cf = random_valid_family(pattern, args.seed)
+    except InvalidSupport as exc:
+        raise InputError(
+            f"{exc}, where the constraint forces coefficients to zero"
+        ) from exc
     descriptor = {
         "kind": "identity_generated",
         "r": args.rank,

@@ -21,12 +21,17 @@ coefficients.
 
 This module checks the constraint on sample points, reports which
 support indices it forces to vanish, enumerates the admissible support
-patterns, and draws random families on them.
+patterns, and draws random families on them.  The band test
+2|alpha| > N is made in one place, ``_in_band``: ``band`` lists the band,
+and ``is_structure_valid`` and ``forced_zero_analysis`` split a support
+by it.  ``index_set_size`` counts the indices 0 < |alpha| <= N in closed
+form, so the enumeration budget is checked before anything is listed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
@@ -38,7 +43,7 @@ from .multiindex import (
     enumerate_height_at_most,
 )
 from .polycalc import Polynomial, RationalPoint, Scalar
-from .funcmodel import CheckReport, FuncExpr, PolyLeaf, eval_expr, worse
+from .funcmodel import CheckReport, FuncExpr, PolyLeaf, eval_expr, expr_from_json, worse
 from . import polycalc
 
 
@@ -93,13 +98,6 @@ class CoeffFamily:
             coeffs[idx] = expr
         self.coefficients = coeffs
 
-    def coefficient(self, alpha: MultiIndex) -> Optional[FuncExpr]:
-        return self.coefficients.get(alpha)
-
-    def value(self, alpha: MultiIndex, x: RationalPoint) -> float:
-        expr = self.coefficients.get(alpha)
-        return 0.0 if expr is None else eval_expr(expr, x)
-
     @classmethod
     def from_constants(
         cls, rank: int, order: int, values: Mapping[IndexLike, Scalar]
@@ -111,14 +109,6 @@ class CoeffFamily:
                 as_multiindex(idx): PolyLeaf(Polynomial.constant(rank, v))
                 for idx, v in values.items()
             },
-        )
-
-    @classmethod
-    def from_polynomials(
-        cls, rank: int, order: int, polys: Mapping[IndexLike, Polynomial]
-    ) -> "CoeffFamily":
-        return cls(
-            rank, order, {as_multiindex(idx): PolyLeaf(p) for idx, p in polys.items()}
         )
 
     def to_json(self) -> dict:
@@ -133,16 +123,13 @@ class CoeffFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoeffFamily":
-        from .funcmodel import expr_from_json
-
-        return cls(
-            data["rank"],
-            data["order"],
-            {
-                MultiIndex.from_json(item["index"]): expr_from_json(item["expr"])
-                for item in data["coefficients"]
-            },
-        )
+        coeffs: Dict[MultiIndex, FuncExpr] = {}
+        for item in data["coefficients"]:
+            idx = MultiIndex(item["index"])
+            if idx in coeffs:
+                raise ValueError(f"coefficient index {list(idx)} is repeated")
+            coeffs[idx] = expr_from_json(item["expr"])
+        return cls(data["rank"], data["order"], coeffs)
 
 
 def constraint_indices(rank: int, order: int) -> List[MultiIndex]:
@@ -222,13 +209,23 @@ class SupportPattern:
             "certificate": None,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SupportPattern":
-        return cls(
-            data["rank"],
-            data["order"],
-            frozenset(MultiIndex.from_json(a) for a in data["support"]),
-        )
+
+def _in_band(alpha: MultiIndex, order: int) -> bool:
+    """Whether N/2 < |alpha|; callers hold |alpha| <= N already."""
+    return 2 * alpha.height > order
+
+
+def band(rank: int, order: int) -> List[MultiIndex]:
+    """The admissible band N/2 < |alpha| <= N, sorted by (height, entries)."""
+    return sorted(
+        (a for a in enumerate_height_at_most(rank, order) if _in_band(a, order)),
+        key=lambda a: (a.height, tuple(a)),
+    )
+
+
+def index_set_size(rank: int, order: int) -> int:
+    """The number of indices 0 < |alpha| <= order: C(order + rank, rank) - 1."""
+    return math.comb(order + rank, rank) - 1
 
 
 def is_structure_valid(pattern: SupportPattern) -> bool:
@@ -238,7 +235,7 @@ def is_structure_valid(pattern: SupportPattern) -> bool:
     bilinear sum is empty: two band heights add up to more than N, while
     an index gamma below the band has its square 2*gamma constrained.
     """
-    return all(2 * a.height > pattern.order for a in pattern.support)
+    return all(_in_band(a, pattern.order) for a in pattern.support)
 
 
 def forced_zero_analysis(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
@@ -252,7 +249,7 @@ def forced_zero_analysis(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
     is C(2g, g) * c_gamma^2, and c_gamma must vanish; drop gamma and
     repeat.  Band indices are never forced: their squares lie above N.
     """
-    return frozenset(a for a in pattern.support if 2 * a.height <= pattern.order)
+    return frozenset(a for a in pattern.support if not _in_band(a, pattern.order))
 
 
 def enumerate_valid_constant_supports(
@@ -265,25 +262,19 @@ def enumerate_valid_constant_supports(
 
     These are the subsets of the band N/2 < |alpha| <= N with at most
     max_support_size elements, smallest first, each size in combinations
-    order over the band sorted by (height, entries).  Raises
-    BudgetExceeded when the index set {alpha : 0 < |alpha| <= order} has
-    more than budget elements.
+    order over ``band(rank, order)``.  Raises BudgetExceeded when the index
+    set {alpha : 0 < |alpha| <= order} has more than budget elements.
     """
-    index_set = [a for a in enumerate_height_at_most(rank, order) if a.height >= 1]
-    if len(index_set) > budget:
-        raise BudgetExceeded(
-            f"index set has {len(index_set)} elements, budget is {budget}"
-        )
-    band = sorted(
-        (a for a in index_set if 2 * a.height > order),
-        key=lambda a: (a.height, tuple(a)),
-    )
+    count = index_set_size(rank, order)
+    if count > budget:
+        raise BudgetExceeded(f"index set has {count} elements, budget is {budget}")
+    admissible = band(rank, order)
     if max_support_size is None:
-        max_support_size = len(band)
+        max_support_size = len(admissible)
     return [
         SupportPattern(rank, order, frozenset(combo))
-        for size in range(min(max_support_size, len(band)) + 1)
-        for combo in itertools.combinations(band, size)
+        for size in range(min(max_support_size, len(admissible)) + 1)
+        for combo in itertools.combinations(admissible, size)
     ]
 
 

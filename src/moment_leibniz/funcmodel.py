@@ -317,10 +317,6 @@ def const_expr(dim: int, value: Scalar) -> PolyLeaf:
     return PolyLeaf(Polynomial.constant(dim, value))
 
 
-def poly_expr(poly: Polynomial) -> PolyLeaf:
-    return PolyLeaf(poly)
-
-
 def expr_from_json(data: dict) -> FuncExpr:
     if not isinstance(data, dict):
         raise ValueError(f"expression must be a JSON object, got {data!r}")

@@ -5,8 +5,11 @@ The identity under test is the binomial convolution
     T_alpha(f*g) = sum_{beta <= alpha} C(alpha, beta) T_beta(f) T_{alpha-beta}(g)
 
 for all |alpha| <= N at every sample point; its alpha = 0 instance is
-plain multiplicativity of T_0.  Both kinds of family apply each operator
-once per probe.
+plain multiplicativity of T_0.  Every family is an ``OperatorFamily``
+over an alpha-indexed rule: the ``make_*`` constructors and ``conjugate``
+build the described kinds, and any other rule goes straight to
+``OperatorFamily(rank, order, rule, exact)``.  Both kinds of family
+apply each operator once per probe.
 
 Families built from exact polynomial data (trivial, derivative, and
 their reparametrized conjugates) expand each operator to a polynomial,
@@ -28,7 +31,7 @@ into a residual and a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
@@ -69,19 +72,21 @@ Rule = Callable[[MultiIndex, Polynomial], FuncExpr]
 class OperatorFamily:
     """Operators T_alpha for |alpha| <= order, applied to polynomials.
 
-    ``exact`` families promise log-free expressions, so the verifier can
-    demand residual exactly zero.  ``point_maps`` reparametrize the
-    evaluation point: T(f)(x) is the rule's expression evaluated at the
-    composed image of x, which is how conjugation acts.
+    ``rule`` is any alpha-indexed rule.  ``exact`` families promise
+    log-free expressions, so the verifier can demand residual exactly
+    zero.  ``point_maps`` reparametrize the evaluation point: T(f)(x) is
+    the rule's expression evaluated at the composed image of x, which is
+    how conjugation acts.  ``descriptor`` is the family's JSON form; the
+    constructors below pass their own, and any other rule is described
+    as ``{"kind": "custom", "r": rank, "N": order}``.
     """
 
     rank: int
     order: int
-    kind: str
-    exact: bool
     rule: Rule
+    exact: bool = False
     point_maps: tuple[TauMap, ...] = ()
-    descriptor: dict = field(default_factory=dict)
+    descriptor: Optional[dict] = None
 
     def __post_init__(self) -> None:
         for name, value in (("rank", self.rank), ("order", self.order)):
@@ -91,8 +96,8 @@ class OperatorFamily:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
-        if not self.descriptor:
-            self.descriptor = {"kind": self.kind, "r": self.rank, "N": self.order}
+        if self.descriptor is None:
+            self.descriptor = {"kind": "custom", "r": self.rank, "N": self.order}
 
     def apply(self, alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         if alpha.rank != self.rank:
@@ -120,7 +125,9 @@ def make_trivial(rank: int, order: int) -> OperatorFamily:
             return PolyLeaf(Polynomial.constant(rank, 1))
         return PolyLeaf(Polynomial.zero(rank))
 
-    return OperatorFamily(rank, order, "trivial", True, rule)
+    return OperatorFamily(
+        rank, order, rule, True, descriptor={"kind": "trivial", "r": rank, "N": order}
+    )
 
 
 def make_derivative(rank: int, order: int) -> OperatorFamily:
@@ -131,7 +138,9 @@ def make_derivative(rank: int, order: int) -> OperatorFamily:
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         return PolyLeaf(dalpha(f, alpha))
 
-    return OperatorFamily(rank, order, "derivative", True, rule)
+    return OperatorFamily(
+        rank, order, rule, True, descriptor={"kind": "derivative", "r": rank, "N": order}
+    )
 
 
 def make_identity_generated(
@@ -157,7 +166,7 @@ def make_identity_generated(
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         if alpha.is_zero():
             return PolyLeaf(f)
-        expr = cf.coefficient(alpha)
+        expr = cf.coefficients.get(alpha)
         if expr is None:
             return PolyLeaf(Polynomial.zero(rank))
         return Product((expr, XLogAbs(PolyLeaf(f))))
@@ -165,8 +174,6 @@ def make_identity_generated(
     return OperatorFamily(
         rank,
         cf.order,
-        "identity_generated",
-        False,
         rule,
         descriptor={
             "kind": "identity_generated",
@@ -194,8 +201,6 @@ def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
     return OperatorFamily(
         rank,
         1,
-        "first_order_leibniz",
-        False,
         rule,
         descriptor={"kind": "first_order_leibniz", "r": rank, "c": c.to_json()},
     )
@@ -216,9 +221,8 @@ def conjugate(family: OperatorFamily, tau: TauMap, domain: Domain) -> OperatorFa
     return OperatorFamily(
         family.rank,
         family.order,
-        "conjugated",
-        family.exact,
         family.rule,
+        family.exact,
         point_maps=(tau,) + family.point_maps,
         descriptor={
             "kind": "conjugated",
@@ -228,17 +232,6 @@ def conjugate(family: OperatorFamily, tau: TauMap, domain: Domain) -> OperatorFa
             "inner": family.descriptor,
         },
     )
-
-
-def custom_family(
-    rank: int,
-    order: int,
-    rule: Rule,
-    exact: bool = False,
-    kind: str = "custom",
-) -> OperatorFamily:
-    """Wrap an arbitrary alpha-indexed rule, e.g. for collapse probing."""
-    return OperatorFamily(rank, order, kind, exact, rule)
 
 
 # ---- probes ----
@@ -581,7 +574,7 @@ def check_second_order(
             lhs_vals = tfg
             # f(x) and g(x) are Fractions; times a float they round to float first
             rhs_vals = [
-                tf[i] * g(x) + f(x) * tg[i] + 2 * af[i] * ag[i]
+                tf[i] * eval_poly(g, x) + eval_poly(f, x) * tg[i] + 2 * af[i] * ag[i]
                 for i, x in enumerate(points)
             ]
         for x, lhs, rhs in zip(points, lhs_vals, rhs_vals):

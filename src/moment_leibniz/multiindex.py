@@ -134,10 +134,6 @@ class MultiIndex(tuple):
     def to_json(self) -> List[int]:
         return list(self)
 
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "MultiIndex":
-        return cls(data)
-
 
 def as_multiindex(value: "MultiIndex | Iterable[int]") -> MultiIndex:
     if isinstance(value, MultiIndex):

@@ -111,8 +111,9 @@ class Polynomial:
         dim: int,
         terms: Mapping[Union[MultiIndex, Tuple[int, ...]], Scalar] = (),
     ) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        # a bool or a float would pass dim checks that compare with ==
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         canonical: Dict[MultiIndex, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
@@ -226,11 +227,6 @@ class Polynomial:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim mismatch: {self.dim} vs {other.dim}")
 
-    # ---- evaluation ----
-
-    def __call__(self, point: RationalPoint) -> Fraction:
-        return eval_poly(self, point)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "Polynomial(0)"
@@ -257,7 +253,7 @@ class Polynomial:
     def from_json(cls, data: Iterable[dict], dim: int) -> "Polynomial":
         return cls(
             dim,
-            [(MultiIndex.from_json(t["exponent"]), Fraction(t["coeff"])) for t in data],
+            [(MultiIndex(t["exponent"]), Fraction(t["coeff"])) for t in data],
         )
 
 

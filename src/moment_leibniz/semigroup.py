@@ -1,21 +1,21 @@
-"""Generalized moment sequences on commutative monoids.
+"""Generalized moment sequences on the additive reals.
 
 A rank-r moment sequence assigns to each multi-index alpha with
-|alpha| <= N a function f_alpha on the carrier, subject to
+|alpha| <= N a function f_alpha on R, subject to
 
     f_alpha(x + y) = sum_{beta <= alpha} C(alpha, beta) f_beta(x) f_{alpha-beta}(y),
 
-whose alpha = 0 instance says f_0 is multiplicative over the monoid
-operation.  On (R, +) the sequences
+whose alpha = 0 instance says f_0 turns sums into products.  On (R, +)
+the sequences
 
     f_alpha(x) = exp(rate * x) * prod_i (scales[i] * x)^{alpha_i}
 
 satisfy the identity by the per-coordinate binomial theorem; the rank-1
-case is the classical power-times-exponential recurrence.  A ``Monoid``
-carries only the operation and a seeded sampler, and (R, +) is the one
-carrier built here.  The verifier evaluates each f_alpha once at x, y
-and x + y per probe, sums over ``multiindex.convolution_terms``,
-re-exported here, and judges each instance with ``funcmodel.judge``.
+case is the classical power-times-exponential recurrence.  Probe pairs
+are drawn uniformly from [-2, 2].  The verifier evaluates each f_alpha
+once at x, y and x + y per probe, sums over
+``multiindex.convolution_terms``, and judges each instance with
+``funcmodel.judge``.
 """
 
 from __future__ import annotations
@@ -23,36 +23,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from .funcmodel import CheckReport, judge, worse
 
 
-@dataclass(frozen=True)
-class Monoid:
-    """A commutative monoid carrier with a seeded element sampler."""
-
-    op: Callable[[Any, Any], Any]
-    sampler: Callable[[random.Random], Any]
-
-
-def reals_additive() -> Monoid:
-    """(R, +) with elements sampled uniformly from [-2, 2]."""
-    return Monoid(op=lambda a, b: a + b, sampler=lambda rng: rng.uniform(-2.0, 2.0))
-
-
 @dataclass
 class MomentSeq:
-    """A candidate moment sequence: one carrier function per multi-index."""
+    """A candidate moment sequence: one function on R per multi-index."""
 
     rank: int
     order: int
-    monoid: Monoid
-    functions: Dict[MultiIndex, Callable[[Any], float]]
-
-    def value(self, alpha: MultiIndex, x: Any) -> float:
-        return self.functions[alpha](x)
+    functions: Dict[MultiIndex, Callable[[float], float]]
 
 
 def make_exponential_moment_seq(
@@ -84,16 +67,16 @@ def make_exponential_moment_seq(
 
     for alpha in enumerate_height_at_most(rank, order):
         functions[alpha] = make(alpha)
-    return MomentSeq(rank, order, reals_additive(), functions)
+    return MomentSeq(rank, order, functions)
 
 
 def verify_moment_seq(
     seq: MomentSeq,
-    probes: Sequence[Tuple[Any, Any]],
+    probes: Sequence[Tuple[float, float]],
     tol: float = 1e-10,
     seed: Optional[int] = None,
 ) -> CheckReport:
-    """Check the convolution identity on probe pairs from the carrier.
+    """Check the convolution identity on probe pairs of reals.
 
     Residuals follow ``funcmodel.judge``: |lhs - rhs| / (1 + |lhs|),
     passing when <= tol, so NaN fails; the alpha = 0 row is plain
@@ -103,12 +86,13 @@ def verify_moment_seq(
     max_residual = 0.0
     alphas = enumerate_height_at_most(seq.rank, seq.order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
+    functions = seq.functions
     for k, (x, y) in enumerate(probes):
-        xy = seq.monoid.op(x, y)
-        vx = {b: seq.value(b, x) for b in alphas}
-        vy = {b: seq.value(b, y) for b in alphas}
+        xy = x + y
+        vx = {b: functions[b](x) for b in alphas}
+        vy = {b: functions[b](y) for b in alphas}
         for alpha in alphas:
-            lhs = seq.value(alpha, xy)
+            lhs = functions[alpha](xy)
             rhs = math.fsum(w * vx[beta] * vy[gamma] for w, beta, gamma in terms[alpha])
             residual, ok = judge(lhs, rhs, False, tol)
             max_residual = worse(max_residual, residual)
@@ -142,10 +126,9 @@ def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:
     functions = dict(seq.functions)
     original = functions[alpha]
     functions[alpha] = lambda x: scale * original(x)
-    return MomentSeq(seq.rank, seq.order, seq.monoid, functions)
+    return MomentSeq(seq.rank, seq.order, functions)
 
 
-def random_probe_pairs(
-    monoid: Monoid, count: int, rng: random.Random
-) -> List[Tuple[Any, Any]]:
-    return [(monoid.sampler(rng), monoid.sampler(rng)) for _ in range(count)]
+def random_probe_pairs(count: int, rng: random.Random) -> List[Tuple[float, float]]:
+    """``count`` pairs of reals drawn uniformly from [-2, 2], x before y."""
+    return [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(count)]

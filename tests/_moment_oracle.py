@@ -116,7 +116,7 @@ def check_second_order_pointwise(
         for i, x in enumerate(points):
             lhs = tfg[i]
             # f(x) and g(x) are Fractions; times a float they round to float first
-            rhs = tf[i] * g(x) + f(x) * tg[i] + 2 * af[i] * ag[i]
+            rhs = tf[i] * eval_poly(g, x) + eval_poly(f, x) * tg[i] + 2 * af[i] * ag[i]
             residual, ok = judge(lhs, rhs, pair.exact, tol)
             max_residual = worse(max_residual, residual)
             if not ok:

@@ -18,6 +18,7 @@ import sympy
 from moment_leibniz import (
     Domain,
     MultiIndex,
+    OperatorFamily,
     PolyLeaf,
     Polynomial,
     PowerSignMap,
@@ -33,7 +34,6 @@ from moment_leibniz import (
     const_expr,
     constraint_indices,
     convolution_terms,
-    custom_family,
     dalpha,
     default_probe_pairs,
     enumerate_below,
@@ -46,11 +46,9 @@ from moment_leibniz import (
     make_identity_generated,
     make_second_order_leibniz,
     make_trivial,
-    poly_expr,
     random_polynomial,
     random_probe_pairs,
     random_valid_family,
-    reals_additive,
     verify_moment,
     verify_moment_seq,
 )
@@ -126,23 +124,23 @@ def _unit_candidate(perturb):
 
     def rule(alpha, f):
         if alpha.is_zero():
-            return poly_expr(Polynomial.constant(1, 1))
+            return PolyLeaf(Polynomial.constant(1, 1))
         return perturb(f)
 
-    return custom_family(1, 2, rule)
+    return OperatorFamily(1, 2, rule)
 
 
 _NONZERO_TAILS = [
-    ("f itself", lambda f: poly_expr(f)),
+    ("f itself", lambda f: PolyLeaf(f)),
     ("constant 5", lambda f: const_expr(1, 5)),
-    ("f squared", lambda f: poly_expr(f * f)),
-    ("negated f", lambda f: poly_expr(f * -1)),
-    ("f plus 1", lambda f: poly_expr(f + Polynomial.constant(1, 1))),
-    ("first derivative", lambda f: poly_expr(dalpha(f, _mi(1)))),
-    ("coordinate times f", lambda f: poly_expr(Polynomial.variable(1, 0) * f)),
+    ("f squared", lambda f: PolyLeaf(f * f)),
+    ("negated f", lambda f: PolyLeaf(f * -1)),
+    ("f plus 1", lambda f: PolyLeaf(f + Polynomial.constant(1, 1))),
+    ("first derivative", lambda f: PolyLeaf(dalpha(f, _mi(1)))),
+    ("coordinate times f", lambda f: PolyLeaf(Polynomial.variable(1, 0) * f)),
     ("f log|f|", lambda f: XLogAbs(PolyLeaf(f))),
-    ("affine 2f + 3", lambda f: poly_expr(f * 2 + Polynomial.constant(1, 3))),
-    ("f cubed", lambda f: poly_expr(f * f * f)),
+    ("affine 2f + 3", lambda f: PolyLeaf(f * 2 + Polynomial.constant(1, 3))),
+    ("f cubed", lambda f: PolyLeaf(f * f * f)),
 ]
 
 
@@ -319,8 +317,8 @@ def test_second_order_pair_product_rule():
     domain = Domain.unit(rank, n_samples=8, seed=6)
     x0 = Polynomial.variable(rank, 0)
     x1 = Polynomial.variable(rank, 1)
-    b = (poly_expr(x0 * x1), const_expr(rank, 2))
-    c = (poly_expr(x0 + Polynomial.constant(rank, 1)), poly_expr(x1))
+    b = (PolyLeaf(x0 * x1), const_expr(rank, 2))
+    c = (PolyLeaf(x0 + Polynomial.constant(rank, 1)), PolyLeaf(x1))
     pair = make_second_order_leibniz(const_expr(rank, 0), b, c, smoothness=2, rank=rank)
 
     rng = random.Random(6)
@@ -458,7 +456,7 @@ def test_conjugated_families_keep_the_identity():
 def test_power_sign_maps_multiplicative():
     domain = Domain.unit(1, n_samples=8, seed=8)
     half_plus_x = Polynomial.variable(1, 0) + Polynomial.constant(1, Fraction(1, 2))
-    exponents = [const_expr(1, 1), const_expr(1, 2), poly_expr(half_plus_x)]
+    exponents = [const_expr(1, 1), const_expr(1, 2), PolyLeaf(half_plus_x)]
     taus = [TauMap.identity(1), TauMap.affine([[-1]], [1])]
 
     rng = random.Random(8)
@@ -494,7 +492,6 @@ def test_power_sign_maps_multiplicative():
 
 
 def test_exponential_sequences_satisfy_convolution():
-    monoid = reals_additive()
     worst = 0.0
     sweeps = 0
     all_passed = True
@@ -504,7 +501,7 @@ def test_exponential_sequences_satisfy_convolution():
             scales = [rng.uniform(0.5, 2.0) for _ in range(rank)]
             seq = make_exponential_moment_seq(rank, 4, rate, scales)
             report = verify_moment_seq(
-                seq, random_probe_pairs(monoid, 100, rng), tol=1e-10
+                seq, random_probe_pairs(100, rng), tol=1e-10
             )
             sweeps += 1
             worst = max(worst, report.max_residual)

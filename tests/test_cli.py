@@ -275,6 +275,32 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
             "r": 1,
             "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1.9], "coeff": "1"}]},
         },
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "c": {"kind": "poly", "dim": True, "terms": [{"exponent": [1], "coeff": "1"}]},
+        },
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "c": {"kind": "poly", "dim": 1.0, "terms": [{"exponent": [1], "coeff": "1"}]},
+        },
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": 2,
+            "tau": {"rank": True, "components": [[{"exponent": [1], "coeff": "1/2"}]]},
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
+        {
+            "kind": "identity_generated",
+            "r": 1,
+            "N": 3,
+            "coefficients": [
+                {"index": [2], "expr": {"kind": "poly", "dim": 1, "terms": [{"exponent": [0], "coeff": "1"}]}},
+                {"index": [2], "expr": {"kind": "poly", "dim": 1, "terms": [{"exponent": [0], "coeff": "5"}]}},
+            ],
+        },
     ],
     ids=[
         "r-str",
@@ -293,6 +319,10 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
         "N-first-order-float",
         "index-float",
         "exponent-float",
+        "dim-bool",
+        "dim-float",
+        "tau-rank-bool",
+        "index-repeated",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
@@ -318,6 +348,10 @@ def test_search_supports_rank1_order2(capsys):
 def test_search_supports_budget(capsys):
     code, _ = _run(capsys, ["search-supports", "--rank", "3", "--order", "6"])
     assert code == EXIT_BUDGET
+    # C(20, 10) - 1 indices: counted in closed form, never listed, so the
+    # budget exit is immediate instead of a walk over 11^10 tuples
+    code, report = _run(capsys, ["search-supports", "--rank", "10", "--order", "10"])
+    assert code == EXIT_BUDGET and report is None
     code2, report = _run(
         capsys, ["search-supports", "--rank", "2", "--order", "3", "--budget", "9"]
     )

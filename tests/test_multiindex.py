@@ -80,9 +80,9 @@ def test_negative_entries_rejected():
     with pytest.raises(ValueError):
         MultiIndex(())
     with pytest.raises(ValueError, match="negative"):
-        MultiIndex.from_json([1, -1])
+        MultiIndex([1, -1])
     with pytest.raises(ValueError, match="rank"):
-        MultiIndex.from_json([])
+        MultiIndex([])
 
 
 @pytest.mark.parametrize("entry", [2.7, 2.0, True, "1", None])
@@ -90,7 +90,7 @@ def test_non_integer_entries_rejected(entry):
     with pytest.raises(ValueError, match="integers"):
         MultiIndex((1, entry))
     with pytest.raises(ValueError, match="integers"):
-        MultiIndex.from_json([entry])
+        MultiIndex([entry])
 
 
 def test_zero_and_unit():
@@ -170,7 +170,7 @@ def test_add_sub_roundtrip():
 def test_json_roundtrip():
     a = _mi(1, 0, 2)
     assert a.to_json() == [1, 0, 2]
-    assert MultiIndex.from_json([1, 0, 2]) == a
+    assert MultiIndex([1, 0, 2]) == a
 
 
 # ---- trusted results ----

@@ -81,7 +81,6 @@ def test_dim_mismatch():
 def test_eval_pinned():
     p = Polynomial.monomial((2, 1))
     assert eval_poly(p, RationalPoint.of(2, 3)) == 12
-    assert p(RationalPoint.of(2, 3)) == 12
     c = Polynomial.constant(3, Fraction(5, 7))
     assert eval_poly(c, RationalPoint.of(1, 2, 3)) == Fraction(5, 7)
     assert eval_poly(Polynomial.zero(1), RationalPoint.of(9)) == 0

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from moment_leibniz import funcmodel, momentfam, polycalc
 from moment_leibniz.funcmodel import Domain, GradDot, PolyLeaf, TauMap, const_expr
 from moment_leibniz.momentfam import (
+    OperatorFamily,
     check_second_order,
     conjugate,
-    custom_family,
     default_probe_pairs,
     make_derivative,
     make_first_order_leibniz,
@@ -69,7 +69,7 @@ def _tampered(rank: int, order: int, alpha0: MultiIndex, extra: Polynomial):
         d = dalpha(f, alpha)
         return PolyLeaf(d + extra if alpha == alpha0 else d)
 
-    return custom_family(rank, order, rule, exact=True)
+    return OperatorFamily(rank, order, rule, exact=True)
 
 
 def _family(kind, rank, order, tau, dom, rng):

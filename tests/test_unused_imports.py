@@ -1,0 +1,58 @@
+"""No module under src/, tests/ or demos/ imports a name it never uses.
+
+Every name an ``import`` binds must be read somewhere else in its module,
+as a plain name or as the root of a dotted one, or inside a string
+annotation.  The package's ``__init__.py`` files import only to
+re-export and are skipped, and so are ``from __future__`` imports.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    path
+    for folder in ("src", "tests", "demos")
+    for path in (ROOT / folder).rglob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def _annotation_names(tree: ast.AST) -> set:
+    """Names read inside string annotations such as ``"MultiIndex | None"``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        else:
+            continue
+        for annotation in annotations:
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    parsed = ast.parse(part.value, mode="eval")
+                    names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_names(tree)
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line} {name}" for name, line in bound if name not in used]
+
+
+def test_no_unused_imports():
+    assert FILES
+    unused = [entry for path in FILES for entry in _unused_imports(path)]
+    assert unused == []
