@@ -167,22 +167,30 @@ def convolution_terms(alpha: MultiIndex) -> List[Tuple[int, MultiIndex, MultiInd
     """The exact weighted splittings (C(alpha,beta), beta, alpha-beta) of the identity.
 
     One entry per beta <= alpha, in the order of ``enumerate_below``, so
-    the first entry is beta = 0 and the last is beta = alpha.
+    the first entry is beta = 0 and the last is beta = alpha.  Each entry
+    is a product of per-axis rows (C(a, b), b, a - b) over b in 0..a, so
+    no split is checked against alpha again.
     """
-    return [(binom(alpha, beta), beta, alpha - beta) for beta in enumerate_below(alpha)]
+    comb, trusted = math.comb, MultiIndex._trusted
+    rows = [[(comb(a, b), b, a - b) for b in range(a + 1)] for a in alpha]
+    return [
+        (math.prod(weights), trusted(beta), trusted(gamma))
+        for weights, beta, gamma in (zip(*axes) for axes in itertools.product(*rows))
+    ]
 
 
 def enumerate_height_at_most(rank: int, max_height: int) -> List[MultiIndex]:
     """All alpha in N^rank with |alpha| <= max_height, lexicographically.
 
-    Exactly C(max_height + rank, rank) indices.
+    Exactly C(max_height + rank, rank) indices, generated directly: each
+    prefix, in lexicographic order, is extended by every entry that keeps
+    its height at most max_height.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if max_height < 0:
         raise ValueError(f"max_height must be >= 0, got {max_height}")
-    return [
-        MultiIndex._trusted(t)
-        for t in itertools.product(range(max_height + 1), repeat=rank)
-        if sum(t) <= max_height
-    ]
+    prefixes = [(e,) for e in range(max_height + 1)]
+    for _ in range(rank - 1):
+        prefixes = [t + (e,) for t in prefixes for e in range(max_height - sum(t) + 1)]
+    return [MultiIndex._trusted(t) for t in prefixes]

@@ -13,7 +13,8 @@ is checked with zero tolerance.  D^0 is the identity map.
 given.  Results the module already knows to be canonical skip that work
 through the private ``Polynomial._make(dim, terms)``: its callers pass a
 term map whose keys are distinct ``MultiIndex`` of rank ``dim`` and whose
-coefficients are nonzero ``Fraction``.  ``+``, unary ``-``, ``*`` and
+coefficients are nonzero ``Fraction`` (nonzero ``int`` only inside
+``check_leibniz_all``, below).  ``+``, unary ``-``, ``*`` and
 ``dalpha`` build their results that way.  A term key is its exponent
 tuple, so ``_accumulate``, ``dalpha`` and ``eval_poly`` iterate keys
 directly.  Products and convolution sums accumulate ``w * a * b`` in
@@ -25,6 +26,23 @@ canonical sum of w * left[beta] * right[gamma] over one alpha's
 ``convolution_terms``, from two tables of derivatives or operator
 values.  ``leibniz_rhs``, ``check_leibniz_all`` and the exact moment
 verifier all build their convolution sides with it.
+
+Multi-derivatives come from one table (``_derivative_table``) over a
+down-closed, lexicographically ordered index set: D^alpha f is the
+one-step partial d_i of the entry at alpha - e_i, with i the last
+nonzero entry of alpha, so each step differentiates the few terms its
+parent still has.  ``leibniz_rhs`` builds it over the box below alpha,
+``check_leibniz_all`` over every |alpha| <= max_height; ``dalpha`` is
+for single derivatives.
+
+``check_leibniz_all`` runs on Python ints.  D^alpha is linear, so both
+sides of the identity are bilinear in (f, g), and for the lcms L_f, L_g
+of the coefficient denominators (L_f L_g != 0) the identity holds for
+(f, g) at alpha exactly when it holds for (L_f f, L_g g), whose
+coefficients are integers.  The accumulator, ``_canonical_terms`` and
+``==`` work on ints unchanged.  Those integer polynomials and their
+tables never leave ``check_leibniz_all``: it returns failing indices
+only, and every public function returns ``Fraction`` coefficients.
 
 ``eval_poly`` sums integer numerators over one common denominator, the
 lcm of the coefficient denominators times prod_i d_i^maxdeg_i for the
@@ -316,21 +334,18 @@ def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
     """
     if f.dim != x.rank:
         raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
-    terms = f.terms.items()
-    if not terms:
+    if not f.terms:
         return Fraction(0)
-    lcm = math.lcm(*[c.denominator for _, c in terms])
-    den = lcm
+    den, terms = _cleared_terms(f)
     # tables[i][e] = n_i^e * d_i^(M_i - e)
     tables = []
     for i, xi in enumerate(x.coords):
-        top = max(e[i] for e, _ in terms)
+        top = max(e[i] for e in terms)
         n, d = xi.numerator, xi.denominator
         tables.append([n**e * d ** (top - e) for e in range(top + 1)])
         den *= d**top
     total = 0
-    for exp, coeff in terms:
-        term = coeff.numerator * (lcm // coeff.denominator)
+    for exp, term in terms.items():
         for table, e in zip(tables, exp):
             term *= table[e]
         total += term
@@ -355,13 +370,54 @@ def convolution_sum(
     return Polynomial._make(a.dim, _canonical_terms(acc))
 
 
+def _partial(f: Polynomial, i: int) -> Polynomial:
+    """The first partial derivative of f in x_i; coefficients keep their type."""
+    trusted = MultiIndex._trusted
+    out = {}
+    for e, coeff in f.terms.items():
+        k = e[i]
+        if k:
+            out[trusted(e[:i] + (k - 1,) + e[i + 1 :])] = coeff * k
+    return Polynomial._make(f.dim, out)
+
+
+def _derivative_table(
+    f: Polynomial, alphas: Sequence[MultiIndex]
+) -> Dict[MultiIndex, Polynomial]:
+    """D^alpha f for every alpha of a down-closed, lexicographically ordered list.
+
+    With i the last nonzero entry of alpha, D^alpha f = d_i D^(alpha - e_i) f,
+    and alpha - e_i is in the list and comes before alpha, so each entry
+    differentiates its parent's surviving terms once.
+    """
+    table = {}
+    for alpha in alphas:
+        i = len(alpha) - 1
+        while i >= 0 and not alpha[i]:
+            i -= 1
+        if i < 0:
+            table[alpha] = f
+        else:
+            parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+            table[alpha] = _partial(table[parent], i)
+    return table
+
+
+def _cleared_terms(f: Polynomial) -> Tuple[int, Dict[MultiIndex, int]]:
+    """(L, L * f's term map) with L the lcm of the coefficient denominators."""
+    terms = f.terms
+    lcm = math.lcm(*[c.denominator for c in terms.values()])
+    return lcm, {e: c.numerator * (lcm // c.denominator) for e, c in terms.items()}
+
+
 def leibniz_rhs(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> Polynomial:
     """The binomial convolution sum_{beta <= alpha} C(alpha,beta) D^beta f D^{alpha-beta} g."""
     f._check_dim(g)
     splits = convolution_terms(alpha)
-    df = {beta: dalpha(f, beta) for _, beta, _ in splits}
-    dg = {gamma: dalpha(g, gamma) for _, _, gamma in splits}
-    return convolution_sum(df, dg, splits)
+    # the betas, in split order, are the lexicographic box below alpha,
+    # which is also the set of the gammas
+    below = [beta for _, beta, _ in splits]
+    return convolution_sum(_derivative_table(f, below), _derivative_table(g, below), splits)
 
 
 def check_leibniz(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> bool:
@@ -374,19 +430,22 @@ def check_leibniz_all(
 ) -> List[MultiIndex]:
     """Failing alphas of ``check_leibniz`` over all |alpha| <= max_height.
 
-    Shares derivative tables across alphas; an empty list means the
+    Decided for the integer multiples (L_f f, L_g g), which fail at the
+    same alphas (see the module docstring).  An empty list means the
     identity held exactly everywhere.
     """
     f._check_dim(g)
     alphas = enumerate_height_at_most(f.dim, max_height)
-    df = {beta: dalpha(f, beta) for beta in alphas}
-    dg = {beta: dalpha(g, beta) for beta in alphas}
-    fg = f * g
-    failures = []
-    for alpha in alphas:
-        if convolution_sum(df, dg, convolution_terms(alpha)) != dalpha(fg, alpha):
-            failures.append(alpha)
-    return failures
+    fi = Polynomial._make(f.dim, _cleared_terms(f)[1])
+    gi = Polynomial._make(g.dim, _cleared_terms(g)[1])
+    df = _derivative_table(fi, alphas)
+    dg = _derivative_table(gi, alphas)
+    dfg = _derivative_table(fi * gi, alphas)
+    return [
+        alpha
+        for alpha in alphas
+        if convolution_sum(df, dg, convolution_terms(alpha)) != dfg[alpha]
+    ]
 
 
 # ---- randomized probes ----

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from moment_leibniz.multiindex import (
     DimensionMismatch,
     MultiIndex,
     binom,
+    convolution_terms,
     enumerate_below,
     enumerate_height_at_most,
 )
@@ -129,11 +131,34 @@ def test_enumerate_height_at_most_counts():
             assert len(set(got)) == len(got)
             assert all(a.height <= cap for a in got)
     assert len(enumerate_height_at_most(3, 4)) == 35
+    # C(20, 10); filtering all 11^10 tuples would never finish
+    assert len(enumerate_height_at_most(10, 10)) == 184756
 
 
 def test_enumerate_height_at_most_lexicographic():
     got = [tuple(a) for a in enumerate_height_at_most(2, 1)]
     assert got == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_enumerate_height_at_most_matches_filtered_product():
+    for rank in (1, 2, 3, 4):
+        for cap in range(7):
+            got = enumerate_height_at_most(rank, cap)
+            expected = [
+                t for t in itertools.product(range(cap + 1), repeat=rank) if sum(t) <= cap
+            ]
+            assert got == expected
+            assert all(type(a) is MultiIndex for a in got)
+
+
+def test_convolution_terms_are_binomials_and_differences():
+    for rank in (1, 2, 3):
+        for alpha in enumerate_height_at_most(rank, 5):
+            got = convolution_terms(alpha)
+            expected = [(binom(alpha, beta), beta, alpha - beta) for beta in enumerate_below(alpha)]
+            assert got == expected
+            for _, beta, gamma in got:
+                assert type(beta) is MultiIndex and type(gamma) is MultiIndex
 
 
 # ---- algebraic invariants, seeded sweeps ----

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moment_leibniz.multiindex import DimensionMismatch, MultiIndex
+from moment_leibniz import polycalc
+from moment_leibniz.cli import EXIT_FAIL, main
+from moment_leibniz.multiindex import (
+    DimensionMismatch,
+    MultiIndex,
+    convolution_terms,
+    enumerate_height_at_most,
+)
 from moment_leibniz.polycalc import (
     Polynomial,
     RationalPoint,
@@ -283,6 +293,108 @@ def test_leibniz_mutated_weight_detected():
     mutated = leibniz_rhs(f, g, alpha) + dalpha(f, _mi(1)) * dalpha(g, _mi(2))
     assert mutated == Polynomial.constant(1, 8)
     assert mutated != dalpha(f * g, alpha)
+
+
+def _bump_height_two(alpha):
+    # one extra copy of the beta = alpha split at every alpha of height 2:
+    # that alpha's sum gains D^alpha f * g
+    splits = convolution_terms(alpha)
+    if alpha.height != 2:
+        return splits
+    w, beta, gamma = splits[-1]
+    return splits[:-1] + [(w + 1, beta, gamma)]
+
+
+def _bracket(alpha):
+    # at alpha = e_i + e_j (i < j) the splits are beta = 0, e_j, e_i, alpha;
+    # moving one unit of weight from e_j to e_i adds d_i f d_j g - d_j f d_i g,
+    # which vanishes when g is a multiple of f
+    splits = convolution_terms(alpha)
+    if alpha.height != 2 or max(alpha) != 1:
+        return splits
+    zero, (wj, ej, gj), (wi, ei, gi), top = splits
+    return [zero, (wj - 1, ej, gj), (wi + 1, ei, gi), top]
+
+
+@st.composite
+def _rational_polynomials(draw, dim):
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 4)] * dim),
+                st.integers(-9, 9),
+                st.sampled_from((1, 2, 3, 7)),
+            ),
+            max_size=5,
+        )
+    )
+    return Polynomial(dim, {exp: Fraction(num, den) for exp, num, den in terms})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_path_matches_fraction_path(data):
+    # check_leibniz_all clears denominators and works over the integers;
+    # check_leibniz works over the rationals, one alpha at a time.  Both
+    # read convolution_terms, so with a faulty one they must still agree.
+    dim = data.draw(st.integers(1, 3))
+    height = data.draw(st.integers(0, 4))
+    f = data.draw(_rational_polynomials(dim))
+    g = data.draw(_rational_polynomials(dim))
+    fault = data.draw(st.sampled_from([None, _bump_height_two, _bracket]))
+    with pytest.MonkeyPatch.context() as mp:
+        if fault is not None:
+            mp.setattr(polycalc, "convolution_terms", fault)
+        expected = [
+            a for a in enumerate_height_at_most(dim, height) if not check_leibniz(f, g, a)
+        ]
+        assert check_leibniz_all(f, g, height) == expected
+
+
+def test_integer_path_detects_a_bumped_weight(monkeypatch):
+    monkeypatch.setattr(polycalc, "convolution_terms", _bump_height_two)
+    # D^(2,0) f = 0, so only (0,2) and (1,1) change
+    f = Polynomial(2, {(1, 1): Fraction(1, 2), (0, 3): Fraction(2, 3)})
+    g = Polynomial(2, {(1, 0): Fraction(1, 7), (0, 0): 3})
+    assert check_leibniz_all(f, g, 4) == [_mi(0, 2), _mi(1, 1)]
+    rng = random.Random(39)
+    for _ in range(20):
+        dim = rng.randint(1, 3)
+        f = random_polynomial(rng, dim, max_degree=4, denominators=(2, 3, 7))
+        g = random_polynomial(rng, dim, max_degree=4, denominators=(2, 3, 7))
+        changed = [
+            a for a in enumerate_height_at_most(dim, 4) if a.height == 2 and dalpha(f, a) * g
+        ]
+        assert check_leibniz_all(f, g, 4) == changed
+
+
+def test_integer_path_keeps_each_probes_coefficient_ratios(monkeypatch):
+    # the bracket fault fails exactly when g is not a multiple of f, so it
+    # tells the scaled pair (L_f f, L_g g) from any other integer pair
+    monkeypatch.setattr(polycalc, "convolution_terms", _bracket)
+    f = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    assert check_leibniz_all(f, f * Fraction(2, 3), 3) == []
+    g = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 3)})
+    assert check_leibniz_all(f, g, 3) == [_mi(1, 1)]
+
+
+def test_cli_failures_report_the_drawn_probes(capsys, monkeypatch):
+    # the failure entries hold the probes as drawn, with their p/q
+    # coefficients, not the integer multiples the check works on
+    monkeypatch.setattr(polycalc, "convolution_terms", _bump_height_two)
+    code = main(["verify-leibniz", "--rank", "2", "--order", "2", "--pairs", "3", "--seed", "5"])
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert code == EXIT_FAIL and failures
+    rng = random.Random(5)
+    drawn = []
+    for _ in range(3):
+        f = random_polynomial(rng, 2, max_degree=6)
+        g = random_polynomial(rng, 2, max_degree=6)
+        drawn.append((f.to_json(), g.to_json()))
+    for failure in failures:
+        assert (failure["f"], failure["g"]) == drawn[failure["pair"]]
+    coeffs = [t["coeff"] for failure in failures for t in failure["f"] + failure["g"]]
+    assert any("/" in c for c in coeffs)
 
 
 def test_leibniz_rhs_matches_sympy_product_derivative():
