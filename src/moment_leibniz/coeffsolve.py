@@ -43,7 +43,15 @@ from .multiindex import (
     enumerate_height_at_most,
 )
 from .polycalc import Polynomial, RationalPoint, Scalar
-from .funcmodel import CheckReport, FuncExpr, PolyLeaf, eval_expr, expr_from_json, worse
+from .funcmodel import (
+    CheckReport,
+    FuncExpr,
+    Leaves,
+    PolyLeaf,
+    eval_expr,
+    expr_from_json,
+    worse,
+)
 from . import polycalc
 
 
@@ -145,11 +153,14 @@ def check_constraint(
     """Evaluate every constrained bilinear sum at every point.
 
     Binomial weights are exact integers; only the coefficient values and
-    final products are floating point.  |sum| <= tol is required.
+    final products are floating point.  |sum| <= tol is required.  One
+    leaf table serves every alpha, so a polynomial coefficient is turned
+    into a float once per point, the first time a sum needs it.
     """
     failures: List[dict] = []
     max_abs = 0.0
     checked = 0
+    leaves: Leaves = {}
     alphas = constraint_indices(cf.rank, cf.order)
     for alpha in alphas:
         # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
@@ -159,7 +170,10 @@ def check_constraint(
             if beta in cf.coefficients and gamma in cf.coefficients
         ]
         for x in points:
-            value = sum(w * eval_expr(cb, x) * eval_expr(cg, x) for w, cb, cg in pairs)
+            value = sum(
+                w * eval_expr(cb, x, leaves) * eval_expr(cg, x, leaves)
+                for w, cb, cg in pairs
+            )
             checked += 1
             max_abs = worse(max_abs, abs(value))
             if not abs(value) <= tol:

@@ -5,9 +5,16 @@ scalar multiples, the continuous extension of t -> t*ln|t| (value 0 at
 t = 0), and first/second derivative contractions whose differentiated
 operand is always an exact polynomial.  Trees evaluate to floats at
 rational sample points, node by node, and ``eval_table`` lists those
-floats for a whole set of points.  Polynomial-only trees also expand
-back to a ``Polynomial``; their exact values are the expansion evaluated
-at the point, and the exact verifiers compare the expansions themselves.
+floats for a whole set of points.  Polynomial leaves are memoized per
+call: a ``Leaves`` table, made by the caller and dropped when it returns,
+holds each (polynomial, point) value the first time a node needs it, so
+a verifier that evaluates many trees over the same probes and coefficients
+converts each exact leaf value to a float once.  The table fills in
+evaluation order, so the same values are computed first and the first
+``NonFiniteValue`` carries the same node path as without it.
+Polynomial-only trees also expand back to a ``Polynomial``; their exact
+values are the expansion evaluated at the point, and the exact verifiers
+compare the expansions themselves.
 """
 
 from __future__ import annotations
@@ -40,6 +47,22 @@ def _to_float(value: Fraction, path: str) -> float:
     return out
 
 
+# (id(poly), id(point)) -> (poly, point, float value).  The entry keeps the
+# polynomial and the point alive, so neither id is reused while the table is.
+Leaves = Dict[Tuple[int, int], Tuple[Polynomial, RationalPoint, float]]
+
+
+def leaf_value(poly: Polynomial, x: RationalPoint, path: str, leaves: Leaves) -> float:
+    """The float value of poly at x, computed on the first request only."""
+    key = (id(poly), id(x))
+    hit = leaves.get(key)
+    if hit is not None:
+        return hit[2]
+    value = _to_float(eval_poly(poly, x), path)
+    leaves[key] = (poly, x, value)
+    return value
+
+
 # ---- expression nodes ----
 
 
@@ -51,7 +74,7 @@ class FuncExpr:
 
     dim: int
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
         raise NotImplementedError
 
     def _expand(self) -> Polynomial:
@@ -69,8 +92,8 @@ class PolyLeaf(FuncExpr):
     def dim(self) -> int:
         return self.poly.dim
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
-        return _to_float(eval_poly(self.poly, x), path)
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
+        return leaf_value(self.poly, x, path, leaves)
 
     def _expand(self) -> Polynomial:
         return self.poly
@@ -90,9 +113,9 @@ class Sum(FuncExpr):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
         return math.fsum(
-            c._eval(x, f"{path}.sum[{i}]") for i, c in enumerate(self.children)
+            c._eval(x, f"{path}.sum[{i}]", leaves) for i, c in enumerate(self.children)
         )
 
     def _expand(self) -> Polynomial:
@@ -116,10 +139,10 @@ class Product(FuncExpr):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
         out = 1.0
         for i, c in enumerate(self.children):
-            out *= c._eval(x, f"{path}.product[{i}]")
+            out *= c._eval(x, f"{path}.product[{i}]", leaves)
         if not math.isfinite(out):
             raise NonFiniteValue(f"non-finite value at {path}.product")
         return out
@@ -146,8 +169,8 @@ class Scale(FuncExpr):
     def dim(self) -> int:
         return self.child.dim
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
-        return float(self.factor) * self.child._eval(x, f"{path}.scale")
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
+        return float(self.factor) * self.child._eval(x, f"{path}.scale", leaves)
 
     def _expand(self) -> Polynomial:
         return self.child._expand() * self.factor
@@ -170,8 +193,8 @@ class XLogAbs(FuncExpr):
     def dim(self) -> int:
         return self.child.dim
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
-        v = self.child._eval(x, f"{path}.xlogabs")
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
+        v = self.child._eval(x, f"{path}.xlogabs", leaves)
         if v == 0.0:
             return 0.0
         return v * math.log(abs(v))
@@ -208,9 +231,10 @@ class GradDot(FuncExpr):
     def dim(self) -> int:
         return self.poly.dim
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
         return math.fsum(
-            _to_float(eval_poly(gi, x), path) * bi._eval(x, f"{path}.graddot[{i}]")
+            leaf_value(gi, x, path, leaves)
+            * bi._eval(x, f"{path}.graddot[{i}]", leaves)
             for i, (gi, bi) in enumerate(zip(self._grad, self.field_))
         )
 
@@ -258,12 +282,13 @@ class HessQuad(FuncExpr):
     def dim(self) -> int:
         return self.poly.dim
 
-    def _eval(self, x: RationalPoint, path: str) -> float:
+    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
         vals = [
-            c._eval(x, f"{path}.hessquad[{i}]") for i, c in enumerate(self.field_)
+            c._eval(x, f"{path}.hessquad[{i}]", leaves)
+            for i, c in enumerate(self.field_)
         ]
         return math.fsum(
-            _to_float(eval_poly(self._hess[i][j], x), path) * vals[i] * vals[j]
+            leaf_value(self._hess[i][j], x, path, leaves) * vals[i] * vals[j]
             for i in range(self.dim)
             for j in range(self.dim)
         )
@@ -296,16 +321,26 @@ def _check_children(children: Sequence[FuncExpr], label: str) -> None:
 # ---- module-level evaluation / expansion ----
 
 
-def eval_expr(expr: FuncExpr, x: RationalPoint) -> float:
-    """Float value of the tree at x; raises NonFiniteValue with node path."""
+def eval_expr(
+    expr: FuncExpr, x: RationalPoint, leaves: Optional[Leaves] = None
+) -> float:
+    """Float value of the tree at x; raises NonFiniteValue with node path.
+
+    ``leaves`` is the caller's leaf table, shared by every evaluation of
+    one verifier call; without one, the evaluation gets a fresh table.
+    """
     if expr.dim != x.rank:
         raise DimensionMismatch(f"expr dim {expr.dim} vs point rank {x.rank}")
-    return expr._eval(x, "root")
+    return expr._eval(x, "root", {} if leaves is None else leaves)
 
 
-def eval_table(expr: FuncExpr, points: Sequence[RationalPoint]) -> List[float]:
-    """The tree's float values at every point."""
-    return [eval_expr(expr, x) for x in points]
+def eval_table(
+    expr: FuncExpr, points: Sequence[RationalPoint], leaves: Optional[Leaves] = None
+) -> List[float]:
+    """The tree's float values at every point, through one leaf table."""
+    if leaves is None:
+        leaves = {}
+    return [eval_expr(expr, x, leaves) for x in points]
 
 
 def as_polynomial(expr: FuncExpr) -> Polynomial:

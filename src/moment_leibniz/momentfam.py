@@ -25,8 +25,11 @@ therefore passes.  Exact second-order pairs are checked the same way.
 
 Families involving f*ln|f| tabulate float values at the sample points
 with ``funcmodel.eval_table`` and sum the convolution per point, against
-the domain tolerance.  ``funcmodel.judge`` turns each evaluated instance
-into a residual and a verdict.
+the domain tolerance.  One leaf table serves the whole call, so each
+polynomial leaf (a coefficient, a probe, a product of probes) is turned
+into a float once per sample point, however many alphas and probes use
+it.  ``funcmodel.judge`` turns each evaluated instance into a residual
+and a verdict.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .funcmodel import (
     FuncExpr,
     GradDot,
     HessQuad,
+    Leaves,
     NotPolynomial,
     PolyLeaf,
     Product,
@@ -60,6 +64,7 @@ from .funcmodel import (
     eval_table,
     expr_from_json,
     judge,
+    leaf_value,
     witness_float,
     worse,
 )
@@ -162,13 +167,14 @@ def make_identity_generated(
         if not report.passed:
             raise ConstraintViolation(report)
     rank = cf.rank
+    zero = PolyLeaf(Polynomial.zero(rank))
 
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         if alpha.is_zero():
             return PolyLeaf(f)
         expr = cf.coefficients.get(alpha)
         if expr is None:
-            return PolyLeaf(Polynomial.zero(rank))
+            return zero
         return Product((expr, XLogAbs(PolyLeaf(f))))
 
     return OperatorFamily(
@@ -327,6 +333,7 @@ def verify_moment(
     per_alpha = {_alpha_key(a): 0.0 for a in alphas}
     failures: List[dict] = []
     max_residual = 0.0
+    leaves: Leaves = {}
     for k, (f, g) in enumerate(probes):
         fg = f * g
         if family.exact:
@@ -334,9 +341,9 @@ def verify_moment(
             tg = {b: as_polynomial(family.apply(b, g)) for b in alphas}
             tfg = {a: as_polynomial(family.apply(a, fg)) for a in alphas}
         else:
-            vf = {b: eval_table(family.apply(b, f), points) for b in alphas}
-            vg = {b: eval_table(family.apply(b, g), points) for b in alphas}
-            vfg = {a: eval_table(family.apply(a, fg), points) for a in alphas}
+            vf = {b: eval_table(family.apply(b, f), points, leaves) for b in alphas}
+            vg = {b: eval_table(family.apply(b, g), points, leaves) for b in alphas}
+            vfg = {a: eval_table(family.apply(a, fg), points, leaves) for a in alphas}
         for alpha, splits in terms.items():
             if family.exact:
                 lhs_poly = tfg[alpha]
@@ -400,10 +407,11 @@ def assert_trivial_collapse(
     zero_index = MultiIndex.zero(candidate.rank)
     zero_poly = Polynomial.zero(candidate.rank)
     points = [candidate.eval_point(x) for x in domain.sample_points]
+    leaves: Leaves = {}
     for f in probes:
         expr = candidate.apply(zero_index, f)
         for x, y in zip(domain.sample_points, points):
-            if not abs(eval_expr(expr, y) - 1.0) <= tol:
+            if not abs(eval_expr(expr, y, leaves) - 1.0) <= tol:
                 raise ValueError(
                     f"candidate does not have T_0 = 1 at sample {x.to_json()}"
                 )
@@ -413,7 +421,7 @@ def assert_trivial_collapse(
         if alpha.is_zero():
             continue
         at_zero = candidate.apply(alpha, zero_poly)
-        zero_vals = [eval_expr(at_zero, y) for y in points]
+        zero_vals = eval_table(at_zero, points, leaves)
         for x, v in zip(domain.sample_points, zero_vals):
             residual = abs(v)
             max_residual = worse(max_residual, residual)
@@ -431,7 +439,7 @@ def assert_trivial_collapse(
             expr_f = candidate.apply(alpha, f)
             for x, y, v0 in zip(domain.sample_points, points, zero_vals):
                 lhs = v0  # T_alpha(f*0) is T_alpha applied to the zero product
-                rhs = eval_expr(expr_f, y) + v0
+                rhs = eval_expr(expr_f, y, leaves) + v0
                 residual, ok = judge(lhs, rhs, False, tol)
                 max_residual = worse(max_residual, residual)
                 if not ok:
@@ -554,6 +562,7 @@ def check_second_order(
     points = domain.sample_points
     failures: List[dict] = []
     max_residual = 0.0
+    leaves: Leaves = {}
     for k, (f, g) in enumerate(probes):
         exprs = (
             pair.apply_T(f),
@@ -570,11 +579,14 @@ def check_second_order(
             lhs_vals = [eval_poly(tfg, x) for x in points]
             rhs_vals = [eval_poly(rhs_poly, x) for x in points]
         else:
-            tf, tg, tfg, af, ag = (eval_table(expr, points) for expr in exprs)
+            tf, tg, tfg, af, ag = (eval_table(expr, points, leaves) for expr in exprs)
             lhs_vals = tfg
-            # f(x) and g(x) are Fractions; times a float they round to float first
+            # a Fraction times a float rounds the Fraction to a float first, so
+            # the leaf table's f(x) and g(x) give the products the exact values did
             rhs_vals = [
-                tf[i] * eval_poly(g, x) + eval_poly(f, x) * tg[i] + 2 * af[i] * ag[i]
+                tf[i] * leaf_value(g, x, "g", leaves)
+                + leaf_value(f, x, "f", leaves) * tg[i]
+                + 2 * af[i] * ag[i]
                 for i, x in enumerate(points)
             ]
         for x, lhs, rhs in zip(points, lhs_vals, rhs_vals):

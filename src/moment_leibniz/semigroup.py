@@ -13,9 +13,10 @@ the sequences
 satisfy the identity by the per-coordinate binomial theorem; the rank-1
 case is the classical power-times-exponential recurrence.  Probe pairs
 are drawn uniformly from [-2, 2].  The verifier evaluates each f_alpha
-once at x, y and x + y per probe, sums over
-``multiindex.convolution_terms``, and judges each instance with
-``funcmodel.judge``.
+once at x, y and x + y per probe, keeps the values at x and y in lists
+in ``enumerate_height_at_most`` order, sums each alpha's
+``multiindex.convolution_terms`` by position in those lists, and judges
+each instance with ``funcmodel.judge``.
 """
 
 from __future__ import annotations
@@ -85,15 +86,20 @@ def verify_moment_seq(
     failures: List[dict] = []
     max_residual = 0.0
     alphas = enumerate_height_at_most(seq.rank, seq.order)
-    terms = {alpha: convolution_terms(alpha) for alpha in alphas}
-    functions = seq.functions
+    position = {alpha: i for i, alpha in enumerate(alphas)}
+    # each alpha's splits as (weight, position of beta, position of gamma)
+    splits = [
+        [(w, position[b], position[c]) for w, b, c in convolution_terms(alpha)]
+        for alpha in alphas
+    ]
+    functions = [seq.functions[alpha] for alpha in alphas]
     for k, (x, y) in enumerate(probes):
         xy = x + y
-        vx = {b: functions[b](x) for b in alphas}
-        vy = {b: functions[b](y) for b in alphas}
-        for alpha in alphas:
-            lhs = functions[alpha](xy)
-            rhs = math.fsum(w * vx[beta] * vy[gamma] for w, beta, gamma in terms[alpha])
+        vx = [fn(x) for fn in functions]
+        vy = [fn(y) for fn in functions]
+        for alpha, fn, terms in zip(alphas, functions, splits):
+            lhs = fn(xy)
+            rhs = math.fsum([w * vx[i] * vy[j] for w, i, j in terms])
             residual, ok = judge(lhs, rhs, False, tol)
             max_residual = worse(max_residual, residual)
             if not ok:

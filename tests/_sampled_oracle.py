@@ -1,0 +1,97 @@
+"""Float verifier loops without shared values, kept only as an oracle for the tests.
+
+These are the loops that ``coeffsolve.check_constraint`` and
+``semigroup.verify_moment_seq`` ran before they shared work within a
+call: the constraint evaluates both coefficients of every split afresh
+at every point, and the sequence verifier keys its values by multi-index
+and sums each convolution from a generator.  They know nothing of leaf
+tables or positional sums, so equal report bytes are evidence that
+computing each value once changes no verdict, residual or witness.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import List, Optional, Sequence, Tuple
+
+from moment_leibniz.coeffsolve import CoeffFamily, constraint_indices
+from moment_leibniz.funcmodel import CheckReport, eval_expr, judge, worse
+from moment_leibniz.multiindex import convolution_terms, enumerate_height_at_most
+from moment_leibniz.polycalc import RationalPoint
+from moment_leibniz.semigroup import MomentSeq
+
+
+def check_constraint_unshared(
+    cf: CoeffFamily,
+    points: Sequence[RationalPoint],
+    tol: float = 1e-9,
+) -> CheckReport:
+    failures: List[dict] = []
+    max_abs = 0.0
+    checked = 0
+    alphas = constraint_indices(cf.rank, cf.order)
+    for alpha in alphas:
+        pairs = [
+            (w, cf.coefficients[beta], cf.coefficients[gamma])
+            for w, beta, gamma in convolution_terms(alpha)
+            if beta in cf.coefficients and gamma in cf.coefficients
+        ]
+        for x in points:
+            value = sum(w * eval_expr(cb, x) * eval_expr(cg, x) for w, cb, cg in pairs)
+            checked += 1
+            max_abs = worse(max_abs, abs(value))
+            if not abs(value) <= tol:
+                failures.append(
+                    {"alpha": alpha.to_json(), "point": x.to_json(), "value": value}
+                )
+    return CheckReport(
+        check="coefficient_constraint",
+        passed=not failures,
+        max_residual=max_abs,
+        tolerance=tol,
+        failures=failures,
+        counts={"alphas": len(alphas), "evaluations": checked},
+    )
+
+
+def verify_moment_seq_keyed(
+    seq: MomentSeq,
+    probes: Sequence[Tuple[float, float]],
+    tol: float = 1e-10,
+    seed: Optional[int] = None,
+) -> CheckReport:
+    failures: List[dict] = []
+    max_residual = 0.0
+    alphas = enumerate_height_at_most(seq.rank, seq.order)
+    terms = {alpha: convolution_terms(alpha) for alpha in alphas}
+    functions = seq.functions
+    for k, (x, y) in enumerate(probes):
+        xy = x + y
+        vx = {b: functions[b](x) for b in alphas}
+        vy = {b: functions[b](y) for b in alphas}
+        for alpha in alphas:
+            lhs = functions[alpha](xy)
+            rhs = math.fsum(w * vx[beta] * vy[gamma] for w, beta, gamma in terms[alpha])
+            residual, ok = judge(lhs, rhs, False, tol)
+            max_residual = worse(max_residual, residual)
+            if not ok:
+                failures.append(
+                    {
+                        "alpha": alpha.to_json(),
+                        "probe": k,
+                        "x": x,
+                        "y": y,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                        "residual": residual,
+                    }
+                )
+    return CheckReport(
+        check="moment_sequence",
+        passed=not failures,
+        max_residual=max_residual,
+        tolerance=tol,
+        failures=failures,
+        counts={"probes": len(probes), "alphas": len(alphas)},
+        seed=seed,
+    )

@@ -335,6 +335,37 @@ def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor)
     assert captured.err.startswith("error: ")
 
 
+def test_overflow_names_the_first_node_evaluated(capsys, tmp_path):
+    # c_(0,2) = 2^1030 x_1^20 overflows only where x_1 > 0.81: not at the
+    # first seed-0 sample (x_1 = 25/64), but at the second (57/64).  c_(2,0)
+    # overflows everywhere, under a scale node.  Values are computed alpha by
+    # alpha, all samples each, so the first overflow is c_(0,2)'s; a fill
+    # that went sample by sample would name the scale node instead.
+    def poly(exponent, coeff):
+        return {"kind": "poly", "dim": 2, "terms": [{"exponent": exponent, "coeff": coeff}]}
+
+    descriptor = {
+        "kind": "identity_generated",
+        "r": 2,
+        "N": 2,
+        "coefficients": [
+            {"index": [0, 2], "expr": poly([0, 20], str(2**1030))},
+            {
+                "index": [2, 0],
+                "expr": {"kind": "scale", "factor": "1", "child": poly([0, 0], str(2**1100))},
+            },
+        ],
+    }
+    code = main(["verify-family", _family_file(tmp_path, descriptor), "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        "error: descriptor values do not evaluate: "
+        "overflow converting exact value at root.product[0]\n"
+    )
+
+
 # ---- search-supports ----
 
 

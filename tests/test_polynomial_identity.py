@@ -5,13 +5,15 @@ exact instance as polynomials and evaluate them at the samples only when
 they differ.  The pointwise loops they replaced live on in
 ``tests/_moment_oracle.py``; the reports must match them byte for byte,
 including the rule that a nonzero difference vanishing on every sample
-passes.
+passes.  Float families evaluate each polynomial leaf once per sample
+point within a call, and the work counts below pin both savings.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moment_leibniz import funcmodel, momentfam, polycalc
+from moment_leibniz.coeffsolve import (
+    CoeffFamily,
+    SupportPattern,
+    band,
+    check_constraint,
+    random_valid_family,
+)
 from moment_leibniz.funcmodel import Domain, GradDot, PolyLeaf, TauMap, const_expr
 from moment_leibniz.momentfam import (
     OperatorFamily,
@@ -27,6 +36,7 @@ from moment_leibniz.momentfam import (
     default_probe_pairs,
     make_derivative,
     make_first_order_leibniz,
+    make_identity_generated,
     make_second_order_leibniz,
     make_trivial,
     verify_moment,
@@ -37,7 +47,14 @@ from moment_leibniz.polycalc import Polynomial, dalpha, random_polynomial
 from _moment_oracle import check_second_order_pointwise, verify_moment_pointwise
 
 SAMPLES = 8
-KINDS = ("derivative", "trivial", "tamper-visible", "tamper-vanishing", "first-order")
+KINDS = (
+    "derivative",
+    "trivial",
+    "tamper-visible",
+    "tamper-vanishing",
+    "first-order",
+    "identity-generated",
+)
 
 
 def _dumps(report) -> str:
@@ -79,6 +96,14 @@ def _family(kind, rank, order, tau, dom, rng):
         return make_trivial(rank, order)
     if kind == "first-order":
         return make_first_order_leibniz(PolyLeaf(random_polynomial(rng, rank, 2, 3)), rank)
+    if kind == "identity-generated":
+        # any support, below the band too, so the verifier itself must catch it
+        indices = enumerate_height_at_most(rank, order)[1:]
+        support = rng.sample(indices, rng.randint(1, min(3, len(indices))))
+        coefficients = {a: PolyLeaf(random_polynomial(rng, rank, 2, 3)) for a in support}
+        return make_identity_generated(
+            CoeffFamily(rank, order, coefficients), dom, validate=False
+        )
     alpha0 = rng.choice(enumerate_height_at_most(rank, order))
     if kind == "tamper-visible":
         extra = random_polynomial(rng, rank, 2, 3) + Polynomial.constant(rank, 1)
@@ -154,12 +179,13 @@ def test_check_second_order_matches_pointwise_oracle(variant, rank, seed):
 
 
 def _count_point_evaluations(monkeypatch):
-    """Count every ``eval_poly`` call, wherever the package looks it up."""
+    """Record every ``eval_poly`` call as its (polynomial, point), wherever the
+    package looks it up; the list keeps both alive, so their ids stay unique."""
     calls = []
     real = polycalc.eval_poly
 
     def counting(f, x):
-        calls.append(x)
+        calls.append((f, x))
         return real(f, x)
 
     for module in (polycalc, funcmodel, momentfam):
@@ -178,6 +204,31 @@ def test_passing_exact_family_evaluates_no_points(monkeypatch):
     report = verify_moment(conjugated, pairs, dom)
     # only the samples' images under tau, one evaluation per component
     assert report.passed and len(calls) == 2 * len(dom.sample_points)
+
+
+def _evaluated_twice(calls) -> list:
+    seen = Counter((id(f), id(x)) for f, x in calls)
+    return [key for key, n in seen.items() if n > 1]
+
+
+def test_float_verifiers_evaluate_each_leaf_once_per_point(monkeypatch):
+    dom = Domain.unit(2, seed=6)
+    rng = random.Random(6)
+    cf = random_valid_family(SupportPattern(2, 3, frozenset(band(2, 3))), seed=6)
+    plain = make_identity_generated(cf, dom)
+    conjugated = conjugate(plain, _affine_tau(rng, 2), dom)
+    pairs = default_probe_pairs(dom, 8, rng)
+    # c_(1,0) sits in the (2,0), (2,1) and (3,0) sums
+    below = dict(cf.coefficients)
+    below[MultiIndex((1, 0))] = PolyLeaf(random_polynomial(rng, 2, 2, 3))
+    calls = _count_point_evaluations(monkeypatch)
+    for family in (plain, conjugated):
+        calls.clear()
+        assert verify_moment(family, pairs, dom).passed
+        assert calls and _evaluated_twice(calls) == []
+    calls.clear()
+    assert not check_constraint(CoeffFamily(2, 3, below), dom.sample_points).passed
+    assert calls and _evaluated_twice(calls) == []
 
 
 def test_tampered_family_evaluates_points_only_where_it_fails(monkeypatch):

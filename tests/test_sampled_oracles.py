@@ -1,0 +1,139 @@
+"""Float verifiers compute each sampled value once, with the same report bytes.
+
+``check_constraint`` and ``verify_moment`` share one leaf table per call,
+and ``verify_moment_seq`` sums its convolutions by position.  The loops
+they replaced live on in ``tests/_sampled_oracle.py`` and
+``tests/_moment_oracle.py``; on band and violating supports, plain and
+conjugated families, and tampered, NaN-producing and order-0 sequences
+the reports must match them byte for byte, failure keys and order
+included.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moment_leibniz.coeffsolve import CoeffFamily, band, check_constraint
+from moment_leibniz.funcmodel import Domain, PolyLeaf, Sum, TauMap, XLogAbs
+from moment_leibniz.momentfam import (
+    conjugate,
+    default_probe_pairs,
+    make_identity_generated,
+    verify_moment,
+)
+from moment_leibniz.multiindex import enumerate_height_at_most
+from moment_leibniz.polycalc import random_polynomial
+from moment_leibniz.semigroup import (
+    MomentSeq,
+    make_exponential_moment_seq,
+    random_probe_pairs,
+    tampered,
+    verify_moment_seq,
+)
+
+from _moment_oracle import verify_moment_pointwise
+from _sampled_oracle import check_constraint_unshared, verify_moment_seq_keyed
+
+SAMPLES = 8
+
+
+def _dumps(report) -> str:
+    # no sort_keys: the failure dicts must keep their key order too
+    return json.dumps(report.to_json())
+
+
+def _coefficients(
+    rng: random.Random, rank: int, order: int, violating: bool
+) -> CoeffFamily:
+    """Coefficients on a band subset, plus indices below the band if violating.
+
+    One polynomial object sits in several leaves and a log-bearing sum, so
+    a leaf table shared across indices and expressions gets hits.
+    """
+    admissible = band(rank, order)
+    support = rng.sample(admissible, rng.randint(1, len(admissible)))
+    below = [a for a in enumerate_height_at_most(rank, order)[1:] if a not in admissible]
+    if violating and below:
+        support += rng.sample(below, rng.randint(1, len(below)))
+    shared = random_polynomial(rng, rank, 2, 3)
+    coefficients = {}
+    for alpha in support:
+        pick = rng.randrange(3)
+        if pick == 0:
+            expr = PolyLeaf(shared)
+        elif pick == 1:
+            expr = PolyLeaf(random_polynomial(rng, rank, 2, 3))
+        else:
+            log_term = XLogAbs(PolyLeaf(random_polynomial(rng, rank, 2, 3)))
+            expr = Sum((PolyLeaf(shared), log_term))
+        coefficients[alpha] = expr
+    return CoeffFamily(rank, order, coefficients)
+
+
+def _shrink(rng: random.Random, rank: int) -> TauMap:
+    """x -> w x + (1 - w)/2 on every axis, which maps (0,1)^r into itself."""
+    w = Fraction(rng.randint(1, 7), 8)
+    matrix = [[w if i == j else 0 for j in range(rank)] for i in range(rank)]
+    return TauMap.affine(matrix, [(1 - w) / 2] * rank)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rank=st.integers(1, 3),
+    order=st.integers(1, 4),
+    violating=st.booleans(),
+    conjugated=st.booleans(),
+    probes=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_identity_generated_reports_match_unshared_loops(
+    rank, order, violating, conjugated, probes, seed
+):
+    rng = random.Random(seed)
+    dom = Domain.unit(rank, n_samples=SAMPLES, seed=seed)
+    cf = _coefficients(rng, rank, order, violating)
+    report = check_constraint(cf, dom.sample_points, dom.float_tolerance)
+    oracle = check_constraint_unshared(cf, dom.sample_points, dom.float_tolerance)
+    assert _dumps(report) == _dumps(oracle)
+    family = make_identity_generated(cf, dom, validate=False)
+    if conjugated:
+        family = conjugate(family, _shrink(rng, rank), dom)
+    pairs = default_probe_pairs(dom, probes, rng)
+    report = verify_moment(family, pairs, dom, seed=seed)
+    oracle = verify_moment_pointwise(family, pairs, dom, seed=seed)
+    assert _dumps(report) == _dumps(oracle)
+
+
+def _nan_at_nonnegative(fn):
+    return lambda x: fn(x) if x < 0 else math.nan
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rank=st.integers(1, 3),
+    order=st.integers(0, 4),
+    variant=st.sampled_from(["exponential", "tampered", "nan"]),
+    rate=st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+    probes=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_verify_moment_seq_matches_keyed_loop(rank, order, variant, rate, probes, seed):
+    rng = random.Random(seed)
+    scales = [rng.uniform(0.5, 2.0) for _ in range(rank)]
+    seq = make_exponential_moment_seq(rank, order, rate, scales)
+    alpha = rng.choice(list(seq.functions))
+    if variant == "tampered":
+        seq = tampered(seq, alpha, 1.01)
+    elif variant == "nan":
+        functions = dict(seq.functions)
+        functions[alpha] = _nan_at_nonnegative(functions[alpha])
+        seq = MomentSeq(rank, order, functions)
+    pairs = random_probe_pairs(probes, rng)
+    report = verify_moment_seq(seq, pairs, seed=seed)
+    assert _dumps(report) == _dumps(verify_moment_seq_keyed(seq, pairs, seed=seed))
