@@ -70,9 +70,7 @@ from .coeffsolve import (
 from .momentfam import (
     MomentReport,
     OperatorFamily,
-    SecondOrderPair,
     assert_trivial_collapse,
-    check_second_order,
     conjugate,
     default_probe_pairs,
     family_from_json,

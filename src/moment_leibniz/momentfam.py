@@ -8,20 +8,24 @@ for all |alpha| <= N at every sample point; its alpha = 0 instance is
 plain multiplicativity of T_0.  Every family is an ``OperatorFamily``
 over an alpha-indexed rule: the ``make_*`` constructors and ``conjugate``
 build the described kinds, and any other rule goes straight to
-``OperatorFamily(rank, order, rule, exact)``.  Both kinds of family
-apply each operator once per probe.
+``OperatorFamily(rank, order, rule, exact)``.  The index rank and the
+number of variables the operators act on are separate: second-order
+pairs are the order-2 families indexed by rank 1 on functions of r
+variables, with T_(1) = A and T_(2) = T, whose alpha = (2) instance is
+T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  Both kinds of family apply each
+operator once per probe.
 
-Families built from exact polynomial data (trivial, derivative, and
-their reparametrized conjugates) expand each operator to a polynomial,
-and each (probe, alpha) instance is one comparison in Q[x]: T_alpha(fg)
-against ``polycalc.convolution_sum`` over ``convolution_terms(alpha)``.
-Equal polynomials agree at every point, and so at every image under the
-conjugating maps, so the instance passes with residual 0.0 and nothing
-is evaluated.  Only unequal ones are evaluated at the mapped sample
-points, where they must agree exactly; Fractions are canonical, so these
-values are the pointwise convolution sums, and the witnesses are the
-ones a pointwise loop finds.  A difference that vanishes on every sample
-therefore passes.  Exact second-order pairs are checked the same way.
+Families built from exact polynomial data (trivial, derivative, log-free
+second-order pairs, and their reparametrized conjugates) expand each
+operator to a polynomial, and each (probe, alpha) instance is one
+comparison in Q[x]: T_alpha(fg) against ``polycalc.convolution_sum``
+over ``convolution_terms(alpha)``.  Equal polynomials agree at every
+point, and so at every image under the conjugating maps, so the instance
+passes with residual 0.0 and nothing is evaluated.  Only unequal ones
+are evaluated at the mapped sample points, where they must agree
+exactly; Fractions are canonical, so these values are the pointwise
+convolution sums, and the witnesses are the ones a pointwise loop finds.
+A difference that vanishes on every sample therefore passes.
 
 Families involving f*ln|f| tabulate float values at the sample points
 with ``funcmodel.eval_table`` and sum the convolution per point, against
@@ -64,7 +68,6 @@ from .funcmodel import (
     eval_table,
     expr_from_json,
     judge,
-    leaf_value,
     witness_float,
     worse,
 )
@@ -77,13 +80,15 @@ Rule = Callable[[MultiIndex, Polynomial], FuncExpr]
 class OperatorFamily:
     """Operators T_alpha for |alpha| <= order, applied to polynomials.
 
-    ``rule`` is any alpha-indexed rule.  ``exact`` families promise
-    log-free expressions, so the verifier can demand residual exactly
-    zero.  ``point_maps`` reparametrize the evaluation point: T(f)(x) is
-    the rule's expression evaluated at the composed image of x, which is
-    how conjugation acts.  ``descriptor`` is the family's JSON form; the
-    constructors below pass their own, and any other rule is described
-    as ``{"kind": "custom", "r": rank, "N": order}``.
+    ``rule`` is any alpha-indexed rule.  Its indices have rank ``rank``;
+    the functions it acts on have ``dim`` variables, which defaults to
+    ``rank``.  ``exact`` families promise log-free expressions, so the
+    verifier can demand residual exactly zero.  ``point_maps``
+    reparametrize the evaluation point: T(f)(x) is the rule's expression
+    evaluated at the composed image of x, which is how conjugation acts.
+    ``descriptor`` is the family's JSON form; the constructors below pass
+    their own, and any other rule is described as
+    ``{"kind": "custom", "r": dim, "N": order}``.
     """
 
     rank: int
@@ -92,25 +97,31 @@ class OperatorFamily:
     exact: bool = False
     point_maps: tuple[TauMap, ...] = ()
     descriptor: Optional[dict] = None
+    dim: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name, value in (("rank", self.rank), ("order", self.order)):
+        if self.dim is None:
+            self.dim = self.rank
+        for name in ("rank", "order", "dim"):
+            value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
         if self.descriptor is None:
-            self.descriptor = {"kind": "custom", "r": self.rank, "N": self.order}
+            self.descriptor = {"kind": "custom", "r": self.dim, "N": self.order}
 
     def apply(self, alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         if alpha.rank != self.rank:
             raise ValueError(f"index rank {alpha.rank}, family rank {self.rank}")
         if alpha.height > self.order:
             raise ValueError(f"|alpha| = {alpha.height} exceeds order {self.order}")
-        if f.dim != self.rank:
-            raise ValueError(f"probe dim {f.dim}, family rank {self.rank}")
+        if f.dim != self.dim:
+            raise ValueError(f"probe dim {f.dim}, family dim {self.dim}")
         return self.rule(alpha, f)
 
     def eval_point(self, x: RationalPoint) -> RationalPoint:
@@ -219,8 +230,8 @@ def conjugate(family: OperatorFamily, tau: TauMap, domain: Domain) -> OperatorFa
     evaluation-point chain, so conjugates of exact families stay exact.
     tau must map the domain samples into the box.
     """
-    if tau.rank != family.rank:
-        raise ValueError(f"map rank {tau.rank}, family rank {family.rank}")
+    if tau.rank != family.dim:
+        raise ValueError(f"map rank {tau.rank}, family dim {family.dim}")
     for x in domain.sample_points:
         if not domain.contains(tau(x)):
             raise ValueError(f"tau image of sample {x.to_json()} leaves the box")
@@ -232,11 +243,12 @@ def conjugate(family: OperatorFamily, tau: TauMap, domain: Domain) -> OperatorFa
         point_maps=(tau,) + family.point_maps,
         descriptor={
             "kind": "conjugated",
-            "r": family.rank,
+            "r": family.dim,
             "N": family.order,
             "tau": tau.to_json(),
             "inner": family.descriptor,
         },
+        dim=family.dim,
     )
 
 
@@ -325,8 +337,8 @@ def verify_moment(
     point.
     """
     tol = domain.float_tolerance
-    if domain.rank != family.rank:
-        raise ValueError(f"domain rank {domain.rank}, family rank {family.rank}")
+    if domain.rank != family.dim:
+        raise ValueError(f"domain rank {domain.rank}, family dim {family.dim}")
     alphas = enumerate_height_at_most(family.rank, family.order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
     points = [family.eval_point(x) for x in domain.sample_points]
@@ -405,7 +417,7 @@ def assert_trivial_collapse(
     """
     tol = domain.float_tolerance
     zero_index = MultiIndex.zero(candidate.rank)
-    zero_poly = Polynomial.zero(candidate.rank)
+    zero_poly = Polynomial.zero(candidate.dim)
     points = [candidate.eval_point(x) for x in domain.sample_points]
     leaves: Leaves = {}
     for f in probes:
@@ -479,138 +491,77 @@ def _vanishes(exprs: Sequence[FuncExpr]) -> Optional[bool]:
     return all(p.is_zero() for p in polys)
 
 
-@dataclass
-class SecondOrderPair:
-    """The coupled operators
-
-        T(f) = <f'' c, c> + <f', b> + a * f * ln|f|,   A(f) = <f', c>,
-
-    expected to satisfy T(fg) = T(f) g + f T(g) + 2 A(f) A(g).
-    ``exact`` when the log term is absent and b, c are polynomial.
-    """
-
-    rank: int
-    smoothness: int
-    a: FuncExpr
-    b: tuple[FuncExpr, ...]
-    c: tuple[FuncExpr, ...]
-    exact: bool
-
-    def __post_init__(self) -> None:
-        # which parts T(f) has, decided once per pair
-        self._has_c = not _vanishes(self.c)
-        self._has_b = not _vanishes(self.b)
-        self._has_a = not _vanishes([self.a])
-
-    def apply_T(self, f: Polynomial) -> FuncExpr:
-        parts: List[FuncExpr] = []
-        if self._has_c:
-            parts.append(HessQuad(f, self.c))
-        if self._has_b:
-            parts.append(GradDot(f, self.b))
-        if self._has_a:
-            parts.append(Product((self.a, XLogAbs(PolyLeaf(f)))))
-        if not parts:
-            return PolyLeaf(Polynomial.zero(self.rank))
-        return Sum(tuple(parts)) if len(parts) > 1 else parts[0]
-
-    def apply_A(self, f: Polynomial) -> FuncExpr:
-        return GradDot(f, self.c)
-
-
 def make_second_order_leibniz(
     a: FuncExpr,
     b: Sequence[FuncExpr],
     c: Sequence[FuncExpr],
     smoothness: int,
-    rank: int,
-) -> SecondOrderPair:
-    """Build the pair, enforcing the smoothness clauses.
+    dim: int,
+) -> OperatorFamily:
+    """The second-order pair on functions of ``dim`` variables, as a family.
+
+        T(f) = <f'' c, c> + <f', b> + a * f * ln|f|,   A(f) = <f', c>
+
+    are T_(2) and T_(1) of an order-2 family indexed by rank 1, with
+    T_0 the identity.  Its alpha = (2) instance is the pair's rule
+    T(fg) = T(f) g + f T(g) + 2 A(f) A(g), since C(2, 1) = 2; its
+    alpha = (1) instance says A is a derivation.  The family is exact
+    when the log term is absent and b, c are polynomial.
 
     smoothness = 1 forces c = 0 (no second-order term survives on C^1);
-    smoothness = 0 additionally forces b = 0.  Violations raise
-    ValueError rather than producing a pair the rule cannot hold for.
+    smoothness = 0 additionally forces b = 0.  Violations, and fields
+    whose dim is not ``dim``, raise ValueError rather than producing a
+    family the rule cannot hold for.
     """
     b = tuple(b)
     c = tuple(c)
-    if len(b) != rank or len(c) != rank:
-        raise ValueError(f"b and c need {rank} components")
-    if smoothness not in (0, 1, 2):
-        raise ValueError(f"smoothness must be 0, 1 or 2, got {smoothness}")
-    b_zero, c_zero = _vanishes(b), _vanishes(c)
+    if len(b) != dim or len(c) != dim:
+        raise ValueError(f"b and c need {dim} components")
+    dims = sorted({e.dim for e in (a,) + b + c})
+    if dims != [dim]:
+        raise ValueError(f"a, b and c need dim {dim}, got dims {dims}")
+    if type(smoothness) is not int or smoothness not in (0, 1, 2):
+        raise ValueError(f"smoothness must be 0, 1 or 2, got {smoothness!r}")
+    a_zero, b_zero, c_zero = _vanishes([a]), _vanishes(b), _vanishes(c)
     if smoothness <= 1 and not c_zero:
         raise ValueError("smoothness <= 1 forces c = 0")
     if smoothness == 0 and not b_zero:
         raise ValueError("smoothness = 0 forces b = 0")
-    exact = _vanishes([a]) is True and b_zero is not None and c_zero is not None
-    return SecondOrderPair(rank, smoothness, a, b, c, exact)
+    exact = a_zero is True and b_zero is not None and c_zero is not None
+    # which parts T(f) has, decided once per family
+    parts: List[Callable[[Polynomial], FuncExpr]] = []
+    if not c_zero:
+        parts.append(lambda f: HessQuad(f, c))
+    if not b_zero:
+        parts.append(lambda f: GradDot(f, b))
+    if not a_zero:
+        parts.append(lambda f: Product((a, XLogAbs(PolyLeaf(f)))))
+    zero = PolyLeaf(Polynomial.zero(dim))
 
+    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
+        if alpha.height == 0:
+            return PolyLeaf(f)
+        if alpha.height == 1:
+            return GradDot(f, c)
+        if not parts:
+            return zero
+        terms = tuple(part(f) for part in parts)
+        return Sum(terms) if len(terms) > 1 else terms[0]
 
-def check_second_order(
-    pair: SecondOrderPair,
-    probes: Sequence[Tuple[Polynomial, Polynomial]],
-    domain: Domain,
-    seed: Optional[int] = None,
-) -> CheckReport:
-    """Check T(fg) = T(f) g + f T(g) + 2 A(f) A(g) on probes and samples.
-
-    Exact pairs (no log term, polynomial fields) compare both sides as
-    polynomials per probe, and evaluate them at the samples only when they
-    differ, with zero tolerance there; the others use the domain tolerance.
-    """
-    tol = domain.float_tolerance
-    points = domain.sample_points
-    failures: List[dict] = []
-    max_residual = 0.0
-    leaves: Leaves = {}
-    for k, (f, g) in enumerate(probes):
-        exprs = (
-            pair.apply_T(f),
-            pair.apply_T(g),
-            pair.apply_T(f * g),
-            pair.apply_A(f),
-            pair.apply_A(g),
-        )
-        if pair.exact:
-            tf, tg, tfg, af, ag = (as_polynomial(expr) for expr in exprs)
-            rhs_poly = tf * g + f * tg + af * ag * 2
-            if tfg == rhs_poly:
-                continue
-            lhs_vals = [eval_poly(tfg, x) for x in points]
-            rhs_vals = [eval_poly(rhs_poly, x) for x in points]
-        else:
-            tf, tg, tfg, af, ag = (eval_table(expr, points, leaves) for expr in exprs)
-            lhs_vals = tfg
-            # a Fraction times a float rounds the Fraction to a float first, so
-            # the leaf table's f(x) and g(x) give the products the exact values did
-            rhs_vals = [
-                tf[i] * leaf_value(g, x, "g", leaves)
-                + leaf_value(f, x, "f", leaves) * tg[i]
-                + 2 * af[i] * ag[i]
-                for i, x in enumerate(points)
-            ]
-        for x, lhs, rhs in zip(points, lhs_vals, rhs_vals):
-            residual, ok = judge(lhs, rhs, pair.exact, tol)
-            max_residual = worse(max_residual, residual)
-            if not ok:
-                failures.append(
-                    {
-                        "probe": k,
-                        "point": x.to_json(),
-                        "lhs": witness_float(lhs),
-                        "rhs": witness_float(rhs),
-                        "residual": residual,
-                    }
-                )
-    return CheckReport(
-        check="second_order_rule",
-        passed=not failures,
-        max_residual=max_residual,
-        tolerance=tol,
-        failures=failures,
-        counts={"probes": len(probes), "points": len(domain.sample_points)},
-        seed=seed,
-        details={"exact": pair.exact, "smoothness": pair.smoothness},
+    return OperatorFamily(
+        1,
+        2,
+        rule,
+        exact,
+        descriptor={
+            "kind": "second_order",
+            "r": dim,
+            "smoothness": smoothness,
+            "a": a.to_json(),
+            "b": [e.to_json() for e in b],
+            "c": [e.to_json() for e in c],
+        },
+        dim=dim,
     )
 
 
@@ -645,6 +596,17 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
         if type(order) is not int or order != 1:
             raise ValueError(f"first_order_leibniz N must be 1, got {order!r}")
         return make_first_order_leibniz(expr_from_json(data["c"]), data["r"])
+    if kind == "second_order":
+        order = data.get("N", 2)
+        if type(order) is not int or order != 2:
+            raise ValueError(f"second_order N must be 2, got {order!r}")
+        return make_second_order_leibniz(
+            expr_from_json(data["a"]),
+            [expr_from_json(e) for e in data["b"]],
+            [expr_from_json(e) for e in data["c"]],
+            data["smoothness"],
+            data["r"],
+        )
     if kind == "conjugated":
         inner = family_from_json(data["inner"], domain)
         order = data["N"]

@@ -1,12 +1,16 @@
 """Pointwise moment verifiers, kept only as an oracle for the tests.
 
-These are the sample-point loops that ``momentfam.verify_moment`` and
-``momentfam.check_second_order`` ran before exact families were decided
-as polynomial identities: every operator is tabulated at every sample
-point (exact values from one expansion), and both sides of every
-instance are summed and judged point by point.  They know nothing of the
-polynomial comparison, so equal report bytes are evidence that skipping
-the points on equal polynomials changes no verdict, residual or witness.
+``verify_moment_pointwise`` is the sample-point loop that
+``momentfam.verify_moment`` ran before exact families were decided as
+polynomial identities: every operator is tabulated at every sample point
+(exact values from one expansion), and both sides of every instance are
+summed and judged point by point.  ``check_second_order_pointwise`` is
+the same loop for the second-order rule T(fg) = T(f) g + f T(g) +
+2 A(f) A(g) alone, written out term by term with T and A read from a
+second-order family's (2) and (1) operators.  Neither knows anything of
+the polynomial comparison, so equal report bytes are evidence that
+skipping the points on equal polynomials changes no verdict, residual or
+witness.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from moment_leibniz.funcmodel import (
-    CheckReport,
     Domain,
+    GradDot,
     as_polynomial,
     eval_expr,
     judge,
@@ -23,7 +27,11 @@ from moment_leibniz.funcmodel import (
     worse,
 )
 from moment_leibniz.momentfam import MomentReport, OperatorFamily
-from moment_leibniz.multiindex import convolution_terms, enumerate_height_at_most
+from moment_leibniz.multiindex import (
+    MultiIndex,
+    convolution_terms,
+    enumerate_height_at_most,
+)
 from moment_leibniz.polycalc import Polynomial, eval_poly
 
 
@@ -46,8 +54,8 @@ def verify_moment_pointwise(
     seed: Optional[int] = None,
 ) -> MomentReport:
     tol = domain.float_tolerance
-    if domain.rank != family.rank:
-        raise ValueError(f"domain rank {domain.rank}, family rank {family.rank}")
+    if domain.rank != family.dim:
+        raise ValueError(f"domain rank {domain.rank}, family dim {family.dim}")
     alphas = enumerate_height_at_most(family.rank, family.order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
     points = [family.eval_point(x) for x in domain.sample_points]
@@ -93,35 +101,34 @@ def verify_moment_pointwise(
 
 
 def check_second_order_pointwise(
-    pair,
+    family: OperatorFamily,
     probes: Sequence[Tuple[Polynomial, Polynomial]],
     domain: Domain,
-    seed: Optional[int] = None,
-) -> CheckReport:
+) -> Tuple[List[dict], float]:
+    """The failures and the worst residual of the rule's instances.
+
+    Failures have the shape of ``verify_moment``'s at alpha (2).
+    """
     tol = domain.float_tolerance
     points = domain.sample_points
+    one, two = MultiIndex((1,)), MultiIndex((2,))
     failures: List[dict] = []
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         tf, tg, tfg, af, ag = (
-            _table(expr, points, pair.exact)
-            for expr in (
-                pair.apply_T(f),
-                pair.apply_T(g),
-                pair.apply_T(f * g),
-                pair.apply_A(f),
-                pair.apply_A(g),
-            )
+            _table(family.apply(alpha, h), points, family.exact)
+            for alpha, h in ((two, f), (two, g), (two, f * g), (one, f), (one, g))
         )
         for i, x in enumerate(points):
             lhs = tfg[i]
             # f(x) and g(x) are Fractions; times a float they round to float first
             rhs = tf[i] * eval_poly(g, x) + eval_poly(f, x) * tg[i] + 2 * af[i] * ag[i]
-            residual, ok = judge(lhs, rhs, pair.exact, tol)
+            residual, ok = judge(lhs, rhs, family.exact, tol)
             max_residual = worse(max_residual, residual)
             if not ok:
                 failures.append(
                     {
+                        "alpha": two.to_json(),
                         "probe": k,
                         "point": x.to_json(),
                         "lhs": witness_float(lhs),
@@ -129,13 +136,19 @@ def check_second_order_pointwise(
                         "residual": residual,
                     }
                 )
-    return CheckReport(
-        check="second_order_rule",
-        passed=not failures,
-        max_residual=max_residual,
-        tolerance=tol,
-        failures=failures,
-        counts={"probes": len(probes), "points": len(domain.sample_points)},
-        seed=seed,
-        details={"exact": pair.exact, "smoothness": pair.smoothness},
-    )
+    return failures, max_residual
+
+
+def with_a_field(family: OperatorFamily, field) -> OperatorFamily:
+    """The second-order family with A(f) = <f', field> in place of its own A.
+
+    T = T_(2) is left as it was, so only the alpha = (2) instance can fail:
+    any such A is still a derivation.
+    """
+
+    def rule(alpha, f):
+        if alpha.height == 1:
+            return GradDot(f, tuple(field))
+        return family.rule(alpha, f)
+
+    return OperatorFamily(1, 2, rule, family.exact, dim=family.dim)

@@ -29,7 +29,6 @@ from moment_leibniz import (
     binom,
     check_leibniz_all,
     check_multiplicative,
-    check_second_order,
     conjugate,
     const_expr,
     constraint_indices,
@@ -319,7 +318,9 @@ def test_second_order_pair_product_rule():
     x1 = Polynomial.variable(rank, 1)
     b = (PolyLeaf(x0 * x1), const_expr(rank, 2))
     c = (PolyLeaf(x0 + Polynomial.constant(rank, 1)), PolyLeaf(x1))
-    pair = make_second_order_leibniz(const_expr(rank, 0), b, c, smoothness=2, rank=rank)
+    # T = T_(2) and A = T_(1) of an order-2 family indexed by rank 1; the
+    # rule is its alpha = (2) instance, and alpha = (1) says A is a derivation
+    pair = make_second_order_leibniz(const_expr(rank, 0), b, c, smoothness=2, dim=rank)
 
     rng = random.Random(6)
     probes = [
@@ -329,29 +330,30 @@ def test_second_order_pair_product_rule():
         )
         for _ in range(100)
     ]
-    report = check_second_order(pair, probes, domain)
+    report = verify_moment(pair, probes, domain)
     exact_ok = pair.exact and report.passed and report.max_residual == 0.0
+    exact_ok = exact_ok and set(report.per_alpha_max_residual) == {"0", "1", "2"}
 
     # smoothness below 2 rules out the quadratic part, below 1 the
     # first-order part as well
     zero_field = (const_expr(rank, 0), const_expr(rank, 0))
     clause_errors = 0
     try:
-        make_second_order_leibniz(const_expr(rank, 0), b, c, smoothness=1, rank=rank)
+        make_second_order_leibniz(const_expr(rank, 0), b, c, smoothness=1, dim=rank)
     except ValueError:
         clause_errors += 1
     try:
         make_second_order_leibniz(
-            const_expr(rank, 0), b, zero_field, smoothness=0, rank=rank
+            const_expr(rank, 0), b, zero_field, smoothness=0, dim=rank
         )
     except ValueError:
         clause_errors += 1
 
     # the logarithmic part alone still satisfies the rule (float path)
     log_only = make_second_order_leibniz(
-        const_expr(rank, 1), zero_field, zero_field, smoothness=0, rank=rank
+        const_expr(rank, 1), zero_field, zero_field, smoothness=0, dim=rank
     )
-    log_report = check_second_order(log_only, probes[:20], domain)
+    log_report = verify_moment(log_only, probes[:20], domain)
 
     ok = exact_ok and clause_errors == 2 and log_report.passed
     _report(

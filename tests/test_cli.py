@@ -98,6 +98,27 @@ def _family_file(tmp_path, descriptor) -> str:
     return str(path)
 
 
+def _const(dim, coeff):
+    return {"kind": "poly", "dim": dim, "terms": [{"exponent": [0] * dim, "coeff": coeff}]}
+
+
+_X = {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]}
+
+
+def _second_order(**fields):
+    """The exact pair T(f) = f'' + x f', A(f) = f' on one variable, ``fields`` replaced."""
+    data = {
+        "kind": "second_order",
+        "r": 1,
+        "smoothness": 2,
+        "a": _const(1, "0"),
+        "b": [_X],
+        "c": [_const(1, "1")],
+    }
+    data.update(fields)
+    return data
+
+
 def test_verify_family_each_kind(capsys, tmp_path):
     descriptors = [
         {"kind": "trivial", "r": 1, "N": 2},
@@ -122,6 +143,9 @@ def test_verify_family_each_kind(capsys, tmp_path):
             "r": 1,
             "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]},
         },
+        _second_order(),
+        # T(f) = x f' + 3 f ln|f| on C^1, with N given
+        _second_order(smoothness=1, N=2, a=_const(1, "3"), c=[_const(1, "0")]),
     ]
     for descriptor in descriptors:
         code, report = _run(
@@ -301,6 +325,13 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
                 {"index": [2], "expr": {"kind": "poly", "dim": 1, "terms": [{"exponent": [0], "coeff": "5"}]}},
             ],
         },
+        _second_order(smoothness=True),
+        _second_order(smoothness=1.5),
+        _second_order(smoothness=3),
+        _second_order(N=3),
+        _second_order(b=[_X, _X]),
+        _second_order(smoothness=1),
+        _second_order(a=_const(2, "0")),
     ],
     ids=[
         "r-str",
@@ -323,6 +354,13 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
         "dim-float",
         "tau-rank-bool",
         "index-repeated",
+        "second-order-smoothness-bool",
+        "second-order-smoothness-float",
+        "second-order-smoothness-3",
+        "second-order-N-3",
+        "second-order-b-length",
+        "second-order-c-at-smoothness-1",
+        "second-order-a-dim",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
@@ -638,7 +676,13 @@ def _halved(dim, i):
 @st.composite
 def _descriptor(draw, conjugated=True):
     """A small descriptor of any kind, up to two of its fields replaced by JSON scalars."""
-    kinds = ["trivial", "derivative", "identity_generated", "first_order_leibniz"]
+    kinds = [
+        "trivial",
+        "derivative",
+        "identity_generated",
+        "first_order_leibniz",
+        "second_order",
+    ]
     kind = draw(st.sampled_from(kinds + ["conjugated"] if conjugated else kinds))
     r, n = draw(st.integers(1, 2)), draw(st.integers(0, 3))
     if kind in ("trivial", "derivative"):
@@ -653,6 +697,19 @@ def _descriptor(draw, conjugated=True):
         data = {"kind": kind, "r": r, "N": n, "coefficients": coefficients}
     elif kind == "first_order_leibniz":
         data = {"kind": kind, "r": r, "c": {"kind": "poly", "dim": r, "terms": draw(_poly(r))}}
+    elif kind == "second_order":
+        # the smoothness clauses hold: b = 0 at smoothness 0, c = 0 below 2
+        smoothness = draw(st.integers(0, 2))
+
+        def field(free):
+            return [
+                {"kind": "poly", "dim": r, "terms": draw(_poly(r)) if free else []}
+                for _ in range(r)
+            ]
+
+        a = {"kind": "poly", "dim": r, "terms": draw(_poly(r))}
+        b, c = field(smoothness > 0), field(smoothness > 1)
+        data = {"kind": kind, "r": r, "N": 2, "smoothness": smoothness, "a": a, "b": b, "c": c}
     else:
         inner = draw(_descriptor(conjugated=False))
         r = inner["r"] if inner.get("r") in (1, 2) else r

@@ -18,7 +18,6 @@ from moment_leibniz.polycalc import (
 )
 from moment_leibniz.funcmodel import (
     Domain,
-    GradDot,
     PolyLeaf,
     TauMap,
     as_polynomial,
@@ -29,7 +28,6 @@ from moment_leibniz.coeffsolve import CoeffFamily, ConstraintViolation
 from moment_leibniz.momentfam import (
     OperatorFamily,
     assert_trivial_collapse,
-    check_second_order,
     conjugate,
     default_probe_pairs,
     family_from_json,
@@ -40,6 +38,8 @@ from moment_leibniz.momentfam import (
     make_trivial,
     verify_moment,
 )
+
+from _moment_oracle import with_a_field
 
 
 def _mi(*entries: int) -> MultiIndex:
@@ -382,17 +382,22 @@ def test_conjugation_requires_tau_into_box():
 # ---- second-order pairs ----
 
 
+def _failing_alphas(report) -> set:
+    return {tuple(failure["alpha"]) for failure in report.failures}
+
+
 def test_second_order_pinned_example():
-    # a = 0, b = 0, c = 1 on rank 1: T = f'', A = f'; T((x^2)(x^3)) = 20x^3
+    # a = 0, b = 0, c = 1 on one variable: T = f'', A = f'; T((x^2)(x^3)) = 20x^3
     zero = const_expr(1, 0)
     one = const_expr(1, 1)
-    pair = make_second_order_leibniz(zero, [zero], [one], smoothness=2, rank=1)
-    assert pair.exact
+    fam = make_second_order_leibniz(zero, [zero], [one], smoothness=2, dim=1)
+    assert fam.exact and (fam.rank, fam.order, fam.dim) == (1, 2, 1)
     f = Polynomial.monomial((2,))
     g = Polynomial.monomial((3,))
     x = RationalPoint.of(Fraction(1, 2))
-    assert eval_poly(as_polynomial(pair.apply_T(f * g)), x) == 20 * Fraction(1, 8)
-    assert eval_poly(as_polynomial(pair.apply_A(f)), x) == 1
+    assert eval_poly(as_polynomial(fam.apply(_mi(2), f * g)), x) == 20 * Fraction(1, 8)
+    assert eval_poly(as_polynomial(fam.apply(_mi(1), f)), x) == 1
+    assert as_polynomial(fam.apply(_mi(0), f)) == f
 
 
 def test_second_order_rule_exact_and_float():
@@ -404,13 +409,14 @@ def test_second_order_rule_exact_and_float():
     ]
     zero = const_expr(1, 0)
     c = (PolyLeaf(Polynomial.variable(1, 0)),)
-    exact_pair = make_second_order_leibniz(zero, [zero], list(c), 2, 1)
-    report = check_second_order(exact_pair, probes, dom)
+    exact_fam = make_second_order_leibniz(zero, [zero], list(c), 2, 1)
+    report = verify_moment(exact_fam, probes, dom)
     assert report.passed and report.max_residual == 0.0
+    assert set(report.per_alpha_max_residual) == {"0", "1", "2"}
     # adding the log term switches to the float path but still holds
-    log_pair = make_second_order_leibniz(const_expr(1, 3), [zero], list(c), 2, 1)
-    assert not log_pair.exact
-    report2 = check_second_order(log_pair, probes, dom)
+    log_fam = make_second_order_leibniz(const_expr(1, 3), [zero], list(c), 2, 1)
+    assert not log_fam.exact
+    report2 = verify_moment(log_fam, probes, dom)
     assert report2.passed and report2.max_residual <= 1e-9
 
 
@@ -418,56 +424,94 @@ def test_second_order_smoothness_clauses():
     zero = const_expr(1, 0)
     one = const_expr(1, 1)
     with pytest.raises(ValueError):
-        make_second_order_leibniz(zero, [zero], [one], smoothness=1, rank=1)
+        make_second_order_leibniz(zero, [zero], [one], smoothness=1, dim=1)
     with pytest.raises(ValueError):
-        make_second_order_leibniz(zero, [one], [zero], smoothness=0, rank=1)
+        make_second_order_leibniz(zero, [one], [zero], smoothness=0, dim=1)
     # compliant degenerate pairs build fine
-    make_second_order_leibniz(one, [zero], [zero], smoothness=0, rank=1)
-    make_second_order_leibniz(one, [one], [zero], smoothness=1, rank=1)
+    make_second_order_leibniz(one, [zero], [zero], smoothness=0, dim=1)
+    make_second_order_leibniz(one, [one], [zero], smoothness=1, dim=1)
+
+
+@pytest.mark.parametrize("smoothness", [True, False, 1.0, 2.0, 3, -1, "2", None])
+def test_second_order_smoothness_must_be_an_int(smoothness):
+    # True == 1 and 1.0 == 1, so a membership test alone lets both through
+    zero = const_expr(1, 0)
+    with pytest.raises(ValueError, match="smoothness"):
+        make_second_order_leibniz(zero, [zero], [zero], smoothness, 1)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+def test_second_order_fields_must_match_dim(field):
+    # a dim-2 field on one variable is refused when the family is built,
+    # not later inside the verifier
+    zero1 = const_expr(1, 0)
+    fields = {"a": zero1, "b": [zero1], "c": [zero1]}
+    wide = const_expr(2, 0)
+    fields[field] = wide if field == "a" else [wide]
+    with pytest.raises(ValueError, match="dim"):
+        make_second_order_leibniz(fields["a"], fields["b"], fields["c"], 2, 1)
 
 
 def test_second_order_violation_detected():
     # decoupling A from T's quadratic form (A uses c = 2 while T uses
-    # c = 1) injects an extra 6 f' g' into the convolution side
+    # c = 1) injects an extra 6 f' g' into the convolution side at alpha
+    # (2); the new A is still a derivation, so alpha (1) holds
     zero = const_expr(1, 0)
-    pair = make_second_order_leibniz(zero, [zero], [const_expr(1, 1)], 2, 1)
-
-    class _Mismatched:
-        exact = True
-        smoothness = 2
-
-        def apply_T(self, f):
-            return pair.apply_T(f)
-
-        def apply_A(self, f):
-            return GradDot(f, (const_expr(1, 2),))
-
+    fam = make_second_order_leibniz(zero, [zero], [const_expr(1, 1)], 2, 1)
+    mismatched = with_a_field(fam, [const_expr(1, 2)])
     dom = Domain.unit(1, seed=19)
     f = Polynomial.monomial((2,))
-    report = check_second_order(_Mismatched(), [(f, f)], dom)
+    report = verify_moment(mismatched, [(f, f)], dom)
     assert not report.passed
+    assert _failing_alphas(report) == {(2,)}
 
 
 def test_second_order_overflow_witness_is_infinite():
     # A(f) = 10^400 f' makes 2 A(f) A(g) too large for a float
     zero = const_expr(1, 0)
-    pair = make_second_order_leibniz(zero, [zero], [const_expr(1, 1)], 2, 1)
-
-    class _Huge:
-        exact = True
-        smoothness = 2
-
-        def apply_T(self, f):
-            return pair.apply_T(f)
-
-        def apply_A(self, f):
-            return GradDot(f, (const_expr(1, 10**400),))
-
+    fam = make_second_order_leibniz(zero, [zero], [const_expr(1, 1)], 2, 1)
+    huge = with_a_field(fam, [const_expr(1, 10**400)])
     f = Polynomial.monomial((2,))
-    report = check_second_order(_Huge(), [(f, f)], Domain.unit(1, seed=19))
+    report = verify_moment(huge, [(f, f)], Domain.unit(1, seed=19))
     assert not report.passed and report.max_residual == math.inf
+    assert _failing_alphas(report) == {(2,)}
     witness = report.failures[0]
     assert math.isfinite(witness["lhs"]) and witness["rhs"] == math.inf
+
+
+def test_conjugated_second_order_family_on_two_variables():
+    dom = Domain.unit(2, seed=22)
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
+    b = (PolyLeaf(x0 * x1), const_expr(2, 2))
+    c = (PolyLeaf(x0 + Polynomial.constant(2, 1)), PolyLeaf(x1))
+    fam = make_second_order_leibniz(const_expr(2, 0), b, c, 2, 2)
+    half = TauMap.affine([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], [Fraction(1, 4)] * 2)
+    conj = conjugate(fam, half, dom)
+    assert (conj.rank, conj.order, conj.dim) == (1, 2, 2)
+    assert conj.descriptor["r"] == 2 and conj.descriptor["inner"]["kind"] == "second_order"
+    report = verify_moment(conj, _probes(dom, 6, 22), dom)
+    assert report.passed and report.max_residual == 0.0
+    rebuilt = family_from_json(conj.descriptor, dom)
+    assert rebuilt.descriptor == conj.descriptor
+
+
+def test_rank_one_family_on_two_variable_probes():
+    # T_(k) = d^k / dx_0^k is indexed by rank 1 yet acts on functions of two
+    # variables; index rank and probe dimension are separate
+    def rule(alpha, f):
+        return PolyLeaf(dalpha(f, _mi(alpha[0], 0)))
+
+    fam = OperatorFamily(1, 3, rule, exact=True, dim=2)
+    assert fam.descriptor == {"kind": "custom", "r": 2, "N": 3}
+    dom = Domain.unit(2, seed=23)
+    report = verify_moment(fam, _probes(dom, 6, 23), dom)
+    assert report.passed and report.max_residual == 0.0
+    assert set(report.per_alpha_max_residual) == {"0", "1", "2", "3"}
+    with pytest.raises(ValueError, match="family dim"):
+        fam.apply(_mi(1), Polynomial.variable(1, 0))
+    with pytest.raises(ValueError, match="family dim"):
+        verify_moment(fam, [], Domain.unit(1, seed=23))
 
 
 # ---- reports and descriptors ----

@@ -1,10 +1,10 @@
 """Exact families are decided as polynomial identities, points only for witnesses.
 
-``verify_moment`` and ``check_second_order`` compare both sides of each
-exact instance as polynomials and evaluate them at the samples only when
-they differ.  The pointwise loops they replaced live on in
-``tests/_moment_oracle.py``; the reports must match them byte for byte,
-including the rule that a nonzero difference vanishing on every sample
+``verify_moment`` compares both sides of each exact instance as
+polynomials and evaluates them at the samples only when they differ.
+The pointwise loops it replaced live on in ``tests/_moment_oracle.py``;
+the reports must match them byte for byte, second-order pairs included,
+and including the rule that a nonzero difference vanishing on every sample
 passes.  Float families evaluate each polynomial leaf once per sample
 point within a call, and the work counts below pin both savings.
 """
@@ -28,10 +28,9 @@ from moment_leibniz.coeffsolve import (
     check_constraint,
     random_valid_family,
 )
-from moment_leibniz.funcmodel import Domain, GradDot, PolyLeaf, TauMap, const_expr
+from moment_leibniz.funcmodel import Domain, PolyLeaf, TauMap, const_expr
 from moment_leibniz.momentfam import (
     OperatorFamily,
-    check_second_order,
     conjugate,
     default_probe_pairs,
     make_derivative,
@@ -44,7 +43,11 @@ from moment_leibniz.momentfam import (
 from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
 from moment_leibniz.polycalc import Polynomial, dalpha, random_polynomial
 
-from _moment_oracle import check_second_order_pointwise, verify_moment_pointwise
+from _moment_oracle import (
+    check_second_order_pointwise,
+    verify_moment_pointwise,
+    with_a_field,
+)
 
 SAMPLES = 8
 KINDS = (
@@ -140,39 +143,32 @@ def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, p
         assert report.passed and report.max_residual == 0.0
 
 
-class _Mismatched:
-    """T from a correct exact pair with A(f) = <f', 2c> in place of <f', c>."""
-
-    exact = True
-    smoothness = 2
-
-    def __init__(self, pair):
-        self.pair = pair
-
-    def apply_T(self, f):
-        return self.pair.apply_T(f)
-
-    def apply_A(self, f):
-        return GradDot(f, tuple(const_expr(f.dim, 2) for _ in range(f.dim)))
-
-
 @pytest.mark.parametrize("variant", ["exact", "mismatched", "log"])
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(rank=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
 def test_check_second_order_matches_pointwise_oracle(variant, rank, seed):
+    # the second-order rule is the alpha = (2) instance of the family's
+    # identity; alphas (0) and (1) hold for any pair, A being a derivation
     rng = random.Random(seed)
     dom = Domain.unit(rank, n_samples=SAMPLES, seed=seed)
     a = const_expr(rank, 3 if variant == "log" else 0)
     b = [PolyLeaf(random_polynomial(rng, rank, 2, 2)) for _ in range(rank)]
     c = [const_expr(rank, 1) for _ in range(rank)]
-    pair = make_second_order_leibniz(a, b, c, 2, rank)
+    family = make_second_order_leibniz(a, b, c, 2, rank)
     if variant == "mismatched":
-        pair = _Mismatched(pair)
+        # A(f) = <f', 2c> in place of <f', c>
+        family = with_a_field(family, [const_expr(rank, 2)] * rank)
     pairs = default_probe_pairs(dom, 4, rng)
-    report = check_second_order(pair, pairs, dom, seed=seed)
-    oracle = check_second_order_pointwise(pair, pairs, dom, seed=seed)
-    assert _dumps(report) == _dumps(oracle)
-    assert report.passed is (variant != "mismatched")
+    report = verify_moment(family, pairs, dom, seed=seed)
+    failures, max_residual = check_second_order_pointwise(family, pairs, dom)
+    assert report.passed is (variant != "mismatched") is (not failures)
+    assert all(failure["alpha"] == [2] for failure in report.failures)
+    if family.exact:
+        assert json.dumps(report.failures) == json.dumps(failures)
+        assert report.per_alpha_max_residual["2"] == max_residual
+    else:
+        # the float sums run in another order, so only the bound is shared
+        assert max(report.max_residual, max_residual) <= dom.float_tolerance
 
 
 # ---- work counts ----
