@@ -39,7 +39,12 @@ from .coeffsolve import (
     index_set_size,
     random_valid_family,
 )
-from .momentfam import default_probe_pairs, family_from_json, verify_moment
+from .momentfam import (
+    default_probe_pairs,
+    family_from_json,
+    identity_generated_descriptor,
+    verify_moment,
+)
 from .semigroup import (
     make_exponential_moment_seq,
     random_probe_pairs,
@@ -250,14 +255,8 @@ def run_gen_family(args: argparse.Namespace) -> dict:
         raise InputError(
             f"{exc}, where the constraint forces coefficients to zero"
         ) from exc
-    descriptor = {
-        "kind": "identity_generated",
-        "r": args.rank,
-        "N": args.order,
-        "coefficients": cf.to_json()["coefficients"],
-    }
     return {
-        "family": descriptor,
+        "family": identity_generated_descriptor(cf),
         "pattern": pattern.to_json(),
         "failures": [],
         "max_residual": 0.0,

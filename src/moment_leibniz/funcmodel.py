@@ -148,9 +148,10 @@ class Product(FuncExpr):
         return out
 
     def _expand(self) -> Polynomial:
-        out = Polynomial.constant(self.dim, 1)
-        for c in self.children:
-            out = out * c._expand()
+        # expand every factor first: one that does not expand costs no product
+        out, *rest = [c._expand() for c in self.children]
+        for p in rest:
+            out = out * p
         return out
 
     def to_json(self) -> dict:

@@ -8,32 +8,36 @@ for all |alpha| <= N at every sample point; its alpha = 0 instance is
 plain multiplicativity of T_0.  Every family is an ``OperatorFamily``
 over an alpha-indexed rule: the ``make_*`` constructors and ``conjugate``
 build the described kinds, and any other rule goes straight to
-``OperatorFamily(rank, order, rule, exact)``.  The index rank and the
-number of variables the operators act on are separate: second-order
-pairs are the order-2 families indexed by rank 1 on functions of r
-variables, with T_(1) = A and T_(2) = T, whose alpha = (2) instance is
-T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  Both kinds of family apply each
+``OperatorFamily(rank, order, rule)``.  The index rank and the number of
+variables the operators act on are separate: second-order pairs are the
+order-2 families indexed by rank 1 on functions of r variables, with
+T_(1) = A and T_(2) = T, whose alpha = (2) instance is
+T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  Every family applies each
 operator once per probe.
 
-Families built from exact polynomial data (trivial, derivative, log-free
-second-order pairs, and their reparametrized conjugates) expand each
-operator to a polynomial, and each (probe, alpha) instance is one
-comparison in Q[x]: T_alpha(fg) against ``polycalc.convolution_sum``
-over ``convolution_terms(alpha)``.  Equal polynomials agree at every
-point, and so at every image under the conjugating maps, so the instance
-passes with residual 0.0 and nothing is evaluated.  Only unequal ones
-are evaluated at the mapped sample points, where they must agree
-exactly; Fractions are canonical, so these values are the pointwise
-convolution sums, and the witnesses are the ones a pointwise loop finds.
-A difference that vanishes on every sample therefore passes.
+How an instance is decided is read off the expressions the operators
+return, probe by probe; a family declares nothing about it.  When every
+T_beta(f), T_beta(g) and T_alpha(fg) of a probe expands to a polynomial
+(trivial, derivative, log-free second-order pairs, their reparametrized
+conjugates, and any user rule that expands), each (probe, alpha)
+instance is one comparison in Q[x]: T_alpha(fg) against
+``polycalc.convolution_sum`` over ``convolution_terms(alpha)``.  Equal
+polynomials agree at every point, and so at every image under the
+conjugating maps, so the instance passes with residual 0.0 and nothing
+is evaluated.  Only unequal ones are evaluated at the mapped sample
+points, where they must agree exactly; Fractions are canonical, so these
+values are the pointwise convolution sums, and the witnesses are the
+ones a pointwise loop finds.  A difference that vanishes on every sample
+therefore passes.
 
-Families involving f*ln|f| tabulate float values at the sample points
-with ``funcmodel.eval_table`` and sum the convolution per point, against
-the domain tolerance.  One leaf table serves the whole call, so each
-polynomial leaf (a coefficient, a probe, a product of probes) is turned
-into a float once per sample point, however many alphas and probes use
-it.  ``funcmodel.judge`` turns each evaluated instance into a residual
-and a verdict.
+When some expression does not expand (an f*ln|f| term), the probe's
+instances are sampled: the same expressions are tabulated in floats at
+the sample points with ``funcmodel.eval_table`` and the convolution is
+summed per point, against the domain tolerance.  One leaf table serves
+the whole call, so each polynomial leaf (a coefficient, a probe, a
+product of probes) is turned into a float once per sample point, however
+many alphas and probes use it.  ``funcmodel.judge`` turns each evaluated
+instance into a residual and a verdict.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ class OperatorFamily:
 
     ``rule`` is any alpha-indexed rule.  Its indices have rank ``rank``;
     the functions it acts on have ``dim`` variables, which defaults to
-    ``rank``.  ``exact`` families promise log-free expressions, so the
-    verifier can demand residual exactly zero.  ``point_maps``
+    ``rank``.  Whether an instance is proved or sampled is decided by the
+    verifier from the expressions the rule returns.  ``point_maps``
     reparametrize the evaluation point: T(f)(x) is the rule's expression
     evaluated at the composed image of x, which is how conjugation acts.
     ``descriptor`` is the family's JSON form; the constructors below pass
@@ -94,7 +98,6 @@ class OperatorFamily:
     rank: int
     order: int
     rule: Rule
-    exact: bool = False
     point_maps: tuple[TauMap, ...] = ()
     descriptor: Optional[dict] = None
     dim: Optional[int] = None
@@ -134,29 +137,51 @@ class OperatorFamily:
 
 
 def make_trivial(rank: int, order: int) -> OperatorFamily:
-    """T_0(f) = 1 and T_alpha(f) = 0 for alpha != 0; exact."""
+    """T_0(f) = 1 and T_alpha(f) = 0 for alpha != 0."""
 
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         if alpha.is_zero():
             return PolyLeaf(Polynomial.constant(rank, 1))
         return PolyLeaf(Polynomial.zero(rank))
 
-    return OperatorFamily(
-        rank, order, rule, True, descriptor={"kind": "trivial", "r": rank, "N": order}
-    )
+    descriptor = {"kind": "trivial", "r": rank, "N": order}
+    return OperatorFamily(rank, order, rule, descriptor=descriptor)
 
 
 def make_derivative(rank: int, order: int) -> OperatorFamily:
-    """T_alpha(f) = D^alpha(f); exact, with T_0 the identity map."""
+    """T_alpha(f) = D^alpha(f), with T_0 the identity map."""
     if order < 1:
         raise ValueError(f"derivative family needs order >= 1, got {order}")
 
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         return PolyLeaf(dalpha(f, alpha))
 
-    return OperatorFamily(
-        rank, order, rule, True, descriptor={"kind": "derivative", "r": rank, "N": order}
-    )
+    descriptor = {"kind": "derivative", "r": rank, "N": order}
+    return OperatorFamily(rank, order, rule, descriptor=descriptor)
+
+
+def identity_generated_descriptor(cf: CoeffFamily) -> dict:
+    """The JSON descriptor of the identity-generated family over ``cf``."""
+    return {
+        "kind": "identity_generated",
+        "r": cf.rank,
+        "N": cf.order,
+        "coefficients": cf.to_json()["coefficients"],
+    }
+
+
+def _identity_generated(cf: CoeffFamily, descriptor: dict) -> OperatorFamily:
+    zero = PolyLeaf(Polynomial.zero(cf.rank))
+
+    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
+        if alpha.is_zero():
+            return PolyLeaf(f)
+        expr = cf.coefficients.get(alpha)
+        if expr is None:
+            return zero
+        return Product((expr, XLogAbs(PolyLeaf(f))))
+
+    return OperatorFamily(cf.rank, cf.order, rule, descriptor=descriptor)
 
 
 def make_identity_generated(
@@ -177,57 +202,27 @@ def make_identity_generated(
         report = check_constraint(cf, domain.sample_points, domain.float_tolerance)
         if not report.passed:
             raise ConstraintViolation(report)
-    rank = cf.rank
-    zero = PolyLeaf(Polynomial.zero(rank))
-
-    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        if alpha.is_zero():
-            return PolyLeaf(f)
-        expr = cf.coefficients.get(alpha)
-        if expr is None:
-            return zero
-        return Product((expr, XLogAbs(PolyLeaf(f))))
-
-    return OperatorFamily(
-        rank,
-        cf.order,
-        rule,
-        descriptor={
-            "kind": "identity_generated",
-            "r": rank,
-            "N": cf.order,
-            "coefficients": cf.to_json()["coefficients"],
-        },
-    )
+    return _identity_generated(cf, identity_generated_descriptor(cf))
 
 
 def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
     """Order-1 family T_0(f) = f, T_e(f) = c * f * ln|f| for every unit index e.
 
-    The single-coefficient case: no bilinear constraint exists at order 1,
-    so any coefficient expression works.
+    The identity-generated family with ``c`` at every unit index: no
+    bilinear constraint exists at order 1, so any coefficient works.
     """
     if c.dim != rank:
         raise ValueError(f"coefficient dim {c.dim}, rank {rank}")
-
-    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        if alpha.is_zero():
-            return PolyLeaf(f)
-        return Product((c, XLogAbs(PolyLeaf(f))))
-
-    return OperatorFamily(
-        rank,
-        1,
-        rule,
-        descriptor={"kind": "first_order_leibniz", "r": rank, "c": c.to_json()},
-    )
+    cf = CoeffFamily(rank, 1, {MultiIndex.unit(rank, i): c for i in range(rank)})
+    descriptor = {"kind": "first_order_leibniz", "r": rank, "c": c.to_json()}
+    return _identity_generated(cf, descriptor)
 
 
 def conjugate(family: OperatorFamily, tau: TauMap, domain: Domain) -> OperatorFamily:
     """The family x -> T_alpha(f)(tau(x)).
 
     Keeps the inner family's expressions and prepends tau to the
-    evaluation-point chain, so conjugates of exact families stay exact.
+    evaluation-point chain, so conjugates of proved families are proved.
     tau must map the domain samples into the box.
     """
     if tau.rank != family.dim:
@@ -239,7 +234,6 @@ def conjugate(family: OperatorFamily, tau: TauMap, domain: Domain) -> OperatorFa
         family.rank,
         family.order,
         family.rule,
-        family.exact,
         point_maps=(tau,) + family.point_maps,
         descriptor={
             "kind": "conjugated",
@@ -290,7 +284,11 @@ def default_probe_pairs(
 
 @dataclass
 class MomentReport:
-    """Outcome of ``verify_moment`` over one family."""
+    """Outcome of ``verify_moment`` over one family.
+
+    ``exact`` says that no instance was sampled: every probe's operators
+    expanded to polynomials, so every verdict is a proof in Q[x].
+    """
 
     family: dict
     probe_count: int
@@ -328,13 +326,14 @@ def verify_moment(
 ) -> MomentReport:
     """Check the binomial moment identity on every probe pair and sample.
 
-    Exact families compare, per probe and alpha, the polynomial T_alpha(fg)
-    with the convolution sum; equal polynomials are equal at every point,
-    so the instance passes with residual 0.0 unevaluated.  Unequal ones
-    are evaluated at the samples and must agree exactly there.  Float
-    families use the relative residual |lhs - rhs| / (1 + |lhs|) against
-    the domain tolerance.  Failures carry the witnessing alpha, probe and
-    point.
+    Each probe's operators are applied once.  If they all expand to
+    polynomials, each alpha compares the polynomial T_alpha(fg) with the
+    convolution sum; equal polynomials are equal at every point, so the
+    instance passes with residual 0.0 unevaluated.  Unequal ones are
+    evaluated at the samples and must agree exactly there.  Otherwise the
+    same expressions are tabulated in floats and each instance is judged
+    by the relative residual |lhs - rhs| / (1 + |lhs|) against the domain
+    tolerance.  Failures carry the witnessing alpha, probe and point.
     """
     tol = domain.float_tolerance
     if domain.rank != family.dim:
@@ -346,18 +345,20 @@ def verify_moment(
     failures: List[dict] = []
     max_residual = 0.0
     leaves: Leaves = {}
+    sampled = False
     for k, (f, g) in enumerate(probes):
-        fg = f * g
-        if family.exact:
-            tf = {b: as_polynomial(family.apply(b, f)) for b in alphas}
-            tg = {b: as_polynomial(family.apply(b, g)) for b in alphas}
-            tfg = {a: as_polynomial(family.apply(a, fg)) for a in alphas}
-        else:
-            vf = {b: eval_table(family.apply(b, f), points, leaves) for b in alphas}
-            vg = {b: eval_table(family.apply(b, g), points, leaves) for b in alphas}
-            vfg = {a: eval_table(family.apply(a, fg), points, leaves) for a in alphas}
+        rows = [{b: family.apply(b, h) for b in alphas} for h in (f, g, f * g)]
+        try:
+            tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
+            exact = True
+        except NotPolynomial:
+            vf, vg, vfg = [
+                {b: eval_table(e, points, leaves) for b, e in row.items()} for row in rows
+            ]
+            exact = False
+            sampled = True
         for alpha, splits in terms.items():
-            if family.exact:
+            if exact:
                 lhs_poly = tfg[alpha]
                 rhs_poly = convolution_sum(tf, tg, splits)
                 if lhs_poly == rhs_poly:
@@ -374,7 +375,7 @@ def verify_moment(
                 ]
             key = _alpha_key(alpha)
             for x, lhs, rhs in zip(domain.sample_points, lhs_vals, rhs_vals):
-                residual, ok = judge(lhs, rhs, family.exact, tol)
+                residual, ok = judge(lhs, rhs, exact, tol)
                 per_alpha[key] = worse(per_alpha[key], residual)
                 max_residual = worse(max_residual, residual)
                 if not ok:
@@ -396,7 +397,7 @@ def verify_moment(
         passed=not failures,
         failures=failures,
         tolerance=tol,
-        exact=family.exact,
+        exact=not sampled,
         seed=seed,
     )
 
@@ -479,16 +480,15 @@ def assert_trivial_collapse(
 # ---- second-order pairs ----
 
 
-def _vanishes(exprs: Sequence[FuncExpr]) -> Optional[bool]:
+def _vanishes(exprs: Sequence[FuncExpr]) -> bool:
     """Whether every expression expands to the zero polynomial.
 
-    None when some expression is not polynomial at all.
+    An expression that is not polynomial at all counts as nonzero.
     """
     try:
-        polys = [as_polynomial(e) for e in exprs]
+        return all(as_polynomial(e).is_zero() for e in exprs)
     except NotPolynomial:
-        return None
-    return all(p.is_zero() for p in polys)
+        return False
 
 
 def make_second_order_leibniz(
@@ -505,8 +505,7 @@ def make_second_order_leibniz(
     are T_(2) and T_(1) of an order-2 family indexed by rank 1, with
     T_0 the identity.  Its alpha = (2) instance is the pair's rule
     T(fg) = T(f) g + f T(g) + 2 A(f) A(g), since C(2, 1) = 2; its
-    alpha = (1) instance says A is a derivation.  The family is exact
-    when the log term is absent and b, c are polynomial.
+    alpha = (1) instance says A is a derivation.
 
     smoothness = 1 forces c = 0 (no second-order term survives on C^1);
     smoothness = 0 additionally forces b = 0.  Violations, and fields
@@ -527,7 +526,6 @@ def make_second_order_leibniz(
         raise ValueError("smoothness <= 1 forces c = 0")
     if smoothness == 0 and not b_zero:
         raise ValueError("smoothness = 0 forces b = 0")
-    exact = a_zero is True and b_zero is not None and c_zero is not None
     # which parts T(f) has, decided once per family
     parts: List[Callable[[Polynomial], FuncExpr]] = []
     if not c_zero:
@@ -552,7 +550,6 @@ def make_second_order_leibniz(
         1,
         2,
         rule,
-        exact,
         descriptor={
             "kind": "second_order",
             "r": dim,

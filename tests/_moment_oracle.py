@@ -10,7 +10,9 @@ the same loop for the second-order rule T(fg) = T(f) g + f T(g) +
 second-order family's (2) and (1) operators.  Neither knows anything of
 the polynomial comparison, so equal report bytes are evidence that
 skipping the points on equal polynomials changes no verdict, residual or
-witness.
+witness.  Nor does either work out whether a family is exact: the caller
+says so, from the kind of family it built, so a wrong decision in the
+verifier shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ def verify_moment_pointwise(
     family: OperatorFamily,
     probes: Sequence[Tuple[Polynomial, Polynomial]],
     domain: Domain,
+    exact: bool,
     seed: Optional[int] = None,
 ) -> MomentReport:
     tol = domain.float_tolerance
@@ -64,16 +67,16 @@ def verify_moment_pointwise(
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         fg = f * g
-        vf = {b: _table(family.apply(b, f), points, family.exact) for b in alphas}
-        vg = {b: _table(family.apply(b, g), points, family.exact) for b in alphas}
-        vfg = {a: _table(family.apply(a, fg), points, family.exact) for a in alphas}
+        vf = {b: _table(family.apply(b, f), points, exact) for b in alphas}
+        vg = {b: _table(family.apply(b, g), points, exact) for b in alphas}
+        vfg = {a: _table(family.apply(a, fg), points, exact) for a in alphas}
         for alpha, splits in terms.items():
             key = _alpha_key(alpha)
             for i, x in enumerate(domain.sample_points):
                 lhs = vfg[alpha][i]
                 # a plain sum: exact terms are Fractions, so it stays exact
                 rhs = sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
-                residual, ok = judge(lhs, rhs, family.exact, tol)
+                residual, ok = judge(lhs, rhs, exact, tol)
                 per_alpha[key] = worse(per_alpha[key], residual)
                 max_residual = worse(max_residual, residual)
                 if not ok:
@@ -95,7 +98,7 @@ def verify_moment_pointwise(
         passed=not failures,
         failures=failures,
         tolerance=tol,
-        exact=family.exact,
+        exact=exact,
         seed=seed,
     )
 
@@ -104,6 +107,7 @@ def check_second_order_pointwise(
     family: OperatorFamily,
     probes: Sequence[Tuple[Polynomial, Polynomial]],
     domain: Domain,
+    exact: bool,
 ) -> Tuple[List[dict], float]:
     """The failures and the worst residual of the rule's instances.
 
@@ -116,14 +120,14 @@ def check_second_order_pointwise(
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         tf, tg, tfg, af, ag = (
-            _table(family.apply(alpha, h), points, family.exact)
+            _table(family.apply(alpha, h), points, exact)
             for alpha, h in ((two, f), (two, g), (two, f * g), (one, f), (one, g))
         )
         for i, x in enumerate(points):
             lhs = tfg[i]
             # f(x) and g(x) are Fractions; times a float they round to float first
             rhs = tf[i] * eval_poly(g, x) + eval_poly(f, x) * tg[i] + 2 * af[i] * ag[i]
-            residual, ok = judge(lhs, rhs, family.exact, tol)
+            residual, ok = judge(lhs, rhs, exact, tol)
             max_residual = worse(max_residual, residual)
             if not ok:
                 failures.append(
@@ -151,4 +155,4 @@ def with_a_field(family: OperatorFamily, field) -> OperatorFamily:
             return GradDot(f, tuple(field))
         return family.rule(alpha, f)
 
-    return OperatorFamily(1, 2, rule, family.exact, dim=family.dim)
+    return OperatorFamily(1, 2, rule, dim=family.dim)

@@ -3,9 +3,9 @@
 Each test prints a single ``ACCEPTANCE <name>: PASS/FAIL (...)`` line
 (run pytest with ``-s`` to see them) and then asserts the verdict, so a
 broken capability shows up both in the printed summary and in the
-pytest report.  Tolerances are part of the contract: families flagged
-exact must come back with residual exactly 0.0, float families must
-meet the stated bounds.
+pytest report.  Tolerances are part of the contract: families whose
+reports are exact must come back with residual exactly 0.0, sampled
+families must meet the stated bounds.
 """
 
 import math
@@ -209,6 +209,8 @@ def test_identity_generated_families_across_valid_supports():
                     runs += 1
                     worst = max(worst, rep.max_residual)
                     all_passed = all_passed and rep.passed
+                    # only the empty support leaves no log term to sample
+                    all_passed = all_passed and rep.exact is (not pattern.support)
                 # where f*g vanishes both sides of the identity must be
                 # exactly 0.0, not merely small
                 family = make_identity_generated(random_valid_family(pattern, 0), domain)
@@ -331,7 +333,7 @@ def test_second_order_pair_product_rule():
         for _ in range(100)
     ]
     report = verify_moment(pair, probes, domain)
-    exact_ok = pair.exact and report.passed and report.max_residual == 0.0
+    exact_ok = report.exact and report.passed and report.max_residual == 0.0
     exact_ok = exact_ok and set(report.per_alpha_max_residual) == {"0", "1", "2"}
 
     # smoothness below 2 rules out the quadratic part, below 1 the
@@ -355,7 +357,7 @@ def test_second_order_pair_product_rule():
     )
     log_report = verify_moment(log_only, probes[:20], domain)
 
-    ok = exact_ok and clause_errors == 2 and log_report.passed
+    ok = exact_ok and clause_errors == 2 and log_report.passed and not log_report.exact
     _report(
         "second-order-pair",
         ok,

@@ -119,41 +119,52 @@ def _second_order(**fields):
     return data
 
 
+# tau(x) = 1 - x on one variable
+_TAU_REFLECT = {
+    "rank": 1,
+    "components": [[{"exponent": [0], "coeff": "1"}, {"exponent": [1], "coeff": "-1"}]],
+}
+
+
 def test_verify_family_each_kind(capsys, tmp_path):
+    # each descriptor with whether its report is exact (no instance sampled)
     descriptors = [
-        {"kind": "trivial", "r": 1, "N": 2},
-        {"kind": "derivative", "r": 2, "N": 2},
-        {
-            "kind": "conjugated",
-            "r": 1,
-            "N": 2,
-            "tau": {
-                "rank": 1,
-                "components": [
-                    [
-                        {"exponent": [0], "coeff": "1"},
-                        {"exponent": [1], "coeff": "-1"},
-                    ]
-                ],
+        ({"kind": "trivial", "r": 1, "N": 2}, True),
+        ({"kind": "derivative", "r": 2, "N": 2}, True),
+        (
+            {
+                "kind": "conjugated",
+                "r": 1,
+                "N": 2,
+                "tau": _TAU_REFLECT,
+                "inner": {"kind": "derivative", "r": 1, "N": 2},
             },
-            "inner": {"kind": "derivative", "r": 1, "N": 2},
-        },
-        {
-            "kind": "first_order_leibniz",
-            "r": 1,
-            "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]},
-        },
-        _second_order(),
+            True,
+        ),
+        (
+            {
+                "kind": "first_order_leibniz",
+                "r": 1,
+                "c": {"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]},
+            },
+            False,
+        ),
+        (_second_order(), True),
         # T(f) = x f' + 3 f ln|f| on C^1, with N given
-        _second_order(smoothness=1, N=2, a=_const(1, "3"), c=[_const(1, "0")]),
+        (_second_order(smoothness=1, N=2, a=_const(1, "3"), c=[_const(1, "0")]), False),
+        (
+            {"kind": "conjugated", "r": 1, "N": 2, "tau": _TAU_REFLECT, "inner": _second_order()},
+            True,
+        ),
     ]
-    for descriptor in descriptors:
+    for descriptor, exact in descriptors:
         code, report = _run(
             capsys, ["verify-family", _family_file(tmp_path, descriptor), "--seed", "3"]
         )
         assert code == EXIT_PASS, descriptor["kind"]
         assert report["pass"] is True
         assert report["report"]["family"]["kind"] == descriptor["kind"]
+        assert report["report"]["exact"] is exact, descriptor
 
 
 def test_verify_family_exact_kinds_have_zero_residual(capsys, tmp_path):
@@ -332,6 +343,8 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
         _second_order(b=[_X, _X]),
         _second_order(smoothness=1),
         _second_order(a=_const(2, "0")),
+        # the outer r must be the inner pair's dim
+        {"kind": "conjugated", "r": 2, "N": 2, "tau": _TAU_REFLECT, "inner": _second_order()},
     ],
     ids=[
         "r-str",
@@ -361,6 +374,7 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
         "second-order-b-length",
         "second-order-c-at-smoothness-1",
         "second-order-a-dim",
+        "second-order-conjugated-r-2",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):

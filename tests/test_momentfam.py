@@ -77,7 +77,7 @@ def test_trivial_family_values_and_exactness():
     x = RationalPoint.of(Fraction(1, 3), Fraction(1, 2))
     assert eval_poly(as_polynomial(fam.apply(_mi(0, 0), f)), x) == 1
     assert eval_poly(as_polynomial(fam.apply(_mi(1, 0), f)), x) == 0
-    assert fam.exact
+    assert verify_moment(fam, [(f, f)], Domain.unit(2, seed=2)).exact
 
 
 def test_trivial_family_verifies_with_zero_residual():
@@ -167,15 +167,37 @@ def test_derivative_family_verifies_exactly():
 
 
 def test_broken_derivative_rule_detected_exactly():
-    # dropping the binomial weights breaks the identity at height 2
-    def rule(alpha, f):
-        return PolyLeaf(dalpha(f, alpha) * 2 if alpha.height == 2 else dalpha(f, alpha))
-
+    breaks = [
+        # dropping the binomial weights breaks the identity at height 2
+        lambda d: d * 2,
+        # far below the float tolerance: a sampled check would pass it
+        lambda d: d + Polynomial.constant(1, Fraction(1, 10**12)),
+    ]
     dom = Domain.unit(1, seed=6)
-    fam = OperatorFamily(1, 2, rule, exact=True)
-    report = verify_moment(fam, _probes(dom, 6, 2), dom)
-    assert not report.passed
-    assert any(tuple(f["alpha"]) == (2,) for f in report.failures)
+    probes = _probes(dom, 6, 2)
+    for break_t2 in breaks:
+        # the rule declares nothing: its operators expand, so it is proved
+        def rule(alpha, f):
+            d = dalpha(f, alpha)
+            return PolyLeaf(break_t2(d) if alpha.height == 2 else d)
+
+        fam = OperatorFamily(1, 2, rule)
+        report = verify_moment(fam, probes, dom)
+        assert report.exact and not report.passed
+        assert _failing_alphas(report) == {(2,)}
+        for failure in report.failures:
+            # the witness is the exact difference at the sample point
+            f, g = probes[failure["probe"]]
+            x = RationalPoint.of(*(Fraction(v) for v in failure["point"]))
+            lhs = eval_poly(as_polynomial(fam.apply(_mi(2), f * g)), x)
+            rhs = sum(
+                w * eval_poly(as_polynomial(fam.apply(b, f)), x)
+                * eval_poly(as_polynomial(fam.apply(_mi(2) - b, g)), x)
+                for w, b in [(1, _mi(0)), (2, _mi(1)), (1, _mi(2))]
+            )
+            assert lhs != rhs
+            assert (failure["lhs"], failure["rhs"]) == (float(lhs), float(rhs))
+            assert failure["residual"] == float(abs(lhs - rhs))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -183,11 +205,11 @@ def test_exact_overflow_fails_with_infinite_witness(sign):
     # T_0 = +-10^400 misses multiplicativity by more than a float holds:
     # the instance fails with residual inf and witness sides +-inf
     huge = Polynomial.constant(1, sign * 10**400)
-    fam = OperatorFamily(1, 0, lambda alpha, f: PolyLeaf(huge), exact=True)
+    fam = OperatorFamily(1, 0, lambda alpha, f: PolyLeaf(huge))
     dom = Domain.unit(1, seed=22)
     one = Polynomial.constant(1, 1)
     report = verify_moment(fam, [(one, one)], dom)
-    assert not report.passed
+    assert report.exact and not report.passed
     assert report.max_residual == math.inf
     witness = report.failures[0]
     assert (witness["lhs"], witness["rhs"], witness["residual"]) == (
@@ -391,13 +413,14 @@ def test_second_order_pinned_example():
     zero = const_expr(1, 0)
     one = const_expr(1, 1)
     fam = make_second_order_leibniz(zero, [zero], [one], smoothness=2, dim=1)
-    assert fam.exact and (fam.rank, fam.order, fam.dim) == (1, 2, 1)
+    assert (fam.rank, fam.order, fam.dim) == (1, 2, 1)
     f = Polynomial.monomial((2,))
     g = Polynomial.monomial((3,))
     x = RationalPoint.of(Fraction(1, 2))
     assert eval_poly(as_polynomial(fam.apply(_mi(2), f * g)), x) == 20 * Fraction(1, 8)
     assert eval_poly(as_polynomial(fam.apply(_mi(1), f)), x) == 1
     assert as_polynomial(fam.apply(_mi(0), f)) == f
+    assert verify_moment(fam, [(f, g)], Domain.unit(1, seed=18)).exact
 
 
 def test_second_order_rule_exact_and_float():
@@ -411,12 +434,12 @@ def test_second_order_rule_exact_and_float():
     c = (PolyLeaf(Polynomial.variable(1, 0)),)
     exact_fam = make_second_order_leibniz(zero, [zero], list(c), 2, 1)
     report = verify_moment(exact_fam, probes, dom)
-    assert report.passed and report.max_residual == 0.0
+    assert report.exact and report.passed and report.max_residual == 0.0
     assert set(report.per_alpha_max_residual) == {"0", "1", "2"}
     # adding the log term switches to the float path but still holds
     log_fam = make_second_order_leibniz(const_expr(1, 3), [zero], list(c), 2, 1)
-    assert not log_fam.exact
     report2 = verify_moment(log_fam, probes, dom)
+    assert not report2.exact
     assert report2.passed and report2.max_residual <= 1e-9
 
 
@@ -502,11 +525,11 @@ def test_rank_one_family_on_two_variable_probes():
     def rule(alpha, f):
         return PolyLeaf(dalpha(f, _mi(alpha[0], 0)))
 
-    fam = OperatorFamily(1, 3, rule, exact=True, dim=2)
+    fam = OperatorFamily(1, 3, rule, dim=2)
     assert fam.descriptor == {"kind": "custom", "r": 2, "N": 3}
     dom = Domain.unit(2, seed=23)
     report = verify_moment(fam, _probes(dom, 6, 23), dom)
-    assert report.passed and report.max_residual == 0.0
+    assert report.exact and report.passed and report.max_residual == 0.0
     assert set(report.per_alpha_max_residual) == {"0", "1", "2", "3"}
     with pytest.raises(ValueError, match="family dim"):
         fam.apply(_mi(1), Polynomial.variable(1, 0))
@@ -519,8 +542,9 @@ def test_rank_one_family_on_two_variable_probes():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_verify_moment_applies_each_operator_once_per_probe(exact):
-    # T_beta(f), T_beta(g) and T_alpha(fg) are built once per probe and
-    # tabulated over the sample points
+    # T_beta(f), T_beta(g) and T_alpha(fg) are built once per probe, then
+    # expanded or tabulated over the sample points; the custom rule declares
+    # nothing, and is proved when its operators expand, conjugated or not
     inner = make_derivative(2, 3) if exact else make_first_order_leibniz(const_expr(2, 3), 2)
     calls = []
 
@@ -528,12 +552,17 @@ def test_verify_moment_applies_each_operator_once_per_probe(exact):
         calls.append(alpha)
         return inner.rule(alpha, f)
 
-    family = OperatorFamily(2, inner.order, rule, exact=exact)
     dom = Domain.unit(2, seed=7)
+    family = OperatorFamily(2, inner.order, rule)
+    swap = TauMap((Polynomial.variable(2, 1), Polynomial.variable(2, 0)))
     probes = _probes(dom, 5, 9)
-    assert verify_moment(family, probes, dom).passed
     alphas = enumerate_height_at_most(2, inner.order)
-    assert len(calls) == 3 * len(alphas) * len(probes)
+    for fam in (family, conjugate(family, swap, dom)):
+        calls.clear()
+        report = verify_moment(fam, probes, dom)
+        assert report.passed and report.exact is exact
+        assert report.max_residual == 0.0 if exact else report.max_residual <= 1e-9
+        assert len(calls) == 3 * len(alphas) * len(probes)
 
 
 def test_moment_report_json_shape():

@@ -1,7 +1,10 @@
-"""Exact families are decided as polynomial identities, points only for witnesses.
+"""Polynomial families are decided as polynomial identities, points only for witnesses.
 
-``verify_moment`` compares both sides of each exact instance as
-polynomials and evaluates them at the samples only when they differ.
+``verify_moment`` compares both sides of each instance whose operators
+expand as polynomials and evaluates them at the samples only when they
+differ.  No family declares this: custom rules built with no more than
+their operators are proved as soon as they expand, and so is an
+identity-generated family with no coefficients.
 The pointwise loops it replaced live on in ``tests/_moment_oracle.py``;
 the reports must match them byte for byte, second-order pairs included,
 and including the rule that a nonzero difference vanishing on every sample
@@ -50,14 +53,15 @@ from _moment_oracle import (
 )
 
 SAMPLES = 8
-KINDS = (
+# the kinds whose operators all expand, so that every instance is proved
+EXACT_KINDS = (
     "derivative",
     "trivial",
     "tamper-visible",
     "tamper-vanishing",
-    "first-order",
-    "identity-generated",
+    "no-coefficients",
 )
+KINDS = EXACT_KINDS + ("first-order", "identity-generated")
 
 
 def _dumps(report) -> str:
@@ -89,7 +93,7 @@ def _tampered(rank: int, order: int, alpha0: MultiIndex, extra: Polynomial):
         d = dalpha(f, alpha)
         return PolyLeaf(d + extra if alpha == alpha0 else d)
 
-    return OperatorFamily(rank, order, rule, exact=True)
+    return OperatorFamily(rank, order, rule)
 
 
 def _family(kind, rank, order, tau, dom, rng):
@@ -99,6 +103,9 @@ def _family(kind, rank, order, tau, dom, rng):
         return make_trivial(rank, order)
     if kind == "first-order":
         return make_first_order_leibniz(PolyLeaf(random_polynomial(rng, rank, 2, 3)), rank)
+    if kind == "no-coefficients":
+        # T_0 = id and every other T_alpha = 0
+        return make_identity_generated(CoeffFamily(rank, order, {}), dom)
     if kind == "identity-generated":
         # any support, below the band too, so the verifier itself must catch it
         indices = enumerate_height_at_most(rank, order)[1:]
@@ -136,9 +143,12 @@ def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, p
     if tau is not None:
         family = conjugate(family, tau, dom)
     pairs = default_probe_pairs(dom, probes, rng)
+    exact = kind in EXACT_KINDS
     report = verify_moment(family, pairs, dom, seed=seed)
-    assert _dumps(report) == _dumps(verify_moment_pointwise(family, pairs, dom, seed=seed))
-    if kind in ("derivative", "trivial", "tamper-vanishing"):
+    assert report.exact is exact
+    oracle = verify_moment_pointwise(family, pairs, dom, exact, seed=seed)
+    assert _dumps(report) == _dumps(oracle)
+    if kind in ("derivative", "trivial", "tamper-vanishing", "no-coefficients"):
         # a difference that vanishes on every sample passes, as it always has
         assert report.passed and report.max_residual == 0.0
 
@@ -159,11 +169,13 @@ def test_check_second_order_matches_pointwise_oracle(variant, rank, seed):
         # A(f) = <f', 2c> in place of <f', c>
         family = with_a_field(family, [const_expr(rank, 2)] * rank)
     pairs = default_probe_pairs(dom, 4, rng)
+    exact = variant != "log"
     report = verify_moment(family, pairs, dom, seed=seed)
-    failures, max_residual = check_second_order_pointwise(family, pairs, dom)
+    assert report.exact is exact
+    failures, max_residual = check_second_order_pointwise(family, pairs, dom, exact)
     assert report.passed is (variant != "mismatched") is (not failures)
     assert all(failure["alpha"] == [2] for failure in report.failures)
-    if family.exact:
+    if exact:
         assert json.dumps(report.failures) == json.dumps(failures)
         assert report.per_alpha_max_residual["2"] == max_residual
     else:
