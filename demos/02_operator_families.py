@@ -2,9 +2,10 @@
 
 Verifies the partial-derivative family T_alpha = D^alpha against
 T_alpha(f*g) = sum C(alpha, beta) T_beta(f) T_(alpha-beta)(g)
-in exact arithmetic, then shows the collapse result: any family that
-keeps T_0 = 1 but gives some other member a nonzero value violates one
-of two instances of the identity, and the checker names the instance.
+in exact arithmetic, then shows the collapse result with the same
+verifier: any family that keeps T_0 = 1 but gives some other member a
+nonzero value fails the identity on the probe pairs (0, f), and when its
+operators expand the failure is proved, with a witness.
 """
 
 import random
@@ -14,7 +15,6 @@ from moment_leibniz import (
     OperatorFamily,
     PolyLeaf,
     Polynomial,
-    assert_trivial_collapse,
     default_probe_pairs,
     make_derivative,
     make_trivial,
@@ -45,13 +45,21 @@ def main() -> None:
 
     candidate = OperatorFamily(2, 2, rule)
     x = Polynomial.variable(2, 0)
-    collapse_probes = [Polynomial.constant(2, 2), x + Polynomial.constant(2, 1)]
-    verdict = assert_trivial_collapse(candidate, collapse_probes, domain)
-    print("\ncandidate with T_0 = 1 and T_alpha(f) = f for alpha != 0:")
-    print(f"  pass: {verdict.passed}")
+    zero = Polynomial.zero(2)
+    collapse_pairs = [
+        (zero, Polynomial.constant(2, 2)),
+        (zero, x + Polynomial.constant(2, 1)),
+    ]
+    verdict = verify_moment(candidate, collapse_pairs, domain)
+    print("\ncandidate with T_0 = 1 and T_alpha(f) = f for alpha != 0, on pairs (0, f):")
+    print(f"  pass: {verdict.passed}, exact: {verdict.exact}")
+    failing = sorted({tuple(w["alpha"]) for w in verdict.failures})
+    print(f"  failing alphas: {failing}")
     first = verdict.failures[0]
-    print(f"  violated instance: {first['instance']}")
-    print(f"  at alpha = {first['alpha']}, residual {first['residual']:.3f}")
+    print(
+        f"  first witness: alpha {first['alpha']}, probe {first['probe']}, "
+        f"lhs {first['lhs']}, rhs {first['rhs']}"
+    )
 
 
 if __name__ == "__main__":

@@ -70,7 +70,6 @@ from .coeffsolve import (
 from .momentfam import (
     MomentReport,
     OperatorFamily,
-    assert_trivial_collapse,
     conjugate,
     default_probe_pairs,
     family_from_json,

@@ -148,7 +148,11 @@ class Product(FuncExpr):
         return out
 
     def _expand(self) -> Polynomial:
-        # expand every factor first: one that does not expand costs no product
+        # a direct u*ln|u| factor fails before any factor is expanded, and
+        # every factor is expanded before any product, so one that does
+        # not expand costs no product
+        if any(isinstance(c, XLogAbs) for c in self.children):
+            raise NotPolynomial("u*ln|u| is not polynomial")
         out, *rest = [c._expand() for c in self.children]
         for p in rest:
             out = out * p
@@ -399,8 +403,10 @@ class Domain:
         for lo, hi in box:
             if not lo < hi:
                 raise ValueError(f"degenerate interval ({lo}, {hi})")
-        if self.float_tolerance <= 0:
-            raise ValueError("float_tolerance must be > 0")
+        if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
+            raise ValueError(
+                f"float_tolerance must be finite and > 0, got {self.float_tolerance}"
+            )
         if len(self.sample_points) < 8:
             raise ValueError(
                 f"need at least 8 sample points, got {len(self.sample_points)}"

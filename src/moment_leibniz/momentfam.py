@@ -38,6 +38,14 @@ the whole call, so each polynomial leaf (a coefficient, a probe, a
 product of probes) is turned into a float once per sample point, however
 many alphas and probes use it.  ``funcmodel.judge`` turns each evaluated
 instance into a residual and a verdict.
+
+The collapse lemma needs no verifier of its own.  For a family with
+T_0 = 1, the alpha instance at the probe pair (0, f) reads
+T_alpha(0) = T_alpha(f) + T_alpha(0) + sum_{0<beta<alpha} C(alpha, beta)
+T_beta(0) T_{alpha-beta}(f), so at the lowest alpha whose member is
+nonzero on f it demands T_alpha(f) = 0.  ``verify_moment`` on (0, f)
+pairs, which ``default_probe_pairs`` starts with, rejects such a family,
+as a proof in Q[x] whenever its operators expand.
 """
 
 from __future__ import annotations
@@ -55,7 +63,6 @@ from .polycalc import (
     random_polynomial,
 )
 from .funcmodel import (
-    CheckReport,
     Domain,
     FuncExpr,
     GradDot,
@@ -68,7 +75,6 @@ from .funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
-    eval_expr,
     eval_table,
     expr_from_json,
     judge,
@@ -399,81 +405,6 @@ def verify_moment(
         tolerance=tol,
         exact=not sampled,
         seed=seed,
-    )
-
-
-def assert_trivial_collapse(
-    candidate: OperatorFamily,
-    probes: Sequence[Polynomial],
-    domain: Domain,
-) -> CheckReport:
-    """Candidates with T_0 = 1 must have every other T_alpha vanish.
-
-    Replays the two consequences of the moment identity that pin the
-    collapse down: T_alpha(0) = 0 (from T_alpha(0) = 2 T_alpha(0)) and
-    T_alpha(f*0) = T_alpha(f) + T_alpha(0).  Any candidate with some
-    nonzero T_alpha violates one of them; the violated instance is the
-    witness.  Requires T_0 = 1 on probes and samples up front.  Every
-    bound is the domain tolerance.
-    """
-    tol = domain.float_tolerance
-    zero_index = MultiIndex.zero(candidate.rank)
-    zero_poly = Polynomial.zero(candidate.dim)
-    points = [candidate.eval_point(x) for x in domain.sample_points]
-    leaves: Leaves = {}
-    for f in probes:
-        expr = candidate.apply(zero_index, f)
-        for x, y in zip(domain.sample_points, points):
-            if not abs(eval_expr(expr, y, leaves) - 1.0) <= tol:
-                raise ValueError(
-                    f"candidate does not have T_0 = 1 at sample {x.to_json()}"
-                )
-    failures: List[dict] = []
-    max_residual = 0.0
-    for alpha in enumerate_height_at_most(candidate.rank, candidate.order):
-        if alpha.is_zero():
-            continue
-        at_zero = candidate.apply(alpha, zero_poly)
-        zero_vals = eval_table(at_zero, points, leaves)
-        for x, v in zip(domain.sample_points, zero_vals):
-            residual = abs(v)
-            max_residual = worse(max_residual, residual)
-            if not residual <= tol:
-                failures.append(
-                    {
-                        "instance": "T_alpha(0) = 0",
-                        "alpha": alpha.to_json(),
-                        "point": x.to_json(),
-                        "value": v,
-                        "residual": residual,
-                    }
-                )
-        for k, f in enumerate(probes):
-            expr_f = candidate.apply(alpha, f)
-            for x, y, v0 in zip(domain.sample_points, points, zero_vals):
-                lhs = v0  # T_alpha(f*0) is T_alpha applied to the zero product
-                rhs = eval_expr(expr_f, y, leaves) + v0
-                residual, ok = judge(lhs, rhs, False, tol)
-                max_residual = worse(max_residual, residual)
-                if not ok:
-                    failures.append(
-                        {
-                            "instance": "T_alpha(f*0) = T_alpha(f) + T_alpha(0)",
-                            "alpha": alpha.to_json(),
-                            "probe": k,
-                            "point": x.to_json(),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "residual": residual,
-                        }
-                    )
-    return CheckReport(
-        check="trivial_collapse",
-        passed=not failures,
-        max_residual=max_residual,
-        tolerance=tol,
-        failures=failures,
-        counts={"probes": len(probes), "points": len(points)},
     )
 
 

@@ -72,8 +72,10 @@ def test_domain_rejects_boundary_sample():
 
 
 def test_domain_rejects_bad_tolerance_and_box():
-    with pytest.raises(ValueError):
-        Domain.unit(1, float_tolerance=0.0)
+    # the rule of the CLI's --tol: finite and > 0
+    for tol in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            Domain.unit(1, float_tolerance=tol)
     with pytest.raises(ValueError):
         Domain.sampled(((1, 1),))
 

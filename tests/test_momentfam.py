@@ -18,6 +18,7 @@ from moment_leibniz.polycalc import (
 )
 from moment_leibniz.funcmodel import (
     Domain,
+    FuncExpr,
     PolyLeaf,
     TauMap,
     as_polynomial,
@@ -27,7 +28,6 @@ from moment_leibniz.funcmodel import (
 from moment_leibniz.coeffsolve import CoeffFamily, ConstraintViolation
 from moment_leibniz.momentfam import (
     OperatorFamily,
-    assert_trivial_collapse,
     conjugate,
     default_probe_pairs,
     family_from_json,
@@ -109,38 +109,59 @@ def _with_unit_t0(rank, order, nonzero_rule):
     return OperatorFamily(rank, order, rule)
 
 
+def _zero_paired(fs):
+    """The (0, f) probe pairs, on which the collapse instances sit."""
+    return [(Polynomial.zero(f.dim), f) for f in fs]
+
+
 def test_collapse_accepts_trivial():
     dom = Domain.unit(2, seed=3)
     probe_fns = [random_polynomial(random.Random(5), 2, max_degree=3) for _ in range(4)]
-    report = assert_trivial_collapse(make_trivial(2, 2), probe_fns, dom)
+    report = verify_moment(make_trivial(2, 2), _zero_paired(probe_fns), dom)
     assert report.passed
+    assert report.exact
     assert report.max_residual == 0.0
 
 
 def test_collapse_rejects_identity_rule_via_product_instance():
-    # T_alpha(f) = f passes T_alpha(0) = 0 but fails
-    # T_alpha(f*0) = T_alpha(f) + T_alpha(0) on any probe with f != 0
+    # T_alpha(f) = f: at (0, 3) the alpha = (1) instance reads
+    # T_(1)(0) = T_0(0) T_(1)(3) + T_(1)(0) T_0(3), that is 0 = 3
     dom = Domain.unit(1, seed=4)
     cand = _with_unit_t0(1, 1, lambda alpha, f: PolyLeaf(f))
-    report = assert_trivial_collapse(cand, [Polynomial.constant(1, 3)], dom)
+    report = verify_moment(cand, _zero_paired([Polynomial.constant(1, 3)]), dom)
     assert not report.passed
-    assert report.failures[0]["instance"] == "T_alpha(f*0) = T_alpha(f) + T_alpha(0)"
+    assert report.exact
+    first = report.failures[0]
+    assert first["alpha"] == [1]
+    assert (first["lhs"], first["rhs"]) == (0.0, 3.0)
 
 
 def test_collapse_rejects_constant_rule_via_zero_instance():
-    # T_alpha = 5 fails T_alpha(0) = 0, the instance behind 5 != 2*5
+    # T_alpha = 5: the same instance reads 5 = 1 * 5 + 5 * 1
     dom = Domain.unit(1, seed=4)
     cand = _with_unit_t0(1, 1, lambda alpha, f: const_expr(1, 5))
-    report = assert_trivial_collapse(cand, [Polynomial.constant(1, 3)], dom)
+    report = verify_moment(cand, _zero_paired([Polynomial.constant(1, 3)]), dom)
     assert not report.passed
-    zero_failures = [f for f in report.failures if f["instance"] == "T_alpha(0) = 0"]
-    assert zero_failures and zero_failures[0]["value"] == 5.0
+    assert report.exact
+    first = report.failures[0]
+    assert first["alpha"] == [1]
+    assert (first["lhs"], first["rhs"]) == (5.0, 10.0)
 
 
-def test_collapse_requires_unit_t0():
+def test_collapse_rejects_a_tail_below_the_float_tolerance():
+    # T_(1)(f) = f / 10^12 is within 1e-9 of the trivial family at every
+    # sample, but the instance 0 = f / 10^12 is proved false in Q[x]
     dom = Domain.unit(1, seed=4)
-    with pytest.raises(ValueError):
-        assert_trivial_collapse(make_derivative(1, 1), [Polynomial.constant(1, 3)], dom)
+    cand = _with_unit_t0(1, 1, lambda alpha, f: PolyLeaf(f * Fraction(1, 10**12)))
+    x = Polynomial.variable(1, 0)
+    probes = _zero_paired([Polynomial.constant(1, 3), x + Polynomial.constant(1, 1)])
+    report = verify_moment(cand, probes, dom)
+    assert not report.passed
+    assert report.exact
+    assert len(report.failures) == 2 * len(dom.sample_points)
+    first = report.failures[0]
+    assert first["alpha"] == [1]
+    assert (first["lhs"], first["rhs"]) == (0.0, 3e-12)
 
 
 # ---- derivative family ----
@@ -317,6 +338,30 @@ def test_first_order_leibniz_family():
         fam.apply(_mi(1), g), x
     )
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class _Unexpandable(FuncExpr):
+    """A constant coefficient that fails the test if it is ever expanded."""
+
+    dim = 1
+
+    def _eval(self, x, path, leaves):
+        return 0.5
+
+    def _expand(self):
+        raise AssertionError("the coefficient of f ln|f| was expanded")
+
+    def to_json(self):
+        return {"kind": "unexpandable"}
+
+
+def test_log_term_stops_expansion_before_its_coefficient():
+    # c * f ln|f| cannot expand whatever c is, so c is never expanded
+    dom = Domain.unit(1, seed=11)
+    fam = make_first_order_leibniz(_Unexpandable(), 1)
+    report = verify_moment(fam, _probes(dom, 8, 4), dom)
+    assert report.passed
+    assert not report.exact
 
 
 # ---- conjugation ----
