@@ -31,14 +31,11 @@ from .funcmodel import (
     CheckReport,
     Domain,
     FuncExpr,
-    GradDot,
-    HessQuad,
     NonFiniteValue,
     NotPolynomial,
     PolyLeaf,
     PowerSignMap,
     Product,
-    Scale,
     Sum,
     TauMap,
     XLogAbs,
@@ -48,6 +45,8 @@ from .funcmodel import (
     eval_expr,
     eval_table,
     expr_from_json,
+    grad_dot,
+    hess_quad,
     judge,
     power_sign_apply,
     worse,

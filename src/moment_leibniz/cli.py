@@ -8,9 +8,8 @@ search-supports   Enumerate support patterns usable with constant coefficients.
 verify-semigroup  Verify exponential moment sequences on (R, +).
 gen-family        Draw a random coefficient family on a valid support.
 
-All randomness flows from --seed; the MOMENT_LEIBNIZ_SEED environment
-variable overrides the flag.  Identical configuration and seed produce a
-byte-identical JSON report.  Exit codes: 0 all checks pass, 1 a
+All randomness flows from --seed.  Identical configuration and seed
+produce a byte-identical JSON report.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed (the report carries a witness), 2 invalid
 input, 3 enumeration budget exceeded.
 """
@@ -21,7 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import random
 import sys
 from typing import List, Optional
@@ -56,8 +54,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-SEED_ENV_VAR = "MOMENT_LEIBNIZ_SEED"
 
 SEMIGROUP_RATES = (0.0, 1.0, -1.0)
 
@@ -352,16 +348,6 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(
-                f"error: {SEED_ENV_VAR} must be an integer, got {env_seed!r}",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
     try:
         _validate_common(args)
         body = args.func(args)

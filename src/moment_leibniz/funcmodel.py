@@ -1,20 +1,26 @@
 """Pointwise function model on a sampled box domain.
 
-Expressions combine exact polynomial leaves with sums, products, rational
-scalar multiples, the continuous extension of t -> t*ln|t| (value 0 at
-t = 0), and first/second derivative contractions whose differentiated
-operand is always an exact polynomial.  Trees evaluate to floats at
-rational sample points, node by node, and ``eval_table`` lists those
-floats for a whole set of points.  Polynomial leaves are memoized per
-call: a ``Leaves`` table, made by the caller and dropped when it returns,
-holds each (polynomial, point) value the first time a node needs it, so
-a verifier that evaluates many trees over the same probes and coefficients
-converts each exact leaf value to a float once.  The table fills in
-evaluation order, so the same values are computed first and the first
-``NonFiniteValue`` carries the same node path as without it.
-Polynomial-only trees also expand back to a ``Polynomial``; their exact
-values are the expansion evaluated at the point, and the exact verifiers
-compare the expansions themselves.
+Expressions are trees of four kinds: exact polynomial leaves, sums,
+products, and the continuous extension of t -> t*ln|t| (value 0 at
+t = 0).  A rational multiple is a product with a constant leaf, and the
+contractions <grad p, b> and <Hess(p) c, c> of an exact polynomial p
+are sums of products of p's nonzero derivatives with the field
+components (``grad_dot``, ``hess_quad``); ``expr_from_json`` reads the
+JSON kinds ``scale``, ``graddot`` and ``hessquad`` that way, and
+``to_json`` writes them as sums and products.
+
+Trees evaluate to floats at rational sample points, node by node, and
+``eval_table`` lists those floats for a whole set of points.  Polynomial
+leaves are memoized per call: a ``Leaves`` table, made by the caller and
+dropped when it returns, holds each (polynomial, point) value the first
+time a node needs it, so a verifier that evaluates many trees over the
+same probes and coefficients converts each exact leaf value to a float
+once.  The table fills in evaluation order, so the same values are
+computed first and the first ``NonFiniteValue`` carries the same node
+path as without it.  A tree without a t*ln|t| node (``is_polynomial``)
+expands back to a ``Polynomial``; its exact values are the expansion
+evaluated at the point, and the exact verifiers compare the expansions
+themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class NonFiniteValue(ArithmeticError):
 
 
 class NotPolynomial(ValueError):
-    """Exact evaluation or expansion hit a node outside the polynomial fragment."""
+    """Expansion met a tree with a u*ln|u| node, which is not polynomial."""
 
 
 def _to_float(value: Fraction, path: str) -> float:
@@ -70,9 +76,11 @@ class FuncExpr:
     """Base class; concrete nodes implement _eval (float value) and _expand.
 
     There is no exact per-node evaluator: exact values come from _expand.
+    ``children`` are the operands of a sum or a product.
     """
 
     dim: int
+    children: Tuple["FuncExpr", ...] = ()
 
     def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
         raise NotImplementedError
@@ -148,11 +156,6 @@ class Product(FuncExpr):
         return out
 
     def _expand(self) -> Polynomial:
-        # a direct u*ln|u| factor fails before any factor is expanded, and
-        # every factor is expanded before any product, so one that does
-        # not expand costs no product
-        if any(isinstance(c, XLogAbs) for c in self.children):
-            raise NotPolynomial("u*ln|u| is not polynomial")
         out, *rest = [c._expand() for c in self.children]
         for p in rest:
             out = out * p
@@ -160,32 +163,6 @@ class Product(FuncExpr):
 
     def to_json(self) -> dict:
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
-
-
-@dataclass(frozen=True)
-class Scale(FuncExpr):
-    factor: Fraction
-    child: FuncExpr
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", Fraction(self.factor))
-
-    @property
-    def dim(self) -> int:
-        return self.child.dim
-
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        return float(self.factor) * self.child._eval(x, f"{path}.scale", leaves)
-
-    def _expand(self) -> Polynomial:
-        return self.child._expand() * self.factor
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "scale",
-            "factor": str(self.factor),
-            "child": self.child.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -204,115 +181,8 @@ class XLogAbs(FuncExpr):
             return 0.0
         return v * math.log(abs(v))
 
-    def _expand(self) -> Polynomial:
-        raise NotPolynomial("u*ln|u| is not polynomial")
-
     def to_json(self) -> dict:
         return {"kind": "xlogabs", "child": self.child.to_json()}
-
-
-@dataclass(frozen=True)
-class GradDot(FuncExpr):
-    """<grad(poly), field>; the differentiated operand is an exact polynomial."""
-
-    poly: Polynomial
-    field_: tuple[FuncExpr, ...]
-    _grad: tuple[Polynomial, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.field_) != self.poly.dim:
-            raise DimensionMismatch(
-                f"field has {len(self.field_)} components, poly dim is {self.poly.dim}"
-            )
-        grad = tuple(
-            dalpha(self.poly, MultiIndex.unit(self.poly.dim, i))
-            for i in range(self.poly.dim)
-        )
-        object.__setattr__(self, "_grad", grad)
-
-    @property
-    def dim(self) -> int:
-        return self.poly.dim
-
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        return math.fsum(
-            leaf_value(gi, x, path, leaves)
-            * bi._eval(x, f"{path}.graddot[{i}]", leaves)
-            for i, (gi, bi) in enumerate(zip(self._grad, self.field_))
-        )
-
-    def _expand(self) -> Polynomial:
-        out = Polynomial.zero(self.dim)
-        for gi, bi in zip(self._grad, self.field_):
-            out = out + gi * bi._expand()
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "graddot",
-            "dim": self.dim,
-            "poly": self.poly.to_json(),
-            "field": [c.to_json() for c in self.field_],
-        }
-
-
-@dataclass(frozen=True)
-class HessQuad(FuncExpr):
-    """<Hess(poly) field, field>; second derivatives are exact polynomials."""
-
-    poly: Polynomial
-    field_: tuple[FuncExpr, ...]
-    _hess: tuple[tuple[Polynomial, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.field_) != self.poly.dim:
-            raise DimensionMismatch(
-                f"field has {len(self.field_)} components, poly dim is {self.poly.dim}"
-            )
-        r = self.poly.dim
-        hess = tuple(
-            tuple(
-                dalpha(self.poly, MultiIndex.unit(r, i) + MultiIndex.unit(r, j))
-                for j in range(r)
-            )
-            for i in range(r)
-        )
-        object.__setattr__(self, "_hess", hess)
-
-    @property
-    def dim(self) -> int:
-        return self.poly.dim
-
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        vals = [
-            c._eval(x, f"{path}.hessquad[{i}]", leaves)
-            for i, c in enumerate(self.field_)
-        ]
-        return math.fsum(
-            leaf_value(self._hess[i][j], x, path, leaves) * vals[i] * vals[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-
-    def _expand(self) -> Polynomial:
-        fields = [c._expand() for c in self.field_]
-        out = Polynomial.zero(self.dim)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out = out + self._hess[i][j] * fields[i] * fields[j]
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "hessquad",
-            "dim": self.dim,
-            "poly": self.poly.to_json(),
-            "field": [c.to_json() for c in self.field_],
-        }
 
 
 def _check_children(children: Sequence[FuncExpr], label: str) -> None:
@@ -348,13 +218,60 @@ def eval_table(
     return [eval_expr(expr, x, leaves) for x in points]
 
 
+def is_polynomial(expr: FuncExpr) -> bool:
+    """Whether the tree expands to a polynomial: it has no XLogAbs node."""
+    return not isinstance(expr, XLogAbs) and all(map(is_polynomial, expr.children))
+
+
 def as_polynomial(expr: FuncExpr) -> Polynomial:
     """Symbolic expansion of a log-free tree back to a Polynomial."""
+    if not is_polynomial(expr):
+        raise NotPolynomial("u*ln|u| is not polynomial")
     return expr._expand()
 
 
 def const_expr(dim: int, value: Scalar) -> PolyLeaf:
     return PolyLeaf(Polynomial.constant(dim, value))
+
+
+def _sum_of(terms: List[FuncExpr], dim: int) -> FuncExpr:
+    return Sum(tuple(terms)) if terms else PolyLeaf(Polynomial.zero(dim))
+
+
+def _check_field(poly: Polynomial, field: Sequence[FuncExpr]) -> None:
+    if len(field) != poly.dim or any(c.dim != poly.dim for c in field):
+        raise DimensionMismatch(
+            f"field needs {poly.dim} components of dim {poly.dim}, got dims "
+            f"{[c.dim for c in field]}"
+        )
+
+
+def grad_dot(poly: Polynomial, field: Sequence[FuncExpr]) -> FuncExpr:
+    """<grad(poly), field>: the sum of d_i(poly) * field_i over nonzero d_i(poly)."""
+    _check_field(poly, field)
+    r = poly.dim
+    terms: List[FuncExpr] = []
+    for i in range(r):
+        d = dalpha(poly, MultiIndex.unit(r, i))
+        if not d.is_zero():
+            terms.append(Product((PolyLeaf(d), field[i])))
+    return _sum_of(terms, r)
+
+
+def hess_quad(poly: Polynomial, field: Sequence[FuncExpr]) -> FuncExpr:
+    """<Hess(poly) field, field>: the sum of d_i d_j(poly) * field_i * field_j.
+
+    The terms run over (i, j) in row order, skipping zero entries.
+    """
+    _check_field(poly, field)
+    r = poly.dim
+    terms: List[FuncExpr] = []
+    for i in range(r):
+        for j in range(r):
+            d = dalpha(poly, MultiIndex.unit(r, i) + MultiIndex.unit(r, j))
+            if not d.is_zero():
+                terms.append(Product((PolyLeaf(d), field[i], field[j])))
+    return _sum_of(terms, r)
 
 
 def expr_from_json(data: dict) -> FuncExpr:
@@ -367,17 +284,16 @@ def expr_from_json(data: dict) -> FuncExpr:
         return Sum(tuple(expr_from_json(c) for c in data["children"]))
     if kind == "product":
         return Product(tuple(expr_from_json(c) for c in data["children"]))
-    if kind == "scale":
-        return Scale(Fraction(data["factor"]), expr_from_json(data["child"]))
     if kind == "xlogabs":
         return XLogAbs(expr_from_json(data["child"]))
-    if kind == "graddot":
-        return GradDot(
-            Polynomial.from_json(data["poly"], data["dim"]),
-            tuple(expr_from_json(c) for c in data["field"]),
-        )
-    if kind == "hessquad":
-        return HessQuad(
+    # the input-only kinds, read as sums and products
+    if kind == "scale":
+        factor = Fraction(data["factor"])
+        child = expr_from_json(data["child"])
+        return Product((const_expr(child.dim, factor), child))
+    if kind in ("graddot", "hessquad"):
+        build = grad_dot if kind == "graddot" else hess_quad
+        return build(
             Polynomial.from_json(data["poly"], data["dim"]),
             tuple(expr_from_json(c) for c in data["field"]),
         )

@@ -16,13 +16,14 @@ T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  Every family applies each
 operator once per probe.
 
 How an instance is decided is read off the expressions the operators
-return, probe by probe; a family declares nothing about it.  When every
-T_beta(f), T_beta(g) and T_alpha(fg) of a probe expands to a polynomial
-(trivial, derivative, log-free second-order pairs, their reparametrized
-conjugates, and any user rule that expands), each (probe, alpha)
-instance is one comparison in Q[x]: T_alpha(fg) against
-``polycalc.convolution_sum`` over ``convolution_terms(alpha)``.  Equal
-polynomials agree at every point, and so at every image under the
+return, probe by probe, before anything is expanded; a family declares
+nothing about it.  When no T_beta(f), T_beta(g) or T_alpha(fg) of a
+probe has an f*ln|f| node (``funcmodel.is_polynomial``), they all expand
+to polynomials (trivial, derivative, log-free second-order pairs, their
+reparametrized conjugates, and any user rule with log-free trees), and
+each (probe, alpha) instance is one comparison in Q[x]: T_alpha(fg)
+against ``polycalc.convolution_sum`` over ``convolution_terms(alpha)``.
+Equal polynomials agree at every point, and so at every image under the
 conjugating maps, so the instance passes with residual 0.0 and nothing
 is evaluated.  Only unequal ones are evaluated at the mapped sample
 points, where they must agree exactly; Fractions are canonical, so these
@@ -30,14 +31,15 @@ values are the pointwise convolution sums, and the witnesses are the
 ones a pointwise loop finds.  A difference that vanishes on every sample
 therefore passes.
 
-When some expression does not expand (an f*ln|f| term), the probe's
-instances are sampled: the same expressions are tabulated in floats at
-the sample points with ``funcmodel.eval_table`` and the convolution is
-summed per point, against the domain tolerance.  One leaf table serves
-the whole call, so each polynomial leaf (a coefficient, a probe, a
-product of probes) is turned into a float once per sample point, however
-many alphas and probes use it.  ``funcmodel.judge`` turns each evaluated
-instance into a residual and a verdict.
+When some expression has an f*ln|f| node, nothing of the probe is
+expanded and its instances are sampled: the same expressions are
+tabulated in floats at the sample points with ``funcmodel.eval_table``
+and the convolution is summed per point, against the domain tolerance.
+One leaf table serves the whole call, so each polynomial leaf (a
+coefficient, a probe, a product of probes) is turned into a float once
+per sample point, however many alphas and probes use it.
+``funcmodel.judge`` turns each evaluated instance into a residual and a
+verdict.
 
 The collapse lemma needs no verifier of its own.  For a family with
 T_0 = 1, the alpha instance at the probe pair (0, f) reads
@@ -65,10 +67,7 @@ from .polycalc import (
 from .funcmodel import (
     Domain,
     FuncExpr,
-    GradDot,
-    HessQuad,
     Leaves,
-    NotPolynomial,
     PolyLeaf,
     Product,
     Sum,
@@ -77,6 +76,9 @@ from .funcmodel import (
     as_polynomial,
     eval_table,
     expr_from_json,
+    grad_dot,
+    hess_quad,
+    is_polynomial,
     judge,
     witness_float,
     worse,
@@ -332,8 +334,8 @@ def verify_moment(
 ) -> MomentReport:
     """Check the binomial moment identity on every probe pair and sample.
 
-    Each probe's operators are applied once.  If they all expand to
-    polynomials, each alpha compares the polynomial T_alpha(fg) with the
+    Each probe's operators are applied once.  If their trees are all
+    log-free, they are expanded and each alpha compares the polynomial T_alpha(fg) with the
     convolution sum; equal polynomials are equal at every point, so the
     instance passes with residual 0.0 unevaluated.  Unequal ones are
     evaluated at the samples and must agree exactly there.  Otherwise the
@@ -354,14 +356,13 @@ def verify_moment(
     sampled = False
     for k, (f, g) in enumerate(probes):
         rows = [{b: family.apply(b, h) for b in alphas} for h in (f, g, f * g)]
-        try:
+        exact = all(is_polynomial(e) for row in rows for e in row.values())
+        if exact:
             tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
-            exact = True
-        except NotPolynomial:
+        else:
             vf, vg, vfg = [
                 {b: eval_table(e, points, leaves) for b, e in row.items()} for row in rows
             ]
-            exact = False
             sampled = True
         for alpha, splits in terms.items():
             if exact:
@@ -411,15 +412,16 @@ def verify_moment(
 # ---- second-order pairs ----
 
 
-def _vanishes(exprs: Sequence[FuncExpr]) -> bool:
-    """Whether every expression expands to the zero polynomial.
+def _expansions(exprs: Sequence[FuncExpr]) -> Optional[List[Polynomial]]:
+    """Every expression expanded, or None when one of them is not polynomial."""
+    if all(map(is_polynomial, exprs)):
+        return [as_polynomial(e) for e in exprs]
+    return None
 
-    An expression that is not polynomial at all counts as nonzero.
-    """
-    try:
-        return all(as_polynomial(e).is_zero() for e in exprs)
-    except NotPolynomial:
-        return False
+
+def _vanishes(polys: Optional[List[Polynomial]]) -> bool:
+    """Whether there are expansions and every one is zero."""
+    return polys is not None and all(p.is_zero() for p in polys)
 
 
 def make_second_order_leibniz(
@@ -441,7 +443,10 @@ def make_second_order_leibniz(
     smoothness = 1 forces c = 0 (no second-order term survives on C^1);
     smoothness = 0 additionally forces b = 0.  Violations, and fields
     whose dim is not ``dim``, raise ValueError rather than producing a
-    family the rule cannot hold for.
+    family the rule cannot hold for.  The fields are expanded once, here,
+    for these clauses; when a = 0 and b, c are log-free, the operators
+    are built from those expansions.  The descriptor keeps the fields as
+    given.
     """
     b = tuple(b)
     c = tuple(c)
@@ -452,17 +457,32 @@ def make_second_order_leibniz(
         raise ValueError(f"a, b and c need dim {dim}, got dims {dims}")
     if type(smoothness) is not int or smoothness not in (0, 1, 2):
         raise ValueError(f"smoothness must be 0, 1 or 2, got {smoothness!r}")
-    a_zero, b_zero, c_zero = _vanishes([a]), _vanishes(b), _vanishes(c)
+    descriptor = {
+        "kind": "second_order",
+        "r": dim,
+        "smoothness": smoothness,
+        "a": a.to_json(),
+        "b": [e.to_json() for e in b],
+        "c": [e.to_json() for e in c],
+    }
+    a_polys, b_polys, c_polys = _expansions([a]), _expansions(b), _expansions(c)
+    a_zero, b_zero, c_zero = _vanishes(a_polys), _vanishes(b_polys), _vanishes(c_polys)
     if smoothness <= 1 and not c_zero:
         raise ValueError("smoothness <= 1 forces c = 0")
     if smoothness == 0 and not b_zero:
         raise ValueError("smoothness = 0 forces b = 0")
+    if a_zero and b_polys is not None and c_polys is not None:
+        # every probe of an exact pair is expanded: build its operators from
+        # these expansions, so no field is expanded again per probe.  A log
+        # pair keeps its trees, whose float values its probes are judged by.
+        b = tuple(map(PolyLeaf, b_polys))
+        c = tuple(map(PolyLeaf, c_polys))
     # which parts T(f) has, decided once per family
     parts: List[Callable[[Polynomial], FuncExpr]] = []
     if not c_zero:
-        parts.append(lambda f: HessQuad(f, c))
+        parts.append(lambda f: hess_quad(f, c))
     if not b_zero:
-        parts.append(lambda f: GradDot(f, b))
+        parts.append(lambda f: grad_dot(f, b))
     if not a_zero:
         parts.append(lambda f: Product((a, XLogAbs(PolyLeaf(f)))))
     zero = PolyLeaf(Polynomial.zero(dim))
@@ -471,26 +491,13 @@ def make_second_order_leibniz(
         if alpha.height == 0:
             return PolyLeaf(f)
         if alpha.height == 1:
-            return GradDot(f, c)
+            return grad_dot(f, c)
         if not parts:
             return zero
         terms = tuple(part(f) for part in parts)
         return Sum(terms) if len(terms) > 1 else terms[0]
 
-    return OperatorFamily(
-        1,
-        2,
-        rule,
-        descriptor={
-            "kind": "second_order",
-            "r": dim,
-            "smoothness": smoothness,
-            "a": a.to_json(),
-            "b": [e.to_json() for e in b],
-            "c": [e.to_json() for e in c],
-        },
-        dim=dim,
-    )
+    return OperatorFamily(1, 2, rule, descriptor=descriptor, dim=dim)
 
 
 # ---- descriptors ----

@@ -21,9 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from moment_leibniz.funcmodel import (
     Domain,
-    GradDot,
     as_polynomial,
     eval_expr,
+    grad_dot,
     judge,
     witness_float,
     worse,
@@ -152,7 +152,7 @@ def with_a_field(family: OperatorFamily, field) -> OperatorFamily:
 
     def rule(alpha, f):
         if alpha.height == 1:
-            return GradDot(f, tuple(field))
+            return grad_dot(f, tuple(field))
         return family.rule(alpha, f)
 
     return OperatorFamily(1, 2, rule, dim=family.dim)

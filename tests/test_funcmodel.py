@@ -13,14 +13,11 @@ from moment_leibniz.multiindex import DimensionMismatch
 from moment_leibniz.polycalc import Polynomial, RationalPoint, eval_poly, random_polynomial
 from moment_leibniz.funcmodel import (
     Domain,
-    GradDot,
-    HessQuad,
     NonFiniteValue,
     NotPolynomial,
     PolyLeaf,
     PowerSignMap,
     Product,
-    Scale,
     Sum,
     TauMap,
     XLogAbs,
@@ -29,6 +26,9 @@ from moment_leibniz.funcmodel import (
     const_expr,
     eval_expr,
     expr_from_json,
+    grad_dot,
+    hess_quad,
+    is_polynomial,
     judge,
     power_sign_apply,
     worse,
@@ -126,7 +126,7 @@ def test_xlogabs_log_additivity_on_samples():
 
 def test_sum_product_scale():
     x = PolyLeaf(_x())
-    expr = Sum((Product((x, x)), Scale(Fraction(-1, 2), x)))
+    expr = Sum((Product((x, x)), Product((const_expr(1, Fraction(-1, 2)), x))))
     # x^2 - x/2 at x = 3
     assert eval_expr(expr, _pt(3)) == pytest.approx(7.5)
     assert eval_poly(as_polynomial(expr), _pt(3)) == Fraction(15, 2)
@@ -135,7 +135,8 @@ def test_sum_product_scale():
 
 def test_graddot_pinned():
     # <grad(x^2), (1,)> = 2x, so 6 at x = 3
-    g = GradDot(Polynomial.monomial((2,)), (const_expr(1, 1),))
+    g = grad_dot(Polynomial.monomial((2,)), (const_expr(1, 1),))
+    assert g == Sum((Product((PolyLeaf(Polynomial(1, {(1,): 2})), const_expr(1, 1))),))
     assert eval_expr(g, _pt(3)) == 6.0
     assert eval_poly(as_polynomial(g), _pt(3)) == 6
     assert as_polynomial(g) == Polynomial(1, {(1,): 2})
@@ -146,7 +147,13 @@ def test_hessquad_pinned():
     # 2 x1 + 2 * (2 x0) * x0 + 0 = 2 x1 + 4 x0^2
     f = Polynomial.monomial((2, 1))
     c = (const_expr(2, 1), PolyLeaf(_x(2, 0)))
-    h = HessQuad(f, c)
+    h = hess_quad(f, c)
+    # entries (0,0), (0,1), (1,0) in row order; the zero entry (1,1) adds no term
+    assert [p.children[0].poly for p in h.children] == [
+        Polynomial(2, {(0, 1): 2}),
+        Polynomial(2, {(1, 0): 2}),
+        Polynomial(2, {(1, 0): 2}),
+    ]
     assert as_polynomial(h) == Polynomial(2, {(0, 1): 2, (2, 0): 4})
     assert eval_expr(h, _pt(1, 1)) == pytest.approx(6.0)
     assert eval_poly(as_polynomial(h), _pt(1, 1)) == 6
@@ -154,7 +161,11 @@ def test_hessquad_pinned():
 
 def test_field_rank_checked():
     with pytest.raises(DimensionMismatch):
-        GradDot(Polynomial.monomial((2, 1)), (const_expr(2, 1),))
+        grad_dot(Polynomial.monomial((2, 1)), (const_expr(2, 1),))
+    # a component of the wrong dim is refused, even where its derivative is 0
+    for build in (grad_dot, hess_quad):
+        with pytest.raises(DimensionMismatch):
+            build(Polynomial.monomial((2, 0)), (const_expr(2, 1), const_expr(1, 1)))
     with pytest.raises(DimensionMismatch):
         Sum((const_expr(1, 1), const_expr(2, 1)))
 
@@ -165,82 +176,86 @@ def test_exact_eval_rejects_log():
         eval_poly(as_polynomial(expr), _pt(Fraction(1, 2)))
     with pytest.raises(NotPolynomial):
         as_polynomial(expr)
+    # the test is structural: one u*ln|u| node anywhere, even one that
+    # vanishes, stops the expansion
+    zero_log = Product((const_expr(1, 0), XLogAbs(PolyLeaf(_x()))))
+    assert not is_polynomial(Sum((PolyLeaf(_x()), zero_log)))
+    assert is_polynomial(Sum((PolyLeaf(_x()), Product((PolyLeaf(_x()),)))))
 
 
-def _random_tree(rng: random.Random, dim: int, depth: int):
-    """A seeded log-free tree of height <= depth over small random polynomials."""
+def _sympy_poly(p, xs):
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(xs, idx)))
+            for idx, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def _random_tree(rng: random.Random, xs, depth: int):
+    """A seeded log-free tree of height <= depth over small random polynomials.
+
+    Returned with its value as a sympy expression in ``xs``, built alongside
+    from the same inputs: derivatives by ``sympy.diff``, scalings as Rational
+    multiples, so the oracle does not read the tree the builders made.
+    """
+    dim = len(xs)
 
     def poly():
         return random_polynomial(rng, dim, max_degree=2, terms=3, coeff_bound=4)
 
     kind = rng.choice(("poly", "sum", "product", "scale", "graddot", "hessquad"))
     if depth == 0 or kind == "poly":
-        return PolyLeaf(poly())
+        p = poly()
+        return PolyLeaf(p), _sympy_poly(p, xs)
 
     def sub():
-        return _random_tree(rng, dim, depth - 1)
+        return _random_tree(rng, xs, depth - 1)
 
     if kind == "sum":
-        return Sum(tuple(sub() for _ in range(rng.randint(1, 3))))
+        trees, values = zip(*(sub() for _ in range(rng.randint(1, 3))))
+        return Sum(trees), sympy.Add(*values)
     if kind == "product":
-        return Product(tuple(sub() for _ in range(rng.randint(1, 2))))
+        trees, values = zip(*(sub() for _ in range(rng.randint(1, 2))))
+        return Product(trees), sympy.Mul(*values)
     if kind == "scale":
-        return Scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), sub())
-    node = GradDot if kind == "graddot" else HessQuad
-    return node(poly(), tuple(sub() for _ in range(dim)))
-
-
-def _sympy_value(expr, point):
-    """The tree's value at the point, computed independently with sympy."""
-    xs = sympy.symbols(f"x0:{point.rank}")
-
-    def poly(p):
-        return sum(
-            (
-                sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(x**e for x, e in zip(xs, idx)))
-                for idx, c in p.terms.items()
-            ),
-            sympy.Integer(0),
-        )
-
-    def build(e):
-        if isinstance(e, PolyLeaf):
-            return poly(e.poly)
-        if isinstance(e, Sum):
-            return sympy.Add(*(build(c) for c in e.children))
-        if isinstance(e, Product):
-            return sympy.Mul(*(build(c) for c in e.children))
-        if isinstance(e, Scale):
-            return sympy.Rational(e.factor.numerator, e.factor.denominator) * build(e.child)
-        p, field = poly(e.poly), [build(c) for c in e.field_]
-        if isinstance(e, GradDot):
-            return sum((sympy.diff(p, xs[i]) * field[i] for i in range(len(xs))), sympy.Integer(0))
-        return sum(
-            (
-                sympy.diff(p, xs[i], xs[j]) * field[i] * field[j]
-                for i in range(len(xs))
-                for j in range(len(xs))
-            ),
-            sympy.Integer(0),
-        )
-
-    value = build(expr).subs(
-        {x: sympy.Rational(c.numerator, c.denominator) for x, c in zip(xs, point.coords)}
+        factor = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        tree, value = sub()
+        data = {"kind": "scale", "factor": str(factor), "child": tree.to_json()}
+        return expr_from_json(data), sympy.Rational(factor.numerator, factor.denominator) * value
+    p = poly()
+    trees, values = zip(*(sub() for _ in range(dim)))
+    ps = _sympy_poly(p, xs)
+    if kind == "graddot":
+        value = sum((sympy.diff(ps, xs[i]) * values[i] for i in range(dim)), sympy.Integer(0))
+        return grad_dot(p, trees), value
+    value = sum(
+        (
+            sympy.diff(ps, xs[i], xs[j]) * values[i] * values[j]
+            for i in range(dim)
+            for j in range(dim)
+        ),
+        sympy.Integer(0),
     )
-    return Fraction(int(value.p), int(value.q))
+    return hess_quad(p, trees), value
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_exact_eval_matches_sympy_on_random_trees(dim):
     rng = random.Random(600 + dim)
+    xs = sympy.symbols(f"x0:{dim}")
     for _ in range(30):
-        expr = _random_tree(rng, dim, rng.randint(0, 3))
+        expr, value = _random_tree(rng, xs, rng.randint(0, 3))
         x = RationalPoint(
             tuple(Fraction(rng.randint(-63, 63), 64) for _ in range(dim))
         )
         exact = eval_poly(as_polynomial(expr), x)
-        assert exact == _sympy_value(expr, x)
+        value = value.subs(
+            {s: sympy.Rational(c.numerator, c.denominator) for s, c in zip(xs, x.coords)}
+        )
+        assert exact == Fraction(int(value.p), int(value.q))
         assert math.isclose(eval_expr(expr, x), float(exact), rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -252,15 +267,29 @@ def test_non_finite_carries_node_path():
     assert "product" in str(err.value)
 
 
+def _kinds(data: dict) -> set:
+    """Every node kind in an expression's JSON."""
+    children = data.get("children", []) + ([data["child"]] if "child" in data else [])
+    return {data["kind"]}.union(*map(_kinds, children))
+
+
 def test_expr_json_roundtrip():
-    expr = Sum(
-        (
-            Scale(Fraction(2, 3), XLogAbs(PolyLeaf(_x()))),
-            GradDot(Polynomial.monomial((2,)), (const_expr(1, 1),)),
-            HessQuad(Polynomial.monomial((3,)), (PolyLeaf(_x()),)),
-        )
+    x_json = PolyLeaf(_x()).to_json()
+    expr = expr_from_json(
+        {
+            "kind": "sum",
+            "children": [
+                {"kind": "scale", "factor": "2/3", "child": {"kind": "xlogabs", "child": x_json}},
+                {"kind": "graddot", "dim": 1, "poly": [{"exponent": [2], "coeff": "1"}],
+                 "field": [const_expr(1, 1).to_json()]},
+                {"kind": "hessquad", "dim": 1, "poly": [{"exponent": [3], "coeff": "1"}],
+                 "field": [x_json]},
+            ],
+        }
     )
     data = expr.to_json()
+    # the input-only kinds are written as the sums and products they read as
+    assert _kinds(data) == {"sum", "product", "poly", "xlogabs"}
     back = expr_from_json(data)
     x = _pt(Fraction(3, 4))
     assert eval_expr(back, x) == eval_expr(expr, x)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from moment_leibniz.cli import SEED_ENV_VAR, main
+from moment_leibniz.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 0
@@ -51,7 +51,6 @@ OTHER_ROUNDS = {
 
 @pytest.mark.parametrize("round_index", ROUNDS)
 def test_exact_calculus_round_matches_golden(round_index, tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     jobs = WORKLOADS.exact_calculus_round(SEED, round_index)
     assert jobs
@@ -70,7 +69,6 @@ def test_exact_calculus_round_matches_golden(round_index, tmp_path, monkeypatch)
 def test_other_workload_round_matches_golden(
     workload, round_index, tmp_path, monkeypatch
 ):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     jobs = OTHER_ROUNDS[workload](SEED, round_index)
     assert jobs

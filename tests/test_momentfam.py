@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from moment_leibniz import momentfam
 from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
 from moment_leibniz.polycalc import (
     Polynomial,
@@ -20,6 +21,7 @@ from moment_leibniz.funcmodel import (
     Domain,
     FuncExpr,
     PolyLeaf,
+    Product,
     TauMap,
     as_polynomial,
     const_expr,
@@ -547,12 +549,56 @@ def test_second_order_overflow_witness_is_infinite():
     assert math.isfinite(witness["lhs"]) and witness["rhs"] == math.inf
 
 
-def test_conjugated_second_order_family_on_two_variables():
-    dom = Domain.unit(2, seed=22)
+def _two_variable_fields():
     x0 = Polynomial.variable(2, 0)
     x1 = Polynomial.variable(2, 1)
     b = (PolyLeaf(x0 * x1), const_expr(2, 2))
     c = (PolyLeaf(x0 + Polynomial.constant(2, 1)), PolyLeaf(x1))
+    return b, c
+
+
+def test_log_pair_is_decided_without_expanding(monkeypatch):
+    # a * f ln|f| marks every probe of a log pair as sampled before any
+    # of its operators, T_(1) = <f', c> included, is expanded
+    b, c = _two_variable_fields()
+    fam = make_second_order_leibniz(const_expr(2, 3), b, c, 2, 2)
+    calls = []
+
+    def counting(expr):
+        calls.append(expr)
+        return as_polynomial(expr)
+
+    monkeypatch.setattr(momentfam, "as_polynomial", counting)
+    dom = Domain.unit(2, seed=24)
+    report = verify_moment(fam, _probes(dom, 4, 24), dom)
+    assert report.passed and not report.exact
+    assert calls == []
+
+
+def test_exact_pair_expands_its_fields_once():
+    # the fields are expanded when the pair is built, and its operators
+    # are built from those expansions, so no probe expands c_0 again
+    expansions = []
+
+    class Counting(Product):
+        def _expand(self):
+            expansions.append(self)
+            return super()._expand()
+
+    b, c = _two_variable_fields()
+    c = (Counting(c), c[1])
+    fam = make_second_order_leibniz(const_expr(2, 0), b, c, 2, 2)
+    assert len(expansions) == 1
+    expansions.clear()
+    dom = Domain.unit(2, seed=25)
+    report = verify_moment(fam, _probes(dom, 4, 25), dom)
+    assert report.exact and report.passed and report.max_residual == 0.0
+    assert expansions == []
+
+
+def test_conjugated_second_order_family_on_two_variables():
+    dom = Domain.unit(2, seed=22)
+    b, c = _two_variable_fields()
     fam = make_second_order_leibniz(const_expr(2, 0), b, c, 2, 2)
     half = TauMap.affine([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], [Fraction(1, 4)] * 2)
     conj = conjugate(fam, half, dom)

@@ -61,7 +61,6 @@ def test_tracer_counts_a_traced_run(tmp_path):
         ["verify-semigroup", "--rank", "1", "--order", "2", "--probes", "4"],
     ]
     env = dict(os.environ)
-    env.pop("MOMENT_LEIBNIZ_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     proc = subprocess.run(
         [sys.executable, "-B", "-c", CHILD, json.dumps(jobs)],
