@@ -13,9 +13,9 @@ import random
 
 from moment_leibniz import (
     CoeffFamily,
-    ConstraintViolation,
     Domain,
     MultiIndex,
+    check_constraint,
     default_probe_pairs,
     enumerate_valid_constant_supports,
     forced_zero_analysis,
@@ -31,10 +31,9 @@ def main() -> None:
     # constant coefficient 1 on every index violates the constraint
     bad = CoeffFamily.from_constants(1, 2, {MultiIndex((1,)): 1, MultiIndex((2,)): 1})
     print("c_alpha = 1 for all alpha:")
-    try:
-        make_identity_generated(bad, domain)
-    except ConstraintViolation as err:
-        witness = err.report.failures[0]
+    check = check_constraint(bad, domain.sample_points, domain.float_tolerance)
+    if not check.passed:
+        witness = check.failures[0]
         print(f"  rejected, witness: alpha = {witness['alpha']}, sum = {witness['value']}")
 
     # the constraint forces some coefficients to vanish outright
@@ -58,7 +57,7 @@ def main() -> None:
     pattern = enumerate_valid_constant_supports(2, 3)[-1]
     coeffs = random_valid_family(pattern, seed=5)
     domain2 = Domain.unit(2, n_samples=8, seed=5)
-    family = make_identity_generated(coeffs, domain2)
+    family = make_identity_generated(coeffs)
     probes = default_probe_pairs(domain2, 10, random.Random(5))
     report = verify_moment(family, probes, domain2)
     print(f"\nrandom family on support {sorted(tuple(a) for a in pattern.support)}:")

@@ -167,6 +167,9 @@ def run_verify_family(args: argparse.Namespace) -> dict:
         # only the descriptor can overflow or nest too deeply: the probes
         # are small polynomials on the unit box
         raise InputError(f"descriptor values do not evaluate: {exc}") from exc
+    except ValueError as exc:
+        # a sample's image leaves the box, or r is not the family's dim
+        raise InputError(f"bad family descriptor: {exc}") from exc
     return {
         "report": report.to_json(),
         "failures": report.failures,

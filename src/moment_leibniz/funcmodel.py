@@ -179,7 +179,10 @@ class XLogAbs(FuncExpr):
         v = self.child._eval(x, f"{path}.xlogabs", leaves)
         if v == 0.0:
             return 0.0
-        return v * math.log(abs(v))
+        out = v * math.log(abs(v))
+        if not math.isfinite(out):
+            raise NonFiniteValue(f"non-finite value at {path}.xlogabs")
+        return out
 
     def to_json(self) -> dict:
         return {"kind": "xlogabs", "child": self.child.to_json()}
@@ -338,7 +341,7 @@ class Domain:
     def contains(self, p: RationalPoint) -> bool:
         if p.rank != self.rank:
             return False
-        return all(lo < c < hi for c, (lo, hi) in zip(p.coords, self.box))
+        return all(lo < c < hi for c, (lo, hi) in zip(p, self.box))
 
     @classmethod
     def sampled(

@@ -15,6 +15,10 @@ T_(1) = A and T_(2) = T, whose alpha = (2) instance is
 T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  Every family applies each
 operator once per probe.
 
+Constructors take no domain.  ``verify_moment`` maps every sample
+through the family's composed point maps and refuses an image outside
+the box; ``family_from_json`` checks the coefficient constraint.
+
 How an instance is decided is read off the expressions the operators
 return, probe by probe, before anything is expanded; a family declares
 nothing about it.  When no T_beta(f), T_beta(g) or T_alpha(fg) of a
@@ -52,7 +56,7 @@ as a proof in Q[x] whenever its operators expand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
@@ -147,7 +151,7 @@ class OperatorFamily:
 def make_trivial(rank: int, order: int) -> OperatorFamily:
     """T_0(f) = 1 and T_alpha(f) = 0 for alpha != 0."""
 
-    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
+    def rule(alpha: MultiIndex, _f: Polynomial) -> FuncExpr:
         if alpha.is_zero():
             return PolyLeaf(Polynomial.constant(rank, 1))
         return PolyLeaf(Polynomial.zero(rank))
@@ -178,7 +182,12 @@ def identity_generated_descriptor(cf: CoeffFamily) -> dict:
     }
 
 
-def _identity_generated(cf: CoeffFamily, descriptor: dict) -> OperatorFamily:
+def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
+    """T_0(f) = f and T_alpha(f) = c_alpha * f * ln|f| for alpha != 0.
+
+    The bilinear constraint on the coefficients is not checked here;
+    ``verify_moment`` fails a family that breaks it.
+    """
     zero = PolyLeaf(Polynomial.zero(cf.rank))
 
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
@@ -189,28 +198,7 @@ def _identity_generated(cf: CoeffFamily, descriptor: dict) -> OperatorFamily:
             return zero
         return Product((expr, XLogAbs(PolyLeaf(f))))
 
-    return OperatorFamily(cf.rank, cf.order, rule, descriptor=descriptor)
-
-
-def make_identity_generated(
-    cf: CoeffFamily,
-    domain: Domain,
-    validate: bool = True,
-) -> OperatorFamily:
-    """T_0(f) = f and T_alpha(f) = c_alpha * f * ln|f| for alpha != 0.
-
-    The coefficients must satisfy the bilinear vanishing constraint on
-    the domain samples; construction fails with ConstraintViolation
-    otherwise.  ``validate=False`` skips the check so the verifier's
-    failure detection can be exercised on purpose.
-    """
-    if domain.rank != cf.rank:
-        raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
-    if validate:
-        report = check_constraint(cf, domain.sample_points, domain.float_tolerance)
-        if not report.passed:
-            raise ConstraintViolation(report)
-    return _identity_generated(cf, identity_generated_descriptor(cf))
+    return OperatorFamily(cf.rank, cf.order, rule, descriptor=identity_generated_descriptor(cf))
 
 
 def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
@@ -223,21 +211,19 @@ def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
         raise ValueError(f"coefficient dim {c.dim}, rank {rank}")
     cf = CoeffFamily(rank, 1, {MultiIndex.unit(rank, i): c for i in range(rank)})
     descriptor = {"kind": "first_order_leibniz", "r": rank, "c": c.to_json()}
-    return _identity_generated(cf, descriptor)
+    return replace(make_identity_generated(cf), descriptor=descriptor)
 
 
-def conjugate(family: OperatorFamily, tau: TauMap, domain: Domain) -> OperatorFamily:
+def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
     """The family x -> T_alpha(f)(tau(x)).
 
     Keeps the inner family's expressions and prepends tau to the
     evaluation-point chain, so conjugates of proved families are proved.
-    tau must map the domain samples into the box.
+    ``verify_moment`` refuses the family if the composed chain sends a
+    sample outside the box.
     """
     if tau.rank != family.dim:
         raise ValueError(f"map rank {tau.rank}, family dim {family.dim}")
-    for x in domain.sample_points:
-        if not domain.contains(tau(x)):
-            raise ValueError(f"tau image of sample {x.to_json()} leaves the box")
     return OperatorFamily(
         family.rank,
         family.order,
@@ -334,8 +320,10 @@ def verify_moment(
 ) -> MomentReport:
     """Check the binomial moment identity on every probe pair and sample.
 
-    Each probe's operators are applied once.  If their trees are all
-    log-free, they are expanded and each alpha compares the polynomial T_alpha(fg) with the
+    The family is evaluated at the samples' images under its point maps,
+    and an image outside the box raises ValueError.  Each probe's
+    operators are applied once.  If their trees are all log-free, they
+    are expanded and each alpha compares the polynomial T_alpha(fg) with the
     convolution sum; equal polynomials are equal at every point, so the
     instance passes with residual 0.0 unevaluated.  Unequal ones are
     evaluated at the samples and must agree exactly there.  Otherwise the
@@ -349,6 +337,9 @@ def verify_moment(
     alphas = enumerate_height_at_most(family.rank, family.order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
     points = [family.eval_point(x) for x in domain.sample_points]
+    for x, y in zip(domain.sample_points, points):
+        if not domain.contains(y):
+            raise ValueError(f"sample {x.to_json()} maps to {y.to_json()}, outside the box")
     per_alpha = {_alpha_key(a): 0.0 for a in alphas}
     failures: List[dict] = []
     max_residual = 0.0
@@ -506,8 +497,9 @@ def make_second_order_leibniz(
 def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
     """Rebuild a family from its JSON descriptor.
 
-    Identity-generated descriptors re-run the coefficient constraint
-    check against the provided domain.
+    Every ``identity_generated`` descriptor, nested ones too, has its
+    coefficient constraint checked at the domain samples; a violation
+    raises ConstraintViolation with the witness report.
     """
     if not isinstance(data, dict):
         raise ValueError(f"family descriptor must be a JSON object, got {data!r}")
@@ -524,7 +516,12 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
                 "coefficients": data["coefficients"],
             }
         )
-        return make_identity_generated(cf, domain)
+        if domain.rank != cf.rank:
+            raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
+        report = check_constraint(cf, domain.sample_points, domain.float_tolerance)
+        if not report.passed:
+            raise ConstraintViolation(report)
+        return make_identity_generated(cf)
     if kind == "first_order_leibniz":
         # "N" may be left out, since the order is always 1
         order = data.get("N", 1)
@@ -549,5 +546,5 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
             raise ValueError(
                 f"conjugated N must be the inner order {inner.order}, got {order!r}"
             )
-        return conjugate(inner, TauMap.from_json(data["tau"]), domain)
+        return conjugate(inner, TauMap.from_json(data["tau"]))
     raise ValueError(f"unknown family kind {kind!r}")

@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -77,41 +76,31 @@ def _as_fraction(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """A point of Q^r where expressions get evaluated exactly."""
+class RationalPoint(tuple):
+    """A point of Q^r where expressions get evaluated exactly: a tuple of Fractions."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coords = tuple(_as_fraction(c) for c in self.coords)
+    def __new__(cls, values: Iterable[Scalar]) -> "RationalPoint":
+        coords = tuple(_as_fraction(c) for c in values)
         if len(coords) == 0:
             raise ValueError("point needs rank >= 1")
-        object.__setattr__(self, "coords", coords)
+        return tuple.__new__(cls, coords)
 
     @classmethod
     def of(cls, *values: Scalar) -> "RationalPoint":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(values)
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coords[i]
+        return len(self)
 
     def to_json(self) -> List[str]:
-        return [str(c) for c in self.coords]
+        return [str(c) for c in self]
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "RationalPoint":
-        return cls(tuple(Fraction(c) for c in data))
+        return cls(data)
 
 
 class Polynomial:
@@ -339,7 +328,7 @@ def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
     den, terms = _cleared_terms(f)
     # tables[i][e] = n_i^e * d_i^(M_i - e)
     tables = []
-    for i, xi in enumerate(x.coords):
+    for i, xi in enumerate(x):
         top = max(e[i] for e in terms)
         n, d = xi.numerator, xi.denominator
         tables.append([n**e * d ** (top - e) for e in range(top + 1)])

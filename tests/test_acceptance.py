@@ -26,6 +26,7 @@ from moment_leibniz import (
     TauMap,
     XLogAbs,
     binom,
+    check_constraint,
     check_leibniz_all,
     check_multiplicative,
     conjugate,
@@ -211,7 +212,9 @@ def test_identity_generated_families_across_valid_supports():
                 patterns_checked += 1
                 for seed in range(5):
                     coeffs = random_valid_family(pattern, seed)
-                    family = make_identity_generated(coeffs, domain)
+                    check = check_constraint(coeffs, domain.sample_points, domain.float_tolerance)
+                    all_passed = all_passed and check.passed
+                    family = make_identity_generated(coeffs)
                     probes = default_probe_pairs(
                         domain, 6, random.Random(1000 * order + seed)
                     )
@@ -223,7 +226,7 @@ def test_identity_generated_families_across_valid_supports():
                     all_passed = all_passed and rep.exact is (not pattern.support)
                 # where f*g vanishes both sides of the identity must be
                 # exactly 0.0, not merely small
-                family = make_identity_generated(random_valid_family(pattern, 0), domain)
+                family = make_identity_generated(random_valid_family(pattern, 0))
                 for alpha in enumerate_height_at_most(rank, order):
                     if alpha.is_zero():
                         continue
@@ -397,7 +400,7 @@ def test_conjugated_families_keep_the_identity():
         rank = domain.rank
         rng = random.Random(70 + rank)
 
-        derived = conjugate(make_derivative(rank, 3), tau, domain)
+        derived = conjugate(make_derivative(rank, 3), tau)
         rep = verify_moment(derived, default_probe_pairs(domain, 12, rng), domain)
         worst_exact = max(worst_exact, rep.max_residual)
         all_passed = all_passed and rep.passed and rep.exact
@@ -406,15 +409,17 @@ def test_conjugated_families_keep_the_identity():
             a for a in enumerate_height_at_most(rank, 2) if a.height == 2
         )
         coeffs = random_valid_family(SupportPattern(rank, 2, support), 7)
-        logfam = conjugate(make_identity_generated(coeffs, domain), tau, domain)
+        logfam = conjugate(make_identity_generated(coeffs), tau)
         rep = verify_moment(logfam, default_probe_pairs(domain, 12, rng), domain)
         worst_float = max(worst_float, rep.max_residual)
         all_passed = all_passed and rep.passed
 
         # tau is an involution, so conjugating twice must reproduce the
         # original values
-        base = make_identity_generated(coeffs, domain)
-        double = conjugate(conjugate(base, tau, domain), tau, domain)
+        base = make_identity_generated(coeffs)
+        double = conjugate(conjugate(base, tau), tau)
+        images = [double.eval_point(x) for x in domain.sample_points]
+        all_passed = all_passed and all(map(domain.contains, images))
         probe = random_polynomial(rng, rank, max_degree=3)
         for alpha in enumerate_height_at_most(rank, 2):
             for x in domain.sample_points:
@@ -439,7 +444,9 @@ def test_conjugated_families_keep_the_identity():
         (Polynomial.variable(1, 0) * 2 - Polynomial.constant(1, Fraction(1, 2)),)
     )
     fam = make_derivative(1, 3)
-    double = conjugate(conjugate(fam, tau, strip), tau_inv, strip)
+    double = conjugate(conjugate(fam, tau), tau_inv)
+    images = [double.eval_point(x) for x in strip.sample_points]
+    all_passed = all_passed and all(map(strip.contains, images))
     probe = Polynomial.monomial((3,), Fraction(2, 3))
     for alpha in enumerate_height_at_most(1, 3):
         for x in strip.sample_points:

@@ -125,6 +125,21 @@ _TAU_REFLECT = {
 }
 
 
+# tau(x) = x + 1/64: it keeps every seed-0 sample in the box, twice it does not
+_TAU_SHIFT = {
+    "rank": 1,
+    "components": [[{"exponent": [1], "coeff": "1"}, {"exponent": [0], "coeff": "1/64"}]],
+}
+
+
+def _conjugated(inner):
+    return {"kind": "conjugated", "r": 1, "N": inner.get("N", 1), "tau": _TAU_SHIFT, "inner": inner}
+
+
+def _xlogabs(coeff):
+    return {"kind": "xlogabs", "child": _const(1, coeff)}
+
+
 def test_verify_family_each_kind(capsys, tmp_path):
     # each descriptor with whether its report is exact (no instance sampled)
     descriptors = [
@@ -371,6 +386,12 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
                 "field": [_X, _X],
             },
         },
+        _conjugated(_conjugated({"kind": "first_order_leibniz", "r": 1, "c": _const(1, "1")})),
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "c": {"kind": "sum", "children": [_xlogabs(str(10**307)), _xlogabs(str(-(10**307)))]},
+        },
     ],
     ids=[
         "r-str",
@@ -403,6 +424,8 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
         "second-order-conjugated-r-2",
         "graddot-field-dim",
         "hessquad-field-dim",
+        "conjugated-twice-leaves-box",
+        "xlogabs-overflow",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):

@@ -58,7 +58,7 @@ def test_domain_samples_strictly_inside():
     assert len(dom.sample_points) == 10
     for p in dom.sample_points:
         assert dom.contains(p)
-        assert all(0 < c < 1 for c in p.coords)
+        assert all(0 < c < 1 for c in p)
     assert not dom.contains(_pt(0, Fraction(1, 2)))  # boundary excluded
     assert not dom.contains(_pt(Fraction(1, 2)))  # wrong rank
 
@@ -253,7 +253,7 @@ def test_exact_eval_matches_sympy_on_random_trees(dim):
         )
         exact = eval_poly(as_polynomial(expr), x)
         value = value.subs(
-            {s: sympy.Rational(c.numerator, c.denominator) for s, c in zip(xs, x.coords)}
+            {s: sympy.Rational(c.numerator, c.denominator) for s, c in zip(xs, x)}
         )
         assert exact == Fraction(int(value.p), int(value.q))
         assert math.isclose(eval_expr(expr, x), float(exact), rel_tol=1e-12, abs_tol=1e-12)
@@ -265,6 +265,14 @@ def test_non_finite_carries_node_path():
     with pytest.raises(NonFiniteValue) as err:
         eval_expr(expr, _pt(1))
     assert "product" in str(err.value)
+
+
+def test_xlogabs_overflow_is_non_finite():
+    # 1e307 ln(1e307) overflows to inf, and -inf with it would make the
+    # sum's fsum raise a bare ValueError
+    big = [XLogAbs(PolyLeaf(Polynomial.constant(1, s * 10**307))) for s in (1, -1)]
+    with pytest.raises(NonFiniteValue, match=r"root\.sum\[0\]\.xlogabs"):
+        eval_expr(Sum(tuple(big)), _pt(Fraction(1, 2)))
 
 
 def _kinds(data: dict) -> set:

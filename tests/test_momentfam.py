@@ -254,7 +254,7 @@ def test_identity_generated_pinned_value():
         3,
         {(2,): PolyLeaf(Polynomial.constant(1, 1)), (3,): PolyLeaf(Polynomial.variable(1, 0))},
     )
-    fam = make_identity_generated(cf, dom)
+    fam = make_identity_generated(cf)
     f = Polynomial.constant(1, 2)
     g = Polynomial.constant(1, 3)
     x = RationalPoint.of(Fraction(1, 2))
@@ -272,25 +272,31 @@ def test_identity_generated_randomized():
         3,
         {(2,): PolyLeaf(Polynomial.variable(1, 0)), (3,): PolyLeaf(Polynomial.constant(1, -2))},
     )
-    fam = make_identity_generated(cf, dom)
+    fam = make_identity_generated(cf)
     report = verify_moment(fam, _probes(dom, 10, 3), dom)
     assert report.passed, report.failures[:1]
     assert report.max_residual <= 1e-9
 
 
 def test_identity_generated_rejects_bad_coefficients():
+    # the descriptor reader checks the constraint at the domain samples
     dom = Domain.unit(1, seed=9)
     cf = CoeffFamily.from_constants(1, 2, {(1,): 1})
+    descriptor = make_identity_generated(cf).descriptor
     with pytest.raises(ConstraintViolation):
-        make_identity_generated(cf, dom)
+        family_from_json(descriptor, dom)
+    tau = _tau_one_minus_x().to_json()
+    conjugated = {"kind": "conjugated", "r": 1, "N": 2, "tau": tau, "inner": descriptor}
+    with pytest.raises(ConstraintViolation):
+        family_from_json(conjugated, dom)
 
 
 def test_constraint_bypass_fails_at_pinned_alpha():
-    # skipping validation builds the family anyway; the verifier then
+    # the constructor does not check the constraint; the verifier then
     # fails at alpha = 2 with residual 2 (f ln f)(x) (g ln g)(x)
     dom = Domain.unit(1, seed=9)
     cf = CoeffFamily.from_constants(1, 2, {(1,): 1})
-    fam = make_identity_generated(cf, dom, validate=False)
+    fam = make_identity_generated(cf)
     f = Polynomial.constant(1, 2)
     g = Polynomial.constant(1, 3)
     report = verify_moment(fam, [(f, g)], dom)
@@ -305,7 +311,7 @@ def test_both_sides_exactly_zero_on_vanishing_product():
     # factor that is exactly 0.0, so the comparison is 0.0 == 0.0
     dom = Domain.unit(1, seed=10)
     cf = CoeffFamily.from_constants(1, 2, {(2,): 1})
-    fam = make_identity_generated(cf, dom)
+    fam = make_identity_generated(cf)
     s = dom.sample_points[0]
     f = Polynomial.variable(1, 0) - Polynomial.constant(1, s[0])
     g = Polynomial.constant(1, 2)
@@ -372,8 +378,7 @@ def test_log_term_stops_expansion_before_its_coefficient():
 def test_conjugation_pinned_value():
     # tau(x) = 1 - x over the derivative family: the conjugated height-1
     # operator sends x^3 to 3 (1-x)^2
-    dom = Domain.unit(1, seed=12)
-    fam = conjugate(make_derivative(1, 1), _tau_one_minus_x(), dom)
+    fam = conjugate(make_derivative(1, 1), _tau_one_minus_x())
     f = Polynomial.variable(1, 0)
     g = Polynomial.monomial((2,))
     x = RationalPoint.of(Fraction(1, 4))
@@ -384,11 +389,11 @@ def test_conjugation_pinned_value():
 def test_conjugated_families_verify():
     dom = Domain.unit(1, seed=13)
     tau = _tau_one_minus_x()
-    der = conjugate(make_derivative(1, 2), tau, dom)
+    der = conjugate(make_derivative(1, 2), tau)
     report = verify_moment(der, _probes(dom, 6, 5), dom)
     assert report.passed and report.max_residual == 0.0 and report.exact
     cf = CoeffFamily.from_constants(1, 2, {(2,): 2})
-    idg = conjugate(make_identity_generated(cf, dom), tau, dom)
+    idg = conjugate(make_identity_generated(cf), tau)
     report2 = verify_moment(idg, _probes(dom, 6, 6), dom)
     assert report2.passed and report2.max_residual <= 1e-9
     assert not report2.exact
@@ -397,7 +402,7 @@ def test_conjugated_families_verify():
 def test_identity_tau_changes_nothing():
     dom = Domain.unit(2, seed=14)
     fam = make_derivative(2, 2)
-    conj = conjugate(fam, TauMap.identity(2), dom)
+    conj = conjugate(fam, TauMap.identity(2))
     f = Polynomial.monomial((1, 1))
     for x in dom.sample_points:
         assert eval_poly(as_polynomial(conj.apply(_mi(1, 0), f)), conj.eval_point(x)) == eval_poly(
@@ -409,7 +414,8 @@ def test_double_conjugation_involution_restores_values():
     dom = Domain.unit(1, seed=15)
     tau = _tau_one_minus_x()
     fam = make_derivative(1, 2)
-    double = conjugate(conjugate(fam, tau, dom), tau, dom)
+    double = conjugate(conjugate(fam, tau), tau)
+    assert all(dom.contains(double.eval_point(x)) for x in dom.sample_points)
     f = random_polynomial(random.Random(7), 1, max_degree=4)
     for alpha in enumerate_height_at_most(1, 2):
         for x in dom.sample_points:
@@ -433,7 +439,8 @@ def test_double_conjugation_with_inverse_pair():
         (Polynomial.variable(1, 0) * 2 - Polynomial.constant(1, Fraction(1, 2)),)
     )
     fam = make_derivative(1, 2)
-    double = conjugate(conjugate(fam, tau, dom), tau_inv, dom)
+    double = conjugate(conjugate(fam, tau), tau_inv)
+    assert all(dom.contains(double.eval_point(x)) for x in dom.sample_points)
     f = Polynomial.monomial((3,), Fraction(2, 3))
     for x in dom.sample_points:
         assert eval_poly(as_polynomial(double.apply(_mi(2), f)), double.eval_point(x)) == eval_poly(
@@ -444,8 +451,21 @@ def test_double_conjugation_with_inverse_pair():
 def test_conjugation_requires_tau_into_box():
     dom = Domain.unit(1, seed=17)
     escape = TauMap((Polynomial.variable(1, 0) + Polynomial.constant(1, 2),))
-    with pytest.raises(ValueError):
-        conjugate(make_derivative(1, 1), escape, dom)
+    with pytest.raises(ValueError, match="outside the box"):
+        verify_moment(conjugate(make_derivative(1, 1), escape), _probes(dom, 4, 17), dom)
+
+
+def test_box_is_checked_on_the_composed_images():
+    # x + 1/64 keeps every seed-0 sample (the largest is 31/32) inside the
+    # box, twice it sends 31/32 to 1
+    dom = Domain.unit(1, seed=0)
+    tau = TauMap((Polynomial.variable(1, 0) + Polynomial.constant(1, Fraction(1, 64)),))
+    assert all(dom.contains(tau(x)) for x in dom.sample_points)
+    fam = make_first_order_leibniz(const_expr(1, 1), 1)
+    probes = _probes(dom, 4, 0)
+    assert verify_moment(conjugate(fam, tau), probes, dom).passed
+    with pytest.raises(ValueError, match=r"sample \['31/32'\] maps to \['1'\]"):
+        verify_moment(conjugate(conjugate(fam, tau), tau), probes, dom)
 
 
 # ---- second-order pairs ----
@@ -601,7 +621,7 @@ def test_conjugated_second_order_family_on_two_variables():
     b, c = _two_variable_fields()
     fam = make_second_order_leibniz(const_expr(2, 0), b, c, 2, 2)
     half = TauMap.affine([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], [Fraction(1, 4)] * 2)
-    conj = conjugate(fam, half, dom)
+    conj = conjugate(fam, half)
     assert (conj.rank, conj.order, conj.dim) == (1, 2, 2)
     assert conj.descriptor["r"] == 2 and conj.descriptor["inner"]["kind"] == "second_order"
     report = verify_moment(conj, _probes(dom, 6, 22), dom)
@@ -648,7 +668,7 @@ def test_verify_moment_applies_each_operator_once_per_probe(exact):
     swap = TauMap((Polynomial.variable(2, 1), Polynomial.variable(2, 0)))
     probes = _probes(dom, 5, 9)
     alphas = enumerate_height_at_most(2, inner.order)
-    for fam in (family, conjugate(family, swap, dom)):
+    for fam in (family, conjugate(family, swap)):
         calls.clear()
         report = verify_moment(fam, probes, dom)
         assert report.passed and report.exact is exact
@@ -669,13 +689,13 @@ def test_moment_report_json_shape():
 def test_family_descriptor_roundtrip():
     dom = Domain.unit(1, seed=21)
     cf = CoeffFamily.from_constants(1, 2, {(2,): 3})
-    fam = make_identity_generated(cf, dom)
+    fam = make_identity_generated(cf)
     rebuilt = family_from_json(fam.descriptor, dom)
     x = dom.sample_points[0]
     f = Polynomial.constant(1, 2)
     assert eval_expr(rebuilt.apply(_mi(2), f), x) == eval_expr(fam.apply(_mi(2), f), x)
     tau = _tau_one_minus_x()
-    conj = conjugate(fam, tau, dom)
+    conj = conjugate(fam, tau)
     rebuilt2 = family_from_json(conj.descriptor, dom)
     assert eval_expr(
         rebuilt2.apply(_mi(2), f), rebuilt2.eval_point(x)

@@ -115,7 +115,7 @@ def _naive_eval(f: Polynomial, x: RationalPoint) -> Fraction:
     total = Fraction(0)
     for exp, coeff in f.terms.items():
         term = coeff
-        for xi, e in zip(x.coords, exp):
+        for xi, e in zip(x, exp):
             term *= xi**e
         total += term
     return total

@@ -105,15 +105,13 @@ def _family(kind, rank, order, tau, dom, rng):
         return make_first_order_leibniz(PolyLeaf(random_polynomial(rng, rank, 2, 3)), rank)
     if kind == "no-coefficients":
         # T_0 = id and every other T_alpha = 0
-        return make_identity_generated(CoeffFamily(rank, order, {}), dom)
+        return make_identity_generated(CoeffFamily(rank, order, {}))
     if kind == "identity-generated":
         # any support, below the band too, so the verifier itself must catch it
         indices = enumerate_height_at_most(rank, order)[1:]
         support = rng.sample(indices, rng.randint(1, min(3, len(indices))))
         coefficients = {a: PolyLeaf(random_polynomial(rng, rank, 2, 3)) for a in support}
-        return make_identity_generated(
-            CoeffFamily(rank, order, coefficients), dom, validate=False
-        )
+        return make_identity_generated(CoeffFamily(rank, order, coefficients))
     alpha0 = rng.choice(enumerate_height_at_most(rank, order))
     if kind == "tamper-visible":
         extra = random_polynomial(rng, rank, 2, 3) + Polynomial.constant(rank, 1)
@@ -141,7 +139,7 @@ def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, p
     tau = _affine_tau(rng, rank) if conjugated else None
     family = _family(kind, rank, order, tau, dom, rng)
     if tau is not None:
-        family = conjugate(family, tau, dom)
+        family = conjugate(family, tau)
     pairs = default_probe_pairs(dom, probes, rng)
     exact = kind in EXACT_KINDS
     report = verify_moment(family, pairs, dom, seed=seed)
@@ -205,7 +203,7 @@ def _count_point_evaluations(monkeypatch):
 def test_passing_exact_family_evaluates_no_points(monkeypatch):
     dom = Domain.unit(2, seed=4)
     pairs = default_probe_pairs(dom, 8, random.Random(4))
-    conjugated = conjugate(make_derivative(2, 3), _affine_tau(random.Random(4), 2), dom)
+    conjugated = conjugate(make_derivative(2, 3), _affine_tau(random.Random(4), 2))
     calls = _count_point_evaluations(monkeypatch)
     report = verify_moment(make_derivative(2, 3), pairs, dom)
     assert report.passed and calls == []
@@ -223,8 +221,8 @@ def test_float_verifiers_evaluate_each_leaf_once_per_point(monkeypatch):
     dom = Domain.unit(2, seed=6)
     rng = random.Random(6)
     cf = random_valid_family(SupportPattern(2, 3, frozenset(band(2, 3))), seed=6)
-    plain = make_identity_generated(cf, dom)
-    conjugated = conjugate(plain, _affine_tau(rng, 2), dom)
+    plain = make_identity_generated(cf)
+    conjugated = conjugate(plain, _affine_tau(rng, 2))
     pairs = default_probe_pairs(dom, 8, rng)
     # c_(1,0) sits in the (2,0), (2,1) and (3,0) sums
     below = dict(cf.coefficients)

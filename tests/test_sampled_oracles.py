@@ -101,9 +101,9 @@ def test_identity_generated_reports_match_unshared_loops(
     report = check_constraint(cf, dom.sample_points, dom.float_tolerance)
     oracle = check_constraint_unshared(cf, dom.sample_points, dom.float_tolerance)
     assert _dumps(report) == _dumps(oracle)
-    family = make_identity_generated(cf, dom, validate=False)
+    family = make_identity_generated(cf)
     if conjugated:
-        family = conjugate(family, _shrink(rng, rank), dom)
+        family = conjugate(family, _shrink(rng, rank))
     pairs = default_probe_pairs(dom, probes, rng)
     report = verify_moment(family, pairs, dom, seed=seed)
     # every support is nonempty, so every family carries a log term

@@ -1,9 +1,14 @@
-"""No module under src/, tests/ or demos/ imports a name it never uses.
+"""No module under src/, tests/ or demos/ imports a name it never uses,
+and no function under src/ takes a parameter it never reads.
 
 Every name an ``import`` binds must be read somewhere else in its module,
 as a plain name or as the root of a dotted one, or inside a string
 annotation.  The package's ``__init__.py`` files import only to
 re-export and are skipped, and so are ``from __future__`` imports.
+
+Every parameter of a function or lambda under src/ must be read in its
+body, nested functions included.  ``self``, ``cls`` and names starting
+with ``_`` are exempt, and so are stubs whose body only raises.
 """
 
 from __future__ import annotations
@@ -55,4 +60,49 @@ def _unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     assert FILES
     unused = [entry for path in FILES for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def _only_raises(node: ast.AST) -> bool:
+    body = node.body
+    if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+        if isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+            body = body[1:]
+    return isinstance(body, list) and len(body) == 1 and isinstance(body[0], ast.Raise)
+
+
+def _unused_parameters(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if _only_raises(node):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        rel = path.relative_to(ROOT)
+        name = getattr(node, "name", "<lambda>")
+        unused += [
+            f"{rel}:{node.lineno} {name}({p.arg})"
+            for p in params
+            if p is not None
+            and p.arg not in ("self", "cls")
+            and not p.arg.startswith("_")
+            and p.arg not in read
+        ]
+    return unused
+
+
+def test_no_unused_parameters():
+    files = [path for path in FILES if path.is_relative_to(ROOT / "src")]
+    assert files
+    unused = [entry for path in files for entry in _unused_parameters(path)]
     assert unused == []
