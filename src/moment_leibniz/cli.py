@@ -216,7 +216,10 @@ def run_verify_semigroup(args: argparse.Namespace) -> dict:
             seq = tampered(seq, alpha, 1.01)
             tampered_index = alpha.to_json()
         probes = random_probe_pairs(args.probes, rng)
-        report = verify_moment_seq(seq, probes, tol=args.tol, seed=args.seed)
+        try:
+            report = verify_moment_seq(seq, probes, tol=args.tol, seed=args.seed)
+        except ArithmeticError as exc:  # a power or a sum overflows at a large --order
+            raise InputError(f"sequence values do not evaluate: {exc}") from exc
         for failure in report.failures:
             failures.append({"rate": rate, **failure})
         max_residual = worse(max_residual, report.max_residual)
@@ -339,8 +342,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BRACKETS = {list: "[]", tuple: "[]", dict: "{}"}
+# json's text of a scalar by its exact type; _json_type maps a subclass to its base
+_SCALAR_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda value: _NON_FINITE.get(text := float.__repr__(value), text),
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_type(value: object) -> type:
+    """The type that json writes ``value`` as: the first JSON type in its MRO."""
+    for kind in type(value).__mro__:
+        if kind in _SCALAR_TEXT or kind in _BRACKETS:
+            return kind
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key: object) -> str:  # a key that is not a str, converted as json does
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return f'"{_SCALAR_TEXT[_json_type(key)](key)}"'
+
+
+def _write(value: object, newline: str, out: List[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is a newline and the indent."""
+    kind = _json_type(value)
+    if kind in _SCALAR_TEXT:
+        out.append(_SCALAR_TEXT[kind](value))
+        return
+    inner = newline + "  "
+    lead = _BRACKETS[kind][0] + inner
+    for item in sorted(value.items()) if kind is dict else value:
+        if kind is dict:
+            key, item = item
+            lead += (_SCALAR_TEXT[str](key) if isinstance(key, str) else _key_text(key)) + ": "
+        text = _SCALAR_TEXT.get(type(item))
+        if text:
+            out.append(lead + text(item))
+        else:  # a container, or a subclass of a scalar type
+            out.append(lead)
+            _write(item, inner, out)
+        lead = "," + inner
+    out.append(newline + _BRACKETS[kind][1] if value else _BRACKETS[kind])
+
+
 def _emit(report: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write the report as ``json.dumps(report, sort_keys=True, indent=2)`` does, byte for byte."""
+    out: List[str] = []
+    _write(report, "\n", out)
+    text = "".join(out) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -122,9 +122,11 @@ class Sum(FuncExpr):
         return self.children[0].dim
 
     def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        return math.fsum(
-            c._eval(x, f"{path}.sum[{i}]", leaves) for i, c in enumerate(self.children)
-        )
+        values = (c._eval(x, f"{path}.sum[{i}]", leaves) for i, c in enumerate(self.children))
+        try:
+            return math.fsum(values)
+        except OverflowError as exc:  # finite children whose sum leaves the range
+            raise NonFiniteValue(f"non-finite value at {path}.sum") from exc
 
     def _expand(self) -> Polynomial:
         out = Polynomial.zero(self.dim)

@@ -12,11 +12,11 @@ the sequences
 
 satisfy the identity by the per-coordinate binomial theorem; the rank-1
 case is the classical power-times-exponential recurrence.  Probe pairs
-are drawn uniformly from [-2, 2].  The verifier evaluates each f_alpha
-once at x, y and x + y per probe, keeps the values at x and y in lists
-in ``enumerate_height_at_most`` order, sums each alpha's
-``multiindex.convolution_terms`` by position in those lists, and judges
-each instance with ``funcmodel.judge``.
+are drawn uniformly from [-2, 2].  A sequence is a value table per point,
+every f_alpha(x) in ``enumerate_height_at_most`` order; the verifier takes
+the tables at x, y and x + y once per probe, sums each alpha's
+``multiindex.convolution_terms`` by position in them, and judges each
+instance with ``funcmodel.judge`` (a sum that overflows is no verdict).
 """
 
 from __future__ import annotations
@@ -24,19 +24,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
-from .funcmodel import CheckReport, judge, worse
+from .funcmodel import CheckReport, NonFiniteValue, judge, worse
 
 
 @dataclass
 class MomentSeq:
-    """A candidate moment sequence: one function on R per multi-index."""
+    """A candidate moment sequence: ``values(x)`` is a new list of each f_alpha(x), |alpha| <= N."""
 
     rank: int
     order: int
-    functions: Dict[MultiIndex, Callable[[float], float]]
+    values: Callable[[float], List[float]]
 
 
 def make_exponential_moment_seq(
@@ -50,25 +50,24 @@ def make_exponential_moment_seq(
     f_alpha(x) = exp(rate*x) * prod_i (scales[i]*x)^{alpha_i}; f_0 is the
     exponential itself (never identically zero), and the identity holds
     because each coordinate contributes one scalar binomial expansion of
-    (scales[i]*(x+y))^{alpha_i}.
+    (scales[i]*(x+y))^{alpha_i}.  Per point, exp(rate*x) and each power are
+    computed once; each table entry is exp * p_0[alpha_0] * p_1[alpha_1] * ...
     """
     if len(scales) != rank:
         raise ValueError(f"need {rank} scales, got {len(scales)}")
     scales = tuple(float(s) for s in scales)
-    functions: Dict[MultiIndex, Callable[[float], float]] = {}
+    # per coordinate, the heights of the prefixes it extends, in enumerate_height_at_most order
+    heights = [[0]] + [[a.height for a in enumerate_height_at_most(i, order)] for i in range(1, rank)]
+    widths = [[order + 1 - h for h in hs] for hs in heights]
 
-    def make(alpha: MultiIndex) -> Callable[[float], float]:
-        def f(x: float) -> float:
-            out = math.exp(rate * x)
-            for s, e in zip(scales, alpha):
-                out *= (s * x) ** e
-            return out
+    def values(x: float) -> List[float]:
+        row = [math.exp(rate * x)]
+        for s, counts in zip(scales, widths):
+            powers = [(s * x) ** k for k in range(order + 1)]
+            row = [v * p for v, n in zip(row, counts) for p in powers[:n]]
+        return row
 
-        return f
-
-    for alpha in enumerate_height_at_most(rank, order):
-        functions[alpha] = make(alpha)
-    return MomentSeq(rank, order, functions)
+    return MomentSeq(rank, order, values)
 
 
 def verify_moment_seq(
@@ -92,14 +91,14 @@ def verify_moment_seq(
         [(w, position[b], position[c]) for w, b, c in convolution_terms(alpha)]
         for alpha in alphas
     ]
-    functions = [seq.functions[alpha] for alpha in alphas]
     for k, (x, y) in enumerate(probes):
-        xy = x + y
-        vx = [fn(x) for fn in functions]
-        vy = [fn(y) for fn in functions]
-        for alpha, fn, terms in zip(alphas, functions, splits):
-            lhs = fn(xy)
-            rhs = math.fsum([w * vx[i] * vy[j] for w, i, j in terms])
+        vx, vy = seq.values(x), seq.values(y)
+        for alpha, lhs, terms in zip(alphas, seq.values(x + y), splits, strict=True):
+            try:
+                rhs = math.fsum([w * vx[i] * vy[j] for w, i, j in terms])
+            except (OverflowError, ValueError) as exc:  # inf - inf, or past the range
+                msg = f"convolution of alpha {tuple(alpha)} at probe {k} does not sum: {exc}"
+                raise NonFiniteValue(msg) from exc
             residual, ok = judge(lhs, rhs, False, tol)
             max_residual = worse(max_residual, residual)
             if not ok:
@@ -127,12 +126,17 @@ def verify_moment_seq(
 
 def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:
     """Copy of the sequence with f_alpha multiplied by ``scale``."""
-    if alpha not in seq.functions:
+    alphas = enumerate_height_at_most(seq.rank, seq.order)
+    if alpha not in alphas:
         raise ValueError(f"sequence has no index {tuple(alpha)}")
-    functions = dict(seq.functions)
-    original = functions[alpha]
-    functions[alpha] = lambda x: scale * original(x)
-    return MomentSeq(seq.rank, seq.order, functions)
+    position, original = alphas.index(alpha), seq.values
+
+    def values(x: float) -> List[float]:
+        row = original(x)
+        row[position] *= scale
+        return row
+
+    return MomentSeq(seq.rank, seq.order, values)
 
 
 def random_probe_pairs(count: int, rng: random.Random) -> List[Tuple[float, float]]:

@@ -3,22 +3,26 @@
 These are the loops that ``coeffsolve.check_constraint`` and
 ``semigroup.verify_moment_seq`` ran before they shared work within a
 call: the constraint evaluates both coefficients of every split afresh
-at every point, and the sequence verifier keys its values by multi-index
-and sums each convolution from a generator.  They know nothing of leaf
-tables or positional sums, so equal report bytes are evidence that
+at every point, and the sequence verifier keys its values by multi-index,
+evaluates each f_alpha on its own and sums each convolution from a
+generator.  ``exponential_functions`` is the exponential sequence as it
+was built before its value tables: one closure per index, each computing
+exp(rate*x) and its powers afresh.  They know nothing of leaf tables,
+value tables or positional sums, so equal report bytes are evidence that
 computing each value once changes no verdict, residual or witness.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from moment_leibniz.coeffsolve import CoeffFamily, constraint_indices
 from moment_leibniz.funcmodel import CheckReport, eval_expr, judge, worse
-from moment_leibniz.multiindex import convolution_terms, enumerate_height_at_most
+from moment_leibniz.multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from moment_leibniz.polycalc import RationalPoint
-from moment_leibniz.semigroup import MomentSeq
+
+Functions = Dict[MultiIndex, Callable[[float], float]]
 
 
 def check_constraint_unshared(
@@ -54,17 +58,35 @@ def check_constraint_unshared(
     )
 
 
+def exponential_functions(
+    rank: int, order: int, rate: float, scales: Sequence[float]
+) -> Functions:
+    scales = tuple(float(s) for s in scales)
+
+    def make(alpha: MultiIndex) -> Callable[[float], float]:
+        def f(x: float) -> float:
+            out = math.exp(rate * x)
+            for s, e in zip(scales, alpha):
+                out *= (s * x) ** e
+            return out
+
+        return f
+
+    return {alpha: make(alpha) for alpha in enumerate_height_at_most(rank, order)}
+
+
 def verify_moment_seq_keyed(
-    seq: MomentSeq,
+    rank: int,
+    order: int,
+    functions: Functions,
     probes: Sequence[Tuple[float, float]],
     tol: float = 1e-10,
     seed: Optional[int] = None,
 ) -> CheckReport:
     failures: List[dict] = []
     max_residual = 0.0
-    alphas = enumerate_height_at_most(seq.rank, seq.order)
+    alphas = enumerate_height_at_most(rank, order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
-    functions = seq.functions
     for k, (x, y) in enumerate(probes):
         xy = x + y
         vx = {b: functions[b](x) for b in alphas}

@@ -6,19 +6,25 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moment_leibniz
 from moment_leibniz.multiindex import enumerate_height_at_most
 from moment_leibniz.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_INPUT,
     EXIT_PASS,
+    _emit,
     main,
 )
 
@@ -469,6 +475,20 @@ def test_overflow_names_the_first_node_evaluated(capsys, tmp_path):
     )
 
 
+def test_sum_overflow_names_the_sum_node(capsys, tmp_path):
+    # 10^308 + 10^308 leaves the float range inside fsum; the error names
+    # the sum node, as a product or u ln|u| that overflows names its own
+    big = _const(1, str(10**308))
+    descriptor = {"kind": "first_order_leibniz", "r": 1, "c": {"kind": "sum", "children": [big, big]}}
+    code = main(["verify-family", _family_file(tmp_path, descriptor)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        "error: descriptor values do not evaluate: non-finite value at root.product[0].sum\n"
+    )
+
+
 # ---- search-supports ----
 
 
@@ -522,6 +542,17 @@ def test_verify_semigroup_tamper_fails(capsys):
     assert code == EXIT_FAIL
     assert report["failures"]
     assert report["sweeps"][0]["tampered_index"] == [2]
+
+
+def test_verify_semigroup_overflow_is_input_error(capsys):
+    # at order 400 the split products overflow to inf of both signs, so a
+    # convolution has no sum: no verdict, and the error names the instance
+    code = main(["verify-semigroup", "--rank", "1", "--order", "400", "--probes", "100"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: sequence values do not evaluate: convolution of alpha (")
+    assert " at probe " in captured.err
 
 
 # ---- gen-family ----
@@ -803,6 +834,80 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_PASS
     assert json.loads(proc.stdout)["pass"] is True
+
+
+# ---- report emission ----
+
+
+class _Int(int):
+    pass
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.builds(_Int, st.integers()),
+    st.floats(),  # NaN, +-inf and -0.0 included
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(),  # non-ASCII, control and quote characters included
+    st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+)
+_JSON_KEYS = [st.text(), st.integers(), st.floats(), st.booleans(), st.none()]
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        # one key type per dict: mixed types do not sort, in json as here
+        *[st.dictionaries(keys, children, max_size=4) for keys in _JSON_KEYS],
+    ),
+    max_leaves=25,
+)
+
+
+def _emitted(obj) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(obj, None)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_TREES)
+def test_emit_writes_the_stdlib_indent_format(obj):
+    assert _emitted(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 3), {"a": [Fraction(1, 3)]}, {(1,): 2}])
+def test_emit_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _emitted(value)
+
+
+def test_deeply_nested_echo_keeps_its_bytes(tmp_path):
+    # a violating descriptor is echoed whole, here with an ignored list
+    # nested 980 deep: 1.93 MB of report.  The digest is the stdlib
+    # encoder's output for this input, taken before reports had their own
+    # writer; the CLI runs in a fresh interpreter so that pytest's frames
+    # do not count against the recursion limit.
+    text = json.dumps(VIOLATING)[:-1] + ', "ignored": ' + "[" * 980 + "]" * 980 + "}"
+    (tmp_path / "family.json").write_text(text)
+    # the descriptor path is part of the reported config, so it stays relative
+    package_root = str(Path(moment_leibniz.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "moment_leibniz", "verify-family", "family.json"],
+        capture_output=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == EXIT_FAIL
+    assert proc.stderr == b""
+    assert len(proc.stdout) == 1932494
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "eb4bbb9ba3fe3f7a9c05fb374490c8f828f097df271d8336ebcf1c249fa1fe42"
+    )
 
 
 # ---- the exit-code contract under random descriptors ----

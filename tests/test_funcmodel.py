@@ -275,6 +275,14 @@ def test_xlogabs_overflow_is_non_finite():
         eval_expr(Sum(tuple(big)), _pt(Fraction(1, 2)))
 
 
+def test_sum_overflow_is_non_finite():
+    # finite children whose sum leaves the float range: fsum's bare
+    # OverflowError becomes a NonFiniteValue naming the sum node
+    big = PolyLeaf(Polynomial.constant(1, 10**308))
+    with pytest.raises(NonFiniteValue, match=r"^non-finite value at root\.sum\[1\]\.sum$"):
+        eval_expr(Sum((big, Sum((big, big)))), _pt(Fraction(1, 2)))
+
+
 def _kinds(data: dict) -> set:
     """Every node kind in an expression's JSON."""
     children = data.get("children", []) + ([data["child"]] if "child" in data else [])

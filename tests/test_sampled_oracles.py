@@ -1,12 +1,13 @@
 """Float verifiers compute each sampled value once, with the same report bytes.
 
 ``check_constraint`` and ``verify_moment`` share one leaf table per call,
-and ``verify_moment_seq`` sums its convolutions by position.  The loops
-they replaced live on in ``tests/_sampled_oracle.py`` and
-``tests/_moment_oracle.py``; on band and violating supports, plain and
-conjugated families, and tampered, NaN-producing and order-0 sequences
-the reports must match them byte for byte, failure keys and order
-included.
+and ``verify_moment_seq`` sums its convolutions by position over one
+value table per point.  The loops they replaced, and the exponential
+sequence as one closure per f_alpha, live on in
+``tests/_sampled_oracle.py`` and ``tests/_moment_oracle.py``; on band and
+violating supports, plain and conjugated families, and tampered,
+NaN-producing and order-0 sequences the reports must match them byte
+for byte, failure keys and order included.
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ from moment_leibniz.semigroup import (
 )
 
 from _moment_oracle import verify_moment_pointwise
-from _sampled_oracle import check_constraint_unshared, verify_moment_seq_keyed
+from _sampled_oracle import (
+    check_constraint_unshared,
+    exponential_functions,
+    verify_moment_seq_keyed,
+)
 
 SAMPLES = 8
 
@@ -125,16 +130,29 @@ def _nan_at_nonnegative(fn):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_verify_moment_seq_matches_keyed_loop(rank, order, variant, rate, probes, seed):
+    # the value table against one closure per f_alpha, each evaluated alone
     rng = random.Random(seed)
     scales = [rng.uniform(0.5, 2.0) for _ in range(rank)]
     seq = make_exponential_moment_seq(rank, order, rate, scales)
-    alpha = rng.choice(list(seq.functions))
+    functions = exponential_functions(rank, order, rate, scales)
+    alphas = enumerate_height_at_most(rank, order)
+    alpha = rng.choice(alphas)
     if variant == "tampered":
         seq = tampered(seq, alpha, 1.01)
+        original = functions[alpha]
+        functions[alpha] = lambda x: 1.01 * original(x)
     elif variant == "nan":
-        functions = dict(seq.functions)
+        position, table = alphas.index(alpha), seq.values
+
+        def values(x):
+            row = table(x)
+            if not x < 0:
+                row[position] = math.nan
+            return row
+
+        seq = MomentSeq(rank, order, values)
         functions[alpha] = _nan_at_nonnegative(functions[alpha])
-        seq = MomentSeq(rank, order, functions)
     pairs = random_probe_pairs(probes, rng)
     report = verify_moment_seq(seq, pairs, seed=seed)
-    assert _dumps(report) == _dumps(verify_moment_seq_keyed(seq, pairs, seed=seed))
+    oracle = verify_moment_seq_keyed(rank, order, functions, pairs, seed=seed)
+    assert _dumps(report) == _dumps(oracle)

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from moment_leibniz.multiindex import MultiIndex
+from moment_leibniz.funcmodel import NonFiniteValue
+from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
 from moment_leibniz.semigroup import (
     MomentSeq,
     convolution_terms,
@@ -26,13 +27,19 @@ def _pairs(count: int, seed: int):
     return random_probe_pairs(count, random.Random(seed))
 
 
+def _f(seq: MomentSeq, alpha: MultiIndex):
+    """f_alpha alone, read off the sequence's value table."""
+    position = enumerate_height_at_most(seq.rank, seq.order).index(alpha)
+    return lambda x: seq.values(x)[position]
+
+
 # ---- the exponential constructor ----
 
 
 def test_rank1_rate0_is_binomial_theorem():
     # f_k(x) = x^k: the identity is literally (x+y)^k = sum C(k,j) x^j y^(k-j)
     seq = make_exponential_moment_seq(1, 3, 0.0, [1.0])
-    assert seq.functions[_mi(2)](3.0) == 9.0
+    assert seq.values(3.0) == [1.0, 3.0, 9.0, 27.0]
     report = verify_moment_seq(seq, _pairs(50, 1), tol=1e-10)
     assert report.passed, report.failures[:1]
 
@@ -41,7 +48,7 @@ def test_pinned_rank2_value():
     # rate 1, scales (1, 2), alpha = (1, 1) at x + y = 0.75:
     # lhs = e^0.75 * 0.75 * 1.5, both sides written out by hand
     seq = make_exponential_moment_seq(2, 2, 1.0, [1.0, 2.0])
-    f = seq.functions
+    f = {alpha: _f(seq, alpha) for alpha in enumerate_height_at_most(2, 2)}
     x, y = 0.5, 0.25
     lhs = f[_mi(1, 1)](x + y)
     assert lhs == pytest.approx(math.exp(0.75) * 0.75 * 1.5, rel=1e-14)
@@ -66,12 +73,12 @@ def test_exponential_sequences_verify_across_rates():
 
 def _order0(f0) -> MomentSeq:
     """The order-0 sequence whose only row is multiplicativity of f0."""
-    return MomentSeq(1, 0, {_mi(0): f0})
+    return MomentSeq(1, 0, lambda x: [f0(x)])
 
 
 def test_f0_never_identically_zero():
     seq = make_exponential_moment_seq(1, 2, -1.0, [2.0])
-    f0 = seq.functions[_mi(0)]
+    f0 = _f(seq, _mi(0))
     probes = _pairs(20, 2)
     assert verify_moment_seq(_order0(f0), probes).passed
     assert all(f0(x) != 0.0 for x, _ in probes)
@@ -88,22 +95,14 @@ def test_scale_count_checked():
 def test_zero_collapse_sequence_passes():
     # f_0 = 0 forces every f_alpha = 0; the all-zero sequence satisfies
     # the identity trivially and the verifier accepts it
-    seq = MomentSeq(
-        1,
-        2,
-        {_mi(0): lambda x: 0.0, _mi(1): lambda x: 0.0, _mi(2): lambda x: 0.0},
-    )
+    seq = MomentSeq(1, 2, lambda x: [0.0, 0.0, 0.0])
     report = verify_moment_seq(seq, _pairs(10, 3))
     assert report.passed and report.max_residual == 0.0
 
 
 def test_zero_f0_with_nonzero_tail_fails():
     # f_0 = 0 but f_1 = 1 violates the alpha = 1 instance
-    seq = MomentSeq(
-        1,
-        1,
-        {_mi(0): lambda x: 0.0, _mi(1): lambda x: 1.0},
-    )
+    seq = MomentSeq(1, 1, lambda x: [0.0, 1.0])
     report = verify_moment_seq(seq, _pairs(5, 4))
     assert not report.passed
     assert all(tuple(f["alpha"]) == (1,) for f in report.failures)
@@ -113,11 +112,7 @@ def test_nan_sequence_fails():
     # a NaN residual compares False with everything, so "residual > tol"
     # let it through; the shared rule passes only "residual <= tol"
     nan = float("nan")
-    seq = MomentSeq(
-        1,
-        1,
-        {_mi(0): lambda x: nan, _mi(1): lambda x: nan},
-    )
+    seq = MomentSeq(1, 1, lambda x: [nan, nan])
     report = verify_moment_seq(seq, _pairs(3, 6))
     assert not report.passed
     assert len(report.failures) == 6  # every alpha at every probe
@@ -125,33 +120,49 @@ def test_nan_sequence_fails():
 
 def test_nan_sequence_reports_nan_max_residual():
     nan = float("nan")
-    seq = MomentSeq(
-        1,
-        1,
-        {_mi(0): lambda x: 1.0, _mi(1): lambda x: nan},
-    )
+    seq = MomentSeq(1, 1, lambda x: [1.0, nan])
     report = verify_moment_seq(seq, _pairs(3, 6))
     assert not report.passed
     assert math.isnan(report.max_residual)
 
 
 def test_each_function_evaluated_once_per_probe_point():
-    # f_alpha is called at x, y and x + y once per probe, not once per
-    # convolution term
+    # the table is asked for at x, y and x + y once per probe, not once
+    # per alpha or per convolution term
     base = make_exponential_moment_seq(2, 3, 0.5, [1.0, 1.5])
-    calls = dict.fromkeys(base.functions, 0)
+    points = []
 
-    def counted(alpha, fn):
-        def f(x):
-            calls[alpha] += 1
-            return fn(x)
+    def counted(x):
+        points.append(x)
+        return base.values(x)
 
-        return f
-
-    seq = MomentSeq(2, 3, {a: counted(a, fn) for a, fn in base.functions.items()})
     probes = _pairs(7, 8)
-    assert verify_moment_seq(seq, probes).passed
-    assert set(calls.values()) == {3 * len(probes)}
+    assert verify_moment_seq(MomentSeq(2, 3, counted), probes).passed
+    assert points == [p for x, y in probes for p in (x, y, x + y)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # alpha 1 at the second probe sums f_0(x) f_1(y) + f_1(x) f_0(y) =
+        # inf + -inf, then 1e308 + 1e308; the first probe sums finely
+        lambda x: [1.0, math.copysign(math.inf, x + 0.75)],
+        lambda x: [1.0, 1e308 if x < 0 else 1.0],
+    ],
+    ids=["inf-minus-inf", "finite-overflow"],
+)
+def test_convolution_that_does_not_sum_is_non_finite_value(values):
+    # no verdict either way: the error names the instance instead
+    seq = MomentSeq(1, 1, values)
+    with pytest.raises(NonFiniteValue, match=r"^convolution of alpha \(1,\) at probe 1 "):
+        verify_moment_seq(seq, [(1.0, 1.0), (-1.0, -0.5)])
+
+
+def test_table_of_the_wrong_length_is_refused():
+    # a table with fewer entries than alphas must not pass on the rows it has
+    seq = MomentSeq(1, 2, lambda x: [math.exp(x)])
+    with pytest.raises(ValueError):
+        verify_moment_seq(seq, _pairs(2, 9))
 
 
 def test_multiplicativity_is_the_alpha_zero_row():
@@ -197,11 +208,9 @@ def test_rank1_agrees_with_handwritten_verifier():
     report = verify_moment_seq(seq, probes, tol=1e-10)
     assert report.passed
     # independent check written directly against the scalar recurrence
-    f = seq.functions
     for x, y in probes:
+        fx, fy, fxy = seq.values(x), seq.values(y), seq.values(x + y)
         for k in range(5):
-            lhs = f[_mi(k)](x + y)
-            rhs = sum(
-                math.comb(k, j) * f[_mi(j)](x) * f[_mi(k - j)](y) for j in range(k + 1)
-            )
+            lhs = fxy[k]
+            rhs = sum(math.comb(k, j) * fx[j] * fy[k - j] for j in range(k + 1))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
