@@ -12,6 +12,9 @@ All randomness flows from --seed.  Identical configuration and seed
 produce a byte-identical JSON report.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed (the report carries a witness), 2 invalid
 input, 3 enumeration budget exceeded.
+
+``main`` may be called repeatedly in one process; it parses with a parser
+built once, at import.
 """
 
 from __future__ import annotations
@@ -123,14 +126,14 @@ def run_verify_leibniz(args: argparse.Namespace) -> dict:
 
 
 def run_verify_family(args: argparse.Namespace) -> dict:
-    if args.descriptor == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.descriptor == "-":
+            raw = sys.stdin.read()
+        else:
             with open(args.descriptor, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read descriptor: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read descriptor: {exc}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -402,9 +405,11 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _validate_common(args)
         body = args.func(args)

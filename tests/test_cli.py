@@ -229,6 +229,22 @@ def test_verify_family_malformed_json_is_input_error(capsys, tmp_path):
     assert code3 == EXIT_INPUT
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_descriptor_is_input_error(capsys, monkeypatch, tmp_path, source):
+    if source == "file":
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+        descriptor = str(tmp_path / "bad.json")
+    else:
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        descriptor = "-"
+    code = main(["verify-family", descriptor])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read descriptor: ")
+
+
 _TAU_ID = '"tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1"}]]}'
 _LEAF = '{"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]}'
 
@@ -834,6 +850,62 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_PASS
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_main_does_not_build_a_parser(capsys, monkeypatch):
+    argv = ["search-supports", "--rank", "1", "--order", "2"]
+    assert main(argv) == EXIT_PASS
+    expected = capsys.readouterr().out
+
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr("moment_leibniz.cli.build_parser", build_parser)
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == expected
+
+
+def test_repeated_calls_leak_no_state(capsys, tmp_path, monkeypatch):
+    # one config per subcommand, each run in this process after the calls
+    # before it, then compared with the same argv in a fresh interpreter
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps({"kind": "derivative", "r": 2, "N": 2}))
+    usage = io.StringIO()
+    with contextlib.redirect_stderr(usage), pytest.raises(SystemExit) as rejected:
+        main(["search-supports", "--rank", "x"])
+    assert rejected.value.code == EXIT_INPUT
+    assert usage.getvalue().startswith("usage: moment-leibniz search-supports")
+    assert "invalid int value: 'x'" in usage.getvalue()
+    semigroup = ["verify-semigroup", "--rank", "1", "--order", "2", "--probes", "5"]
+    leibniz = ["verify-leibniz", "--pairs", "2"]
+    calls = [
+        (["search-supports", "--rank", "1", "--order", "2"], EXIT_PASS),
+        (semigroup + ["--tamper"], EXIT_FAIL),
+        (semigroup, EXIT_PASS),
+        (leibniz + ["--out", "report.json"], EXIT_PASS),
+        (leibniz, EXIT_PASS),
+        (["gen-family", "--rank", "2", "--order", "3", "--seed", "5"], EXIT_PASS),
+        (["verify-family", "family.json", "--probes", "2"], EXIT_PASS),
+    ]
+    reports = []
+    for argv, code in calls:
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        reports.append(Path("report.json").read_text() if "--out" in argv else out)
+        assert (out == "") == ("--out" in argv)
+    assert reports[3] == reports[4]  # --out is not part of the report
+    package_root = str(Path(moment_leibniz.__file__).parents[1])
+    for (argv, code), report in zip(calls, reports):
+        Path("report.json").unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "moment_leibniz", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == code
+        fresh = Path("report.json").read_text() if "--out" in argv else proc.stdout
+        assert fresh == report, argv
 
 
 # ---- report emission ----
