@@ -38,29 +38,27 @@ def main() -> None:
 
     # the constraint forces some coefficients to vanish outright
     full = frozenset(MultiIndex((k,)) for k in (1, 2))
-    from moment_leibniz import SupportPattern
-
-    forced = forced_zero_analysis(SupportPattern(1, 4, full))
+    forced = forced_zero_analysis(4, full)
     print(f"\nindices forced to zero on support {{1, 2}} at order 4: "
           f"{sorted(tuple(a) for a in forced)}")
 
     # admissible supports: the subsets of the band N/2 < |alpha| <= N
     for rank, order in ((1, 2), (2, 2), (2, 3)):
-        patterns = enumerate_valid_constant_supports(rank, order)
-        print(f"\nadmissible supports at rank {rank}, order {order}: {len(patterns)}")
-        for pattern in patterns[:4]:
-            print(f"  {sorted(tuple(a) for a in pattern.support)}")
-        if len(patterns) > 4:
-            print(f"  ... and {len(patterns) - 4} more")
+        supports = enumerate_valid_constant_supports(rank, order)
+        print(f"\nadmissible supports at rank {rank}, order {order}: {len(supports)}")
+        for support in supports[:4]:
+            print(f"  {sorted(tuple(a) for a in support)}")
+        if len(supports) > 4:
+            print(f"  ... and {len(supports) - 4} more")
 
     # generate a family on one admissible support and verify it
-    pattern = enumerate_valid_constant_supports(2, 3)[-1]
-    coeffs = random_valid_family(pattern, seed=5)
+    support = enumerate_valid_constant_supports(2, 3)[-1]
+    coeffs, _ = random_valid_family(2, 3, support, seed=5)
     domain2 = Domain.unit(2, n_samples=8, seed=5)
     family = make_identity_generated(coeffs)
     probes = default_probe_pairs(domain2, 10, random.Random(5))
     report = verify_moment(family, probes, domain2)
-    print(f"\nrandom family on support {sorted(tuple(a) for a in pattern.support)}:")
+    print(f"\nrandom family on support {sorted(tuple(a) for a in support)}:")
     print(f"  pass: {report.passed}, max residual: {report.max_residual:.3e}")
 
 

@@ -56,14 +56,12 @@ from .coeffsolve import (
     CoeffFamily,
     ConstraintViolation,
     InvalidSupport,
-    SupportPattern,
     band,
     check_constraint,
     constraint_indices,
     enumerate_valid_constant_supports,
     forced_zero_analysis,
     index_set_size,
-    is_structure_valid,
     random_valid_family,
 )
 from .momentfam import (

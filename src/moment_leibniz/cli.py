@@ -34,16 +34,15 @@ from .coeffsolve import (
     BudgetExceeded,
     ConstraintViolation,
     InvalidSupport,
-    SupportPattern,
     band,
     enumerate_valid_constant_supports,
     index_set_size,
     random_valid_family,
+    support_json,
 )
 from .momentfam import (
     default_probe_pairs,
     family_from_json,
-    identity_generated_descriptor,
     verify_moment,
 )
 from .semigroup import (
@@ -184,12 +183,12 @@ def run_verify_family(args: argparse.Namespace) -> dict:
 def run_search_supports(args: argparse.Namespace) -> dict:
     if args.max_support_size is not None:
         _positive_int("max-support-size", args.max_support_size, 0)
-    patterns = enumerate_valid_constant_supports(
+    supports = enumerate_valid_constant_supports(
         args.rank, args.order, args.max_support_size, args.budget
     )
     return {
-        "patterns": [p.to_json() for p in patterns],
-        "count": len(patterns),
+        "patterns": [support_json(args.rank, args.order, s) for s in supports],
+        "count": len(supports),
         "index_set_size": index_set_size(args.rank, args.order),
         "failures": [],
         "max_residual": 0.0,
@@ -244,25 +243,24 @@ def run_verify_semigroup(args: argparse.Namespace) -> dict:
 
 
 def run_gen_family(args: argparse.Namespace) -> dict:
-    if args.support is not None:
+    if args.support is None:
+        support = band(args.rank, args.order)
+    else:
         try:
-            indices = json.loads(args.support)
-            support = frozenset(MultiIndex(a) for a in indices)
-            pattern = SupportPattern(args.rank, args.order, support)
+            support = [MultiIndex(a) for a in json.loads(args.support)]
         except (json.JSONDecodeError, TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"bad --support: {exc}") from exc
-    else:
-        support = frozenset(band(args.rank, args.order))
-        pattern = SupportPattern(args.rank, args.order, support)
     try:
-        cf = random_valid_family(pattern, args.seed)
+        cf, support = random_valid_family(args.rank, args.order, support, args.seed)
     except InvalidSupport as exc:
         raise InputError(
             f"{exc}, where the constraint forces coefficients to zero"
         ) from exc
+    except ValueError as exc:  # an index of the wrong rank or outside 0 < |alpha| <= --order
+        raise InputError(f"bad --support: {exc}") from exc
     return {
-        "family": identity_generated_descriptor(cf),
-        "pattern": pattern.to_json(),
+        "family": cf.to_json(),
+        "pattern": support_json(args.rank, args.order, support),
         "failures": [],
         "max_residual": 0.0,
         "pass": True,

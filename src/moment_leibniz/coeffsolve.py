@@ -20,12 +20,15 @@ empty, and no support reaching below the band admits nonzero constant
 coefficients.
 
 This module checks the constraint on sample points, reports which
-support indices it forces to vanish, enumerates the admissible support
-patterns, and draws random families on them.  The band test
-2|alpha| > N is made in one place, ``_in_band``: ``band`` lists the band,
-and ``is_structure_valid`` and ``forced_zero_analysis`` split a support
-by it.  ``index_set_size`` counts the indices 0 < |alpha| <= N in closed
-form, so the enumeration budget is checked before anything is listed.
+support indices it forces to vanish, enumerates the admissible supports,
+and draws random families on them.  A support is a tuple of indices in
+band order (height, then entries), the order ``band`` lists and
+``itertools.combinations`` keeps.  The band test 2|alpha| > N is made in
+one place, ``_in_band``: ``band`` lists the band, and
+``forced_zero_analysis`` splits a support by it, so a support is
+admissible exactly when that split is empty.  ``index_set_size`` counts
+the indices 0 < |alpha| <= N in closed form, so the enumeration budget is
+checked before anything is listed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .multiindex import (
     MultiIndex,
@@ -68,7 +71,7 @@ class ConstraintViolation(ValueError):
 
 
 class InvalidSupport(ValueError):
-    """Support pattern leaves the band N/2 < |alpha| <= N."""
+    """Support leaves the band N/2 < |alpha| <= N."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -76,6 +79,7 @@ class BudgetExceeded(RuntimeError):
 
 
 IndexLike = Union[MultiIndex, Tuple[int, ...]]
+Support = Tuple[MultiIndex, ...]
 
 
 @dataclass
@@ -120,10 +124,12 @@ class CoeffFamily:
         )
 
     def to_json(self) -> dict:
+        """The ``identity_generated`` descriptor of the family over these coefficients."""
         items = sorted(self.coefficients.items(), key=lambda kv: tuple(kv[0]))
         return {
-            "rank": self.rank,
-            "order": self.order,
+            "kind": "identity_generated",
+            "r": self.rank,
+            "N": self.order,
             "coefficients": [
                 {"index": idx.to_json(), "expr": expr.to_json()} for idx, expr in items
             ],
@@ -131,13 +137,14 @@ class CoeffFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoeffFamily":
+        """Read the ``r``, ``N`` and ``coefficients`` of a descriptor."""
         coeffs: Dict[MultiIndex, FuncExpr] = {}
         for item in data["coefficients"]:
             idx = MultiIndex(item["index"])
             if idx in coeffs:
                 raise ValueError(f"coefficient index {list(idx)} is repeated")
             coeffs[idx] = expr_from_json(item["expr"])
-        return cls(data["rank"], data["order"], coeffs)
+        return cls(data["r"], data["N"], coeffs)
 
 
 def constraint_indices(rank: int, order: int) -> List[MultiIndex]:
@@ -194,34 +201,19 @@ def check_constraint(
     )
 
 
-@dataclass(frozen=True)
-class SupportPattern:
-    """Which c_alpha are allowed to be nonzero."""
+def support_json(rank: int, order: int, support: Support) -> dict:
+    """The report form of a support, its indices in the order given."""
+    return {
+        "rank": rank,
+        "order": order,
+        "support": [a.to_json() for a in support],
+        # kept for the search-supports and gen-family bytes pinned in perfbench/golden.json
+        "certificate": None,
+    }
 
-    rank: int
-    order: int
-    support: FrozenSet[MultiIndex]
 
-    def __post_init__(self) -> None:
-        support = frozenset(as_multiindex(a) for a in self.support)
-        object.__setattr__(self, "support", support)
-        for a in support:
-            if a.rank != self.rank or not 1 <= a.height <= self.order:
-                raise ValueError(
-                    f"support index {tuple(a)} outside 0 < |alpha| <= {self.order}"
-                )
-
-    def sorted_support(self) -> List[MultiIndex]:
-        return sorted(self.support, key=lambda a: (a.height, tuple(a)))
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "order": self.order,
-            "support": [a.to_json() for a in self.sorted_support()],
-            # kept for the search-supports and gen-family bytes pinned in perfbench/golden.json
-            "certificate": None,
-        }
+def _band_order(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
+    return alpha.height, tuple(alpha)
 
 
 def _in_band(alpha: MultiIndex, order: int) -> bool:
@@ -233,7 +225,7 @@ def band(rank: int, order: int) -> List[MultiIndex]:
     """The admissible band N/2 < |alpha| <= N, sorted by (height, entries)."""
     return sorted(
         (a for a in enumerate_height_at_most(rank, order) if _in_band(a, order)),
-        key=lambda a: (a.height, tuple(a)),
+        key=_band_order,
     )
 
 
@@ -242,18 +234,11 @@ def index_set_size(rank: int, order: int) -> int:
     return math.comb(order + rank, rank) - 1
 
 
-def is_structure_valid(pattern: SupportPattern) -> bool:
-    """Every support index lies in the band N/2 < |alpha| <= N.
-
-    Equivalently no constrained alpha splits inside the support, so every
-    bilinear sum is empty: two band heights add up to more than N, while
-    an index gamma below the band has its square 2*gamma constrained.
-    """
-    return all(_in_band(a, pattern.order) for a in pattern.support)
-
-
-def forced_zero_analysis(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
+def forced_zero_analysis(order: int, support: Iterable[MultiIndex]) -> FrozenSet[MultiIndex]:
     """Support indices the constraint forces to vanish: those with 2|alpha| <= N.
+
+    A support is admissible exactly when this set is empty: then every
+    constrained sum is empty, since two band heights add up to more than N.
 
     Cascade: among the remaining such indices of least height, take the
     lexicographically largest gamma.  Any splitting beta + beta' of
@@ -263,7 +248,7 @@ def forced_zero_analysis(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
     is C(2g, g) * c_gamma^2, and c_gamma must vanish; drop gamma and
     repeat.  Band indices are never forced: their squares lie above N.
     """
-    return frozenset(a for a in pattern.support if not _in_band(a, pattern.order))
+    return frozenset(a for a in support if not _in_band(a, order))
 
 
 def enumerate_valid_constant_supports(
@@ -271,8 +256,8 @@ def enumerate_valid_constant_supports(
     order: int,
     max_support_size: Optional[int] = None,
     budget: int = 20,
-) -> List[SupportPattern]:
-    """Every support pattern usable with constant coefficients.
+) -> List[Support]:
+    """Every support usable with constant coefficients.
 
     These are the subsets of the band N/2 < |alpha| <= N with at most
     max_support_size elements, smallest first, each size in combinations
@@ -286,30 +271,38 @@ def enumerate_valid_constant_supports(
     if max_support_size is None:
         max_support_size = len(admissible)
     return [
-        SupportPattern(rank, order, frozenset(combo))
+        combo
         for size in range(min(max_support_size, len(admissible)) + 1)
         for combo in itertools.combinations(admissible, size)
     ]
 
 
-def random_valid_family(pattern: SupportPattern, seed: int) -> CoeffFamily:
+def random_valid_family(
+    rank: int, order: int, support: Iterable[IndexLike], seed: int
+) -> Tuple[CoeffFamily, Support]:
     """Seeded random coefficient family guaranteed to satisfy the constraint.
 
-    The support must lie in the band, where every bilinear sum is empty,
-    so each index takes an independent random polynomial.
+    The support is deduplicated and put in band order, which is the order
+    the random polynomials are drawn in, so the family depends on the set
+    of indices alone; that canonical support is returned with the family.
+    It must lie in the band, where every bilinear sum is empty, so each
+    index takes an independent random polynomial.  An index of the wrong
+    rank or outside 0 < |alpha| <= order is refused first, by
+    ``CoeffFamily`` (ValueError); then a support reaching below the band
+    raises InvalidSupport.
     """
-    if not is_structure_valid(pattern):
-        raise InvalidSupport(
-            f"support {[tuple(a) for a in pattern.sorted_support()]} leaves "
-            f"the band {pattern.order}/2 < |alpha| <= {pattern.order}"
-        )
+    canonical = tuple(sorted({as_multiindex(a) for a in support}, key=_band_order))
     rng = random.Random(f"coeff-family:{seed}")
     coeffs: Dict[MultiIndex, FuncExpr] = {
         idx: PolyLeaf(
-            polycalc.random_polynomial(
-                rng, pattern.rank, max_degree=2, terms=3, coeff_bound=4
-            )
+            polycalc.random_polynomial(rng, rank, max_degree=2, terms=3, coeff_bound=4)
         )
-        for idx in pattern.sorted_support()
+        for idx in canonical
     }
-    return CoeffFamily(pattern.rank, pattern.order, coeffs)
+    family = CoeffFamily(rank, order, coeffs)
+    if forced_zero_analysis(order, canonical):
+        raise InvalidSupport(
+            f"support {[tuple(a) for a in canonical]} leaves "
+            f"the band {order}/2 < |alpha| <= {order}"
+        )
+    return family, canonical

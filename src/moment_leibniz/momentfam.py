@@ -172,16 +172,6 @@ def make_derivative(rank: int, order: int) -> OperatorFamily:
     return OperatorFamily(rank, order, rule, descriptor=descriptor)
 
 
-def identity_generated_descriptor(cf: CoeffFamily) -> dict:
-    """The JSON descriptor of the identity-generated family over ``cf``."""
-    return {
-        "kind": "identity_generated",
-        "r": cf.rank,
-        "N": cf.order,
-        "coefficients": cf.to_json()["coefficients"],
-    }
-
-
 def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
     """T_0(f) = f and T_alpha(f) = c_alpha * f * ln|f| for alpha != 0.
 
@@ -198,7 +188,7 @@ def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
             return zero
         return Product((expr, XLogAbs(PolyLeaf(f))))
 
-    return OperatorFamily(cf.rank, cf.order, rule, descriptor=identity_generated_descriptor(cf))
+    return OperatorFamily(cf.rank, cf.order, rule, descriptor=cf.to_json())
 
 
 def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
@@ -509,13 +499,7 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
     if kind == "derivative":
         return make_derivative(data["r"], data["N"])
     if kind == "identity_generated":
-        cf = CoeffFamily.from_json(
-            {
-                "rank": data["r"],
-                "order": data["N"],
-                "coefficients": data["coefficients"],
-            }
-        )
+        cf = CoeffFamily.from_json(data)
         if domain.rank != cf.rank:
             raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
         report = check_constraint(cf, domain.sample_points, domain.float_tolerance)

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from moment_leibniz.coeffsolve import SupportPattern, constraint_indices
+from moment_leibniz.coeffsolve import constraint_indices
 from moment_leibniz.multiindex import (
     MultiIndex,
     binom,
@@ -39,26 +39,26 @@ def decomposition_pairs(
     ]
 
 
-def structure_valid(pattern: SupportPattern) -> bool:
+def structure_valid(order: int, support: Iterable[MultiIndex]) -> bool:
     """|beta + gamma| > order for all beta, gamma in the support, repetition allowed."""
-    elems = list(pattern.support)
+    elems = list(support)
     for i, beta in enumerate(elems):
         for gamma in elems[i:]:
-            if (beta + gamma).height <= pattern.order:
+            if (beta + gamma).height <= order:
                 return False
     return True
 
 
-def forced_zero_fixpoint(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
+def forced_zero_fixpoint(order: int, support: Iterable[MultiIndex]) -> FrozenSet[MultiIndex]:
     """Repeatedly drop every gamma whose square 2*gamma has gamma + gamma
     as its only decomposition inside the remaining support."""
-    active = set(pattern.support)
+    active = set(support)
     forced: set[MultiIndex] = set()
     while True:
         newly = []
         for gamma in sorted(active, key=lambda a: (a.height, tuple(a))):
             double = gamma + gamma
-            if double.height > pattern.order:
+            if double.height > order:
                 continue
             decomp = {beta for beta, _ in decomposition_pairs(double, active)}
             if decomp == {gamma}:
@@ -70,7 +70,9 @@ def forced_zero_fixpoint(pattern: SupportPattern) -> FrozenSet[MultiIndex]:
 
 
 def certificate_search(
-    pattern: SupportPattern,
+    rank: int,
+    order: int,
+    support: Iterable[MultiIndex],
     values: Sequence[Fraction] = CERT_VALUES,
     cap: int = SEARCH_CAP,
 ) -> Optional[Dict[MultiIndex, Fraction]]:
@@ -78,12 +80,12 @@ def certificate_search(
 
     Returns None when no assignment within the bound works.
     """
-    elems = pattern.sorted_support()
+    elems = sorted(set(support), key=lambda a: (a.height, tuple(a)))
     if len(values) ** len(elems) > cap:
         return None
     systems = []
-    for alpha in constraint_indices(pattern.rank, pattern.order):
-        pairs = decomposition_pairs(alpha, pattern.support)
+    for alpha in constraint_indices(rank, order):
+        pairs = decomposition_pairs(alpha, elems)
         if pairs:
             systems.append([(binom(alpha, beta), beta, gamma) for beta, gamma in pairs])
     for assignment in itertools.product(values, repeat=len(elems)):
@@ -96,18 +98,20 @@ def certificate_search(
     return None
 
 
-def admissible(pattern: SupportPattern, forced: FrozenSet[MultiIndex]) -> bool:
+def admissible(
+    rank: int, order: int, support: Iterable[MultiIndex], forced: FrozenSet[MultiIndex]
+) -> bool:
     """Usable with nonzero constants: every sum is empty, or a certificate exists.
 
-    ``forced`` is the pattern's forced-zero fixpoint; a forced index admits
+    ``forced`` is the support's forced-zero fixpoint; a forced index admits
     no nonzero value, so the search is skipped when it is nonempty.
     """
-    if structure_valid(pattern):
+    if structure_valid(order, support):
         return True
-    return not forced and certificate_search(pattern) is not None
+    return not forced and certificate_search(rank, order, support) is not None
 
 
-def all_supports(rank: int, order: int) -> List[SupportPattern]:
+def all_supports(rank: int, order: int) -> List[Tuple[MultiIndex, ...]]:
     """Every subset of {0 < |alpha| <= order}, by size, in combinations order
     over the index set sorted by (height, entries)."""
     index_set = sorted(
@@ -115,7 +119,7 @@ def all_supports(rank: int, order: int) -> List[SupportPattern]:
         key=lambda a: (a.height, tuple(a)),
     )
     return [
-        SupportPattern(rank, order, frozenset(combo))
+        combo
         for size in range(len(index_set) + 1)
         for combo in itertools.combinations(index_set, size)
     ]

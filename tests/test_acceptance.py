@@ -22,7 +22,6 @@ from moment_leibniz import (
     PolyLeaf,
     Polynomial,
     PowerSignMap,
-    SupportPattern,
     TauMap,
     XLogAbs,
     binom,
@@ -208,10 +207,10 @@ def test_identity_generated_families_across_valid_supports():
         partner = random_polynomial(random.Random(7 * rank), rank, max_degree=3)
         product = vanishing * partner
         for order in (1, 2, 3):
-            for pattern in enumerate_valid_constant_supports(rank, order):
+            for support in enumerate_valid_constant_supports(rank, order):
                 patterns_checked += 1
                 for seed in range(5):
-                    coeffs = random_valid_family(pattern, seed)
+                    coeffs, _ = random_valid_family(rank, order, support, seed)
                     check = check_constraint(coeffs, domain.sample_points, domain.float_tolerance)
                     all_passed = all_passed and check.passed
                     family = make_identity_generated(coeffs)
@@ -223,10 +222,10 @@ def test_identity_generated_families_across_valid_supports():
                     worst = max(worst, rep.max_residual)
                     all_passed = all_passed and rep.passed
                     # only the empty support leaves no log term to sample
-                    all_passed = all_passed and rep.exact is (not pattern.support)
+                    all_passed = all_passed and rep.exact is (not support)
                 # where f*g vanishes both sides of the identity must be
                 # exactly 0.0, not merely small
-                family = make_identity_generated(random_valid_family(pattern, 0))
+                family = make_identity_generated(random_valid_family(rank, order, support, 0)[0])
                 for alpha in enumerate_height_at_most(rank, order):
                     if alpha.is_zero():
                         continue
@@ -295,21 +294,21 @@ def test_forced_zero_analysis_matches_brute_force():
         a for a in enumerate_height_at_most(2, 2) if not a.is_zero()
     )
     cases = [
-        (SupportPattern(1, 2, full_1_2), frozenset({_mi(1)})),
-        (SupportPattern(2, 2, full_2_2), frozenset({_mi(1, 0), _mi(0, 1)})),
+        (1, 2, full_1_2, frozenset({_mi(1)})),
+        (2, 2, full_2_2, frozenset({_mi(1, 0), _mi(0, 1)})),
         # cascade: removing the forced c_1 turns alpha = 4 into a pure
         # square in c_2, which is then forced as well
-        (SupportPattern(1, 4, frozenset({_mi(1), _mi(2)})), frozenset({_mi(1), _mi(2)})),
+        (1, 4, frozenset({_mi(1), _mi(2)}), frozenset({_mi(1), _mi(2)})),
     ]
     mismatches = []
-    for pattern, expected in cases:
-        forced = forced_zero_analysis(pattern)
-        brute = _brute_forced(pattern.support, pattern.rank, pattern.order)
+    for rank, order, support, expected in cases:
+        forced = forced_zero_analysis(order, support)
+        brute = _brute_forced(support, rank, order)
         if forced != expected or brute != expected:
             mismatches.append(
                 {
-                    "rank": pattern.rank,
-                    "order": pattern.order,
+                    "rank": rank,
+                    "order": order,
                     "analysis": sorted(a.to_json() for a in forced),
                     "brute_force": sorted(a.to_json() for a in brute),
                 }
@@ -408,7 +407,7 @@ def test_conjugated_families_keep_the_identity():
         support = frozenset(
             a for a in enumerate_height_at_most(rank, 2) if a.height == 2
         )
-        coeffs = random_valid_family(SupportPattern(rank, 2, support), 7)
+        coeffs, _ = random_valid_family(rank, 2, support, 7)
         logfam = conjugate(make_identity_generated(coeffs), tau)
         rep = verify_moment(logfam, default_probe_pairs(domain, 12, rng), domain)
         worst_float = max(worst_float, rep.max_residual)

@@ -678,6 +678,17 @@ PINNED = [
         EXIT_FAIL,
         "d3c0e61ee44bc609ec3d1d807c66c913948b2638e8ff5a51eb900755ca933819",
     ),
+    (
+        # a repeated index, and a band order unlike the lexicographic one:
+        # the support is deduplicated and drawn in band order
+        [
+            "gen-family", "--rank", "2", "--order", "3",
+            "--support", "[[3,0],[0,3],[2,0],[3,0]]", "--seed", "7",
+        ],
+        None,
+        EXIT_PASS,
+        "43ea2b1e9c193b581b967b7494e11448eae0eeaa9f6bb0e99ef318f106fec3c7",
+    ),
 ]
 
 

@@ -21,13 +21,12 @@ from moment_leibniz.coeffsolve import (
     BudgetExceeded,
     CoeffFamily,
     InvalidSupport,
-    SupportPattern,
     check_constraint,
     constraint_indices,
     enumerate_valid_constant_supports,
     forced_zero_analysis,
-    is_structure_valid,
     random_valid_family,
+    support_json,
 )
 
 import _coeff_oracle as oracle
@@ -38,8 +37,8 @@ def _mi(*entries: int) -> MultiIndex:
     return MultiIndex(tuple(entries))
 
 
-def _pattern(rank: int, order: int, *indices) -> SupportPattern:
-    return SupportPattern(rank, order, frozenset(_mi(*i) for i in indices))
+def _support(*indices) -> frozenset:
+    return frozenset(_mi(*i) for i in indices)
 
 
 def _sympy_constraint_sums(support, rank: int, order: int):
@@ -91,9 +90,14 @@ def test_family_json_roundtrip():
             (0, 2): PolyLeaf(Polynomial.constant(2, Fraction(1, 3))),
         },
     )
-    back = CoeffFamily.from_json(cf.to_json())
+    data = cf.to_json()
+    assert data["kind"] == "identity_generated"
+    assert (data["r"], data["N"]) == (2, 2)
+    assert [item["index"] for item in data["coefficients"]] == [[0, 2], [1, 0]]
+    back = CoeffFamily.from_json(data)
     assert back.rank == 2 and back.order == 2
     assert set(back.coefficients) == set(cf.coefficients)
+    assert back.to_json() == data
 
 
 # ---- the constraint check ----
@@ -147,38 +151,35 @@ def test_constraint_sums_match_hand_expansion():
 
 
 def test_forced_zero_rank1():
-    pattern = _pattern(1, 2, (1,), (2,))
-    assert forced_zero_analysis(pattern) == frozenset({_mi(1)})
+    assert forced_zero_analysis(2, _support((1,), (2,))) == frozenset({_mi(1)})
 
 
 def test_forced_zero_rank2_full_height_one():
-    pattern = _pattern(2, 2, (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    forced = forced_zero_analysis(pattern)
+    support = _support((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    forced = forced_zero_analysis(2, support)
     assert forced == frozenset({_mi(1, 0), _mi(0, 1)})
 
 
 def test_forced_zero_empty_when_squares_unreachable():
     # every |beta| > N/2, so 2*beta is out of range
-    pattern = _pattern(2, 2, (2, 0), (1, 1), (0, 2))
-    assert forced_zero_analysis(pattern) == frozenset()
+    assert forced_zero_analysis(2, _support((2, 0), (1, 1), (0, 2))) == frozenset()
 
 
 def test_forced_zero_fixpoint_cascades():
     # removing (1,) leaves (2,) with a sole square at (4,)
-    pattern = _pattern(1, 4, (1,), (2,))
-    forced = forced_zero_analysis(pattern)
+    forced = forced_zero_analysis(4, _support((1,), (2,)))
     assert forced == frozenset({_mi(1), _mi(2)})
 
 
 def test_forced_zero_matches_sympy_expansion():
     # the brute-force expansions confirm both pinned cases: each forced
     # index has its diagonal constraint equal to a single square term
-    for pattern, expect in [
-        (_pattern(1, 2, (1,), (2,)), {_mi(1)}),
-        (_pattern(2, 2, (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), {_mi(1, 0), _mi(0, 1)}),
+    for rank, support, expect in [
+        (1, _support((1,), (2,)), {_mi(1)}),
+        (2, _support((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), {_mi(1, 0), _mi(0, 1)}),
     ]:
-        syms, sums = _sympy_constraint_sums(pattern.support, pattern.rank, pattern.order)
-        forced = forced_zero_analysis(pattern)
+        syms, sums = _sympy_constraint_sums(support, rank, 2)
+        forced = forced_zero_analysis(2, support)
         assert forced == frozenset(expect)
         for gamma in forced:
             diag = sums[gamma + gamma]
@@ -196,15 +197,16 @@ def test_rank1_order2_constant_solutions_match_solver():
     assert all(sol[c1] == 0 for sol in solutions)
 
 
-# ---- structure validity and enumeration ----
+# ---- admissibility and enumeration ----
 
 
 def test_structure_valid_examples():
-    assert is_structure_valid(_pattern(1, 2, (2,)))
-    assert is_structure_valid(_pattern(1, 2))
-    assert not is_structure_valid(_pattern(1, 2, (1,)))
-    assert is_structure_valid(_pattern(1, 1, (1,)))  # order 1: (1)+(1) is out of range
-    assert not is_structure_valid(_pattern(2, 3, (1, 0), (0, 1), (1, 1)))
+    # a support is admissible exactly when nothing in it is forced
+    assert forced_zero_analysis(2, _support((2,))) == frozenset()
+    assert forced_zero_analysis(2, _support()) == frozenset()
+    assert forced_zero_analysis(2, _support((1,))) == _support((1,))
+    assert forced_zero_analysis(1, _support((1,))) == frozenset()  # order 1: (1)+(1) is out of range
+    assert forced_zero_analysis(3, _support((1, 0), (0, 1), (1, 1))) == _support((1, 0), (0, 1))
 
 
 def test_decomposition_pairs():
@@ -216,46 +218,44 @@ def test_decomposition_pairs():
 
 
 def test_enumeration_rank1_order2():
-    patterns = enumerate_valid_constant_supports(1, 2)
-    supports = [sorted(tuple(a) for a in p.support) for p in patterns]
-    assert supports == [[], [(2,)]]
-    assert all(p.to_json()["certificate"] is None for p in patterns)
+    supports = enumerate_valid_constant_supports(1, 2)
+    assert supports == [(), (_mi(2),)]
+    assert all(support_json(1, 2, s)["certificate"] is None for s in supports)
 
 
 def test_enumeration_rank1_order3():
-    patterns = enumerate_valid_constant_supports(1, 3)
-    supports = {tuple(sorted(tuple(a) for a in p.support)) for p in patterns}
-    assert supports == {(), ((2,),), ((3,),), ((2,), (3,))}
+    supports = enumerate_valid_constant_supports(1, 3)
+    assert supports == [(), ((2,),), ((3,),), ((2,), (3,))]
 
 
 def test_enumeration_rank2_order2_counts():
     # valid supports are exactly the subsets of the three height-2 indices
-    patterns = enumerate_valid_constant_supports(2, 2)
-    assert len(patterns) == 8
-    for p in patterns:
-        assert all(a.height == 2 for a in p.support)
+    supports = enumerate_valid_constant_supports(2, 2)
+    assert len(supports) == 8
+    for s in supports:
+        assert all(a.height == 2 for a in s)
 
 
 def test_enumeration_respects_max_support_size():
-    patterns = enumerate_valid_constant_supports(2, 2, max_support_size=1)
-    assert max(len(p.support) for p in patterns) <= 1
-    assert len(patterns) == 4  # empty set plus three singletons
+    supports = enumerate_valid_constant_supports(2, 2, max_support_size=1)
+    assert max(len(s) for s in supports) <= 1
+    assert len(supports) == 4  # empty set plus three singletons
 
 
 def test_no_certificate_for_forced_square():
     # the oracle's search finds no nonzero constants, and the band rejects both
-    for pattern in (_pattern(1, 2, (1,)), _pattern(1, 2, (1,), (2,))):
-        assert oracle.certificate_search(pattern) is None
-        assert not is_structure_valid(pattern)
+    for support in (_support((1,)), _support((1,), (2,))):
+        assert oracle.certificate_search(1, 2, support) is None
+        assert forced_zero_analysis(2, support) == _support((1,))
 
 
 def test_certificate_on_band_support_has_no_size_cap():
     # eight band indices at rank 2, order 4: 6^8 assignments, beyond the
     # oracle's capped search; all ones passes the constraint outright
     band = [tuple(a) for a in enumerate_height_at_most(2, 4) if a.height >= 3]
-    pattern = _pattern(2, 4, *band[:8])
-    assert is_structure_valid(pattern)
-    ones = CoeffFamily.from_constants(2, 4, {a: 1 for a in pattern.support})
+    support = _support(*band[:8])
+    assert forced_zero_analysis(4, support) == frozenset()
+    ones = CoeffFamily.from_constants(2, 4, {a: 1 for a in support})
     report = check_constraint(ones, Domain.unit(2).sample_points)
     assert report.passed and report.max_residual == 0.0
 
@@ -269,9 +269,10 @@ def test_budget_exceeded():
 
 
 def test_random_family_on_structure_valid_support():
-    pattern = _pattern(2, 3, (2, 0), (1, 1), (0, 3))
-    cf = random_valid_family(pattern, seed=11)
-    assert set(cf.coefficients) == set(pattern.support)
+    cf, support = random_valid_family(2, 3, [(2, 0), (1, 1), (0, 3)], seed=11)
+    # band order: height, then entries
+    assert support == (_mi(1, 1), _mi(2, 0), _mi(0, 3))
+    assert set(cf.coefficients) == set(support)
     dom = Domain.unit(2)
     report = check_constraint(cf, dom.sample_points)
     assert report.passed
@@ -279,53 +280,61 @@ def test_random_family_on_structure_valid_support():
 
 
 def test_random_family_deterministic():
-    pattern = _pattern(1, 3, (2,), (3,))
-    a = random_valid_family(pattern, seed=4)
-    b = random_valid_family(pattern, seed=4)
+    a, _ = random_valid_family(1, 3, [(2,), (3,)], seed=4)
+    b, _ = random_valid_family(1, 3, [(2,), (3,)], seed=4)
     assert a.to_json() == b.to_json()
-    c = random_valid_family(pattern, seed=5)
+    c, _ = random_valid_family(1, 3, [(2,), (3,)], seed=5)
     assert c.to_json() != a.to_json()
+    # the draw order is the band order, whatever order and repeats are given
+    d, support = random_valid_family(1, 3, [(3,), (2,), (3,)], seed=4)
+    assert support == (_mi(2), _mi(3))
+    assert d.to_json() == a.to_json()
 
 
 def test_random_family_rejects_uncertified_support():
     with pytest.raises(InvalidSupport):
-        random_valid_family(_pattern(1, 2, (1,)), seed=0)
+        random_valid_family(1, 2, [(1,)], seed=0)
+    # indices of the wrong rank or above the order are CoeffFamily's to refuse
+    with pytest.raises(ValueError, match="rank"):
+        random_valid_family(1, 2, [(1, 1)], seed=0)
+    with pytest.raises(ValueError, match="outside"):
+        random_valid_family(1, 2, [(3,)], seed=0)
 
 
 def test_support_pattern_json_roundtrip():
-    pattern = _pattern(1, 3, (2,), (3,))
-    data = pattern.to_json()
-    assert data["certificate"] is None
-    assert data["support"] == [[2], [3]]
-    assert SupportPattern(1, 3, frozenset(MultiIndex(a) for a in data["support"])) == pattern
+    support = (_mi(2), _mi(3))
+    data = support_json(1, 3, support)
+    assert data == {"rank": 1, "order": 3, "support": [[2], [3]], "certificate": None}
+    assert tuple(MultiIndex(a) for a in data["support"]) == support
 
 
 # ---- closed forms against the brute-force oracle ----
 
 
-def _assert_matches_oracle(pattern: SupportPattern) -> bool:
+def _assert_matches_oracle(rank: int, order: int, support) -> bool:
     """Check the closed forms on one support; return the oracle's admissibility."""
-    forced = oracle.forced_zero_fixpoint(pattern)
-    admissible = oracle.admissible(pattern, forced)
-    assert is_structure_valid(pattern) == oracle.structure_valid(pattern) == admissible
-    assert forced_zero_analysis(pattern) == forced
+    forced = oracle.forced_zero_fixpoint(order, support)
+    admissible = oracle.admissible(rank, order, support, forced)
+    analysis = forced_zero_analysis(order, support)
+    assert (not analysis) == oracle.structure_valid(order, support) == admissible
+    assert analysis == forced
     return admissible
 
 
 @pytest.mark.parametrize("rank,max_order", [(1, 6), (2, 4), (3, 2)])
 def test_closed_forms_match_oracle_on_every_support(rank, max_order):
     for order in range(max_order + 1):
-        admissible = [p for p in oracle.all_supports(rank, order) if _assert_matches_oracle(p)]
+        admissible = [
+            s for s in oracle.all_supports(rank, order) if _assert_matches_oracle(rank, order, s)
+        ]
         # the enumeration lists exactly the oracle's admissible supports,
-        # in subset order, each reported with a null certificate
+        # in subset order and each in band order, with a null certificate
         got = enumerate_valid_constant_supports(rank, order)
-        assert [p.support for p in got] == [p.support for p in admissible]
-        assert all(p.to_json()["certificate"] is None for p in got)
+        assert got == admissible
+        assert all(support_json(rank, order, s)["certificate"] is None for s in got)
         for size in (0, 1, 2):
             capped = enumerate_valid_constant_supports(rank, order, max_support_size=size)
-            assert [p.support for p in capped] == [
-                p.support for p in admissible if len(p.support) <= size
-            ]
+            assert capped == [s for s in admissible if len(s) <= size]
 
 
 @st.composite
@@ -334,10 +343,10 @@ def _supports(draw):
     order = draw(st.integers(0, 5))
     index_set = [a for a in enumerate_height_at_most(rank, order) if a.height >= 1]
     chosen = draw(st.sets(st.sampled_from(index_set), max_size=8)) if index_set else set()
-    return SupportPattern(rank, order, frozenset(chosen))
+    return rank, order, frozenset(chosen)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_supports())
-def test_closed_forms_match_oracle_on_random_supports(pattern):
-    _assert_matches_oracle(pattern)
+def test_closed_forms_match_oracle_on_random_supports(case):
+    _assert_matches_oracle(*case)
