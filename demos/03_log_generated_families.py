@@ -31,7 +31,7 @@ def main() -> None:
     # constant coefficient 1 on every index violates the constraint
     bad = CoeffFamily.from_constants(1, 2, {MultiIndex((1,)): 1, MultiIndex((2,)): 1})
     print("c_alpha = 1 for all alpha:")
-    check = check_constraint(bad, domain.sample_points, domain.float_tolerance)
+    check = check_constraint(bad, domain)
     if not check.passed:
         witness = check.failures[0]
         print(f"  rejected, witness: alpha = {witness['alpha']}, sum = {witness['value']}")

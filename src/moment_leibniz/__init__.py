@@ -43,7 +43,6 @@ from .funcmodel import (
     check_multiplicative,
     const_expr,
     eval_expr,
-    eval_table,
     expr_from_json,
     grad_dot,
     hess_quad,

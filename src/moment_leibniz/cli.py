@@ -27,7 +27,7 @@ import random
 import sys
 from typing import List, Optional
 
-from .multiindex import MultiIndex, enumerate_height_at_most
+from .multiindex import MultiIndex
 from .polycalc import check_leibniz_all, random_polynomial
 from .funcmodel import Domain, worse
 from .coeffsolve import (
@@ -198,8 +198,10 @@ def run_search_supports(args: argparse.Namespace) -> dict:
 
 def run_verify_semigroup(args: argparse.Namespace) -> dict:
     _positive_int("probes", args.probes, 1)
-    if args.tamper and args.order < 1:
-        raise InputError("--tamper needs --order >= 1")
+    # the alpha = e instances are linear in a height-1 f_e, so scaling one
+    # changes no verdict: the tampered member has height 2
+    if args.tamper and args.order < 2:
+        raise InputError("--tamper needs --order >= 2")
     rng = random.Random(args.seed)
     failures: List[dict] = []
     max_residual = 0.0
@@ -209,12 +211,8 @@ def run_verify_semigroup(args: argparse.Namespace) -> dict:
         seq = make_exponential_moment_seq(args.rank, args.order, rate, scales)
         tampered_index: Optional[List[int]] = None
         if args.tamper:
-            h = min(2, args.order)
-            alpha = next(
-                a
-                for a in enumerate_height_at_most(args.rank, args.order)
-                if a.height == h
-            )
+            # the first height-2 index in enumerate_height_at_most order
+            alpha = MultiIndex((0,) * (args.rank - 1) + (2,))
             seq = tampered(seq, alpha, 1.01)
             tampered_index = alpha.to_json()
         probes = random_probe_pairs(args.probes, rng)
@@ -325,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tamper",
         action="store_true",
-        help="scale one f_alpha by 1.01 to confirm the verifier rejects it",
+        help="scale f_(0,...,0,2) by 1.01 to confirm the verifier rejects it "
+        "(needs --order >= 2)",
     )
     p.set_defaults(func=run_verify_semigroup)
 

@@ -37,7 +37,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .multiindex import (
     MultiIndex,
@@ -45,9 +45,10 @@ from .multiindex import (
     convolution_terms,
     enumerate_height_at_most,
 )
-from .polycalc import Polynomial, RationalPoint, Scalar
+from .polycalc import Polynomial, Scalar
 from .funcmodel import (
     CheckReport,
+    Domain,
     FuncExpr,
     Leaves,
     PolyLeaf,
@@ -152,18 +153,18 @@ def constraint_indices(rank: int, order: int) -> List[MultiIndex]:
     return [a for a in enumerate_height_at_most(rank, order) if a.height >= 2]
 
 
-def check_constraint(
-    cf: CoeffFamily,
-    points: Sequence[RationalPoint],
-    tol: float = 1e-9,
-) -> CheckReport:
-    """Evaluate every constrained bilinear sum at every point.
+def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
+    """Evaluate every constrained bilinear sum at every sample of the domain.
 
     Binomial weights are exact integers; only the coefficient values and
-    final products are floating point.  |sum| <= tol is required.  One
-    leaf table serves every alpha, so a polynomial coefficient is turned
-    into a float once per point, the first time a sum needs it.
+    final products are floating point.  |sum| <= the domain tolerance is
+    required.  One leaf table serves every alpha, so a polynomial
+    coefficient is turned into a float once per point, the first time a
+    sum needs it.
     """
+    if domain.rank != cf.rank:
+        raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
+    tol = domain.float_tolerance
     failures: List[dict] = []
     max_abs = 0.0
     checked = 0
@@ -176,7 +177,7 @@ def check_constraint(
             for w, beta, gamma in convolution_terms(alpha)
             if beta in cf.coefficients and gamma in cf.coefficients
         ]
-        for x in points:
+        for x in domain.sample_points:
             value = sum(
                 w * eval_expr(cb, x, leaves) * eval_expr(cg, x, leaves)
                 for w, cb, cg in pairs

@@ -1,4 +1,4 @@
-"""Pointwise function model on a sampled box domain.
+"""Pointwise function model, sampled on the open unit box.
 
 Expressions are trees of four kinds: exact polynomial leaves, sums,
 products, and the continuous extension of t -> t*ln|t| (value 0 at
@@ -9,18 +9,20 @@ components (``grad_dot``, ``hess_quad``); ``expr_from_json`` reads the
 JSON kinds ``scale``, ``graddot`` and ``hessquad`` that way, and
 ``to_json`` writes them as sums and products.
 
-Trees evaluate to floats at rational sample points, node by node, and
-``eval_table`` lists those floats for a whole set of points.  Polynomial
-leaves are memoized per call: a ``Leaves`` table, made by the caller and
-dropped when it returns, holds each (polynomial, point) value the first
-time a node needs it, so a verifier that evaluates many trees over the
-same probes and coefficients converts each exact leaf value to a float
-once.  The table fills in evaluation order, so the same values are
-computed first and the first ``NonFiniteValue`` carries the same node
-path as without it.  A tree without a t*ln|t| node (``is_polynomial``)
-expands back to a ``Polynomial``; its exact values are the expansion
-evaluated at the point, and the exact verifiers compare the expansions
-themselves.
+Trees evaluate to floats at rational sample points, node by node
+(``eval_expr``).  Polynomial leaves are memoized per call: a ``Leaves``
+table, made by the caller and dropped when it returns, holds each
+(polynomial, point) value the first time a node needs it, so a verifier
+that evaluates many trees over the same probes and coefficients converts
+each exact leaf value to a float once.  The table fills in evaluation
+order, so the same values are computed first and the first
+``NonFiniteValue`` carries the same node path as without it.  A tree
+without a t*ln|t| node (``is_polynomial``) expands back to a
+``Polynomial``; its exact values are the expansion evaluated at the
+point, and the exact verifiers compare the expansions themselves.
+
+Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
+seeded rational sample points and the float tolerance.
 """
 
 from __future__ import annotations
@@ -43,30 +45,9 @@ class NotPolynomial(ValueError):
     """Expansion met a tree with a u*ln|u| node, which is not polynomial."""
 
 
-def _to_float(value: Fraction, path: str) -> float:
-    try:
-        out = float(value)
-    except OverflowError as exc:
-        raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
-    if not math.isfinite(out):
-        raise NonFiniteValue(f"non-finite value at {path}")
-    return out
-
-
 # (id(poly), id(point)) -> (poly, point, float value).  The entry keeps the
 # polynomial and the point alive, so neither id is reused while the table is.
 Leaves = Dict[Tuple[int, int], Tuple[Polynomial, RationalPoint, float]]
-
-
-def leaf_value(poly: Polynomial, x: RationalPoint, path: str, leaves: Leaves) -> float:
-    """The float value of poly at x, computed on the first request only."""
-    key = (id(poly), id(x))
-    hit = leaves.get(key)
-    if hit is not None:
-        return hit[2]
-    value = _to_float(eval_poly(poly, x), path)
-    leaves[key] = (poly, x, value)
-    return value
 
 
 # ---- expression nodes ----
@@ -101,7 +82,17 @@ class PolyLeaf(FuncExpr):
         return self.poly.dim
 
     def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        return leaf_value(self.poly, x, path, leaves)
+        """The float value of poly at x, computed on the first request only."""
+        key = (id(self.poly), id(x))
+        hit = leaves.get(key)
+        if hit is not None:
+            return hit[2]
+        try:  # Fraction.__float__ is a finite float or an OverflowError
+            value = float(eval_poly(self.poly, x))
+        except OverflowError as exc:
+            raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
+        leaves[key] = (self.poly, x, value)
+        return value
 
     def _expand(self) -> Polynomial:
         return self.poly
@@ -214,15 +205,6 @@ def eval_expr(
     return expr._eval(x, "root", {} if leaves is None else leaves)
 
 
-def eval_table(
-    expr: FuncExpr, points: Sequence[RationalPoint], leaves: Optional[Leaves] = None
-) -> List[float]:
-    """The tree's float values at every point, through one leaf table."""
-    if leaves is None:
-        leaves = {}
-    return [eval_expr(expr, x, leaves) for x in points]
-
-
 def is_polynomial(expr: FuncExpr) -> bool:
     """Whether the tree expands to a polynomial: it has no XLogAbs node."""
     return not isinstance(expr, XLogAbs) and all(map(is_polynomial, expr.children))
@@ -293,9 +275,8 @@ def expr_from_json(data: dict) -> FuncExpr:
         return XLogAbs(expr_from_json(data["child"]))
     # the input-only kinds, read as sums and products
     if kind == "scale":
-        factor = Fraction(data["factor"])
         child = expr_from_json(data["child"])
-        return Product((const_expr(child.dim, factor), child))
+        return Product((const_expr(child.dim, data["factor"]), child))
     if kind in ("graddot", "hessquad"):
         build = grad_dot if kind == "graddot" else hess_quad
         return build(
@@ -310,20 +291,15 @@ def expr_from_json(data: dict) -> FuncExpr:
 
 @dataclass(frozen=True)
 class Domain:
-    """An open box with rational sample points strictly inside it."""
+    """The open unit box (0,1)^rank with rational sample points strictly inside it."""
 
-    box: tuple[tuple[Fraction, Fraction], ...]
+    rank: int
     sample_points: tuple[RationalPoint, ...]
     float_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.box)
-        object.__setattr__(self, "box", box)
-        if len(box) == 0:
-            raise ValueError("domain needs rank >= 1")
-        for lo, hi in box:
-            if not lo < hi:
-                raise ValueError(f"degenerate interval ({lo}, {hi})")
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
+            raise ValueError(f"domain rank must be an integer >= 1, got {self.rank!r}")
         if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
             raise ValueError(
                 f"float_tolerance must be finite and > 0, got {self.float_tolerance}"
@@ -336,33 +312,8 @@ class Domain:
             if not self.contains(p):
                 raise ValueError(f"sample {p.to_json()} not strictly inside the box")
 
-    @property
-    def rank(self) -> int:
-        return len(self.box)
-
     def contains(self, p: RationalPoint) -> bool:
-        if p.rank != self.rank:
-            return False
-        return all(lo < c < hi for c, (lo, hi) in zip(p, self.box))
-
-    @classmethod
-    def sampled(
-        cls,
-        box: Sequence[Tuple[Scalar, Scalar]],
-        n_samples: int = 12,
-        seed: int = 0,
-        float_tolerance: float = 1e-9,
-    ) -> "Domain":
-        """Deterministic rational samples lo + (hi-lo)*k/64, 0 < k < 64."""
-        rng = random.Random(seed)
-        fbox = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
-        points = []
-        for _ in range(n_samples):
-            coords = tuple(
-                lo + (hi - lo) * Fraction(rng.randint(1, 63), 64) for lo, hi in fbox
-            )
-            points.append(RationalPoint(coords))
-        return cls(fbox, tuple(points), float_tolerance)
+        return p.rank == self.rank and all(0 < c < 1 for c in p)
 
     @classmethod
     def unit(
@@ -372,8 +323,13 @@ class Domain:
         seed: int = 0,
         float_tolerance: float = 1e-9,
     ) -> "Domain":
-        """The open unit box (0,1)^rank with seeded samples."""
-        return cls.sampled(((0, 1),) * rank, n_samples, seed, float_tolerance)
+        """Seeded samples of (0,1)^rank: coordinates k/64, 0 < k < 64, drawn point by point."""
+        rng = random.Random(seed)
+        points = tuple(
+            RationalPoint(Fraction(rng.randint(1, 63), 64) for _ in range(rank))
+            for _ in range(n_samples)
+        )
+        return cls(rank, points, float_tolerance)
 
 
 # ---- reparametrization maps ----

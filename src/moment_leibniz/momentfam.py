@@ -17,7 +17,7 @@ operator once per probe.
 
 Constructors take no domain.  ``verify_moment`` maps every sample
 through the family's composed point maps and refuses an image outside
-the box; ``family_from_json`` checks the coefficient constraint.
+the unit box; ``family_from_json`` checks the coefficient constraint.
 
 How an instance is decided is read off the expressions the operators
 return, probe by probe, before anything is expanded; a family declares
@@ -37,8 +37,9 @@ therefore passes.
 
 When some expression has an f*ln|f| node, nothing of the probe is
 expanded and its instances are sampled: the same expressions are
-tabulated in floats at the sample points with ``funcmodel.eval_table``
-and the convolution is summed per point, against the domain tolerance.
+tabulated in floats with ``funcmodel.eval_expr``, one expression at
+every sample point before the next, and the convolution is summed per
+point, against the domain tolerance.
 One leaf table serves the whole call, so each polynomial leaf (a
 coefficient, a probe, a product of probes) is turned into a float once
 per sample point, however many alphas and probes use it.
@@ -78,7 +79,7 @@ from .funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
-    eval_table,
+    eval_expr,
     expr_from_json,
     grad_dot,
     hess_quad,
@@ -342,7 +343,8 @@ def verify_moment(
             tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
         else:
             vf, vg, vfg = [
-                {b: eval_table(e, points, leaves) for b, e in row.items()} for row in rows
+                {b: [eval_expr(e, y, leaves) for y in points] for b, e in row.items()}
+                for row in rows
             ]
             sampled = True
         for alpha, splits in terms.items():
@@ -500,9 +502,7 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
         return make_derivative(data["r"], data["N"])
     if kind == "identity_generated":
         cf = CoeffFamily.from_json(data)
-        if domain.rank != cf.rank:
-            raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
-        report = check_constraint(cf, domain.sample_points, domain.float_tolerance)
+        report = check_constraint(cf, domain)
         if not report.passed:
             raise ConstraintViolation(report)
         return make_identity_generated(cf)

@@ -73,6 +73,8 @@ Scalar = Union[int, Fraction, str]
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # Fraction(True) is 1, yet a JSON true is no number
+        raise ValueError(f"a scalar must be a number, got {value!r}")
     return Fraction(value)
 
 
@@ -258,10 +260,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Iterable[dict], dim: int) -> "Polynomial":
-        return cls(
-            dim,
-            [(MultiIndex(t["exponent"]), Fraction(t["coeff"])) for t in data],
-        )
+        return cls(dim, [(MultiIndex(t["exponent"]), t["coeff"]) for t in data])
 
 
 # ---- calculus ----

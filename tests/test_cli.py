@@ -414,6 +414,20 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
             "r": 1,
             "c": {"kind": "sum", "children": [_xlogabs(str(10**307)), _xlogabs(str(-(10**307)))]},
         },
+        # JSON true and false are not numbers, though Fraction(True) is 1
+        {"kind": "first_order_leibniz", "r": 1, "c": _const(1, True)},
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": 2,
+            "tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": True}]]},
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
+        {
+            "kind": "first_order_leibniz",
+            "r": 1,
+            "c": {"kind": "scale", "factor": False, "child": _X},
+        },
     ],
     ids=[
         "r-str",
@@ -448,6 +462,9 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
         "hessquad-field-dim",
         "conjugated-twice-leaves-box",
         "xlogabs-overflow",
+        "coeff-bool",
+        "tau-coeff-bool",
+        "scale-factor-bool",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
@@ -560,6 +577,18 @@ def test_verify_semigroup_tamper_fails(capsys):
     assert report["sweeps"][0]["tampered_index"] == [2]
 
 
+@pytest.mark.parametrize("rank,order", [(1, 0), (1, 1), (2, 1)])
+def test_verify_semigroup_tamper_needs_order_two(capsys, rank, order):
+    # the alpha = e instances are linear in a height-1 f_e, so scaling one
+    # builds a sequence that still satisfies the identity
+    argv = ["verify-semigroup", "--rank", str(rank), "--order", str(order), "--tamper"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: --tamper needs --order >= 2\n"
+
+
 def test_verify_semigroup_overflow_is_input_error(capsys):
     # at order 400 the split products overflow to inf of both signs, so a
     # convolution has no sum: no verdict, and the error names the instance
@@ -623,6 +652,39 @@ def test_gen_family_deeply_nested_support_is_input_error(capsys):
 
 
 # ---- determinism and seeding ----
+
+
+def _poly2(*terms):
+    """A two-variable polynomial leaf from (exponent, coeff) pairs."""
+    return {
+        "kind": "poly",
+        "dim": 2,
+        "terms": [{"exponent": list(e), "coeff": c} for e, c in terms],
+    }
+
+
+def _sum(*children):
+    return {"kind": "sum", "children": list(children)}
+
+
+def _prod(*children):
+    return {"kind": "product", "children": list(children)}
+
+
+def _sugar(kind, poly, field):
+    return {"kind": kind, "dim": 2, "poly": [{"exponent": poly, "coeff": "1"}], "field": field}
+
+
+_ONE, _X0, _X1 = _poly2(((0, 0), "1")), _poly2(((1, 0), "1")), _poly2(((0, 1), "1"))
+_HALF = _poly2(((0, 0), "1/2"))
+# b = (<grad(x0 x1), (1, x0)>, x1 / 3),
+# c = (<Hess(x0^2 x1) (1, x0), (1, x0)>, <grad(x1^2), (1, 1)>)
+_SUGAR_B = [_sugar("graddot", [1, 1], [_ONE, _X0]), {"kind": "scale", "factor": "1/3", "child": _X1}]
+_SUGAR_C = [_sugar("hessquad", [2, 1], [_ONE, _X0]), _sugar("graddot", [0, 2], [_ONE, _ONE])]
+
+
+def _pair(a, b, c):
+    return {"kind": "second_order", "r": 2, "smoothness": 2, "a": a, "b": b, "c": c}
 
 
 # (argv, descriptor, exit code, sha256 of stdout).  A descriptor is written
@@ -689,6 +751,14 @@ PINNED = [
         EXIT_PASS,
         "43ea2b1e9c193b581b967b7494e11448eae0eeaa9f6bb0e99ef318f106fec3c7",
     ),
+    (
+        # a sampled second-order pair on two variables: its bytes rest on the
+        # samples and on the float values of sums, products and u ln|u|
+        ["verify-family", "family.json", "--seed", "3"],
+        _pair(_HALF, _SUGAR_B, _SUGAR_C),
+        EXIT_PASS,
+        "01d65175f2ab8b627121a4dec5e4491758a7c5b95bb3b046ae4cd383b0496544",
+    ),
 ]
 
 
@@ -710,34 +780,7 @@ def test_report_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, descriptor
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _poly2(*terms):
-    """A two-variable polynomial leaf from (exponent, coeff) pairs."""
-    return {
-        "kind": "poly",
-        "dim": 2,
-        "terms": [{"exponent": list(e), "coeff": c} for e, c in terms],
-    }
-
-
-def _sum(*children):
-    return {"kind": "sum", "children": list(children)}
-
-
-def _prod(*children):
-    return {"kind": "product", "children": list(children)}
-
-
-def _sugar(kind, poly, field):
-    return {"kind": kind, "dim": 2, "poly": [{"exponent": poly, "coeff": "1"}], "field": field}
-
-
-_ONE, _X0, _X1 = _poly2(((0, 0), "1")), _poly2(((1, 0), "1")), _poly2(((0, 1), "1"))
-_HALF = _poly2(((0, 0), "1/2"))
-# b = (<grad(x0 x1), (1, x0)>, x1 / 3),
-# c = (<Hess(x0^2 x1) (1, x0), (1, x0)>, <grad(x1^2), (1, 1)>)
-_SUGAR_B = [_sugar("graddot", [1, 1], [_ONE, _X0]), {"kind": "scale", "factor": "1/3", "child": _X1}]
-_SUGAR_C = [_sugar("hessquad", [2, 1], [_ONE, _X0]), _sugar("graddot", [0, 2], [_ONE, _ONE])]
-# the same fields by hand: the nonzero derivatives times the field components
+# _SUGAR_B and _SUGAR_C by hand: the nonzero derivatives times the field components
 _EXPANDED_B = [
     _sum(_prod(_X1, _ONE), _prod(_X0, _X0)),
     _prod(_poly2(((0, 0), "1/3")), _X1),
@@ -747,10 +790,6 @@ _EXPANDED_C = [
     _sum(_prod(_TWO_X1, _ONE, _ONE), _prod(_TWO_X0, _ONE, _X0), _prod(_TWO_X0, _X0, _ONE)),
     _sum(_prod(_TWO_X1, _ONE)),
 ]
-
-
-def _pair(a, b, c):
-    return {"kind": "second_order", "r": 2, "smoothness": 2, "a": a, "b": b, "c": c}
 
 
 def _band_family(c20, c11, c02):

@@ -107,16 +107,18 @@ def test_constraint_pinned_violation():
     # r = 1, N = 2, c_1 = 1: the alpha = 2 sum is C(2,1) c_1^2 = 2
     cf = CoeffFamily.from_constants(1, 2, {(1,): 1})
     dom = Domain.unit(1)
-    report = check_constraint(cf, dom.sample_points)
+    report = check_constraint(cf, dom)
     assert not report.passed
     assert report.max_residual == 2.0
     assert report.failures[0]["alpha"] == [2]
+    with pytest.raises(ValueError, match="domain rank 2, coefficients rank 1"):
+        check_constraint(cf, Domain.unit(2))
 
 
 def test_constraint_passes_on_sparse_support():
     cf = CoeffFamily.from_constants(1, 2, {(2,): 7})
     dom = Domain.unit(1)
-    report = check_constraint(cf, dom.sample_points)
+    report = check_constraint(cf, dom)
     assert report.passed
     assert report.max_residual == 0.0
 
@@ -126,7 +128,7 @@ def test_height_one_imposes_nothing():
     cf = CoeffFamily.from_constants(1, 1, {(1,): 5})
     assert constraint_indices(1, 1) == []
     dom = Domain.unit(1)
-    assert check_constraint(cf, dom.sample_points).passed
+    assert check_constraint(cf, dom).passed
 
 
 def test_constraint_sums_match_hand_expansion():
@@ -135,7 +137,7 @@ def test_constraint_sums_match_hand_expansion():
     t = Polynomial.variable(2, 0)
     cf = CoeffFamily(2, 2, {(1, 0): PolyLeaf(t), (0, 1): PolyLeaf(-1 * t)})
     dom = Domain.unit(2)
-    report = check_constraint(cf, dom.sample_points)
+    report = check_constraint(cf, dom)
     assert not report.passed
     bad_alphas = {tuple(f["alpha"]) for f in report.failures}
     assert bad_alphas == {(2, 0), (1, 1), (0, 2)}
@@ -256,7 +258,7 @@ def test_certificate_on_band_support_has_no_size_cap():
     support = _support(*band[:8])
     assert forced_zero_analysis(4, support) == frozenset()
     ones = CoeffFamily.from_constants(2, 4, {a: 1 for a in support})
-    report = check_constraint(ones, Domain.unit(2).sample_points)
+    report = check_constraint(ones, Domain.unit(2))
     assert report.passed and report.max_residual == 0.0
 
 
@@ -274,7 +276,7 @@ def test_random_family_on_structure_valid_support():
     assert support == (_mi(1, 1), _mi(2, 0), _mi(0, 3))
     assert set(cf.coefficients) == set(support)
     dom = Domain.unit(2)
-    report = check_constraint(cf, dom.sample_points)
+    report = check_constraint(cf, dom)
     assert report.passed
     assert report.max_residual == 0.0  # every constrained sum is empty
 

@@ -47,10 +47,9 @@ def _pt(*vals) -> RationalPoint:
 
 
 def test_domain_needs_eight_samples():
-    box = ((Fraction(0), Fraction(1)),)
     pts = tuple(_pt(Fraction(k, 10)) for k in range(1, 8))
-    with pytest.raises(ValueError):
-        Domain(box, pts)
+    with pytest.raises(ValueError, match="at least 8 sample points"):
+        Domain(1, pts)
 
 
 def test_domain_samples_strictly_inside():
@@ -64,11 +63,10 @@ def test_domain_samples_strictly_inside():
 
 
 def test_domain_rejects_boundary_sample():
-    box = ((Fraction(0), Fraction(1)),)
     pts = tuple(_pt(Fraction(k, 10)) for k in range(1, 9))
-    Domain(box, pts)  # ok
+    Domain(1, pts)  # ok
     with pytest.raises(ValueError):
-        Domain(box, pts[:-1] + (_pt(1),))
+        Domain(1, pts[:-1] + (_pt(1),))
 
 
 def test_domain_rejects_bad_tolerance_and_box():
@@ -76,8 +74,11 @@ def test_domain_rejects_bad_tolerance_and_box():
     for tol in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite and > 0"):
             Domain.unit(1, float_tolerance=tol)
-    with pytest.raises(ValueError):
-        Domain.sampled(((1, 1),))
+    # the box (0,1)^rank needs an integer rank >= 1; a bool or a float is refused
+    pts = tuple(_pt(Fraction(k, 10)) for k in range(1, 9))
+    for rank in (True, 0, 1.0):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            Domain(rank, pts)
 
 
 def test_domain_sampling_deterministic():

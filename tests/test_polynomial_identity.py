@@ -232,7 +232,7 @@ def test_float_verifiers_evaluate_each_leaf_once_per_point(monkeypatch):
         assert verify_moment(family, pairs, dom).passed
         assert calls and _evaluated_twice(calls) == []
     calls.clear()
-    assert not check_constraint(CoeffFamily(2, 3, below), dom.sample_points).passed
+    assert not check_constraint(CoeffFamily(2, 3, below), dom).passed
     assert calls and _evaluated_twice(calls) == []
 
 

@@ -103,7 +103,7 @@ def test_identity_generated_reports_match_unshared_loops(
     rng = random.Random(seed)
     dom = Domain.unit(rank, n_samples=SAMPLES, seed=seed)
     cf = _coefficients(rng, rank, order, violating)
-    report = check_constraint(cf, dom.sample_points, dom.float_tolerance)
+    report = check_constraint(cf, dom)
     oracle = check_constraint_unshared(cf, dom.sample_points, dom.float_tolerance)
     assert _dumps(report) == _dumps(oracle)
     family = make_identity_generated(cf)
