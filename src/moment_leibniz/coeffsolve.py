@@ -51,6 +51,7 @@ from .funcmodel import (
     Domain,
     FuncExpr,
     Leaves,
+    NonFiniteValue,
     PolyLeaf,
     eval_expr,
     expr_from_json,
@@ -158,9 +159,10 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
 
     Binomial weights are exact integers; only the coefficient values and
     final products are floating point.  |sum| <= the domain tolerance is
-    required.  One leaf table serves every alpha, so a polynomial
-    coefficient is turned into a float once per point, the first time a
-    sum needs it.
+    required.  Each coefficient is evaluated at all the samples at once,
+    the first time a sum needs it; each sample's products are added with
+    the builtin ``sum`` in split order.  An evaluation error names the node
+    met first in the order alpha, sample, split.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
@@ -169,19 +171,29 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     max_abs = 0.0
     checked = 0
     leaves: Leaves = {}
+    values: Dict[MultiIndex, List[float]] = {}
     alphas = constraint_indices(cf.rank, cf.order)
     for alpha in alphas:
         # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
         pairs = [
-            (w, cf.coefficients[beta], cf.coefficients[gamma])
+            (w, beta, gamma)
             for w, beta, gamma in convolution_terms(alpha)
             if beta in cf.coefficients and gamma in cf.coefficients
         ]
-        for x in domain.sample_points:
-            value = sum(
-                w * eval_expr(cb, x, leaves) * eval_expr(cg, x, leaves)
-                for w, cb, cg in pairs
-            )
+        needed = [idx for _, beta, gamma in pairs for idx in (beta, gamma)]
+        try:
+            for idx in needed:
+                if idx not in values:
+                    values[idx] = eval_expr(cf.coefficients[idx], domain.sample_points, leaves)
+        except NonFiniteValue:  # the first sample that fails raises its own error
+            for x, idx in itertools.product(domain.sample_points, needed):
+                eval_expr(cf.coefficients[idx], (x,))
+            raise
+        products = [
+            [w * a * b for a, b in zip(values[beta], values[gamma])] for w, beta, gamma in pairs
+        ]
+        sums = map(sum, zip(*products)) if products else [0] * len(domain.sample_points)
+        for x, value in zip(domain.sample_points, sums):
             checked += 1
             max_abs = worse(max_abs, abs(value))
             if not abs(value) <= tol:

@@ -9,14 +9,15 @@ components (``grad_dot``, ``hess_quad``); ``expr_from_json`` reads the
 JSON kinds ``scale``, ``graddot`` and ``hessquad`` that way, and
 ``to_json`` writes them as sums and products.
 
-Trees evaluate to floats at rational sample points, node by node
-(``eval_expr``).  Polynomial leaves are memoized per call: a ``Leaves``
-table, made by the caller and dropped when it returns, holds each
-(polynomial, point) value the first time a node needs it, so a verifier
-that evaluates many trees over the same probes and coefficients converts
-each exact leaf value to a float once.  The table fills in evaluation
-order, so the same values are computed first and the first
-``NonFiniteValue`` carries the same node path as without it.  A tree
+Trees evaluate to floats over a tuple of rational points in one walk
+(``eval_expr``): each node computes its values at every point, with the
+float operations of a point-by-point walk, in the same order.  On a
+``NonFiniteValue`` the points are walked again one at a time, so the
+error names the node a point-by-point walk meets first.  Polynomial
+leaves are memoized per call: a ``Leaves`` table, made by the caller and
+dropped when it returns, holds a leaf's values over a point tuple the
+first time a node needs them, so a verifier that evaluates many trees
+over the same points converts each exact leaf value to floats once.  A tree
 without a t*ln|t| node (``is_polynomial``) expands back to a
 ``Polynomial``; its exact values are the expansion evaluated at the
 point, and the exact verifiers compare the expansions themselves.
@@ -28,13 +29,14 @@ seeded rational sample points and the float tolerance.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import DimensionMismatch, MultiIndex
-from .polycalc import Polynomial, RationalPoint, Scalar, dalpha, eval_poly
+from .polycalc import Polynomial, RationalPoint, Scalar, dalpha, eval_poly, eval_poly_ratios
 
 
 class NonFiniteValue(ArithmeticError):
@@ -45,16 +47,17 @@ class NotPolynomial(ValueError):
     """Expansion met a tree with a u*ln|u| node, which is not polynomial."""
 
 
-# (id(poly), id(point)) -> (poly, point, float value).  The entry keeps the
-# polynomial and the point alive, so neither id is reused while the table is.
-Leaves = Dict[Tuple[int, int], Tuple[Polynomial, RationalPoint, float]]
+Points = Tuple[RationalPoint, ...]
+# (id(poly), id(points)) -> (poly, points, float values).  The entry keeps the
+# polynomial and the point tuple alive, so neither id is reused while the table is.
+Leaves = Dict[Tuple[int, int], Tuple[Polynomial, Points, List[float]]]
 
 
 # ---- expression nodes ----
 
 
 class FuncExpr:
-    """Base class; concrete nodes implement _eval (float value) and _expand.
+    """Base class; concrete nodes implement _eval_points (float values) and _expand.
 
     There is no exact per-node evaluator: exact values come from _expand.
     ``children`` are the operands of a sum or a product.
@@ -63,7 +66,7 @@ class FuncExpr:
     dim: int
     children: Tuple["FuncExpr", ...] = ()
 
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
+    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
         raise NotImplementedError
 
     def _expand(self) -> Polynomial:
@@ -81,18 +84,18 @@ class PolyLeaf(FuncExpr):
     def dim(self) -> int:
         return self.poly.dim
 
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        """The float value of poly at x, computed on the first request only."""
-        key = (id(self.poly), id(x))
+    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+        """The float values of poly at the points, computed on the first request only."""
+        key = (id(self.poly), id(points))
         hit = leaves.get(key)
         if hit is not None:
             return hit[2]
-        try:  # Fraction.__float__ is a finite float or an OverflowError
-            value = float(eval_poly(self.poly, x))
+        try:  # correctly rounded: a finite float or an OverflowError
+            values = [n / d for n, d in eval_poly_ratios(self.poly, points)]
         except OverflowError as exc:
             raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
-        leaves[key] = (self.poly, x, value)
-        return value
+        leaves[key] = (self.poly, points, values)
+        return values
 
     def _expand(self) -> Polynomial:
         return self.poly
@@ -112,10 +115,17 @@ class Sum(FuncExpr):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        values = (c._eval(x, f"{path}.sum[{i}]", leaves) for i, c in enumerate(self.children))
+    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+        columns: List[List[float]] = []
         try:
-            return math.fsum(values)
+            for i, c in enumerate(self.children):
+                try:
+                    columns.append(c._eval_points(points, f"{path}.sum[{i}]", leaves))
+                except NonFiniteValue:
+                    # a point-by-point walk stops where fsum overflows, before this child
+                    math.fsum(column[0] for column in columns)
+                    raise
+            return list(map(math.fsum, zip(*columns)))
         except OverflowError as exc:  # finite children whose sum leaves the range
             raise NonFiniteValue(f"non-finite value at {path}.sum") from exc
 
@@ -140,11 +150,12 @@ class Product(FuncExpr):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        out = 1.0
+    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+        out = [1.0] * len(points)
         for i, c in enumerate(self.children):
-            out *= c._eval(x, f"{path}.product[{i}]", leaves)
-        if not math.isfinite(out):
+            values = c._eval_points(points, f"{path}.product[{i}]", leaves)
+            out = list(map(operator.mul, out, values))
+        if not all(map(math.isfinite, out)):
             raise NonFiniteValue(f"non-finite value at {path}.product")
         return out
 
@@ -168,12 +179,10 @@ class XLogAbs(FuncExpr):
     def dim(self) -> int:
         return self.child.dim
 
-    def _eval(self, x: RationalPoint, path: str, leaves: Leaves) -> float:
-        v = self.child._eval(x, f"{path}.xlogabs", leaves)
-        if v == 0.0:
-            return 0.0
-        out = v * math.log(abs(v))
-        if not math.isfinite(out):
+    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+        values = self.child._eval_points(points, f"{path}.xlogabs", leaves)
+        out = [0.0 if v == 0.0 else v * math.log(abs(v)) for v in values]
+        if not all(map(math.isfinite, out)):
             raise NonFiniteValue(f"non-finite value at {path}.xlogabs")
         return out
 
@@ -192,17 +201,22 @@ def _check_children(children: Sequence[FuncExpr], label: str) -> None:
 # ---- module-level evaluation / expansion ----
 
 
-def eval_expr(
-    expr: FuncExpr, x: RationalPoint, leaves: Optional[Leaves] = None
-) -> float:
-    """Float value of the tree at x; raises NonFiniteValue with node path.
+def eval_expr(expr: FuncExpr, points: Points, leaves: Optional[Leaves] = None) -> List[float]:
+    """Float values of the tree at each point; raises NonFiniteValue with node path.
 
     ``leaves`` is the caller's leaf table, shared by every evaluation of
     one verifier call; without one, the evaluation gets a fresh table.
     """
-    if expr.dim != x.rank:
-        raise DimensionMismatch(f"expr dim {expr.dim} vs point rank {x.rank}")
-    return expr._eval(x, "root", {} if leaves is None else leaves)
+    dim = expr.dim
+    for x in points:
+        if len(x) != dim:
+            raise DimensionMismatch(f"expr dim {dim} vs point rank {x.rank}")
+    try:
+        return expr._eval_points(points, "root", {} if leaves is None else leaves)
+    except NonFiniteValue:
+        for x in points:  # the first point that fails raises its own error
+            expr._eval_points((x,), "root", {})
+        raise
 
 
 def is_polynomial(expr: FuncExpr) -> bool:
@@ -289,6 +303,11 @@ def expr_from_json(data: dict) -> FuncExpr:
 # ---- domains ----
 
 
+def _check_rank(rank: int) -> None:
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        raise ValueError(f"domain rank must be an integer >= 1, got {rank!r}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """The open unit box (0,1)^rank with rational sample points strictly inside it."""
@@ -298,8 +317,7 @@ class Domain:
     float_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError(f"domain rank must be an integer >= 1, got {self.rank!r}")
+        _check_rank(self.rank)
         if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
             raise ValueError(
                 f"float_tolerance must be finite and > 0, got {self.float_tolerance}"
@@ -324,6 +342,7 @@ class Domain:
         float_tolerance: float = 1e-9,
     ) -> "Domain":
         """Seeded samples of (0,1)^rank: coordinates k/64, 0 < k < 64, drawn point by point."""
+        _check_rank(rank)
         rng = random.Random(seed)
         points = tuple(
             RationalPoint(Fraction(rng.randint(1, 63), 64) for _ in range(rank))
@@ -470,7 +489,7 @@ class PowerSignMap:
                 f"map rank {self.tau.rank} vs domain rank {domain.rank}"
             )
         for x in domain.sample_points:
-            if eval_expr(self.exponent, x) <= 0:
+            if eval_expr(self.exponent, (x,))[0] <= 0:
                 raise ValueError(f"exponent not positive at sample {x.to_json()}")
             if not domain.contains(self.tau(x)):
                 raise ValueError(
@@ -482,7 +501,7 @@ def power_sign_apply(m: PowerSignMap, f: Polynomial, x: RationalPoint) -> float:
     v = eval_poly(f, m.tau(x))
     if v == 0:
         return 0.0
-    p = eval_expr(m.exponent, x)
+    p = eval_expr(m.exponent, (x,))[0]
     try:
         mag = abs(float(v)) ** p
     except OverflowError as exc:

@@ -37,12 +37,12 @@ therefore passes.
 
 When some expression has an f*ln|f| node, nothing of the probe is
 expanded and its instances are sampled: the same expressions are
-tabulated in floats with ``funcmodel.eval_expr``, one expression at
-every sample point before the next, and the convolution is summed per
-point, against the domain tolerance.
-One leaf table serves the whole call, so each polynomial leaf (a
-coefficient, a probe, a product of probes) is turned into a float once
-per sample point, however many alphas and probes use it.
+tabulated in floats with ``funcmodel.eval_expr``, one pass per
+expression over all the sample points, and each point's convolution
+products are added with the builtin ``sum`` in split order, against the
+domain tolerance.  One leaf table serves the whole call, so each
+polynomial leaf (a coefficient, a probe, a product of probes) is turned
+into floats once, however many alphas and probes use it.
 ``funcmodel.judge`` turns each evaluated instance into a residual and a
 verdict.
 
@@ -327,7 +327,7 @@ def verify_moment(
         raise ValueError(f"domain rank {domain.rank}, family dim {family.dim}")
     alphas = enumerate_height_at_most(family.rank, family.order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
-    points = [family.eval_point(x) for x in domain.sample_points]
+    points = tuple(family.eval_point(x) for x in domain.sample_points)
     for x, y in zip(domain.sample_points, points):
         if not domain.contains(y):
             raise ValueError(f"sample {x.to_json()} maps to {y.to_json()}, outside the box")
@@ -343,7 +343,7 @@ def verify_moment(
             tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
         else:
             vf, vg, vfg = [
-                {b: [eval_expr(e, y, leaves) for y in points] for b, e in row.items()}
+                {b: eval_expr(e, points, leaves) for b, e in row.items()}
                 for row in rows
             ]
             sampled = True
@@ -359,10 +359,10 @@ def verify_moment(
                 rhs_vals = [eval_poly(rhs_poly, y) for y in points]
             else:
                 lhs_vals = vfg[alpha]
-                rhs_vals = [
-                    sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
-                    for i in range(len(points))
+                products = [
+                    [w * a * b for a, b in zip(vf[beta], vg[gamma])] for w, beta, gamma in splits
                 ]
+                rhs_vals = list(map(sum, zip(*products)))
             key = _alpha_key(alpha)
             for x, lhs, rhs in zip(domain.sample_points, lhs_vals, rhs_vals):
                 residual, ok = judge(lhs, rhs, exact, tol)

@@ -44,11 +44,12 @@ coefficients are integers.  The accumulator, ``_canonical_terms`` and
 tables never leave ``check_leibniz_all``: it returns failing indices
 only, and every public function returns ``Fraction`` coefficients.
 
-``eval_poly`` sums integer numerators over one common denominator, the
-lcm of the coefficient denominators times prod_i d_i^maxdeg_i for the
-point's coordinates n_i/d_i, and normalizes a single ``Fraction`` at the
-end; Fractions are canonical, so the value is the same number as a
-term-by-term Fraction sum.
+``eval_poly_ratios`` sums integer numerators over one common denominator
+per point, the lcm of the coefficient denominators times
+prod_i d_i^maxdeg_i for the point's coordinates n_i/d_i.  ``eval_poly``
+makes that pair one ``Fraction``, the same number as a term-by-term
+Fraction sum; the float evaluator divides it as ints, which is correctly
+rounded, so it equals ``float(Fraction(...))``, ``OverflowError`` included.
 """
 
 from __future__ import annotations
@@ -313,31 +314,39 @@ def dalpha(f: Polynomial, alpha: MultiIndex) -> Polynomial:
 
 
 def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
-    """Exact evaluation of f at a rational point.
+    """Exact evaluation of f at a rational point."""
+    return Fraction(*eval_poly_ratios(f, (x,))[0])
+
+
+def eval_poly_ratios(f: Polynomial, points: Sequence[RationalPoint]) -> List[Tuple[int, int]]:
+    """f at each point as an unreduced (numerator, denominator) pair of ints.
 
     With x_i = n_i/d_i, M_i the largest exponent of x_i in f and L the
     lcm of the coefficient denominators, every term c * x^e equals
     (c * L) * prod_i n_i^e_i d_i^(M_i - e_i) over the common denominator
     L * prod_i d_i^M_i, so the sum is one integer over that denominator.
+    The denominators are cleared once; the power tables are per point.
     """
-    if f.dim != x.rank:
-        raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
-    if not f.terms:
-        return Fraction(0)
-    den, terms = _cleared_terms(f)
-    # tables[i][e] = n_i^e * d_i^(M_i - e)
-    tables = []
-    for i, xi in enumerate(x):
-        top = max(e[i] for e in terms)
-        n, d = xi.numerator, xi.denominator
-        tables.append([n**e * d ** (top - e) for e in range(top + 1)])
-        den *= d**top
-    total = 0
-    for exp, term in terms.items():
-        for table, e in zip(tables, exp):
-            term *= table[e]
-        total += term
-    return Fraction(total, den)
+    for x in points:
+        if len(x) != f.dim:
+            raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
+    lcm, terms = _cleared_terms(f)
+    tops = [max((e[i] for e in terms), default=0) for i in range(f.dim)]
+    out = []
+    for x in points:
+        # tables[i][e] = n_i^e * d_i^(M_i - e)
+        den, tables = lcm, []
+        for xi, top in zip(x, tops):
+            n, d = xi.numerator, xi.denominator
+            tables.append([n**e * d ** (top - e) for e in range(top + 1)])
+            den *= d**top
+        total = 0
+        for exp, term in terms.items():
+            for table, e in zip(tables, exp):
+                term *= table[e]
+            total += term
+        out.append((total, den))
+    return out
 
 
 def convolution_sum(

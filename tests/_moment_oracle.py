@@ -42,7 +42,7 @@ def _table(expr, points, exact: bool) -> list:
     if exact:
         poly = as_polynomial(expr)
         return [eval_poly(poly, x) for x in points]
-    return [eval_expr(expr, x) for x in points]
+    return [eval_expr(expr, (x,))[0] for x in points]
 
 
 def _alpha_key(alpha) -> str:

@@ -41,7 +41,7 @@ def check_constraint_unshared(
             if beta in cf.coefficients and gamma in cf.coefficients
         ]
         for x in points:
-            value = sum(w * eval_expr(cb, x) * eval_expr(cg, x) for w, cb, cg in pairs)
+            value = sum(w * eval_expr(cb, (x,))[0] * eval_expr(cg, (x,))[0] for w, cb, cg in pairs)
             checked += 1
             max_abs = worse(max_abs, abs(value))
             if not abs(value) <= tol:

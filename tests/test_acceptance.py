@@ -230,11 +230,11 @@ def test_identity_generated_families_across_valid_supports():
                 for alpha in enumerate_height_at_most(rank, order):
                     if alpha.is_zero():
                         continue
-                    lhs = eval_expr(family.apply(alpha, product), vanish_point)
+                    lhs = eval_expr(family.apply(alpha, product), (vanish_point,))[0]
                     rhs = math.fsum(
                         binom(alpha, beta)
-                        * eval_expr(family.apply(beta, vanishing), vanish_point)
-                        * eval_expr(family.apply(alpha - beta, partner), vanish_point)
+                        * eval_expr(family.apply(beta, vanishing), (vanish_point,))[0]
+                        * eval_expr(family.apply(alpha - beta, partner), (vanish_point,))[0]
                         for beta in enumerate_below(alpha)
                     )
                     vanishing_pairs += 1
@@ -433,8 +433,8 @@ def test_conjugated_families_keep_the_identity():
         for alpha in enumerate_height_at_most(rank, 2):
             for x in domain.sample_points:
                 diff = abs(
-                    eval_expr(double.apply(alpha, probe), double.eval_point(x))
-                    - eval_expr(base.apply(alpha, probe), base.eval_point(x))
+                    eval_expr(double.apply(alpha, probe), (double.eval_point(x),))[0]
+                    - eval_expr(base.apply(alpha, probe), (base.eval_point(x),))[0]
                 )
                 worst_double = max(worst_double, diff)
 
@@ -458,8 +458,8 @@ def test_conjugated_families_keep_the_identity():
     for alpha in enumerate_height_at_most(1, 3):
         for x in strip.sample_points:
             diff = abs(
-                eval_expr(double.apply(alpha, probe), double.eval_point(x))
-                - eval_expr(fam.apply(alpha, probe), fam.eval_point(x))
+                eval_expr(double.apply(alpha, probe), (double.eval_point(x),))[0]
+                - eval_expr(fam.apply(alpha, probe), (fam.eval_point(x),))[0]
             )
             worst_double = max(worst_double, diff)
 

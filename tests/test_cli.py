@@ -249,6 +249,17 @@ _TAU_ID = '"tau": {"rank": 1, "components": [[{"exponent": [1], "coeff": "1"}]]}
 _LEAF = '{"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]}'
 
 
+def _nested_sum(depth: int) -> str:
+    """A first-order family whose coefficient x sits under ``depth`` one-child sums."""
+    return (
+        '{"kind": "first_order_leibniz", "r": 1, "c": '
+        + '{"kind": "sum", "children": [' * depth
+        + _LEAF
+        + "]}" * depth
+        + "}"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -256,14 +267,9 @@ _LEAF = '{"kind": "poly", "dim": 1, "terms": [{"exponent": [1], "coeff": "1"}]}'
         ('{"kind": "conjugated", "r": 1, "N": 1, ' + _TAU_ID + ', "inner": ') * 3000
         + '{"kind": "derivative", "r": 1, "N": 1}'
         + "}" * 3000,
-        # decodes, but too deep to build or evaluate
-        '{"kind": "first_order_leibniz", "r": 1, "c": '
-        + '{"kind": "sum", "children": [' * 450
-        + _LEAF
-        + "]}" * 450
-        + "}",
+        _nested_sum(600),
     ],
-    ids=["conjugated-3000", "sum-450"],
+    ids=["conjugated-3000", "sum-600"],
 )
 def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
     path = tmp_path / "deep.json"
@@ -273,6 +279,17 @@ def test_deeply_nested_descriptor_is_input_error(capsys, tmp_path, text):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_nested_sum_descriptor_is_verified(capsys, tmp_path):
+    # 450 nested sums decode, build, and evaluate in one walk over the samples
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_sum(450))
+    code = main(["verify-family", str(path), "--probes", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS
+    assert captured.err == ""
+    assert json.loads(captured.out)["pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,14 @@ from moment_leibniz.multiindex import (
     enumerate_height_at_most,
 )
 from moment_leibniz.polycalc import Polynomial
-from moment_leibniz.funcmodel import Domain, PolyLeaf, const_expr, eval_expr
+from moment_leibniz.funcmodel import (
+    Domain,
+    NonFiniteValue,
+    PolyLeaf,
+    Product,
+    const_expr,
+    eval_expr,
+)
 from moment_leibniz.coeffsolve import (
     BudgetExceeded,
     CoeffFamily,
@@ -76,7 +83,7 @@ def test_family_value_defaults_to_zero():
     cf = CoeffFamily.from_constants(1, 3, {(2,): 7})
     dom = Domain.unit(1)
     x = dom.sample_points[0]
-    assert eval_expr(cf.coefficients[_mi(2)], x) == 7.0
+    assert eval_expr(cf.coefficients[_mi(2)], (x,))[0] == 7.0
     assert cf.coefficients.get(_mi(1)) is None
     assert cf.coefficients.get(_mi(3)) is None
 
@@ -113,6 +120,28 @@ def test_constraint_pinned_violation():
     assert report.failures[0]["alpha"] == [2]
     with pytest.raises(ValueError, match="domain rank 2, coefficients rank 1"):
         check_constraint(cf, Domain.unit(2))
+
+
+def test_constraint_overflow_names_the_first_node_by_sample():
+    # alpha (1,3) is the first sum of both c_(0,3) and c_(1,0).  c_(0,3) =
+    # 2^1030 x_1^20 overflows only where x_1 > 0.81: not at the first seed-0
+    # sample (x_1 = 25/64), but at the second.  c_(1,0) overflows at every
+    # sample, under a product.  Sums go sample by sample, each over its
+    # splits in order, so c_(1,0)'s node is the first to overflow, although
+    # c_(0,3) comes first among the splits.
+    cf = CoeffFamily(
+        2,
+        4,
+        {
+            _mi(0, 3): PolyLeaf(Polynomial.monomial((0, 20), 2**1030)),
+            _mi(1, 0): Product((const_expr(2, 1), const_expr(2, 2**1100))),
+        },
+    )
+    dom = Domain.unit(2)
+    assert dom.sample_points[0][1] == Fraction(25, 64)
+    with pytest.raises(NonFiniteValue) as err:
+        check_constraint(cf, dom)
+    assert str(err.value) == "overflow converting exact value at root.product[1]"
 
 
 def test_constraint_passes_on_sparse_support():

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moment_leibniz.multiindex import DimensionMismatch
 from moment_leibniz.polycalc import Polynomial, RationalPoint, eval_poly, random_polynomial
@@ -81,6 +84,16 @@ def test_domain_rejects_bad_tolerance_and_box():
             Domain(rank, pts)
 
 
+@pytest.mark.parametrize("rank", [True, 0, -1, 1.0])
+def test_domain_unit_checks_rank_before_drawing(rank):
+    pts = tuple(_pt(Fraction(k, 10)) for k in range(1, 9))
+    with pytest.raises(ValueError) as built:
+        Domain(rank, pts)
+    with pytest.raises(ValueError) as drawn:
+        Domain.unit(rank)
+    assert str(drawn.value) == str(built.value) == f"domain rank must be an integer >= 1, got {rank!r}"
+
+
 def test_domain_sampling_deterministic():
     a = Domain.unit(2, seed=5)
     b = Domain.unit(2, seed=5)
@@ -92,18 +105,18 @@ def test_domain_sampling_deterministic():
 
 def test_poly_leaf_eval():
     leaf = PolyLeaf(Polynomial(2, {(2, 1): 1}))
-    assert eval_expr(leaf, _pt(2, 3)) == 12.0
+    assert eval_expr(leaf, (_pt(2, 3),))[0] == 12.0
     assert eval_poly(as_polynomial(leaf), _pt(2, 3)) == 12
 
 
 def test_xlogabs_values():
     expr = XLogAbs(const_expr(1, 2))
     x = _pt(Fraction(1, 2))
-    assert eval_expr(expr, x) == pytest.approx(2 * math.log(2), rel=1e-15)
+    assert eval_expr(expr, (x,))[0] == pytest.approx(2 * math.log(2), rel=1e-15)
     # continuous extension: value 0 at zeros of the argument
-    assert eval_expr(XLogAbs(const_expr(1, 0)), x) == 0.0
+    assert eval_expr(XLogAbs(const_expr(1, 0)), (x,))[0] == 0.0
     neg = XLogAbs(const_expr(1, -3))
-    assert eval_expr(neg, x) == pytest.approx(-3 * math.log(3), rel=1e-15)
+    assert eval_expr(neg, (x,))[0] == pytest.approx(-3 * math.log(3), rel=1e-15)
 
 
 def test_xlogabs_log_additivity_on_samples():
@@ -118,10 +131,10 @@ def test_xlogabs_log_additivity_on_samples():
             uv_val = u_val * v_val
             if abs(uv_val) < 1e-6:
                 continue
-            lhs = eval_expr(XLogAbs(PolyLeaf(u * v)), x)
-            rhs = eval_expr(XLogAbs(PolyLeaf(u)), x) * v_val + u_val * eval_expr(
-                XLogAbs(PolyLeaf(v)), x
-            )
+            lhs = eval_expr(XLogAbs(PolyLeaf(u * v)), (x,))[0]
+            rhs = eval_expr(XLogAbs(PolyLeaf(u)), (x,))[0] * v_val + u_val * eval_expr(
+                XLogAbs(PolyLeaf(v)), (x,)
+            )[0]
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
 
 
@@ -129,7 +142,7 @@ def test_sum_product_scale():
     x = PolyLeaf(_x())
     expr = Sum((Product((x, x)), Product((const_expr(1, Fraction(-1, 2)), x))))
     # x^2 - x/2 at x = 3
-    assert eval_expr(expr, _pt(3)) == pytest.approx(7.5)
+    assert eval_expr(expr, (_pt(3),))[0] == pytest.approx(7.5)
     assert eval_poly(as_polynomial(expr), _pt(3)) == Fraction(15, 2)
     assert as_polynomial(expr) == Polynomial(1, {(2,): 1, (1,): Fraction(-1, 2)})
 
@@ -138,7 +151,7 @@ def test_graddot_pinned():
     # <grad(x^2), (1,)> = 2x, so 6 at x = 3
     g = grad_dot(Polynomial.monomial((2,)), (const_expr(1, 1),))
     assert g == Sum((Product((PolyLeaf(Polynomial(1, {(1,): 2})), const_expr(1, 1))),))
-    assert eval_expr(g, _pt(3)) == 6.0
+    assert eval_expr(g, (_pt(3),))[0] == 6.0
     assert eval_poly(as_polynomial(g), _pt(3)) == 6
     assert as_polynomial(g) == Polynomial(1, {(1,): 2})
 
@@ -156,7 +169,7 @@ def test_hessquad_pinned():
         Polynomial(2, {(1, 0): 2}),
     ]
     assert as_polynomial(h) == Polynomial(2, {(0, 1): 2, (2, 0): 4})
-    assert eval_expr(h, _pt(1, 1)) == pytest.approx(6.0)
+    assert eval_expr(h, (_pt(1, 1),))[0] == pytest.approx(6.0)
     assert eval_poly(as_polynomial(h), _pt(1, 1)) == 6
 
 
@@ -257,14 +270,14 @@ def test_exact_eval_matches_sympy_on_random_trees(dim):
             {s: sympy.Rational(c.numerator, c.denominator) for s, c in zip(xs, x)}
         )
         assert exact == Fraction(int(value.p), int(value.q))
-        assert math.isclose(eval_expr(expr, x), float(exact), rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(eval_expr(expr, (x,))[0], float(exact), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_non_finite_carries_node_path():
     huge = PolyLeaf(Polynomial.constant(1, Fraction(10**400)))
     expr = Product((PolyLeaf(_x()), huge))
     with pytest.raises(NonFiniteValue) as err:
-        eval_expr(expr, _pt(1))
+        eval_expr(expr, (_pt(1),))
     assert "product" in str(err.value)
 
 
@@ -273,7 +286,7 @@ def test_xlogabs_overflow_is_non_finite():
     # sum's fsum raise a bare ValueError
     big = [XLogAbs(PolyLeaf(Polynomial.constant(1, s * 10**307))) for s in (1, -1)]
     with pytest.raises(NonFiniteValue, match=r"root\.sum\[0\]\.xlogabs"):
-        eval_expr(Sum(tuple(big)), _pt(Fraction(1, 2)))
+        eval_expr(Sum(tuple(big)), (_pt(Fraction(1, 2)),))
 
 
 def test_sum_overflow_is_non_finite():
@@ -281,7 +294,99 @@ def test_sum_overflow_is_non_finite():
     # OverflowError becomes a NonFiniteValue naming the sum node
     big = PolyLeaf(Polynomial.constant(1, 10**308))
     with pytest.raises(NonFiniteValue, match=r"^non-finite value at root\.sum\[1\]\.sum$"):
-        eval_expr(Sum((big, Sum((big, big)))), _pt(Fraction(1, 2)))
+        eval_expr(Sum((big, Sum((big, big)))), (_pt(Fraction(1, 2)),))
+
+
+# ---- the batched evaluator against a point-by-point one ----
+
+
+def _value_at(expr, x: RationalPoint, path: str = "root") -> float:
+    """One point, node by node: polynomial leaves as term-by-term Fraction
+    sums, a sum fed to fsum one child at a time, a product from 1.0."""
+    if isinstance(expr, PolyLeaf):
+        exact = sum(
+            c * math.prod(xi**e for xi, e in zip(x, exp)) for exp, c in expr.poly.terms.items()
+        )
+        try:
+            return float(Fraction(exact))
+        except OverflowError:
+            raise NonFiniteValue(f"overflow converting exact value at {path}") from None
+    if isinstance(expr, Sum):
+        values = (_value_at(c, x, f"{path}.sum[{i}]") for i, c in enumerate(expr.children))
+        try:
+            return math.fsum(values)
+        except OverflowError:
+            raise NonFiniteValue(f"non-finite value at {path}.sum") from None
+    if isinstance(expr, Product):
+        out = 1.0
+        for i, c in enumerate(expr.children):
+            out *= _value_at(c, x, f"{path}.product[{i}]")
+        if not math.isfinite(out):
+            raise NonFiniteValue(f"non-finite value at {path}.product")
+        return out
+    v = _value_at(expr.child, x, f"{path}.xlogabs")
+    out = 0.0 if v == 0.0 else v * math.log(abs(v))
+    if not math.isfinite(out):
+        raise NonFiniteValue(f"non-finite value at {path}.xlogabs")
+    return out
+
+
+def _outcome(evaluate):
+    """Bitwise values (-0.0 apart from 0.0), or the NonFiniteValue message."""
+    try:
+        values = evaluate()
+    except NonFiniteValue as exc:
+        return str(exc)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# huge coefficients overflow at some points only: 2^1030 x^6 does where x^6 > 2^-6
+_COEFFS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.builds(lambda sign, k: sign * 2**k, st.sampled_from([1, -1]), st.integers(1010, 1040)),
+)
+
+
+def _trees(leaves, depth: int):
+    """Trees of sums, products and u ln|u| nodes, ``depth`` levels at most."""
+    if depth == 1:
+        return leaves
+    sub = _trees(leaves, depth - 1)
+    children = st.lists(sub, min_size=1, max_size=3).map(tuple)
+    return st.one_of(leaves, children.map(Sum), children.map(Product), sub.map(XLogAbs))
+
+
+@st.composite
+def _trees_and_points(draw):
+    r = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 8)] * r)
+    leaves = st.builds(
+        lambda terms: PolyLeaf(Polynomial(r, terms)),
+        st.lists(st.tuples(exponent, _COEFFS), max_size=3),
+    )
+    coord = st.builds(Fraction, st.integers(1, 99), st.just(100))
+    points = st.lists(st.builds(RationalPoint, st.tuples(*[coord] * r)), min_size=1, max_size=5)
+    return draw(_trees(leaves, 4)), tuple(draw(points))
+
+
+_BIG = const_expr(1, 2**1023)
+_HALVES = (_pt(Fraction(1, 2)), _pt(Fraction(1, 4)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees_and_points())
+# -1 * 0.0 is -0.0
+@example((Product((const_expr(1, -1), Sum((const_expr(1, 0),)))), _HALVES))
+# fsum overflows at the second child, so the overflowing third is never reached
+@example((Sum((_BIG, _BIG, XLogAbs(_BIG))), _HALVES))
+def test_batched_eval_matches_point_by_point(case):
+    expr, points = case
+    expected = _outcome(lambda: [_value_at(expr, x) for x in points])
+    assert _outcome(lambda: eval_expr(expr, points)) == expected
+    # a shared leaf table, filled by the first pass, gives the same outcome
+    leaves = {}
+    assert _outcome(lambda: eval_expr(expr, points, leaves)) == expected
+    assert _outcome(lambda: eval_expr(expr, points, leaves)) == expected
 
 
 def _kinds(data: dict) -> set:
@@ -309,7 +414,7 @@ def test_expr_json_roundtrip():
     assert _kinds(data) == {"sum", "product", "poly", "xlogabs"}
     back = expr_from_json(data)
     x = _pt(Fraction(3, 4))
-    assert eval_expr(back, x) == eval_expr(expr, x)
+    assert eval_expr(back, (x,)) == eval_expr(expr, (x,))
     assert back.to_json() == data
 
 

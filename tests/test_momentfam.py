@@ -258,7 +258,7 @@ def test_identity_generated_pinned_value():
     f = Polynomial.constant(1, 2)
     g = Polynomial.constant(1, 3)
     x = RationalPoint.of(Fraction(1, 2))
-    lhs = eval_expr(fam.apply(_mi(2), f * g), x)
+    lhs = eval_expr(fam.apply(_mi(2), f * g), (x,))[0]
     assert lhs == pytest.approx(6 * math.log(6), rel=1e-15)
     report = verify_moment(fam, [(f, g)], dom)
     assert report.passed
@@ -317,12 +317,12 @@ def test_both_sides_exactly_zero_on_vanishing_product():
     g = Polynomial.constant(1, 2)
     assert eval_poly(f * g, s) == 0
     alpha = _mi(2)
-    lhs = eval_expr(fam.apply(alpha, f * g), s)
+    lhs = eval_expr(fam.apply(alpha, f * g), (s,))[0]
     assert lhs == 0.0
     rhs = sum(
         float(w)
-        * eval_expr(fam.apply(beta, f), s)
-        * eval_expr(fam.apply(alpha - beta, g), s)
+        * eval_expr(fam.apply(beta, f), (s,))[0]
+        * eval_expr(fam.apply(alpha - beta, g), (s,))[0]
         for w, beta in [(1, _mi(0)), (2, _mi(1)), (1, _mi(2))]
     )
     assert rhs == 0.0
@@ -341,10 +341,10 @@ def test_first_order_leibniz_family():
     f = Polynomial.constant(1, 2)
     g = Polynomial.constant(1, 5)
     x = dom.sample_points[0]
-    lhs = eval_expr(fam.apply(_mi(1), f * g), x)
-    rhs = eval_expr(fam.apply(_mi(1), f), x) * 5.0 + 2.0 * eval_expr(
-        fam.apply(_mi(1), g), x
-    )
+    lhs = eval_expr(fam.apply(_mi(1), f * g), (x,))[0]
+    rhs = eval_expr(fam.apply(_mi(1), f), (x,))[0] * 5.0 + 2.0 * eval_expr(
+        fam.apply(_mi(1), g), (x,)
+    )[0]
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -353,8 +353,8 @@ class _Unexpandable(FuncExpr):
 
     dim = 1
 
-    def _eval(self, x, path, leaves):
-        return 0.5
+    def _eval_points(self, points, path, leaves):
+        return [0.5] * len(points)
 
     def _expand(self):
         raise AssertionError("the coefficient of f ln|f| was expanded")
@@ -698,12 +698,12 @@ def test_family_descriptor_roundtrip():
     rebuilt = family_from_json(fam.descriptor, dom)
     x = dom.sample_points[0]
     f = Polynomial.constant(1, 2)
-    assert eval_expr(rebuilt.apply(_mi(2), f), x) == eval_expr(fam.apply(_mi(2), f), x)
+    assert eval_expr(rebuilt.apply(_mi(2), f), (x,)) == eval_expr(fam.apply(_mi(2), f), (x,))
     tau = _tau_one_minus_x()
     conj = conjugate(fam, tau)
     rebuilt2 = family_from_json(conj.descriptor, dom)
     assert eval_expr(
-        rebuilt2.apply(_mi(2), f), rebuilt2.eval_point(x)
-    ) == eval_expr(conj.apply(_mi(2), f), conj.eval_point(x))
+        rebuilt2.apply(_mi(2), f), (rebuilt2.eval_point(x),)
+    ) == eval_expr(conj.apply(_mi(2), f), (conj.eval_point(x),))
     with pytest.raises(ValueError):
         family_from_json({"kind": "unknown", "r": 1}, dom)

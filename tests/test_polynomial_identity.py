@@ -184,18 +184,20 @@ def test_check_second_order_matches_pointwise_oracle(variant, rank, seed):
 
 
 def _count_point_evaluations(monkeypatch):
-    """Record every ``eval_poly`` call as its (polynomial, point), wherever the
-    package looks it up; the list keeps both alive, so their ids stay unique."""
+    """Record every polynomial evaluation as its (polynomial, point), one entry
+    per point of each ``eval_poly_ratios`` call (``eval_poly`` goes through it),
+    wherever the package looks it up; the list keeps both alive, so their ids
+    stay unique."""
     calls = []
-    real = polycalc.eval_poly
+    real = polycalc.eval_poly_ratios
 
-    def counting(f, x):
-        calls.append((f, x))
-        return real(f, x)
+    def counting(f, points):
+        calls.extend((f, x) for x in points)
+        return real(f, points)
 
     for module in (polycalc, funcmodel, momentfam):
-        if hasattr(module, "eval_poly"):
-            monkeypatch.setattr(module, "eval_poly", counting)
+        if hasattr(module, "eval_poly_ratios"):
+            monkeypatch.setattr(module, "eval_poly_ratios", counting)
     return calls
 
 
