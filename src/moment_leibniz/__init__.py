@@ -53,7 +53,6 @@ from .funcmodel import (
 from .coeffsolve import (
     BudgetExceeded,
     CoeffFamily,
-    ConstraintViolation,
     InvalidSupport,
     band,
     check_constraint,

@@ -20,6 +20,7 @@ built once, at import.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -32,9 +33,9 @@ from .polycalc import check_leibniz_all, random_polynomial
 from .funcmodel import Domain, worse
 from .coeffsolve import (
     BudgetExceeded,
-    ConstraintViolation,
     InvalidSupport,
     band,
+    check_constraint,
     enumerate_valid_constant_supports,
     index_set_size,
     random_valid_family,
@@ -124,6 +125,20 @@ def run_verify_leibniz(args: argparse.Namespace) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _evaluating_descriptor():
+    """Turn an error in evaluating a descriptor that was read into an InputError."""
+    try:
+        yield
+    except (ArithmeticError, RecursionError) as exc:
+        # only the descriptor can overflow or nest too deeply: the probes
+        # are small polynomials on the unit box
+        raise InputError(f"descriptor values do not evaluate: {exc}") from exc
+    except ValueError as exc:
+        # a sample's image leaves the box, or r is not the family's dim
+        raise InputError(f"bad family descriptor: {exc}") from exc
+
+
 def run_verify_family(args: argparse.Namespace) -> dict:
     try:
         if args.descriptor == "-":
@@ -145,33 +160,28 @@ def run_verify_family(args: argparse.Namespace) -> dict:
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise InputError(f"descriptor 'r' must be an integer >= 1, got {rank!r}")
     _positive_int("probes", args.probes, 1)
+    try:
+        family = family_from_json(data)
+    except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise InputError(f"bad family descriptor: {exc}") from exc
     domain = Domain.unit(
         rank, n_samples=args.samples, seed=args.seed, float_tolerance=args.tol
     )
-    try:
-        family = family_from_json(data, domain)
-    except ConstraintViolation as exc:
-        report = exc.report
-        return {
-            "family": data,
-            "constraint_report": report.to_json(),
-            "failures": report.failures,
-            "max_residual": report.max_residual,
-            "pass": False,
-        }
-    except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
-        raise InputError(f"bad family descriptor: {exc}") from exc
+    if family.coeff_family is not None:
+        with _evaluating_descriptor():
+            constraint = check_constraint(family.coeff_family, domain)
+        if not constraint.passed:
+            return {
+                "family": data,
+                "constraint_report": constraint.to_json(),
+                "failures": constraint.failures,
+                "max_residual": constraint.max_residual,
+                "pass": False,
+            }
     rng = random.Random(args.seed)
     probes = default_probe_pairs(domain, args.probes, rng)
-    try:
+    with _evaluating_descriptor():
         report = verify_moment(family, probes, domain, seed=args.seed)
-    except (ArithmeticError, RecursionError) as exc:
-        # only the descriptor can overflow or nest too deeply: the probes
-        # are small polynomials on the unit box
-        raise InputError(f"descriptor values do not evaluate: {exc}") from exc
-    except ValueError as exc:
-        # a sample's image leaves the box, or r is not the family's dim
-        raise InputError(f"bad family descriptor: {exc}") from exc
     return {
         "report": report.to_json(),
         "failures": report.failures,

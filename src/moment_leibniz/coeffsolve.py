@@ -42,6 +42,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Un
 from .multiindex import (
     MultiIndex,
     as_multiindex,
+    check_count,
     convolution_terms,
     enumerate_height_at_most,
 )
@@ -58,18 +59,6 @@ from .funcmodel import (
     worse,
 )
 from . import polycalc
-
-
-class ConstraintViolation(ValueError):
-    """A coefficient family failed the bilinear vanishing constraint."""
-
-    def __init__(self, report: CheckReport):
-        self.report = report
-        worst = report.failures[0] if report.failures else {}
-        super().__init__(
-            f"constraint violated at alpha={worst.get('alpha')} "
-            f"x={worst.get('point')} sum={worst.get('value')}"
-        )
 
 
 class InvalidSupport(ValueError):
@@ -93,6 +82,8 @@ class CoeffFamily:
     coefficients: Dict[MultiIndex, FuncExpr]
 
     def __post_init__(self) -> None:
+        check_count("rank", self.rank, 1)
+        check_count("order", self.order, 0)
         coeffs: Dict[MultiIndex, FuncExpr] = {}
         for idx, expr in self.coefficients.items():
             idx = as_multiindex(idx)

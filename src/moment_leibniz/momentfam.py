@@ -15,9 +15,9 @@ T_(1) = A and T_(2) = T, whose alpha = (2) instance is
 T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  Every family applies each
 operator once per probe.
 
-Constructors take no domain.  ``verify_moment`` maps every sample
-through the family's composed point maps and refuses an image outside
-the unit box; ``family_from_json`` checks the coefficient constraint.
+Nothing that builds a family takes a domain, and reading a descriptor
+verifies nothing.  ``verify_moment`` maps every sample through the
+family's composed point maps and refuses an image outside the unit box.
 
 How an instance is decided is read off the expressions the operators
 return, probe by probe, before anything is expanded; a family declares
@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
+from .multiindex import MultiIndex, check_count, convolution_terms, enumerate_height_at_most
 from .polycalc import (
     Polynomial,
     RationalPoint,
@@ -88,7 +88,7 @@ from .funcmodel import (
     witness_float,
     worse,
 )
-from .coeffsolve import CoeffFamily, ConstraintViolation, check_constraint
+from .coeffsolve import CoeffFamily
 
 Rule = Callable[[MultiIndex, Polynomial], FuncExpr]
 
@@ -105,7 +105,8 @@ class OperatorFamily:
     evaluated at the composed image of x, which is how conjugation acts.
     ``descriptor`` is the family's JSON form; the constructors below pass
     their own, and any other rule is described as
-    ``{"kind": "custom", "r": dim, "N": order}``.
+    ``{"kind": "custom", "r": dim, "N": order}``.  ``coeff_family`` holds
+    an identity-generated family's coefficients, their constraint unchecked.
     """
 
     rank: int
@@ -114,20 +115,14 @@ class OperatorFamily:
     point_maps: tuple[TauMap, ...] = ()
     descriptor: Optional[dict] = None
     dim: Optional[int] = None
+    coeff_family: Optional[CoeffFamily] = None
 
     def __post_init__(self) -> None:
         if self.dim is None:
             self.dim = self.rank
-        for name in ("rank", "order", "dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
+        check_count("rank", self.rank, 1)
+        check_count("order", self.order, 0)
+        check_count("dim", self.dim, 1)
         if self.descriptor is None:
             self.descriptor = {"kind": "custom", "r": self.dim, "N": self.order}
 
@@ -163,8 +158,7 @@ def make_trivial(rank: int, order: int) -> OperatorFamily:
 
 def make_derivative(rank: int, order: int) -> OperatorFamily:
     """T_alpha(f) = D^alpha(f), with T_0 the identity map."""
-    if order < 1:
-        raise ValueError(f"derivative family needs order >= 1, got {order}")
+    check_count("order", order, 1)
 
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
         return PolyLeaf(dalpha(f, alpha))
@@ -176,8 +170,9 @@ def make_derivative(rank: int, order: int) -> OperatorFamily:
 def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
     """T_0(f) = f and T_alpha(f) = c_alpha * f * ln|f| for alpha != 0.
 
-    The bilinear constraint on the coefficients is not checked here;
-    ``verify_moment`` fails a family that breaks it.
+    The coefficient constraint is not checked here: ``coeff_family`` keeps
+    ``cf`` for ``check_constraint``, and ``verify_moment`` fails a family
+    that breaks it.
     """
     zero = PolyLeaf(Polynomial.zero(cf.rank))
 
@@ -189,7 +184,7 @@ def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
             return zero
         return Product((expr, XLogAbs(PolyLeaf(f))))
 
-    return OperatorFamily(cf.rank, cf.order, rule, descriptor=cf.to_json())
+    return OperatorFamily(cf.rank, cf.order, rule, descriptor=cf.to_json(), coeff_family=cf)
 
 
 def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
@@ -208,8 +203,9 @@ def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
 def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
     """The family x -> T_alpha(f)(tau(x)).
 
-    Keeps the inner family's expressions and prepends tau to the
-    evaluation-point chain, so conjugates of proved families are proved.
+    Keeps the inner family's expressions and ``coeff_family``, and
+    prepends tau to the evaluation-point chain, so conjugates of proved
+    families are proved.
     ``verify_moment`` refuses the family if the composed chain sends a
     sample outside the box.
     """
@@ -228,6 +224,7 @@ def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
             "inner": family.descriptor,
         },
         dim=family.dim,
+        coeff_family=family.coeff_family,
     )
 
 
@@ -486,12 +483,11 @@ def make_second_order_leibniz(
 # ---- descriptors ----
 
 
-def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
-    """Rebuild a family from its JSON descriptor.
+def family_from_json(data: dict) -> OperatorFamily:
+    """Rebuild a family from the whole of its JSON descriptor, verifying nothing.
 
-    Every ``identity_generated`` descriptor, nested ones too, has its
-    coefficient constraint checked at the domain samples; a violation
-    raises ConstraintViolation with the witness report.
+    An ``identity_generated`` descriptor, nested or not, gives a family
+    whose ``coeff_family`` the caller checks with ``check_constraint``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"family descriptor must be a JSON object, got {data!r}")
@@ -501,11 +497,7 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
     if kind == "derivative":
         return make_derivative(data["r"], data["N"])
     if kind == "identity_generated":
-        cf = CoeffFamily.from_json(data)
-        report = check_constraint(cf, domain)
-        if not report.passed:
-            raise ConstraintViolation(report)
-        return make_identity_generated(cf)
+        return make_identity_generated(CoeffFamily.from_json(data))
     if kind == "first_order_leibniz":
         # "N" may be left out, since the order is always 1
         order = data.get("N", 1)
@@ -524,7 +516,7 @@ def family_from_json(data: dict, domain: Domain) -> OperatorFamily:
             data["r"],
         )
     if kind == "conjugated":
-        inner = family_from_json(data["inner"], domain)
+        inner = family_from_json(data["inner"])
         order = data["N"]
         if type(order) is not int or order != inner.order:
             raise ValueError(

@@ -141,6 +141,14 @@ def as_multiindex(value: "MultiIndex | Iterable[int]") -> MultiIndex:
     return MultiIndex(value)
 
 
+def check_count(name: str, value: int, minimum: int) -> None:
+    """Refuse a ``value`` that is not an int, is a bool, or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def binom(a: MultiIndex, b: MultiIndex) -> int:
     """Entrywise binomial product C(a, b) = prod_i C(a_i, b_i).
 
@@ -186,10 +194,8 @@ def enumerate_height_at_most(rank: int, max_height: int) -> List[MultiIndex]:
     prefix, in lexicographic order, is extended by every entry that keeps
     its height at most max_height.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    if max_height < 0:
-        raise ValueError(f"max_height must be >= 0, got {max_height}")
+    check_count("rank", rank, 1)
+    check_count("max_height", max_height, 0)
     prefixes = [(e,) for e in range(max_height + 1)]
     for _ in range(rank - 1):
         prefixes = [t + (e,) for t in prefixes for e in range(max_height - sum(t) + 1)]

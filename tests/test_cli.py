@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 import moment_leibniz
 from moment_leibniz.multiindex import enumerate_height_at_most
+from moment_leibniz.polycalc import Polynomial
+from moment_leibniz.funcmodel import Domain, PolyLeaf
 from moment_leibniz.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -208,6 +210,7 @@ VIOLATING = {
         }
     ],
 }
+_COEFF_ONE = VIOLATING["coefficients"][0]
 
 
 def test_verify_family_constraint_violation_fails_with_witness(capsys, tmp_path):
@@ -445,6 +448,20 @@ def test_nested_sum_descriptor_is_verified(capsys, tmp_path):
             "r": 1,
             "c": {"kind": "scale", "factor": False, "child": _X},
         },
+        {"kind": "derivative", "r": 1, "N": "x"},
+        {"kind": "trivial", "r": 1, "N": "x"},
+        {"kind": "identity_generated", "r": 1, "N": "x", "coefficients": [_COEFF_ONE]},
+        {"kind": "identity_generated", "r": 1, "N": -1, "coefficients": [_COEFF_ONE]},
+        {"kind": "identity_generated", "r": 1, "N": 2.5, "coefficients": []},
+        {"kind": "first_order_leibniz", "r": 1, "N": "x", "c": _X},
+        _second_order(N="x"),
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": "x",
+            "tau": _TAU_REFLECT,
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
     ],
     ids=[
         "r-str",
@@ -482,9 +499,17 @@ def test_nested_sum_descriptor_is_verified(capsys, tmp_path):
         "coeff-bool",
         "tau-coeff-bool",
         "scale-factor-bool",
+        "N-str-derivative",
+        "N-str-trivial",
+        "N-str-identity",
+        "N-negative-identity",
+        "N-float-identity-empty",
+        "N-str-first-order",
+        "N-str-second-order",
+        "N-str-conjugated",
     ],
 )
-def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor):
+def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, request, descriptor):
     # a descriptor the verifier cannot evaluate is invalid input (exit 2),
     # never a failed identity (exit 1) nor a pass
     code = main(["verify-family", _family_file(tmp_path, descriptor)])
@@ -492,6 +517,147 @@ def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, descriptor)
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    message = _BAD_VALUE_MESSAGES.get(request.node.callspec.id)
+    if message is not None:
+        assert captured.err == f"error: bad family descriptor: {message}\n"
+
+
+# the error line of the cases above that name a malformed N: every kind names
+# it, and none compares it with an int first
+_BAD_VALUE_MESSAGES = {
+    "N-str-derivative": "order must be an integer, got 'x'",
+    "N-str-trivial": "order must be an integer, got 'x'",
+    "N-str-identity": "order must be an integer, got 'x'",
+    "N-negative-identity": "order must be >= 0, got -1",
+    "N-float-identity-empty": "order must be an integer, got 2.5",
+    "N-str-first-order": "first_order_leibniz N must be 1, got 'x'",
+    "N-str-second-order": "second_order N must be 2, got 'x'",
+    "N-str-conjugated": "conjugated N must be the inner order 2, got 'x'",
+}
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"kind": "nope", "r": 10**6},
+        {"kind": "trivial", "r": 1, "N": "x"},
+        {"kind": "derivative", "r": 1, "N": "x"},
+        {"kind": "identity_generated", "r": 1, "N": "x", "coefficients": [_COEFF_ONE]},
+        {"kind": "first_order_leibniz", "r": 1, "N": "x", "c": _X},
+        _second_order(N="x"),
+        {"kind": "conjugated", "r": 1, "N": "x", "tau": _TAU_REFLECT, "inner": _second_order()},
+        # the inner family violates the constraint; the outer N is read first
+        {"kind": "conjugated", "r": 1, "N": "x", "tau": _TAU_REFLECT, "inner": VIOLATING},
+        {
+            "kind": "conjugated",
+            "r": 1,
+            "N": 2,
+            "tau": {"rank": 1, "components": [[{"exponent": [0], "coeff": "1/0"}]]},
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
+        {
+            "kind": "identity_generated",
+            "r": 1,
+            "N": 2,
+            "coefficients": [{"index": [2.7], "expr": _const(1, "1")}],
+        },
+        {"kind": "first_order_leibniz", "r": 1, "c": {"kind": "nope"}},
+        {"kind": "identity_generated", "r": 1, "N": 2, "coefficients": [_COEFF_ONE, _COEFF_ONE]},
+    ],
+    ids=[
+        "unknown-kind-huge-r",
+        "N-trivial",
+        "N-derivative",
+        "N-identity",
+        "N-first-order",
+        "N-second-order",
+        "N-conjugated",
+        "N-conjugated-over-violation",
+        "tau",
+        "coefficient-index",
+        "expression-kind",
+        "coefficient-index-repeated",
+    ],
+)
+def test_unreadable_descriptor_draws_no_sample(capsys, monkeypatch, tmp_path, descriptor):
+    # the whole descriptor is read before the samples are drawn
+    def unit(cls, *args, **kwargs):
+        pytest.fail("Domain.unit was called for a descriptor that cannot be read")
+
+    monkeypatch.setattr(Domain, "unit", classmethod(unit))
+    code = main(["verify-family", _family_file(tmp_path, descriptor)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad family descriptor: ")
+
+
+@pytest.mark.parametrize(
+    "descriptor,code",
+    [
+        ({"kind": "derivative", "r": 2, "N": 2}, EXIT_PASS),
+        (VIOLATING, EXIT_FAIL),
+        (_conjugated(VIOLATING), EXIT_FAIL),
+        (_conjugated({"kind": "first_order_leibniz", "r": 1, "c": _X}), EXIT_PASS),
+    ],
+    ids=["derivative", "violating", "violating-conjugated", "first-order-conjugated"],
+)
+def test_readable_descriptor_draws_samples_once(capsys, monkeypatch, tmp_path, descriptor, code):
+    calls = []
+    unit = Domain.unit
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return unit(*args, **kwargs)
+
+    monkeypatch.setattr(Domain, "unit", classmethod(counted))
+    assert main(["verify-family", _family_file(tmp_path, descriptor)]) == code
+    capsys.readouterr()
+    assert calls == [(descriptor["r"],)]
+
+
+def test_constraint_overflow_reads_as_an_evaluation_error(capsys, tmp_path):
+    # c_(1) = 2^1100 overflows in the alpha = (2) constraint sum, before the
+    # moment identity is checked; the error reads as one met there would
+    descriptor = {
+        "kind": "identity_generated",
+        "r": 1,
+        "N": 2,
+        "coefficients": [{"index": [1], "expr": _const(1, str(2**1100))}],
+    }
+    code = main(["verify-family", _family_file(tmp_path, descriptor)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        "error: descriptor values do not evaluate: overflow converting exact value at root\n"
+    )
+
+
+def _vanishing_on_seed_zero_samples() -> dict:
+    """c_(1) = 10^8 prod_k (x - s_k) over the 12 seed-0 samples s_k of Domain.unit(1)."""
+    c = Polynomial.constant(1, 10**8)
+    for (s,) in Domain.unit(1).sample_points:
+        c = c * (Polynomial.variable(1, 0) - Polynomial.constant(1, s))
+    return {
+        "kind": "identity_generated",
+        "r": 1,
+        "N": 2,
+        "coefficients": [{"index": [1], "expr": PolyLeaf(c).to_json()}],
+    }
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [pytest.param(0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")), 1, 2, 3],
+)
+def test_coefficient_vanishing_on_the_samples_fails(capsys, tmp_path, seed):
+    # c_(1) must be the zero polynomial at N = 2, yet at seed 0 it vanishes
+    # at every sample, so the sampled constraint check passes it
+    path = _family_file(tmp_path, _vanishing_on_seed_zero_samples())
+    code, report = _run(capsys, ["verify-family", path, "--seed", str(seed)])
+    assert code == EXIT_FAIL
+    assert report["constraint_report"]["failures"]
 
 
 def test_overflow_names_the_first_node_evaluated(capsys, tmp_path):

@@ -79,6 +79,23 @@ def test_family_index_range_enforced():
         CoeffFamily(1, 2, {_mi(1, 0): const_expr(2, 1)})  # wrong rank
 
 
+@pytest.mark.parametrize(
+    "rank,order,message",
+    [
+        (1, 2.5, "order must be an integer, got 2.5"),
+        (1, -1, "order must be >= 0, got -1"),
+        (1, True, "order must be an integer, got True"),
+        ("x", 2, "rank must be an integer, got 'x'"),
+        (0, 2, "rank must be >= 1, got 0"),
+    ],
+)
+@pytest.mark.parametrize("coefficients", [{}, {(1,): const_expr(1, 1)}], ids=["empty", "one"])
+def test_family_rank_and_order_are_checked_first(rank, order, message, coefficients):
+    # refused when built, before any index is compared with them
+    with pytest.raises(ValueError, match=message):
+        CoeffFamily(rank, order, coefficients)
+
+
 def test_family_value_defaults_to_zero():
     cf = CoeffFamily.from_constants(1, 3, {(2,): 7})
     dom = Domain.unit(1)

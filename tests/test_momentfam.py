@@ -27,7 +27,7 @@ from moment_leibniz.funcmodel import (
     const_expr,
     eval_expr,
 )
-from moment_leibniz.coeffsolve import CoeffFamily, ConstraintViolation
+from moment_leibniz.coeffsolve import CoeffFamily, check_constraint
 from moment_leibniz.momentfam import (
     OperatorFamily,
     conjugate,
@@ -189,6 +189,27 @@ def test_derivative_family_verifies_exactly():
         make_derivative(1, 0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [make_trivial, make_derivative, lambda rank, order: OperatorFamily(rank, order, None)],
+    ids=["trivial", "derivative", "custom"],
+)
+@pytest.mark.parametrize(
+    "rank,order,message",
+    [
+        (1, "x", "order must be an integer, got 'x'"),
+        (1, 2.5, "order must be an integer, got 2.5"),
+        (1, True, "order must be an integer, got True"),
+        (1, -1, "order must be >= "),
+        ("x", 2, "rank must be an integer, got 'x'"),
+        (0, 2, "rank must be >= 1, got 0"),
+    ],
+)
+def test_rank_and_order_are_checked_before_use(make, rank, order, message):
+    with pytest.raises(ValueError, match=message):
+        make(rank, order)
+
+
 def test_broken_derivative_rule_detected_exactly():
     breaks = [
         # dropping the binomial weights breaks the identity at height 2
@@ -279,16 +300,17 @@ def test_identity_generated_randomized():
 
 
 def test_identity_generated_rejects_bad_coefficients():
-    # the descriptor reader checks the constraint at the domain samples
+    # the descriptor reader keeps the coefficients, plain or conjugated, and
+    # their constraint check fails at the domain samples
     dom = Domain.unit(1, seed=9)
     cf = CoeffFamily.from_constants(1, 2, {(1,): 1})
     descriptor = make_identity_generated(cf).descriptor
-    with pytest.raises(ConstraintViolation):
-        family_from_json(descriptor, dom)
     tau = _tau_one_minus_x().to_json()
     conjugated = {"kind": "conjugated", "r": 1, "N": 2, "tau": tau, "inner": descriptor}
-    with pytest.raises(ConstraintViolation):
-        family_from_json(conjugated, dom)
+    for data in (descriptor, conjugated):
+        report = check_constraint(family_from_json(data).coeff_family, dom)
+        assert not report.passed
+        assert {tuple(f["alpha"]) for f in report.failures} == {(2,)}
 
 
 def test_constraint_bypass_fails_at_pinned_alpha():
@@ -397,6 +419,18 @@ def test_conjugated_families_verify():
     report2 = verify_moment(idg, _probes(dom, 6, 6), dom)
     assert report2.passed and report2.max_residual <= 1e-9
     assert not report2.exact
+
+
+def test_conjugates_keep_the_coefficient_family():
+    # only a family over coefficients has one; conjugating twice keeps it
+    tau = _tau_one_minus_x()
+    cf = CoeffFamily.from_constants(1, 2, {(2,): 2})
+    double = conjugate(conjugate(make_identity_generated(cf), tau), tau)
+    assert double.coeff_family is cf
+    first = make_first_order_leibniz(const_expr(1, 3), 1)
+    assert conjugate(conjugate(first, tau), tau).coeff_family is first.coeff_family
+    assert first.coeff_family.order == 1
+    assert conjugate(conjugate(make_derivative(1, 2), tau), tau).coeff_family is None
 
 
 def test_identity_tau_changes_nothing():
@@ -631,7 +665,7 @@ def test_conjugated_second_order_family_on_two_variables():
     assert conj.descriptor["r"] == 2 and conj.descriptor["inner"]["kind"] == "second_order"
     report = verify_moment(conj, _probes(dom, 6, 22), dom)
     assert report.passed and report.max_residual == 0.0
-    rebuilt = family_from_json(conj.descriptor, dom)
+    rebuilt = family_from_json(conj.descriptor)
     assert rebuilt.descriptor == conj.descriptor
 
 
@@ -695,15 +729,15 @@ def test_family_descriptor_roundtrip():
     dom = Domain.unit(1, seed=21)
     cf = CoeffFamily.from_constants(1, 2, {(2,): 3})
     fam = make_identity_generated(cf)
-    rebuilt = family_from_json(fam.descriptor, dom)
+    rebuilt = family_from_json(fam.descriptor)
     x = dom.sample_points[0]
     f = Polynomial.constant(1, 2)
     assert eval_expr(rebuilt.apply(_mi(2), f), (x,)) == eval_expr(fam.apply(_mi(2), f), (x,))
     tau = _tau_one_minus_x()
     conj = conjugate(fam, tau)
-    rebuilt2 = family_from_json(conj.descriptor, dom)
+    rebuilt2 = family_from_json(conj.descriptor)
     assert eval_expr(
         rebuilt2.apply(_mi(2), f), (rebuilt2.eval_point(x),)
     ) == eval_expr(conj.apply(_mi(2), f), (conj.eval_point(x),))
     with pytest.raises(ValueError):
-        family_from_json({"kind": "unknown", "r": 1}, dom)
+        family_from_json({"kind": "unknown", "r": 1})
