@@ -2,24 +2,38 @@
 
 These maps are multiplicative, M(f*g) = M(f)*M(g), for any positive
 exponent function p and any change of variables tau that stays in the
-domain.  The sign factor matters: dropping it leaves a map that is
-still multiplicative, so the checker also probes a negative constant
-to confirm signs survive.
+domain.  M is the T_0 of an order-0 family (``make_power_sign``), and
+multiplicativity is that family's alpha = 0 moment instance, which
+``check_multiplicative`` verifies.  The sign factor matters, yet no
+product check sees it: the sign-stripped map |f|^p = sgn(f^2) |f^2|^(p/2)
+is still multiplicative.  Only its value on a negative constant tells
+the two apart, so the demo reads T_0(-1) at the samples.
 """
 
 import random
 
 from moment_leibniz import (
     Domain,
+    MultiIndex,
+    OperatorFamily,
     PolyLeaf,
     Polynomial,
     PowerSignMap,
+    SignedPower,
     TauMap,
     check_multiplicative,
     const_expr,
-    power_sign_apply,
+    eval_expr,
+    make_power_sign,
+    verify_moment,
 )
 from fractions import Fraction
+
+
+def signs_preserved(family: OperatorFamily, domain: Domain) -> bool:
+    """Whether T_0(-1) is -1 at every sample."""
+    minus_one = family.apply(MultiIndex.zero(1), Polynomial.constant(1, -1))
+    return set(eval_expr(minus_one, domain.sample_points)) == {-1.0}
 
 
 def main() -> None:
@@ -51,18 +65,19 @@ def main() -> None:
         print(
             f"{label}: pass {report.passed}, "
             f"max residual {report.max_residual:.3e}, "
-            f"signs preserved {report.details['sign_preserved']}"
+            f"signs preserved {signs_preserved(make_power_sign(mapping), domain)}"
         )
 
-    # the same check rejects the map with the sign factor stripped
-    def absolute_only(mapping, f, x):
-        return abs(power_sign_apply(mapping, f, x))
+    # the map with the sign factor stripped, p = 1: still multiplicative,
+    # but it sends -1 to +1
+    def absolute_only(_alpha: MultiIndex, f: Polynomial) -> SignedPower:
+        return SignedPower(PolyLeaf(f * f), const_expr(1, Fraction(1, 2)))
 
-    mapping = PowerSignMap(const_expr(1, 1), TauMap.identity(1))
-    report = check_multiplicative(mapping, probes, domain, apply_fn=absolute_only)
+    stripped = OperatorFamily(1, 0, absolute_only)
+    report = verify_moment(stripped, probes, domain)
     print(
         f"\n|f|^p without the sign: pass {report.passed}, "
-        f"signs preserved {report.details['sign_preserved']}"
+        f"signs preserved {signs_preserved(stripped, domain)}"
     )
 
 

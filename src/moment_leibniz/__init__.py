@@ -4,8 +4,8 @@ The package checks, exactly where the data allows and by seeded sampling
 otherwise: the generalized product-derivative identity on rational
 polynomials, moment-type operator families under the binomial
 convolution identity, the bilinear constraint their coefficients must
-satisfy, power-sign multiplicative maps, and moment sequences on the
-additive reals.
+satisfy, power-sign multiplicative maps (order-0 families), and moment
+sequences on the additive reals.
 """
 
 from .multiindex import (
@@ -21,6 +21,7 @@ from .polycalc import (
     RationalPoint,
     check_leibniz,
     check_leibniz_all,
+    compose,
     convolution_sum,
     dalpha,
     eval_poly,
@@ -36,18 +37,17 @@ from .funcmodel import (
     PolyLeaf,
     PowerSignMap,
     Product,
+    SignedPower,
     Sum,
     TauMap,
     XLogAbs,
     as_polynomial,
-    check_multiplicative,
     const_expr,
     eval_expr,
     expr_from_json,
     grad_dot,
     hess_quad,
     judge,
-    power_sign_apply,
     worse,
 )
 from .coeffsolve import (
@@ -65,12 +65,14 @@ from .coeffsolve import (
 from .momentfam import (
     MomentReport,
     OperatorFamily,
+    check_multiplicative,
     conjugate,
     default_probe_pairs,
     family_from_json,
     make_derivative,
     make_first_order_leibniz,
     make_identity_generated,
+    make_power_sign,
     make_second_order_leibniz,
     make_trivial,
     verify_moment,

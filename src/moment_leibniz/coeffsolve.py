@@ -19,11 +19,13 @@ band N/2 < |alpha| <= N, every constrained sum over such a support is
 empty, and no support reaching below the band admits nonzero constant
 coefficients.
 
-This module checks the constraint on sample points, reports which
-support indices it forces to vanish, enumerates the admissible supports,
-and draws random families on them.  A support is a tuple of indices in
-band order (height, then entries), the order ``band`` lists and
-``itertools.combinations`` keeps.  The band test 2|alpha| > N is made in
+This module checks the constraint on sample points, and exactly when
+every coefficient below the band expands: then a nonzero one fails with
+a witness, however small its sample sums.  It reports which support
+indices the constraint forces to vanish, enumerates the admissible
+supports, and draws random families on them.  A support is a tuple of
+indices in band order (height, then entries), the order ``band`` lists
+and ``itertools.combinations`` keeps.  The band test 2|alpha| > N is made in
 one place, ``_in_band``: ``band`` lists the band, and
 ``forced_zero_analysis`` splits a support by it, so a support is
 admissible exactly when that split is empty.  ``index_set_size`` counts
@@ -37,7 +39,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from fractions import Fraction
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .multiindex import (
     MultiIndex,
@@ -46,7 +49,7 @@ from .multiindex import (
     convolution_terms,
     enumerate_height_at_most,
 )
-from .polycalc import Polynomial, Scalar
+from .polycalc import Polynomial, RationalPoint, Scalar, eval_poly
 from .funcmodel import (
     CheckReport,
     Domain,
@@ -54,8 +57,11 @@ from .funcmodel import (
     Leaves,
     NonFiniteValue,
     PolyLeaf,
+    as_polynomial,
     eval_expr,
     expr_from_json,
+    is_polynomial,
+    judge,
     worse,
 )
 from . import polycalc
@@ -149,29 +155,41 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     """Evaluate every constrained bilinear sum at every sample of the domain.
 
     Binomial weights are exact integers; only the coefficient values and
-    final products are floating point.  |sum| <= the domain tolerance is
-    required.  Each coefficient is evaluated at all the samples at once,
+    final products are floating point.  ``funcmodel.judge`` judges each sum
+    against 0, so its residual is |sum|, which must be <= the domain
+    tolerance; an alpha with no stored pair has the empty sum 0 and is
+    skipped.  Each coefficient is evaluated at all the samples at once,
     the first time a sum needs it; each sample's products are added with
     the builtin ``sum`` in split order.  An evaluation error names the node
-    met first in the order alpha, sample, split.
+    met first in the order alpha, sample, split.  If the samples show no
+    failure, ``_below_band_witness`` may still prove one, whose sum is
+    computed as a sample's.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
     tol = domain.float_tolerance
-    failures: List[dict] = []
-    max_abs = 0.0
-    checked = 0
-    leaves: Leaves = {}
-    values: Dict[MultiIndex, List[float]] = {}
     alphas = constraint_indices(cf.rank, cf.order)
-    for alpha in alphas:
-        # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
-        pairs = [
+    # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
+    pairs = {
+        alpha: [
             (w, beta, gamma)
             for w, beta, gamma in convolution_terms(alpha)
             if beta in cf.coefficients and gamma in cf.coefficients
         ]
-        needed = [idx for _, beta, gamma in pairs for idx in (beta, gamma)]
+        for alpha in alphas
+    }
+
+    def sums(alpha: MultiIndex, values: Dict[MultiIndex, List[float]]) -> Iterator[float]:
+        """Each point's sum of w * c_beta * c_gamma, added with ``sum`` in split order."""
+        columns = [[w * u * v for u, v in zip(values[b], values[g])] for w, b, g in pairs[alpha]]
+        return map(sum, zip(*columns))
+
+    failures: List[dict] = []
+    max_residual = 0.0
+    leaves: Leaves = {}
+    values: Dict[MultiIndex, List[float]] = {}
+    for alpha in alphas:
+        needed = [idx for _, beta, gamma in pairs[alpha] for idx in (beta, gamma)]
         try:
             for idx in needed:
                 if idx not in values:
@@ -180,29 +198,50 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
             for x, idx in itertools.product(domain.sample_points, needed):
                 eval_expr(cf.coefficients[idx], (x,))
             raise
-        products = [
-            [w * a * b for a, b in zip(values[beta], values[gamma])] for w, beta, gamma in pairs
-        ]
-        sums = map(sum, zip(*products)) if products else [0] * len(domain.sample_points)
-        for x, value in zip(domain.sample_points, sums):
-            checked += 1
-            max_abs = worse(max_abs, abs(value))
-            if not abs(value) <= tol:
-                failures.append(
-                    {
-                        "alpha": alpha.to_json(),
-                        "point": x.to_json(),
-                        "value": value,
-                    }
-                )
+        for x, value in zip(domain.sample_points, sums(alpha, values)):
+            residual, ok = judge(0.0, value, False, tol)
+            max_residual = worse(max_residual, residual)
+            if not ok:
+                failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
+    witness = None if failures else _below_band_witness(cf)
+    if witness is not None:
+        alpha, x = witness
+        at_x = {i: eval_expr(cf.coefficients[i], (x,)) for s in pairs[alpha] for i in s[1:]}
+        value = next(sums(alpha, at_x))
+        max_residual = worse(max_residual, judge(0.0, value, False, tol)[0])
+        failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
     return CheckReport(
         check="coefficient_constraint",
         passed=not failures,
-        max_residual=max_abs,
+        max_residual=max_residual,
         tolerance=tol,
         failures=failures,
-        counts={"alphas": len(alphas), "evaluations": checked},
+        counts={"alphas": len(alphas), "evaluations": len(alphas) * len(domain.sample_points)},
     )
+
+
+def _below_band_witness(cf: CoeffFamily) -> Optional[Tuple[MultiIndex, RationalPoint]]:
+    """Where the constraint provably fails, if every coefficient below the band expands.
+
+    It then holds exactly when each of them is the zero polynomial.  If
+    not, the cascade in ``forced_zero_analysis``, run on the nonzero ones,
+    takes gamma of least height, lexicographically largest, whose
+    alpha = 2*gamma sum is C(2g, g) c_gamma^2.  That is nonzero at the
+    first point, in lexicographic order, of the grid
+    {k/(d_i+2) : 1 <= k <= d_i+1} where c_gamma is, d_i its degree in x_i;
+    a nonzero polynomial has one (Alon, Combinatorial Nullstellensatz, 1999).
+    """
+    below = {a: cf.coefficients[a] for a in forced_zero_analysis(cf.order, cf.coefficients)}
+    if not all(map(is_polynomial, below.values())):
+        return None
+    nonzero = {a: p for a, e in below.items() if (p := as_polynomial(e))}
+    if not nonzero:
+        return None
+    gamma = max(nonzero, key=lambda a: (-a.height, tuple(a)))
+    c = nonzero[gamma]
+    degrees = [max(e[i] for e in c.terms) for i in range(cf.rank)]
+    grid = itertools.product(*[[Fraction(k, d + 2) for k in range(1, d + 2)] for d in degrees])
+    return gamma + gamma, next(x for x in map(RationalPoint, grid) if eval_poly(c, x))
 
 
 def support_json(rank: int, order: int, support: Support) -> dict:

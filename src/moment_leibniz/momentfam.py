@@ -12,8 +12,11 @@ build the described kinds, and any other rule goes straight to
 variables the operators act on are separate: second-order pairs are the
 order-2 families indexed by rank 1 on functions of r variables, with
 T_(1) = A and T_(2) = T, whose alpha = (2) instance is
-T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  Every family applies each
-operator once per probe.
+T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  A power-sign map M is the
+order-0 family with T_0 = M (``make_power_sign``), so its
+multiplicativity is the alpha = 0 instance, and ``check_multiplicative``
+is ``verify_moment`` on that family.  Every family applies each operator
+once per probe.
 
 Nothing that builds a family takes a domain, and reading a descriptor
 verifies nothing.  ``verify_moment`` maps every sample through the
@@ -64,6 +67,7 @@ from .multiindex import MultiIndex, check_count, convolution_terms, enumerate_he
 from .polycalc import (
     Polynomial,
     RationalPoint,
+    compose,
     convolution_sum,
     dalpha,
     eval_poly,
@@ -74,7 +78,9 @@ from .funcmodel import (
     FuncExpr,
     Leaves,
     PolyLeaf,
+    PowerSignMap,
     Product,
+    SignedPower,
     Sum,
     TauMap,
     XLogAbs,
@@ -226,6 +232,15 @@ def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
         dim=family.dim,
         coeff_family=family.coeff_family,
     )
+
+
+def make_power_sign(m: PowerSignMap) -> OperatorFamily:
+    """The order-0 family T_0 = M: f is composed with tau exactly, so p is read at x."""
+
+    def rule(_alpha: MultiIndex, f: Polynomial) -> FuncExpr:
+        return SignedPower(PolyLeaf(compose(f, m.tau.components)), m.exponent)
+
+    return OperatorFamily(m.tau.rank, 0, rule)
 
 
 # ---- probes ----
@@ -387,6 +402,16 @@ def verify_moment(
         exact=not sampled,
         seed=seed,
     )
+
+
+def check_multiplicative(
+    m: PowerSignMap,
+    probes: Sequence[Tuple[Polynomial, Polynomial]],
+    domain: Domain,
+) -> MomentReport:
+    """M(f*g) = M(f) * M(g), sampled: ``m.validate``, then ``verify_moment`` on M's family."""
+    m.validate(domain)
+    return verify_moment(make_power_sign(m), probes, domain)
 
 
 # ---- second-order pairs ----

@@ -349,6 +349,24 @@ def eval_poly_ratios(f: Polynomial, points: Sequence[RationalPoint]) -> List[Tup
     return out
 
 
+def compose(f: Polynomial, maps: Sequence[Polynomial]) -> Polynomial:
+    """f(maps[0], ..., maps[r-1]): exact substitution of maps[i] for x_i.
+
+    The maps share one dimension, which is the result's.
+    """
+    dims = {m.dim for m in maps}
+    if len(maps) != f.dim or len(dims) != 1:
+        raise DimensionMismatch(f"poly dim {f.dim} vs maps of dims {[m.dim for m in maps]}")
+    out = Polynomial.zero(maps[0].dim)
+    for e, coeff in f.terms.items():
+        term = Polynomial.constant(out.dim, coeff)
+        for m, k in zip(maps, e):
+            for _ in range(k):
+                term = term * m
+        out = out + term
+    return out
+
+
 def convolution_sum(
     left: Mapping[MultiIndex, Polynomial],
     right: Mapping[MultiIndex, Polynomial],

@@ -43,6 +43,7 @@ from moment_leibniz import (
     make_derivative,
     make_exponential_moment_seq,
     make_identity_generated,
+    make_power_sign,
     make_second_order_leibniz,
     make_trivial,
     random_polynomial,
@@ -492,6 +493,7 @@ def test_power_sign_maps_multiplicative():
     worst = 0.0
     signs_ok = True
     all_passed = True
+    minus_one = Polynomial.constant(1, -1)
     for exponent in exponents:
         for tau in taus:
             mapping = PowerSignMap(exponent, tau)
@@ -505,7 +507,9 @@ def test_power_sign_maps_multiplicative():
             report = check_multiplicative(mapping, probes, domain)
             combos += 1
             worst = max(worst, report.max_residual)
-            signs_ok = signs_ok and report.details["sign_preserved"]
+            # the sign survives: T_0(-1) is -1 at every sample
+            sign = make_power_sign(mapping).apply(MultiIndex.zero(1), minus_one)
+            signs_ok = signs_ok and set(eval_expr(sign, domain.sample_points)) == {-1.0}
             all_passed = all_passed and report.passed
     ok = combos == 6 and all_passed and signs_ok and worst <= 1e-9
     _report(

@@ -647,17 +647,17 @@ def _vanishing_on_seed_zero_samples() -> dict:
     }
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [pytest.param(0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")), 1, 2, 3],
-)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_coefficient_vanishing_on_the_samples_fails(capsys, tmp_path, seed):
-    # c_(1) must be the zero polynomial at N = 2, yet at seed 0 it vanishes
-    # at every sample, so the sampled constraint check passes it
+    # c_(1) must be the zero polynomial at N = 2; at seed 0 it vanishes at
+    # every sample, so the failure is the grid witness alpha (2) at 1/14
     path = _family_file(tmp_path, _vanishing_on_seed_zero_samples())
     code, report = _run(capsys, ["verify-family", path, "--seed", str(seed)])
     assert code == EXIT_FAIL
-    assert report["constraint_report"]["failures"]
+    failures = report["constraint_report"]["failures"]
+    assert failures
+    if seed == 0:
+        assert [(f["alpha"], f["point"]) for f in failures] == [([2], ["1/14"])]
 
 
 def test_overflow_names_the_first_node_evaluated(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,13 @@ from moment_leibniz.multiindex import (
     enumerate_below,
     enumerate_height_at_most,
 )
-from moment_leibniz.polycalc import Polynomial
+from moment_leibniz.polycalc import Polynomial, RationalPoint, eval_poly, random_polynomial
 from moment_leibniz.funcmodel import (
     Domain,
     NonFiniteValue,
     PolyLeaf,
     Product,
+    as_polynomial,
     const_expr,
     eval_expr,
 )
@@ -193,6 +195,56 @@ def test_constraint_sums_match_hand_expansion():
         if tuple(failure["alpha"]) == (1, 1):
             expected = -expected
         assert failure["value"] == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def _polynomial_families(draw):
+    """A family on any support, r <= 2 and N <= 4, each coefficient a small
+    polynomial or the zero polynomial."""
+    rank = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 4))
+    index_set = [a for a in enumerate_height_at_most(rank, order) if a.height >= 1]
+    support = draw(st.lists(st.sampled_from(index_set), unique=True))
+    rng = random.Random(draw(st.integers(0, 2**31 - 1)))
+    coefficients = {
+        alpha: PolyLeaf(
+            random_polynomial(rng, rank, max_degree=2, terms=3, coeff_bound=4)
+            if draw(st.booleans())
+            else Polynomial.zero(rank)
+        )
+        for alpha in support
+    }
+    return CoeffFamily(rank, order, coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polynomial_families(), st.integers(0, 2**31 - 1))
+def test_polynomial_constraint_passes_exactly_when_below_band_is_zero(cf, seed):
+    below = forced_zero_analysis(cf.order, cf.coefficients)
+    report = check_constraint(cf, Domain.unit(cf.rank, seed=seed))
+    assert report.passed == all(as_polynomial(cf.coefficients[a]).is_zero() for a in below)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 2**31 - 1))
+def test_coefficient_vanishing_on_the_samples_fails_at_twice_gamma(data, seed):
+    # c_gamma = K prod_k (x_0 - s_k) over the samples s_k: every sampled sum
+    # is exactly 0.0, so the failure is the grid witness at alpha = 2 gamma
+    rank = data.draw(st.integers(1, 2))
+    order = data.draw(st.integers(2, 4))
+    below = [a for a in enumerate_height_at_most(rank, order) if 1 <= 2 * a.height <= order]
+    gamma = data.draw(st.sampled_from(below))
+    dom = Domain.unit(rank, seed=seed)
+    c = Polynomial.constant(rank, data.draw(st.integers(1, 10**8)))
+    for s in dom.sample_points:
+        c = c * (Polynomial.variable(rank, 0) - Polynomial.constant(rank, s[0]))
+    report = check_constraint(CoeffFamily(rank, order, {gamma: PolyLeaf(c)}), dom)
+    assert not report.passed
+    [failure] = report.failures
+    assert failure["alpha"] == (gamma + gamma).to_json()
+    point = RationalPoint.from_json(failure["point"])
+    assert point not in dom.sample_points and eval_poly(c, point) != 0
+    assert report.max_residual == abs(failure["value"]) > 0
 
 
 # ---- forced zeros ----

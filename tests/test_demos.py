@@ -19,7 +19,7 @@ STDOUT_SHA256 = {
     "01_product_rule.py": "ef32a418c01c3b19c6d92645061be5c65ebe6ccba50d71cad26cd856f6e4bb3a",
     "02_operator_families.py": "65305d72e0e254564568e22c2673f5e07106f6d84e5eb6542a474ff45ce96e85",
     "03_log_generated_families.py": "900a50ffcab7b4b53aca937dddf4334988a8dc03b17f04dbfa5eeeaec2213fc9",
-    "04_power_sign_maps.py": "68953c25dd0edc60aa2e350f39cd1127d62ca5996795abfd46b162a8dfedd451",
+    "04_power_sign_maps.py": "d9d56a663d990c5d8eb8a6dababf509820f04c1db3c2428cea5f913ec2f92e0a",
     "05_exponential_sequences.py": "c597c2ec7b80d825e5cbaeae142d7608805c9ecb818aebd89185e2b05100b3d9",
 }
 

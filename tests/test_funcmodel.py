@@ -1,4 +1,4 @@
-"""Expression trees, domains, reparametrization maps and power-sign maps."""
+"""Expression trees, domains, reparametrization maps and power-sign maps (order-0 families)."""
 
 from __future__ import annotations
 
@@ -12,20 +12,21 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moment_leibniz.multiindex import DimensionMismatch
+from moment_leibniz.multiindex import DimensionMismatch, MultiIndex
 from moment_leibniz.polycalc import Polynomial, RationalPoint, eval_poly, random_polynomial
 from moment_leibniz.funcmodel import (
+    CheckReport,
     Domain,
     NonFiniteValue,
     NotPolynomial,
     PolyLeaf,
     PowerSignMap,
     Product,
+    SignedPower,
     Sum,
     TauMap,
     XLogAbs,
     as_polynomial,
-    check_multiplicative,
     const_expr,
     eval_expr,
     expr_from_json,
@@ -33,8 +34,14 @@ from moment_leibniz.funcmodel import (
     hess_quad,
     is_polynomial,
     judge,
-    power_sign_apply,
     worse,
+)
+from moment_leibniz.momentfam import (
+    OperatorFamily,
+    check_multiplicative,
+    default_probe_pairs,
+    make_power_sign,
+    verify_moment,
 )
 
 
@@ -443,16 +450,32 @@ def _one_minus_x() -> TauMap:
 
 
 def test_power_sign_pinned_values():
-    dom = Domain.unit(1)
-    m = PowerSignMap(const_expr(1, 2), TauMap.identity(1))
-    m.validate(dom)
-    x = _pt(Fraction(1, 2))
-    f = Polynomial.constant(1, 2)
-    g = Polynomial.constant(1, -3)
-    assert power_sign_apply(m, f, x) == 4.0
-    assert power_sign_apply(m, g, x) == -9.0
-    assert power_sign_apply(m, f * g, x) == -36.0
-    assert power_sign_apply(m, Polynomial.zero(1), x) == 0.0
+    # T_0 of make_power_sign is SignedPower(f o tau, p): sgn(u) |u|^p, 0 at u = 0
+    x = (_pt(Fraction(1, 2)),)
+    p = const_expr(1, 2)
+    for u, value in ((2, 4.0), (-3, -9.0), (-6, -36.0), (0, 0.0)):
+        assert eval_expr(SignedPower(const_expr(1, u), p), x) == [value]
+    family = make_power_sign(PowerSignMap(p, TauMap.identity(1)))
+    f, g = Polynomial.constant(1, 2), Polynomial.constant(1, -3)
+    zero = MultiIndex.zero(1)
+    values = [eval_expr(family.apply(zero, h), x) for h in (f, g, f * g, Polynomial.zero(1))]
+    assert values == [[4.0], [-9.0], [-36.0], [0.0]]
+    # f is read at tau(x) and p at x: at x = 1/4, (1 - x)^(1/2 + x) = (3/4)^(3/4)
+    tau = TauMap.affine([[-1]], [1])
+    half_plus_x = PolyLeaf(Polynomial.constant(1, Fraction(1, 2)) + _x())
+    family = make_power_sign(PowerSignMap(half_plus_x, tau))
+    assert eval_expr(family.apply(zero, -_x()), (_pt(Fraction(1, 4)),)) == [-(0.75**0.75)]
+
+
+def test_signed_power_overflow_names_the_node():
+    big = SignedPower(const_expr(1, 10**200), const_expr(1, 2))
+    with pytest.raises(NonFiniteValue, match=r"^non-finite value at root\.sum\[1\]\.signedpower$"):
+        eval_expr(Sum((const_expr(1, 1), big)), (_pt(Fraction(1, 2)),))
+    assert not is_polynomial(big)
+    with pytest.raises(NotPolynomial):
+        as_polynomial(big)
+    with pytest.raises(ValueError, match="unknown expression kind"):
+        expr_from_json({"kind": "signedpower"})
 
 
 def test_power_sign_validation():
@@ -478,60 +501,33 @@ def test_check_multiplicative_passes():
         (random_polynomial(rng, 1, max_degree=3), random_polynomial(rng, 1, max_degree=3))
         for _ in range(10)
     ]
+    minus_one = Polynomial.constant(1, -1)
     for p in exponents:
         for tau in taus:
-            report = check_multiplicative(PowerSignMap(p, tau), probes, dom)
+            m = PowerSignMap(p, tau)
+            report = check_multiplicative(m, probes, dom)
             assert report.passed, report.failures[:1]
             assert report.max_residual <= 1e-9
-            assert report.details["sign_preserved"]
+            assert not report.exact and report.per_alpha_max_residual.keys() == {"0"}
+            # the sign survives: T_0(-1) is -1 at every sample
+            signs = eval_expr(make_power_sign(m).apply(MultiIndex.zero(1), minus_one), dom.sample_points)
+            assert signs == [-1.0] * len(dom.sample_points)
 
 
 def test_check_multiplicative_catches_sign_stripping():
-    # |f(tau(x))|^p alone is multiplicative, so only the sign probe
-    # tells it apart from the genuine map
+    # |f(tau(x))|^p = sgn(f^2) |f^2|^(p/2) is multiplicative too, so the
+    # moment verifier passes it; only T_0(-1) = +1 tells it from the genuine map
     dom = Domain.unit(1)
-    m = PowerSignMap(const_expr(1, 2), TauMap.identity(1))
 
-    def stripped(m, f, x):
-        return abs(power_sign_apply(m, f, x))
+    def stripped(_alpha: MultiIndex, f: Polynomial) -> SignedPower:
+        return SignedPower(PolyLeaf(f * f), const_expr(1, 1))
 
-    probes = [(Polynomial.constant(1, 2), Polynomial.constant(1, 3))]
-    report = check_multiplicative(m, probes, dom, apply_fn=stripped)
-    assert not report.passed
-    assert not report.details["sign_preserved"]
-    assert any(f["type"] == "sign_preservation" for f in report.failures)
-
-
-def test_check_multiplicative_fails_on_nan():
-    dom = Domain.unit(1)
-    m = PowerSignMap(const_expr(1, 2), TauMap.identity(1))
-    probes = [(Polynomial.constant(1, 2), Polynomial.constant(1, 3))]
-    report = check_multiplicative(m, probes, dom, apply_fn=lambda m, f, x: math.nan)
-    assert not report.passed
-    # every product instance and every sign probe fails
-    types = [f["type"] for f in report.failures]
-    assert types.count("multiplicativity") == len(dom.sample_points)
-    assert types.count("sign_preservation") == len(dom.sample_points)
-    assert math.isnan(report.max_residual)
-
-
-def test_sign_probe_fails_on_nan():
-    # "residual > tol" is False for a NaN residual; the probe must fail it
-    dom = Domain.unit(1)
-    m = PowerSignMap(const_expr(1, 2), TauMap.identity(1))
+    probes = default_probe_pairs(dom, 8, random.Random(0))
+    assert verify_moment(OperatorFamily(1, 0, stripped), probes, dom).passed
     minus_one = Polynomial.constant(1, -1)
-
-    def nan_on_minus_one(m, f, x):
-        return math.nan if f == minus_one else power_sign_apply(m, f, x)
-
-    probes = [(Polynomial.constant(1, 2), Polynomial.constant(1, 3))]
-    report = check_multiplicative(m, probes, dom, apply_fn=nan_on_minus_one)
-    assert not report.passed
-    assert report.details["sign_preserved"] is False
-    assert [f["type"] for f in report.failures] == ["sign_preservation"] * len(
+    assert eval_expr(stripped(MultiIndex.zero(1), minus_one), dom.sample_points) == [1.0] * len(
         dom.sample_points
     )
-    assert math.isnan(report.max_residual)
 
 
 def test_worse_keeps_nan():
@@ -556,9 +552,7 @@ def test_judge_exact_overflow_is_inf():
 
 
 def test_check_report_json_shape():
-    dom = Domain.unit(1)
-    m = PowerSignMap(const_expr(1, 1), TauMap.identity(1))
-    report = check_multiplicative(m, [], dom, seed=7)
+    report = CheckReport("coefficient_constraint", True, 0.0, 1e-9, [], {"alphas": 0}, seed=7)
     data = report.to_json()
     assert set(data) == {
         "check",
@@ -571,3 +565,4 @@ def test_check_report_json_shape():
         "details",
     }
     assert data["seed"] == 7
+    assert data["details"] == {}

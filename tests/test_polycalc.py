@@ -205,6 +205,30 @@ def test_ops_never_recanonicalize(monkeypatch):
     assert calls == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), out_dim=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_compose_is_exact_substitution(dim, out_dim, seed):
+    rng = random.Random(seed)
+    f = random_polynomial(rng, dim, max_degree=3, terms=4)
+    maps = [random_polynomial(rng, out_dim, max_degree=2, terms=3) for _ in range(dim)]
+    composed = polycalc.compose(f, maps)
+    assert composed.dim == out_dim
+    for _ in range(3):
+        x = RationalPoint(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(out_dim))
+        image = RationalPoint(eval_poly(m, x) for m in maps)
+        assert eval_poly(composed, x) == eval_poly(f, image)
+    identity = [Polynomial.variable(dim, i) for i in range(dim)]
+    assert polycalc.compose(f, identity) == f
+
+
+def test_compose_checks_dims():
+    f = Polynomial.variable(2, 0)
+    with pytest.raises(DimensionMismatch):
+        polycalc.compose(f, [Polynomial.variable(1, 0)])
+    with pytest.raises(DimensionMismatch):
+        polycalc.compose(f, [Polynomial.variable(1, 0), Polynomial.variable(2, 0)])
+
+
 # ---- derivatives ----
 
 
