@@ -45,6 +45,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 from .multiindex import (
     MultiIndex,
     as_multiindex,
+    binom,
     check_count,
     convolution_terms,
     enumerate_height_at_most,
@@ -62,6 +63,7 @@ from .funcmodel import (
     expr_from_json,
     is_polynomial,
     judge,
+    witness_float,
     worse,
 )
 from . import polycalc
@@ -163,7 +165,9 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     the builtin ``sum`` in split order.  An evaluation error names the node
     met first in the order alpha, sample, split.  If the samples show no
     failure, ``_below_band_witness`` may still prove one, whose sum is
-    computed as a sample's.
+    computed as a sample's; if a value there is too large for a float,
+    the exact sum C(2g, g) c_gamma(x)^2 stands in, as ``witness_float``
+    writes it.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
@@ -205,9 +209,13 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
                 failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
     witness = None if failures else _below_band_witness(cf)
     if witness is not None:
-        alpha, x = witness
-        at_x = {i: eval_expr(cf.coefficients[i], (x,)) for s in pairs[alpha] for i in s[1:]}
-        value = next(sums(alpha, at_x))
+        gamma, c, x = witness
+        alpha = gamma + gamma
+        try:
+            at_x = {i: eval_expr(cf.coefficients[i], (x,)) for s in pairs[alpha] for i in s[1:]}
+            value = next(sums(alpha, at_x))
+        except NonFiniteValue:
+            value = witness_float(binom(alpha, gamma) * eval_poly(c, x) ** 2)
         max_residual = worse(max_residual, judge(0.0, value, False, tol)[0])
         failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
     return CheckReport(
@@ -220,7 +228,9 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     )
 
 
-def _below_band_witness(cf: CoeffFamily) -> Optional[Tuple[MultiIndex, RationalPoint]]:
+def _below_band_witness(
+    cf: CoeffFamily,
+) -> Optional[Tuple[MultiIndex, Polynomial, RationalPoint]]:
     """Where the constraint provably fails, if every coefficient below the band expands.
 
     It then holds exactly when each of them is the zero polynomial.  If
@@ -230,6 +240,7 @@ def _below_band_witness(cf: CoeffFamily) -> Optional[Tuple[MultiIndex, RationalP
     first point, in lexicographic order, of the grid
     {k/(d_i+2) : 1 <= k <= d_i+1} where c_gamma is, d_i its degree in x_i;
     a nonzero polynomial has one (Alon, Combinatorial Nullstellensatz, 1999).
+    Returns gamma, c_gamma and that point.
     """
     below = {a: cf.coefficients[a] for a in forced_zero_analysis(cf.order, cf.coefficients)}
     if not all(map(is_polynomial, below.values())):
@@ -241,7 +252,7 @@ def _below_band_witness(cf: CoeffFamily) -> Optional[Tuple[MultiIndex, RationalP
     c = nonzero[gamma]
     degrees = [max(e[i] for e in c.terms) for i in range(cf.rank)]
     grid = itertools.product(*[[Fraction(k, d + 2) for k in range(1, d + 2)] for d in degrees])
-    return gamma + gamma, next(x for x in map(RationalPoint, grid) if eval_poly(c, x))
+    return gamma, c, next(x for x in map(RationalPoint, grid) if eval_poly(c, x))
 
 
 def support_json(rank: int, order: int, support: Support) -> dict:

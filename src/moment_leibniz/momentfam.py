@@ -152,11 +152,11 @@ class OperatorFamily:
 
 def make_trivial(rank: int, order: int) -> OperatorFamily:
     """T_0(f) = 1 and T_alpha(f) = 0 for alpha != 0."""
+    check_count("rank", rank, 1)
+    one, zero = PolyLeaf(Polynomial.constant(rank, 1)), PolyLeaf(Polynomial.zero(rank))
 
     def rule(alpha: MultiIndex, _f: Polynomial) -> FuncExpr:
-        if alpha.is_zero():
-            return PolyLeaf(Polynomial.constant(rank, 1))
-        return PolyLeaf(Polynomial.zero(rank))
+        return one if alpha.is_zero() else zero
 
     descriptor = {"kind": "trivial", "r": rank, "N": order}
     return OperatorFamily(rank, order, rule, descriptor=descriptor)

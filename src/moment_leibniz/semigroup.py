@@ -12,31 +12,44 @@ the sequences
 
 satisfy the identity by the per-coordinate binomial theorem; the rank-1
 case is the classical power-times-exponential recurrence.  Probe pairs
-are drawn uniformly from [-2, 2].  A sequence is a value table per point,
-every f_alpha(x) in ``enumerate_height_at_most`` order; the verifier takes
-the tables at x, y and x + y once per probe, sums each alpha's
-``multiindex.convolution_terms`` by position in them, and judges each
+are drawn uniformly from [-2, 2].  A sequence is a value table over a
+list of points: one column per alpha, in ``enumerate_height_at_most``
+order, holding f_alpha at every point.  The verifier tabulates the x, y
+and x + y of a sweep's probes once, forms each split of each alpha's
+``multiindex.convolution_terms`` as one column of products, adds each
+probe's products with ``math.fsum`` in split order, and judges each
 instance with ``funcmodel.judge`` (a sum that overflows is no verdict).
+If anything raises, the sweep is rerun one probe at a time, so the error
+is the one a point-by-point sweep meets first.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from .funcmodel import CheckReport, NonFiniteValue, judge, worse
 
+Columns = List[List[float]]
+# each alpha's splits as (weight, position of beta, position of gamma)
+Splits = List[List[Tuple[Union[float, int], int, int]]]
+
 
 @dataclass
 class MomentSeq:
-    """A candidate moment sequence: ``values(x)`` is a new list of each f_alpha(x), |alpha| <= N."""
+    """A candidate moment sequence: ``values(points)`` is a new list of columns.
+
+    One column per |alpha| <= N, in ``enumerate_height_at_most`` order,
+    holds f_alpha at each of the points.
+    """
 
     rank: int
     order: int
-    values: Callable[[float], List[float]]
+    values: Callable[[Sequence[float]], Columns]
 
 
 def make_exponential_moment_seq(
@@ -50,8 +63,8 @@ def make_exponential_moment_seq(
     f_alpha(x) = exp(rate*x) * prod_i (scales[i]*x)^{alpha_i}; f_0 is the
     exponential itself (never identically zero), and the identity holds
     because each coordinate contributes one scalar binomial expansion of
-    (scales[i]*(x+y))^{alpha_i}.  Per point, exp(rate*x) and each power are
-    computed once; each table entry is exp * p_0[alpha_0] * p_1[alpha_1] * ...
+    (scales[i]*(x+y))^{alpha_i}.  The exp column and each power column are
+    computed once; each alpha's column is exp * p_0[alpha_0] * p_1[alpha_1] * ...
     """
     if len(scales) != rank:
         raise ValueError(f"need {rank} scales, got {len(scales)}")
@@ -60,12 +73,16 @@ def make_exponential_moment_seq(
     heights = [[0]] + [[a.height for a in enumerate_height_at_most(i, order)] for i in range(1, rank)]
     widths = [[order + 1 - h for h in hs] for hs in heights]
 
-    def values(x: float) -> List[float]:
-        row = [math.exp(rate * x)]
+    def values(points: Sequence[float]) -> Columns:
+        columns = [[math.exp(rate * x) for x in points]]
         for s, counts in zip(scales, widths):
-            powers = [(s * x) ** k for k in range(order + 1)]
-            row = [v * p for v, n in zip(row, counts) for p in powers[:n]]
-        return row
+            powers = [[(s * x) ** k for x in points] for k in range(order + 1)]
+            columns = [
+                list(map(operator.mul, column, power))
+                for column, n in zip(columns, counts)
+                for power in powers[:n]
+            ]
+        return columns
 
     return MomentSeq(rank, order, values)
 
@@ -80,26 +97,26 @@ def verify_moment_seq(
 
     Residuals follow ``funcmodel.judge``: |lhs - rhs| / (1 + |lhs|),
     passing when <= tol, so NaN fails; the alpha = 0 row is plain
-    multiplicativity of f_0.
+    multiplicativity of f_0.  Failures are listed in (probe, alpha) order.
     """
-    failures: List[dict] = []
-    max_residual = 0.0
     alphas = enumerate_height_at_most(seq.rank, seq.order)
     position = {alpha: i for i, alpha in enumerate(alphas)}
-    # each alpha's splits as (weight, position of beta, position of gamma)
     splits = [
-        [(w, position[b], position[c]) for w, b, c in convolution_terms(alpha)]
+        [(_float_weight(w), position[b], position[c]) for w, b, c in convolution_terms(alpha)]
         for alpha in alphas
     ]
-    for k, (x, y) in enumerate(probes):
-        vx, vy = seq.values(x), seq.values(y)
-        for alpha, lhs, terms in zip(alphas, seq.values(x + y), splits, strict=True):
-            try:
-                rhs = math.fsum([w * vx[i] * vy[j] for w, i, j in terms])
-            except (OverflowError, ValueError) as exc:  # inf - inf, or past the range
-                msg = f"convolution of alpha {tuple(alpha)} at probe {k} does not sum: {exc}"
-                raise NonFiniteValue(msg) from exc
-            residual, ok = judge(lhs, rhs, False, tol)
+    try:
+        lhs, rhs = _sides(seq, probes, alphas, splits, 0)
+    except Exception:
+        # values at x, at y and at x + y, then each alpha's sum, probe by probe
+        for k, probe in enumerate(probes):
+            _sides(seq, [probe], alphas, splits, k)
+        raise
+    failures: List[dict] = []
+    max_residual = 0.0
+    for k, ((x, y), lhs_row, rhs_row) in enumerate(zip(probes, zip(*lhs), zip(*rhs))):
+        for alpha, left, right in zip(alphas, lhs_row, rhs_row):
+            residual, ok = judge(left, right, False, tol)
             max_residual = worse(max_residual, residual)
             if not ok:
                 failures.append(
@@ -108,8 +125,8 @@ def verify_moment_seq(
                         "probe": k,
                         "x": x,
                         "y": y,
-                        "lhs": lhs,
-                        "rhs": rhs,
+                        "lhs": left,
+                        "rhs": right,
                         "residual": residual,
                     }
                 )
@@ -124,6 +141,62 @@ def verify_moment_seq(
     )
 
 
+def _sides(
+    seq: MomentSeq,
+    probes: Sequence[Tuple[float, float]],
+    alphas: List[MultiIndex],
+    splits: Splits,
+    first: int,
+) -> Tuple[Columns, Columns]:
+    """Each alpha's column of f_alpha(x + y), and of its convolution sums, over the probes.
+
+    ``first`` is the number of the first probe, for the error of a sum
+    that fails.
+    """
+    vx = _table(seq, [x for x, _ in probes], len(alphas))
+    vy = _table(seq, [y for _, y in probes], len(alphas))
+    lhs = _table(seq, [x + y for x, y in probes], len(alphas))
+    rhs: Columns = []
+    for alpha, terms in zip(alphas, splits):
+        sums: List[float] = []
+        try:
+            # (w * f_beta(x)) * f_gamma(y); 1 * a is a, bit for bit
+            products = [
+                list(map(operator.mul, vx[i], vy[j]))
+                if w == 1
+                else [w * u * v for u, v in zip(vx[i], vy[j])]
+                for w, i, j in terms
+            ]
+            for row in zip(*products):
+                sums.append(math.fsum(row))
+        except (OverflowError, ValueError) as exc:  # inf - inf, or past the range
+            k = first + len(sums)
+            msg = f"convolution of alpha {tuple(alpha)} at probe {k} does not sum: {exc}"
+            raise NonFiniteValue(msg) from exc
+        rhs.append(sums)
+    return lhs, rhs
+
+
+def _float_weight(w: int) -> Union[float, int]:
+    """C(alpha, beta) as the float that ``w * v`` converts it to.
+
+    A weight too large for a float stays an int, so its product raises
+    where the sum is formed.
+    """
+    try:
+        return float(w)
+    except OverflowError:
+        return w
+
+
+def _table(seq: MomentSeq, points: List[float], width: int) -> Columns:
+    """The sequence's columns at the points: ``width`` of them, each of ``len(points)`` values."""
+    columns = seq.values(points)
+    if len(columns) != width or any(len(column) != len(points) for column in columns):
+        raise ValueError(f"sequence table is not {width} columns of {len(points)} values")
+    return columns
+
+
 def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:
     """Copy of the sequence with f_alpha multiplied by ``scale``."""
     alphas = enumerate_height_at_most(seq.rank, seq.order)
@@ -131,10 +204,10 @@ def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:
         raise ValueError(f"sequence has no index {tuple(alpha)}")
     position, original = alphas.index(alpha), seq.values
 
-    def values(x: float) -> List[float]:
-        row = original(x)
-        row[position] *= scale
-        return row
+    def values(points: Sequence[float]) -> Columns:
+        columns = original(points)
+        columns[position] = [v * scale for v in columns[position]]
+        return columns
 
     return MomentSeq(seq.rank, seq.order, values)
 

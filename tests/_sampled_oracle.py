@@ -3,13 +3,17 @@
 These are the loops that ``coeffsolve.check_constraint`` and
 ``semigroup.verify_moment_seq`` ran before they shared work within a
 call: the constraint evaluates both coefficients of every split afresh
-at every point, and the sequence verifier keys its values by multi-index,
-evaluates each f_alpha on its own and sums each convolution from a
-generator.  ``exponential_functions`` is the exponential sequence as it
-was built before its value tables: one closure per index, each computing
-exp(rate*x) and its powers afresh.  They know nothing of leaf tables,
-value tables or positional sums, so equal report bytes are evidence that
-computing each value once changes no verdict, residual or witness.
+at every point, and the sequence verifier goes probe by probe, keys its
+values by multi-index, evaluates each f_alpha on its own and sums each
+convolution from a list of products.  ``exponential_functions`` is the
+exponential sequence as it was built before its value tables: one
+closure per index, each computing exp(rate*x) and its powers afresh.
+They know nothing of leaf tables, value columns or positional sums, so
+equal report bytes are evidence that computing each value once changes
+no verdict, residual or witness.  The sequence loop evaluates every f_alpha
+at x, then at y, then at x + y before it sums a probe's convolutions,
+and raises a sum's error as the verifier does, so that an error is the
+same exception with the same message too.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from moment_leibniz.coeffsolve import CoeffFamily, constraint_indices
-from moment_leibniz.funcmodel import CheckReport, eval_expr, judge, worse
+from moment_leibniz.funcmodel import CheckReport, NonFiniteValue, eval_expr, judge, worse
 from moment_leibniz.multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from moment_leibniz.polycalc import RationalPoint
 
@@ -88,12 +92,16 @@ def verify_moment_seq_keyed(
     alphas = enumerate_height_at_most(rank, order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
     for k, (x, y) in enumerate(probes):
-        xy = x + y
         vx = {b: functions[b](x) for b in alphas}
         vy = {b: functions[b](y) for b in alphas}
+        vxy = {b: functions[b](x + y) for b in alphas}
         for alpha in alphas:
-            lhs = functions[alpha](xy)
-            rhs = math.fsum(w * vx[beta] * vy[gamma] for w, beta, gamma in terms[alpha])
+            lhs = vxy[alpha]
+            try:
+                rhs = math.fsum([w * vx[beta] * vy[gamma] for w, beta, gamma in terms[alpha]])
+            except (OverflowError, ValueError) as exc:
+                msg = f"convolution of alpha {tuple(alpha)} at probe {k} does not sum: {exc}"
+                raise NonFiniteValue(msg) from exc
             residual, ok = judge(lhs, rhs, False, tol)
             max_residual = worse(max_residual, residual)
             if not ok:

@@ -634,9 +634,9 @@ def test_constraint_overflow_reads_as_an_evaluation_error(capsys, tmp_path):
     )
 
 
-def _vanishing_on_seed_zero_samples() -> dict:
-    """c_(1) = 10^8 prod_k (x - s_k) over the 12 seed-0 samples s_k of Domain.unit(1)."""
-    c = Polynomial.constant(1, 10**8)
+def _vanishing_on_seed_zero_samples(scale: int = 10**8) -> dict:
+    """c_(1) = scale * prod_k (x - s_k) over the 12 seed-0 samples s_k of Domain.unit(1)."""
+    c = Polynomial.constant(1, scale)
     for (s,) in Domain.unit(1).sample_points:
         c = c * (Polynomial.variable(1, 0) - Polynomial.constant(1, s))
     return {
@@ -658,6 +658,17 @@ def test_coefficient_vanishing_on_the_samples_fails(capsys, tmp_path, seed):
     assert failures
     if seed == 0:
         assert [(f["alpha"], f["point"]) for f in failures] == [([2], ["1/14"])]
+
+
+def test_coefficient_too_large_for_a_float_still_fails(capsys, tmp_path):
+    # at 10^400 the witness sum's values do not fit a float, but the
+    # failure is certain: the exact sum C(2, 1) c_(1)(1/14)^2 reads as inf
+    path = _family_file(tmp_path, _vanishing_on_seed_zero_samples(10**400))
+    code, report = _run(capsys, ["verify-family", path, "--seed", "0"])
+    assert code == EXIT_FAIL
+    constraint = report["constraint_report"]
+    assert constraint["failures"] == [{"alpha": [2], "point": ["1/14"], "value": math.inf}]
+    assert constraint["max_residual"] == math.inf
 
 
 def test_overflow_names_the_first_node_evaluated(capsys, tmp_path):
@@ -774,13 +785,22 @@ def test_verify_semigroup_tamper_needs_order_two(capsys, rank, order):
 
 def test_verify_semigroup_overflow_is_input_error(capsys):
     # at order 400 the split products overflow to inf of both signs, so a
-    # convolution has no sum: no verdict, and the error names the instance
-    code = main(["verify-semigroup", "--rank", "1", "--order", "400", "--probes", "100"])
-    captured = capsys.readouterr()
-    assert code == EXIT_INPUT
-    assert captured.out == ""
-    assert captured.err.startswith("error: sequence values do not evaluate: convolution of alpha (")
-    assert " at probe " in captured.err
+    # convolution has no sum: no verdict, and the error names the first
+    # instance in (probe, alpha) order.  At order 600 a power overflows
+    # before any sum is formed
+    cases = [
+        (
+            ["--order", "400", "--probes", "100"],
+            "convolution of alpha (376,) at probe 61 does not sum: -inf + inf in fsum",
+        ),
+        (["--order", "600"], "(34, 'Numerical result out of range')"),
+    ]
+    for args, message in cases:
+        code = main(["verify-semigroup", "--rank", "1", *args])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: sequence values do not evaluate: {message}\n"
 
 
 # ---- gen-family ----

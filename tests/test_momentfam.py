@@ -91,6 +91,14 @@ def test_trivial_family_verifies_with_zero_residual():
     assert report.exact
 
 
+def test_trivial_family_builds_its_leaves_once():
+    # the rule ignores the probe, so every apply returns one of two leaves
+    fam = make_trivial(2, 2)
+    f, g = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert fam.apply(_mi(0, 0), f) is fam.apply(_mi(0, 0), g)
+    assert fam.apply(_mi(1, 0), f) is fam.apply(_mi(0, 2), g)
+
+
 def test_apply_validates_index():
     fam = make_trivial(2, 2)
     with pytest.raises(ValueError):

@@ -2,12 +2,14 @@
 
 ``check_constraint`` and ``verify_moment`` share one leaf table per call,
 and ``verify_moment_seq`` sums its convolutions by position over one
-value table per point.  The loops they replaced, and the exponential
-sequence as one closure per f_alpha, live on in
+column per alpha, tabulated once per sweep.  The loops they replaced,
+and the exponential sequence as one closure per f_alpha, live on in
 ``tests/_sampled_oracle.py`` and ``tests/_moment_oracle.py``; on band and
 violating supports, plain and conjugated families, and tampered,
-NaN-producing and order-0 sequences the reports must match them byte
-for byte, failure keys and order included.
+NaN-producing, order-0 and hand-built sequences (NaN, +-inf, 1e308 and
+missing values) the reports must match them byte for byte, failure keys
+and order included, and an error must be the same exception with the
+same message.
 """
 
 from __future__ import annotations
@@ -120,6 +122,48 @@ def _nan_at_nonnegative(fn):
     return lambda x: fn(x) if x < 0 else math.nan
 
 
+def _outcome(check) -> str:
+    """A report's bytes, or the type and message of the exception it raised."""
+    try:
+        return _dumps(check())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+SPECIAL = {
+    "nan": [math.nan],
+    "inf": [math.inf, -math.inf],
+    "1e308": [1e308, -1e308],
+    "all": [math.nan, math.inf, -math.inf, 1e308, -1e308],
+}
+
+
+def _hand_built(rng: random.Random, alphas, special: str, density: float):
+    """One function per alpha, whose value depends on the eighth of a unit that |x| falls in.
+
+    Each of its four values is an entry of ``SPECIAL[special]`` with
+    probability ``density``, and no value at all (an OverflowError naming
+    x) with a tenth of that; the rest are finite and moderate.
+    """
+
+    def make(entries):
+        def f(x):
+            entry = entries[int(abs(x) * 8) % len(entries)]
+            if entry is None:
+                raise OverflowError(f"no value at {x!r}")
+            return entry
+
+        return f
+
+    def entry():
+        u = rng.random()
+        if u < density / 10:
+            return None
+        return rng.choice(SPECIAL[special]) if u < density else rng.uniform(-2.0, 2.0)
+
+    return {alpha: make([entry() for _ in range(4)]) for alpha in alphas}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     rank=st.integers(1, 3),
@@ -130,7 +174,7 @@ def _nan_at_nonnegative(fn):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_verify_moment_seq_matches_keyed_loop(rank, order, variant, rate, probes, seed):
-    # the value table against one closure per f_alpha, each evaluated alone
+    # the value columns against one closure per f_alpha, each evaluated alone
     rng = random.Random(seed)
     scales = [rng.uniform(0.5, 2.0) for _ in range(rank)]
     seq = make_exponential_moment_seq(rank, order, rate, scales)
@@ -144,11 +188,12 @@ def test_verify_moment_seq_matches_keyed_loop(rank, order, variant, rate, probes
     elif variant == "nan":
         position, table = alphas.index(alpha), seq.values
 
-        def values(x):
-            row = table(x)
-            if not x < 0:
-                row[position] = math.nan
-            return row
+        def values(points):
+            columns = table(points)
+            columns[position] = [
+                v if x < 0 else math.nan for v, x in zip(columns[position], points)
+            ]
+            return columns
 
         seq = MomentSeq(rank, order, values)
         functions[alpha] = _nan_at_nonnegative(functions[alpha])
@@ -156,3 +201,27 @@ def test_verify_moment_seq_matches_keyed_loop(rank, order, variant, rate, probes
     report = verify_moment_seq(seq, pairs, seed=seed)
     oracle = verify_moment_seq_keyed(rank, order, functions, pairs, seed=seed)
     assert _dumps(report) == _dumps(oracle)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rank=st.integers(1, 3),
+    order=st.integers(0, 4),
+    special=st.sampled_from(sorted(SPECIAL)),
+    density=st.sampled_from([0.05, 0.2, 0.5]),
+    probes=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_hand_built_columns_match_keyed_loop(rank, order, special, density, probes, seed):
+    # columns read off one function per alpha, against the same functions
+    # evaluated alone at one point: the same report bytes (NaN residuals
+    # included), or the same exception with the same message
+    rng = random.Random(seed)
+    alphas = enumerate_height_at_most(rank, order)
+    functions = _hand_built(rng, alphas, special, density)
+    by_position = [functions[a] for a in alphas]
+    seq = MomentSeq(rank, order, lambda points: [[f(x) for x in points] for f in by_position])
+    pairs = random_probe_pairs(probes, rng)
+    report = _outcome(lambda: verify_moment_seq(seq, pairs, seed=seed))
+    oracle = _outcome(lambda: verify_moment_seq_keyed(rank, order, functions, pairs, seed=seed))
+    assert report == oracle

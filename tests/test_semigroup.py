@@ -28,9 +28,14 @@ def _pairs(count: int, seed: int):
 
 
 def _f(seq: MomentSeq, alpha: MultiIndex):
-    """f_alpha alone, read off the sequence's value table."""
+    """f_alpha alone, read off the sequence's column at one point."""
     position = enumerate_height_at_most(seq.rank, seq.order).index(alpha)
-    return lambda x: seq.values(x)[position]
+    return lambda x: seq.values([x])[position][0]
+
+
+def _pointwise(width: int, row):
+    """The column table of a sequence given as a row of ``width`` values per point."""
+    return lambda points: [[row(x)[i] for x in points] for i in range(width)]
 
 
 # ---- the exponential constructor ----
@@ -39,7 +44,7 @@ def _f(seq: MomentSeq, alpha: MultiIndex):
 def test_rank1_rate0_is_binomial_theorem():
     # f_k(x) = x^k: the identity is literally (x+y)^k = sum C(k,j) x^j y^(k-j)
     seq = make_exponential_moment_seq(1, 3, 0.0, [1.0])
-    assert seq.values(3.0) == [1.0, 3.0, 9.0, 27.0]
+    assert seq.values([3.0, -1.0]) == [[1.0, 1.0], [3.0, -1.0], [9.0, 1.0], [27.0, -1.0]]
     report = verify_moment_seq(seq, _pairs(50, 1), tol=1e-10)
     assert report.passed, report.failures[:1]
 
@@ -73,7 +78,7 @@ def test_exponential_sequences_verify_across_rates():
 
 def _order0(f0) -> MomentSeq:
     """The order-0 sequence whose only row is multiplicativity of f0."""
-    return MomentSeq(1, 0, lambda x: [f0(x)])
+    return MomentSeq(1, 0, lambda points: [[f0(x) for x in points]])
 
 
 def test_f0_never_identically_zero():
@@ -95,14 +100,14 @@ def test_scale_count_checked():
 def test_zero_collapse_sequence_passes():
     # f_0 = 0 forces every f_alpha = 0; the all-zero sequence satisfies
     # the identity trivially and the verifier accepts it
-    seq = MomentSeq(1, 2, lambda x: [0.0, 0.0, 0.0])
+    seq = MomentSeq(1, 2, lambda points: [[0.0] * len(points) for _ in range(3)])
     report = verify_moment_seq(seq, _pairs(10, 3))
     assert report.passed and report.max_residual == 0.0
 
 
 def test_zero_f0_with_nonzero_tail_fails():
     # f_0 = 0 but f_1 = 1 violates the alpha = 1 instance
-    seq = MomentSeq(1, 1, lambda x: [0.0, 1.0])
+    seq = MomentSeq(1, 1, lambda points: [[0.0] * len(points), [1.0] * len(points)])
     report = verify_moment_seq(seq, _pairs(5, 4))
     assert not report.passed
     assert all(tuple(f["alpha"]) == (1,) for f in report.failures)
@@ -112,7 +117,7 @@ def test_nan_sequence_fails():
     # a NaN residual compares False with everything, so "residual > tol"
     # let it through; the shared rule passes only "residual <= tol"
     nan = float("nan")
-    seq = MomentSeq(1, 1, lambda x: [nan, nan])
+    seq = MomentSeq(1, 1, lambda points: [[nan] * len(points), [nan] * len(points)])
     report = verify_moment_seq(seq, _pairs(3, 6))
     assert not report.passed
     assert len(report.failures) == 6  # every alpha at every probe
@@ -120,25 +125,25 @@ def test_nan_sequence_fails():
 
 def test_nan_sequence_reports_nan_max_residual():
     nan = float("nan")
-    seq = MomentSeq(1, 1, lambda x: [1.0, nan])
+    seq = MomentSeq(1, 1, lambda points: [[1.0] * len(points), [nan] * len(points)])
     report = verify_moment_seq(seq, _pairs(3, 6))
     assert not report.passed
     assert math.isnan(report.max_residual)
 
 
-def test_each_function_evaluated_once_per_probe_point():
-    # the table is asked for at x, y and x + y once per probe, not once
-    # per alpha or per convolution term
+def test_each_point_list_tabulated_once_per_sweep():
+    # the table is asked for once at the probes' x, once at their y and
+    # once at their x + y, not once per probe, alpha or convolution term
     base = make_exponential_moment_seq(2, 3, 0.5, [1.0, 1.5])
-    points = []
+    requests = []
 
-    def counted(x):
-        points.append(x)
-        return base.values(x)
+    def counted(points):
+        requests.append(list(points))
+        return base.values(points)
 
     probes = _pairs(7, 8)
     assert verify_moment_seq(MomentSeq(2, 3, counted), probes).passed
-    assert points == [p for x, y in probes for p in (x, y, x + y)]
+    assert requests == [[x for x, _ in probes], [y for _, y in probes], [x + y for x, y in probes]]
 
 
 @pytest.mark.parametrize(
@@ -153,14 +158,37 @@ def test_each_function_evaluated_once_per_probe_point():
 )
 def test_convolution_that_does_not_sum_is_non_finite_value(values):
     # no verdict either way: the error names the instance instead
-    seq = MomentSeq(1, 1, values)
+    seq = MomentSeq(1, 1, _pointwise(2, values))
     with pytest.raises(NonFiniteValue, match=r"^convolution of alpha \(1,\) at probe 1 "):
         verify_moment_seq(seq, [(1.0, 1.0), (-1.0, -0.5)])
 
 
+def test_first_error_in_probe_order_is_raised():
+    # probe 1's alpha-1 sum is inf + -inf, and the table raises only at
+    # x = 5.0, the x of probe 2.  Tabulating every x first meets the value
+    # error first; a point-by-point sweep meets the sum, so that one is raised
+    def row(x):
+        if x == 5.0:
+            raise OverflowError("no value at 5.0")
+        return [1.0, math.copysign(math.inf, x + 0.75)]
+
+    seq = MomentSeq(1, 1, _pointwise(2, row))
+    with pytest.raises(NonFiniteValue, match=r"^convolution of alpha \(1,\) at probe 1 "):
+        verify_moment_seq(seq, [(1.0, 1.0), (-1.0, -0.5), (5.0, 0.0)])
+    with pytest.raises(OverflowError, match="^no value at 5.0$"):
+        verify_moment_seq(seq, [(1.0, 1.0), (5.0, 0.0), (-1.0, -0.5)])
+
+
 def test_table_of_the_wrong_length_is_refused():
-    # a table with fewer entries than alphas must not pass on the rows it has
-    seq = MomentSeq(1, 2, lambda x: [math.exp(x)])
+    # a table with fewer columns than alphas must not pass on the columns it has
+    seq = MomentSeq(1, 2, lambda points: [[math.exp(x) for x in points]])
+    with pytest.raises(ValueError):
+        verify_moment_seq(seq, _pairs(2, 9))
+
+
+def test_column_of_the_wrong_length_is_refused():
+    # nor may a column with fewer values than points pass on the probes it covers
+    seq = MomentSeq(1, 1, lambda points: [[1.0] * len(points), [0.0]])
     with pytest.raises(ValueError):
         verify_moment_seq(seq, _pairs(2, 9))
 
@@ -208,9 +236,11 @@ def test_rank1_agrees_with_handwritten_verifier():
     report = verify_moment_seq(seq, probes, tol=1e-10)
     assert report.passed
     # independent check written directly against the scalar recurrence
-    for x, y in probes:
-        fx, fy, fxy = seq.values(x), seq.values(y), seq.values(x + y)
+    fx = seq.values([x for x, _ in probes])
+    fy = seq.values([y for _, y in probes])
+    fxy = seq.values([x + y for x, y in probes])
+    for p in range(len(probes)):
         for k in range(5):
-            lhs = fxy[k]
-            rhs = sum(math.comb(k, j) * fx[j] * fy[k - j] for j in range(k + 1))
+            lhs = fxy[k][p]
+            rhs = sum(math.comb(k, j) * fx[j][p] * fy[k - j][p] for j in range(k + 1))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
