@@ -21,9 +21,13 @@ coefficients.
 
 This module checks the constraint on sample points, and exactly when
 every coefficient below the band expands: then a nonzero one fails with
-a witness, however small its sample sums.  It reports which support
-indices the constraint forces to vanish, enumerates the admissible
-supports, and draws random families on them.  A support is a tuple of
+a witness, however small its sample sums, whose value is the exact sum
+C(2g, g) c_gamma(x)^2 as a float.  The coefficients are functions of the
+point they are checked at: a conjugate's arrive composed with its map
+(``momentfam.conjugate``), so they are checked where the conjugate reads
+them.  Each coefficient is evaluated once per check.  The module also
+reports which support indices the constraint forces to vanish,
+enumerates the admissible supports, and draws random families on them.  A support is a tuple of
 indices in band order (height, then entries), the order ``band`` lists
 and ``itertools.combinations`` keeps.  The band test 2|alpha| > N is made in
 one place, ``_in_band``: ``band`` lists the band, and
@@ -39,8 +43,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .multiindex import (
     MultiIndex,
@@ -55,7 +58,6 @@ from .funcmodel import (
     CheckReport,
     Domain,
     FuncExpr,
-    Leaves,
     NonFiniteValue,
     PolyLeaf,
     as_polynomial,
@@ -164,10 +166,8 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     the first time a sum needs it; each sample's products are added with
     the builtin ``sum`` in split order.  An evaluation error names the node
     met first in the order alpha, sample, split.  If the samples show no
-    failure, ``_below_band_witness`` may still prove one, whose sum is
-    computed as a sample's; if a value there is too large for a float,
-    the exact sum C(2g, g) c_gamma(x)^2 stands in, as ``witness_float``
-    writes it.
+    failure, ``_below_band_witness`` may still prove one, whose value is
+    the exact sum C(2g, g) c_gamma(x)^2 as ``witness_float`` writes it.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
@@ -182,27 +182,22 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
         ]
         for alpha in alphas
     }
-
-    def sums(alpha: MultiIndex, values: Dict[MultiIndex, List[float]]) -> Iterator[float]:
-        """Each point's sum of w * c_beta * c_gamma, added with ``sum`` in split order."""
-        columns = [[w * u * v for u, v in zip(values[b], values[g])] for w, b, g in pairs[alpha]]
-        return map(sum, zip(*columns))
-
     failures: List[dict] = []
     max_residual = 0.0
-    leaves: Leaves = {}
     values: Dict[MultiIndex, List[float]] = {}
     for alpha in alphas:
         needed = [idx for _, beta, gamma in pairs[alpha] for idx in (beta, gamma)]
         try:
             for idx in needed:
                 if idx not in values:
-                    values[idx] = eval_expr(cf.coefficients[idx], domain.sample_points, leaves)
+                    values[idx] = eval_expr(cf.coefficients[idx], domain.sample_points)
         except NonFiniteValue:  # the first sample that fails raises its own error
             for x, idx in itertools.product(domain.sample_points, needed):
                 eval_expr(cf.coefficients[idx], (x,))
             raise
-        for x, value in zip(domain.sample_points, sums(alpha, values)):
+        # each point's sum of w * c_beta * c_gamma, added with ``sum`` in split order
+        columns = [[w * u * v for u, v in zip(values[b], values[g])] for w, b, g in pairs[alpha]]
+        for x, value in zip(domain.sample_points, map(sum, zip(*columns))):
             residual, ok = judge(0.0, value, False, tol)
             max_residual = worse(max_residual, residual)
             if not ok:
@@ -211,11 +206,7 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     if witness is not None:
         gamma, c, x = witness
         alpha = gamma + gamma
-        try:
-            at_x = {i: eval_expr(cf.coefficients[i], (x,)) for s in pairs[alpha] for i in s[1:]}
-            value = next(sums(alpha, at_x))
-        except NonFiniteValue:
-            value = witness_float(binom(alpha, gamma) * eval_poly(c, x) ** 2)
+        value = witness_float(binom(alpha, gamma) * eval_poly(c, x) ** 2)
         max_residual = worse(max_residual, judge(0.0, value, False, tol)[0])
         failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
     return CheckReport(
@@ -236,11 +227,9 @@ def _below_band_witness(
     It then holds exactly when each of them is the zero polynomial.  If
     not, the cascade in ``forced_zero_analysis``, run on the nonzero ones,
     takes gamma of least height, lexicographically largest, whose
-    alpha = 2*gamma sum is C(2g, g) c_gamma^2.  That is nonzero at the
-    first point, in lexicographic order, of the grid
-    {k/(d_i+2) : 1 <= k <= d_i+1} where c_gamma is, d_i its degree in x_i;
-    a nonzero polynomial has one (Alon, Combinatorial Nullstellensatz, 1999).
-    Returns gamma, c_gamma and that point.
+    alpha = 2*gamma sum is C(2g, g) c_gamma^2.  That is nonzero at
+    ``polycalc.nonzero_grid_point(c_gamma)``.  Returns gamma, c_gamma and
+    that point.
     """
     below = {a: cf.coefficients[a] for a in forced_zero_analysis(cf.order, cf.coefficients)}
     if not all(map(is_polynomial, below.values())):
@@ -249,10 +238,7 @@ def _below_band_witness(
     if not nonzero:
         return None
     gamma = max(nonzero, key=lambda a: (-a.height, tuple(a)))
-    c = nonzero[gamma]
-    degrees = [max(e[i] for e in c.terms) for i in range(cf.rank)]
-    grid = itertools.product(*[[Fraction(k, d + 2) for k in range(1, d + 2)] for d in degrees])
-    return gamma, c, next(x for x in map(RationalPoint, grid) if eval_poly(c, x))
+    return gamma, nonzero[gamma], polycalc.nonzero_grid_point(nonzero[gamma])
 
 
 def support_json(rank: int, order: int, support: Support) -> dict:

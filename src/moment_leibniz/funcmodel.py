@@ -24,9 +24,16 @@ without a t*ln|t| or signed-power node (``is_polynomial``) expands back
 to a ``Polynomial``; its exact values are the expansion evaluated at the
 point, and the exact verifiers compare the expansions themselves.
 
+``compose_expr`` substitutes a polynomial map into a tree: each leaf p
+becomes p o tau exactly and the other nodes are rebuilt around it, so at
+x the result has the float values the tree has at tau(x).  A conjugate's
+coefficients are read that way; its point map is one composed ``TauMap``.
+
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
 seeded rational sample points and the float tolerance.  Every check
-turns an instance lhs = rhs into a residual and a verdict with ``judge``.
+turns an instance lhs = rhs into a residual and a verdict with ``judge``;
+``witness_float`` writes an exact witness value, such as the constraint's
+below-band sum, as a float, +-inf when it is too large for one.
 """
 
 from __future__ import annotations
@@ -39,7 +46,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import DimensionMismatch, MultiIndex
-from .polycalc import Polynomial, RationalPoint, Scalar, dalpha, eval_poly, eval_poly_ratios
+from .polycalc import (
+    Polynomial,
+    RationalPoint,
+    Scalar,
+    compose,
+    dalpha,
+    eval_poly,
+    eval_poly_ratios,
+)
 
 
 class NonFiniteValue(ArithmeticError):
@@ -253,6 +268,23 @@ def as_polynomial(expr: FuncExpr) -> Polynomial:
     if not is_polynomial(expr):
         raise NotPolynomial("u*ln|u| and sgn(u)|u|^p are not polynomial")
     return expr._expand()
+
+
+def compose_expr(expr: FuncExpr, tau: "TauMap") -> FuncExpr:
+    """The tree x -> expr(tau(x)): each leaf p becomes p o tau, exactly.
+
+    The other nodes are rebuilt around the composed leaves, so at x the
+    result takes, bit for bit, the float values expr takes at tau(x).
+    """
+    if isinstance(expr, PolyLeaf):
+        return PolyLeaf(compose(expr.poly, tau.components))
+    if isinstance(expr, (Sum, Product)):
+        return type(expr)(tuple(compose_expr(c, tau) for c in expr.children))
+    if isinstance(expr, XLogAbs):
+        return XLogAbs(compose_expr(expr.child, tau))
+    if isinstance(expr, SignedPower):
+        return SignedPower(compose_expr(expr.child, tau), compose_expr(expr.exponent, tau))
+    raise TypeError(f"cannot compose a {type(expr).__name__} node")
 
 
 def const_expr(dim: int, value: Scalar) -> PolyLeaf:

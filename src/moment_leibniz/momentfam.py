@@ -19,8 +19,13 @@ is ``verify_moment`` on that family.  Every family applies each operator
 once per probe.
 
 Nothing that builds a family takes a domain, and reading a descriptor
-verifies nothing.  ``verify_moment`` maps every sample through the
-family's composed point maps and refuses an image outside the unit box.
+verifies nothing.  A family holds at most one point map: ``conjugate``
+composes the inner map with tau exactly, so a conjugate of a conjugate
+still holds one polynomial map, and ``verify_moment`` maps every sample
+through it and refuses an image outside the unit box.  A conjugate's
+``coeff_family`` is the inner one with every tree composed with tau, so
+``coeffsolve.check_constraint`` decides the coefficients where the
+conjugate reads them, its below-band witness value the exact sum.
 
 How an instance is decided is read off the expressions the operators
 return, probe by probe, before anything is expanded; a family declares
@@ -35,8 +40,10 @@ conjugating maps, so the instance passes with residual 0.0 and nothing
 is evaluated.  Only unequal ones are evaluated at the mapped sample
 points, where they must agree exactly; Fractions are canonical, so these
 values are the pointwise convolution sums, and the witnesses are the
-ones a pointwise loop finds.  A difference that vanishes on every sample
-therefore passes.
+ones a pointwise loop finds.  If they agree at every sample, the
+difference composed with the point map decides: a nonzero one fails
+once, at ``polycalc.nonzero_grid_point`` of that composition, and a zero
+one (a map that is not injective) passes.
 
 When some expression has an f*ln|f| node, nothing of the probe is
 expanded and its instances are sampled: the same expressions are
@@ -71,6 +78,7 @@ from .polycalc import (
     convolution_sum,
     dalpha,
     eval_poly,
+    nonzero_grid_point,
     random_polynomial,
 )
 from .funcmodel import (
@@ -85,6 +93,7 @@ from .funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
+    compose_expr,
     eval_expr,
     expr_from_json,
     grad_dot,
@@ -106,19 +115,20 @@ class OperatorFamily:
     ``rule`` is any alpha-indexed rule.  Its indices have rank ``rank``;
     the functions it acts on have ``dim`` variables, which defaults to
     ``rank``.  Whether an instance is proved or sampled is decided by the
-    verifier from the expressions the rule returns.  ``point_maps``
-    reparametrize the evaluation point: T(f)(x) is the rule's expression
-    evaluated at the composed image of x, which is how conjugation acts.
+    verifier from the expressions the rule returns.  ``point_map``
+    reparametrizes the evaluation point: T(f)(x) is the rule's expression
+    evaluated at point_map(x), which is how conjugation acts.
     ``descriptor`` is the family's JSON form; the constructors below pass
     their own, and any other rule is described as
     ``{"kind": "custom", "r": dim, "N": order}``.  ``coeff_family`` holds
-    an identity-generated family's coefficients, their constraint unchecked.
+    an identity-generated family's coefficients as functions of x (composed
+    with ``point_map``), their constraint unchecked.
     """
 
     rank: int
     order: int
     rule: Rule
-    point_maps: tuple[TauMap, ...] = ()
+    point_map: Optional[TauMap] = None
     descriptor: Optional[dict] = None
     dim: Optional[int] = None
     coeff_family: Optional[CoeffFamily] = None
@@ -142,9 +152,7 @@ class OperatorFamily:
         return self.rule(alpha, f)
 
     def eval_point(self, x: RationalPoint) -> RationalPoint:
-        for tau in self.point_maps:
-            x = tau(x)
-        return x
+        return x if self.point_map is None else self.point_map(x)
 
 
 # ---- constructors ----
@@ -209,19 +217,28 @@ def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
 def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
     """The family x -> T_alpha(f)(tau(x)).
 
-    Keeps the inner family's expressions and ``coeff_family``, and
-    prepends tau to the evaluation-point chain, so conjugates of proved
-    families are proved.
-    ``verify_moment`` refuses the family if the composed chain sends a
-    sample outside the box.
+    Keeps the inner family's expressions, and composes its point map
+    with tau exactly (``polycalc.compose``), so a conjugate holds one map
+    and conjugates of proved families are proved.  Its ``coeff_family``
+    is the inner one with every tree composed with tau
+    (``funcmodel.compose_expr``), so the constraint is checked where the
+    coefficients are read.  ``verify_moment`` refuses the family if its
+    map sends a sample outside the box.
     """
     if tau.rank != family.dim:
         raise ValueError(f"map rank {tau.rank}, family dim {family.dim}")
+    point_map, cf = tau, family.coeff_family
+    if family.point_map is not None:  # x -> inner(tau(x))
+        point_map = TauMap(tuple(compose(p, tau.components) for p in family.point_map.components))
+    if cf is not None:
+        cf = CoeffFamily(
+            cf.rank, cf.order, {a: compose_expr(e, tau) for a, e in cf.coefficients.items()}
+        )
     return OperatorFamily(
         family.rank,
         family.order,
         family.rule,
-        point_maps=(tau,) + family.point_maps,
+        point_map=point_map,
         descriptor={
             "kind": "conjugated",
             "r": family.dim,
@@ -230,7 +247,7 @@ def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
             "inner": family.descriptor,
         },
         dim=family.dim,
-        coeff_family=family.coeff_family,
+        coeff_family=cf,
     )
 
 
@@ -323,13 +340,15 @@ def verify_moment(
 ) -> MomentReport:
     """Check the binomial moment identity on every probe pair and sample.
 
-    The family is evaluated at the samples' images under its point maps,
+    The family is evaluated at the samples' images under its point map,
     and an image outside the box raises ValueError.  Each probe's
     operators are applied once.  If their trees are all log-free, they
     are expanded and each alpha compares the polynomial T_alpha(fg) with the
     convolution sum; equal polynomials are equal at every point, so the
     instance passes with residual 0.0 unevaluated.  Unequal ones are
-    evaluated at the samples and must agree exactly there.  Otherwise the
+    evaluated at the samples and must agree exactly there; if they agree
+    at every sample, their difference composed with the point map decides,
+    and a nonzero one fails once, at its grid point.  Otherwise the
     same expressions are tabulated in floats and each instance is judged
     by the relative residual |lhs - rhs| / (1 + |lhs|) against the domain
     tolerance.  Failures carry the witnessing alpha, probe and point.
@@ -375,8 +394,20 @@ def verify_moment(
                     [w * a * b for a, b in zip(vf[beta], vg[gamma])] for w, beta, gamma in splits
                 ]
                 rhs_vals = list(map(sum, zip(*products)))
+            instances = list(zip(domain.sample_points, lhs_vals, rhs_vals))
+            if exact and all(lhs == rhs for _, lhs, rhs in instances):
+                # unequal polynomials that agree at every mapped sample: unless
+                # their difference composed with the map is zero, it fails at
+                # the first grid point where that composition is nonzero
+                diff = lhs_poly - rhs_poly
+                if family.point_map is not None:
+                    diff = compose(diff, family.point_map.components)
+                if diff:
+                    x = nonzero_grid_point(diff)
+                    y = family.eval_point(x)
+                    instances.append((x, eval_poly(lhs_poly, y), eval_poly(rhs_poly, y)))
             key = _alpha_key(alpha)
-            for x, lhs, rhs in zip(domain.sample_points, lhs_vals, rhs_vals):
+            for x, lhs, rhs in instances:
                 residual, ok = judge(lhs, rhs, exact, tol)
                 per_alpha[key] = worse(per_alpha[key], residual)
                 max_residual = worse(max_residual, residual)
@@ -424,11 +455,6 @@ def _expansions(exprs: Sequence[FuncExpr]) -> Optional[List[Polynomial]]:
     return None
 
 
-def _vanishes(polys: Optional[List[Polynomial]]) -> bool:
-    """Whether there are expansions and every one is zero."""
-    return polys is not None and all(p.is_zero() for p in polys)
-
-
 def make_second_order_leibniz(
     a: FuncExpr,
     b: Sequence[FuncExpr],
@@ -471,7 +497,8 @@ def make_second_order_leibniz(
         "c": [e.to_json() for e in c],
     }
     a_polys, b_polys, c_polys = _expansions([a]), _expansions(b), _expansions(c)
-    a_zero, b_zero, c_zero = _vanishes(a_polys), _vanishes(b_polys), _vanishes(c_polys)
+    # a field vanishes when it expands and every component is the zero polynomial
+    a_zero, b_zero, c_zero = (p is not None and not any(p) for p in (a_polys, b_polys, c_polys))
     if smoothness <= 1 and not c_zero:
         raise ValueError("smoothness <= 1 forces c = 0")
     if smoothness == 0 and not b_zero:
@@ -482,14 +509,6 @@ def make_second_order_leibniz(
         # pair keeps its trees, whose float values its probes are judged by.
         b = tuple(map(PolyLeaf, b_polys))
         c = tuple(map(PolyLeaf, c_polys))
-    # which parts T(f) has, decided once per family
-    parts: List[Callable[[Polynomial], FuncExpr]] = []
-    if not c_zero:
-        parts.append(lambda f: hess_quad(f, c))
-    if not b_zero:
-        parts.append(lambda f: grad_dot(f, b))
-    if not a_zero:
-        parts.append(lambda f: Product((a, XLogAbs(PolyLeaf(f)))))
     zero = PolyLeaf(Polynomial.zero(dim))
 
     def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
@@ -497,10 +516,16 @@ def make_second_order_leibniz(
             return PolyLeaf(f)
         if alpha.height == 1:
             return grad_dot(f, c)
-        if not parts:
+        terms = []
+        if not c_zero:
+            terms.append(hess_quad(f, c))
+        if not b_zero:
+            terms.append(grad_dot(f, b))
+        if not a_zero:
+            terms.append(Product((a, XLogAbs(PolyLeaf(f)))))
+        if not terms:
             return zero
-        terms = tuple(part(f) for part in parts)
-        return Sum(terms) if len(terms) > 1 else terms[0]
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
 
     return OperatorFamily(1, 2, rule, descriptor=descriptor, dim=dim)
 

@@ -50,10 +50,16 @@ prod_i d_i^maxdeg_i for the point's coordinates n_i/d_i.  ``eval_poly``
 makes that pair one ``Fraction``, the same number as a term-by-term
 Fraction sum; the float evaluator divides it as ints, which is correctly
 rounded, so it equals ``float(Fraction(...))``, ``OverflowError`` included.
+
+``compose`` substitutes polynomials for the variables exactly, and
+``nonzero_grid_point`` names a point of the open unit box where a nonzero
+polynomial does not vanish; the exact verifiers take a witness there when
+no sample shows a difference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -347,6 +353,18 @@ def eval_poly_ratios(f: Polynomial, points: Sequence[RationalPoint]) -> List[Tup
             total += term
         out.append((total, den))
     return out
+
+
+def nonzero_grid_point(f: Polynomial) -> RationalPoint:
+    """The first point, in lexicographic order, of the grid where the nonzero f is nonzero.
+
+    The grid is {k/(d_i+2) : 1 <= k <= d_i+1} in each x_i, d_i being f's
+    degree in x_i; it lies in the open unit box, and a nonzero polynomial
+    cannot vanish on all of it (Alon, Combinatorial Nullstellensatz, 1999).
+    """
+    degrees = [max(e[i] for e in f.terms) for i in range(f.dim)]
+    grid = itertools.product(*[[Fraction(k, d + 2) for k in range(1, d + 2)] for d in degrees])
+    return next(x for x in map(RationalPoint, grid) if eval_poly(f, x))
 
 
 def compose(f: Polynomial, maps: Sequence[Polynomial]) -> Polynomial:

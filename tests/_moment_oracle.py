@@ -7,12 +7,16 @@ polynomial identities: every operator is tabulated at every sample point
 summed and judged point by point.  ``check_second_order_pointwise`` is
 the same loop for the second-order rule T(fg) = T(f) g + f T(g) +
 2 A(f) A(g) alone, written out term by term with T and A read from a
-second-order family's (2) and (1) operators.  Neither knows anything of
-the polynomial comparison, so equal report bytes are evidence that
-skipping the points on equal polynomials changes no verdict, residual or
-witness.  Nor does either work out whether a family is exact: the caller
-says so, from the kind of family it built, so a wrong decision in the
-verifier shows as a mismatch.
+second-order family's (2) and (1) operators.  Neither skips a point on
+equal polynomials, so equal report bytes are evidence that skipping them
+changes no verdict, residual or witness.  In ``verify_moment_pointwise``,
+only an exact instance that holds at every sample is looked at as polynomials (``_grid_instance``):
+both sides are expanded and summed term by term, and a difference that
+is nonzero once composed with the point map is judged once more at the
+grid point ``polycalc.nonzero_grid_point`` names, as the verifier does.
+Nor does either work out whether a family is exact: the caller says so,
+from the kind of family it built, so a wrong decision in the verifier
+shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from moment_leibniz.multiindex import (
     convolution_terms,
     enumerate_height_at_most,
 )
-from moment_leibniz.polycalc import Polynomial, eval_poly
+from moment_leibniz.polycalc import Polynomial, compose, eval_poly, nonzero_grid_point
 
 
 def _table(expr, points, exact: bool) -> list:
@@ -72,10 +76,15 @@ def verify_moment_pointwise(
         vfg = {a: _table(family.apply(a, fg), points, exact) for a in alphas}
         for alpha, splits in terms.items():
             key = _alpha_key(alpha)
+            instances = []
             for i, x in enumerate(domain.sample_points):
                 lhs = vfg[alpha][i]
                 # a plain sum: exact terms are Fractions, so it stays exact
                 rhs = sum(w * vf[beta][i] * vg[gamma][i] for w, beta, gamma in splits)
+                instances.append((x, lhs, rhs))
+            if exact and all(lhs == rhs for _, lhs, rhs in instances):
+                instances += _grid_instance(family, alpha, splits, f, g)
+            for x, lhs, rhs in instances:
                 residual, ok = judge(lhs, rhs, exact, tol)
                 per_alpha[key] = worse(per_alpha[key], residual)
                 max_residual = worse(max_residual, residual)
@@ -101,6 +110,27 @@ def verify_moment_pointwise(
         exact=exact,
         seed=seed,
     )
+
+
+def _grid_instance(family: OperatorFamily, alpha, splits, f, g) -> list:
+    """An exact instance that held at every sample, at the grid witness if it fails.
+
+    Both sides are expanded and their difference is composed with the
+    family's point map; if that is nonzero, the instance is taken at the
+    first grid point where it does not vanish, read through the map.
+    """
+    lhs = as_polynomial(family.apply(alpha, f * g))
+    rhs = Polynomial.zero(family.dim)
+    for w, beta, gamma in splits:
+        rhs = rhs + as_polynomial(family.apply(beta, f)) * as_polynomial(family.apply(gamma, g)) * w
+    diff = lhs - rhs
+    if family.point_map is not None:
+        diff = compose(diff, family.point_map.components)
+    if diff.is_zero():
+        return []
+    x = nonzero_grid_point(diff)
+    y = family.eval_point(x)
+    return [(x, eval_poly(lhs, y), eval_poly(rhs, y))]
 
 
 def check_second_order_pointwise(

@@ -671,6 +671,72 @@ def test_coefficient_too_large_for_a_float_still_fails(capsys, tmp_path):
     assert constraint["max_residual"] == math.inf
 
 
+def _poly_leaf(*terms):
+    """A polynomial leaf from (exponent, coeff) pairs; the dim is the exponents' length."""
+    return {
+        "kind": "poly",
+        "dim": len(terms[0][0]),
+        "terms": [{"exponent": list(e), "coeff": c} for e, c in terms],
+    }
+
+
+# a conjugate reads its coefficients at tau(x) only: tau(x) = 1/2 with
+# c_(1) = x - 1/2, and tau(x_1, x_2) = (x_1, 1/2) with c_(1,0) = x_2 - 1/2,
+# c_(2,0) = 3 x_1; each c below the band is 0 wherever it is read
+ZERO_WHERE_READ = [
+    {
+        "kind": "conjugated",
+        "r": 1,
+        "N": 2,
+        "tau": {"rank": 1, "components": [_poly_leaf(((0,), "1/2"))["terms"]]},
+        "inner": {
+            "kind": "identity_generated",
+            "r": 1,
+            "N": 2,
+            "coefficients": [{"index": [1], "expr": _poly_leaf(((1,), "1"), ((0,), "-1/2"))}],
+        },
+    },
+    {
+        "kind": "conjugated",
+        "r": 2,
+        "N": 2,
+        "tau": {
+            "rank": 2,
+            "components": [
+                _poly_leaf(((1, 0), "1"))["terms"],
+                _poly_leaf(((0, 0), "1/2"))["terms"],
+            ],
+        },
+        "inner": {
+            "kind": "identity_generated",
+            "r": 2,
+            "N": 2,
+            "coefficients": [
+                {"index": [1, 0], "expr": _poly_leaf(((0, 1), "1"), ((0, 0), "-1/2"))},
+                {"index": [2, 0], "expr": _poly_leaf(((1, 0), "3"))},
+            ],
+        },
+    },
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("descriptor", ZERO_WHERE_READ, ids=["constant-tau", "projection-tau"])
+def test_conjugate_checks_its_coefficients_where_it_reads_them(capsys, tmp_path, descriptor, seed):
+    path = _family_file(tmp_path, descriptor)
+    code, report = _run(capsys, ["verify-family", path, "--seed", str(seed)])
+    assert code == EXIT_PASS
+    assert "constraint_report" not in report and report["report"]["pass"] is True
+
+
+@pytest.mark.parametrize("tau", [_TAU_SHIFT, _TAU_REFLECT], ids=["shift", "reflect"])
+def test_conjugated_constraint_violation_fails_with_witness(capsys, tmp_path, tau):
+    descriptor = {"kind": "conjugated", "r": 1, "N": 2, "tau": tau, "inner": VIOLATING}
+    code, report = _run(capsys, ["verify-family", _family_file(tmp_path, descriptor)])
+    assert code == EXIT_FAIL
+    assert report["failures"][0]["alpha"] == [2]
+
+
 def test_overflow_names_the_first_node_evaluated(capsys, tmp_path):
     # c_(0,2) = 2^1030 x_1^20 overflows only where x_1 > 0.81: not at the
     # first seed-0 sample (x_1 = 25/64), but at the second (57/64).  c_(2,0)

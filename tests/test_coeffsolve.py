@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moment_leibniz.multiindex import (
@@ -22,9 +22,12 @@ from moment_leibniz.funcmodel import (
     NonFiniteValue,
     PolyLeaf,
     Product,
+    TauMap,
+    XLogAbs,
     as_polynomial,
     const_expr,
     eval_expr,
+    witness_float,
 )
 from moment_leibniz.coeffsolve import (
     BudgetExceeded,
@@ -37,6 +40,7 @@ from moment_leibniz.coeffsolve import (
     random_valid_family,
     support_json,
 )
+from moment_leibniz.momentfam import conjugate, make_identity_generated
 
 import _coeff_oracle as oracle
 from _coeff_oracle import decomposition_pairs
@@ -244,7 +248,53 @@ def test_coefficient_vanishing_on_the_samples_fails_at_twice_gamma(data, seed):
     assert failure["alpha"] == (gamma + gamma).to_json()
     point = RationalPoint.from_json(failure["point"])
     assert point not in dom.sample_points and eval_poly(c, point) != 0
+    assert failure["value"] == witness_float(binom(gamma + gamma, gamma) * eval_poly(c, point) ** 2)
     assert report.max_residual == abs(failure["value"]) > 0
+
+
+def _box_map(data, rank: int) -> TauMap:
+    """x_i -> b_i + w_i x_(p(i)) with 0 <= w_i <= 6/8: the box into itself, w_i = 0 included."""
+    perm = data.draw(st.permutations(range(rank)))
+    matrix = [[Fraction(0)] * rank for _ in range(rank)]
+    offset = []
+    for i in range(rank):
+        w = Fraction(data.draw(st.integers(0, 6)), 8)
+        matrix[i][perm[i]] = w
+        offset.append(Fraction(data.draw(st.integers(1, 7 - int(w * 8))), 8))
+    return TauMap.affine(matrix, offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 2**31 - 1))
+def test_conjugate_constraint_is_the_inner_one_at_the_mapped_samples(data, seed):
+    # a conjugate's coefficients are read at tau(x): where its sample sums
+    # fail, its report is the inner coefficients' over the mapped samples
+    rank = data.draw(st.integers(1, 2))
+    order = data.draw(st.integers(2, 4))
+    rng = random.Random(seed)
+    indices = enumerate_height_at_most(rank, order)[1:]
+    support = rng.sample(indices, rng.randint(1, len(indices)))
+    coefficients = {}
+    for a in support:
+        p = PolyLeaf(random_polynomial(rng, rank, 2, 3))
+        log = PolyLeaf(random_polynomial(rng, rank, 2, 3))
+        coefficients[a] = Product((p, XLogAbs(log))) if rng.random() < 0.5 else p
+    cf = CoeffFamily(rank, order, coefficients)
+    dom = Domain.unit(rank, seed=seed)
+    tau = _box_map(data, rank)
+    mapped = Domain(rank, tuple(map(tau, dom.sample_points)))
+    inner = check_constraint(cf, mapped)
+    # a failure at a sample, so not the grid witness, which is read at x
+    images = [y.to_json() for y in mapped.sample_points]
+    assume(inner.failures and inner.failures[0]["point"] in images)
+    report = check_constraint(conjugate(make_identity_generated(cf), tau).coeff_family, dom)
+    assert [(f["alpha"], f["value"]) for f in report.failures] == [
+        (f["alpha"], f["value"]) for f in inner.failures
+    ]
+    assert [tau(RationalPoint.from_json(f["point"])).to_json() for f in report.failures] == [
+        f["point"] for f in inner.failures
+    ]
+    assert report.max_residual == inner.max_residual
 
 
 # ---- forced zeros ----

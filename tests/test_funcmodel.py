@@ -27,6 +27,7 @@ from moment_leibniz.funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
+    compose_expr,
     const_expr,
     eval_expr,
     expr_from_json,
@@ -566,3 +567,19 @@ def test_check_report_json_shape():
     }
     assert data["seed"] == 7
     assert data["details"] == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_compose_expr_reads_the_tree_at_the_image(rank, seed):
+    # leaves composed exactly: at x the floats are those of the tree at tau(x)
+    rng = random.Random(seed)
+
+    def leaf():
+        return PolyLeaf(random_polynomial(rng, rank, max_degree=2, terms=3))
+
+    power = SignedPower(leaf(), const_expr(rank, 3))
+    tree = Sum((Product((leaf(), XLogAbs(leaf()))), power, leaf()))
+    tau = TauMap(tuple(random_polynomial(rng, rank, max_degree=2, terms=2) for _ in range(rank)))
+    points = Domain.unit(rank, seed=seed).sample_points
+    assert eval_expr(compose_expr(tree, tau), points) == eval_expr(tree, tuple(map(tau, points)))

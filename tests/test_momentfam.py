@@ -430,13 +430,20 @@ def test_conjugated_families_verify():
 
 
 def test_conjugates_keep_the_coefficient_family():
-    # only a family over coefficients has one; conjugating twice keeps it
+    # only a family over coefficients has one; a conjugate keeps it with
+    # every tree composed with its map, so tau(x) = 1 - x twice gives it back
     tau = _tau_one_minus_x()
-    cf = CoeffFamily.from_constants(1, 2, {(2,): 2})
-    double = conjugate(conjugate(make_identity_generated(cf), tau), tau)
-    assert double.coeff_family is cf
+    x, (y,) = Polynomial.variable(1, 0), tau.components
+    cf = CoeffFamily(1, 2, {(1,): PolyLeaf(x), (2,): Product((const_expr(1, 2), PolyLeaf(x * x)))})
+    once = conjugate(make_identity_generated(cf), tau)
+    double = conjugate(once, tau)
+    assert once.coeff_family.coefficients == {
+        _mi(1): PolyLeaf(y),
+        _mi(2): Product((const_expr(1, 2), PolyLeaf(y * y))),
+    }
+    assert double.coeff_family == cf
     first = make_first_order_leibniz(const_expr(1, 3), 1)
-    assert conjugate(conjugate(first, tau), tau).coeff_family is first.coeff_family
+    assert conjugate(conjugate(first, tau), tau).coeff_family == first.coeff_family
     assert first.coeff_family.order == 1
     assert conjugate(conjugate(make_derivative(1, 2), tau), tau).coeff_family is None
 
@@ -457,6 +464,8 @@ def test_double_conjugation_involution_restores_values():
     tau = _tau_one_minus_x()
     fam = make_derivative(1, 2)
     double = conjugate(conjugate(fam, tau), tau)
+    assert isinstance(double.point_map, TauMap)
+    assert all(double.eval_point(x) == tau(tau(x)) for x in dom.sample_points)
     assert all(dom.contains(double.eval_point(x)) for x in dom.sample_points)
     f = random_polynomial(random.Random(7), 1, max_degree=4)
     for alpha in enumerate_height_at_most(1, 2):
@@ -487,6 +496,8 @@ def test_double_conjugation_with_inverse_pair():
     )
     fam = make_derivative(1, 2)
     double = conjugate(conjugate(fam, tau), tau_inv)
+    assert isinstance(double.point_map, TauMap)
+    assert all(double.eval_point(x) == tau(tau_inv(x)) for x in dom.sample_points)
     assert all(dom.contains(double.eval_point(x)) for x in dom.sample_points)
     f = Polynomial.monomial((3,), Fraction(2, 3))
     for x in dom.sample_points:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moment_leibniz import polycalc
@@ -219,6 +220,23 @@ def test_compose_is_exact_substitution(dim, out_dim, seed):
         assert eval_poly(composed, x) == eval_poly(f, image)
     identity = [Polynomial.variable(dim, i) for i in range(dim)]
     assert polycalc.compose(f, identity) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_nonzero_grid_point_is_the_first_grid_point_off_the_zero_set(dim, seed):
+    # the factor x_0 - 1/2 vanishes on a grid line whenever d_0 + 2 is even
+    rng = random.Random(seed)
+    half = Polynomial.variable(dim, 0) - Polynomial.constant(dim, Fraction(1, 2))
+    f = (random_polynomial(rng, dim, max_degree=2, terms=3) + Polynomial.constant(dim, 1)) * half
+    assume(not f.is_zero())
+    x = polycalc.nonzero_grid_point(f)
+    assert eval_poly(f, x) != 0
+    degrees = [max(e[i] for e in f.terms) for i in range(dim)]
+    grid = itertools.product(*[[Fraction(k, d + 2) for k in range(1, d + 2)] for d in degrees])
+    points = list(map(RationalPoint, grid))
+    assert x in points
+    assert all(eval_poly(f, y) == 0 for y in points[: points.index(x)])
 
 
 def test_compose_checks_dims():

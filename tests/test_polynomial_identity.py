@@ -7,9 +7,10 @@ their operators are proved as soon as they expand, and so is an
 identity-generated family with no coefficients.
 The pointwise loops it replaced live on in ``tests/_moment_oracle.py``;
 the reports must match them byte for byte, second-order pairs included,
-and including the rule that a nonzero difference vanishing on every sample
-passes.  Float families evaluate each polynomial leaf once per sample
-point within a call, and the work counts below pin both savings.
+and including the rule that a nonzero difference vanishing on every
+mapped sample fails at one grid point.  Float families evaluate each
+polynomial leaf once per sample point within a call, and the work counts
+below pin both savings.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from moment_leibniz.momentfam import (
     make_trivial,
     verify_moment,
 )
-from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
-from moment_leibniz.polycalc import Polynomial, dalpha, random_polynomial
+from moment_leibniz.multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
+from moment_leibniz.polycalc import Polynomial, RationalPoint, dalpha, random_polynomial
 
 from _moment_oracle import (
     check_second_order_pointwise,
@@ -145,9 +146,71 @@ def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, p
     assert report.exact is exact
     oracle = verify_moment_pointwise(family, pairs, dom, exact, seed=seed)
     assert _dumps(report) == _dumps(oracle)
-    if kind in ("derivative", "trivial", "tamper-vanishing", "no-coefficients"):
-        # a difference that vanishes on every sample passes, as it always has
+    if kind in ("derivative", "trivial", "no-coefficients"):
         assert report.passed and report.max_residual == 0.0
+    if kind == "tamper-vanishing":
+        # the difference vanishes on every mapped sample, yet it is nonzero
+        assert not report.passed
+        samples = [x.to_json() for x in dom.sample_points]
+        assert all(failure["point"] not in samples for failure in report.failures)
+
+
+def _exact_side(family, alpha, h, y):
+    return polycalc.eval_poly(funcmodel.as_polynomial(family.apply(alpha, h)), y)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rank=st.integers(1, 3),
+    order=st.integers(1, 3),
+    conjugated=st.booleans(),
+    probes=st.integers(2, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_tamper_vanishing_on_the_mapped_samples_fails_at_grid_points(
+    rank, order, conjugated, probes, seed
+):
+    # T_alpha0 of every function gets extra = q * prod_k (y_j - s_k) added,
+    # the s_k being coordinate j of the samples' images: every sample sees
+    # the derivative family, and each instance whose difference is nonzero
+    # on the box fails once, at a grid point
+    rng = random.Random(seed)
+    dom = Domain.unit(rank, n_samples=SAMPLES, seed=seed)
+    tau = _affine_tau(rng, rank) if conjugated else TauMap.identity(rank)
+    j = rng.randrange(rank)
+    extra = random_polynomial(rng, rank, 2, 3) + Polynomial.constant(rank, 1)
+    for x in dom.sample_points:
+        extra = extra * (Polynomial.variable(rank, j) - Polynomial.constant(rank, tau(x)[j]))
+    family = _tampered(rank, order, rng.choice(enumerate_height_at_most(rank, order)), extra)
+    if conjugated:
+        family = conjugate(family, tau)
+    pairs = default_probe_pairs(dom, probes, rng)
+    report = verify_moment(family, pairs, dom)
+    assert not report.passed
+    failing = []
+    for k, (f, g) in enumerate(pairs):
+        for alpha in enumerate_height_at_most(rank, order):
+            diff = funcmodel.as_polynomial(family.apply(alpha, f * g))
+            for w, beta, gamma in convolution_terms(alpha):
+                diff = diff - w * funcmodel.as_polynomial(family.apply(beta, f)) * (
+                    funcmodel.as_polynomial(family.apply(gamma, g))
+                )
+            if polycalc.compose(diff, tau.components):
+                failing.append((k, alpha.to_json()))
+    assert [(w["probe"], w["alpha"]) for w in report.failures] == failing
+    for witness in report.failures:
+        x = RationalPoint.from_json(witness["point"])
+        assert x not in dom.sample_points and dom.contains(x)
+        f, g = pairs[witness["probe"]]
+        alpha, y = MultiIndex(witness["alpha"]), family.eval_point(x)
+        lhs = _exact_side(family, alpha, f * g, y)
+        rhs = sum(
+            w * _exact_side(family, beta, f, y) * _exact_side(family, gamma, g, y)
+            for w, beta, gamma in convolution_terms(alpha)
+        )
+        assert lhs != rhs
+        assert (witness["lhs"], witness["rhs"]) == (float(lhs), float(rhs))
+        assert witness["residual"] == float(abs(lhs - rhs))
 
 
 @pytest.mark.parametrize("variant", ["exact", "mismatched", "log"])
