@@ -15,6 +15,12 @@ input, 3 enumeration budget exceeded.
 
 ``main`` may be called repeatedly in one process; it parses with a parser
 built once, at import.
+
+Reports are written by columns.  The values at one place in many records
+(every ``lhs`` of a failure list, say) form one column, and a column of
+same-typed values is written with one text call.  The output equals
+``json.dumps(report, sort_keys=True, indent=2)`` and a newline, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import json
 import math
 import random
 import sys
+from itertools import chain, repeat
 from typing import List, Optional
 
 from .multiindex import MultiIndex
@@ -353,58 +360,118 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_BRACKETS = {list: "[]", tuple: "[]", dict: "{}"}
 # json's text of a scalar by its exact type; _json_type maps a subclass to its base
 _SCALAR_TEXT = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
-    float: lambda value: _NON_FINITE.get(text := float.__repr__(value), text),
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda _: "null",
+    float: float.__repr__,  # a non-finite float is renamed by _NON_FINITE
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
+_KINDS = {*_SCALAR_TEXT, list, tuple, dict}
 
 
 def _json_type(value: object) -> type:
     """The type that json writes ``value`` as: the first JSON type in its MRO."""
     for kind in type(value).__mro__:
-        if kind in _SCALAR_TEXT or kind in _BRACKETS:
+        if kind in _KINDS:
             return kind
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _key_text(key: object) -> str:  # a key that is not a str, converted as json does
+def _key_text(key: object) -> str:
+    """The text of a dict key, converted to a string as json does."""
+    if isinstance(key, str):
+        return _SCALAR_TEXT[str](key)
     if key is not None and not isinstance(key, (int, float)):
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return f'"{_SCALAR_TEXT[_json_type(key)](key)}"'
+    text = _SCALAR_TEXT[_json_type(key)](key)
+    return f'"{_NON_FINITE.get(text, text)}"'
 
 
-def _write(value: object, newline: str, out: List[str]) -> None:
-    """Append the text of ``value`` to ``out``; ``newline`` is a newline and the indent."""
-    kind = _json_type(value)
-    if kind in _SCALAR_TEXT:
-        out.append(_SCALAR_TEXT[kind](value))
-        return
+def _scalar_texts(column: list, kind: type) -> List[str]:
+    """The texts of a column whose values json writes as one scalar type."""
+    texts = list(map(_SCALAR_TEXT[kind], column))
+    if kind is float and not all(map(math.isfinite, column)):
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _texts(values: list, newline: str) -> List[str]:
+    """json's text of each of ``values``, where ``newline`` is a newline and their indent.
+
+    A column of one scalar type is one ``map`` of its text function.  The
+    dicts of a column that share one key tuple are written as one child
+    column per key (a single dict as one column of its values), and the
+    lists of a column as one child column of all their items.  A mixed
+    column writes its scalars one by one and each container as a column of
+    one.  Every child column is one call one level deeper, so the writer
+    spends one frame per level of nesting.
+    """
+    kind = type(values[0])
+    uniform = len(set(map(type, values))) == 1
+    if uniform and kind in _SCALAR_TEXT:
+        return _scalar_texts(values, kind)
+    if uniform and (not isinstance(values[0], dict) or len(set(map(tuple, values))) == 1):
+        out, runs = None, [(0, values)]
+    else:
+        out, runs = [""] * len(values), []
+        for i, value in enumerate(values):
+            scalar = _SCALAR_TEXT.get(type(value))
+            if scalar:
+                text = scalar(value)
+                out[i] = _NON_FINITE.get(text, text)
+            else:
+                runs.append((i, [value]))
     inner = newline + "  "
-    lead = _BRACKETS[kind][0] + inner
-    for item in sorted(value.items()) if kind is dict else value:
-        if kind is dict:
-            key, item = item
-            lead += (_SCALAR_TEXT[str](key) if isinstance(key, str) else _key_text(key)) + ": "
-        text = _SCALAR_TEXT.get(type(item))
-        if text:
-            out.append(lead + text(item))
-        else:  # a container, or a subclass of a scalar type
-            out.append(lead)
-            _write(item, inner, out)
-        lead = "," + inner
-    out.append(newline + _BRACKETS[kind][1] if value else _BRACKETS[kind])
+    for i, run in runs:
+        kind = _json_type(run[0])
+        if kind in _SCALAR_TEXT:
+            texts = _scalar_texts(run, kind)
+        elif kind is dict:
+            # equal key tuples of other types can differ in text (1, 1.0, True)
+            alike = {str}.issuperset(map(type, run[0]))
+            texts = []
+            for records in [run] if alike else [[record] for record in run]:
+                keys = sorted(records[0])
+                if not keys:
+                    texts += ["{}"] * len(records)
+                    continue
+                names = map(_SCALAR_TEXT[str] if alike else _key_text, keys)
+                names = map(str.replace, names, repeat("%"), repeat("%%"))
+                row = "{" + inner + (": %s," + inner).join(names) + ": %s" + newline + "}"
+                if len(records) == 1:
+                    cells = [tuple(_texts([records[0][key] for key in keys], inner))]
+                else:  # a loop, not a comprehension, so that no frame sits between levels
+                    columns = []
+                    for key in keys:
+                        columns.append(_texts([record[key] for record in records], inner))
+                    cells = zip(*columns)
+                texts += map(row.__mod__, cells)
+        else:
+            items = list(chain.from_iterable(run))
+            items = _texts(items, inner) if items else []
+            sizes = list(map(len, run))
+            if not items:
+                texts = ["[]"] * len(run)
+            elif len(set(sizes)) == 1:  # one template for every list
+                row = "[" + inner + ("," + inner).join(["%s"] * sizes[0]) + newline + "]"
+                texts = list(map(row.__mod__, zip(*[iter(items)] * sizes[0])))
+            else:
+                comma, start, texts = "," + inner, 0, []
+                for size in sizes:
+                    body = comma.join(items[start : start + size])
+                    texts.append("[" + inner + body + newline + "]" if size else "[]")
+                    start += size
+        if out is None:
+            return texts
+        out[i] = texts[0]
+    return out
 
 
 def _emit(report: dict, out_path: Optional[str]) -> None:
     """Write the report as ``json.dumps(report, sort_keys=True, indent=2)`` does, byte for byte."""
-    out: List[str] = []
-    _write(report, "\n", out)
-    text = "".join(out) + "\n"
+    text = _texts([report], "\n")[0] + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

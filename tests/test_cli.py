@@ -1245,6 +1245,45 @@ _JSON_SCALARS = st.one_of(
     st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
 )
 _JSON_KEYS = [st.text(), st.integers(), st.floats(), st.booleans(), st.none()]
+
+
+def _record_lists(children):
+    """Lists of 0-6 records over one key set or two, as reports hold them.
+
+    Each key draws all its values from one strategy: any scalar, floats with
+    their specials, integers, strings that need escapes, lists or tuples of
+    unequal lengths, or anything at all.
+    """
+    columns = [
+        _JSON_SCALARS,
+        st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+        st.integers() | st.builds(_Int, st.integers()) | st.booleans() | st.none(),
+        st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+        st.lists(st.integers(), max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.just({}) | children,
+    ]
+
+    def shape(key_sets):  # a record strategy over one drawn key set
+        return key_sets.flatmap(
+            lambda names: st.tuples(*[st.sampled_from(columns) for _ in names]).map(
+                lambda picked: st.fixed_dictionaries(dict(zip(names, picked)))
+            )
+        )
+
+    key_sets = [st.lists(keys, max_size=4, unique=True) for keys in _JSON_KEYS]
+    # one key that equals the other set's key but is written differently
+    key_sets.append(st.lists(st.sampled_from([0, False, 0.0, -0.0, 1, True, 1.0]), min_size=1, max_size=1))
+    return st.one_of(
+        *[
+            st.lists(shape(names), min_size=1, max_size=2).flatmap(
+                lambda records: st.lists(st.one_of(records), max_size=6)
+            )
+            for names in key_sets
+        ]
+    )
+
+
 _JSON_TREES = st.recursive(
     _JSON_SCALARS,
     lambda children: st.one_of(
@@ -1252,6 +1291,7 @@ _JSON_TREES = st.recursive(
         st.lists(children, max_size=4).map(tuple),
         # one key type per dict: mixed types do not sort, in json as here
         *[st.dictionaries(keys, children, max_size=4) for keys in _JSON_KEYS],
+        _record_lists(children),
     ),
     max_leaves=25,
 )
@@ -1269,7 +1309,19 @@ def test_emit_writes_the_stdlib_indent_format(obj):
     assert _emitted(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 3), {"a": [Fraction(1, 3)]}, {(1,): 2}])
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1, 2},
+        Fraction(1, 3),
+        {"a": [Fraction(1, 3)]},
+        {(1,): 2},
+        # a bad value at the end of a long column of good ones
+        [1.0] * 50 + [Fraction(1, 3)],
+        [{"a": 1.0}] * 5 + [{"a": Fraction(1, 3)}],
+        [[1], [set()]],
+    ],
+)
 def test_emit_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
         json.dumps(value, sort_keys=True, indent=2)
@@ -1277,13 +1329,22 @@ def test_emit_rejects_what_json_rejects(value):
         _emitted(value)
 
 
-def test_deeply_nested_echo_keeps_its_bytes(tmp_path):
+@pytest.mark.parametrize(
+    "depth, size, digest",
+    [
+        (980, 1932494, "eb4bbb9ba3fe3f7a9c05fb374490c8f828f097df271d8336ebcf1c249fa1fe42"),
+        # the deepest list that verify-family reads; one more is "nests too deeply"
+        (989, 1968008, "396cd11c669efc31405ac122a931120eed9a5cab55fa53db4ca2627e86c532ff"),
+    ],
+    ids=["980", "989"],
+)
+def test_deeply_nested_echo_keeps_its_bytes(tmp_path, depth, size, digest):
     # a violating descriptor is echoed whole, here with an ignored list
-    # nested 980 deep: 1.93 MB of report.  The digest is the stdlib
-    # encoder's output for this input, taken before reports had their own
-    # writer; the CLI runs in a fresh interpreter so that pytest's frames
-    # do not count against the recursion limit.
-    text = json.dumps(VIOLATING)[:-1] + ', "ignored": ' + "[" * 980 + "]" * 980 + "}"
+    # nested ``depth`` deep: about 1.9 MB of report.  The digests are the
+    # stdlib encoder's output for these inputs; the CLI runs in a fresh
+    # interpreter so that pytest's frames do not count against the
+    # recursion limit.
+    text = json.dumps(VIOLATING)[:-1] + ', "ignored": ' + "[" * depth + "]" * depth + "}"
     (tmp_path / "family.json").write_text(text)
     # the descriptor path is part of the reported config, so it stays relative
     package_root = str(Path(moment_leibniz.__file__).parents[1])
@@ -1295,10 +1356,8 @@ def test_deeply_nested_echo_keeps_its_bytes(tmp_path):
     )
     assert proc.returncode == EXIT_FAIL
     assert proc.stderr == b""
-    assert len(proc.stdout) == 1932494
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
-        "eb4bbb9ba3fe3f7a9c05fb374490c8f828f097df271d8336ebcf1c249fa1fe42"
-    )
+    assert len(proc.stdout) == size
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 # ---- the exit-code contract under random descriptors ----
