@@ -58,7 +58,6 @@ from .funcmodel import (
     CheckReport,
     Domain,
     FuncExpr,
-    NonFiniteValue,
     PolyLeaf,
     as_polynomial,
     eval_expr,
@@ -164,10 +163,11 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     tolerance; an alpha with no stored pair has the empty sum 0 and is
     skipped.  Each coefficient is evaluated at all the samples at once,
     the first time a sum needs it; each sample's products are added with
-    the builtin ``sum`` in split order.  An evaluation error names the node
-    met first in the order alpha, sample, split.  If the samples show no
-    failure, ``_below_band_witness`` may still prove one, whose value is
-    the exact sum C(2g, g) c_gamma(x)^2 as ``witness_float`` writes it.
+    the builtin ``sum`` in split order.  An evaluation error is that of
+    the first coefficient to fail in the order (alpha, split), beta before
+    gamma.  If the samples show no failure, ``_below_band_witness`` may
+    still prove one, whose value is the exact sum C(2g, g) c_gamma(x)^2
+    as ``witness_float`` writes it.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
@@ -186,15 +186,10 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     max_residual = 0.0
     values: Dict[MultiIndex, List[float]] = {}
     for alpha in alphas:
-        needed = [idx for _, beta, gamma in pairs[alpha] for idx in (beta, gamma)]
-        try:
-            for idx in needed:
+        for _, beta, gamma in pairs[alpha]:
+            for idx in (beta, gamma):
                 if idx not in values:
                     values[idx] = eval_expr(cf.coefficients[idx], domain.sample_points)
-        except NonFiniteValue:  # the first sample that fails raises its own error
-            for x, idx in itertools.product(domain.sample_points, needed):
-                eval_expr(cf.coefficients[idx], (x,))
-            raise
         # each point's sum of w * c_beta * c_gamma, added with ``sum`` in split order
         columns = [[w * u * v for u, v in zip(values[b], values[g])] for w, b, g in pairs[alpha]]
         for x, value in zip(domain.sample_points, map(sum, zip(*columns))):

@@ -13,13 +13,14 @@ descriptor reads.
 
 Trees evaluate to floats over a tuple of rational points in one walk
 (``eval_expr``): each node computes its values at every point, with the
-float operations of a point-by-point walk, in the same order.  On a
-``NonFiniteValue`` the points are walked again one at a time, so the
-error names the node a point-by-point walk meets first.  Polynomial
-leaves are memoized per call: a ``Leaves`` table, made by the caller and
-dropped when it returns, holds a leaf's values over a point tuple the
-first time a node needs them, so a verifier that evaluates many trees
-over the same points converts each exact leaf value to floats once.  A tree
+float operations that one point alone would take, in the same order.
+Children are evaluated in order before their parent, so a
+``NonFiniteValue`` names the first node whose column fails, whatever
+the point.  Polynomial leaves are memoized per call: a ``Leaves``
+table, made by the caller and dropped when it returns, holds a leaf's
+values over a point tuple the first time a node needs them, so a
+verifier that evaluates many trees over the same points converts each
+exact leaf value to floats once.  A tree
 without a t*ln|t| or signed-power node (``is_polynomial``) expands back
 to a ``Polynomial``; its exact values are the expansion evaluated at the
 point, and the exact verifiers compare the expansions themselves.
@@ -134,15 +135,10 @@ class Sum(FuncExpr):
         return self.children[0].dim
 
     def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
-        columns: List[List[float]] = []
+        columns = [
+            c._eval_points(points, f"{path}.sum[{i}]", leaves) for i, c in enumerate(self.children)
+        ]
         try:
-            for i, c in enumerate(self.children):
-                try:
-                    columns.append(c._eval_points(points, f"{path}.sum[{i}]", leaves))
-                except NonFiniteValue:
-                    # a point-by-point walk stops where fsum overflows, before this child
-                    math.fsum(column[0] for column in columns)
-                    raise
             return list(map(math.fsum, zip(*columns)))
         except OverflowError as exc:  # finite children whose sum leaves the range
             raise NonFiniteValue(f"non-finite value at {path}.sum") from exc
@@ -250,12 +246,7 @@ def eval_expr(expr: FuncExpr, points: Points, leaves: Optional[Leaves] = None) -
     for x in points:
         if len(x) != dim:
             raise DimensionMismatch(f"expr dim {dim} vs point rank {x.rank}")
-    try:
-        return expr._eval_points(points, "root", {} if leaves is None else leaves)
-    except NonFiniteValue:
-        for x in points:  # the first point that fails raises its own error
-            expr._eval_points((x,), "root", {})
-        raise
+    return expr._eval_points(points, "root", {} if leaves is None else leaves)
 
 
 def is_polynomial(expr: FuncExpr) -> bool:
@@ -540,8 +531,9 @@ class PowerSignMap:
             raise DimensionMismatch(
                 f"map rank {self.tau.rank} vs domain rank {domain.rank}"
             )
-        for x in domain.sample_points:
-            if eval_expr(self.exponent, (x,))[0] <= 0:
+        exponents = eval_expr(self.exponent, domain.sample_points)
+        for x, p in zip(domain.sample_points, exponents):
+            if p <= 0:
                 raise ValueError(f"exponent not positive at sample {x.to_json()}")
             if not domain.contains(self.tau(x)):
                 raise ValueError(

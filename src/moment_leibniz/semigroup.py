@@ -18,9 +18,10 @@ order, holding f_alpha at every point.  The verifier tabulates the x, y
 and x + y of a sweep's probes once, forms each split of each alpha's
 ``multiindex.convolution_terms`` as one column of products, adds each
 probe's products with ``math.fsum`` in split order, and judges each
-instance with ``funcmodel.judge`` (a sum that overflows is no verdict).
-If anything raises, the sweep is rerun one probe at a time, so the error
-is the one a point-by-point sweep meets first.
+instance with ``funcmodel.judge``.  A sum that overflows is no verdict:
+its error names the alpha and the first probe whose sum fails, in the
+first alpha whose column fails.  An error of the table itself is passed
+through as it is.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from .funcmodel import CheckReport, NonFiniteValue, judge, worse
 
 Columns = List[List[float]]
 # each alpha's splits as (weight, position of beta, position of gamma)
-Splits = List[List[Tuple[Union[float, int], int, int]]]
+Splits = List[List[Tuple[float, int, int]]]
 
 
 @dataclass
@@ -102,16 +103,10 @@ def verify_moment_seq(
     alphas = enumerate_height_at_most(seq.rank, seq.order)
     position = {alpha: i for i, alpha in enumerate(alphas)}
     splits = [
-        [(_float_weight(w), position[b], position[c]) for w, b, c in convolution_terms(alpha)]
+        [(float(w), position[b], position[c]) for w, b, c in convolution_terms(alpha)]
         for alpha in alphas
     ]
-    try:
-        lhs, rhs = _sides(seq, probes, alphas, splits, 0)
-    except Exception:
-        # values at x, at y and at x + y, then each alpha's sum, probe by probe
-        for k, probe in enumerate(probes):
-            _sides(seq, [probe], alphas, splits, k)
-        raise
+    lhs, rhs = _sides(seq, probes, alphas, splits)
     failures: List[dict] = []
     max_residual = 0.0
     for k, ((x, y), lhs_row, rhs_row) in enumerate(zip(probes, zip(*lhs), zip(*rhs))):
@@ -146,47 +141,33 @@ def _sides(
     probes: Sequence[Tuple[float, float]],
     alphas: List[MultiIndex],
     splits: Splits,
-    first: int,
 ) -> Tuple[Columns, Columns]:
     """Each alpha's column of f_alpha(x + y), and of its convolution sums, over the probes.
 
-    ``first`` is the number of the first probe, for the error of a sum
-    that fails.
+    A sum that fails raises ``NonFiniteValue`` naming its alpha and its
+    probe, the first of that alpha's column to fail.
     """
     vx = _table(seq, [x for x, _ in probes], len(alphas))
     vy = _table(seq, [y for _, y in probes], len(alphas))
     lhs = _table(seq, [x + y for x, y in probes], len(alphas))
     rhs: Columns = []
     for alpha, terms in zip(alphas, splits):
+        # (w * f_beta(x)) * f_gamma(y); 1 * a is a, bit for bit
+        products = [
+            list(map(operator.mul, vx[i], vy[j]))
+            if w == 1
+            else [w * u * v for u, v in zip(vx[i], vy[j])]
+            for w, i, j in terms
+        ]
         sums: List[float] = []
         try:
-            # (w * f_beta(x)) * f_gamma(y); 1 * a is a, bit for bit
-            products = [
-                list(map(operator.mul, vx[i], vy[j]))
-                if w == 1
-                else [w * u * v for u, v in zip(vx[i], vy[j])]
-                for w, i, j in terms
-            ]
             for row in zip(*products):
                 sums.append(math.fsum(row))
         except (OverflowError, ValueError) as exc:  # inf - inf, or past the range
-            k = first + len(sums)
-            msg = f"convolution of alpha {tuple(alpha)} at probe {k} does not sum: {exc}"
+            msg = f"convolution of alpha {tuple(alpha)} at probe {len(sums)} does not sum: {exc}"
             raise NonFiniteValue(msg) from exc
         rhs.append(sums)
     return lhs, rhs
-
-
-def _float_weight(w: int) -> Union[float, int]:
-    """C(alpha, beta) as the float that ``w * v`` converts it to.
-
-    A weight too large for a float stays an int, so its product raises
-    where the sum is formed.
-    """
-    try:
-        return float(w)
-    except OverflowError:
-        return w
 
 
 def _table(seq: MomentSeq, points: List[float], width: int) -> Columns:

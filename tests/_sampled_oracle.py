@@ -12,8 +12,10 @@ They know nothing of leaf tables, value columns or positional sums, so
 equal report bytes are evidence that computing each value once changes
 no verdict, residual or witness.  The sequence loop evaluates every f_alpha
 at x, then at y, then at x + y before it sums a probe's convolutions,
-and raises a sum's error as the verifier does, so that an error is the
-same exception with the same message too.
+and raises a sum's error with the verifier's message.  It raises exactly
+when the verifier does, though the first error it meets, probe by probe,
+may be another than the verifier's, which works one alpha's column at a
+time after tabulating every value.
 """
 
 from __future__ import annotations

@@ -850,14 +850,16 @@ def test_verify_semigroup_tamper_needs_order_two(capsys, rank, order):
 
 
 def test_verify_semigroup_overflow_is_input_error(capsys):
-    # at order 400 the split products overflow to inf of both signs, so a
-    # convolution has no sum: no verdict, and the error names the first
-    # instance in (probe, alpha) order.  At order 600 a power overflows
-    # before any sum is formed
+    # a power that overflows while the table is built raises as it is.
+    # Where every power is finite, the split products of a large order
+    # overflow to inf of both signs, so a convolution has no sum: no
+    # verdict, and the error names the first alpha whose column fails and
+    # the first failing probe in it
     cases = [
+        (["--order", "400", "--probes", "100"], "(34, 'Numerical result out of range')"),
         (
-            ["--order", "400", "--probes", "100"],
-            "convolution of alpha (376,) at probe 61 does not sum: -inf + inf in fsum",
+            ["--order", "400", "--probes", "3", "--seed", "2"],
+            "convolution of alpha (370,) at probe 0 does not sum: -inf + inf in fsum",
         ),
         (["--order", "600"], "(34, 'Numerical result out of range')"),
     ]
@@ -1484,6 +1486,60 @@ def test_verify_family_exit_code_contract(descriptor, probes, samples, seed):
         assert report["pass"] is False and report["failures"]
     else:
         assert report["pass"] is True
+
+
+# the least exact value that float() refuses: it would round to 2^1024
+_FLOAT_CEILING = 2**1024 - 2**970
+
+
+@st.composite
+def _overflowing_family(draw):
+    """An ``identity_generated`` descriptor, its seed and sample count.
+
+    Each coefficient is 2^k x_i^e, with k the least exponent from 1010 up
+    (plus 0 to 2) at which it overflows at a drawn sample.  With e > 0 it
+    overflows at some samples only.
+    """
+    r, order = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    samples, seed = draw(st.integers(8, 9)), draw(st.integers(0, 3))
+    points = Domain.unit(r, samples, seed).sample_points
+    indices = enumerate_height_at_most(r, order)[1:]
+    coefficients = []
+    for alpha in draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3, unique=True)):
+        i, e = draw(st.integers(0, r - 1)), draw(st.integers(0, 8))
+        x = draw(st.sampled_from(points))[i]
+        k = 1010
+        while 2**k * x**e < _FLOAT_CEILING:
+            k += 1
+        exponent = tuple(e if j == i else 0 for j in range(r))
+        leaf = PolyLeaf(Polynomial.monomial(exponent, 2 ** (k + draw(st.integers(0, 2)))))
+        coefficients.append({"index": alpha.to_json(), "expr": leaf.to_json()})
+    family = {"kind": "identity_generated", "r": r, "N": order, "coefficients": coefficients}
+    return family, seed, samples
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_overflowing_family())
+def test_verify_family_overflow_is_a_deterministic_input_error(case):
+    # whether the constraint or the moment check meets the overflow first,
+    # the exit is 2 with no report, and a second call writes the same error
+    descriptor, seed, samples = case
+    argv = ["verify-family", "-", "--probes", "1", "--samples", str(samples), "--seed", str(seed)]
+    errors = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(json.dumps(descriptor))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = stdin
+        assert code == EXIT_INPUT
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: descriptor values do not evaluate: ")
+        errors.append(err.getvalue())
+    assert errors[0] == errors[1]
 
 
 # ---- the exit-code contract under random flags ----

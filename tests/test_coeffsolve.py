@@ -145,13 +145,13 @@ def test_constraint_pinned_violation():
         check_constraint(cf, Domain.unit(2))
 
 
-def test_constraint_overflow_names_the_first_node_by_sample():
+def test_constraint_overflow_names_the_first_node_in_alpha_split_order():
     # alpha (1,3) is the first sum of both c_(0,3) and c_(1,0).  c_(0,3) =
     # 2^1030 x_1^20 overflows only where x_1 > 0.81: not at the first seed-0
     # sample (x_1 = 25/64), but at the second.  c_(1,0) overflows at every
-    # sample, under a product.  Sums go sample by sample, each over its
-    # splits in order, so c_(1,0)'s node is the first to overflow, although
-    # c_(0,3) comes first among the splits.
+    # sample, under a product.  Each coefficient is evaluated over all the
+    # samples, in split order, so c_(0,3), first among the splits, is the
+    # first to overflow, although c_(1,0) fails at an earlier sample.
     cf = CoeffFamily(
         2,
         4,
@@ -164,7 +164,7 @@ def test_constraint_overflow_names_the_first_node_by_sample():
     assert dom.sample_points[0][1] == Fraction(25, 64)
     with pytest.raises(NonFiniteValue) as err:
         check_constraint(cf, dom)
-    assert str(err.value) == "overflow converting exact value at root.product[1]"
+    assert str(err.value) == "overflow converting exact value at root"
 
 
 def test_constraint_passes_on_sparse_support():

@@ -163,20 +163,30 @@ def test_convolution_that_does_not_sum_is_non_finite_value(values):
         verify_moment_seq(seq, [(1.0, 1.0), (-1.0, -0.5)])
 
 
-def test_first_error_in_probe_order_is_raised():
-    # probe 1's alpha-1 sum is inf + -inf, and the table raises only at
-    # x = 5.0, the x of probe 2.  Tabulating every x first meets the value
-    # error first; a point-by-point sweep meets the sum, so that one is raised
+def test_sum_error_names_its_alpha_column_and_table_error_passes_through():
+    # f_1 is +-inf at +-3 and f_2 at +-7, 1 elsewhere.  Alpha 1 sums
+    # f_1(y) + f_1(x), which is inf - inf at probes 2 and 3; alpha 2 sums
+    # f_2(y) + 2 f_1(x) f_1(y) + f_2(x), which is inf - inf at probe 0.
+    # Sums go one alpha's column at a time, so the error names alpha 1 and
+    # the first probe of its column that fails
+    def spike(at):
+        return lambda x: math.copysign(math.inf, x) if abs(x) == at else 1.0
+
+    f1, f2 = spike(3.0), spike(7.0)
+
     def row(x):
         if x == 5.0:
             raise OverflowError("no value at 5.0")
-        return [1.0, math.copysign(math.inf, x + 0.75)]
+        return [1.0, f1(x), f2(x)]
 
-    seq = MomentSeq(1, 1, _pointwise(2, row))
-    with pytest.raises(NonFiniteValue, match=r"^convolution of alpha \(1,\) at probe 1 "):
-        verify_moment_seq(seq, [(1.0, 1.0), (-1.0, -0.5), (5.0, 0.0)])
+    seq = MomentSeq(1, 2, _pointwise(3, row))
+    probes = [(7.0, -7.0), (0.5, 0.5), (3.0, -3.0), (-3.0, 3.0)]
+    with pytest.raises(NonFiniteValue, match=r"^convolution of alpha \(1,\) at probe 2 "):
+        verify_moment_seq(seq, probes)
+    # every value is tabulated before any sum, so a table error is raised
+    # as the table raised it, however early a sum would fail
     with pytest.raises(OverflowError, match="^no value at 5.0$"):
-        verify_moment_seq(seq, [(1.0, 1.0), (5.0, 0.0), (-1.0, -0.5)])
+        verify_moment_seq(seq, [*probes, (5.0, 0.0)])
 
 
 def test_table_of_the_wrong_length_is_refused():
