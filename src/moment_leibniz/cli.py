@@ -176,7 +176,7 @@ def run_verify_family(args: argparse.Namespace) -> dict:
     )
     if family.coeff_family is not None:
         with _evaluating_descriptor():
-            constraint = check_constraint(family.coeff_family, domain)
+            constraint = check_constraint(family.coeff_family, domain, family.point_map)
         if not constraint.passed:
             return {
                 "family": data,

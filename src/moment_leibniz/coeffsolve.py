@@ -22,10 +22,10 @@ coefficients.
 This module checks the constraint on sample points, and exactly when
 every coefficient below the band expands: then a nonzero one fails with
 a witness, however small its sample sums, whose value is the exact sum
-C(2g, g) c_gamma(x)^2 as a float.  The coefficients are functions of the
-point they are checked at: a conjugate's arrive composed with its map
-(``momentfam.conjugate``), so they are checked where the conjugate reads
-them.  Each coefficient is evaluated once per check.  The module also
+C(2g, g) c_gamma(x)^2 as a float.  A conjugate reads its inner
+coefficients at its point map (``momentfam.conjugate``), so they are
+checked at the samples' images, the below-band ones composed with the
+map.  Each coefficient is evaluated once per check.  The module also
 reports which support indices the constraint forces to vanish,
 enumerates the admissible supports, and draws random families on them.  A support is a tuple of
 indices in band order (height, then entries), the order ``band`` lists
@@ -59,6 +59,7 @@ from .funcmodel import (
     Domain,
     FuncExpr,
     PolyLeaf,
+    TauMap,
     as_polynomial,
     eval_expr,
     expr_from_json,
@@ -154,11 +155,16 @@ def constraint_indices(rank: int, order: int) -> List[MultiIndex]:
     return [a for a in enumerate_height_at_most(rank, order) if a.height >= 2]
 
 
-def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
+def check_constraint(
+    cf: CoeffFamily, domain: Domain, point_map: Optional[TauMap] = None
+) -> CheckReport:
     """Evaluate every constrained bilinear sum at every sample of the domain.
 
-    Binomial weights are exact integers; only the coefficient values and
-    final products are floating point.  ``funcmodel.judge`` judges each sum
+    The coefficients are read at ``domain.images(point_map)``, which
+    refuses a map that sends a sample outside the box (ValueError) before
+    anything is evaluated; a failure names the sample x.  Binomial
+    weights are exact integers; only the coefficient values and final
+    products are floating point.  ``funcmodel.judge`` judges each sum
     against 0, so its residual is |sum|, which must be <= the domain
     tolerance; an alpha with no stored pair has the empty sum 0 and is
     skipped.  Each coefficient is evaluated at all the samples at once,
@@ -167,10 +173,11 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
     the first coefficient to fail in the order (alpha, split), beta before
     gamma.  If the samples show no failure, ``_below_band_witness`` may
     still prove one, whose value is the exact sum C(2g, g) c_gamma(x)^2
-    as ``witness_float`` writes it.
+    as ``witness_float`` writes it, c_gamma composed with the map.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
+    points = domain.images(point_map)
     tol = domain.float_tolerance
     alphas = constraint_indices(cf.rank, cf.order)
     # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
@@ -189,7 +196,7 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
         for _, beta, gamma in pairs[alpha]:
             for idx in (beta, gamma):
                 if idx not in values:
-                    values[idx] = eval_expr(cf.coefficients[idx], domain.sample_points)
+                    values[idx] = eval_expr(cf.coefficients[idx], points)
         # each point's sum of w * c_beta * c_gamma, added with ``sum`` in split order
         columns = [[w * u * v for u, v in zip(values[b], values[g])] for w, b, g in pairs[alpha]]
         for x, value in zip(domain.sample_points, map(sum, zip(*columns))):
@@ -197,7 +204,7 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
             max_residual = worse(max_residual, residual)
             if not ok:
                 failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
-    witness = None if failures else _below_band_witness(cf)
+    witness = None if failures else _below_band_witness(cf, point_map)
     if witness is not None:
         gamma, c, x = witness
         alpha = gamma + gamma
@@ -215,21 +222,26 @@ def check_constraint(cf: CoeffFamily, domain: Domain) -> CheckReport:
 
 
 def _below_band_witness(
-    cf: CoeffFamily,
+    cf: CoeffFamily, point_map: Optional[TauMap]
 ) -> Optional[Tuple[MultiIndex, Polynomial, RationalPoint]]:
     """Where the constraint provably fails, if every coefficient below the band expands.
 
-    It then holds exactly when each of them is the zero polynomial.  If
-    not, the cascade in ``forced_zero_analysis``, run on the nonzero ones,
+    Each expansion is composed with the map, where the coefficients are
+    read (``polycalc.compose``); the constraint then holds exactly when
+    each is the zero polynomial.  If not, the cascade in
+    ``forced_zero_analysis``, run on the nonzero ones,
     takes gamma of least height, lexicographically largest, whose
     alpha = 2*gamma sum is C(2g, g) c_gamma^2.  That is nonzero at
-    ``polycalc.nonzero_grid_point(c_gamma)``.  Returns gamma, c_gamma and
-    that point.
+    ``polycalc.nonzero_grid_point(c_gamma)``.  Returns gamma, the composed
+    c_gamma and that point.
     """
     below = {a: cf.coefficients[a] for a in forced_zero_analysis(cf.order, cf.coefficients)}
     if not all(map(is_polynomial, below.values())):
         return None
-    nonzero = {a: p for a, e in below.items() if (p := as_polynomial(e))}
+    polys = {a: as_polynomial(e) for a, e in below.items()}
+    if point_map is not None:
+        polys = {a: polycalc.compose(p, point_map.components) for a, p in polys.items()}
+    nonzero = {a: p for a, p in polys.items() if p}
     if not nonzero:
         return None
     gamma = max(nonzero, key=lambda a: (-a.height, tuple(a)))

@@ -25,13 +25,12 @@ without a t*ln|t| or signed-power node (``is_polynomial``) expands back
 to a ``Polynomial``; its exact values are the expansion evaluated at the
 point, and the exact verifiers compare the expansions themselves.
 
-``compose_expr`` substitutes a polynomial map into a tree: each leaf p
-becomes p o tau exactly and the other nodes are rebuilt around it, so at
-x the result has the float values the tree has at tau(x).  A conjugate's
-coefficients are read that way; its point map is one composed ``TauMap``.
-
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
-seeded rational sample points and the float tolerance.  Every check
+seeded rational sample points and the float tolerance.  A family read
+through a point map is evaluated at the samples' images, which
+``Domain.images`` computes exactly and refuses at the first one outside
+the box; the moment verifier, the coefficient constraint and a
+power-sign map's validation all read their points there.  Every check
 turns an instance lhs = rhs into a residual and a verdict with ``judge``;
 ``witness_float`` writes an exact witness value, such as the constraint's
 below-band sum, as a float, +-inf when it is too large for one.
@@ -51,7 +50,6 @@ from .polycalc import (
     Polynomial,
     RationalPoint,
     Scalar,
-    compose,
     dalpha,
     eval_poly,
     eval_poly_ratios,
@@ -261,23 +259,6 @@ def as_polynomial(expr: FuncExpr) -> Polynomial:
     return expr._expand()
 
 
-def compose_expr(expr: FuncExpr, tau: "TauMap") -> FuncExpr:
-    """The tree x -> expr(tau(x)): each leaf p becomes p o tau, exactly.
-
-    The other nodes are rebuilt around the composed leaves, so at x the
-    result takes, bit for bit, the float values expr takes at tau(x).
-    """
-    if isinstance(expr, PolyLeaf):
-        return PolyLeaf(compose(expr.poly, tau.components))
-    if isinstance(expr, (Sum, Product)):
-        return type(expr)(tuple(compose_expr(c, tau) for c in expr.children))
-    if isinstance(expr, XLogAbs):
-        return XLogAbs(compose_expr(expr.child, tau))
-    if isinstance(expr, SignedPower):
-        return SignedPower(compose_expr(expr.child, tau), compose_expr(expr.exponent, tau))
-    raise TypeError(f"cannot compose a {type(expr).__name__} node")
-
-
 def const_expr(dim: int, value: Scalar) -> PolyLeaf:
     return PolyLeaf(Polynomial.constant(dim, value))
 
@@ -379,6 +360,19 @@ class Domain:
 
     def contains(self, p: RationalPoint) -> bool:
         return p.rank == self.rank and all(0 < c < 1 for c in p)
+
+    def images(self, point_map: Optional[TauMap]) -> Points:
+        """The samples read through ``point_map``: themselves when there is no map.
+
+        Raises ValueError at the first image outside the box.
+        """
+        if point_map is None:
+            return self.sample_points
+        images = tuple(map(point_map, self.sample_points))
+        for x, y in zip(self.sample_points, images):
+            if not self.contains(y):
+                raise ValueError(f"sample {x.to_json()} maps to {y.to_json()}, outside the box")
+        return images
 
     @classmethod
     def unit(
@@ -526,7 +520,7 @@ class PowerSignMap:
     tau: TauMap
 
     def validate(self, domain: Domain) -> None:
-        """p must be positive on the samples and tau must map them into the box."""
+        """p must be positive at every sample; then ``domain.images`` must accept tau."""
         if self.tau.rank != domain.rank:
             raise DimensionMismatch(
                 f"map rank {self.tau.rank} vs domain rank {domain.rank}"
@@ -535,7 +529,4 @@ class PowerSignMap:
         for x, p in zip(domain.sample_points, exponents):
             if p <= 0:
                 raise ValueError(f"exponent not positive at sample {x.to_json()}")
-            if not domain.contains(self.tau(x)):
-                raise ValueError(
-                    f"tau image of sample {x.to_json()} leaves the domain box"
-                )
+        domain.images(self.tau)

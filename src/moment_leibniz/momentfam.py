@@ -21,11 +21,11 @@ once per probe.
 Nothing that builds a family takes a domain, and reading a descriptor
 verifies nothing.  A family holds at most one point map: ``conjugate``
 composes the inner map with tau exactly, so a conjugate of a conjugate
-still holds one polynomial map, and ``verify_moment`` maps every sample
-through it and refuses an image outside the unit box.  A conjugate's
-``coeff_family`` is the inner one with every tree composed with tau, so
-``coeffsolve.check_constraint`` decides the coefficients where the
-conjugate reads them, its below-band witness value the exact sum.
+still holds one polynomial map.  That map is the only way a family is
+read through a change of variables: ``verify_moment``, and
+``coeffsolve.check_constraint`` on a conjugate's ``coeff_family`` (the
+inner one, unchanged), both evaluate at ``Domain.images(point_map)``,
+which refuses an image outside the unit box before anything is checked.
 
 How an instance is decided is read off the expressions the operators
 return, probe by probe, before anything is expanded; a family declares
@@ -93,7 +93,6 @@ from .funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
-    compose_expr,
     eval_expr,
     expr_from_json,
     grad_dot,
@@ -121,8 +120,8 @@ class OperatorFamily:
     ``descriptor`` is the family's JSON form; the constructors below pass
     their own, and any other rule is described as
     ``{"kind": "custom", "r": dim, "N": order}``.  ``coeff_family`` holds
-    an identity-generated family's coefficients as functions of x (composed
-    with ``point_map``), their constraint unchecked.
+    an identity-generated family's coefficients, their constraint
+    unchecked; like the rule's expressions, they are read at point_map(x).
     """
 
     rank: int
@@ -217,23 +216,18 @@ def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
 def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
     """The family x -> T_alpha(f)(tau(x)).
 
-    Keeps the inner family's expressions, and composes its point map
-    with tau exactly (``polycalc.compose``), so a conjugate holds one map
-    and conjugates of proved families are proved.  Its ``coeff_family``
-    is the inner one with every tree composed with tau
-    (``funcmodel.compose_expr``), so the constraint is checked where the
-    coefficients are read.  ``verify_moment`` refuses the family if its
+    Keeps the inner family's expressions and ``coeff_family``, and
+    composes its point map with tau exactly (``polycalc.compose``), so a
+    conjugate holds one map, at whose images both its operators and its
+    coefficients are read, and conjugates of proved families are proved.
+    ``verify_moment`` and ``check_constraint`` refuse the family if its
     map sends a sample outside the box.
     """
     if tau.rank != family.dim:
         raise ValueError(f"map rank {tau.rank}, family dim {family.dim}")
-    point_map, cf = tau, family.coeff_family
+    point_map = tau
     if family.point_map is not None:  # x -> inner(tau(x))
         point_map = TauMap(tuple(compose(p, tau.components) for p in family.point_map.components))
-    if cf is not None:
-        cf = CoeffFamily(
-            cf.rank, cf.order, {a: compose_expr(e, tau) for a, e in cf.coefficients.items()}
-        )
     return OperatorFamily(
         family.rank,
         family.order,
@@ -247,7 +241,7 @@ def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
             "inner": family.descriptor,
         },
         dim=family.dim,
-        coeff_family=cf,
+        coeff_family=family.coeff_family,
     )
 
 
@@ -340,8 +334,8 @@ def verify_moment(
 ) -> MomentReport:
     """Check the binomial moment identity on every probe pair and sample.
 
-    The family is evaluated at the samples' images under its point map,
-    and an image outside the box raises ValueError.  Each probe's
+    The family is evaluated at ``domain.images(family.point_map)``, which
+    raises ValueError at an image outside the box.  Each probe's
     operators are applied once.  If their trees are all log-free, they
     are expanded and each alpha compares the polynomial T_alpha(fg) with the
     convolution sum; equal polynomials are equal at every point, so the
@@ -358,10 +352,7 @@ def verify_moment(
         raise ValueError(f"domain rank {domain.rank}, family dim {family.dim}")
     alphas = enumerate_height_at_most(family.rank, family.order)
     terms = {alpha: convolution_terms(alpha) for alpha in alphas}
-    points = tuple(family.eval_point(x) for x in domain.sample_points)
-    for x, y in zip(domain.sample_points, points):
-        if not domain.contains(y):
-            raise ValueError(f"sample {x.to_json()} maps to {y.to_json()}, outside the box")
+    points = domain.images(family.point_map)
     per_alpha = {_alpha_key(a): 0.0 for a in alphas}
     failures: List[dict] = []
     max_residual = 0.0
@@ -537,7 +528,8 @@ def family_from_json(data: dict) -> OperatorFamily:
     """Rebuild a family from the whole of its JSON descriptor, verifying nothing.
 
     An ``identity_generated`` descriptor, nested or not, gives a family
-    whose ``coeff_family`` the caller checks with ``check_constraint``.
+    whose ``coeff_family`` the caller checks with ``check_constraint`` at
+    the family's ``point_map``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"family descriptor must be a JSON object, got {data!r}")
@@ -550,14 +542,10 @@ def family_from_json(data: dict) -> OperatorFamily:
         return make_identity_generated(CoeffFamily.from_json(data))
     if kind == "first_order_leibniz":
         # "N" may be left out, since the order is always 1
-        order = data.get("N", 1)
-        if type(order) is not int or order != 1:
-            raise ValueError(f"first_order_leibniz N must be 1, got {order!r}")
+        _check_fixed(data.get("N", 1), 1, "first_order_leibniz N must be")
         return make_first_order_leibniz(expr_from_json(data["c"]), data["r"])
     if kind == "second_order":
-        order = data.get("N", 2)
-        if type(order) is not int or order != 2:
-            raise ValueError(f"second_order N must be 2, got {order!r}")
+        _check_fixed(data.get("N", 2), 2, "second_order N must be")
         return make_second_order_leibniz(
             expr_from_json(data["a"]),
             [expr_from_json(e) for e in data["b"]],
@@ -567,10 +555,13 @@ def family_from_json(data: dict) -> OperatorFamily:
         )
     if kind == "conjugated":
         inner = family_from_json(data["inner"])
-        order = data["N"]
-        if type(order) is not int or order != inner.order:
-            raise ValueError(
-                f"conjugated N must be the inner order {inner.order}, got {order!r}"
-            )
+        _check_fixed(data["N"], inner.order, "conjugated N must be the inner order")
+        _check_fixed(data["r"], inner.dim, "conjugated r must be the inner dim")
         return conjugate(inner, TauMap.from_json(data["tau"]))
     raise ValueError(f"unknown family kind {kind!r}")
+
+
+def _check_fixed(value, expected: int, field: str) -> None:
+    """Refuse a descriptor field that must be the int ``expected``; ``field`` names the rule."""
+    if type(value) is not int or value != expected:
+        raise ValueError(f"{field} {expected}, got {value!r}")

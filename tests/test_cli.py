@@ -462,6 +462,13 @@ def test_nested_sum_descriptor_is_verified(capsys, tmp_path):
             "tau": _TAU_REFLECT,
             "inner": {"kind": "derivative", "r": 1, "N": 2},
         },
+        {
+            "kind": "conjugated",
+            "r": 5,
+            "N": 2,
+            "tau": _TAU_REFLECT,
+            "inner": {"kind": "derivative", "r": 1, "N": 2},
+        },
     ],
     ids=[
         "r-str",
@@ -507,6 +514,7 @@ def test_nested_sum_descriptor_is_verified(capsys, tmp_path):
         "N-str-first-order",
         "N-str-second-order",
         "N-str-conjugated",
+        "r-mismatch-conjugated",
     ],
 )
 def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, request, descriptor):
@@ -522,8 +530,8 @@ def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, request, de
         assert captured.err == f"error: bad family descriptor: {message}\n"
 
 
-# the error line of the cases above that name a malformed N: every kind names
-# it, and none compares it with an int first
+# the error line of the cases above that name a malformed N or conjugated r:
+# every kind names it, and none compares it with an int first
 _BAD_VALUE_MESSAGES = {
     "N-str-derivative": "order must be an integer, got 'x'",
     "N-str-trivial": "order must be an integer, got 'x'",
@@ -533,6 +541,7 @@ _BAD_VALUE_MESSAGES = {
     "N-str-first-order": "first_order_leibniz N must be 1, got 'x'",
     "N-str-second-order": "second_order N must be 2, got 'x'",
     "N-str-conjugated": "conjugated N must be the inner order 2, got 'x'",
+    "r-mismatch-conjugated": "conjugated r must be the inner dim 1, got 5",
 }
 
 
@@ -735,6 +744,34 @@ def test_conjugated_constraint_violation_fails_with_witness(capsys, tmp_path, ta
     code, report = _run(capsys, ["verify-family", _family_file(tmp_path, descriptor)])
     assert code == EXIT_FAIL
     assert report["failures"][0]["alpha"] == [2]
+
+
+def _doubled(index):
+    """c_index = 1 at r 1, N 2, conjugated by tau(x) = 2x: it sends the seed-0 sample 55/64 out."""
+    inner = {
+        "kind": "identity_generated",
+        "r": 1,
+        "N": 2,
+        "coefficients": [{"index": index, "expr": _const(1, "1")}],
+    }
+    tau = {"rank": 1, "components": [[{"exponent": [1], "coeff": "2"}]]}
+    return {"kind": "conjugated", "r": 1, "N": 2, "tau": tau, "inner": inner}
+
+
+@pytest.mark.parametrize("index", [[1], [2]], ids=["violating", "admissible"])
+def test_map_leaving_the_box_is_input_error_whatever_the_coefficients(capsys, tmp_path, index):
+    # the map is refused before the constraint is checked, so a violating
+    # support exits 2 like an admissible one, with the same line each time
+    path = _family_file(tmp_path, _doubled(index))
+    errors = []
+    for _ in range(2):
+        assert main(["verify-family", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == [
+        "error: bad family descriptor: sample ['55/64'] maps to ['55/32'], outside the box\n"
+    ] * 2
 
 
 def test_overflow_names_the_first_node_evaluated(capsys, tmp_path):

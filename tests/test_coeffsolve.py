@@ -40,7 +40,6 @@ from moment_leibniz.coeffsolve import (
     random_valid_family,
     support_json,
 )
-from moment_leibniz.momentfam import conjugate, make_identity_generated
 
 import _coeff_oracle as oracle
 from _coeff_oracle import decomposition_pairs
@@ -267,8 +266,9 @@ def _box_map(data, rank: int) -> TauMap:
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(0, 2**31 - 1))
 def test_conjugate_constraint_is_the_inner_one_at_the_mapped_samples(data, seed):
-    # a conjugate's coefficients are read at tau(x): where its sample sums
-    # fail, its report is the inner coefficients' over the mapped samples
+    # under a map the coefficients are read at tau(x): where the sample sums
+    # fail, the report is the one over a Domain of the mapped samples, bit for
+    # bit, with each failure naming the sample x
     rank = data.draw(st.integers(1, 2))
     order = data.draw(st.integers(2, 4))
     rng = random.Random(seed)
@@ -287,7 +287,7 @@ def test_conjugate_constraint_is_the_inner_one_at_the_mapped_samples(data, seed)
     # a failure at a sample, so not the grid witness, which is read at x
     images = [y.to_json() for y in mapped.sample_points]
     assume(inner.failures and inner.failures[0]["point"] in images)
-    report = check_constraint(conjugate(make_identity_generated(cf), tau).coeff_family, dom)
+    report = check_constraint(cf, dom, tau)
     assert [(f["alpha"], f["value"]) for f in report.failures] == [
         (f["alpha"], f["value"]) for f in inner.failures
     ]
@@ -295,6 +295,17 @@ def test_conjugate_constraint_is_the_inner_one_at_the_mapped_samples(data, seed)
         f["point"] for f in inner.failures
     ]
     assert report.max_residual == inner.max_residual
+
+
+def test_constraint_refuses_a_map_that_leaves_the_box():
+    # x -> 2x sends the seed-0 sample 55/64 to 55/32; the map is refused before
+    # any coefficient is evaluated: violating, admissible or overflowing
+    dom = Domain.unit(1)
+    double = TauMap((Polynomial.variable(1, 0) * 2,))
+    message = r"^sample \['55/64'\] maps to \['55/32'\], outside the box$"
+    for values in ({(1,): 1}, {(2,): 1}, {(1,): 2**1100}):
+        with pytest.raises(ValueError, match=message):
+            check_constraint(CoeffFamily.from_constants(1, 2, values), dom, double)
 
 
 # ---- forced zeros ----

@@ -27,7 +27,6 @@ from moment_leibniz.funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
-    compose_expr,
     const_expr,
     eval_expr,
     expr_from_json,
@@ -100,6 +99,17 @@ def test_domain_unit_checks_rank_before_drawing(rank):
     with pytest.raises(ValueError) as drawn:
         Domain.unit(rank)
     assert str(drawn.value) == str(built.value) == f"domain rank must be an integer >= 1, got {rank!r}"
+
+
+def test_domain_images_are_the_samples_read_through_the_map():
+    dom = Domain(1, tuple(_pt(Fraction(k, 10)) for k in range(1, 9)))
+    assert dom.images(None) is dom.sample_points
+    halve = TauMap((_x() * Fraction(1, 2),))
+    assert dom.images(halve) == tuple(map(halve, dom.sample_points))
+    # x -> 2x leaves the box first at x = 1/2; the error names that sample and its image
+    with pytest.raises(ValueError) as err:
+        dom.images(TauMap((_x() * 2,)))
+    assert str(err.value) == "sample ['1/2'] maps to ['1'], outside the box"
 
 
 def test_domain_sampling_deterministic():
@@ -497,6 +507,21 @@ def test_power_sign_validation():
         PowerSignMap(negative_p, TauMap.identity(1)).validate(dom)
 
 
+def test_power_sign_exponent_error_wins_over_map_error():
+    # tau(x) = 2x leaves the box from x = 1/2 on, p = 3/4 - x is negative only at 4/5:
+    # every sample's exponent is checked before any image
+    dom = Domain(1, tuple(_pt(Fraction(k, 10)) for k in range(1, 9)))
+    double = TauMap((_x() * 2,))
+    late_p = PolyLeaf(Polynomial.constant(1, Fraction(3, 4)) - _x())
+    with pytest.raises(ValueError, match=r"^exponent not positive at sample \['4/5'\]$"):
+        PowerSignMap(late_p, double).validate(dom)
+    with pytest.raises(ValueError) as shared:
+        dom.images(double)
+    with pytest.raises(ValueError) as err:
+        PowerSignMap(const_expr(1, 1), double).validate(dom)
+    assert str(err.value) == str(shared.value)
+
+
 def test_check_multiplicative_passes():
     rng = random.Random(44)
     dom = Domain.unit(1, n_samples=10, seed=2)
@@ -575,19 +600,3 @@ def test_check_report_json_shape():
     }
     assert data["seed"] == 7
     assert data["details"] == {}
-
-
-@settings(max_examples=40, deadline=None)
-@given(rank=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
-def test_compose_expr_reads_the_tree_at_the_image(rank, seed):
-    # leaves composed exactly: at x the floats are those of the tree at tau(x)
-    rng = random.Random(seed)
-
-    def leaf():
-        return PolyLeaf(random_polynomial(rng, rank, max_degree=2, terms=3))
-
-    power = SignedPower(leaf(), const_expr(rank, 3))
-    tree = Sum((Product((leaf(), XLogAbs(leaf()))), power, leaf()))
-    tau = TauMap(tuple(random_polynomial(rng, rank, max_degree=2, terms=2) for _ in range(rank)))
-    points = Domain.unit(rank, seed=seed).sample_points
-    assert eval_expr(compose_expr(tree, tau), points) == eval_expr(tree, tuple(map(tau, points)))

@@ -309,14 +309,15 @@ def test_identity_generated_randomized():
 
 def test_identity_generated_rejects_bad_coefficients():
     # the descriptor reader keeps the coefficients, plain or conjugated, and
-    # their constraint check fails at the domain samples
+    # their constraint check fails where the family reads them
     dom = Domain.unit(1, seed=9)
     cf = CoeffFamily.from_constants(1, 2, {(1,): 1})
     descriptor = make_identity_generated(cf).descriptor
     tau = _tau_one_minus_x().to_json()
     conjugated = {"kind": "conjugated", "r": 1, "N": 2, "tau": tau, "inner": descriptor}
     for data in (descriptor, conjugated):
-        report = check_constraint(family_from_json(data).coeff_family, dom)
+        family = family_from_json(data)
+        report = check_constraint(family.coeff_family, dom, family.point_map)
         assert not report.passed
         assert {tuple(f["alpha"]) for f in report.failures} == {(2,)}
 
@@ -430,20 +431,17 @@ def test_conjugated_families_verify():
 
 
 def test_conjugates_keep_the_coefficient_family():
-    # only a family over coefficients has one; a conjugate keeps it with
-    # every tree composed with its map, so tau(x) = 1 - x twice gives it back
+    # only a family over coefficients has one; a conjugate, and a conjugate
+    # of a conjugate, keeps the inner object: it reads it at its point map
     tau = _tau_one_minus_x()
-    x, (y,) = Polynomial.variable(1, 0), tau.components
+    x = Polynomial.variable(1, 0)
     cf = CoeffFamily(1, 2, {(1,): PolyLeaf(x), (2,): Product((const_expr(1, 2), PolyLeaf(x * x)))})
     once = conjugate(make_identity_generated(cf), tau)
     double = conjugate(once, tau)
-    assert once.coeff_family.coefficients == {
-        _mi(1): PolyLeaf(y),
-        _mi(2): Product((const_expr(1, 2), PolyLeaf(y * y))),
-    }
-    assert double.coeff_family == cf
+    assert once.coeff_family is cf and double.coeff_family is cf
+    assert once.point_map == tau
     first = make_first_order_leibniz(const_expr(1, 3), 1)
-    assert conjugate(conjugate(first, tau), tau).coeff_family == first.coeff_family
+    assert conjugate(conjugate(first, tau), tau).coeff_family is first.coeff_family
     assert first.coeff_family.order == 1
     assert conjugate(conjugate(make_derivative(1, 2), tau), tau).coeff_family is None
 
@@ -760,3 +758,22 @@ def test_family_descriptor_roundtrip():
     ) == eval_expr(conj.apply(_mi(2), f), (conj.eval_point(x),))
     with pytest.raises(ValueError):
         family_from_json({"kind": "unknown", "r": 1})
+
+
+def test_conjugated_r_must_be_the_inner_dim():
+    # r is checked next to N, in the same shape; a second-order pair's dim is its r
+    tau = TauMap.identity(1).to_json()
+    inner = {"kind": "derivative", "r": 1, "N": 2}
+    data = {"kind": "conjugated", "r": 5, "N": 2, "tau": tau, "inner": inner}
+    with pytest.raises(ValueError, match=r"^conjugated r must be the inner dim 1, got 5$"):
+        family_from_json(data)
+    with pytest.raises(ValueError, match=r"^conjugated r must be the inner dim 1, got True$"):
+        family_from_json({**data, "r": True})
+    assert family_from_json({**data, "r": 1}).descriptor == {**data, "r": 1}
+    zero = const_expr(2, 0)
+    pair = make_second_order_leibniz(zero, [zero, zero], [zero, zero], 2, 2)
+    swap = TauMap.affine([[0, 1], [1, 0]], [0, 0]).to_json()
+    nested = {"kind": "conjugated", "r": 2, "N": 2, "tau": swap, "inner": pair.descriptor}
+    assert family_from_json(nested).dim == 2
+    with pytest.raises(ValueError, match=r"^conjugated r must be the inner dim 2, got 1$"):
+        family_from_json({**nested, "r": 1})
