@@ -61,6 +61,7 @@ from .funcmodel import (
     PolyLeaf,
     TauMap,
     as_polynomial,
+    convolution_column,
     eval_expr,
     expr_from_json,
     is_polynomial,
@@ -167,9 +168,9 @@ def check_constraint(
     products are floating point.  ``funcmodel.judge`` judges each sum
     against 0, so its residual is |sum|, which must be <= the domain
     tolerance; an alpha with no stored pair has the empty sum 0 and is
-    skipped.  Each coefficient is evaluated at all the samples at once,
-    the first time a sum needs it; each sample's products are added with
-    the builtin ``sum`` in split order.  An evaluation error is that of
+    skipped.  Each alpha's pairs are listed where ``convolution_column``
+    sums them; each coefficient is evaluated at all the samples at once,
+    the first time a sum needs it.  An evaluation error is that of
     the first coefficient to fail in the order (alpha, split), beta before
     gamma.  If the samples show no failure, ``_below_band_witness`` may
     still prove one, whose value is the exact sum C(2g, g) c_gamma(x)^2
@@ -180,26 +181,21 @@ def check_constraint(
     points = domain.images(point_map)
     tol = domain.float_tolerance
     alphas = constraint_indices(cf.rank, cf.order)
-    # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
-    pairs = {
-        alpha: [
-            (w, beta, gamma)
-            for w, beta, gamma in convolution_terms(alpha)
-            if beta in cf.coefficients and gamma in cf.coefficients
-        ]
-        for alpha in alphas
-    }
     failures: List[dict] = []
     max_residual = 0.0
     values: Dict[MultiIndex, List[float]] = {}
     for alpha in alphas:
-        for _, beta, gamma in pairs[alpha]:
+        # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
+        pairs = [
+            (w, beta, gamma)
+            for w, beta, gamma in convolution_terms(alpha)
+            if beta in cf.coefficients and gamma in cf.coefficients
+        ]
+        for _, beta, gamma in pairs:
             for idx in (beta, gamma):
                 if idx not in values:
                     values[idx] = eval_expr(cf.coefficients[idx], points)
-        # each point's sum of w * c_beta * c_gamma, added with ``sum`` in split order
-        columns = [[w * u * v for u, v in zip(values[b], values[g])] for w, b, g in pairs[alpha]]
-        for x, value in zip(domain.sample_points, map(sum, zip(*columns))):
+        for x, value in zip(domain.sample_points, convolution_column(values, values, pairs)):
             residual, ok = judge(0.0, value, False, tol)
             max_residual = worse(max_residual, residual)
             if not ok:

@@ -31,7 +31,8 @@ through a point map is evaluated at the samples' images, which
 ``Domain.images`` computes exactly and refuses at the first one outside
 the box; the moment verifier, the coefficient constraint and a
 power-sign map's validation all read their points there.  Every check
-turns an instance lhs = rhs into a residual and a verdict with ``judge``;
+turns an instance lhs = rhs into a residual and a verdict with ``judge``,
+and a sampled convolution sum comes from ``convolution_column``;
 ``witness_float`` writes an exact witness value, such as the constraint's
 below-band sum, as a float, +-inf when it is too large for one.
 """
@@ -74,7 +75,7 @@ Leaves = Dict[Tuple[int, int], Tuple[Polynomial, Points, List[float]]]
 
 
 class FuncExpr:
-    """Base class; concrete nodes implement _eval_points (float values) and _expand.
+    """Base class; nodes implement _eval_points (float values) and, if polynomial, _expand.
 
     There is no exact per-node evaluator: exact values come from _expand.
     ``children`` are the operands of a sum or a product.
@@ -87,7 +88,7 @@ class FuncExpr:
         raise NotImplementedError
 
     def _expand(self) -> Polynomial:
-        raise NotImplementedError
+        raise NotPolynomial("u*ln|u| and sgn(u)|u|^p are not polynomial")
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -253,9 +254,10 @@ def is_polynomial(expr: FuncExpr) -> bool:
 
 
 def as_polynomial(expr: FuncExpr) -> Polynomial:
-    """Symbolic expansion of a log-free tree back to a Polynomial."""
-    if not is_polynomial(expr):
-        raise NotPolynomial("u*ln|u| and sgn(u)|u|^p are not polynomial")
+    """Symbolic expansion of a tree back to a Polynomial, in one walk.
+
+    ``NotPolynomial`` is raised where the walk meets a u*ln|u| or signed-power node.
+    """
     return expr._expand()
 
 
@@ -477,6 +479,12 @@ class CheckReport:
             # kept for the constraint_report bytes pinned in perfbench/golden.json
             "details": {},
         }
+
+
+def convolution_column(left, right, splits) -> List[float]:
+    """Each point's sum of w * left[beta] * right[gamma], by ``sum`` in split order; [] if none."""
+    products = [[w * a * b for a, b in zip(left[beta], right[gamma])] for w, beta, gamma in splits]
+    return list(map(sum, zip(*products)))
 
 
 def judge(lhs, rhs, exact: bool, tol: float) -> Tuple[float, bool]:

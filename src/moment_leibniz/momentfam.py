@@ -49,7 +49,7 @@ When some expression has an f*ln|f| node, nothing of the probe is
 expanded and its instances are sampled: the same expressions are
 tabulated in floats with ``funcmodel.eval_expr``, one pass per
 expression over all the sample points, and each point's convolution
-products are added with the builtin ``sum`` in split order, against the
+products are added by ``funcmodel.convolution_column``, against the
 domain tolerance.  One leaf table serves the whole call, so each
 polynomial leaf (a coefficient, a probe, a product of probes) is turned
 into floats once, however many alphas and probes use it.
@@ -93,6 +93,7 @@ from .funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
+    convolution_column,
     eval_expr,
     expr_from_json,
     grad_dot,
@@ -381,10 +382,7 @@ def verify_moment(
                 rhs_vals = [eval_poly(rhs_poly, y) for y in points]
             else:
                 lhs_vals = vfg[alpha]
-                products = [
-                    [w * a * b for a, b in zip(vf[beta], vg[gamma])] for w, beta, gamma in splits
-                ]
-                rhs_vals = list(map(sum, zip(*products)))
+                rhs_vals = convolution_column(vf, vg, splits)
             instances = list(zip(domain.sample_points, lhs_vals, rhs_vals))
             if exact and all(lhs == rhs for _, lhs, rhs in instances):
                 # unequal polynomials that agree at every mapped sample: unless

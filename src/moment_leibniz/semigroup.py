@@ -15,13 +15,14 @@ case is the classical power-times-exponential recurrence.  Probe pairs
 are drawn uniformly from [-2, 2].  A sequence is a value table over a
 list of points: one column per alpha, in ``enumerate_height_at_most``
 order, holding f_alpha at every point.  The verifier tabulates the x, y
-and x + y of a sweep's probes once, forms each split of each alpha's
-``multiindex.convolution_terms`` as one column of products, adds each
-probe's products with ``math.fsum`` in split order, and judges each
-instance with ``funcmodel.judge``.  A sum that overflows is no verdict:
-its error names the alpha and the first probe whose sum fails, in the
-first alpha whose column fails.  An error of the table itself is passed
-through as it is.
+and x + y of a sweep's probes once; then, alpha by alpha, it builds the
+float-weighted splits of ``multiindex.convolution_terms``, forms each as
+one column of products, adds each probe's products with ``math.fsum``
+in split order, and judges each instance with ``funcmodel.judge``.  A
+table error, such as a power past the float range, passes through
+before any weight is built; then, alpha by alpha, comes a weight too
+large for a float (``OverflowError``) or a sum that overflows, which is
+no verdict: its error names the alpha and its first failing probe.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from .funcmodel import CheckReport, NonFiniteValue, judge, worse
 
 Columns = List[List[float]]
-# each alpha's splits as (weight, position of beta, position of gamma)
-Splits = List[List[Tuple[float, int, int]]]
 
 
 @dataclass
@@ -101,12 +100,7 @@ def verify_moment_seq(
     multiplicativity of f_0.  Failures are listed in (probe, alpha) order.
     """
     alphas = enumerate_height_at_most(seq.rank, seq.order)
-    position = {alpha: i for i, alpha in enumerate(alphas)}
-    splits = [
-        [(float(w), position[b], position[c]) for w, b, c in convolution_terms(alpha)]
-        for alpha in alphas
-    ]
-    lhs, rhs = _sides(seq, probes, alphas, splits)
+    lhs, rhs = _sides(seq, probes, alphas)
     failures: List[dict] = []
     max_residual = 0.0
     for k, ((x, y), lhs_row, rhs_row) in enumerate(zip(probes, zip(*lhs), zip(*rhs))):
@@ -140,18 +134,20 @@ def _sides(
     seq: MomentSeq,
     probes: Sequence[Tuple[float, float]],
     alphas: List[MultiIndex],
-    splits: Splits,
 ) -> Tuple[Columns, Columns]:
     """Each alpha's column of f_alpha(x + y), and of its convolution sums, over the probes.
 
-    A sum that fails raises ``NonFiniteValue`` naming its alpha and its
-    probe, the first of that alpha's column to fail.
+    The tables are built first, and each alpha's splits where they are
+    summed.  A sum that fails raises ``NonFiniteValue`` naming its alpha
+    and its probe, the first of that alpha's column to fail.
     """
     vx = _table(seq, [x for x, _ in probes], len(alphas))
     vy = _table(seq, [y for _, y in probes], len(alphas))
     lhs = _table(seq, [x + y for x, y in probes], len(alphas))
+    position = {alpha: i for i, alpha in enumerate(alphas)}
     rhs: Columns = []
-    for alpha, terms in zip(alphas, splits):
+    for alpha in alphas:
+        terms = [(float(w), position[b], position[c]) for w, b, c in convolution_terms(alpha)]
         # (w * f_beta(x)) * f_gamma(y); 1 * a is a, bit for bit
         products = [
             list(map(operator.mul, vx[i], vy[j]))

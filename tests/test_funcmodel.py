@@ -28,6 +28,7 @@ from moment_leibniz.funcmodel import (
     XLogAbs,
     as_polynomial,
     const_expr,
+    convolution_column,
     eval_expr,
     expr_from_json,
     grad_dot,
@@ -583,6 +584,37 @@ def test_judge_exact_overflow_is_inf():
     # an exact residual too large for a float is inf, and still fails
     assert judge(Fraction(10**400), Fraction(0), True, 0.0) == (math.inf, False)
     assert judge(-(10**400), 10**400, True, 0.0) == (math.inf, False)
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-320]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _convolution_cases(draw):
+    keys = [MultiIndex((k,)) for k in range(draw(st.integers(1, 3)))]
+    width = draw(st.integers(0, 4))
+    column = st.lists(_EDGE_FLOATS, min_size=width, max_size=width)
+    left, right = ({k: draw(column) for k in keys} for _ in range(2))
+    weight = st.one_of(st.integers(1, 20), st.integers(2**53, 2**80))
+    splits = draw(st.lists(st.tuples(weight, st.sampled_from(keys), st.sampled_from(keys))))
+    return left, right, splits, width
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_convolution_cases())
+def test_convolution_column_is_the_pointwise_sum(case):
+    # each point's value is the builtin sum of its split products in split
+    # order, bit for bit, signed zeros, infinities and NaN included
+    left, right, splits, width = case
+    column = convolution_column(left, right, splits)
+    if not splits:
+        assert column == []
+        return
+    expected = [sum(w * left[b][i] * right[g][i] for w, b, g in splits) for i in range(width)]
+    assert struct.pack(f"<{width}d", *column) == struct.pack(f"<{width}d", *expected)
 
 
 def test_check_report_json_shape():

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from moment_leibniz import semigroup
 from moment_leibniz.funcmodel import NonFiniteValue
 from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
 from moment_leibniz.semigroup import (
@@ -187,6 +188,38 @@ def test_sum_error_names_its_alpha_column_and_table_error_passes_through():
     # as the table raised it, however early a sum would fail
     with pytest.raises(OverflowError, match="^no value at 5.0$"):
         verify_moment_seq(seq, [*probes, (5.0, 0.0)])
+
+
+def test_terms_are_built_only_up_to_the_first_error(monkeypatch):
+    # each alpha's terms are built where they are summed: on the fixture
+    # above, a table error comes before any of them, and the sum error at
+    # alpha 1 after those of alphas 0 and 1 only
+    built = []
+
+    def counted(alpha):
+        built.append(tuple(alpha))
+        return convolution_terms(alpha)
+
+    monkeypatch.setattr(semigroup, "convolution_terms", counted)
+
+    def spike(at):
+        return lambda x: math.copysign(math.inf, x) if abs(x) == at else 1.0
+
+    f1, f2 = spike(3.0), spike(7.0)
+
+    def row(x):
+        if x == 5.0:
+            raise OverflowError("no value at 5.0")
+        return [1.0, f1(x), f2(x)]
+
+    seq = MomentSeq(1, 2, _pointwise(3, row))
+    probes = [(7.0, -7.0), (0.5, 0.5), (3.0, -3.0), (-3.0, 3.0)]
+    with pytest.raises(OverflowError, match="^no value at 5.0$"):
+        verify_moment_seq(seq, [*probes, (5.0, 0.0)])
+    assert built == []
+    with pytest.raises(NonFiniteValue, match=r"^convolution of alpha \(1,\) at probe 2 "):
+        verify_moment_seq(seq, probes)
+    assert built == [(0,), (1,)]
 
 
 def test_table_of_the_wrong_length_is_refused():

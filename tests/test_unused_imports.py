@@ -1,5 +1,6 @@
 """No module under src/, tests/ or demos/ imports a name it never uses,
-and no function under src/ takes a parameter it never reads.
+no function under src/ takes a parameter it never reads, and no module
+under src/ defines a name at module level that it never reads.
 
 Every name an ``import`` binds must be read somewhere else in its module,
 as a plain name or as the root of a dotted one, or inside a string
@@ -9,6 +10,12 @@ re-export and are skipped, and so are ``from __future__`` imports.
 Every parameter of a function or lambda under src/ must be read in its
 body, nested functions included.  ``self``, ``cls`` and names starting
 with ``_`` are exempt, and so are stubs whose body only raises.
+
+Every name a module under src/ assigns at module level (a type alias
+such as ``Columns``, a table such as ``_SCALAR_TEXT``) must be read
+somewhere in that module, and so must every module-level ``def`` or
+``class`` whose name starts with ``_``.  Public functions and classes
+are read by other modules and are exempt.
 """
 
 from __future__ import annotations
@@ -106,3 +113,27 @@ def test_no_unused_parameters():
     assert files
     unused = [entry for path in files for entry in _unused_parameters(path)]
     assert unused == []
+
+
+def _unread_module_names(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            defined += [(n.id, node.lineno) for n in names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                defined.append((node.name, node.lineno))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= _annotation_names(tree)
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line} {name}" for name, line in defined if name not in read]
+
+
+def test_no_unread_module_names():
+    files = [path for path in FILES if path.is_relative_to(ROOT / "src")]
+    assert files
+    unread = [entry for path in files for entry in _unread_module_names(path)]
+    assert unread == []
