@@ -58,6 +58,7 @@ from .funcmodel import (
     CheckReport,
     Domain,
     FuncExpr,
+    Leaves,
     PolyLeaf,
     TauMap,
     as_polynomial,
@@ -66,6 +67,7 @@ from .funcmodel import (
     expr_from_json,
     is_polynomial,
     judge,
+    judge_column,
     witness_float,
     worse,
 )
@@ -165,16 +167,18 @@ def check_constraint(
     refuses a map that sends a sample outside the box (ValueError) before
     anything is evaluated; a failure names the sample x.  Binomial
     weights are exact integers; only the coefficient values and final
-    products are floating point.  ``funcmodel.judge`` judges each sum
-    against 0, so its residual is |sum|, which must be <= the domain
-    tolerance; an alpha with no stored pair has the empty sum 0 and is
-    skipped.  Each alpha's pairs are listed where ``convolution_column``
-    sums them; each coefficient is evaluated at all the samples at once,
-    the first time a sum needs it.  An evaluation error is that of
-    the first coefficient to fail in the order (alpha, split), beta before
-    gamma.  If the samples show no failure, ``_below_band_witness`` may
-    still prove one, whose value is the exact sum C(2g, g) c_gamma(x)^2
-    as ``witness_float`` writes it, c_gamma composed with the map.
+    products are floating point.  ``funcmodel.judge_column`` judges each
+    alpha's column of sums against 0, so a residual is |sum|, which must
+    be <= the domain tolerance; an alpha with no stored pair has the empty
+    sum 0 and is skipped.  Each alpha's pairs are listed where
+    ``convolution_column`` sums them; each coefficient is evaluated at all
+    the samples at once, the first time a sum needs it, and all of them
+    from one leaf table, which keeps the images' power columns.  An
+    evaluation error is that of the first coefficient to fail in the
+    order (alpha, split), beta before gamma.  If the samples show no
+    failure, ``_below_band_witness`` may still prove one, whose value is
+    the exact sum C(2g, g) c_gamma(x)^2 as ``witness_float`` writes it,
+    c_gamma composed with the map.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
@@ -183,6 +187,8 @@ def check_constraint(
     alphas = constraint_indices(cf.rank, cf.order)
     failures: List[dict] = []
     max_residual = 0.0
+    zeros = [0.0] * len(points)
+    leaves: Leaves = {}
     values: Dict[MultiIndex, List[float]] = {}
     for alpha in alphas:
         # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
@@ -194,12 +200,13 @@ def check_constraint(
         for _, beta, gamma in pairs:
             for idx in (beta, gamma):
                 if idx not in values:
-                    values[idx] = eval_expr(cf.coefficients[idx], points)
-        for x, value in zip(domain.sample_points, convolution_column(values, values, pairs)):
-            residual, ok = judge(0.0, value, False, tol)
-            max_residual = worse(max_residual, residual)
-            if not ok:
-                failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
+                    values[idx] = eval_expr(cf.coefficients[idx], points, leaves)
+        sums = convolution_column(values, values, pairs)
+        _, worst, failing = judge_column(zeros, sums, tol)
+        max_residual = worse(max_residual, worst)
+        for i in failing:
+            x = domain.sample_points[i]
+            failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": sums[i]})
     witness = None if failures else _below_band_witness(cf, point_map)
     if witness is not None:
         gamma, c, x = witness

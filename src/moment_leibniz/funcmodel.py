@@ -20,7 +20,9 @@ the point.  Polynomial leaves are memoized per call: a ``Leaves``
 table, made by the caller and dropped when it returns, holds a leaf's
 values over a point tuple the first time a node needs them, so a
 verifier that evaluates many trees over the same points converts each
-exact leaf value to floats once.  A tree
+exact leaf value to floats once.  The same table holds each point
+tuple's power and monomial columns for ``polycalc.eval_poly_ratios``,
+so every leaf of the call builds its exact values from them.  A tree
 without a t*ln|t| or signed-power node (``is_polynomial``) expands back
 to a ``Polynomial``; its exact values are the expansion evaluated at the
 point, and the exact verifiers compare the expansions themselves.
@@ -28,21 +30,26 @@ point, and the exact verifiers compare the expansions themselves.
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
 seeded rational sample points and the float tolerance.  A family read
 through a point map is evaluated at the samples' images, which
-``Domain.images`` computes exactly and refuses at the first one outside
-the box; the moment verifier, the coefficient constraint and a
-power-sign map's validation all read their points there.  Every check
-turns an instance lhs = rhs into a residual and a verdict with ``judge``,
-and a sampled convolution sum comes from ``convolution_column``;
+``Domain.images`` computes exactly, one map component over all the
+samples at a time, and refuses at the first one outside the box; a
+domain keeps the images of each map it has read, so the moment
+verifier, the coefficient constraint and a power-sign map's validation
+all read the same points there.  Every check turns an instance
+lhs = rhs into a residual and a verdict with ``judge``, or a column of
+float instances at a time with ``judge_column``, whose rule ``judge``
+applies to a float instance as a column of one; a sampled convolution
+sum comes from ``convolution_column``;
 ``witness_float`` writes an exact witness value, such as the constraint's
 below-band sum, as a float, +-inf when it is too large for one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,6 +61,7 @@ from .polycalc import (
     dalpha,
     eval_poly,
     eval_poly_ratios,
+    eval_poly_values,
 )
 
 
@@ -66,9 +74,11 @@ class NotPolynomial(ValueError):
 
 
 Points = Tuple[RationalPoint, ...]
-# (id(poly), id(points)) -> (poly, points, float values).  The entry keeps the
-# polynomial and the point tuple alive, so neither id is reused while the table is.
-Leaves = Dict[Tuple[int, int], Tuple[Polynomial, Points, List[float]]]
+# (id(poly), id(points)) -> (poly, points, float values), and id(points) -> the
+# power and monomial columns that ``polycalc.eval_poly_ratios`` keeps for the
+# point tuple.  Each entry keeps alive the objects whose ids key it, so no id is
+# reused while the table is.
+Leaves = Dict[object, object]
 
 
 # ---- expression nodes ----
@@ -109,7 +119,7 @@ class PolyLeaf(FuncExpr):
         if hit is not None:
             return hit[2]
         try:  # correctly rounded: a finite float or an OverflowError
-            values = [n / d for n, d in eval_poly_ratios(self.poly, points)]
+            values = [n / d for n, d in eval_poly_ratios(self.poly, points, leaves)]
         except OverflowError as exc:
             raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
         leaves[key] = (self.poly, points, values)
@@ -345,6 +355,8 @@ class Domain:
     rank: int
     sample_points: tuple[RationalPoint, ...]
     float_tolerance: float = 1e-9
+    # id(point map) -> (point map, images), filled by ``images``
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_rank(self.rank)
@@ -366,14 +378,24 @@ class Domain:
     def images(self, point_map: Optional[TauMap]) -> Points:
         """The samples read through ``point_map``: themselves when there is no map.
 
-        Raises ValueError at the first image outside the box.
+        Each map component is evaluated at all the samples in one
+        ``eval_poly_values`` call, over one table.  Raises ValueError at the
+        first image outside the box.  The images of a map are computed once
+        per domain, so the checks of one family read the same tuple.
         """
         if point_map is None:
             return self.sample_points
-        images = tuple(map(point_map, self.sample_points))
+        hit = self._images.get(id(point_map))
+        if hit is not None:
+            return hit[1]
+        table: dict = {}
+        columns = [eval_poly_values(p, self.sample_points, table) for p in point_map.components]
+        images = tuple(map(RationalPoint, zip(*columns)))
         for x, y in zip(self.sample_points, images):
             if not self.contains(y):
                 raise ValueError(f"sample {x.to_json()} maps to {y.to_json()}, outside the box")
+        # the entry keeps the map alive, so its id is not reused
+        self._images[id(point_map)] = (point_map, images)
         return images
 
     @classmethod
@@ -492,13 +514,35 @@ def judge(lhs, rhs, exact: bool, tol: float) -> Tuple[float, bool]:
 
     Exact instances compare rational values: the residual is |lhs - rhs|,
     or inf when it is too large for a float, and only equality passes.
-    Float instances use the relative residual |lhs - rhs| / (1 + |lhs|)
-    and pass when it is <= tol, so a NaN residual fails.
+    Float instances are a column of one for ``judge_column``.
     """
     if exact:
         return witness_float(abs(lhs - rhs)), lhs == rhs
-    r = abs(lhs - rhs) / (1.0 + abs(lhs))
-    return r, r <= tol
+    residuals, _, failing = judge_column((lhs,), (rhs,), tol)
+    return residuals[0], not failing
+
+
+def judge_column(lhs, rhs, tol: float) -> Tuple[List[float], float, List[int]]:
+    """The residuals of float instances lhs[i] = rhs[i], the worst one and the failing positions.
+
+    The residual is the relative |lhs - rhs| / (1 + |lhs|), and an instance
+    passes when it is <= tol, so a NaN residual fails.  The worst is what
+    ``worse`` folds from 0.0 over the column: NaN if any residual is NaN
+    (the last one), else the largest, and 0.0 for an empty column.
+    """
+    # |a - b| / (1.0 + |a|), operation by operation over the column
+    residuals = list(
+        map(
+            operator.truediv,
+            map(abs, map(operator.sub, lhs, rhs)),
+            map(operator.add, itertools.repeat(1.0), map(abs, lhs)),
+        )
+    )
+    passing = map(operator.le, residuals, itertools.repeat(tol))
+    failing = list(itertools.compress(itertools.count(), map(operator.not_, passing)))
+    nans = [residuals[i] for i in failing if math.isnan(residuals[i])]
+    worst = nans[-1] if nans else max(residuals, default=0.0)
+    return residuals, worst, failing
 
 
 def witness_float(value) -> float:

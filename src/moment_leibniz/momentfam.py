@@ -38,12 +38,12 @@ against ``polycalc.convolution_sum`` over ``convolution_terms(alpha)``.
 Equal polynomials agree at every point, and so at every image under the
 conjugating maps, so the instance passes with residual 0.0 and nothing
 is evaluated.  Only unequal ones are evaluated at the mapped sample
-points, where they must agree exactly; Fractions are canonical, so these
-values are the pointwise convolution sums, and the witnesses are the
-ones a pointwise loop finds.  If they agree at every sample, the
-difference composed with the point map decides: a nonzero one fails
-once, at ``polycalc.nonzero_grid_point`` of that composition, and a zero
-one (a map that is not injective) passes.
+points, one column per side, where they must agree exactly; Fractions
+are canonical, so these values are the pointwise convolution sums, and
+the witnesses are the ones a pointwise loop finds.  If they agree at
+every sample, the difference composed with the point map decides: a
+nonzero one fails once, at ``polycalc.nonzero_grid_point`` of that
+composition, and a zero one (a map that is not injective) passes.
 
 When some expression has an f*ln|f| node, nothing of the probe is
 expanded and its instances are sampled: the same expressions are
@@ -52,9 +52,11 @@ expression over all the sample points, and each point's convolution
 products are added by ``funcmodel.convolution_column``, against the
 domain tolerance.  One leaf table serves the whole call, so each
 polynomial leaf (a coefficient, a probe, a product of probes) is turned
-into floats once, however many alphas and probes use it.
-``funcmodel.judge`` turns each evaluated instance into a residual and a
-verdict.
+into floats once, however many alphas and probes use it, and every leaf
+is evaluated from the one set of power and monomial columns of the
+points that the table keeps.  ``funcmodel.judge_column`` turns each
+alpha's column of sampled instances into residuals and verdicts, and
+``funcmodel.judge`` each exact instance.
 
 The collapse lemma needs no verifier of its own.  For a family with
 T_0 = 1, the alpha instance at the probe pair (0, f) reads
@@ -67,6 +69,7 @@ as a proof in Q[x] whenever its operators expand.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +81,7 @@ from .polycalc import (
     convolution_sum,
     dalpha,
     eval_poly,
+    eval_poly_values,
     nonzero_grid_point,
     random_polynomial,
 )
@@ -100,6 +104,7 @@ from .funcmodel import (
     hess_quad,
     is_polynomial,
     judge,
+    judge_column,
     witness_float,
     worse,
 )
@@ -372,45 +377,49 @@ def verify_moment(
             sampled = True
         for alpha, splits in terms.items():
             if exact:
-                lhs_poly = tfg[alpha]
-                rhs_poly = convolution_sum(tf, tg, splits)
+                lhs_poly, rhs_poly = tfg[alpha], convolution_sum(tf, tg, splits)
                 if lhs_poly == rhs_poly:
                     continue
                 # only a witness needs values: Fractions are canonical, so
                 # these equal the pointwise convolution sums
-                lhs_vals = [eval_poly(lhs_poly, y) for y in points]
-                rhs_vals = [eval_poly(rhs_poly, y) for y in points]
+                xs = list(domain.sample_points)
+                lhs_vals = eval_poly_values(lhs_poly, points, leaves)
+                rhs_vals = eval_poly_values(rhs_poly, points, leaves)
+                if lhs_vals == rhs_vals:
+                    # unequal polynomials that agree at every mapped sample: unless
+                    # their difference composed with the map is zero, it fails at
+                    # the first grid point where that composition is nonzero
+                    diff = lhs_poly - rhs_poly
+                    if family.point_map is not None:
+                        diff = compose(diff, family.point_map.components)
+                    if diff:
+                        x = nonzero_grid_point(diff)
+                        y = family.eval_point(x)
+                        xs.append(x)
+                        lhs_vals.append(eval_poly(lhs_poly, y))
+                        rhs_vals.append(eval_poly(rhs_poly, y))
+                judged = [judge(lhs, rhs, True, tol) for lhs, rhs in zip(lhs_vals, rhs_vals)]
+                residuals = [residual for residual, _ in judged]
+                worst = functools.reduce(worse, residuals, 0.0)
+                failing = [i for i, (_, ok) in enumerate(judged) if not ok]
             else:
-                lhs_vals = vfg[alpha]
+                xs, lhs_vals = domain.sample_points, vfg[alpha]
                 rhs_vals = convolution_column(vf, vg, splits)
-            instances = list(zip(domain.sample_points, lhs_vals, rhs_vals))
-            if exact and all(lhs == rhs for _, lhs, rhs in instances):
-                # unequal polynomials that agree at every mapped sample: unless
-                # their difference composed with the map is zero, it fails at
-                # the first grid point where that composition is nonzero
-                diff = lhs_poly - rhs_poly
-                if family.point_map is not None:
-                    diff = compose(diff, family.point_map.components)
-                if diff:
-                    x = nonzero_grid_point(diff)
-                    y = family.eval_point(x)
-                    instances.append((x, eval_poly(lhs_poly, y), eval_poly(rhs_poly, y)))
+                residuals, worst, failing = judge_column(lhs_vals, rhs_vals, tol)
             key = _alpha_key(alpha)
-            for x, lhs, rhs in instances:
-                residual, ok = judge(lhs, rhs, exact, tol)
-                per_alpha[key] = worse(per_alpha[key], residual)
-                max_residual = worse(max_residual, residual)
-                if not ok:
-                    failures.append(
-                        {
-                            "alpha": alpha.to_json(),
-                            "probe": k,
-                            "point": x.to_json(),
-                            "lhs": witness_float(lhs),
-                            "rhs": witness_float(rhs),
-                            "residual": residual,
-                        }
-                    )
+            per_alpha[key] = worse(per_alpha[key], worst)
+            max_residual = worse(max_residual, worst)
+            for i in failing:
+                failures.append(
+                    {
+                        "alpha": alpha.to_json(),
+                        "probe": k,
+                        "point": xs[i].to_json(),
+                        "lhs": witness_float(lhs_vals[i]),
+                        "rhs": witness_float(rhs_vals[i]),
+                        "residual": residuals[i],
+                    }
+                )
     return MomentReport(
         family=family.descriptor,
         probe_count=len(probes),

@@ -45,11 +45,18 @@ tables never leave ``check_leibniz_all``: it returns failing indices
 only, and every public function returns ``Fraction`` coefficients.
 
 ``eval_poly_ratios`` sums integer numerators over one common denominator
-per point, the lcm of the coefficient denominators times
-prod_i d_i^maxdeg_i for the point's coordinates n_i/d_i.  ``eval_poly``
-makes that pair one ``Fraction``, the same number as a term-by-term
-Fraction sum; the float evaluator divides it as ints, which is correctly
-rounded, so it equals ``float(Fraction(...))``, ``OverflowError`` included.
+per point, the lcm of the coefficient denominators times prod_i d_i^K
+for the point's coordinates n_i/d_i and K the polynomial's largest
+exponent.  It works by columns: each term adds its monomial's column
+over the whole point tuple, and the power and monomial columns of a
+tuple live in a table that the caller may share across polynomials
+(``funcmodel``'s per-call leaf table), so the probes and coefficients of
+one check build each of them once.  ``eval_poly_values`` makes each
+pair one ``Fraction``, and ``eval_poly`` computes the same number at a
+single point in scalars, with no table; both equal a term-by-term
+Fraction sum.  The float evaluator divides a pair as ints, which is
+correctly rounded whatever the pair that names the rational, so it
+equals ``float(Fraction(...))``, ``OverflowError`` included.
 
 ``compose`` substitutes polynomials for the variables exactly, and
 ``nonzero_grid_point`` names a point of the open unit box where a nonzero
@@ -64,7 +71,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .multiindex import (
     DimensionMismatch,
@@ -320,39 +327,110 @@ def dalpha(f: Polynomial, alpha: MultiIndex) -> Polynomial:
 
 
 def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
-    """Exact evaluation of f at a rational point."""
-    return Fraction(*eval_poly_ratios(f, (x,))[0])
+    """Exact evaluation of f at a rational point.
+
+    ``eval_poly_ratios``' sum at one point, in scalars and with no table:
+    with M_i the largest exponent of x_i in f, each term's numerator is
+    (c * L) * prod_i n_i^e_i d_i^(M_i - e_i) over L * prod_i d_i^M_i.
+    """
+    if len(x) != f.dim:
+        raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
+    lcm, terms = _cleared_terms(f)
+    den, tables = lcm, []
+    for i, xi in enumerate(x):
+        top = max([e[i] for e in terms], default=0)
+        n, d = xi.numerator, xi.denominator
+        # tables[i][e] = n_i^e * d_i^(M_i - e)
+        tables.append([n**e * d ** (top - e) for e in range(top + 1)])
+        den *= d**top
+    total = 0
+    for exp, term in terms.items():
+        for table, e in zip(tables, exp):
+            term *= table[e]
+        total += term
+    return Fraction(total, den)
 
 
-def eval_poly_ratios(f: Polynomial, points: Sequence[RationalPoint]) -> List[Tuple[int, int]]:
+def eval_poly_values(
+    f: Polynomial, points: Sequence[RationalPoint], table: Optional[dict] = None
+) -> List[Fraction]:
+    """Exact evaluation of f at each point: ``eval_poly_ratios``' pairs as Fractions."""
+    return [Fraction(n, d) for n, d in eval_poly_ratios(f, points, table)]
+
+
+def eval_poly_ratios(
+    f: Polynomial, points: Sequence[RationalPoint], table: Optional[dict] = None
+) -> List[Tuple[int, int]]:
     """f at each point as an unreduced (numerator, denominator) pair of ints.
 
-    With x_i = n_i/d_i, M_i the largest exponent of x_i in f and L the
-    lcm of the coefficient denominators, every term c * x^e equals
-    (c * L) * prod_i n_i^e_i d_i^(M_i - e_i) over the common denominator
-    L * prod_i d_i^M_i, so the sum is one integer over that denominator.
-    The denominators are cleared once; the power tables are per point.
+    With x_i = n_i/d_i, K the largest exponent in f and L the lcm of the
+    coefficient denominators, every term c * x^e equals
+    (c * L) * prod_i n_i^e_i d_i^(K - e_i) over the common denominator
+    L * prod_i d_i^K, so the sum is one integer over that denominator.
+    The denominators are cleared once and the sum runs term by term over
+    the whole point tuple.  Each term's column of prod_i n_i^e_i
+    d_i^(K - e_i) comes from ``table``, a plain dict that keeps, under
+    ``id(points)``, the tuple's power columns and the monomial columns
+    built from them, so every polynomial evaluated at the same tuple with
+    the same table shares them; without one, the call gets a fresh table.
     """
     for x in points:
         if len(x) != f.dim:
             raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
+    if not (f.terms and points):
+        return [(0, 1)] * len(points)
     lcm, terms = _cleared_terms(f)
-    tops = [max((e[i] for e in terms), default=0) for i in range(f.dim)]
-    out = []
-    for x in points:
-        # tables[i][e] = n_i^e * d_i^(M_i - e)
-        den, tables = lcm, []
-        for xi, top in zip(x, tops):
-            n, d = xi.numerator, xi.denominator
-            tables.append([n**e * d ** (top - e) for e in range(top + 1)])
-            den *= d**top
-        total = 0
-        for exp, term in terms.items():
-            for table, e in zip(tables, exp):
-                term *= table[e]
-            total += term
-        out.append((total, den))
-    return out
+    top = max(map(max, terms))
+    if table is None:
+        table = {}
+    powers = table.get(id(points))
+    if powers is None:
+        powers = table[id(points)] = _PointPowers(points)
+    monomial = powers.monomial
+    columns = [monomial(e, top) for e in terms]
+    coeffs = list(terms.values())
+    totals = [sum(map(operator.mul, coeffs, row)) for row in zip(*columns)]
+    # the zero exponent's column is prod_i d_i^K
+    dens = monomial((0,) * f.dim, top)
+    return list(zip(totals, dens if lcm == 1 else [lcm * d for d in dens]))
+
+
+class _PointPowers:
+    """The power and monomial columns of one point tuple, for ``eval_poly_ratios``.
+
+    ``nums[i][e]`` and ``dens[i][e]`` are the columns of n_i^e and d_i^e,
+    each built once, from the one below, the first time an exponent needs
+    it.  ``monomial(e, K)`` is the column of prod_i n_i^e_i d_i^(K - e_i),
+    built once per (e, K).  The entry keeps ``points`` alive, so the id
+    that keys it is not reused.
+    """
+
+    __slots__ = ("points", "nums", "dens", "monomials")
+
+    def __init__(self, points: Sequence[RationalPoint]) -> None:
+        self.points = points
+        ones, coordinates = [1] * len(points), list(zip(*points))
+        self.nums = [[ones, [c.numerator for c in column]] for column in coordinates]
+        self.dens = [[ones, [c.denominator for c in column]] for column in coordinates]
+        self.monomials: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
+
+    def monomial(self, e: Tuple[int, ...], top: int) -> List[int]:
+        key = (e, top)
+        column = self.monomials.get(key)
+        if column is None:
+            for num, den, k in zip(self.nums, self.dens, e):
+                part = map(operator.mul, _power(num, k), _power(den, top - k))
+                column = list(part) if column is None else list(map(operator.mul, column, part))
+            self.monomials[key] = column
+        return column
+
+
+def _power(columns: List[List[int]], e: int) -> List[int]:
+    """columns[e], appending the powers up to it: columns holds base^0, base^1, ..."""
+    base = columns[1]
+    while len(columns) <= e:
+        columns.append(list(map(operator.mul, columns[-1], base)))
+    return columns[e]
 
 
 def nonzero_grid_point(f: Polynomial) -> RationalPoint:

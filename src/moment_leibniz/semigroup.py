@@ -17,12 +17,14 @@ list of points: one column per alpha, in ``enumerate_height_at_most``
 order, holding f_alpha at every point.  The verifier tabulates the x, y
 and x + y of a sweep's probes once; then, alpha by alpha, it builds the
 float-weighted splits of ``multiindex.convolution_terms``, forms each as
-one column of products, adds each probe's products with ``math.fsum``
-in split order, and judges each instance with ``funcmodel.judge``.  A
-table error, such as a power past the float range, passes through
-before any weight is built; then, alpha by alpha, comes a weight too
-large for a float (``OverflowError``) or a sum that overflows, which is
-no verdict: its error names the alpha and its first failing probe.
+one column of products and adds each probe's products with ``math.fsum``
+in split order.  Each alpha's column of instances is then judged at
+once with ``funcmodel.judge_column``, and the failures of all alphas
+are listed in (probe, alpha) order.  A table error, such as a power
+past the float range, passes through before any weight is built; then,
+alpha by alpha, comes a weight too large for a float (``OverflowError``)
+or a sum that overflows, which is no verdict: its error names the alpha
+and its first failing probe.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
-from .funcmodel import CheckReport, NonFiniteValue, judge, worse
+from .funcmodel import CheckReport, NonFiniteValue, judge_column, worse
 
 Columns = List[List[float]]
 
@@ -95,30 +97,33 @@ def verify_moment_seq(
 ) -> CheckReport:
     """Check the convolution identity on probe pairs of reals.
 
-    Residuals follow ``funcmodel.judge``: |lhs - rhs| / (1 + |lhs|),
-    passing when <= tol, so NaN fails; the alpha = 0 row is plain
-    multiplicativity of f_0.  Failures are listed in (probe, alpha) order.
+    Residuals follow ``funcmodel.judge_column``, one alpha's column of
+    probes at a time: |lhs - rhs| / (1 + |lhs|), passing when <= tol, so
+    NaN fails; the alpha = 0 row is plain multiplicativity of f_0.
+    Failures are listed in (probe, alpha) order.
     """
     alphas = enumerate_height_at_most(seq.rank, seq.order)
     lhs, rhs = _sides(seq, probes, alphas)
     failures: List[dict] = []
     max_residual = 0.0
-    for k, ((x, y), lhs_row, rhs_row) in enumerate(zip(probes, zip(*lhs), zip(*rhs))):
-        for alpha, left, right in zip(alphas, lhs_row, rhs_row):
-            residual, ok = judge(left, right, False, tol)
-            max_residual = worse(max_residual, residual)
-            if not ok:
-                failures.append(
-                    {
-                        "alpha": alpha.to_json(),
-                        "probe": k,
-                        "x": x,
-                        "y": y,
-                        "lhs": left,
-                        "rhs": right,
-                        "residual": residual,
-                    }
-                )
+    for alpha, left, right in zip(alphas, lhs, rhs):
+        residuals, worst, failing = judge_column(left, right, tol)
+        max_residual = worse(max_residual, worst)
+        for k in failing:
+            x, y = probes[k]
+            failures.append(
+                {
+                    "alpha": alpha.to_json(),
+                    "probe": k,
+                    "x": x,
+                    "y": y,
+                    "lhs": left[k],
+                    "rhs": right[k],
+                    "residual": residuals[k],
+                }
+            )
+    # listed alpha by alpha: a stable sort by probe gives the (probe, alpha) order
+    failures.sort(key=operator.itemgetter("probe"))
     return CheckReport(
         check="moment_sequence",
         passed=not failures,

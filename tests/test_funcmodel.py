@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import struct
@@ -13,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moment_leibniz.multiindex import DimensionMismatch, MultiIndex
-from moment_leibniz.polycalc import Polynomial, RationalPoint, eval_poly, random_polynomial
+from moment_leibniz.polycalc import (
+    Polynomial,
+    RationalPoint,
+    eval_poly,
+    eval_poly_ratios,
+    eval_poly_values,
+    random_polynomial,
+)
 from moment_leibniz.funcmodel import (
     CheckReport,
     Domain,
@@ -35,6 +43,7 @@ from moment_leibniz.funcmodel import (
     hess_quad,
     is_polynomial,
     judge,
+    judge_column,
     worse,
 )
 from moment_leibniz.momentfam import (
@@ -414,6 +423,97 @@ def test_batched_eval_matches_point_by_point(case):
     leaves = {}
     assert _outcome(lambda: eval_expr(expr, points, leaves)) == outcome
     assert _outcome(lambda: eval_expr(expr, points, leaves)) == outcome
+
+
+@st.composite
+def _leaves_of_rising_degree(draw):
+    """Polynomials of rising degree on one point tuple: samples k/64, or their
+    images under an affine map with mixed denominators."""
+    r = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(1, 63), st.just(64))
+    points = draw(st.lists(st.builds(RationalPoint, st.tuples(*[coord] * r)), max_size=6))
+    if draw(st.booleans()):
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+        row = st.lists(entry, min_size=r + 1, max_size=r + 1)
+        matrix = draw(st.lists(row, min_size=r, max_size=r))
+        points = [
+            RationalPoint(row[r] + sum(a * c for a, c in zip(row, x)) for row in matrix)
+            for x in points
+        ]
+    polys = []
+    for top in sorted(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))):
+        exponent = st.tuples(*[st.integers(0, top)] * r)
+        polys.append(Polynomial(r, draw(st.lists(st.tuples(exponent, _COEFFS), max_size=5))))
+    return polys, tuple(points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_leaves_of_rising_degree())
+def test_column_evaluation_with_one_table_matches_point_by_point_fractions(case):
+    # every pair is the term-by-term Fraction value, and its int division is
+    # float() of that value, bit for bit, or the same OverflowError; one table
+    # serves every polynomial, each of a higher degree than the last, and
+    # a leaf whose value overflows names itself as it does point by point
+    polys, points = case
+    table, leaves = {}, {}
+    for f in polys:
+        exact = [_naive_value(f, x) for x in points]
+        ratios = eval_poly_ratios(f, points, table)
+        assert [Fraction(n, d) for n, d in ratios] == exact
+        assert eval_poly_values(f, points, table) == exact == [eval_poly(f, x) for x in points]
+        assert eval_poly_ratios(f, points) == ratios
+        for (n, d), value in zip(ratios, exact):
+            assert _float_outcome(lambda: n / d) == _float_outcome(lambda: float(value))
+        leaf = PolyLeaf(f)
+        expected = _outcome(lambda: [_value_at(leaf, x) for x in points])
+        assert _outcome(lambda: eval_expr(leaf, points, leaves)) == expected
+
+
+def _naive_value(f: Polynomial, x: RationalPoint) -> Fraction:
+    return sum(
+        (c * math.prod(xi**e for xi, e in zip(x, exp)) for exp, c in f.terms.items()),
+        Fraction(0),
+    )
+
+
+def _float_outcome(divide):
+    try:
+        return struct.pack("<d", divide())
+    except OverflowError:
+        return "overflow"
+
+
+@st.composite
+def _judged_columns(draw):
+    pairs = draw(st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), max_size=8))
+    # a tolerance that some residual meets exactly, or an edge value
+    exact = [abs(a - b) / (1.0 + abs(a)) for a, b in pairs]
+    tol = draw(st.sampled_from([x for x in exact if not math.isnan(x)] + [0.0, 1e-9, math.inf]))
+    return [a for a, _ in pairs], [b for _, b in pairs], tol
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_judged_columns())
+@example(([1.0, math.inf, 2.0, -math.inf], [1.0, math.inf, 2.0, 0.0], 0.0))
+@example(([-0.0, 3.0], [0.0, 3.5], 0.125))
+def test_judge_column_is_the_judge_and_worse_fold(case):
+    # the residual is the one rule, judged as judge judges each instance;
+    # the worst is worse folded over the column from 0.0, a NaN as the last
+    # NaN, and any running value folds the column alike; failing positions
+    # are those judge fails, in order
+    lhs, rhs, tol = case
+    residuals, worst, failing = judge_column(lhs, rhs, tol)
+    judged = [judge(a, b, False, tol) for a, b in zip(lhs, rhs)]
+    assert _bits(residuals) == _bits([r for r, _ in judged])
+    assert _bits(residuals) == _bits([abs(a - b) / (1.0 + abs(a)) for a, b in zip(lhs, rhs)])
+    assert failing == [i for i, (_, ok) in enumerate(judged) if not ok]
+    for start in (0.0, 0.5, math.inf, math.nan):
+        folded = functools.reduce(worse, residuals, start)
+        assert _bits([worse(start, worst)]) == _bits([folded])
 
 
 def _kinds(data: dict) -> set:

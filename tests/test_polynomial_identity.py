@@ -248,19 +248,25 @@ def test_check_second_order_matches_pointwise_oracle(variant, rank, seed):
 
 def _count_point_evaluations(monkeypatch):
     """Record every polynomial evaluation as its (polynomial, point), one entry
-    per point of each ``eval_poly_ratios`` call (``eval_poly`` goes through it),
-    wherever the package looks it up; the list keeps both alive, so their ids
+    per point of each ``eval_poly_ratios`` call and one per ``eval_poly`` call,
+    wherever the package looks them up; the list keeps both alive, so their ids
     stay unique."""
     calls = []
-    real = polycalc.eval_poly_ratios
+    real_ratios, real_eval = polycalc.eval_poly_ratios, polycalc.eval_poly
 
-    def counting(f, points):
+    def counting(f, points, *table):
         calls.extend((f, x) for x in points)
-        return real(f, points)
+        return real_ratios(f, points, *table)
+
+    def counting_one(f, x):
+        calls.append((f, x))
+        return real_eval(f, x)
 
     for module in (polycalc, funcmodel, momentfam):
         if hasattr(module, "eval_poly_ratios"):
             monkeypatch.setattr(module, "eval_poly_ratios", counting)
+        if hasattr(module, "eval_poly"):
+            monkeypatch.setattr(module, "eval_poly", counting_one)
     return calls
 
 
@@ -299,6 +305,59 @@ def test_float_verifiers_evaluate_each_leaf_once_per_point(monkeypatch):
     calls.clear()
     assert not check_constraint(CoeffFamily(2, 3, below), dom).passed
     assert calls and _evaluated_twice(calls) == []
+
+
+def test_one_call_builds_each_point_tuples_power_columns_once(monkeypatch):
+    # every polynomial a call evaluates at one point tuple reads one table of
+    # its power columns: the samples, where the map components are evaluated,
+    # and their images, where the coefficients and the probes are
+    built = []
+
+    class Counted(polycalc._PointPowers):
+        __slots__ = ()
+
+        def __init__(self, points):
+            built.append(self)
+            super().__init__(points)
+
+    monkeypatch.setattr(polycalc, "_PointPowers", Counted)
+    calls = _count_point_evaluations(monkeypatch)
+    dom = Domain.unit(2, seed=7)
+    rng = random.Random(7)
+    cf, _ = random_valid_family(2, 3, band(2, 3), seed=7)
+    tau = _affine_tau(rng, 2)
+    pairs = default_probe_pairs(dom, 8, rng)
+    # c_(1,0) sits in the (2,0), (2,1) and (3,0) sums, so the constraint evaluates
+    below = dict(cf.coefficients)
+    below[MultiIndex((1, 0))] = PolyLeaf(random_polynomial(rng, 2, 2, 3))
+    family = conjugate(make_identity_generated(cf), tau)
+    # a fresh domain for each check, which therefore maps its samples itself
+    for check, passed in (
+        (lambda: verify_moment(family, pairs, Domain.unit(2, seed=7)), True),
+        (lambda: check_constraint(CoeffFamily(2, 3, below), Domain.unit(2, seed=7), tau), False),
+    ):
+        built.clear()
+        calls.clear()
+        assert check().passed is passed
+        tuples = Counter(id(table.points) for table in built)
+        assert len(tuples) == len(built) == 2
+        # many polynomials, one table of power columns per point tuple
+        assert len({id(f) for f, _ in calls}) > len(built)
+
+
+def test_a_family_and_its_constraint_map_the_samples_once(monkeypatch):
+    # check_constraint and verify_moment on one domain read the same images
+    dom = Domain.unit(2, seed=8)
+    rng = random.Random(8)
+    cf, _ = random_valid_family(2, 3, band(2, 3), seed=8)
+    family = conjugate(make_identity_generated(cf), _affine_tau(rng, 2))
+    pairs = default_probe_pairs(dom, 4, rng)
+    calls = _count_point_evaluations(monkeypatch)
+    assert check_constraint(family.coeff_family, dom, family.point_map).passed
+    assert verify_moment(family, pairs, dom).passed
+    mapped = [(f, x) for f, x in calls if any(f is p for p in family.point_map.components)]
+    assert len(mapped) == 2 * len(dom.sample_points)
+    assert dom.images(family.point_map) is dom.images(family.point_map)
 
 
 def test_tampered_family_evaluates_points_only_where_it_fails(monkeypatch):
