@@ -20,21 +20,20 @@ the point.  Polynomial leaves are memoized per call: a ``Leaves``
 table, made by the caller and dropped when it returns, holds a leaf's
 values over a point tuple the first time a node needs them, so a
 verifier that evaluates many trees over the same points converts each
-exact leaf value to floats once.  The same table holds each point
-tuple's power and monomial columns for ``polycalc.eval_poly_ratios``,
-so every leaf of the call builds its exact values from them.  A tree
-without a t*ln|t| or signed-power node (``is_polynomial``) expands back
-to a ``Polynomial``; its exact values are the expansion evaluated at the
-point, and the exact verifiers compare the expansions themselves.
+exact leaf value to floats once.  The same table keeps the call's
+``polycalc.PowerTable``, so every leaf of the call builds its exact
+values from one set of power and monomial columns per point tuple.  A
+tree without a t*ln|t| or signed-power node (``is_polynomial``) expands
+back to a ``Polynomial``; its exact values are the expansion evaluated
+at the point, and the exact verifiers compare the expansions themselves.
 
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
 seeded rational sample points and the float tolerance.  A family read
 through a point map is evaluated at the samples' images, which
 ``Domain.images`` computes exactly, one map component over all the
-samples at a time, and refuses at the first one outside the box; a
-domain keeps the images of each map it has read, so the moment
-verifier, the coefficient constraint and a power-sign map's validation
-all read the same points there.  Every check turns an instance
+samples at a time, and refuses at the first one outside the box; the
+moment verifier, the coefficient constraint and a power-sign map's
+validation all read their points there.  Every check turns an instance
 lhs = rhs into a residual and a verdict with ``judge``, or a column of
 float instances at a time with ``judge_column``, whose rule ``judge``
 applies to a float instance as a column of one; a sampled convolution
@@ -45,17 +44,17 @@ below-band sum, as a float, +-inf when it is too large for one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .multiindex import DimensionMismatch, MultiIndex
 from .polycalc import (
     Polynomial,
+    PowerTable,
     RationalPoint,
     Scalar,
     dalpha,
@@ -74,11 +73,13 @@ class NotPolynomial(ValueError):
 
 
 Points = Tuple[RationalPoint, ...]
-# (id(poly), id(points)) -> (poly, points, float values), and id(points) -> the
-# power and monomial columns that ``polycalc.eval_poly_ratios`` keeps for the
-# point tuple.  Each entry keeps alive the objects whose ids key it, so no id is
-# reused while the table is.
-Leaves = Dict[object, object]
+# (id(poly), id(points)) -> (poly, points, float values).  The entry keeps the
+# polynomial and the point tuple alive, so neither id is reused while the table is.
+LeafKey = Tuple[int, int]
+LeafValues = Tuple[Polynomial, Points, List[float]]
+# Under _POWERS a leaf table keeps the ``polycalc.PowerTable`` of its call.
+_POWERS = ("powers",)
+Leaves = Dict[Union[LeafKey, Tuple[str]], Union[LeafValues, PowerTable]]
 
 
 # ---- expression nodes ----
@@ -118,8 +119,11 @@ class PolyLeaf(FuncExpr):
         hit = leaves.get(key)
         if hit is not None:
             return hit[2]
+        table = leaves.get(_POWERS)
+        if table is None:
+            table = leaves[_POWERS] = {}
         try:  # correctly rounded: a finite float or an OverflowError
-            values = [n / d for n, d in eval_poly_ratios(self.poly, points, leaves)]
+            values = [n / d for n, d in eval_poly_ratios(self.poly, points, table)]
         except OverflowError as exc:
             raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
         leaves[key] = (self.poly, points, values)
@@ -355,8 +359,6 @@ class Domain:
     rank: int
     sample_points: tuple[RationalPoint, ...]
     float_tolerance: float = 1e-9
-    # id(point map) -> (point map, images), filled by ``images``
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_rank(self.rank)
@@ -380,22 +382,16 @@ class Domain:
 
         Each map component is evaluated at all the samples in one
         ``eval_poly_values`` call, over one table.  Raises ValueError at the
-        first image outside the box.  The images of a map are computed once
-        per domain, so the checks of one family read the same tuple.
+        first image outside the box.
         """
         if point_map is None:
             return self.sample_points
-        hit = self._images.get(id(point_map))
-        if hit is not None:
-            return hit[1]
-        table: dict = {}
+        table: PowerTable = {}
         columns = [eval_poly_values(p, self.sample_points, table) for p in point_map.components]
         images = tuple(map(RationalPoint, zip(*columns)))
         for x, y in zip(self.sample_points, images):
             if not self.contains(y):
                 raise ValueError(f"sample {x.to_json()} maps to {y.to_json()}, outside the box")
-        # the entry keeps the map alive, so its id is not reused
-        self._images[id(point_map)] = (point_map, images)
         return images
 
     @classmethod
@@ -530,16 +526,8 @@ def judge_column(lhs, rhs, tol: float) -> Tuple[List[float], float, List[int]]:
     ``worse`` folds from 0.0 over the column: NaN if any residual is NaN
     (the last one), else the largest, and 0.0 for an empty column.
     """
-    # |a - b| / (1.0 + |a|), operation by operation over the column
-    residuals = list(
-        map(
-            operator.truediv,
-            map(abs, map(operator.sub, lhs, rhs)),
-            map(operator.add, itertools.repeat(1.0), map(abs, lhs)),
-        )
-    )
-    passing = map(operator.le, residuals, itertools.repeat(tol))
-    failing = list(itertools.compress(itertools.count(), map(operator.not_, passing)))
+    residuals = [abs(a - b) / (1.0 + abs(a)) for a, b in zip(lhs, rhs)]
+    failing = [i for i, r in enumerate(residuals) if not r <= tol]
     nans = [residuals[i] for i in failing if math.isnan(residuals[i])]
     worst = nans[-1] if nans else max(residuals, default=0.0)
     return residuals, worst, failing

@@ -76,6 +76,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .multiindex import MultiIndex, check_count, convolution_terms, enumerate_height_at_most
 from .polycalc import (
     Polynomial,
+    PowerTable,
     RationalPoint,
     compose,
     convolution_sum,
@@ -383,8 +384,9 @@ def verify_moment(
                 # only a witness needs values: Fractions are canonical, so
                 # these equal the pointwise convolution sums
                 xs = list(domain.sample_points)
-                lhs_vals = eval_poly_values(lhs_poly, points, leaves)
-                rhs_vals = eval_poly_values(rhs_poly, points, leaves)
+                table: PowerTable = {}
+                lhs_vals = eval_poly_values(lhs_poly, points, table)
+                rhs_vals = eval_poly_values(rhs_poly, points, table)
                 if lhs_vals == rhs_vals:
                     # unequal polynomials that agree at every mapped sample: unless
                     # their difference composed with the map is zero, it fails at

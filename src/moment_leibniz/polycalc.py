@@ -16,7 +16,7 @@ term map whose keys are distinct ``MultiIndex`` of rank ``dim`` and whose
 coefficients are nonzero ``Fraction`` (nonzero ``int`` only inside
 ``check_leibniz_all``, below).  ``+``, unary ``-``, ``*`` and
 ``dalpha`` build their results that way.  A term key is its exponent
-tuple, so ``_accumulate``, ``dalpha`` and ``eval_poly`` iterate keys
+tuple, so ``_accumulate``, ``dalpha`` and ``eval_poly_ratios`` iterate keys
 directly.  Products and convolution sums accumulate ``w * a * b`` in
 place into a map keyed by plain exponent tuples (``_accumulate``), which
 ``_canonical_terms`` turns into a term map once, dropping zeros and
@@ -49,14 +49,14 @@ per point, the lcm of the coefficient denominators times prod_i d_i^K
 for the point's coordinates n_i/d_i and K the polynomial's largest
 exponent.  It works by columns: each term adds its monomial's column
 over the whole point tuple, and the power and monomial columns of a
-tuple live in a table that the caller may share across polynomials
-(``funcmodel``'s per-call leaf table), so the probes and coefficients of
-one check build each of them once.  ``eval_poly_values`` makes each
-pair one ``Fraction``, and ``eval_poly`` computes the same number at a
-single point in scalars, with no table; both equal a term-by-term
-Fraction sum.  The float evaluator divides a pair as ints, which is
-correctly rounded whatever the pair that names the rational, so it
-equals ``float(Fraction(...))``, ``OverflowError`` included.
+tuple live in a ``PowerTable`` that the caller may share across
+polynomials (``funcmodel``'s per-call leaf table keeps one), so the
+probes and coefficients of one check build each of them once.
+``eval_poly_values`` makes each pair one ``Fraction``, and ``eval_poly``
+is that at a single point; both equal a term-by-term Fraction sum.  The
+float evaluator divides a pair as ints, which is correctly rounded
+whatever the pair that names the rational, so it equals
+``float(Fraction(...))``, ``OverflowError`` included.
 
 ``compose`` substitutes polynomials for the variables exactly, and
 ``nonzero_grid_point`` names a point of the open unit box where a nonzero
@@ -327,39 +327,19 @@ def dalpha(f: Polynomial, alpha: MultiIndex) -> Polynomial:
 
 
 def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
-    """Exact evaluation of f at a rational point.
-
-    ``eval_poly_ratios``' sum at one point, in scalars and with no table:
-    with M_i the largest exponent of x_i in f, each term's numerator is
-    (c * L) * prod_i n_i^e_i d_i^(M_i - e_i) over L * prod_i d_i^M_i.
-    """
-    if len(x) != f.dim:
-        raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
-    lcm, terms = _cleared_terms(f)
-    den, tables = lcm, []
-    for i, xi in enumerate(x):
-        top = max([e[i] for e in terms], default=0)
-        n, d = xi.numerator, xi.denominator
-        # tables[i][e] = n_i^e * d_i^(M_i - e)
-        tables.append([n**e * d ** (top - e) for e in range(top + 1)])
-        den *= d**top
-    total = 0
-    for exp, term in terms.items():
-        for table, e in zip(tables, exp):
-            term *= table[e]
-        total += term
-    return Fraction(total, den)
+    """Exact evaluation of f at a rational point."""
+    return Fraction(*eval_poly_ratios(f, (x,))[0])
 
 
 def eval_poly_values(
-    f: Polynomial, points: Sequence[RationalPoint], table: Optional[dict] = None
+    f: Polynomial, points: Sequence[RationalPoint], table: Optional[PowerTable] = None
 ) -> List[Fraction]:
     """Exact evaluation of f at each point: ``eval_poly_ratios``' pairs as Fractions."""
     return [Fraction(n, d) for n, d in eval_poly_ratios(f, points, table)]
 
 
 def eval_poly_ratios(
-    f: Polynomial, points: Sequence[RationalPoint], table: Optional[dict] = None
+    f: Polynomial, points: Sequence[RationalPoint], table: Optional[PowerTable] = None
 ) -> List[Tuple[int, int]]:
     """f at each point as an unreduced (numerator, denominator) pair of ints.
 
@@ -369,10 +349,10 @@ def eval_poly_ratios(
     L * prod_i d_i^K, so the sum is one integer over that denominator.
     The denominators are cleared once and the sum runs term by term over
     the whole point tuple.  Each term's column of prod_i n_i^e_i
-    d_i^(K - e_i) comes from ``table``, a plain dict that keeps, under
-    ``id(points)``, the tuple's power columns and the monomial columns
-    built from them, so every polynomial evaluated at the same tuple with
-    the same table shares them; without one, the call gets a fresh table.
+    d_i^(K - e_i) comes from ``table``, which keeps the columns of each
+    point tuple it has seen, so every polynomial evaluated at the same
+    tuple with the same table shares them; without one, the call gets a
+    fresh table.
     """
     for x in points:
         if len(x) != f.dim:
@@ -386,51 +366,56 @@ def eval_poly_ratios(
     powers = table.get(id(points))
     if powers is None:
         powers = table[id(points)] = _PointPowers(points)
-    monomial = powers.monomial
-    columns = [monomial(e, top) for e in terms]
+    # the zero exponent's column is prod_i d_i^K
+    dens, *columns = powers.monomials(itertools.chain([(0,) * f.dim], terms), top)
     coeffs = list(terms.values())
     totals = [sum(map(operator.mul, coeffs, row)) for row in zip(*columns)]
-    # the zero exponent's column is prod_i d_i^K
-    dens = monomial((0,) * f.dim, top)
     return list(zip(totals, dens if lcm == 1 else [lcm * d for d in dens]))
 
 
 class _PointPowers:
-    """The power and monomial columns of one point tuple, for ``eval_poly_ratios``.
+    """The columns of one point tuple that ``eval_poly_ratios`` reads.
 
-    ``nums[i][e]`` and ``dens[i][e]`` are the columns of n_i^e and d_i^e,
-    each built once, from the one below, the first time an exponent needs
-    it.  ``monomial(e, K)`` is the column of prod_i n_i^e_i d_i^(K - e_i),
-    built once per (e, K).  The entry keeps ``points`` alive, so the id
-    that keys it is not reused.
+    For each K met, ``grades[K]`` holds, per coordinate, the columns of
+    n_i^k d_i^(K - k) for k <= K, and the columns of
+    prod_i n_i^e_i d_i^(K - e_i) built from them, each built once.  The
+    entry keeps ``points`` alive, so the id that keys it is not reused.
     """
 
-    __slots__ = ("points", "nums", "dens", "monomials")
+    __slots__ = ("points", "coordinates", "grades")
 
     def __init__(self, points: Sequence[RationalPoint]) -> None:
         self.points = points
-        ones, coordinates = [1] * len(points), list(zip(*points))
-        self.nums = [[ones, [c.numerator for c in column]] for column in coordinates]
-        self.dens = [[ones, [c.denominator for c in column]] for column in coordinates]
-        self.monomials: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
+        self.coordinates = [
+            [(c.numerator, c.denominator) for c in column] for column in zip(*points)
+        ]
+        self.grades: Dict[int, Tuple[List[list], Dict[Tuple[int, ...], List[int]]]] = {}
 
-    def monomial(self, e: Tuple[int, ...], top: int) -> List[int]:
-        key = (e, top)
-        column = self.monomials.get(key)
-        if column is None:
-            for num, den, k in zip(self.nums, self.dens, e):
-                part = map(operator.mul, _power(num, k), _power(den, top - k))
-                column = list(part) if column is None else list(map(operator.mul, column, part))
-            self.monomials[key] = column
-        return column
+    def monomials(self, exponents: Iterable[Tuple[int, ...]], top: int) -> List[List[int]]:
+        """The column of prod_i n_i^e_i d_i^(top - e_i) for each exponent e."""
+        grade = self.grades.get(top)
+        if grade is None:
+            powers = [
+                list(zip(*[[n**k * d ** (top - k) for k in range(top + 1)] for n, d in pairs]))
+                for pairs in self.coordinates
+            ]
+            grade = self.grades[top] = (powers, {})
+        powers, built = grade
+        out = []
+        for e in exponents:
+            column = built.get(e)
+            if column is None:
+                parts = map(operator.getitem, powers, e)
+                column = next(parts)
+                for part in parts:
+                    column = map(operator.mul, column, part)
+                column = built[e] = list(column)
+            out.append(column)
+        return out
 
 
-def _power(columns: List[List[int]], e: int) -> List[int]:
-    """columns[e], appending the powers up to it: columns holds base^0, base^1, ..."""
-    base = columns[1]
-    while len(columns) <= e:
-        columns.append(list(map(operator.mul, columns[-1], base)))
-    return columns[e]
+# id(points) -> the columns of that point tuple, for ``eval_poly_ratios``
+PowerTable = Dict[int, _PointPowers]
 
 
 def nonzero_grid_point(f: Polynomial) -> RationalPoint:

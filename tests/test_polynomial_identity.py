@@ -248,25 +248,19 @@ def test_check_second_order_matches_pointwise_oracle(variant, rank, seed):
 
 def _count_point_evaluations(monkeypatch):
     """Record every polynomial evaluation as its (polynomial, point), one entry
-    per point of each ``eval_poly_ratios`` call and one per ``eval_poly`` call,
-    wherever the package looks them up; the list keeps both alive, so their ids
+    per point of each ``eval_poly_ratios`` call (``eval_poly`` goes through it),
+    wherever the package looks it up; the list keeps both alive, so their ids
     stay unique."""
     calls = []
-    real_ratios, real_eval = polycalc.eval_poly_ratios, polycalc.eval_poly
+    real = polycalc.eval_poly_ratios
 
     def counting(f, points, *table):
         calls.extend((f, x) for x in points)
-        return real_ratios(f, points, *table)
-
-    def counting_one(f, x):
-        calls.append((f, x))
-        return real_eval(f, x)
+        return real(f, points, *table)
 
     for module in (polycalc, funcmodel, momentfam):
         if hasattr(module, "eval_poly_ratios"):
             monkeypatch.setattr(module, "eval_poly_ratios", counting)
-        if hasattr(module, "eval_poly"):
-            monkeypatch.setattr(module, "eval_poly", counting_one)
     return calls
 
 
@@ -345,19 +339,31 @@ def test_one_call_builds_each_point_tuples_power_columns_once(monkeypatch):
         assert len({id(f) for f, _ in calls}) > len(built)
 
 
-def test_a_family_and_its_constraint_map_the_samples_once(monkeypatch):
-    # check_constraint and verify_moment on one domain read the same images
+def test_each_check_maps_the_samples_in_one_call_per_map_component(monkeypatch):
+    # Domain.images evaluates a map component at all the samples at once
     dom = Domain.unit(2, seed=8)
     rng = random.Random(8)
     cf, _ = random_valid_family(2, 3, band(2, 3), seed=8)
     family = conjugate(make_identity_generated(cf), _affine_tau(rng, 2))
     pairs = default_probe_pairs(dom, 4, rng)
-    calls = _count_point_evaluations(monkeypatch)
-    assert check_constraint(family.coeff_family, dom, family.point_map).passed
-    assert verify_moment(family, pairs, dom).passed
-    mapped = [(f, x) for f, x in calls if any(f is p for p in family.point_map.components)]
-    assert len(mapped) == 2 * len(dom.sample_points)
-    assert dom.images(family.point_map) is dom.images(family.point_map)
+    components = family.point_map.components
+    calls = []
+    real = polycalc.eval_poly_ratios
+
+    def counting(f, points, *table):
+        calls.append((f, points))
+        return real(f, points, *table)
+
+    monkeypatch.setattr(polycalc, "eval_poly_ratios", counting)
+    for check in (
+        lambda: check_constraint(family.coeff_family, dom, family.point_map),
+        lambda: verify_moment(family, pairs, dom),
+    ):
+        calls.clear()
+        assert check().passed
+        mapped = [points for f, points in calls if any(f is p for p in components)]
+        assert len(mapped) == len(components)
+        assert all(points is dom.sample_points for points in mapped)
 
 
 def test_tampered_family_evaluates_points_only_where_it_fails(monkeypatch):
