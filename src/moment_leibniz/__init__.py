@@ -47,7 +47,6 @@ from .funcmodel import (
     expr_from_json,
     grad_dot,
     hess_quad,
-    judge,
     worse,
 )
 from .coeffsolve import (

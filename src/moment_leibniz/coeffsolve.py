@@ -58,7 +58,6 @@ from .funcmodel import (
     CheckReport,
     Domain,
     FuncExpr,
-    Leaves,
     PolyLeaf,
     TauMap,
     as_polynomial,
@@ -66,7 +65,6 @@ from .funcmodel import (
     eval_expr,
     expr_from_json,
     is_polynomial,
-    judge,
     judge_column,
     witness_float,
     worse,
@@ -173,12 +171,13 @@ def check_constraint(
     sum 0 and is skipped.  Each alpha's pairs are listed where
     ``convolution_column`` sums them; each coefficient is evaluated at all
     the samples at once, the first time a sum needs it, and all of them
-    from one leaf table, which keeps the images' power columns.  An
-    evaluation error is that of the first coefficient to fail in the
-    order (alpha, split), beta before gamma.  If the samples show no
-    failure, ``_below_band_witness`` may still prove one, whose value is
-    the exact sum C(2g, g) c_gamma(x)^2 as ``witness_float`` writes it,
-    c_gamma composed with the map.
+    at the one ``PointColumns`` that ``domain.images`` returns, which
+    keeps their leaf values and power columns.  An evaluation error is
+    that of the first coefficient to fail in the order (alpha, split),
+    beta before gamma.  If the samples show no failure,
+    ``_below_band_witness`` may still prove one, whose value is the exact
+    sum C(2g, g) c_gamma(x)^2 as ``witness_float`` writes it, c_gamma
+    composed with the map, and whose residual is |value|.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")
@@ -188,7 +187,6 @@ def check_constraint(
     failures: List[dict] = []
     max_residual = 0.0
     zeros = [0.0] * len(points)
-    leaves: Leaves = {}
     values: Dict[MultiIndex, List[float]] = {}
     for alpha in alphas:
         # c_0 is never stored, so the membership test also drops beta = 0 and beta = alpha
@@ -200,7 +198,7 @@ def check_constraint(
         for _, beta, gamma in pairs:
             for idx in (beta, gamma):
                 if idx not in values:
-                    values[idx] = eval_expr(cf.coefficients[idx], points, leaves)
+                    values[idx] = eval_expr(cf.coefficients[idx], points)
         sums = convolution_column(values, values, pairs)
         _, worst, failing = judge_column(zeros, sums, tol)
         max_residual = worse(max_residual, worst)
@@ -212,7 +210,7 @@ def check_constraint(
         gamma, c, x = witness
         alpha = gamma + gamma
         value = witness_float(binom(alpha, gamma) * eval_poly(c, x) ** 2)
-        max_residual = worse(max_residual, judge(0.0, value, False, tol)[0])
+        max_residual = worse(max_residual, abs(value))
         failures.append({"alpha": alpha.to_json(), "point": x.to_json(), "value": value})
     return CheckReport(
         check="coefficient_constraint",

@@ -16,16 +16,16 @@ Trees evaluate to floats over a tuple of rational points in one walk
 float operations that one point alone would take, in the same order.
 Children are evaluated in order before their parent, so a
 ``NonFiniteValue`` names the first node whose column fails, whatever
-the point.  Polynomial leaves are memoized per call: a ``Leaves``
-table, made by the caller and dropped when it returns, holds a leaf's
-values over a point tuple the first time a node needs them, so a
-verifier that evaluates many trees over the same points converts each
-exact leaf value to floats once.  The same table keeps the call's
-``polycalc.PowerTable``, so every leaf of the call builds its exact
-values from one set of power and monomial columns per point tuple.  A
-tree without a t*ln|t| or signed-power node (``is_polynomial``) expands
-back to a ``Polynomial``; its exact values are the expansion evaluated
-at the point, and the exact verifiers compare the expansions themselves.
+the point.  The points are a ``polycalc.PointColumns``, whose rank
+``eval_expr`` checks once against the tree's dim (a plain sequence is
+wrapped afresh), and a polynomial leaf keeps its float values there the
+first time a node needs them.  So a verifier that evaluates many trees
+over the same ``PointColumns`` converts each exact leaf value to floats
+once, and builds every leaf's exact values from one set of power and
+monomial columns.  A tree without a t*ln|t| or signed-power node
+(``is_polynomial``) expands back to a ``Polynomial``; its exact values
+are the expansion evaluated at the point, and the exact verifiers
+compare the expansions themselves.
 
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
 seeded rational sample points and the float tolerance.  A family read
@@ -33,11 +33,10 @@ through a point map is evaluated at the samples' images, which
 ``Domain.images`` computes exactly, one map component over all the
 samples at a time, and refuses at the first one outside the box; the
 moment verifier, the coefficient constraint and a power-sign map's
-validation all read their points there.  Every check turns an instance
-lhs = rhs into a residual and a verdict with ``judge``, or a column of
-float instances at a time with ``judge_column``, whose rule ``judge``
-applies to a float instance as a column of one; a sampled convolution
-sum comes from ``convolution_column``;
+validation all read their points there, a fresh ``PointColumns`` per
+call.  Every sampled check turns a column of float instances
+lhs = rhs into residuals and verdicts with ``judge_column``; a sampled
+convolution sum comes from ``convolution_column``;
 ``witness_float`` writes an exact witness value, such as the constraint's
 below-band sum, as a float, +-inf when it is too large for one.
 """
@@ -49,12 +48,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import DimensionMismatch, MultiIndex
 from .polycalc import (
+    PointColumns,
     Polynomial,
-    PowerTable,
     RationalPoint,
     Scalar,
     dalpha,
@@ -72,16 +71,6 @@ class NotPolynomial(ValueError):
     """Expansion met a tree with a u*ln|u| or signed-power node, which is not polynomial."""
 
 
-Points = Tuple[RationalPoint, ...]
-# (id(poly), id(points)) -> (poly, points, float values).  The entry keeps the
-# polynomial and the point tuple alive, so neither id is reused while the table is.
-LeafKey = Tuple[int, int]
-LeafValues = Tuple[Polynomial, Points, List[float]]
-# Under _POWERS a leaf table keeps the ``polycalc.PowerTable`` of its call.
-_POWERS = ("powers",)
-Leaves = Dict[Union[LeafKey, Tuple[str]], Union[LeafValues, PowerTable]]
-
-
 # ---- expression nodes ----
 
 
@@ -95,7 +84,7 @@ class FuncExpr:
     dim: int
     children: Tuple["FuncExpr", ...] = ()
 
-    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+    def _eval_points(self, points: PointColumns, path: str) -> List[float]:
         raise NotImplementedError
 
     def _expand(self) -> Polynomial:
@@ -113,20 +102,16 @@ class PolyLeaf(FuncExpr):
     def dim(self) -> int:
         return self.poly.dim
 
-    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+    def _eval_points(self, points: PointColumns, path: str) -> List[float]:
         """The float values of poly at the points, computed on the first request only."""
-        key = (id(self.poly), id(points))
-        hit = leaves.get(key)
+        hit = points.floats.get(id(self.poly))
         if hit is not None:
-            return hit[2]
-        table = leaves.get(_POWERS)
-        if table is None:
-            table = leaves[_POWERS] = {}
+            return hit[1]
         try:  # correctly rounded: a finite float or an OverflowError
-            values = [n / d for n, d in eval_poly_ratios(self.poly, points, table)]
+            values = [n / d for n, d in eval_poly_ratios(self.poly, points)]
         except OverflowError as exc:
             raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
-        leaves[key] = (self.poly, points, values)
+        points.floats[id(self.poly)] = (self.poly, values)
         return values
 
     def _expand(self) -> Polynomial:
@@ -147,10 +132,8 @@ class Sum(FuncExpr):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
-        columns = [
-            c._eval_points(points, f"{path}.sum[{i}]", leaves) for i, c in enumerate(self.children)
-        ]
+    def _eval_points(self, points: PointColumns, path: str) -> List[float]:
+        columns = [c._eval_points(points, f"{path}.sum[{i}]") for i, c in enumerate(self.children)]
         try:
             return list(map(math.fsum, zip(*columns)))
         except OverflowError as exc:  # finite children whose sum leaves the range
@@ -177,10 +160,10 @@ class Product(FuncExpr):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+    def _eval_points(self, points: PointColumns, path: str) -> List[float]:
         out = [1.0] * len(points)
         for i, c in enumerate(self.children):
-            values = c._eval_points(points, f"{path}.product[{i}]", leaves)
+            values = c._eval_points(points, f"{path}.product[{i}]")
             out = list(map(operator.mul, out, values))
         if not all(map(math.isfinite, out)):
             raise NonFiniteValue(f"non-finite value at {path}.product")
@@ -206,8 +189,8 @@ class XLogAbs(FuncExpr):
     def dim(self) -> int:
         return self.child.dim
 
-    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
-        values = self.child._eval_points(points, f"{path}.xlogabs", leaves)
+    def _eval_points(self, points: PointColumns, path: str) -> List[float]:
+        values = self.child._eval_points(points, f"{path}.xlogabs")
         out = [0.0 if v == 0.0 else v * math.log(abs(v)) for v in values]
         if not all(map(math.isfinite, out)):
             raise NonFiniteValue(f"non-finite value at {path}.xlogabs")
@@ -228,10 +211,10 @@ class SignedPower(FuncExpr):
     def dim(self) -> int:
         return self.child.dim
 
-    def _eval_points(self, points: Points, path: str, leaves: Leaves) -> List[float]:
+    def _eval_points(self, points: PointColumns, path: str) -> List[float]:
         node = f"{path}.signedpower"
-        bases = self.child._eval_points(points, node, leaves)
-        powers = self.exponent._eval_points(points, f"{node}.exponent", leaves)
+        bases = self.child._eval_points(points, node)
+        powers = self.exponent._eval_points(points, f"{node}.exponent")
         try:  # a float power past the range raises; finite operands give no inf or nan
             return [0.0 if u == 0.0 else math.copysign(abs(u) ** p, u) for u, p in zip(bases, powers)]
         except OverflowError as exc:
@@ -249,17 +232,15 @@ def _check_children(children: Sequence[FuncExpr], label: str) -> None:
 # ---- module-level evaluation / expansion ----
 
 
-def eval_expr(expr: FuncExpr, points: Points, leaves: Optional[Leaves] = None) -> List[float]:
+def eval_expr(expr: FuncExpr, points: Sequence[RationalPoint]) -> List[float]:
     """Float values of the tree at each point; raises NonFiniteValue with node path.
 
-    ``leaves`` is the caller's leaf table, shared by every evaluation of
-    one verifier call; without one, the evaluation gets a fresh table.
+    Every evaluation at one ``PointColumns`` shares its leaf values and
+    power columns; a plain sequence of points is wrapped afresh.
     """
-    dim = expr.dim
-    for x in points:
-        if len(x) != dim:
-            raise DimensionMismatch(f"expr dim {dim} vs point rank {x.rank}")
-    return expr._eval_points(points, "root", {} if leaves is None else leaves)
+    points = PointColumns.of(points)
+    points.check_dim(expr.dim, "expr")
+    return expr._eval_points(points, "root")
 
 
 def is_polynomial(expr: FuncExpr) -> bool:
@@ -377,18 +358,19 @@ class Domain:
     def contains(self, p: RationalPoint) -> bool:
         return p.rank == self.rank and all(0 < c < 1 for c in p)
 
-    def images(self, point_map: Optional[TauMap]) -> Points:
-        """The samples read through ``point_map``: themselves when there is no map.
+    def images(self, point_map: Optional[TauMap]) -> PointColumns:
+        """The samples read through ``point_map``, themselves when there is no map.
 
-        Each map component is evaluated at all the samples in one
-        ``eval_poly_values`` call, over one table.  Raises ValueError at the
-        first image outside the box.
+        Each call returns a fresh ``PointColumns``.  Each map component is
+        evaluated at all the samples in one ``eval_poly_values`` call, all
+        of them over one ``PointColumns`` of the samples.  Raises
+        ValueError at the first image outside the box.
         """
+        samples = PointColumns(self.sample_points)
         if point_map is None:
-            return self.sample_points
-        table: PowerTable = {}
-        columns = [eval_poly_values(p, self.sample_points, table) for p in point_map.components]
-        images = tuple(map(RationalPoint, zip(*columns)))
+            return samples
+        columns = [eval_poly_values(p, samples) for p in point_map.components]
+        images = PointColumns(map(RationalPoint, zip(*columns)))
         for x, y in zip(self.sample_points, images):
             if not self.contains(y):
                 raise ValueError(f"sample {x.to_json()} maps to {y.to_json()}, outside the box")
@@ -503,19 +485,6 @@ def convolution_column(left, right, splits) -> List[float]:
     """Each point's sum of w * left[beta] * right[gamma], by ``sum`` in split order; [] if none."""
     products = [[w * a * b for a, b in zip(left[beta], right[gamma])] for w, beta, gamma in splits]
     return list(map(sum, zip(*products)))
-
-
-def judge(lhs, rhs, exact: bool, tol: float) -> Tuple[float, bool]:
-    """The residual of one identity instance lhs = rhs, and whether it passes.
-
-    Exact instances compare rational values: the residual is |lhs - rhs|,
-    or inf when it is too large for a float, and only equality passes.
-    Float instances are a column of one for ``judge_column``.
-    """
-    if exact:
-        return witness_float(abs(lhs - rhs)), lhs == rhs
-    residuals, _, failing = judge_column((lhs,), (rhs,), tol)
-    return residuals[0], not failing
 
 
 def judge_column(lhs, rhs, tol: float) -> Tuple[List[float], float, List[int]]:

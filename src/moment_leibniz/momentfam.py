@@ -50,13 +50,15 @@ expanded and its instances are sampled: the same expressions are
 tabulated in floats with ``funcmodel.eval_expr``, one pass per
 expression over all the sample points, and each point's convolution
 products are added by ``funcmodel.convolution_column``, against the
-domain tolerance.  One leaf table serves the whole call, so each
-polynomial leaf (a coefficient, a probe, a product of probes) is turned
-into floats once, however many alphas and probes use it, and every leaf
-is evaluated from the one set of power and monomial columns of the
-points that the table keeps.  ``funcmodel.judge_column`` turns each
-alpha's column of sampled instances into residuals and verdicts, and
-``funcmodel.judge`` each exact instance.
+domain tolerance.  The whole call evaluates at the one
+``polycalc.PointColumns`` that ``Domain.images`` returns.  It keeps the
+float values of each polynomial leaf (a coefficient, a probe, a product
+of probes), so each is turned into floats once, however many alphas and
+probes use it, and one set of power and monomial columns, from which
+every exact value there is built.  ``funcmodel.judge_column`` turns each
+alpha's column of sampled instances into residuals and verdicts; an
+exact instance passes only when its sides are equal, and its residual
+is |lhs - rhs|, or inf when that is too large for a float.
 
 The collapse lemma needs no verifier of its own.  For a family with
 T_0 = 1, the alpha instance at the probe pair (0, f) reads
@@ -69,14 +71,12 @@ as a proof in Q[x] whenever its operators expand.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, check_count, convolution_terms, enumerate_height_at_most
 from .polycalc import (
     Polynomial,
-    PowerTable,
     RationalPoint,
     compose,
     convolution_sum,
@@ -89,7 +89,6 @@ from .polycalc import (
 from .funcmodel import (
     Domain,
     FuncExpr,
-    Leaves,
     PolyLeaf,
     PowerSignMap,
     Product,
@@ -104,7 +103,6 @@ from .funcmodel import (
     grad_dot,
     hess_quad,
     is_polynomial,
-    judge,
     judge_column,
     witness_float,
     worse,
@@ -363,7 +361,6 @@ def verify_moment(
     per_alpha = {_alpha_key(a): 0.0 for a in alphas}
     failures: List[dict] = []
     max_residual = 0.0
-    leaves: Leaves = {}
     sampled = False
     for k, (f, g) in enumerate(probes):
         rows = [{b: family.apply(b, h) for b in alphas} for h in (f, g, f * g)]
@@ -371,10 +368,7 @@ def verify_moment(
         if exact:
             tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
         else:
-            vf, vg, vfg = [
-                {b: eval_expr(e, points, leaves) for b, e in row.items()}
-                for row in rows
-            ]
+            vf, vg, vfg = [{b: eval_expr(e, points) for b, e in row.items()} for row in rows]
             sampled = True
         for alpha, splits in terms.items():
             if exact:
@@ -384,9 +378,8 @@ def verify_moment(
                 # only a witness needs values: Fractions are canonical, so
                 # these equal the pointwise convolution sums
                 xs = list(domain.sample_points)
-                table: PowerTable = {}
-                lhs_vals = eval_poly_values(lhs_poly, points, table)
-                rhs_vals = eval_poly_values(rhs_poly, points, table)
+                lhs_vals = eval_poly_values(lhs_poly, points)
+                rhs_vals = eval_poly_values(rhs_poly, points)
                 if lhs_vals == rhs_vals:
                     # unequal polynomials that agree at every mapped sample: unless
                     # their difference composed with the map is zero, it fails at
@@ -400,10 +393,11 @@ def verify_moment(
                         xs.append(x)
                         lhs_vals.append(eval_poly(lhs_poly, y))
                         rhs_vals.append(eval_poly(rhs_poly, y))
-                judged = [judge(lhs, rhs, True, tol) for lhs, rhs in zip(lhs_vals, rhs_vals)]
-                residuals = [residual for residual, _ in judged]
-                worst = functools.reduce(worse, residuals, 0.0)
-                failing = [i for i, (_, ok) in enumerate(judged) if not ok]
+                # an exact residual is never NaN, so the builtin max is the worst
+                pairs = list(zip(lhs_vals, rhs_vals))
+                residuals = [witness_float(abs(lhs - rhs)) for lhs, rhs in pairs]
+                worst = max(residuals)
+                failing = [i for i, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
             else:
                 xs, lhs_vals = domain.sample_points, vfg[alpha]
                 rhs_vals = convolution_column(vf, vg, splits)

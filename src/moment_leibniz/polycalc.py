@@ -48,15 +48,16 @@ only, and every public function returns ``Fraction`` coefficients.
 per point, the lcm of the coefficient denominators times prod_i d_i^K
 for the point's coordinates n_i/d_i and K the polynomial's largest
 exponent.  It works by columns: each term adds its monomial's column
-over the whole point tuple, and the power and monomial columns of a
-tuple live in a ``PowerTable`` that the caller may share across
-polynomials (``funcmodel``'s per-call leaf table keeps one), so the
-probes and coefficients of one check build each of them once.
-``eval_poly_values`` makes each pair one ``Fraction``, and ``eval_poly``
-is that at a single point; both equal a term-by-term Fraction sum.  The
-float evaluator divides a pair as ints, which is correctly rounded
-whatever the pair that names the rational, so it equals
-``float(Fraction(...))``, ``OverflowError`` included.
+over the whole point tuple.  A ``PointColumns`` is such a tuple, its one
+rank checked when it is built, and it keeps the power and monomial
+columns it has built, so every polynomial evaluated at the same object
+reads them; ``funcmodel`` keeps its polynomial leaves' float values
+there too.  The evaluators take a plain sequence of points as well and
+wrap it afresh.  ``eval_poly_values`` makes each pair one ``Fraction``,
+and ``eval_poly`` is that at a single point; both equal a term-by-term
+Fraction sum.  The float evaluator divides a pair as ints, which is
+correctly rounded whatever the pair that names the rational, so it
+equals ``float(Fraction(...))``, ``OverflowError`` included.
 
 ``compose`` substitutes polynomials for the variables exactly, and
 ``nonzero_grid_point`` names a point of the open unit box where a nonzero
@@ -71,7 +72,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .multiindex import (
     DimensionMismatch,
@@ -331,16 +332,12 @@ def eval_poly(f: Polynomial, x: RationalPoint) -> Fraction:
     return Fraction(*eval_poly_ratios(f, (x,))[0])
 
 
-def eval_poly_values(
-    f: Polynomial, points: Sequence[RationalPoint], table: Optional[PowerTable] = None
-) -> List[Fraction]:
+def eval_poly_values(f: Polynomial, points: Sequence[RationalPoint]) -> List[Fraction]:
     """Exact evaluation of f at each point: ``eval_poly_ratios``' pairs as Fractions."""
-    return [Fraction(n, d) for n, d in eval_poly_ratios(f, points, table)]
+    return [Fraction(n, d) for n, d in eval_poly_ratios(f, points)]
 
 
-def eval_poly_ratios(
-    f: Polynomial, points: Sequence[RationalPoint], table: Optional[PowerTable] = None
-) -> List[Tuple[int, int]]:
+def eval_poly_ratios(f: Polynomial, points: Sequence[RationalPoint]) -> List[Tuple[int, int]]:
     """f at each point as an unreduced (numerator, denominator) pair of ints.
 
     With x_i = n_i/d_i, K the largest exponent in f and L the lcm of the
@@ -349,47 +346,56 @@ def eval_poly_ratios(
     L * prod_i d_i^K, so the sum is one integer over that denominator.
     The denominators are cleared once and the sum runs term by term over
     the whole point tuple.  Each term's column of prod_i n_i^e_i
-    d_i^(K - e_i) comes from ``table``, which keeps the columns of each
-    point tuple it has seen, so every polynomial evaluated at the same
-    tuple with the same table shares them; without one, the call gets a
-    fresh table.
+    d_i^(K - e_i) comes from the ``PointColumns`` of the points, which
+    keeps it for every later polynomial evaluated there; a plain
+    sequence gets a fresh one.
     """
-    for x in points:
-        if len(x) != f.dim:
-            raise DimensionMismatch(f"poly dim {f.dim} vs point rank {x.rank}")
+    points = PointColumns.of(points)
+    points.check_dim(f.dim, "poly")
     if not (f.terms and points):
         return [(0, 1)] * len(points)
     lcm, terms = _cleared_terms(f)
     top = max(map(max, terms))
-    if table is None:
-        table = {}
-    powers = table.get(id(points))
-    if powers is None:
-        powers = table[id(points)] = _PointPowers(points)
     # the zero exponent's column is prod_i d_i^K
-    dens, *columns = powers.monomials(itertools.chain([(0,) * f.dim], terms), top)
+    dens, *columns = points.monomials(itertools.chain([(0,) * f.dim], terms), top)
     coeffs = list(terms.values())
     totals = [sum(map(operator.mul, coeffs, row)) for row in zip(*columns)]
     return list(zip(totals, dens if lcm == 1 else [lcm * d for d in dens]))
 
 
-class _PointPowers:
-    """The columns of one point tuple that ``eval_poly_ratios`` reads.
+class PointColumns(tuple):
+    """A tuple of rational points of one rank, with the columns evaluated there.
 
-    For each K met, ``grades[K]`` holds, per coordinate, the columns of
-    n_i^k d_i^(K - k) for k <= K, and the columns of
-    prod_i n_i^e_i d_i^(K - e_i) built from them, each built once.  The
-    entry keeps ``points`` alive, so the id that keys it is not reused.
+    The rank is checked once, when the tuple is built.  For each K met,
+    ``grades[K]`` holds, per coordinate, the columns of n_i^k d_i^(K - k)
+    for k <= K, and the columns of prod_i n_i^e_i d_i^(K - e_i) built
+    from them, each built once.  ``floats`` maps id(f) to f and its float
+    values at the points, for ``funcmodel``'s polynomial leaves; the entry
+    keeps f alive, so its id is not reused.
     """
 
-    __slots__ = ("points", "coordinates", "grades")
-
-    def __init__(self, points: Sequence[RationalPoint]) -> None:
-        self.points = points
+    def __new__(cls, points: Iterable[RationalPoint]) -> "PointColumns":
+        self = tuple.__new__(cls, points)
+        self.rank = len(self[0]) if self else None
+        for x in self:
+            if len(x) != self.rank:
+                raise DimensionMismatch(f"point rank {len(x)} vs first point rank {self.rank}")
         self.coordinates = [
-            [(c.numerator, c.denominator) for c in column] for column in zip(*points)
+            [(c.numerator, c.denominator) for c in column] for column in zip(*self)
         ]
         self.grades: Dict[int, Tuple[List[list], Dict[Tuple[int, ...], List[int]]]] = {}
+        self.floats: Dict[int, Tuple[Polynomial, List[float]]] = {}
+        return self
+
+    @classmethod
+    def of(cls, points: Sequence[RationalPoint]) -> "PointColumns":
+        """``points`` itself if it is a ``PointColumns``, else a fresh one over them."""
+        return points if isinstance(points, cls) else cls(points)
+
+    def check_dim(self, dim: int, what: str) -> None:
+        """Refuse a ``what`` of ``dim`` variables unless the points have that rank."""
+        if self and self.rank != dim:
+            raise DimensionMismatch(f"{what} dim {dim} vs point rank {self.rank}")
 
     def monomials(self, exponents: Iterable[Tuple[int, ...]], top: int) -> List[List[int]]:
         """The column of prod_i n_i^e_i d_i^(top - e_i) for each exponent e."""
@@ -412,10 +418,6 @@ class _PointPowers:
                 column = built[e] = list(column)
             out.append(column)
         return out
-
-
-# id(points) -> the columns of that point tuple, for ``eval_poly_ratios``
-PowerTable = Dict[int, _PointPowers]
 
 
 def nonzero_grid_point(f: Polynomial) -> RationalPoint:

@@ -8,9 +8,9 @@ values by multi-index, evaluates each f_alpha on its own and sums each
 convolution from a list of products.  ``exponential_functions`` is the
 exponential sequence as it was built before its value tables: one
 closure per index, each computing exp(rate*x) and its powers afresh.
-They know nothing of leaf tables, value columns or positional sums, so
-equal report bytes are evidence that computing each value once changes
-no verdict, residual or witness.  The sequence loop evaluates every f_alpha
+They know nothing of shared point columns, value columns or positional
+sums, so equal report bytes are evidence that computing each value once
+changes no verdict, residual or witness.  The sequence loop evaluates every f_alpha
 at x, then at y, then at x + y before it sums a probe's convolutions,
 and raises a sum's error with the verifier's message.  It raises exactly
 when the verifier does, though the first error it meets, probe by probe,
@@ -24,7 +24,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from moment_leibniz.coeffsolve import CoeffFamily, constraint_indices
-from moment_leibniz.funcmodel import CheckReport, NonFiniteValue, eval_expr, judge, worse
+from moment_leibniz.funcmodel import CheckReport, NonFiniteValue, eval_expr, worse
 from moment_leibniz.multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
 from moment_leibniz.polycalc import RationalPoint
 
@@ -104,9 +104,9 @@ def verify_moment_seq_keyed(
             except (OverflowError, ValueError) as exc:
                 msg = f"convolution of alpha {tuple(alpha)} at probe {k} does not sum: {exc}"
                 raise NonFiniteValue(msg) from exc
-            residual, ok = judge(lhs, rhs, False, tol)
+            residual = abs(lhs - rhs) / (1.0 + abs(lhs))
             max_residual = worse(max_residual, residual)
-            if not ok:
+            if not residual <= tol:
                 failures.append(
                     {
                         "alpha": alpha.to_json(),

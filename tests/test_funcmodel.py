@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from moment_leibniz.multiindex import DimensionMismatch, MultiIndex
 from moment_leibniz.polycalc import (
+    PointColumns,
     Polynomial,
     RationalPoint,
     eval_poly,
@@ -42,7 +43,6 @@ from moment_leibniz.funcmodel import (
     grad_dot,
     hess_quad,
     is_polynomial,
-    judge,
     judge_column,
     worse,
 )
@@ -113,9 +113,14 @@ def test_domain_unit_checks_rank_before_drawing(rank):
 
 def test_domain_images_are_the_samples_read_through_the_map():
     dom = Domain(1, tuple(_pt(Fraction(k, 10)) for k in range(1, 9)))
-    assert dom.images(None) is dom.sample_points
+    # a fresh PointColumns of the samples on every call: the domain keeps no cache
+    samples = dom.images(None)
+    assert type(samples) is PointColumns and samples == dom.sample_points
+    assert samples.rank == 1 and dom.images(None) is not samples
     halve = TauMap((_x() * Fraction(1, 2),))
-    assert dom.images(halve) == tuple(map(halve, dom.sample_points))
+    images = dom.images(halve)
+    assert type(images) is PointColumns and images == tuple(map(halve, dom.sample_points))
+    assert dom.images(halve) is not images
     # x -> 2x leaves the box first at x = 1/2; the error names that sample and its image
     with pytest.raises(ValueError) as err:
         dom.images(TauMap((_x() * 2,)))
@@ -325,6 +330,27 @@ def test_sum_overflow_is_non_finite():
         eval_expr(Sum((big, Sum((big, big)))), (_pt(Fraction(1, 2)),))
 
 
+def test_evaluators_refuse_points_of_another_rank():
+    # dim-2 polynomials and trees refuse rank-1 points: one point, a whole
+    # tuple, or a later point of a tuple whose first point matches
+    good, bad = _pt(Fraction(1, 2), Fraction(1, 3)), _pt(Fraction(1, 2))
+    polys = (Polynomial.zero(2), _x(2, 0) * _x(2, 1) + Polynomial.constant(2, 3))
+    evaluators = (
+        eval_poly_values,
+        eval_poly_ratios,
+        lambda f, xs: eval_expr(PolyLeaf(f), xs),
+        lambda f, xs: eval_expr(Sum((PolyLeaf(f), XLogAbs(PolyLeaf(f)))), xs),
+    )
+    for f in polys:
+        with pytest.raises(DimensionMismatch):
+            eval_poly(f, bad)
+        for points in ((bad,), (bad, bad), (good, bad), (good, good, bad), PointColumns((bad,))):
+            for evaluate in evaluators:
+                with pytest.raises(DimensionMismatch):
+                    evaluate(f, points)
+        assert eval_poly_values(f, (good, good)) == [eval_poly(f, good)] * 2
+
+
 # ---- the batched evaluator against a point-by-point one ----
 
 
@@ -412,7 +438,7 @@ def test_batched_eval_matches_point_by_point(case):
     # where the point-by-point walk returns, the batched one returns the
     # same bits; where it raises, the batched one raises too, naming the
     # node whose column fails first, with the same message on a repeat
-    # call and with a shared leaf table, which the first pass fills
+    # call and at one shared PointColumns, whose leaf values the first pass fills
     expr, points = case
     expected = _outcome(lambda: [_value_at(expr, x) for x in points])
     outcome = _outcome(lambda: eval_expr(expr, points))
@@ -420,9 +446,9 @@ def test_batched_eval_matches_point_by_point(case):
     if isinstance(expected, bytes):
         assert outcome == expected
     assert _outcome(lambda: eval_expr(expr, points)) == outcome
-    leaves = {}
-    assert _outcome(lambda: eval_expr(expr, points, leaves)) == outcome
-    assert _outcome(lambda: eval_expr(expr, points, leaves)) == outcome
+    shared = PointColumns(points)
+    assert _outcome(lambda: eval_expr(expr, shared)) == outcome
+    assert _outcome(lambda: eval_expr(expr, shared)) == outcome
 
 
 @st.composite
@@ -451,22 +477,22 @@ def _leaves_of_rising_degree(draw):
 @given(_leaves_of_rising_degree())
 def test_column_evaluation_with_one_table_matches_point_by_point_fractions(case):
     # every pair is the term-by-term Fraction value, and its int division is
-    # float() of that value, bit for bit, or the same OverflowError; one table
-    # serves every polynomial, each of a higher degree than the last, and
-    # a leaf whose value overflows names itself as it does point by point
+    # float() of that value, bit for bit, or the same OverflowError; one
+    # PointColumns serves every polynomial, each of a higher degree than the
+    # last, and a leaf whose value overflows names itself as it does point by point
     polys, points = case
-    table, leaves = {}, {}
+    columns = PointColumns(points)
     for f in polys:
         exact = [_naive_value(f, x) for x in points]
-        ratios = eval_poly_ratios(f, points, table)
+        ratios = eval_poly_ratios(f, columns)
         assert [Fraction(n, d) for n, d in ratios] == exact
-        assert eval_poly_values(f, points, table) == exact == [eval_poly(f, x) for x in points]
+        assert eval_poly_values(f, columns) == exact == [eval_poly(f, x) for x in points]
         assert eval_poly_ratios(f, points) == ratios
         for (n, d), value in zip(ratios, exact):
             assert _float_outcome(lambda: n / d) == _float_outcome(lambda: float(value))
         leaf = PolyLeaf(f)
         expected = _outcome(lambda: [_value_at(leaf, x) for x in points])
-        assert _outcome(lambda: eval_expr(leaf, points, leaves)) == expected
+        assert _outcome(lambda: eval_expr(leaf, columns)) == expected
 
 
 def _naive_value(f: Polynomial, x: RationalPoint) -> Fraction:
@@ -500,17 +526,15 @@ def _bits(values) -> bytes:
 @given(_judged_columns())
 @example(([1.0, math.inf, 2.0, -math.inf], [1.0, math.inf, 2.0, 0.0], 0.0))
 @example(([-0.0, 3.0], [0.0, 3.5], 0.125))
-def test_judge_column_is_the_judge_and_worse_fold(case):
-    # the residual is the one rule, judged as judge judges each instance;
-    # the worst is worse folded over the column from 0.0, a NaN as the last
-    # NaN, and any running value folds the column alike; failing positions
-    # are those judge fails, in order
+def test_judge_column_is_the_residual_rule_and_worse_fold(case):
+    # the residual is the one relative rule, bit for bit; the worst is worse
+    # folded over the column from 0.0, a NaN as the last NaN, and any running
+    # value folds the column alike; failing positions are those whose residual
+    # is not <= tol (a NaN one among them), in order
     lhs, rhs, tol = case
     residuals, worst, failing = judge_column(lhs, rhs, tol)
-    judged = [judge(a, b, False, tol) for a, b in zip(lhs, rhs)]
-    assert _bits(residuals) == _bits([r for r, _ in judged])
     assert _bits(residuals) == _bits([abs(a - b) / (1.0 + abs(a)) for a, b in zip(lhs, rhs)])
-    assert failing == [i for i, (_, ok) in enumerate(judged) if not ok]
+    assert failing == [i for i, r in enumerate(residuals) if not r <= tol]
     for start in (0.0, 0.5, math.inf, math.nan):
         folded = functools.reduce(worse, residuals, start)
         assert _bits([worse(start, worst)]) == _bits([folded])
@@ -671,19 +695,41 @@ def test_worse_keeps_nan():
     assert math.isnan(worse(math.nan, 1.0))
 
 
-def test_judge_exact_and_relative_rules():
-    assert judge(Fraction(1, 3), Fraction(1, 3), True, 0.0) == (0.0, True)
-    assert judge(Fraction(1, 3), Fraction(1, 2), True, 1.0) == (1 / 6, False)
-    assert judge(3.0, 3.5, False, 0.125) == (0.125, True)  # |3 - 3.5| / (1 + 3)
-    assert judge(3.0, 3.5, False, 0.1) == (0.125, False)
-    residual, ok = judge(math.nan, 1.0, False, 1e-10)
-    assert math.isnan(residual) and not ok
+def test_judge_column_relative_rule():
+    assert judge_column([3.0], [3.5], 0.125) == ([0.125], 0.125, [])  # |3 - 3.5| / (1 + 3)
+    assert judge_column([3.0], [3.5], 0.1) == ([0.125], 0.125, [0])
+    residuals, worst, failing = judge_column([math.nan], [1.0], 1e-10)
+    assert math.isnan(residuals[0]) and math.isnan(worst) and failing == [0]
 
 
-def test_judge_exact_overflow_is_inf():
+def _constant_report(c, dom: Domain):
+    """``verify_moment`` on the exact order-0 family T_0 = c, whose one
+    instance c = c * c fails at every sample unless c is 0 or 1."""
+    one = Polynomial.constant(1, 1)
+    return verify_moment(OperatorFamily(1, 0, lambda _alpha, _f: const_expr(1, c)), [(one, one)], dom)
+
+
+def test_exact_residual_is_the_difference():
+    # exact instances pass only on equality, and the residual is |lhs - rhs|
+    dom = Domain.unit(1)
+    report = _constant_report(Fraction(1, 3), dom)
+    assert report.exact and not report.passed
+    assert len(report.failures) == len(dom.sample_points)
+    assert {(w["lhs"], w["rhs"], w["residual"]) for w in report.failures} == {
+        (1 / 3, 1 / 9, float(Fraction(2, 9)))
+    }
+    assert report.max_residual == report.per_alpha_max_residual["0"] == float(Fraction(2, 9))
+    assert _constant_report(1, dom).passed
+
+
+def test_exact_residual_overflow_is_inf():
     # an exact residual too large for a float is inf, and still fails
-    assert judge(Fraction(10**400), Fraction(0), True, 0.0) == (math.inf, False)
-    assert judge(-(10**400), 10**400, True, 0.0) == (math.inf, False)
+    dom = Domain.unit(1)
+    for c in (10**400, -(10**400)):
+        report = _constant_report(c, dom)
+        assert report.exact and len(report.failures) == len(dom.sample_points)
+        assert report.max_residual == math.inf
+        assert {w["residual"] for w in report.failures} == {math.inf}
 
 
 _EDGE_FLOATS = st.one_of(

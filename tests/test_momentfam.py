@@ -384,7 +384,7 @@ class _Unexpandable(FuncExpr):
 
     dim = 1
 
-    def _eval_points(self, points, path, leaves):
+    def _eval_points(self, points, path):
         return [0.5] * len(points)
 
     def _expand(self):

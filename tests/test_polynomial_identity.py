@@ -254,9 +254,9 @@ def _count_point_evaluations(monkeypatch):
     calls = []
     real = polycalc.eval_poly_ratios
 
-    def counting(f, points, *table):
+    def counting(f, points):
         calls.extend((f, x) for x in points)
-        return real(f, points, *table)
+        return real(f, points)
 
     for module in (polycalc, funcmodel, momentfam):
         if hasattr(module, "eval_poly_ratios"):
@@ -301,20 +301,26 @@ def test_float_verifiers_evaluate_each_leaf_once_per_point(monkeypatch):
     assert calls and _evaluated_twice(calls) == []
 
 
+def _record_power_columns(monkeypatch):
+    """Record (point columns, K) each time a ``PointColumns`` builds its power
+    columns of grade K; the list keeps each object alive, so ids stay unique."""
+    built = []
+    real = polycalc.PointColumns.monomials
+
+    def recording(self, exponents, top):
+        if top not in self.grades:
+            built.append((self, top))
+        return real(self, exponents, top)
+
+    monkeypatch.setattr(polycalc.PointColumns, "monomials", recording)
+    return built
+
+
 def test_one_call_builds_each_point_tuples_power_columns_once(monkeypatch):
-    # every polynomial a call evaluates at one point tuple reads one table of
+    # every polynomial a call evaluates at one point tuple reads one set of
     # its power columns: the samples, where the map components are evaluated,
     # and their images, where the coefficients and the probes are
-    built = []
-
-    class Counted(polycalc._PointPowers):
-        __slots__ = ()
-
-        def __init__(self, points):
-            built.append(self)
-            super().__init__(points)
-
-    monkeypatch.setattr(polycalc, "_PointPowers", Counted)
+    built = _record_power_columns(monkeypatch)
     calls = _count_point_evaluations(monkeypatch)
     dom = Domain.unit(2, seed=7)
     rng = random.Random(7)
@@ -333,10 +339,12 @@ def test_one_call_builds_each_point_tuples_power_columns_once(monkeypatch):
         built.clear()
         calls.clear()
         assert check().passed is passed
-        tuples = Counter(id(table.points) for table in built)
-        assert len(tuples) == len(built) == 2
-        # many polynomials, one table of power columns per point tuple
-        assert len({id(f) for f, _ in calls}) > len(built)
+        # two objects with power columns, one per point tuple
+        tuples = {id(columns): columns for columns, _ in built}
+        assert len(tuples) == len({tuple(c) for c in tuples.values()}) == 2
+        assert dom.sample_points in tuples.values()
+        # many polynomials, one set of power columns per point tuple
+        assert len({id(f) for f, _ in calls}) > len(tuples)
 
 
 def test_each_check_maps_the_samples_in_one_call_per_map_component(monkeypatch):
@@ -350,9 +358,9 @@ def test_each_check_maps_the_samples_in_one_call_per_map_component(monkeypatch):
     calls = []
     real = polycalc.eval_poly_ratios
 
-    def counting(f, points, *table):
+    def counting(f, points):
         calls.append((f, points))
-        return real(f, points, *table)
+        return real(f, points)
 
     monkeypatch.setattr(polycalc, "eval_poly_ratios", counting)
     for check in (
@@ -363,7 +371,9 @@ def test_each_check_maps_the_samples_in_one_call_per_map_component(monkeypatch):
         assert check().passed
         mapped = [points for f, points in calls if any(f is p for p in components)]
         assert len(mapped) == len(components)
-        assert all(points is dom.sample_points for points in mapped)
+        # at one PointColumns of the samples, so their power columns are shared
+        assert all(points is mapped[0] for points in mapped)
+        assert type(mapped[0]) is polycalc.PointColumns and mapped[0] == dom.sample_points
 
 
 def test_tampered_family_evaluates_points_only_where_it_fails(monkeypatch):
@@ -377,3 +387,18 @@ def test_tampered_family_evaluates_points_only_where_it_fails(monkeypatch):
     assert 0 < len(failing) < instances
     # both sides, at every sample, of each failing instance and no other
     assert len(calls) == 2 * len(dom.sample_points) * len(failing)
+
+
+def test_failing_exact_instances_share_one_set_of_power_columns(monkeypatch):
+    # every failing (probe, alpha) of an exact family is evaluated at the one
+    # PointColumns of the samples, so each grade of its power columns is
+    # built once in the call, not once per failing instance
+    dom = Domain.unit(2, seed=5)
+    pairs = default_probe_pairs(dom, 8, random.Random(5))
+    family = _tampered(2, 3, MultiIndex((1, 0)), Polynomial.constant(2, 1))
+    built = _record_power_columns(monkeypatch)
+    report = verify_moment(family, pairs, dom)
+    assert report.exact
+    assert len({(w["probe"], tuple(w["alpha"])) for w in report.failures}) >= 2
+    assert len({id(columns) for columns, _ in built}) == 1
+    assert built[0][0] == dom.sample_points

@@ -1,6 +1,7 @@
 """No module under src/, tests/ or demos/ imports a name it never uses,
-no function under src/ takes a parameter it never reads, and no module
-under src/ defines a name at module level that it never reads.
+no function under src/ takes a parameter it never reads, no module
+under src/ defines a name at module level that it never reads, and no
+class under src/ defines a private method that src/ never reads.
 
 Every name an ``import`` binds must be read somewhere else in its module,
 as a plain name or as the root of a dotted one, or inside a string
@@ -16,6 +17,11 @@ such as ``Columns``, a table such as ``_SCALAR_TEXT``) must be read
 somewhere in that module, and so must every module-level ``def`` or
 ``class`` whose name starts with ``_``.  Public functions and classes
 are read by other modules and are exempt.
+
+Every method (or other ``def``) in a class body under src/ whose name
+starts with ``_`` and is no dunder such as ``__init__`` must be read as
+an attribute (``obj._name``) somewhere under src/, so a helper that a
+refactor leaves without callers shows up.  Public methods are exempt.
 """
 
 from __future__ import annotations
@@ -136,4 +142,36 @@ def test_no_unread_module_names():
     files = [path for path in FILES if path.is_relative_to(ROOT / "src")]
     assert files
     unread = [entry for path in files for entry in _unread_module_names(path)]
+    assert unread == []
+
+
+def _private_methods(tree: ast.AST) -> list:
+    """(class, method, line) of every private, non-dunder def in a class body."""
+    return [
+        (node.name, item.name, item.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name.startswith("_")
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
+def test_no_unread_private_methods():
+    files = [path for path in FILES if path.is_relative_to(ROOT / "src")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    defined = [
+        f"{path.relative_to(ROOT)}:{line} {cls}.{name}"
+        for path, tree in trees.items()
+        for cls, name, line in _private_methods(tree)
+    ]
+    assert defined
+    unread = [entry for entry in defined if entry.rsplit(".", 1)[1] not in read]
     assert unread == []
