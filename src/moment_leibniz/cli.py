@@ -18,9 +18,12 @@ built once, at import.
 
 Reports are written by columns.  The values at one place in many records
 (every ``lhs`` of a failure list, say) form one column, and a column of
-same-typed values is written with one text call.  The output equals
-``json.dumps(report, sort_keys=True, indent=2)`` and a newline, byte for
-byte.
+same-typed values is written with one text call.  A report holds dicts
+with ``str`` keys, lists, and scalars whose exact type is ``str``,
+``int``, ``float``, ``bool`` or ``None``; the writer raises ``TypeError``
+for anything else, a tuple or an ``int`` subclass included.  The output
+equals ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ def run_verify_family(args: argparse.Namespace) -> dict:
         raise InputError(f"cannot read descriptor: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
         raise InputError(f"descriptor is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError("descriptor nests too deeply") from exc
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# json's text of a scalar by its exact type; _json_type maps a subclass to its base
+# json's text of a scalar by its exact type: a report holds no subclass
 _SCALAR_TEXT = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
@@ -368,29 +371,10 @@ _SCALAR_TEXT = {
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
-_KINDS = {*_SCALAR_TEXT, list, tuple, dict}
-
-
-def _json_type(value: object) -> type:
-    """The type that json writes ``value`` as: the first JSON type in its MRO."""
-    for kind in type(value).__mro__:
-        if kind in _KINDS:
-            return kind
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key_text(key: object) -> str:
-    """The text of a dict key, converted to a string as json does."""
-    if isinstance(key, str):
-        return _SCALAR_TEXT[str](key)
-    if key is not None and not isinstance(key, (int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    text = _SCALAR_TEXT[_json_type(key)](key)
-    return f'"{_NON_FINITE.get(text, text)}"'
 
 
 def _scalar_texts(column: list, kind: type) -> List[str]:
-    """The texts of a column whose values json writes as one scalar type."""
+    """The texts of a column of values of the one scalar type ``kind``."""
     texts = list(map(_SCALAR_TEXT[kind], column))
     if kind is float and not all(map(math.isfinite, column)):
         texts = [_NON_FINITE.get(text, text) for text in texts]
@@ -399,6 +383,11 @@ def _scalar_texts(column: list, kind: type) -> List[str]:
 
 def _texts(values: list, newline: str) -> List[str]:
     """json's text of each of ``values``, where ``newline`` is a newline and their indent.
+
+    A value is a dict with ``str`` keys, a list, or a scalar whose exact
+    type is ``str``, ``int``, ``float``, ``bool`` or ``None``: what
+    ``to_json`` and ``json.loads`` build.  Anything else, a tuple or an
+    ``int`` subclass say, raises ``TypeError``.
 
     A column of one scalar type is one ``map`` of its text function.  The
     dicts of a column that share one key tuple are written as one child
@@ -412,7 +401,7 @@ def _texts(values: list, newline: str) -> List[str]:
     uniform = len(set(map(type, values))) == 1
     if uniform and kind in _SCALAR_TEXT:
         return _scalar_texts(values, kind)
-    if uniform and (not isinstance(values[0], dict) or len(set(map(tuple, values))) == 1):
+    if uniform and (kind is list or kind is dict and len(set(map(tuple, values))) == 1):
         out, runs = None, [(0, values)]
     else:
         out, runs = [""] * len(values), []
@@ -425,30 +414,21 @@ def _texts(values: list, newline: str) -> List[str]:
                 runs.append((i, [value]))
     inner = newline + "  "
     for i, run in runs:
-        kind = _json_type(run[0])
-        if kind in _SCALAR_TEXT:
-            texts = _scalar_texts(run, kind)
+        kind = type(run[0])
+        if kind is dict and not run[0]:
+            texts = ["{}"] * len(run)
         elif kind is dict:
-            # equal key tuples of other types can differ in text (1, 1.0, True)
-            alike = {str}.issuperset(map(type, run[0]))
-            texts = []
-            for records in [run] if alike else [[record] for record in run]:
-                keys = sorted(records[0])
-                if not keys:
-                    texts += ["{}"] * len(records)
-                    continue
-                names = map(_SCALAR_TEXT[str] if alike else _key_text, keys)
-                names = map(str.replace, names, repeat("%"), repeat("%%"))
-                row = "{" + inner + (": %s," + inner).join(names) + ": %s" + newline + "}"
-                if len(records) == 1:
-                    cells = [tuple(_texts([records[0][key] for key in keys], inner))]
-                else:  # a loop, not a comprehension, so that no frame sits between levels
-                    columns = []
-                    for key in keys:
-                        columns.append(_texts([record[key] for record in records], inner))
-                    cells = zip(*columns)
-                texts += map(row.__mod__, cells)
-        else:
+            keys = sorted(run[0])
+            names = map(str.replace, map(_SCALAR_TEXT[str], keys), repeat("%"), repeat("%%"))
+            row = "{" + inner + (": %s," + inner).join(names) + ": %s" + newline + "}"
+            if len(run) == 1:
+                texts = [row % tuple(_texts([run[0][key] for key in keys], inner))]
+            else:  # a loop, not a comprehension, so that no frame sits between levels
+                columns = []
+                for key in keys:
+                    columns.append(_texts([record[key] for record in run], inner))
+                texts = list(map(row.__mod__, zip(*columns)))
+        elif kind is list:
             items = list(chain.from_iterable(run))
             items = _texts(items, inner) if items else []
             sizes = list(map(len, run))
@@ -463,6 +443,8 @@ def _texts(values: list, newline: str) -> List[str]:
                     body = comma.join(items[start : start + size])
                     texts.append("[" + inner + body + newline + "]" if size else "[]")
                     start += size
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         if out is None:
             return texts
         out[i] = texts[0]

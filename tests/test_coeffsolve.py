@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +181,24 @@ def test_height_one_imposes_nothing():
     assert constraint_indices(1, 1) == []
     dom = Domain.unit(1)
     assert check_constraint(cf, dom).passed
+
+
+def test_constraint_below_band_without_expansion_is_judged_on_the_samples():
+    # c_1 = u ln|u| at u = 1 is 0 at every sample, and a coefficient with no
+    # polynomial expansion gets no below-band witness, so the check passes
+    cf = CoeffFamily(1, 2, {_mi(1): XLogAbs(const_expr(1, 1))})
+    dom = Domain.unit(1)
+    report = check_constraint(cf, dom)
+    assert report.passed
+    assert report.max_residual == 0.0
+    # at u = 2, c_1 = 2 ln 2 and the alpha = 2 sum is C(2,1) (2 ln 2)^2 at every sample
+    cf = CoeffFamily(1, 2, {_mi(1): XLogAbs(const_expr(1, 2))})
+    report = check_constraint(cf, dom)
+    expected = 2 * (2 * math.log(2)) ** 2
+    assert not report.passed
+    assert [f["alpha"] for f in report.failures] == [[2]] * len(dom.sample_points)
+    assert [f["value"] for f in report.failures] == [pytest.approx(expected)] * len(dom.sample_points)
+    assert report.max_residual == pytest.approx(3.84, abs=0.005)
 
 
 def test_constraint_sums_match_hand_expansion():

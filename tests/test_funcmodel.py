@@ -632,6 +632,11 @@ def test_power_sign_validation():
         PowerSignMap(negative_p, TauMap.identity(1)).validate(dom)
 
 
+def test_power_sign_map_needs_the_domain_rank():
+    with pytest.raises(DimensionMismatch, match="map rank 2 vs domain rank 1"):
+        PowerSignMap(const_expr(1, 1), TauMap.identity(2)).validate(Domain.unit(1))
+
+
 def test_power_sign_exponent_error_wins_over_map_error():
     # tau(x) = 2x leaves the box from x = 1/2 on, p = 3/4 - x is negative only at 4/5:
     # every sample's exponent is checked before any image

@@ -111,6 +111,11 @@ def test_eval_is_ring_homomorphism():
         assert eval_poly(f + g, x) == eval_poly(f, x) + eval_poly(g, x)
 
 
+def test_point_needs_rank_at_least_one():
+    with pytest.raises(ValueError, match="point needs rank >= 1"):
+        RationalPoint(())
+
+
 def _naive_eval(f: Polynomial, x: RationalPoint) -> Fraction:
     # term-by-term Fraction arithmetic, the reference for eval_poly
     total = Fraction(0)
@@ -256,6 +261,11 @@ def test_dalpha_pinned():
     assert dalpha(p, _mi(2, 1)) == Polynomial.constant(2, 2)
     assert dalpha(p, _mi(3, 0)).is_zero()
     assert dalpha(p, _mi(0, 0)) == p
+
+
+def test_dalpha_needs_an_index_of_the_polynomial_dim():
+    with pytest.raises(DimensionMismatch, match="poly dim 2 vs index rank 1"):
+        dalpha(Polynomial.monomial((2, 1)), _mi(1))
 
 
 def test_dalpha_composes():
