@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .multiindex import (
@@ -84,29 +83,31 @@ IndexLike = Union[MultiIndex, Tuple[int, ...]]
 Support = Tuple[MultiIndex, ...]
 
 
-@dataclass
+def _check_index(idx: MultiIndex, rank: int, order: int) -> None:
+    """Refuse a coefficient index of another rank or outside 0 < |alpha| <= order."""
+    if idx.rank != rank:
+        raise ValueError(
+            f"coefficient index {tuple(idx)} has rank {idx.rank}, "
+            f"expected {rank}"
+        )
+    if not 1 <= idx.height <= order:
+        raise ValueError(
+            f"coefficient index {tuple(idx)} outside 0 < |alpha| <= {order}"
+        )
+
+
 class CoeffFamily:
     """Coefficients c_alpha for 0 < |alpha| <= order; missing indices are zero."""
 
-    rank: int
-    order: int
-    coefficients: Dict[MultiIndex, FuncExpr]
-
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, order: int, coefficients: Mapping[IndexLike, FuncExpr]) -> None:
+        self.rank = rank
+        self.order = order
         check_count("rank", self.rank, 1)
         check_count("order", self.order, 0)
         coeffs: Dict[MultiIndex, FuncExpr] = {}
-        for idx, expr in self.coefficients.items():
+        for idx, expr in coefficients.items():
             idx = as_multiindex(idx)
-            if idx.rank != self.rank:
-                raise ValueError(
-                    f"coefficient index {tuple(idx)} has rank {idx.rank}, "
-                    f"expected {self.rank}"
-                )
-            if not 1 <= idx.height <= self.order:
-                raise ValueError(
-                    f"coefficient index {tuple(idx)} outside 0 < |alpha| <= {self.order}"
-                )
+            _check_index(idx, self.rank, self.order)
             if expr.dim != self.rank:
                 raise ValueError(
                     f"coefficient at {tuple(idx)} has dim {expr.dim}, expected {self.rank}"
@@ -335,11 +336,18 @@ def random_valid_family(
     of indices alone; that canonical support is returned with the family.
     It must lie in the band, where every bilinear sum is empty, so each
     index takes an independent random polynomial.  An index of the wrong
-    rank or outside 0 < |alpha| <= order is refused first, by
-    ``CoeffFamily`` (ValueError); then a support reaching below the band
-    raises InvalidSupport.
+    rank or outside 0 < |alpha| <= order is refused first, with
+    ``CoeffFamily``'s ValueError; then a support reaching below the band
+    raises InvalidSupport, before any polynomial is drawn.
     """
     canonical = tuple(sorted({as_multiindex(a) for a in support}, key=_band_order))
+    for idx in canonical:
+        _check_index(idx, rank, order)
+    if forced_zero_analysis(order, canonical):
+        raise InvalidSupport(
+            f"support {[tuple(a) for a in canonical]} leaves "
+            f"the band {order}/2 < |alpha| <= {order}"
+        )
     rng = random.Random(f"coeff-family:{seed}")
     coeffs: Dict[MultiIndex, FuncExpr] = {
         idx: PolyLeaf(
@@ -347,10 +355,4 @@ def random_valid_family(
         )
         for idx in canonical
     }
-    family = CoeffFamily(rank, order, coeffs)
-    if forced_zero_analysis(order, canonical):
-        raise InvalidSupport(
-            f"support {[tuple(a) for a in canonical]} leaves "
-            f"the band {order}/2 < |alpha| <= {order}"
-        )
-    return family, canonical
+    return CoeffFamily(rank, order, coeffs), canonical

@@ -9,7 +9,8 @@ components (``grad_dot``, ``hess_quad``); ``expr_from_json`` reads the
 JSON kinds ``scale``, ``graddot`` and ``hessquad`` that way, and
 ``to_json`` writes them as sums and products.  Power-sign families also
 build ``SignedPower`` nodes, sgn(u) |u|^p with 0 at u = 0, which no
-descriptor reads.
+descriptor reads.  Two trees are equal when their nodes agree in type and
+operands; none is hashable, since a ``Polynomial`` is not.
 
 Trees evaluate to floats over a tuple of rational points in one walk
 (``eval_expr``): each node computes its values at every point, with the
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,8 +81,15 @@ class FuncExpr:
     ``children`` are the operands of a sum or a product.
     """
 
+    __slots__ = ()
     dim: int
     children: Tuple["FuncExpr", ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        """Trees are equal when they are of one type with equal operands."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
         raise NotImplementedError
@@ -94,9 +101,11 @@ class FuncExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class PolyLeaf(FuncExpr):
-    poly: Polynomial
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: Polynomial) -> None:
+        self.poly = poly
 
     @property
     def dim(self) -> int:
@@ -121,12 +130,12 @@ class PolyLeaf(FuncExpr):
         return {"kind": "poly", "dim": self.dim, "terms": self.poly.to_json()}
 
 
-@dataclass(frozen=True)
 class Sum(FuncExpr):
-    children: tuple[FuncExpr, ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        _check_children(self.children, "Sum")
+    def __init__(self, children: Tuple[FuncExpr, ...]) -> None:
+        _check_children(children, "Sum")
+        self.children = children
 
     @property
     def dim(self) -> int:
@@ -149,12 +158,12 @@ class Sum(FuncExpr):
         return {"kind": "sum", "children": [c.to_json() for c in self.children]}
 
 
-@dataclass(frozen=True)
 class Product(FuncExpr):
-    children: tuple[FuncExpr, ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        _check_children(self.children, "Product")
+    def __init__(self, children: Tuple[FuncExpr, ...]) -> None:
+        _check_children(children, "Product")
+        self.children = children
 
     @property
     def dim(self) -> int:
@@ -179,11 +188,13 @@ class Product(FuncExpr):
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
 
 
-@dataclass(frozen=True)
 class XLogAbs(FuncExpr):
     """The continuous extension of u -> u * ln|u|, with value 0 at u = 0."""
 
-    child: FuncExpr
+    __slots__ = ("child",)
+
+    def __init__(self, child: FuncExpr) -> None:
+        self.child = child
 
     @property
     def dim(self) -> int:
@@ -200,12 +211,14 @@ class XLogAbs(FuncExpr):
         return {"kind": "xlogabs", "child": self.child.to_json()}
 
 
-@dataclass(frozen=True)
 class SignedPower(FuncExpr):
     """u -> sgn(u) * |u|^p, with value 0 at u = 0, for a base u and an exponent p."""
 
-    child: FuncExpr
-    exponent: FuncExpr
+    __slots__ = ("child", "exponent")
+
+    def __init__(self, child: FuncExpr, exponent: FuncExpr) -> None:
+        self.child = child
+        self.exponent = exponent
 
     @property
     def dim(self) -> int:
@@ -333,15 +346,15 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"domain rank must be an integer >= 1, got {rank!r}")
 
 
-@dataclass(frozen=True)
 class Domain:
     """The open unit box (0,1)^rank with rational sample points strictly inside it."""
 
-    rank: int
-    sample_points: tuple[RationalPoint, ...]
-    float_tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, rank: int, sample_points: Tuple[RationalPoint, ...], float_tolerance: float = 1e-9
+    ) -> None:
+        self.rank = rank
+        self.sample_points = sample_points
+        self.float_tolerance = float_tolerance
         _check_rank(self.rank)
         if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
             raise ValueError(
@@ -397,13 +410,11 @@ class Domain:
 # ---- reparametrization maps ----
 
 
-@dataclass(frozen=True)
 class TauMap:
     """A polynomial map of the ambient box, one component per coordinate."""
 
-    components: tuple[Polynomial, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, components: Tuple[Polynomial, ...]) -> None:
+        self.components = components
         r = len(self.components)
         if r == 0:
             raise ValueError("map needs rank >= 1")
@@ -455,17 +466,20 @@ class TauMap:
 # ---- shared report shape ----
 
 
-@dataclass
 class CheckReport:
     """Outcome of a pointwise verification sweep."""
 
-    check: str
-    passed: bool
-    max_residual: float
-    tolerance: float
-    failures: List[dict]
-    counts: Dict[str, int]
-    seed: Optional[int] = None
+    def __init__(
+        self, check: str, passed: bool, max_residual: float, tolerance: float,
+        failures: List[dict], counts: Dict[str, int], seed: Optional[int] = None,
+    ) -> None:
+        self.check = check
+        self.passed = passed
+        self.max_residual = max_residual
+        self.tolerance = tolerance
+        self.failures = failures
+        self.counts = counts
+        self.seed = seed
 
     def to_json(self) -> dict:
         return {
@@ -521,12 +535,12 @@ def worse(current: float, residual: float) -> float:
 # ---- power-sign multiplicative maps ----
 
 
-@dataclass(frozen=True)
 class PowerSignMap:
     """M(f)(x) = |f(tau(x))|^{p(x)} * sgn(f(tau(x))), the T_0 of ``momentfam.make_power_sign``."""
 
-    exponent: FuncExpr
-    tau: TauMap
+    def __init__(self, exponent: FuncExpr, tau: TauMap) -> None:
+        self.exponent = exponent
+        self.tau = tau
 
     def validate(self, domain: Domain) -> None:
         """p must be positive at every sample; then ``domain.images`` must accept tau."""

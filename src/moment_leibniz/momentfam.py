@@ -71,7 +71,6 @@ as a proof in Q[x] whenever its operators expand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, check_count, convolution_terms, enumerate_height_at_most
@@ -112,7 +111,6 @@ from .coeffsolve import CoeffFamily
 Rule = Callable[[MultiIndex, Polynomial], FuncExpr]
 
 
-@dataclass
 class OperatorFamily:
     """Operators T_alpha for |alpha| <= order, applied to polynomials.
 
@@ -129,17 +127,18 @@ class OperatorFamily:
     unchecked; like the rule's expressions, they are read at point_map(x).
     """
 
-    rank: int
-    order: int
-    rule: Rule
-    point_map: Optional[TauMap] = None
-    descriptor: Optional[dict] = None
-    dim: Optional[int] = None
-    coeff_family: Optional[CoeffFamily] = None
-
-    def __post_init__(self) -> None:
-        if self.dim is None:
-            self.dim = self.rank
+    def __init__(
+        self, rank: int, order: int, rule: Rule, point_map: Optional[TauMap] = None,
+        descriptor: Optional[dict] = None, dim: Optional[int] = None,
+        coeff_family: Optional[CoeffFamily] = None,
+    ) -> None:
+        self.rank = rank
+        self.order = order
+        self.rule = rule
+        self.point_map = point_map
+        self.descriptor = descriptor
+        self.dim = rank if dim is None else dim
+        self.coeff_family = coeff_family
         check_count("rank", self.rank, 1)
         check_count("order", self.order, 0)
         check_count("dim", self.dim, 1)
@@ -214,8 +213,9 @@ def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
     if c.dim != rank:
         raise ValueError(f"coefficient dim {c.dim}, rank {rank}")
     cf = CoeffFamily(rank, 1, {MultiIndex.unit(rank, i): c for i in range(rank)})
-    descriptor = {"kind": "first_order_leibniz", "r": rank, "c": c.to_json()}
-    return replace(make_identity_generated(cf), descriptor=descriptor)
+    family = make_identity_generated(cf)
+    family.descriptor = {"kind": "first_order_leibniz", "r": rank, "c": c.to_json()}
+    return family
 
 
 def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
@@ -295,7 +295,6 @@ def default_probe_pairs(
 # ---- the verifier ----
 
 
-@dataclass
 class MomentReport:
     """Outcome of ``verify_moment`` over one family.
 
@@ -303,15 +302,20 @@ class MomentReport:
     expanded to polynomials, so every verdict is a proof in Q[x].
     """
 
-    family: dict
-    probe_count: int
-    per_alpha_max_residual: Dict[str, float]
-    max_residual: float
-    passed: bool
-    failures: List[dict]
-    tolerance: float
-    exact: bool
-    seed: Optional[int] = None
+    def __init__(
+        self, family: dict, probe_count: int, per_alpha_max_residual: Dict[str, float],
+        max_residual: float, passed: bool, failures: List[dict], tolerance: float,
+        exact: bool, seed: Optional[int] = None,
+    ) -> None:
+        self.family = family
+        self.probe_count = probe_count
+        self.per_alpha_max_residual = per_alpha_max_residual
+        self.max_residual = max_residual
+        self.passed = passed
+        self.failures = failures
+        self.tolerance = tolerance
+        self.exact = exact
+        self.seed = seed
 
     def to_json(self) -> dict:
         return {

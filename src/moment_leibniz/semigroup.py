@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
@@ -41,7 +40,6 @@ from .funcmodel import CheckReport, NonFiniteValue, judge_column, worse
 Columns = List[List[float]]
 
 
-@dataclass
 class MomentSeq:
     """A candidate moment sequence: ``values(points)`` is a new list of columns.
 
@@ -49,9 +47,10 @@ class MomentSeq:
     holds f_alpha at each of the points.
     """
 
-    rank: int
-    order: int
-    values: Callable[[Sequence[float]], Columns]
+    def __init__(self, rank: int, order: int, values: Callable[[Sequence[float]], Columns]) -> None:
+        self.rank = rank
+        self.order = order
+        self.values = values
 
 
 def make_exponential_moment_seq(

@@ -1283,6 +1283,20 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["pass"] is True
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Each call starts a fresh interpreter, so every module the CLI imports is paid for."""
+    package_root = str(Path(moment_leibniz.__file__).parents[1])
+    code = "import sys, moment_leibniz.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],  # -S: no site hook imports anything first
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_main_does_not_build_a_parser(capsys, monkeypatch):
     argv = ["search-supports", "--rank", "1", "--order", "2"]
     assert main(argv) == EXIT_PASS

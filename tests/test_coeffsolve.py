@@ -11,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from moment_leibniz import polycalc
 from moment_leibniz.multiindex import (
     MultiIndex,
     binom,
@@ -479,6 +480,21 @@ def test_random_family_rejects_uncertified_support():
         random_valid_family(1, 2, [(1, 1)], seed=0)
     with pytest.raises(ValueError, match="outside"):
         random_valid_family(1, 2, [(3,)], seed=0)
+
+
+def test_random_family_draws_nothing_for_a_support_below_the_band(monkeypatch):
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return random_polynomial(*args, **kwargs)
+
+    monkeypatch.setattr(polycalc, "random_polynomial", counted)
+    with pytest.raises(InvalidSupport):
+        random_valid_family(3, 4, [(1, 0, 0), (2, 1, 0), (0, 0, 3), (4, 0, 0)], seed=0)
+    assert drawn == []
+    random_valid_family(3, 4, [(2, 1, 0), (0, 0, 3)], seed=0)
+    assert len(drawn) == 2
 
 
 def test_support_pattern_json_roundtrip():
