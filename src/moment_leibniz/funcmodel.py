@@ -36,14 +36,16 @@ samples at a time, and refuses at the first one outside the box; the
 moment verifier, the coefficient constraint and a power-sign map's
 validation all read their points there, a fresh ``PointColumns`` per
 call.  Every sampled check turns a column of float instances
-lhs = rhs into residuals and verdicts with ``judge_column``; a sampled
-convolution sum comes from ``convolution_column``;
-``witness_float`` writes an exact witness value, such as the constraint's
-below-band sum, as a float, +-inf when it is too large for one.
+lhs = rhs into residuals and verdicts with ``judge_column``; every
+sampled convolution product comes from ``convolution_products``, whose
+columns ``convolution_column`` sums; ``witness_float`` writes an exact
+witness value, such as the constraint's below-band sum, as a float,
++-inf when it is too large for one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -58,7 +60,6 @@ from .polycalc import (
     Scalar,
     dalpha,
     eval_poly,
-    eval_poly_ratios,
     eval_poly_values,
 )
 
@@ -112,16 +113,11 @@ class PolyLeaf(FuncExpr):
         return self.poly.dim
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
-        """The float values of poly at the points, computed on the first request only."""
-        hit = points.floats.get(id(self.poly))
-        if hit is not None:
-            return hit[1]
-        try:  # correctly rounded: a finite float or an OverflowError
-            values = [n / d for n, d in eval_poly_ratios(self.poly, points)]
+        """The float values of poly at the points, which ``points`` keeps."""
+        try:
+            return points.float_values(self.poly)
         except OverflowError as exc:
             raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
-        points.floats[id(self.poly)] = (self.poly, values)
-        return values
 
     def _expand(self) -> Polynomial:
         return self.poly
@@ -273,44 +269,32 @@ def const_expr(dim: int, value: Scalar) -> PolyLeaf:
     return PolyLeaf(Polynomial.constant(dim, value))
 
 
-def _sum_of(terms: List[FuncExpr], dim: int) -> FuncExpr:
-    return Sum(tuple(terms)) if terms else PolyLeaf(Polynomial.zero(dim))
+def _contraction(poly: Polynomial, field: Sequence[FuncExpr], order: int) -> FuncExpr:
+    """The sum of d_{i_1} ... d_{i_order}(poly) * field_{i_1} * ... * field_{i_order}.
 
-
-def _check_field(poly: Polynomial, field: Sequence[FuncExpr]) -> None:
-    if len(field) != poly.dim or any(c.dim != poly.dim for c in field):
+    The terms run over the axis tuples in row order, skipping zero derivatives.
+    """
+    r = poly.dim
+    if len(field) != r or any(c.dim != r for c in field):
         raise DimensionMismatch(
-            f"field needs {poly.dim} components of dim {poly.dim}, got dims "
-            f"{[c.dim for c in field]}"
+            f"field needs {r} components of dim {r}, got dims {[c.dim for c in field]}"
         )
+    terms: List[FuncExpr] = []
+    for axes in itertools.product(range(r), repeat=order):
+        d = dalpha(poly, MultiIndex(map(axes.count, range(r))))
+        if not d.is_zero():
+            terms.append(Product((PolyLeaf(d), *(field[i] for i in axes))))
+    return Sum(tuple(terms)) if terms else PolyLeaf(Polynomial.zero(r))
 
 
 def grad_dot(poly: Polynomial, field: Sequence[FuncExpr]) -> FuncExpr:
     """<grad(poly), field>: the sum of d_i(poly) * field_i over nonzero d_i(poly)."""
-    _check_field(poly, field)
-    r = poly.dim
-    terms: List[FuncExpr] = []
-    for i in range(r):
-        d = dalpha(poly, MultiIndex.unit(r, i))
-        if not d.is_zero():
-            terms.append(Product((PolyLeaf(d), field[i])))
-    return _sum_of(terms, r)
+    return _contraction(poly, field, 1)
 
 
 def hess_quad(poly: Polynomial, field: Sequence[FuncExpr]) -> FuncExpr:
-    """<Hess(poly) field, field>: the sum of d_i d_j(poly) * field_i * field_j.
-
-    The terms run over (i, j) in row order, skipping zero entries.
-    """
-    _check_field(poly, field)
-    r = poly.dim
-    terms: List[FuncExpr] = []
-    for i in range(r):
-        for j in range(r):
-            d = dalpha(poly, MultiIndex.unit(r, i) + MultiIndex.unit(r, j))
-            if not d.is_zero():
-                terms.append(Product((PolyLeaf(d), field[i], field[j])))
-    return _sum_of(terms, r)
+    """<Hess(poly) field, field>: sum of d_i d_j(poly) * field_i * field_j, (i, j) in row order."""
+    return _contraction(poly, field, 2)
 
 
 def expr_from_json(data: dict) -> FuncExpr:
@@ -346,6 +330,12 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"domain rank must be an integer >= 1, got {rank!r}")
 
 
+def check_tolerance(name: str, tol: float) -> None:
+    """Refuse a float tolerance that is not finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol}")
+
+
 class Domain:
     """The open unit box (0,1)^rank with rational sample points strictly inside it."""
 
@@ -356,10 +346,7 @@ class Domain:
         self.sample_points = sample_points
         self.float_tolerance = float_tolerance
         _check_rank(self.rank)
-        if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
-            raise ValueError(
-                f"float_tolerance must be finite and > 0, got {self.float_tolerance}"
-            )
+        check_tolerance("float_tolerance", self.float_tolerance)
         if len(self.sample_points) < 8:
             raise ValueError(
                 f"need at least 8 sample points, got {len(self.sample_points)}"
@@ -495,10 +482,25 @@ class CheckReport:
         }
 
 
+def convolution_products(left, right, splits) -> List[List[float]]:
+    """The column of w * left[beta] * right[gamma] for each split (w, beta, gamma), in split order.
+
+    Each weight becomes a float once, as ``w * a`` converts it (OverflowError past
+    the range), and a weight of 1 is skipped, as 1.0 * a is a: the bits are the same.
+    """
+    products = []
+    for w, beta, gamma in splits:
+        if w == 1:
+            products.append(list(map(operator.mul, left[beta], right[gamma])))
+        else:
+            w = float(w)
+            products.append([w * a * b for a, b in zip(left[beta], right[gamma])])
+    return products
+
+
 def convolution_column(left, right, splits) -> List[float]:
-    """Each point's sum of w * left[beta] * right[gamma], by ``sum`` in split order; [] if none."""
-    products = [[w * a * b for a, b in zip(left[beta], right[gamma])] for w, beta, gamma in splits]
-    return list(map(sum, zip(*products)))
+    """Each point's sum of its ``convolution_products``, by ``sum`` in split order; [] if none."""
+    return list(map(sum, zip(*convolution_products(left, right, splits))))
 
 
 def judge_column(lhs, rhs, tol: float) -> Tuple[List[float], float, List[int]]:

@@ -370,8 +370,8 @@ class PointColumns(tuple):
     ``grades[K]`` holds, per coordinate, the columns of n_i^k d_i^(K - k)
     for k <= K, and the columns of prod_i n_i^e_i d_i^(K - e_i) built
     from them, each built once.  ``floats`` maps id(f) to f and its float
-    values at the points, for ``funcmodel``'s polynomial leaves; the entry
-    keeps f alive, so its id is not reused.
+    values at the points, which ``float_values`` fills for ``funcmodel``'s
+    polynomial leaves; the entry keeps f alive, so its id is not reused.
     """
 
     def __new__(cls, points: Iterable[RationalPoint]) -> "PointColumns":
@@ -396,6 +396,16 @@ class PointColumns(tuple):
         """Refuse a ``what`` of ``dim`` variables unless the points have that rank."""
         if self and self.rank != dim:
             raise DimensionMismatch(f"{what} dim {dim} vs point rank {self.rank}")
+
+    def float_values(self, f: Polynomial) -> List[float]:
+        """f's float values at the points, computed on the first request only.
+
+        Each is n / d of ``eval_poly_ratios`` correctly rounded, or OverflowError.
+        """
+        hit = self.floats.get(id(f))
+        if hit is None:
+            hit = self.floats[id(f)] = (f, [n / d for n, d in eval_poly_ratios(f, self)])
+        return hit[1]
 
     def monomials(self, exponents: Iterable[Tuple[int, ...]], top: int) -> List[List[int]]:
         """The column of prod_i n_i^e_i d_i^(top - e_i) for each exponent e."""

@@ -15,16 +15,16 @@ case is the classical power-times-exponential recurrence.  Probe pairs
 are drawn uniformly from [-2, 2].  A sequence is a value table over a
 list of points: one column per alpha, in ``enumerate_height_at_most``
 order, holding f_alpha at every point.  The verifier tabulates the x, y
-and x + y of a sweep's probes once; then, alpha by alpha, it builds the
-float-weighted splits of ``multiindex.convolution_terms``, forms each as
-one column of products and adds each probe's products with ``math.fsum``
-in split order.  Each alpha's column of instances is then judged at
-once with ``funcmodel.judge_column``, and the failures of all alphas
-are listed in (probe, alpha) order.  A table error, such as a power
-past the float range, passes through before any weight is built; then,
-alpha by alpha, comes a weight too large for a float (``OverflowError``)
-or a sum that overflows, which is no verdict: its error names the alpha
-and its first failing probe.
+and x + y of a sweep's probes once; then, in one pass per alpha, it
+takes the split products of ``funcmodel.convolution_products`` over
+``multiindex.convolution_terms``, adds each probe's products with
+``math.fsum`` in split order, judges the alpha's column of instances
+with ``funcmodel.judge_column`` and records its failures; those of all
+alphas are listed in (probe, alpha) order.  A table error, such as a
+power past the float range, passes through before any product is
+built; then, alpha by alpha, comes a weight too large for a float
+(``OverflowError``) or a sum that overflows, which is no verdict: its
+error names the alpha and its first failing probe.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import random
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
-from .funcmodel import CheckReport, NonFiniteValue, judge_column, worse
+from .funcmodel import CheckReport, NonFiniteValue, check_tolerance, convolution_products
+from .funcmodel import judge_column, worse
 
 Columns = List[List[float]]
 
@@ -96,17 +97,29 @@ def verify_moment_seq(
 ) -> CheckReport:
     """Check the convolution identity on probe pairs of reals.
 
-    Residuals follow ``funcmodel.judge_column``, one alpha's column of
-    probes at a time: |lhs - rhs| / (1 + |lhs|), passing when <= tol, so
-    NaN fails; the alpha = 0 row is plain multiplicativity of f_0.
-    Failures are listed in (probe, alpha) order.
+    ``tol`` must be finite and > 0; another raises ValueError before any
+    table is built.  Residuals follow ``funcmodel.judge_column``, one
+    alpha's column of probes at a time: |lhs - rhs| / (1 + |lhs|),
+    passing when <= tol, so NaN fails; the alpha = 0 row is plain
+    multiplicativity of f_0.  Failures are listed in (probe, alpha) order.
     """
+    check_tolerance("tol", tol)
     alphas = enumerate_height_at_most(seq.rank, seq.order)
-    lhs, rhs = _sides(seq, probes, alphas)
+    vx = _table(seq, [x for x, _ in probes], alphas)
+    vy = _table(seq, [y for _, y in probes], alphas)
+    lhs = _table(seq, [x + y for x, y in probes], alphas)
     failures: List[dict] = []
     max_residual = 0.0
-    for alpha, left, right in zip(alphas, lhs, rhs):
-        residuals, worst, failing = judge_column(left, right, tol)
+    for alpha, left in lhs.items():
+        products = convolution_products(vx, vy, convolution_terms(alpha))
+        sums: List[float] = []
+        try:
+            for row in zip(*products):
+                sums.append(math.fsum(row))
+        except (OverflowError, ValueError) as exc:  # inf - inf, or past the range
+            msg = f"convolution of alpha {tuple(alpha)} at probe {len(sums)} does not sum: {exc}"
+            raise NonFiniteValue(msg) from exc
+        residuals, worst, failing = judge_column(left, sums, tol)
         max_residual = worse(max_residual, worst)
         for k in failing:
             x, y = probes[k]
@@ -117,7 +130,7 @@ def verify_moment_seq(
                     "x": x,
                     "y": y,
                     "lhs": left[k],
-                    "rhs": right[k],
+                    "rhs": sums[k],
                     "residual": residuals[k],
                 }
             )
@@ -134,48 +147,12 @@ def verify_moment_seq(
     )
 
 
-def _sides(
-    seq: MomentSeq,
-    probes: Sequence[Tuple[float, float]],
-    alphas: List[MultiIndex],
-) -> Tuple[Columns, Columns]:
-    """Each alpha's column of f_alpha(x + y), and of its convolution sums, over the probes.
-
-    The tables are built first, and each alpha's splits where they are
-    summed.  A sum that fails raises ``NonFiniteValue`` naming its alpha
-    and its probe, the first of that alpha's column to fail.
-    """
-    vx = _table(seq, [x for x, _ in probes], len(alphas))
-    vy = _table(seq, [y for _, y in probes], len(alphas))
-    lhs = _table(seq, [x + y for x, y in probes], len(alphas))
-    position = {alpha: i for i, alpha in enumerate(alphas)}
-    rhs: Columns = []
-    for alpha in alphas:
-        terms = [(float(w), position[b], position[c]) for w, b, c in convolution_terms(alpha)]
-        # (w * f_beta(x)) * f_gamma(y); 1 * a is a, bit for bit
-        products = [
-            list(map(operator.mul, vx[i], vy[j]))
-            if w == 1
-            else [w * u * v for u, v in zip(vx[i], vy[j])]
-            for w, i, j in terms
-        ]
-        sums: List[float] = []
-        try:
-            for row in zip(*products):
-                sums.append(math.fsum(row))
-        except (OverflowError, ValueError) as exc:  # inf - inf, or past the range
-            msg = f"convolution of alpha {tuple(alpha)} at probe {len(sums)} does not sum: {exc}"
-            raise NonFiniteValue(msg) from exc
-        rhs.append(sums)
-    return lhs, rhs
-
-
-def _table(seq: MomentSeq, points: List[float], width: int) -> Columns:
-    """The sequence's columns at the points: ``width`` of them, each of ``len(points)`` values."""
+def _table(seq: MomentSeq, points: List[float], alphas: List[MultiIndex]) -> dict:
+    """The sequence's column of ``len(points)`` values for each alpha, keyed by alpha."""
     columns = seq.values(points)
-    if len(columns) != width or any(len(column) != len(points) for column in columns):
-        raise ValueError(f"sequence table is not {width} columns of {len(points)} values")
-    return columns
+    if len(columns) != len(alphas) or any(len(column) != len(points) for column in columns):
+        raise ValueError(f"sequence table is not {len(alphas)} columns of {len(points)} values")
+    return dict(zip(alphas, columns))
 
 
 def tampered(seq: MomentSeq, alpha: MultiIndex, scale: float) -> MomentSeq:

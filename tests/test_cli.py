@@ -568,6 +568,11 @@ _DERIVATIVE_1 = {"kind": "derivative", "r": 1, "N": 1}
         ),
         (
             ["verify-family"],
+            {"kind": "identity_generated", "r": 1, "N": 2, "coefficients": [{"index": [2], "expr": _const(2, "1")}]},
+            "bad family descriptor: coefficient at (2,) has dim 2, expected 1",
+        ),
+        (
+            ["verify-family"],
             {
                 "kind": "conjugated",
                 "r": 1,
@@ -592,7 +597,16 @@ _DERIVATIVE_1 = {"kind": "derivative", "r": 1, "N": 1}
             "bad --support: coefficient index (1, 0) has rank 2, expected 1",
         ),
     ],
-    ids=["tau-rank-0", "index-rank", "coeff-dim", "tau-rank-2", "empty-sum", "not-an-object", "support-rank"],
+    ids=[
+        "tau-rank-0",
+        "index-rank",
+        "coeff-dim",
+        "coeff-expr-dim",
+        "tau-rank-2",
+        "empty-sum",
+        "not-an-object",
+        "support-rank",
+    ],
 )
 def test_malformed_input_error_lines(capsys, tmp_path, argv, descriptor, message):
     if descriptor is not None:

@@ -18,6 +18,7 @@ from moment_leibniz.polycalc import (
     PointColumns,
     Polynomial,
     RationalPoint,
+    dalpha,
     eval_poly,
     eval_poly_ratios,
     eval_poly_values,
@@ -38,6 +39,7 @@ from moment_leibniz.funcmodel import (
     as_polynomial,
     const_expr,
     convolution_column,
+    convolution_products,
     eval_expr,
     expr_from_json,
     grad_dot,
@@ -204,6 +206,29 @@ def test_hessquad_pinned():
     assert as_polynomial(h) == Polynomial(2, {(0, 1): 2, (2, 0): 4})
     assert eval_expr(h, (_pt(1, 1),))[0] == pytest.approx(6.0)
     assert eval_poly(as_polynomial(h), _pt(1, 1)) == 6
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_contractions_are_the_row_order_loops(dim):
+    # one term per nonzero derivative, over the axes (i) or (i, j) in row
+    # order, each a product of the derivative leaf and the field components
+    rng = random.Random(dim)
+    field = tuple(PolyLeaf(random_polynomial(rng, dim, max_degree=2)) for _ in range(dim))
+    for _ in range(10):
+        p = random_polynomial(rng, dim, max_degree=3, terms=rng.randint(0, 4))
+        units = [MultiIndex.unit(dim, i) for i in range(dim)]
+        grad, hess = [], []
+        for i in range(dim):
+            d = dalpha(p, units[i])
+            if not d.is_zero():
+                grad.append(Product((PolyLeaf(d), field[i])))
+            for j in range(dim):
+                d = dalpha(p, units[i] + units[j])
+                if not d.is_zero():
+                    hess.append(Product((PolyLeaf(d), field[i], field[j])))
+        zero = PolyLeaf(Polynomial.zero(dim))
+        assert grad_dot(p, field) == (Sum(tuple(grad)) if grad else zero)
+        assert hess_quad(p, field) == (Sum(tuple(hess)) if hess else zero)
 
 
 def test_field_rank_checked():
@@ -766,6 +791,39 @@ def test_convolution_column_is_the_pointwise_sum(case):
         return
     expected = [sum(w * left[b][i] * right[g][i] for w, b, g in splits) for i in range(width)]
     assert struct.pack(f"<{width}d", *column) == struct.pack(f"<{width}d", *expected)
+
+
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-320, 1e308, 1.5]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_convolution_cases())
+@example(
+    (
+        {MultiIndex((0,)): _EDGES},
+        {MultiIndex((0,)): _EDGES[::-1]},
+        [(w, MultiIndex((0,)), MultiIndex((0,))) for w in (1, 2**53 + 1, 10**20, 3**40)],
+        len(_EDGES),
+    )
+)
+def test_convolution_products_are_the_weighted_products_bit_for_bit(case):
+    # a weight made a float once, and a weight of 1 left out, give each
+    # product the bits of w * a * b: NaN, infinities, signed zeros and
+    # subnormals included
+    left, right, splits, width = case
+    products = convolution_products(left, right, splits)
+    expected = [[w * a * b for a, b in zip(left[beta], right[gamma])] for w, beta, gamma in splits]
+    assert len(products) == len(expected)
+    for got, want in zip(products, expected):
+        assert struct.pack(f"<{width}d", *got) == struct.pack(f"<{width}d", *want)
+
+
+def test_weight_past_the_float_range_raises_as_its_product_would():
+    k = MultiIndex((0,))
+    with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+        10**400 * 1.0
+    with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+        convolution_products({k: [1.0]}, {k: [1.0]}, [(1, k, k), (10**400, k, k)])
 
 
 def test_check_report_json_shape():

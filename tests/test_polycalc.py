@@ -57,6 +57,12 @@ def test_canonical_zero():
     assert not Polynomial.zero(2)
 
 
+def test_polynomial_is_unequal_to_other_types():
+    # __eq__ leaves a non-polynomial to the other operand, which finds no match
+    assert Polynomial.zero(1) != 0
+    assert Polynomial.zero(1) != "x"
+
+
 def test_terms_merge_and_drop():
     f = Polynomial(1, [((1,), Fraction(1, 2)), ((1,), Fraction(1, 2))])
     assert f == Polynomial(1, {(1,): 1})

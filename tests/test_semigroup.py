@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -190,6 +191,18 @@ def test_sum_error_names_its_alpha_column_and_table_error_passes_through():
         verify_moment_seq(seq, [*probes, (5.0, 0.0)])
 
 
+def test_weight_past_the_float_range_raises_overflow_error(monkeypatch):
+    # such a weight raises as its conversion to a float raised it, not as a
+    # sum that fails; the real binomial weights pass the range at order 1030
+    def huge(alpha):
+        return [(w if w == 1 else 10**400, b, c) for w, b, c in convolution_terms(alpha)]
+
+    monkeypatch.setattr(semigroup, "convolution_terms", huge)
+    seq = make_exponential_moment_seq(1, 2, 0.5, [1.0])
+    with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+        verify_moment_seq(seq, _pairs(3, 1))
+
+
 def test_terms_are_built_only_up_to_the_first_error(monkeypatch):
     # each alpha's terms are built where they are summed: on the fixture
     # above, a table error comes before any of them, and the sum error at
@@ -220,6 +233,25 @@ def test_terms_are_built_only_up_to_the_first_error(monkeypatch):
     with pytest.raises(NonFiniteValue, match=r"^convolution of alpha \(1,\) at probe 2 "):
         verify_moment_seq(seq, probes)
     assert built == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # an infinite tolerance passes a tampered sequence and a NaN one fails a
+    # genuine one; like a Domain's, such a tolerance is refused before any table
+    bad = tampered(make_exponential_moment_seq(2, 4, 0.5, [1.0, 1.5]), _mi(0, 2), 1.01)
+    requests = []
+
+    def counted(points):
+        requests.append(points)
+        return bad.values(points)
+
+    seq, probes = MomentSeq(2, 4, counted), _pairs(20, 0)
+    assert not verify_moment_seq(seq, probes, tol=1e-9).passed
+    requests.clear()
+    with pytest.raises(ValueError, match=rf"^tol must be finite and > 0, got {re.escape(str(tol))}$"):
+        verify_moment_seq(seq, probes, tol=tol)
+    assert requests == []
 
 
 def test_table_of_the_wrong_length_is_refused():

@@ -22,6 +22,10 @@ Every method (or other ``def``) in a class body under src/ whose name
 starts with ``_`` and is no dunder such as ``__init__`` must be read as
 an attribute (``obj._name``) somewhere under src/, so a helper that a
 refactor leaves without callers shows up.  Public methods are exempt.
+
+The caches of a ``polycalc.PointColumns`` (its ``coordinates``,
+``grades`` and ``floats`` attributes) are keyed and filled by its own
+methods: no module under src/ other than ``polycalc.py`` names them.
 """
 
 from __future__ import annotations
@@ -175,3 +179,16 @@ def test_no_unread_private_methods():
     assert defined
     unread = [entry for entry in defined if entry.rsplit(".", 1)[1] not in read]
     assert unread == []
+
+
+def test_point_column_caches_are_read_only_in_polycalc():
+    files = [path for path in FILES if path.is_relative_to(ROOT / "src") and path.name != "polycalc.py"]
+    assert files
+    caches = {"coordinates", "grades", "floats"}
+    named = [
+        f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in caches
+    ]
+    assert named == []
