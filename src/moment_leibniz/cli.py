@@ -39,7 +39,7 @@ from itertools import chain, repeat
 from typing import List, Optional
 
 from .multiindex import MultiIndex
-from .polycalc import check_leibniz_all, random_polynomial
+from .polycalc import check_leibniz_pairs, random_polynomial
 from .funcmodel import Domain, worse
 from .coeffsolve import (
     BudgetExceeded,
@@ -112,11 +112,16 @@ def run_verify_leibniz(args: argparse.Namespace) -> dict:
     _positive_int("pairs", args.pairs, 1)
     _positive_int("degree", args.degree, 0)
     rng = random.Random(args.seed)
+    pairs = [
+        (
+            random_polynomial(rng, args.rank, max_degree=args.degree),
+            random_polynomial(rng, args.rank, max_degree=args.degree),
+        )
+        for _ in range(args.pairs)
+    ]
     failures: List[dict] = []
-    for k in range(args.pairs):
-        f = random_polynomial(rng, args.rank, max_degree=args.degree)
-        g = random_polynomial(rng, args.rank, max_degree=args.degree)
-        for alpha in check_leibniz_all(f, g, args.order):
+    for k, ((f, g), failing) in enumerate(zip(pairs, check_leibniz_pairs(pairs, args.order))):
+        for alpha in failing:
             failures.append(
                 {
                     "pair": k,

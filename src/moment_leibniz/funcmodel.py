@@ -273,17 +273,24 @@ def _contraction(poly: Polynomial, field: Sequence[FuncExpr], order: int) -> Fun
     """The sum of d_{i_1} ... d_{i_order}(poly) * field_{i_1} * ... * field_{i_order}.
 
     The terms run over the axis tuples in row order, skipping zero derivatives.
+    Axis tuples that sort alike name one derivative, taken once: they
+    share its leaf, so a float evaluation converts its values once.
     """
     r = poly.dim
     if len(field) != r or any(c.dim != r for c in field):
         raise DimensionMismatch(
             f"field needs {r} components of dim {r}, got dims {[c.dim for c in field]}"
         )
+    leaves: Dict[Tuple[int, ...], Optional[PolyLeaf]] = {}
     terms: List[FuncExpr] = []
     for axes in itertools.product(range(r), repeat=order):
-        d = dalpha(poly, MultiIndex(map(axes.count, range(r))))
-        if not d.is_zero():
-            terms.append(Product((PolyLeaf(d), *(field[i] for i in axes))))
+        alpha = tuple(map(axes.count, range(r)))
+        if alpha not in leaves:
+            d = dalpha(poly, MultiIndex._trusted(alpha))
+            leaves[alpha] = PolyLeaf(d) if d else None
+        leaf = leaves[alpha]
+        if leaf is not None:
+            terms.append(Product((leaf, *(field[i] for i in axes))))
     return Sum(tuple(terms)) if terms else PolyLeaf(Polynomial.zero(r))
 
 

@@ -34,10 +34,13 @@ probe has an f*ln|f| node (``funcmodel.is_polynomial``), they all expand
 to polynomials (trivial, derivative, log-free second-order pairs, their
 reparametrized conjugates, and any user rule with log-free trees), and
 each (probe, alpha) instance is one comparison in Q[x]: T_alpha(fg)
-against ``polycalc.convolution_sum`` over ``convolution_terms(alpha)``.
-Equal polynomials agree at every point, and so at every image under the
-conjugating maps, so the instance passes with residual 0.0 and nothing
-is evaluated.  Only unequal ones are evaluated at the mapped sample
+against the convolution over ``convolution_terms(alpha)``.
+``polycalc.convolution_mismatches`` makes every comparison of a probe on
+integer tables, its T(f) and T(g) tables each cleared of denominators by
+one lcm.  Equal polynomials agree at every point, and so at every image
+under the conjugating maps, so the instance passes with residual 0.0 and
+nothing is evaluated.  Only an unequal one is summed in Fractions, by
+``polycalc.convolution_sum``, and evaluated at the mapped sample
 points, one column per side, where they must agree exactly; Fractions
 are canonical, so these values are the pointwise convolution sums, and
 the witnesses are the ones a pointwise loop finds.  If they agree at
@@ -73,12 +76,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .multiindex import MultiIndex, check_count, convolution_terms, enumerate_height_at_most
+from .multiindex import MultiIndex, check_count
 from .polycalc import (
     Polynomial,
     RationalPoint,
     compose,
+    convolution_mismatches,
     convolution_sum,
+    convolution_table,
     dalpha,
     eval_poly,
     eval_poly_values,
@@ -347,8 +352,10 @@ def verify_moment(
     raises ValueError at an image outside the box.  Each probe's
     operators are applied once.  If their trees are all log-free, they
     are expanded and each alpha compares the polynomial T_alpha(fg) with the
-    convolution sum; equal polynomials are equal at every point, so the
-    instance passes with residual 0.0 unevaluated.  Unequal ones are
+    convolution sum, on integer tables (``polycalc.convolution_mismatches``);
+    equal polynomials are equal at every point, so the instance passes with
+    residual 0.0 unevaluated.  An unequal one is summed again in Fractions
+    (``polycalc.convolution_sum``) for its witness values: both sides are
     evaluated at the samples and must agree exactly there; if they agree
     at every sample, their difference composed with the point map decides,
     and a nonzero one fails once, at its grid point.  Otherwise the
@@ -359,8 +366,8 @@ def verify_moment(
     tol = domain.float_tolerance
     if domain.rank != family.dim:
         raise ValueError(f"domain rank {domain.rank}, family dim {family.dim}")
-    alphas = enumerate_height_at_most(family.rank, family.order)
-    terms = {alpha: convolution_terms(alpha) for alpha in alphas}
+    terms = convolution_table(family.rank, family.order)
+    alphas = list(terms)
     points = domain.images(family.point_map)
     per_alpha = {_alpha_key(a): 0.0 for a in alphas}
     failures: List[dict] = []
@@ -371,14 +378,16 @@ def verify_moment(
         exact = all(is_polynomial(e) for row in rows for e in row.values())
         if exact:
             tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
+            # equal sides pass unevaluated; only an unequal one is summed in Fractions
+            judged = convolution_mismatches(tf, tg, tfg, terms)
         else:
             vf, vg, vfg = [{b: eval_expr(e, points) for b, e in row.items()} for row in rows]
             sampled = True
-        for alpha, splits in terms.items():
+            judged = alphas
+        for alpha in judged:
+            splits = terms[alpha]
             if exact:
                 lhs_poly, rhs_poly = tfg[alpha], convolution_sum(tf, tg, splits)
-                if lhs_poly == rhs_poly:
-                    continue
                 # only a witness needs values: Fractions are canonical, so
                 # these equal the pointwise convolution sums
                 xs = list(domain.sample_points)

@@ -14,35 +14,46 @@ given.  Results the module already knows to be canonical skip that work
 through the private ``Polynomial._make(dim, terms)``: its callers pass a
 term map whose keys are distinct ``MultiIndex`` of rank ``dim`` and whose
 coefficients are nonzero ``Fraction`` (nonzero ``int`` only inside
-``check_leibniz_all``, below).  ``+``, unary ``-``, ``*`` and
-``dalpha`` build their results that way.  A term key is its exponent
-tuple, so ``_accumulate``, ``dalpha`` and ``eval_poly_ratios`` iterate keys
-directly.  Products and convolution sums accumulate ``w * a * b`` in
-place into a map keyed by plain exponent tuples (``_accumulate``), which
-``_canonical_terms`` turns into a term map once, dropping zeros and
-wrapping each key in a ``MultiIndex``.
-``convolution_sum`` is the one public form of that accumulator: the
-canonical sum of w * left[beta] * right[gamma] over one alpha's
-``convolution_terms``, from two tables of derivatives or operator
-values.  ``leibniz_rhs``, ``check_leibniz_all`` and the exact moment
-verifier all build their convolution sides with it.
+``check_leibniz_pairs`` and ``convolution_mismatches``, below).  ``+``,
+unary ``-``, ``*``, ``dalpha`` and ``random_polynomial`` build their
+results that way.  A term key is its exponent tuple, so ``_accumulate``,
+``dalpha`` and ``eval_poly_ratios`` iterate keys directly.  Products and
+convolution sums accumulate ``w * a * b`` in place into a map keyed by
+plain exponent tuples (``_accumulate``), which ``_canonical_terms``
+turns into a term map once, dropping zeros and wrapping each key in a
+``MultiIndex``.  Every convolution side comes from one private
+accumulator, ``_convolve``: the sum of w * left[beta] * right[gamma]
+over one alpha's ``convolution_terms``, as the raw map with zeros
+dropped and no key wrapped.  ``convolution_sum`` is its canonical public
+form, from two tables of derivatives or operator values; ``leibniz_rhs``
+and the exact moment verifier's witnesses build their sides with it.
+``convolution_table`` lists every alpha's splits up to a height, through
+this module's name ``convolution_terms``, so a caller builds them once
+for all its pairs or probes: ``check_leibniz_pairs`` does, and
+``check_leibniz_all`` is its one-pair case.
 
 Multi-derivatives come from one table (``_derivative_table``) over a
 down-closed, lexicographically ordered index set: D^alpha f is the
 one-step partial d_i of the entry at alpha - e_i, with i the last
 nonzero entry of alpha, so each step differentiates the few terms its
 parent still has.  ``leibniz_rhs`` builds it over the box below alpha,
-``check_leibniz_all`` over every |alpha| <= max_height; ``dalpha`` is
+``check_leibniz_pairs`` over every |alpha| <= max_height; ``dalpha`` is
 for single derivatives.
 
-``check_leibniz_all`` runs on Python ints.  D^alpha is linear, so both
-sides of the identity are bilinear in (f, g), and for the lcms L_f, L_g
-of the coefficient denominators (L_f L_g != 0) the identity holds for
-(f, g) at alpha exactly when it holds for (L_f f, L_g g), whose
-coefficients are integers.  The accumulator, ``_canonical_terms`` and
-``==`` work on ints unchanged.  Those integer polynomials and their
-tables never leave ``check_leibniz_all``: it returns failing indices
-only, and every public function returns ``Fraction`` coefficients.
+Integer polynomials live in two functions, which compare raw maps from
+``_convolve``.  ``check_leibniz_pairs`` runs on Python ints.  D^alpha
+is linear, so both sides of the identity are bilinear in (f, g), and for
+the lcms L_f, L_g of the coefficient denominators (L_f L_g != 0) the
+identity holds for (f, g) at alpha exactly when it holds for
+(L_f f, L_g g), whose coefficients are integers.
+``convolution_mismatches`` needs no linearity: it clears each of its two
+tables with one lcm over every entry, L_l and L_r, and compares the
+integer convolution with L_l L_r times the product side, term by term,
+which scales both sides of each alpha by the same nonzero constant.  The
+accumulator and ``==`` work on ints unchanged.  Those integer
+polynomials and their tables never leave the two functions: they return
+indices only, and every public function returns ``Fraction``
+coefficients.
 
 ``eval_poly_ratios`` sums integer numerators over one common denominator
 per point, the lcm of the coefficient denominators times prod_i d_i^K
@@ -72,7 +83,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .multiindex import (
     DimensionMismatch,
@@ -83,6 +94,8 @@ from .multiindex import (
 )
 
 Scalar = Union[int, Fraction, str]
+# one alpha's weighted splits (C(alpha, beta), beta, alpha - beta), as convolution_terms lists them
+Splits = List[Tuple[int, MultiIndex, MultiIndex]]
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -120,6 +133,12 @@ class RationalPoint(tuple):
         return cls(data)
 
 
+def _check_dim_value(dim: int) -> None:
+    # a bool or a float would pass dim checks that compare with ==
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+
+
 class Polynomial:
     """Sparse polynomial in ``dim`` variables with Fraction coefficients.
 
@@ -135,9 +154,7 @@ class Polynomial:
         dim: int,
         terms: Mapping[Union[MultiIndex, Tuple[int, ...]], Scalar] = (),
     ) -> None:
-        # a bool or a float would pass dim checks that compare with ==
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+        _check_dim_value(dim)
         canonical: Dict[MultiIndex, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
@@ -146,7 +163,10 @@ class Polynomial:
                 raise DimensionMismatch(
                     f"exponent {tuple(idx)} has rank {idx.rank}, expected {dim}"
                 )
-            val = canonical.get(idx, Fraction(0)) + _as_fraction(coeff)
+            val = _as_fraction(coeff)
+            prev = canonical.get(idx)
+            if prev is not None:
+                val += prev
             if val == 0:
                 canonical.pop(idx, None)
             else:
@@ -460,22 +480,73 @@ def compose(f: Polynomial, maps: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def convolution_sum(
+def convolution_table(rank: int, max_height: int) -> Dict[MultiIndex, Splits]:
+    """``convolution_terms(alpha)`` for every alpha of rank ``rank`` with |alpha| <= max_height,
+    in lexicographic order."""
+    return {alpha: convolution_terms(alpha) for alpha in enumerate_height_at_most(rank, max_height)}
+
+
+def _convolve(
     left: Mapping[MultiIndex, Polynomial],
     right: Mapping[MultiIndex, Polynomial],
-    splits: Sequence[Tuple[int, MultiIndex, MultiIndex]],
-) -> Polynomial:
-    """The canonical sum of w * left[beta] * right[gamma] over one alpha's splits.
+    splits: Splits,
+) -> Dict[Tuple[int, ...], Fraction]:
+    """The sum of w * left[beta] * right[gamma] over splits, as a raw term map.
 
-    ``splits`` is ``convolution_terms(alpha)``; the tables hold a polynomial
-    for every beta and gamma it names, all of one dimension.
+    Keys are plain exponent tuples and zero coefficients are dropped; the
+    coefficients have the tables' type, ``int`` for integer tables.
     """
     acc: Dict[Tuple[int, ...], Fraction] = {}
     for w, beta, gamma in splits:
         a, b = left[beta], right[gamma]
         a._check_dim(b)
         _accumulate(acc, w, a, b)
-    return Polynomial._make(a.dim, _canonical_terms(acc))
+    return {e: c for e, c in acc.items() if c}
+
+
+def convolution_sum(
+    left: Mapping[MultiIndex, Polynomial],
+    right: Mapping[MultiIndex, Polynomial],
+    splits: Splits,
+) -> Polynomial:
+    """The canonical sum of w * left[beta] * right[gamma] over one alpha's splits.
+
+    ``splits`` is ``convolution_terms(alpha)``; the tables hold a polynomial
+    for every beta and gamma it names, all of one dimension.
+    """
+    dim = left[splits[0][1]].dim  # the first split is (1, 0, alpha)
+    return Polynomial._make(dim, _canonical_terms(_convolve(left, right, splits)))
+
+
+def convolution_mismatches(
+    left: Mapping[MultiIndex, Polynomial],
+    right: Mapping[MultiIndex, Polynomial],
+    products: Mapping[MultiIndex, Polynomial],
+    table: Mapping[MultiIndex, Splits],
+) -> List[MultiIndex]:
+    """The alphas of ``table`` where products[alpha] != convolution_sum(left, right, table[alpha]).
+
+    Decided on integer tables, whatever the tables hold (see the module
+    docstring).  As with ``Polynomial.__eq__``, a product of another
+    dimension than the convolution's differs from it, even when both are
+    zero.
+    """
+    lcm_left, left = _cleared_table(left)
+    lcm_right, right = _cleared_table(right)
+    scale = lcm_left * lcm_right
+    out = []
+    for alpha, splits in table.items():
+        rhs, lhs = _convolve(left, right, splits), products[alpha]
+        # rhs == scale * lhs in the convolution's dimension (convolution_sum's),
+        # term by term, cross-multiplied so that no Fraction is built; a key
+        # of lhs missing from rhs reads 0 != scale * c
+        if (
+            lhs.dim != left[splits[0][1]].dim
+            or len(rhs) != len(lhs.terms)
+            or any(rhs.get(e, 0) * c.denominator != c.numerator * scale for e, c in lhs.terms.items())
+        ):
+            out.append(alpha)
+    return out
 
 
 def _partial(f: Polynomial, i: int) -> Polynomial:
@@ -511,11 +582,21 @@ def _derivative_table(
     return table
 
 
-def _cleared_terms(f: Polynomial) -> Tuple[int, Dict[MultiIndex, int]]:
-    """(L, L * f's term map) with L the lcm of the coefficient denominators."""
+def _cleared_terms(f: Polynomial, lcm: Optional[int] = None) -> Tuple[int, Dict[MultiIndex, int]]:
+    """(L, L * f's term map) with L the lcm of the coefficient denominators,
+    or the given multiple of it."""
     terms = f.terms
-    lcm = math.lcm(*[c.denominator for c in terms.values()])
+    if lcm is None:
+        lcm = math.lcm(*[c.denominator for c in terms.values()])
     return lcm, {e: c.numerator * (lcm // c.denominator) for e, c in terms.items()}
+
+
+def _cleared_table(
+    table: Mapping[MultiIndex, Polynomial]
+) -> Tuple[int, Dict[MultiIndex, Polynomial]]:
+    """(L, L * table) with L the lcm of every coefficient denominator in the table."""
+    lcm = math.lcm(*[c.denominator for p in table.values() for c in p.terms.values()])
+    return lcm, {key: Polynomial._make(p.dim, _cleared_terms(p, lcm)[1]) for key, p in table.items()}
 
 
 def leibniz_rhs(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> Polynomial:
@@ -542,18 +623,36 @@ def check_leibniz_all(
     same alphas (see the module docstring).  An empty list means the
     identity held exactly everywhere.
     """
-    f._check_dim(g)
-    alphas = enumerate_height_at_most(f.dim, max_height)
-    fi = Polynomial._make(f.dim, _cleared_terms(f)[1])
-    gi = Polynomial._make(g.dim, _cleared_terms(g)[1])
-    df = _derivative_table(fi, alphas)
-    dg = _derivative_table(gi, alphas)
-    dfg = _derivative_table(fi * gi, alphas)
-    return [
-        alpha
-        for alpha in alphas
-        if convolution_sum(df, dg, convolution_terms(alpha)) != dfg[alpha]
-    ]
+    return check_leibniz_pairs([(f, g)], max_height)[0]
+
+
+def check_leibniz_pairs(
+    pairs: Sequence[Tuple[Polynomial, Polynomial]], max_height: int
+) -> List[List[MultiIndex]]:
+    """``check_leibniz_all(f, g, max_height)`` for each pair (f, g), in order.
+
+    The pairs share one dimension, and every alpha's splits are built
+    once for all of them.
+    """
+    if not pairs:
+        return []
+    first = pairs[0][0]
+    for f, g in pairs:
+        first._check_dim(f)
+        f._check_dim(g)
+    table = convolution_table(first.dim, max_height)
+    alphas = list(table)
+    out = []
+    for f, g in pairs:
+        fi = Polynomial._make(f.dim, _cleared_terms(f)[1])
+        gi = Polynomial._make(g.dim, _cleared_terms(g)[1])
+        df = _derivative_table(fi, alphas)
+        dg = _derivative_table(gi, alphas)
+        dfg = _derivative_table(fi * gi, alphas)
+        out.append(
+            [alpha for alpha, splits in table.items() if _convolve(df, dg, splits) != dfg[alpha].terms]
+        )
+    return out
 
 
 # ---- randomized probes ----
@@ -568,16 +667,18 @@ def random_polynomial(
     denominators: Sequence[int] = (1, 2, 3),
 ) -> Polynomial:
     """Seeded random sparse polynomial with coefficients in [-coeff_bound, coeff_bound] cap Q."""
+    _check_dim_value(dim)
+    trusted, dens = MultiIndex._trusted, list(denominators)
     out: Dict[MultiIndex, Fraction] = {}
     for _ in range(terms):
         total = rng.randint(0, max_degree)
         exp = [0] * dim
         for _ in range(total):
             exp[rng.randrange(dim)] += 1
-        den = rng.choice(list(denominators))
+        den = rng.choice(dens)
         num = rng.randint(-coeff_bound * den, coeff_bound * den)
         if num == 0:
             continue
         # overwrite on collision so coefficients stay inside the bound
-        out[MultiIndex(tuple(exp))] = Fraction(num, den)
-    return Polynomial(dim, out)
+        out[trusted(tuple(exp))] = Fraction(num, den)
+    return Polynomial._make(dim, out)

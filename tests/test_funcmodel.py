@@ -198,13 +198,19 @@ def test_hessquad_pinned():
     c = (const_expr(2, 1), PolyLeaf(_x(2, 0)))
     h = hess_quad(f, c)
     # entries (0,0), (0,1), (1,0) in row order; the zero entry (1,1) adds no term
-    assert [p.children[0].poly for p in h.children] == [
+    leaves = [p.children[0].poly for p in h.children]
+    assert leaves == [
         Polynomial(2, {(0, 1): 2}),
         Polynomial(2, {(1, 0): 2}),
         Polynomial(2, {(1, 0): 2}),
     ]
+    # (0,1) and (1,0) name one derivative, taken once: one object
+    assert leaves[1] is leaves[2]
     assert as_polynomial(h) == Polynomial(2, {(0, 1): 2, (2, 0): 4})
-    assert eval_expr(h, (_pt(1, 1),))[0] == pytest.approx(6.0)
+    points = PointColumns((_pt(1, 1),))
+    assert eval_expr(h, points)[0] == pytest.approx(6.0)
+    # float values for 2 x1, 2 x0, 1 and x0: the shared leaf is converted once
+    assert len(points.floats) == 4
     assert eval_poly(as_polynomial(h), _pt(1, 1)) == 6
 
 
@@ -228,7 +234,15 @@ def test_contractions_are_the_row_order_loops(dim):
                     hess.append(Product((PolyLeaf(d), field[i], field[j])))
         zero = PolyLeaf(Polynomial.zero(dim))
         assert grad_dot(p, field) == (Sum(tuple(grad)) if grad else zero)
-        assert hess_quad(p, field) == (Sum(tuple(hess)) if hess else zero)
+        h = hess_quad(p, field)
+        assert h == (Sum(tuple(hess)) if hess else zero)
+        # d_i d_j and d_j d_i are one leaf object
+        position = {id(c): i for i, c in enumerate(field)}
+        leaves = {}
+        for term in h.children:
+            axes = tuple(sorted(position[id(c)] for c in term.children[1:]))
+            assert leaves.setdefault(axes, term.children[0]) is term.children[0]
+        assert len({id(leaf) for leaf in leaves.values()}) == len(leaves)
 
 
 def test_field_rank_checked():

@@ -12,8 +12,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moment_leibniz import polycalc
-from moment_leibniz.cli import EXIT_FAIL, main
+from moment_leibniz import momentfam, polycalc
+from moment_leibniz.cli import EXIT_FAIL, EXIT_PASS, main
+from moment_leibniz.funcmodel import Domain, PolyLeaf
 from moment_leibniz.multiindex import (
     DimensionMismatch,
     MultiIndex,
@@ -453,6 +454,144 @@ def test_cli_failures_report_the_drawn_probes(capsys, monkeypatch):
         assert (failure["f"], failure["g"]) == drawn[failure["pair"]]
     coeffs = [t["coeff"] for failure in failures for t in failure["f"] + failure["g"]]
     assert any("/" in c for c in coeffs)
+
+
+def _rational_table(draw, dim, alphas):
+    return {a: draw(_rational_polynomials(dim)) for a in alphas}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_mismatches_match_the_fraction_sums(data):
+    # any tables, not only a linear family's: each products[alpha] is the
+    # Fraction convolution sum, or that sum plus a drawn polynomial
+    dim = data.draw(st.integers(1, 3))
+    table = polycalc.convolution_table(dim, data.draw(st.integers(0, 3)))
+    left = _rational_table(data.draw, dim, table)
+    right = _rational_table(data.draw, dim, table)
+    products = {}
+    for alpha, splits in table.items():
+        products[alpha] = polycalc.convolution_sum(left, right, splits)
+        if data.draw(st.booleans()):
+            products[alpha] = products[alpha] + data.draw(_rational_polynomials(dim))
+    expected = [
+        a for a, splits in table.items() if products[a] != polycalc.convolution_sum(left, right, splits)
+    ]
+    assert polycalc.convolution_mismatches(left, right, products, table) == expected
+
+
+def test_a_product_of_another_dimension_is_a_mismatch():
+    # as with Polynomial.__eq__, a zero of another dimension is not the
+    # zero convolution
+    table = polycalc.convolution_table(1, 2)
+    zero = {a: Polynomial.zero(1) for a in table}
+    products = {**zero, _mi(2): Polynomial.zero(2)}
+    assert polycalc.convolution_mismatches(zero, zero, products, table) == [_mi(2)]
+    # so verify_moment refuses a rule that returns one for T_alpha(fg)
+    # where the convolution is zero: D^3(x0^2) = 0
+    f = Polynomial(1, {(1,): 1})
+
+    def rule(alpha, h):
+        if alpha == _mi(3) and h == f * f:
+            return PolyLeaf(Polynomial.zero(2))
+        return PolyLeaf(dalpha(h, alpha))
+
+    family = momentfam.OperatorFamily(1, 3, rule)
+    with pytest.raises(DimensionMismatch):
+        momentfam.verify_moment(family, [(f, f)], Domain.unit(1, seed=0))
+
+
+def test_verify_leibniz_builds_each_alphas_splits_once(capsys, monkeypatch):
+    # the pairs share one split table: one convolution_terms call per alpha
+    calls = []
+    real = polycalc.convolution_terms
+
+    def counting(alpha):
+        calls.append(alpha)
+        return real(alpha)
+
+    monkeypatch.setattr(polycalc, "convolution_terms", counting)
+    code = main(["verify-leibniz", "--rank", "2", "--order", "3", "--pairs", "4", "--seed", "1"])
+    assert code == EXIT_PASS and json.loads(capsys.readouterr().out)["failures"] == []
+    assert calls == enumerate_height_at_most(2, 3)
+    # the pairs share one dimension
+    f, g = Polynomial(2, {(1, 0): 1}), Polynomial(3, {(0, 0, 1): 1})
+    with pytest.raises(DimensionMismatch):
+        polycalc.check_leibniz_pairs([(f, f), (g, g)], 2)
+    assert polycalc.check_leibniz_pairs([], 2) == []
+
+
+def _fraction_coefficients(f: Polynomial) -> bool:
+    return all(type(c) is Fraction for c in f.terms.values()) and all(
+        type(e) is MultiIndex for e in f.terms
+    )
+
+
+def test_public_results_keep_fraction_coefficients():
+    # the integer tables stay inside the checks that build them
+    rng = random.Random(41)
+    f = random_polynomial(rng, 2, max_degree=4, denominators=(1,))
+    g = random_polynomial(rng, 2, max_degree=4, denominators=(1, 7))
+    assert f and all(c.denominator == 1 for c in f.terms.values())
+    alpha = _mi(1, 1)
+    splits = convolution_terms(alpha)
+    below = {beta: dalpha(f, beta) for _, beta, _ in splits}
+    results = [f, g, f * g, dalpha(f, alpha), leibniz_rhs(f, g, alpha)]
+    results.append(polycalc.convolution_sum(below, below, splits))
+    assert all(results) and all(map(_fraction_coefficients, results))
+    drawn = [Polynomial(2, f.terms), Polynomial(2, g.terms)]
+    assert check_leibniz_all(f, g, 3) == []
+    assert [f, g] == drawn and _fraction_coefficients(f) and _fraction_coefficients(g)
+    # a family's rule and the caller's probes see Fraction polynomials only
+    seen = []
+
+    def rule(b, h):
+        seen.append(h)
+        return PolyLeaf(dalpha(h, b))
+
+    dom = Domain.unit(2, seed=41)
+    pairs = [(f, g), (g, f * g)]
+    report = momentfam.verify_moment(momentfam.OperatorFamily(2, 2, rule), pairs, dom)
+    assert report.passed and report.exact
+    assert seen and all(map(_fraction_coefficients, seen))
+    assert [f, g] == drawn and all(_fraction_coefficients(h) for pair in pairs for h in pair)
+
+
+def _random_polynomial_validating(rng, dim, max_degree, terms, coeff_bound, denominators):
+    """The reference build of random_polynomial: the same draws, with
+    validated keys, canonicalized by Polynomial's constructor."""
+    out = {}
+    for _ in range(terms):
+        total = rng.randint(0, max_degree)
+        exp = [0] * dim
+        for _ in range(total):
+            exp[rng.randrange(dim)] += 1
+        den = rng.choice(list(denominators))
+        num = rng.randint(-coeff_bound * den, coeff_bound * den)
+        if num == 0:
+            continue
+        out[MultiIndex(tuple(exp))] = Fraction(num, den)
+    return Polynomial(dim, out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_polynomial_is_the_validating_build(seed):
+    # the same polynomial from the same draws, made in the same order
+    rng, oracle, shapes = random.Random(seed), random.Random(seed), random.Random(-seed)
+    for _ in range(40):
+        dim = shapes.randint(1, 3)
+        shape = [shapes.randint(0, 4), shapes.randint(0, 6), shapes.randint(0, 3)]
+        shape.append([1, 2, 7][: shapes.randint(1, 3)])
+        f = random_polynomial(rng, dim, *shape)
+        assert f == _random_polynomial_validating(oracle, dim, *shape)
+        assert Polynomial(dim, f.terms) == f and _fraction_coefficients(f)
+        assert rng.getstate() == oracle.getstate()
+    # the dim is refused before anything is drawn
+    for dim in (0, True, 1.0):
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            random_polynomial(rng, dim)
+        assert rng.getstate() == state
 
 
 def test_leibniz_rhs_matches_sympy_product_derivative():

@@ -59,6 +59,7 @@ EXACT_KINDS = (
     "trivial",
     "tamper-visible",
     "tamper-vanishing",
+    "tamper-scaled",
     "no-coefficients",
 )
 KINDS = EXACT_KINDS + ("first-order", "identity-generated")
@@ -96,6 +97,28 @@ def _tampered(rank: int, order: int, alpha0: MultiIndex, extra: Polynomial):
     return OperatorFamily(rank, order, rule)
 
 
+def _scaled(rank: int, order: int, alpha0: MultiIndex, factor: Fraction):
+    """The derivative family with T_alpha0 scaled by ``factor``."""
+
+    def rule(alpha, f):
+        d = dalpha(f, alpha)
+        return PolyLeaf(d * factor if alpha == alpha0 else d)
+
+    return OperatorFamily(rank, order, rule)
+
+
+def _sevenths(dom: Domain, count: int, rng: random.Random):
+    """Probe pairs whose coefficients have denominator 7, the zero probe first."""
+
+    def rand():
+        return random_polynomial(rng, dom.rank, max_degree=3, terms=4, denominators=(7,))
+
+    pairs = [(Polynomial.zero(dom.rank), rand())]
+    while len(pairs) < count:
+        pairs.append((rand(), rand()))
+    return pairs[:count]
+
+
 def _family(kind, rank, order, tau, dom, rng):
     if kind == "derivative":
         return make_derivative(rank, order)
@@ -113,6 +136,8 @@ def _family(kind, rank, order, tau, dom, rng):
         coefficients = {a: PolyLeaf(random_polynomial(rng, rank, 2, 3)) for a in support}
         return make_identity_generated(CoeffFamily(rank, order, coefficients))
     alpha0 = rng.choice(enumerate_height_at_most(rank, order))
+    if kind == "tamper-scaled":
+        return _scaled(rank, order, alpha0, Fraction(101, 100))
     if kind == "tamper-visible":
         extra = random_polynomial(rng, rank, 2, 3) + Polynomial.constant(rank, 1)
     else:
@@ -140,7 +165,10 @@ def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, p
     family = _family(kind, rank, order, tau, dom, rng)
     if tau is not None:
         family = conjugate(family, tau)
-    pairs = default_probe_pairs(dom, probes, rng)
+    if kind == "tamper-scaled":
+        pairs = _sevenths(dom, probes, rng)
+    else:
+        pairs = default_probe_pairs(dom, probes, rng)
     exact = kind in EXACT_KINDS
     report = verify_moment(family, pairs, dom, seed=seed)
     assert report.exact is exact
@@ -387,6 +415,46 @@ def test_tampered_family_evaluates_points_only_where_it_fails(monkeypatch):
     assert 0 < len(failing) < instances
     # both sides, at every sample, of each failing instance and no other
     assert len(calls) == 2 * len(dom.sample_points) * len(failing)
+
+
+def _record_fraction_sums(monkeypatch):
+    """Record the alpha of each ``convolution_sum`` call ``momentfam`` makes:
+    the last split of an alpha is (1, alpha, 0)."""
+    alphas = []
+    real = momentfam.convolution_sum
+
+    def recording(left, right, splits):
+        alphas.append(splits[-1][1])
+        return real(left, right, splits)
+
+    monkeypatch.setattr(momentfam, "convolution_sum", recording)
+    return alphas
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_exact_instances_are_decided_on_integer_tables(monkeypatch, conjugated):
+    # a passing family sums no Fraction convolution; a failing one sums
+    # each failing (probe, alpha) once, in Fractions, for its witness values
+    rank, order = 2, 3
+    dom = Domain.unit(rank, seed=9)
+    rng = random.Random(9)
+    tau = _affine_tau(rng, rank)
+    pairs = default_probe_pairs(dom, 6, rng) + _sevenths(dom, 3, rng)
+    alphas = _record_fraction_sums(monkeypatch)
+    for family, passed in (
+        (make_derivative(rank, order), True),
+        (_scaled(rank, order, MultiIndex((1, 1)), Fraction(101, 100)), False),
+    ):
+        if conjugated:
+            family = conjugate(family, tau)
+        alphas.clear()
+        report = verify_moment(family, pairs, dom)
+        assert report.exact and report.passed is passed
+        # the affine map is injective, so every unequal instance fails
+        failing = list(dict.fromkeys((w["probe"], tuple(w["alpha"])) for w in report.failures))
+        assert [tuple(a) for a in alphas] == [alpha for _, alpha in failing]
+        if not passed:
+            assert len({probe for probe, _ in failing}) > 1
 
 
 def test_failing_exact_instances_share_one_set_of_power_columns(monkeypatch):
