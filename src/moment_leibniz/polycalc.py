@@ -13,47 +13,55 @@ is checked with zero tolerance.  D^0 is the identity map.
 given.  Results the module already knows to be canonical skip that work
 through the private ``Polynomial._make(dim, terms)``: its callers pass a
 term map whose keys are distinct ``MultiIndex`` of rank ``dim`` and whose
-coefficients are nonzero ``Fraction`` (nonzero ``int`` only inside
-``check_leibniz_pairs`` and ``convolution_mismatches``, below).  ``+``,
-unary ``-``, ``*``, ``dalpha`` and ``random_polynomial`` build their
-results that way.  A term key is its exponent tuple, so ``_accumulate``,
-``dalpha`` and ``eval_poly_ratios`` iterate keys directly.  Products and
-convolution sums accumulate ``w * a * b`` in place into a map keyed by
-plain exponent tuples (``_accumulate``), which ``_canonical_terms``
-turns into a term map once, dropping zeros and wrapping each key in a
-``MultiIndex``.  Every convolution side comes from one private
-accumulator, ``_convolve``: the sum of w * left[beta] * right[gamma]
-over one alpha's ``convolution_terms``, as the raw map with zeros
-dropped and no key wrapped.  ``convolution_sum`` is its canonical public
-form, from two tables of derivatives or operator values; ``leibniz_rhs``
-and the exact moment verifier's witnesses build their sides with it.
+coefficients are nonzero ``Fraction``.  ``+``, unary ``-``, ``*``,
+``dalpha`` and ``random_polynomial`` build their results that way.  A
+term key is its exponent tuple, so ``dalpha`` and ``eval_poly_ratios``
+iterate keys directly.
+
+The product kernels work on packed term maps instead, one int key per
+monomial: the Kronecker substitution e -> sum_i e_i B^(r-1-i) for a base
+B above every coordinate met, which keeps the lexicographic order.  A
+product's key is then ka + kb, and a one-step partial in x_i reads the
+exponent as (k // B^(r-1-i)) % B and steps to k - B^(r-1-i).  Each call
+picks B once, as 1 plus the largest coordinate of its left operands plus
+the largest of its right ones, so no sum of exponents carries into the
+next digit; ``convolution_mismatches`` also lifts B above every
+coordinate of the products it compares, or two exponents could share a
+key.  Packing a table checks that its polynomials share one dimension.
+Every product and convolution side comes from one accumulator,
+``_convolve``: the sum of w * a * b over weighted pairs of packed maps,
+with zeros dropped.  ``*``, ``convolution_sum`` and ``leibniz_rhs`` pack
+their operands once on the way in and unpack the result once
+(``_unpack``), wrapping each key in a ``MultiIndex``.
+``convolution_sum`` sums w * left[beta] * right[gamma] over one alpha's
+``convolution_terms``, from two tables of derivatives or operator
+values; the exact moment verifier's witnesses build their sides with it.
 ``convolution_table`` lists every alpha's splits up to a height, through
 this module's name ``convolution_terms``, so a caller builds them once
 for all its pairs or probes: ``check_leibniz_pairs`` does, and
 ``check_leibniz_all`` is its one-pair case.
 
-Multi-derivatives come from one table (``_derivative_table``) over a
-down-closed, lexicographically ordered index set: D^alpha f is the
-one-step partial d_i of the entry at alpha - e_i, with i the last
+Multi-derivatives come from one packed table (``_derivative_table``)
+over a down-closed, lexicographically ordered index set: D^alpha f is
+the one-step partial d_i of the entry at alpha - e_i, with i the last
 nonzero entry of alpha, so each step differentiates the few terms its
 parent still has.  ``leibniz_rhs`` builds it over the box below alpha,
 ``check_leibniz_pairs`` over every |alpha| <= max_height; ``dalpha`` is
 for single derivatives.
 
-Integer polynomials live in two functions, which compare raw maps from
-``_convolve``.  ``check_leibniz_pairs`` runs on Python ints.  D^alpha
-is linear, so both sides of the identity are bilinear in (f, g), and for
-the lcms L_f, L_g of the coefficient denominators (L_f L_g != 0) the
-identity holds for (f, g) at alpha exactly when it holds for
-(L_f f, L_g g), whose coefficients are integers.
+Integer polynomials live in two functions, which compare packed maps
+and never unpack them.  ``check_leibniz_pairs`` runs on Python ints.
+D^alpha is linear, so both sides of the identity are bilinear in
+(f, g), and for the lcms L_f, L_g of the coefficient denominators
+(L_f L_g != 0) the identity holds for (f, g) at alpha exactly when it
+holds for (L_f f, L_g g), whose coefficients are integers.
 ``convolution_mismatches`` needs no linearity: it clears each of its two
 tables with one lcm over every entry, L_l and L_r, and compares the
 integer convolution with L_l L_r times the product side, term by term,
 which scales both sides of each alpha by the same nonzero constant.  The
-accumulator and ``==`` work on ints unchanged.  Those integer
-polynomials and their tables never leave the two functions: they return
-indices only, and every public function returns ``Fraction``
-coefficients.
+accumulator and ``==`` work on ints unchanged.  Those integer maps never
+leave the two functions: they return indices only, and every public
+function returns ``Fraction`` coefficients.
 
 ``eval_poly_ratios`` sums integer numerators over one common denominator
 per point, the lcm of the coefficient denominators times prod_i d_i^K
@@ -96,6 +104,9 @@ from .multiindex import (
 Scalar = Union[int, Fraction, str]
 # one alpha's weighted splits (C(alpha, beta), beta, alpha - beta), as convolution_terms lists them
 Splits = List[Tuple[int, MultiIndex, MultiIndex]]
+Coeff = Union[int, Fraction]
+# a term map keyed by packed exponents (see the module docstring)
+Packed = Dict[int, Coeff]
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -247,9 +258,9 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check_dim(other)
-            acc: Dict[Tuple[int, ...], Fraction] = {}
-            _accumulate(acc, 1, self, other)
-            return Polynomial._make(self.dim, _canonical_terms(acc))
+            places = _places(self.dim, _top(self) + _top(other) + 1)
+            product = _convolve([(1, _pack(self.terms, places), _pack(other.terms, places))])
+            return _unpack(product, places)
         factor = _as_fraction(other)
         if not factor:
             return Polynomial._make(self.dim, {})
@@ -301,24 +312,67 @@ class Polynomial:
 # ---- calculus ----
 
 
-def _accumulate(
-    acc: Dict[Tuple[int, ...], Fraction], w: int, a: Polynomial, b: Polynomial
-) -> None:
-    """acc += w * a * b, in place; acc is keyed by exponent tuples and may hold zeros."""
-    add, get = operator.add, acc.get
-    b_terms = b.terms.items()
-    for ea, ca in a.terms.items():
-        wa = w * ca
-        for eb, cb in b_terms:
-            key = tuple(map(add, ea, eb))
-            prev = get(key)
-            acc[key] = wa * cb if prev is None else prev + wa * cb
+def _top(*polys: Polynomial) -> int:
+    """The largest exponent coordinate of any term of the polynomials; 0 if none has a term."""
+    return max([max(e) for f in polys for e in f.terms], default=0)
 
 
-def _canonical_terms(acc: Dict[Tuple[int, ...], Fraction]) -> Dict[MultiIndex, Fraction]:
-    """The term map of an accumulator: zeros dropped, keys wrapped once."""
-    trusted = MultiIndex._trusted
-    return {trusted(exp): c for exp, c in acc.items() if c}
+def _places(dim: int, base: int) -> List[int]:
+    """The place value B^(r-1-i) of each coordinate i of a packed exponent."""
+    return [base**i for i in reversed(range(dim))]
+
+
+def _pack(terms: Mapping[MultiIndex, Coeff], places: List[int]) -> Packed:
+    """A term map keyed by packed exponents; the coefficients are kept."""
+    mul = operator.mul
+    return {sum(map(mul, e, places)): c for e, c in terms.items()}
+
+
+def _packed_table(
+    table: Mapping[MultiIndex, Polynomial], dim: int, places: List[int], lcm: Optional[int] = None
+) -> Dict[MultiIndex, Packed]:
+    """Each entry of a table of ``dim``-variable polynomials, packed;
+    with ``lcm``, its coefficients times lcm, as ints."""
+    out = {}
+    for key, f in table.items():
+        if f.dim != dim:
+            raise DimensionMismatch(f"table entry {tuple(key)} has dim {f.dim}, expected {dim}")
+        out[key] = _pack(f.terms if lcm is None else _cleared_terms(f, lcm)[1], places)
+    return out
+
+
+def _unpack(packed: Packed, places: List[int]) -> Polynomial:
+    """The polynomial on a packed term map without zeros: each key's base-B digits, wrapped once."""
+    trusted, leading = MultiIndex._trusted, places[:-1]
+    out = {}
+    for k, c in packed.items():
+        e = []
+        for place in leading:
+            digit, k = divmod(k, place)
+            e.append(digit)
+        e.append(k)
+        out[trusted(tuple(e))] = c
+    return Polynomial._make(len(places), out)
+
+
+def _convolve(products: Iterable[Tuple[int, Packed, Packed]]) -> Packed:
+    """The sum of w * a * b over the weighted pairs (w, a, b) of packed term maps.
+
+    A product's key is ka + kb, as the maps share a base above every
+    coordinate sum.  Zero coefficients are dropped; the others keep the
+    maps' type, ``int`` for integer tables.
+    """
+    acc: Packed = {}
+    get = acc.get
+    for w, a, b in products:
+        b_terms = b.items()
+        for ka, ca in a.items():
+            wa = w * ca
+            for kb, cb in b_terms:
+                key = ka + kb
+                prev = get(key)
+                acc[key] = wa * cb if prev is None else prev + wa * cb
+    return {k: c for k, c in acc.items() if c}
 
 
 def dalpha(f: Polynomial, alpha: MultiIndex) -> Polynomial:
@@ -486,24 +540,6 @@ def convolution_table(rank: int, max_height: int) -> Dict[MultiIndex, Splits]:
     return {alpha: convolution_terms(alpha) for alpha in enumerate_height_at_most(rank, max_height)}
 
 
-def _convolve(
-    left: Mapping[MultiIndex, Polynomial],
-    right: Mapping[MultiIndex, Polynomial],
-    splits: Splits,
-) -> Dict[Tuple[int, ...], Fraction]:
-    """The sum of w * left[beta] * right[gamma] over splits, as a raw term map.
-
-    Keys are plain exponent tuples and zero coefficients are dropped; the
-    coefficients have the tables' type, ``int`` for integer tables.
-    """
-    acc: Dict[Tuple[int, ...], Fraction] = {}
-    for w, beta, gamma in splits:
-        a, b = left[beta], right[gamma]
-        a._check_dim(b)
-        _accumulate(acc, w, a, b)
-    return {e: c for e, c in acc.items() if c}
-
-
 def convolution_sum(
     left: Mapping[MultiIndex, Polynomial],
     right: Mapping[MultiIndex, Polynomial],
@@ -514,8 +550,13 @@ def convolution_sum(
     ``splits`` is ``convolution_terms(alpha)``; the tables hold a polynomial
     for every beta and gamma it names, all of one dimension.
     """
+    # only the entries the splits name are packed, and they set the base
+    left = {beta: left[beta] for _, beta, _ in splits}
+    right = {gamma: right[gamma] for _, _, gamma in splits}
     dim = left[splits[0][1]].dim  # the first split is (1, 0, alpha)
-    return Polynomial._make(dim, _canonical_terms(_convolve(left, right, splits)))
+    places = _places(dim, _top(*left.values()) + _top(*right.values()) + 1)
+    left, right = _packed_table(left, dim, places), _packed_table(right, dim, places)
+    return _unpack(_convolve((w, left[beta], right[gamma]) for w, beta, gamma in splits), places)
 
 
 def convolution_mismatches(
@@ -526,44 +567,56 @@ def convolution_mismatches(
 ) -> List[MultiIndex]:
     """The alphas of ``table`` where products[alpha] != convolution_sum(left, right, table[alpha]).
 
-    Decided on integer tables, whatever the tables hold (see the module
-    docstring).  As with ``Polynomial.__eq__``, a product of another
+    Decided on packed integer tables, whatever the tables hold (see the
+    module docstring).  Every polynomial of ``left`` and ``right`` has
+    one dimension.  As with ``Polynomial.__eq__``, a product of another
     dimension than the convolution's differs from it, even when both are
     zero.
     """
-    lcm_left, left = _cleared_table(left)
-    lcm_right, right = _cleared_table(right)
+    dim = next(iter(left.values())).dim
+    reach = _top(*left.values()) + _top(*right.values())
+    base = max(reach, _top(*[products[alpha] for alpha in table])) + 1
+    places = _places(dim, base)
+    lcm_left, lcm_right = [
+        math.lcm(*[c.denominator for f in side.values() for c in f.terms.values()])
+        for side in (left, right)
+    ]
+    left = _packed_table(left, dim, places, lcm_left)
+    right = _packed_table(right, dim, places, lcm_right)
     scale = lcm_left * lcm_right
     out = []
     for alpha, splits in table.items():
-        rhs, lhs = _convolve(left, right, splits), products[alpha]
-        # rhs == scale * lhs in the convolution's dimension (convolution_sum's),
-        # term by term, cross-multiplied so that no Fraction is built; a key
-        # of lhs missing from rhs reads 0 != scale * c
+        rhs = _convolve((w, left[beta], right[gamma]) for w, beta, gamma in splits)
+        lhs = products[alpha]
+        # rhs == scale * lhs, term by term, cross-multiplied so that no
+        # Fraction is built; a key of lhs missing from rhs reads 0 != scale * c
         if (
-            lhs.dim != left[splits[0][1]].dim
+            lhs.dim != dim
             or len(rhs) != len(lhs.terms)
-            or any(rhs.get(e, 0) * c.denominator != c.numerator * scale for e, c in lhs.terms.items())
+            or any(
+                rhs.get(k, 0) * c.denominator != c.numerator * scale
+                for k, c in _pack(lhs.terms, places).items()
+            )
         ):
             out.append(alpha)
     return out
 
 
-def _partial(f: Polynomial, i: int) -> Polynomial:
-    """The first partial derivative of f in x_i; coefficients keep their type."""
-    trusted = MultiIndex._trusted
+def _partial(f: Packed, place: int, base: int) -> Packed:
+    """The first partial derivative of a packed f in the coordinate of that place value;
+    coefficients keep their type."""
     out = {}
-    for e, coeff in f.terms.items():
-        k = e[i]
-        if k:
-            out[trusted(e[:i] + (k - 1,) + e[i + 1 :])] = coeff * k
-    return Polynomial._make(f.dim, out)
+    for k, coeff in f.items():
+        e = k // place % base
+        if e:
+            out[k - place] = coeff * e
+    return out
 
 
 def _derivative_table(
-    f: Polynomial, alphas: Sequence[MultiIndex]
-) -> Dict[MultiIndex, Polynomial]:
-    """D^alpha f for every alpha of a down-closed, lexicographically ordered list.
+    f: Packed, alphas: Sequence[MultiIndex], places: List[int], base: int
+) -> Dict[MultiIndex, Packed]:
+    """D^alpha f of a packed f for every alpha of a down-closed, lexicographically ordered list.
 
     With i the last nonzero entry of alpha, D^alpha f = d_i D^(alpha - e_i) f,
     and alpha - e_i is in the list and comes before alpha, so each entry
@@ -578,7 +631,7 @@ def _derivative_table(
             table[alpha] = f
         else:
             parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-            table[alpha] = _partial(table[parent], i)
+            table[alpha] = _partial(table[parent], places[i], base)
     return table
 
 
@@ -591,22 +644,20 @@ def _cleared_terms(f: Polynomial, lcm: Optional[int] = None) -> Tuple[int, Dict[
     return lcm, {e: c.numerator * (lcm // c.denominator) for e, c in terms.items()}
 
 
-def _cleared_table(
-    table: Mapping[MultiIndex, Polynomial]
-) -> Tuple[int, Dict[MultiIndex, Polynomial]]:
-    """(L, L * table) with L the lcm of every coefficient denominator in the table."""
-    lcm = math.lcm(*[c.denominator for p in table.values() for c in p.terms.values()])
-    return lcm, {key: Polynomial._make(p.dim, _cleared_terms(p, lcm)[1]) for key, p in table.items()}
-
-
 def leibniz_rhs(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> Polynomial:
     """The binomial convolution sum_{beta <= alpha} C(alpha,beta) D^beta f D^{alpha-beta} g."""
     f._check_dim(g)
+    if f.dim != alpha.rank:
+        raise DimensionMismatch(f"poly dim {f.dim} vs index rank {alpha.rank}")
     splits = convolution_terms(alpha)
     # the betas, in split order, are the lexicographic box below alpha,
     # which is also the set of the gammas
     below = [beta for _, beta, _ in splits]
-    return convolution_sum(_derivative_table(f, below), _derivative_table(g, below), splits)
+    base = _top(f) + _top(g) + 1
+    places = _places(f.dim, base)
+    df = _derivative_table(_pack(f.terms, places), below, places, base)
+    dg = _derivative_table(_pack(g.terms, places), below, places, base)
+    return _unpack(_convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits), places)
 
 
 def check_leibniz(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> bool:
@@ -644,13 +695,18 @@ def check_leibniz_pairs(
     alphas = list(table)
     out = []
     for f, g in pairs:
-        fi = Polynomial._make(f.dim, _cleared_terms(f)[1])
-        gi = Polynomial._make(g.dim, _cleared_terms(g)[1])
-        df = _derivative_table(fi, alphas)
-        dg = _derivative_table(gi, alphas)
-        dfg = _derivative_table(fi * gi, alphas)
+        base = _top(f) + _top(g) + 1
+        places = _places(f.dim, base)
+        fi, gi = _pack(_cleared_terms(f)[1], places), _pack(_cleared_terms(g)[1], places)
+        df = _derivative_table(fi, alphas, places, base)
+        dg = _derivative_table(gi, alphas, places, base)
+        dfg = _derivative_table(_convolve([(1, fi, gi)]), alphas, places, base)
         out.append(
-            [alpha for alpha, splits in table.items() if _convolve(df, dg, splits) != dfg[alpha].terms]
+            [
+                alpha
+                for alpha, splits in table.items()
+                if _convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits) != dfg[alpha]
+            ]
         )
     return out
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -376,11 +377,11 @@ def _bracket(alpha):
 
 
 @st.composite
-def _rational_polynomials(draw, dim):
+def _rational_polynomials(draw, dim, max_exponent=4):
     terms = draw(
         st.lists(
             st.tuples(
-                st.tuples(*[st.integers(0, 4)] * dim),
+                st.tuples(*[st.integers(0, max_exponent)] * dim),
                 st.integers(-9, 9),
                 st.sampled_from((1, 2, 3, 7)),
             ),
@@ -464,7 +465,8 @@ def _rational_table(draw, dim, alphas):
 @given(st.data())
 def test_integer_mismatches_match_the_fraction_sums(data):
     # any tables, not only a linear family's: each products[alpha] is the
-    # Fraction convolution sum, or that sum plus a drawn polynomial
+    # Fraction convolution sum, or that sum plus a drawn polynomial whose
+    # exponents may pass every sum of the tables' exponents
     dim = data.draw(st.integers(1, 3))
     table = polycalc.convolution_table(dim, data.draw(st.integers(0, 3)))
     left = _rational_table(data.draw, dim, table)
@@ -473,7 +475,7 @@ def test_integer_mismatches_match_the_fraction_sums(data):
     for alpha, splits in table.items():
         products[alpha] = polycalc.convolution_sum(left, right, splits)
         if data.draw(st.booleans()):
-            products[alpha] = products[alpha] + data.draw(_rational_polynomials(dim))
+            products[alpha] = products[alpha] + data.draw(_rational_polynomials(dim, 12))
     expected = [
         a for a, splits in table.items() if products[a] != polycalc.convolution_sum(left, right, splits)
     ]
@@ -501,6 +503,42 @@ def test_a_product_of_another_dimension_is_a_mismatch():
         momentfam.verify_moment(family, [(f, f)], Domain.unit(1, seed=0))
 
 
+def test_a_product_past_the_tables_reach_is_a_mismatch():
+    # the tables' exponents alone give base 3, where (1, 3) and (2, 0)
+    # would pack to one key and x0 x1^3 would pass for x0 * x0
+    x0 = Polynomial(2, {(1, 0): 1})
+    table = polycalc.convolution_table(2, 0)
+    products = {_mi(0, 0): Polynomial(2, {(1, 3): 1})}
+    tables = {_mi(0, 0): x0}
+    assert polycalc.convolution_mismatches(tables, tables, products, table) == [_mi(0, 0)]
+    products = {_mi(0, 0): x0 * x0}
+    assert polycalc.convolution_mismatches(tables, tables, products, table) == []
+
+
+def test_mixed_dimensions_raise():
+    # each table is checked for one dimension as it is packed; a stray
+    # entry packed with another rank's place values would read as some
+    # other exponent and be compared silently
+    x0 = Polynomial(1, {(1,): 1})
+    stray = Polynomial(2, {(1, 0): 1})
+    table = polycalc.convolution_table(1, 2)
+    ones = {alpha: x0 for alpha in table}
+    products = {a: polycalc.convolution_sum(ones, ones, splits) for a, splits in table.items()}
+    assert polycalc.convolution_mismatches(ones, ones, products, table) == []
+    splits = table[_mi(2)]
+    for left, right in [({**ones, _mi(1): stray}, ones), (ones, {**ones, _mi(1): stray})]:
+        with pytest.raises(DimensionMismatch):
+            polycalc.convolution_mismatches(left, right, products, table)
+        with pytest.raises(DimensionMismatch):
+            polycalc.convolution_sum(left, right, splits)
+    with pytest.raises(DimensionMismatch):
+        polycalc.check_leibniz_pairs([(x0, stray)], 2)
+    with pytest.raises(DimensionMismatch):
+        x0 * stray
+    with pytest.raises(DimensionMismatch):
+        leibniz_rhs(x0, x0, _mi(1, 0))
+
+
 def test_verify_leibniz_builds_each_alphas_splits_once(capsys, monkeypatch):
     # the pairs share one split table: one convolution_terms call per alpha
     calls = []
@@ -522,8 +560,9 @@ def test_verify_leibniz_builds_each_alphas_splits_once(capsys, monkeypatch):
 
 
 def _fraction_coefficients(f: Polynomial) -> bool:
+    # the unpacked keys too: each a MultiIndex of the polynomial's rank
     return all(type(c) is Fraction for c in f.terms.values()) and all(
-        type(e) is MultiIndex for e in f.terms
+        type(e) is MultiIndex and e.rank == f.dim for e in f.terms
     )
 
 
@@ -538,6 +577,9 @@ def test_public_results_keep_fraction_coefficients():
     below = {beta: dalpha(f, beta) for _, beta, _ in splits}
     results = [f, g, f * g, dalpha(f, alpha), leibniz_rhs(f, g, alpha)]
     results.append(polycalc.convolution_sum(below, below, splits))
+    for dim in (1, 3):
+        h = random_polynomial(rng, dim, max_degree=4, denominators=(1, 5))
+        results += [h * h, leibniz_rhs(h, h, MultiIndex((1,) * dim))]
     assert all(results) and all(map(_fraction_coefficients, results))
     drawn = [Polynomial(2, f.terms), Polynomial(2, g.terms)]
     assert check_leibniz_all(f, g, 3) == []
@@ -603,6 +645,78 @@ def test_leibniz_rhs_matches_sympy_product_derivative():
         alpha = _mi(rng.randint(0, 2), rng.randint(0, 2))
         expected = sympy.diff(_to_sympy(f, x) * _to_sympy(g, x), x[0], alpha[0], x[1], alpha[1])
         assert _to_sympy(leibniz_rhs(f, g, alpha), x) == sympy.expand(expected)
+
+
+# ---- a tuple-keyed reference for the packed kernels ----
+
+
+def _ref_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_derivative(a, alpha):
+    out = {}
+    for e, c in a.items():
+        if all(x >= k for x, k in zip(e, alpha)):
+            for x, k in zip(e, alpha):
+                c *= math.perm(x, k)
+            out[tuple(x - k for x, k in zip(e, alpha))] = c
+    return out
+
+
+def _ref_convolution(left, right, alpha):
+    # left and right map each beta <= alpha to a term map
+    out = {}
+    for beta in itertools.product(*[range(k + 1) for k in alpha]):
+        gamma = tuple(k - b for k, b in zip(alpha, beta))
+        weight = math.prod(map(math.comb, alpha, beta))
+        for e, c in _ref_product(left[beta], right[gamma]).items():
+            out[e] = out.get(e, 0) + weight * c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def _wide_polynomials(draw, dim):
+    # exponents up to 40, or only 0: the zero polynomial and the constants,
+    # where every exponent packs with base 1
+    return draw(_rational_polynomials(dim, draw(st.sampled_from((0, 1, 40)))))
+
+
+def _is_reference(p: Polynomial, dim: int, terms) -> bool:
+    return p.dim == dim and p.terms == terms and _fraction_coefficients(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_kernels_match_a_tuple_keyed_reference(data):
+    dim = data.draw(st.integers(1, 4))
+    f, g = data.draw(_wide_polynomials(dim)), data.draw(_wide_polynomials(dim))
+    assert _is_reference(f * g, dim, _ref_product(f.terms, g.terms))
+    alpha = data.draw(st.sampled_from(enumerate_height_at_most(dim, 2)))
+    box = list(itertools.product(*[range(k + 1) for k in alpha]))
+    df = {b: _ref_derivative(f.terms, b) for b in box}
+    dg = {b: _ref_derivative(g.terms, b) for b in box}
+    assert _is_reference(leibniz_rhs(f, g, alpha), dim, _ref_convolution(df, dg, alpha))
+    left, right = [{MultiIndex(b): data.draw(_wide_polynomials(dim)) for b in box} for _ in "lr"]
+    expected = _ref_convolution(*[{b: p.terms for b, p in t.items()} for t in (left, right)], alpha)
+    summed = polycalc.convolution_sum(left, right, convolution_terms(alpha))
+    assert _is_reference(summed, dim, expected)
+    # with one extra copy of the beta = alpha split at height 2, alpha fails
+    # exactly where D^alpha f * g is nonzero
+    height = data.draw(st.integers(0, 2))
+    fault = data.draw(st.sampled_from([None, _bump_height_two]))
+    with pytest.MonkeyPatch.context() as mp:
+        if fault is not None:
+            mp.setattr(polycalc, "convolution_terms", fault)
+        failing = check_leibniz_all(f, g, height)
+    bumped = [a for a in enumerate_height_at_most(dim, height) if a.height == 2]
+    expected = [a for a in bumped if _ref_product(_ref_derivative(f.terms, a), g.terms)]
+    assert failing == (expected if fault else [])
 
 
 # ---- probes and serialization ----
