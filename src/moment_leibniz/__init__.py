@@ -35,7 +35,6 @@ from .funcmodel import (
     NonFiniteValue,
     NotPolynomial,
     PolyLeaf,
-    PowerSignMap,
     Product,
     SignedPower,
     Sum,

@@ -33,9 +33,9 @@ seeded rational sample points and the float tolerance.  A family read
 through a point map is evaluated at the samples' images, which
 ``Domain.images`` computes exactly, one map component over all the
 samples at a time, and refuses at the first one outside the box; the
-moment verifier, the coefficient constraint and a power-sign map's
-validation all read their points there, a fresh ``PointColumns`` per
-call.  Every sampled check turns a column of float instances
+moment verifier, the coefficient constraint and
+``momentfam.check_multiplicative`` all read their points there, a fresh
+``PointColumns`` per call.  Every sampled check turns a column of float instances
 lhs = rhs into residuals and verdicts with ``judge_column``; every
 sampled convolution product comes from ``convolution_products``, whose
 columns ``convolution_column`` sums; ``witness_float`` writes an exact
@@ -540,25 +540,3 @@ def worse(current: float, residual: float) -> float:
     """
     return residual if residual > current or math.isnan(residual) else current
 
-
-# ---- power-sign multiplicative maps ----
-
-
-class PowerSignMap:
-    """M(f)(x) = |f(tau(x))|^{p(x)} * sgn(f(tau(x))), the T_0 of ``momentfam.make_power_sign``."""
-
-    def __init__(self, exponent: FuncExpr, tau: TauMap) -> None:
-        self.exponent = exponent
-        self.tau = tau
-
-    def validate(self, domain: Domain) -> None:
-        """p must be positive at every sample; then ``domain.images`` must accept tau."""
-        if self.tau.rank != domain.rank:
-            raise DimensionMismatch(
-                f"map rank {self.tau.rank} vs domain rank {domain.rank}"
-            )
-        exponents = eval_expr(self.exponent, domain.sample_points)
-        for x, p in zip(domain.sample_points, exponents):
-            if p <= 0:
-                raise ValueError(f"exponent not positive at sample {x.to_json()}")
-        domain.images(self.tau)

@@ -12,11 +12,12 @@ build the described kinds, and any other rule goes straight to
 variables the operators act on are separate: second-order pairs are the
 order-2 families indexed by rank 1 on functions of r variables, with
 T_(1) = A and T_(2) = T, whose alpha = (2) instance is
-T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  A power-sign map M is the
-order-0 family with T_0 = M (``make_power_sign``), so its
-multiplicativity is the alpha = 0 instance, and ``check_multiplicative``
-is ``verify_moment`` on that family.  Every family applies each operator
-once per probe.
+T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  A power-sign map M, built from
+an exponent p and a map tau, is the order-0 family with T_0 = M
+(``make_power_sign(p, tau)``), so its multiplicativity is the alpha = 0
+instance: ``check_multiplicative(p, tau, ...)`` checks tau's rank, p > 0
+at the samples and tau's images, then runs ``verify_moment`` on that
+family.  Every family applies each operator once per probe.
 
 Nothing that builds a family takes a domain, and reading a descriptor
 verifies nothing.  A family holds at most one point map: ``conjugate``
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .multiindex import MultiIndex, check_count
+from .multiindex import DimensionMismatch, MultiIndex, check_count
 from .polycalc import (
     Polynomial,
     RationalPoint,
@@ -94,7 +95,6 @@ from .funcmodel import (
     Domain,
     FuncExpr,
     PolyLeaf,
-    PowerSignMap,
     Product,
     SignedPower,
     Sum,
@@ -255,13 +255,13 @@ def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
     )
 
 
-def make_power_sign(m: PowerSignMap) -> OperatorFamily:
-    """The order-0 family T_0 = M: f is composed with tau exactly, so p is read at x."""
+def make_power_sign(exponent: FuncExpr, tau: TauMap) -> OperatorFamily:
+    """T_0(f)(x) = |f(tau(x))|^p(x) sgn(f(tau(x))), p the exponent; f o tau is exact."""
 
     def rule(_alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        return SignedPower(PolyLeaf(compose(f, m.tau.components)), m.exponent)
+        return SignedPower(PolyLeaf(compose(f, tau.components)), exponent)
 
-    return OperatorFamily(m.tau.rank, 0, rule)
+    return OperatorFamily(tau.rank, 0, rule)
 
 
 # ---- probes ----
@@ -443,13 +443,24 @@ def verify_moment(
 
 
 def check_multiplicative(
-    m: PowerSignMap,
+    exponent: FuncExpr,
+    tau: TauMap,
     probes: Sequence[Tuple[Polynomial, Polynomial]],
     domain: Domain,
 ) -> MomentReport:
-    """M(f*g) = M(f) * M(g), sampled: ``m.validate``, then ``verify_moment`` on M's family."""
-    m.validate(domain)
-    return verify_moment(make_power_sign(m), probes, domain)
+    """M(f*g) = M(f) * M(g) for M = ``make_power_sign(exponent, tau)``, sampled.
+
+    First tau must have the domain's rank, then p must be positive at
+    every sample, then ``domain.images`` must accept tau; then
+    ``verify_moment`` runs on M's family.
+    """
+    if tau.rank != domain.rank:
+        raise DimensionMismatch(f"map rank {tau.rank} vs domain rank {domain.rank}")
+    for x, p in zip(domain.sample_points, eval_expr(exponent, domain.sample_points)):
+        if p <= 0:
+            raise ValueError(f"exponent not positive at sample {x.to_json()}")
+    domain.images(tau)
+    return verify_moment(make_power_sign(exponent, tau), probes, domain)
 
 
 # ---- second-order pairs ----

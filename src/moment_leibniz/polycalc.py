@@ -30,12 +30,13 @@ coordinate of the products it compares, or two exponents could share a
 key.  Packing a table checks that its polynomials share one dimension.
 Every product and convolution side comes from one accumulator,
 ``_convolve``: the sum of w * a * b over weighted pairs of packed maps,
-with zeros dropped.  ``*``, ``convolution_sum`` and ``leibniz_rhs`` pack
-their operands once on the way in and unpack the result once
-(``_unpack``), wrapping each key in a ``MultiIndex``.
-``convolution_sum`` sums w * left[beta] * right[gamma] over one alpha's
-``convolution_terms``, from two tables of derivatives or operator
-values; the exact moment verifier's witnesses build their sides with it.
+with zeros dropped.  ``*`` and ``convolution_sum`` pack their operands
+once on the way in and unpack the result once (``_unpack``), wrapping
+each key in a ``MultiIndex``.  ``convolution_sum`` sums
+w * left[beta] * right[gamma] over one alpha's ``convolution_terms``,
+from two tables of derivatives or operator values: ``leibniz_rhs`` is
+that sum over ``dalpha`` tables of f and g, and the exact moment
+verifier's witnesses build their sides with it.
 ``convolution_table`` lists every alpha's splits up to a height, through
 this module's name ``convolution_terms``, so a caller builds them once
 for all its pairs or probes: ``check_leibniz_pairs`` does, and
@@ -45,9 +46,8 @@ Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index set: D^alpha f is
 the one-step partial d_i of the entry at alpha - e_i, with i the last
 nonzero entry of alpha, so each step differentiates the few terms its
-parent still has.  ``leibniz_rhs`` builds it over the box below alpha,
-``check_leibniz_pairs`` over every |alpha| <= max_height; ``dalpha`` is
-for single derivatives.
+parent still has.  ``check_leibniz_pairs`` builds it over every
+|alpha| <= max_height; ``dalpha`` is for single derivatives.
 
 Integer polynomials live in two functions, which compare packed maps
 and never unpack them.  ``check_leibniz_pairs`` runs on Python ints.
@@ -647,17 +647,12 @@ def _cleared_terms(f: Polynomial, lcm: Optional[int] = None) -> Tuple[int, Dict[
 def leibniz_rhs(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> Polynomial:
     """The binomial convolution sum_{beta <= alpha} C(alpha,beta) D^beta f D^{alpha-beta} g."""
     f._check_dim(g)
-    if f.dim != alpha.rank:
-        raise DimensionMismatch(f"poly dim {f.dim} vs index rank {alpha.rank}")
     splits = convolution_terms(alpha)
-    # the betas, in split order, are the lexicographic box below alpha,
-    # which is also the set of the gammas
+    # the betas are the box below alpha, which is also the set of the gammas
     below = [beta for _, beta, _ in splits]
-    base = _top(f) + _top(g) + 1
-    places = _places(f.dim, base)
-    df = _derivative_table(_pack(f.terms, places), below, places, base)
-    dg = _derivative_table(_pack(g.terms, places), below, places, base)
-    return _unpack(_convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits), places)
+    return convolution_sum(
+        {beta: dalpha(f, beta) for beta in below}, {beta: dalpha(g, beta) for beta in below}, splits
+    )
 
 
 def check_leibniz(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> bool:

@@ -765,6 +765,35 @@ def test_coefficient_too_large_for_a_float_still_fails(capsys, tmp_path):
     assert constraint["max_residual"] == math.inf
 
 
+def _scaled_xlogx(coeff: str) -> dict:
+    """The N = 2 family whose one coefficient is c_(1) = coeff * x ln x, nonzero on the box."""
+    expr = {"kind": "product", "children": [_const(1, coeff), {"kind": "xlogabs", "child": _X}]}
+    return {
+        "kind": "identity_generated",
+        "r": 1,
+        "N": 2,
+        "coefficients": [{"index": [1], "expr": expr}],
+    }
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 18/21")
+def test_small_coefficient_below_the_band_fails(capsys, tmp_path):
+    # S_(2) = 2 c_(1)^2 != 0, but every sampled sum and residual is under --tol
+    path = _family_file(tmp_path, _scaled_xlogx("1/1000000"))
+    code, report = _run(capsys, ["verify-family", path])
+    assert code == EXIT_FAIL
+    assert [2] in [f["alpha"] for f in report["failures"]]
+
+
+def test_larger_coefficient_below_the_band_fails(capsys, tmp_path):
+    # at 10^-3 the sampled constraint sums exceed --tol
+    path = _family_file(tmp_path, _scaled_xlogx("1/1000"))
+    code, report = _run(capsys, ["verify-family", path])
+    assert code == EXIT_FAIL
+    first = report["failures"][0]
+    assert (first["alpha"], first["point"]) == ([2], ["55/64"])
+
+
 def _poly_leaf(*terms):
     """A polynomial leaf from (exponent, coeff) pairs; the dim is the exponents' length."""
     return {

@@ -30,7 +30,6 @@ from moment_leibniz.funcmodel import (
     NonFiniteValue,
     NotPolynomial,
     PolyLeaf,
-    PowerSignMap,
     Product,
     SignedPower,
     Sum,
@@ -638,7 +637,7 @@ def test_power_sign_pinned_values():
     p = const_expr(1, 2)
     for u, value in ((2, 4.0), (-3, -9.0), (-6, -36.0), (0, 0.0)):
         assert eval_expr(SignedPower(const_expr(1, u), p), x) == [value]
-    family = make_power_sign(PowerSignMap(p, TauMap.identity(1)))
+    family = make_power_sign(p, TauMap.identity(1))
     f, g = Polynomial.constant(1, 2), Polynomial.constant(1, -3)
     zero = MultiIndex.zero(1)
     values = [eval_expr(family.apply(zero, h), x) for h in (f, g, f * g, Polynomial.zero(1))]
@@ -646,7 +645,7 @@ def test_power_sign_pinned_values():
     # f is read at tau(x) and p at x: at x = 1/4, (1 - x)^(1/2 + x) = (3/4)^(3/4)
     tau = TauMap.affine([[-1]], [1])
     half_plus_x = PolyLeaf(Polynomial.constant(1, Fraction(1, 2)) + _x())
-    family = make_power_sign(PowerSignMap(half_plus_x, tau))
+    family = make_power_sign(half_plus_x, tau)
     assert eval_expr(family.apply(zero, -_x()), (_pt(Fraction(1, 4)),)) == [-(0.75**0.75)]
 
 
@@ -663,17 +662,18 @@ def test_signed_power_overflow_names_the_node():
 
 def test_power_sign_validation():
     dom = Domain.unit(1)
+    probes = [(_x(), _x())]
     shift_out = TauMap((Polynomial.variable(1, 0) + Polynomial.constant(1, 5),))
     with pytest.raises(ValueError):
-        PowerSignMap(const_expr(1, 1), shift_out).validate(dom)
+        check_multiplicative(const_expr(1, 1), shift_out, probes, dom)
     negative_p = const_expr(1, -1)
     with pytest.raises(ValueError):
-        PowerSignMap(negative_p, TauMap.identity(1)).validate(dom)
+        check_multiplicative(negative_p, TauMap.identity(1), probes, dom)
 
 
 def test_power_sign_map_needs_the_domain_rank():
     with pytest.raises(DimensionMismatch, match="map rank 2 vs domain rank 1"):
-        PowerSignMap(const_expr(1, 1), TauMap.identity(2)).validate(Domain.unit(1))
+        check_multiplicative(const_expr(1, 1), TauMap.identity(2), [], Domain.unit(1))
 
 
 def test_power_sign_exponent_error_wins_over_map_error():
@@ -683,11 +683,11 @@ def test_power_sign_exponent_error_wins_over_map_error():
     double = TauMap((_x() * 2,))
     late_p = PolyLeaf(Polynomial.constant(1, Fraction(3, 4)) - _x())
     with pytest.raises(ValueError, match=r"^exponent not positive at sample \['4/5'\]$"):
-        PowerSignMap(late_p, double).validate(dom)
+        check_multiplicative(late_p, double, [], dom)
     with pytest.raises(ValueError) as shared:
         dom.images(double)
     with pytest.raises(ValueError) as err:
-        PowerSignMap(const_expr(1, 1), double).validate(dom)
+        check_multiplicative(const_expr(1, 1), double, [], dom)
     assert str(err.value) == str(shared.value)
 
 
@@ -707,13 +707,13 @@ def test_check_multiplicative_passes():
     minus_one = Polynomial.constant(1, -1)
     for p in exponents:
         for tau in taus:
-            m = PowerSignMap(p, tau)
-            report = check_multiplicative(m, probes, dom)
+            report = check_multiplicative(p, tau, probes, dom)
             assert report.passed, report.failures[:1]
             assert report.max_residual <= 1e-9
             assert not report.exact and report.per_alpha_max_residual.keys() == {"0"}
             # the sign survives: T_0(-1) is -1 at every sample
-            signs = eval_expr(make_power_sign(m).apply(MultiIndex.zero(1), minus_one), dom.sample_points)
+            sign = make_power_sign(p, tau).apply(MultiIndex.zero(1), minus_one)
+            signs = eval_expr(sign, dom.sample_points)
             assert signs == [-1.0] * len(dom.sample_points)
 
 

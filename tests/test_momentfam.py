@@ -337,6 +337,18 @@ def test_constraint_bypass_fails_at_pinned_alpha():
     assert failure["residual"] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 18/21")
+def test_band_coefficient_of_size_1e12_passes():
+    # c_(2) = 10^12 is in the band N/2 < |alpha| <= N, so (*) holds exactly
+    # for every pair; on (3, 1/3) the sampled alpha = (2) instance still
+    # fails, with lhs 0.0 and rhs -1.2207e-4: rounding on terms of size 10^12
+    cf = CoeffFamily.from_constants(1, 2, {(2,): 10**12})
+    fam = make_identity_generated(cf)
+    probes = [(Polynomial.constant(1, 3), Polynomial.constant(1, Fraction(1, 3)))]
+    report = verify_moment(fam, probes, Domain.unit(1))
+    assert report.passed, report.failures[:1]
+
+
 def test_both_sides_exactly_zero_on_vanishing_product():
     # where f*g vanishes, T_alpha(fg) and every convolution term carry a
     # factor that is exactly 0.0, so the comparison is 0.0 == 0.0

@@ -535,7 +535,9 @@ def test_mixed_dimensions_raise():
         polycalc.check_leibniz_pairs([(x0, stray)], 2)
     with pytest.raises(DimensionMismatch):
         x0 * stray
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^dim mismatch: 1 vs 2$"):
+        leibniz_rhs(x0, stray, _mi(1))
+    with pytest.raises(DimensionMismatch, match=r"^poly dim 1 vs index rank 2$"):
         leibniz_rhs(x0, x0, _mi(1, 0))
 
 

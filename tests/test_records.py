@@ -12,7 +12,6 @@ from moment_leibniz.funcmodel import (
     CheckReport,
     Domain,
     PolyLeaf,
-    PowerSignMap,
     Product,
     SignedPower,
     Sum,
@@ -51,7 +50,6 @@ FIELDS = [
     (SignedPower, {"child": _LEAF, "exponent": const_expr(1, 2)}),
     (Domain, {"rank": 1, "sample_points": _samples(1), "float_tolerance": 1e-6}),
     (TauMap, {"components": (_X,)}),
-    (PowerSignMap, {"exponent": const_expr(1, 2), "tau": _TAU}),
     (
         CheckReport,
         {
