@@ -12,10 +12,13 @@ import random
 
 from moment_leibniz import (
     Domain,
+    Jet,
+    MultiIndex,
     OperatorFamily,
     PolyLeaf,
     Polynomial,
     default_probe_pairs,
+    enumerate_height_at_most,
     make_derivative,
     make_trivial,
     verify_moment,
@@ -37,13 +40,13 @@ def main() -> None:
     print("\ntrivial family (T_0 = 1, all other T_alpha = 0):")
     print(f"  pass: {report.passed}, max residual: {report.max_residual}")
 
-    # a family with T_0 = 1 cannot carry any other nonzero member
-    def rule(alpha, f):
-        if alpha.is_zero():
-            return PolyLeaf(Polynomial.constant(2, 1))
-        return PolyLeaf(f)  # nonzero tail: T_alpha(f) = f
-
-    candidate = OperatorFamily(2, 2, rule)
+    # a family with T_0 = 1 cannot carry any other nonzero member; each
+    # operator is a tree, in which Jet(beta) stands for D^beta of the probe
+    f = Jet(MultiIndex.zero(2))
+    one = PolyLeaf(Polynomial.constant(2, 1))
+    # nonzero tail: T_alpha(f) = f
+    operators = {alpha: f if alpha.height else one for alpha in enumerate_height_at_most(2, 2)}
+    candidate = OperatorFamily(2, 2, operators)
     x = Polynomial.variable(2, 0)
     zero = Polynomial.zero(2)
     collapse_pairs = [

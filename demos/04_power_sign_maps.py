@@ -14,10 +14,12 @@ import random
 
 from moment_leibniz import (
     Domain,
+    Jet,
     MultiIndex,
     OperatorFamily,
     PolyLeaf,
     Polynomial,
+    Product,
     SignedPower,
     TauMap,
     check_multiplicative,
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 def signs_preserved(family: OperatorFamily, domain: Domain) -> bool:
     """Whether T_0(-1) is -1 at every sample."""
-    minus_one = family.apply(MultiIndex.zero(1), Polynomial.constant(1, -1))
+    minus_one = family.apply(Polynomial.constant(1, -1))[MultiIndex.zero(1)]
     return set(eval_expr(minus_one, domain.sample_points)) == {-1.0}
 
 
@@ -67,11 +69,10 @@ def main() -> None:
         )
 
     # the map with the sign factor stripped, p = 1: still multiplicative,
-    # but it sends -1 to +1
-    def absolute_only(_alpha: MultiIndex, f: Polynomial) -> SignedPower:
-        return SignedPower(PolyLeaf(f * f), const_expr(1, Fraction(1, 2)))
-
-    stripped = OperatorFamily(1, 0, absolute_only)
+    # but it sends -1 to +1.  Jet(0) stands for the probe itself.
+    f = Jet(MultiIndex.zero(1))
+    absolute_only = SignedPower(Product((f, f)), const_expr(1, Fraction(1, 2)))
+    stripped = OperatorFamily(1, 0, {MultiIndex.zero(1): absolute_only})
     report = verify_moment(stripped, probes, domain)
     print(
         f"\n|f|^p without the sign: pass {report.passed}, "

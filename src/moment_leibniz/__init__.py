@@ -32,6 +32,7 @@ from .funcmodel import (
     CheckReport,
     Domain,
     FuncExpr,
+    Jet,
     NonFiniteValue,
     NotPolynomial,
     PolyLeaf,

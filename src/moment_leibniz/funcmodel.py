@@ -2,15 +2,17 @@
 
 Expressions are trees of four JSON kinds: exact polynomial leaves, sums,
 products, and the continuous extension of t -> t*ln|t| (value 0 at
-t = 0).  A rational multiple is a product with a constant leaf, and the
-contractions <grad p, b> and <Hess(p) c, c> of an exact polynomial p
-are sums of products of p's nonzero derivatives with the field
-components (``grad_dot``, ``hess_quad``); ``expr_from_json`` reads the
-JSON kinds ``scale``, ``graddot`` and ``hessquad`` that way, and
-``to_json`` writes them as sums and products.  Power-sign families also
-build ``SignedPower`` nodes, sgn(u) |u|^p with 0 at u = 0, which no
-descriptor reads.  Two trees are equal when their nodes agree in type and
-operands; none is hashable, since a ``Polynomial`` is not.
+t = 0).  A rational multiple is a product with a constant leaf.  No
+descriptor reads the other two nodes: ``SignedPower``, sgn(u) |u|^p with
+0 at u = 0, and ``Jet(beta)``, D^beta of the probe in an operator
+family's trees (``momentfam``).  ``substitute_jets`` puts a leaf of one
+``polycalc.derivative_table`` in place of each jet and drops from a sum
+each product with a zero jet factor.  So <grad p, b> and <Hess(p) c, c>,
+the substituted ``contraction`` of a polynomial p's jets with a field
+(``grad_dot``, ``hess_quad``), are sums of products of p's nonzero
+derivatives with the field components; ``expr_from_json`` reads the JSON
+kinds ``scale``, ``graddot`` and ``hessquad`` that way.  Two trees are
+equal when their nodes agree in type and operands; none is hashable.
 
 Trees evaluate to floats over a tuple of rational points in one walk
 (``eval_expr``): each node computes its values at every point, with the
@@ -19,28 +21,22 @@ Children are evaluated in order before their parent, so a
 ``NonFiniteValue`` names the first node whose column fails, whatever
 the point.  The points are a ``polycalc.PointColumns``, whose rank
 ``eval_expr`` checks once against the tree's dim (a plain sequence is
-wrapped afresh), and a polynomial leaf keeps its float values there the
-first time a node needs them.  So a verifier that evaluates many trees
-over the same ``PointColumns`` converts each exact leaf value to floats
-once, and builds every leaf's exact values from one set of power and
-monomial columns.  A tree without a t*ln|t| or signed-power node
-(``is_polynomial``) expands back to a ``Polynomial``; its exact values
-are the expansion evaluated at the point, and the exact verifiers
-compare the expansions themselves.
+wrapped afresh), and a polynomial leaf keeps its float values there, so
+trees evaluated over one ``PointColumns`` convert each exact leaf value
+to floats once, from one set of power and monomial columns.  A tree
+without a t*ln|t| or signed-power node (``is_polynomial``) expands back
+to a ``Polynomial``, which the exact verifiers compare.
 
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
 seeded rational sample points and the float tolerance.  A family read
 through a point map is evaluated at the samples' images, which
-``Domain.images`` computes exactly, one map component over all the
-samples at a time, and refuses at the first one outside the box; the
-moment verifier, the coefficient constraint and
-``momentfam.check_multiplicative`` all read their points there, a fresh
-``PointColumns`` per call.  Every sampled check turns a column of float instances
-lhs = rhs into residuals and verdicts with ``judge_column``; every
-sampled convolution product comes from ``convolution_products``, whose
-columns ``convolution_column`` sums; ``witness_float`` writes an exact
-witness value, such as the constraint's below-band sum, as a float,
-+-inf when it is too large for one.
+``Domain.images`` computes exactly and refuses at the first one outside
+the box, a fresh ``PointColumns`` per call.  Every sampled check turns a
+column of float instances lhs = rhs into residuals and verdicts with
+``judge_column``; every sampled convolution product comes from
+``convolution_products``, whose columns ``convolution_column`` sums;
+``witness_float`` writes an exact witness value as a float, +-inf when
+it is too large for one.
 """
 
 from __future__ import annotations
@@ -50,15 +46,15 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .multiindex import DimensionMismatch, MultiIndex
+from .multiindex import DimensionMismatch, MultiIndex, enumerate_height_at_most
 from .polycalc import (
     PointColumns,
     Polynomial,
     RationalPoint,
     Scalar,
-    dalpha,
+    derivative_table,
     eval_poly,
     eval_poly_values,
 )
@@ -230,6 +226,25 @@ class SignedPower(FuncExpr):
             raise NonFiniteValue(f"non-finite value at {node}") from exc
 
 
+class Jet(FuncExpr):
+    """D^beta of the probe, which ``substitute_jets`` fills in; a bare jet has no value."""
+
+    __slots__ = ("beta",)
+
+    def __init__(self, beta: MultiIndex) -> None:
+        self.beta = beta
+
+    @property
+    def dim(self) -> int:
+        return self.beta.rank
+
+    def _eval_points(self, points: PointColumns, path: str) -> List[float]:
+        raise ValueError(f"jet {self.beta.to_json()} at {path} has no value before substitution")
+
+    def _expand(self) -> Polynomial:
+        raise ValueError(f"jet {self.beta.to_json()} has no expansion before substitution")
+
+
 def _check_children(children: Sequence[FuncExpr], label: str) -> None:
     if not children:
         raise ValueError(f"{label} needs at least one child")
@@ -257,6 +272,47 @@ def is_polynomial(expr: FuncExpr) -> bool:
     return not isinstance(expr, (XLogAbs, SignedPower)) and all(map(is_polynomial, expr.children))
 
 
+def jet_height(expr: FuncExpr) -> int:
+    """The largest |beta| of a ``Jet(beta)`` in the tree, or -1 when it has none."""
+    if isinstance(expr, Jet):
+        return expr.beta.height
+    if isinstance(expr, (XLogAbs, SignedPower)):
+        return max(jet_height(getattr(expr, s)) for s in expr.__slots__)
+    return max(map(jet_height, expr.children), default=-1)
+
+
+def substitute_jets(
+    trees: Iterable[FuncExpr], table: Mapping[MultiIndex, Polynomial]
+) -> List[FuncExpr]:
+    """The trees with one shared leaf of ``table[beta]`` in place of each ``Jet(beta)``.
+
+    A sum drops each product with a jet factor whose entry is zero, and a
+    sum left empty is the zero leaf, so a ``contraction`` over the jets of
+    f is the tree ``grad_dot`` or ``hess_quad`` builds for f.
+    """
+    leaves = {beta: PolyLeaf(d) for beta, d in table.items()}
+    return [_substitute(tree, leaves) for tree in trees]
+
+
+def _substitute(node: FuncExpr, leaves: Dict[MultiIndex, PolyLeaf]) -> FuncExpr:
+    # a module-level walk: a nested recursive closure would be a reference cycle per call
+    if isinstance(node, PolyLeaf):
+        return node
+    if isinstance(node, Jet):
+        return leaves[node.beta]
+    if isinstance(node, Product):
+        return Product(tuple([_substitute(c, leaves) for c in node.children]))
+    if isinstance(node, Sum):
+        kept = [
+            _substitute(c, leaves) for c in node.children if not isinstance(c, Product)
+            or all(leaves[j.beta].poly for j in c.children if isinstance(j, Jet))
+        ]
+        return Sum(tuple(kept)) if kept else PolyLeaf(Polynomial.zero(node.dim))
+    if isinstance(node, (XLogAbs, SignedPower)):
+        return type(node)(*[_substitute(getattr(node, s), leaves) for s in node.__slots__])
+    return node
+
+
 def as_polynomial(expr: FuncExpr) -> Polynomial:
     """Symbolic expansion of a tree back to a Polynomial, in one walk.
 
@@ -269,39 +325,30 @@ def const_expr(dim: int, value: Scalar) -> PolyLeaf:
     return PolyLeaf(Polynomial.constant(dim, value))
 
 
-def _contraction(poly: Polynomial, field: Sequence[FuncExpr], order: int) -> FuncExpr:
-    """The sum of d_{i_1} ... d_{i_order}(poly) * field_{i_1} * ... * field_{i_order}.
-
-    The terms run over the axis tuples in row order, skipping zero derivatives.
-    Axis tuples that sort alike name one derivative, taken once: they
-    share its leaf, so a float evaluation converts its values once.
-    """
-    r = poly.dim
-    if len(field) != r or any(c.dim != r for c in field):
+def contraction(field: Sequence[FuncExpr], order: int, dim: int) -> Sum:
+    """The sum of Jet(e_(i_1) + ... + e_(i_order)) * field_(i_1) * ... * field_(i_order)
+    over the axis tuples in row order, for a field of ``dim`` components of dim ``dim``."""
+    if len(field) != dim or any(c.dim != dim for c in field):
         raise DimensionMismatch(
-            f"field needs {r} components of dim {r}, got dims {[c.dim for c in field]}"
+            f"field needs {dim} components of dim {dim}, got dims {[c.dim for c in field]}"
         )
-    leaves: Dict[Tuple[int, ...], Optional[PolyLeaf]] = {}
-    terms: List[FuncExpr] = []
-    for axes in itertools.product(range(r), repeat=order):
-        alpha = tuple(map(axes.count, range(r)))
-        if alpha not in leaves:
-            d = dalpha(poly, MultiIndex._trusted(alpha))
-            leaves[alpha] = PolyLeaf(d) if d else None
-        leaf = leaves[alpha]
-        if leaf is not None:
-            terms.append(Product((leaf, *(field[i] for i in axes))))
-    return Sum(tuple(terms)) if terms else PolyLeaf(Polynomial.zero(r))
+    terms = []
+    for axes in itertools.product(range(dim), repeat=order):
+        beta = MultiIndex._trusted(tuple(map(axes.count, range(dim))))
+        terms.append(Product((Jet(beta), *(field[i] for i in axes))))
+    return Sum(tuple(terms))
 
 
 def grad_dot(poly: Polynomial, field: Sequence[FuncExpr]) -> FuncExpr:
     """<grad(poly), field>: the sum of d_i(poly) * field_i over nonzero d_i(poly)."""
-    return _contraction(poly, field, 1)
+    table = derivative_table(poly, enumerate_height_at_most(poly.dim, 1))
+    return substitute_jets([contraction(field, 1, poly.dim)], table)[0]
 
 
 def hess_quad(poly: Polynomial, field: Sequence[FuncExpr]) -> FuncExpr:
     """<Hess(poly) field, field>: sum of d_i d_j(poly) * field_i * field_j, (i, j) in row order."""
-    return _contraction(poly, field, 2)
+    table = derivative_table(poly, enumerate_height_at_most(poly.dim, 2))
+    return substitute_jets([contraction(field, 2, poly.dim)], table)[0]
 
 
 def expr_from_json(data: dict) -> FuncExpr:

@@ -6,63 +6,44 @@ The identity under test is the binomial convolution
 
 for all |alpha| <= N at every sample point; its alpha = 0 instance is
 plain multiplicativity of T_0.  Every family is an ``OperatorFamily``
-over an alpha-indexed rule: the ``make_*`` constructors and ``conjugate``
-build the described kinds, and any other rule goes straight to
-``OperatorFamily(rank, order, rule)``.  The index rank and the number of
-variables the operators act on are separate: second-order pairs are the
-order-2 families indexed by rank 1 on functions of r variables, with
-T_(1) = A and T_(2) = T, whose alpha = (2) instance is
-T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  A power-sign map M, built from
-an exponent p and a map tau, is the order-0 family with T_0 = M
-(``make_power_sign(p, tau)``), so its multiplicativity is the alpha = 0
-instance: ``check_multiplicative(p, tau, ...)`` checks tau's rank, p > 0
-at the samples and tau's images, then runs ``verify_moment`` on that
-family.  Every family applies each operator once per probe.
+over an ``operators`` map, one ``funcmodel`` tree per alpha, built once,
+in which ``Jet(beta)`` stands for D^beta of the probe: the ``make_*``
+constructors and ``conjugate`` build the described kinds, and any other
+map goes straight to ``OperatorFamily(rank, order, operators)``.
+``apply(f)`` substitutes one ``polycalc.derivative_table`` of f into
+every tree.  The index rank and the number of variables are separate:
+second-order pairs are order-2 families indexed by rank 1 on functions
+of r variables, with T_(1) = A and T_(2) = T, whose alpha = (2) instance
+is T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  A power-sign map M, from an
+exponent p and a map tau, is the order-0 family T_0 = M with probe map
+tau (``make_power_sign``); ``check_multiplicative(p, tau, ...)`` checks
+tau's rank, p > 0 at the samples and tau's images, then runs
+``verify_moment`` on that family.
 
 Nothing that builds a family takes a domain, and reading a descriptor
 verifies nothing.  A family holds at most one point map: ``conjugate``
-composes the inner map with tau exactly, so a conjugate of a conjugate
-still holds one polynomial map.  That map is the only way a family is
-read through a change of variables: ``verify_moment``, and
+composes the inner map with tau exactly.  ``verify_moment``, and
 ``coeffsolve.check_constraint`` on a conjugate's ``coeff_family`` (the
 inner one, unchanged), both evaluate at ``Domain.images(point_map)``,
 which refuses an image outside the unit box before anything is checked.
 
-How an instance is decided is read off the expressions the operators
-return, probe by probe, before anything is expanded; a family declares
-nothing about it.  When no T_beta(f), T_beta(g) or T_alpha(fg) of a
-probe has an f*ln|f| node (``funcmodel.is_polynomial``), they all expand
-to polynomials (trivial, derivative, log-free second-order pairs, their
-reparametrized conjugates, and any user rule with log-free trees), and
-each (probe, alpha) instance is one comparison in Q[x]: T_alpha(fg)
-against the convolution over ``convolution_terms(alpha)``.
-``polycalc.convolution_mismatches`` makes every comparison of a probe on
-integer tables, its T(f) and T(g) tables each cleared of denominators by
-one lcm.  Equal polynomials agree at every point, and so at every image
-under the conjugating maps, so the instance passes with residual 0.0 and
-nothing is evaluated.  Only an unequal one is summed in Fractions, by
-``polycalc.convolution_sum``, and evaluated at the mapped sample
-points, one column per side, where they must agree exactly; Fractions
-are canonical, so these values are the pointwise convolution sums, and
-the witnesses are the ones a pointwise loop finds.  If they agree at
-every sample, the difference composed with the point map decides: a
-nonzero one fails once, at ``polycalc.nonzero_grid_point`` of that
-composition, and a zero one (a map that is not injective) passes.
-
-When some expression has an f*ln|f| node, nothing of the probe is
-expanded and its instances are sampled: the same expressions are
-tabulated in floats with ``funcmodel.eval_expr``, one pass per
-expression over all the sample points, and each point's convolution
-products are added by ``funcmodel.convolution_column``, against the
-domain tolerance.  The whole call evaluates at the one
-``polycalc.PointColumns`` that ``Domain.images`` returns.  It keeps the
-float values of each polynomial leaf (a coefficient, a probe, a product
-of probes), so each is turned into floats once, however many alphas and
-probes use it, and one set of power and monomial columns, from which
-every exact value there is built.  ``funcmodel.judge_column`` turns each
-alpha's column of sampled instances into residuals and verdicts; an
-exact instance passes only when its sides are equal, and its residual
-is |lhs - rhs|, or inf when that is too large for a float.
+How the instances are decided is read off the trees, once per family.
+When no tree has an f*ln|f| or signed-power node
+(``funcmodel.is_polynomial``), every T_alpha(h) expands to a polynomial,
+and ``polycalc.convolution_mismatches`` compares each T_alpha(fg) of a
+probe with the convolution over ``convolution_terms(alpha)`` in Q[x], on
+integer tables; an equal one passes with residual 0.0, unevaluated.
+Only an unequal one is summed in Fractions (``polycalc.convolution_sum``)
+and evaluated at the mapped samples, where its sides must agree exactly.
+If they agree at every sample, the difference composed with the point
+map decides: a nonzero one fails once, at its
+``polycalc.nonzero_grid_point``, and a zero one (a map that is not
+injective) passes.  An exact residual is |lhs - rhs|, or inf when that
+is too large for a float.  Otherwise every probe is sampled, even one on
+which each log term drops out: the trees ``apply`` returns are tabulated
+in floats with ``funcmodel.eval_expr`` at the ``PointColumns`` of the
+images, and ``funcmodel.judge_column`` judges each alpha's column of
+``funcmodel.convolution_column`` sums against the domain tolerance.
 
 The collapse lemma needs no verifier of its own.  For a family with
 T_0 = 1, the alpha instance at the probe pair (0, f) reads
@@ -75,9 +56,9 @@ as a proof in Q[x] whenever its operators expand.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .multiindex import DimensionMismatch, MultiIndex, check_count
+from .multiindex import DimensionMismatch, MultiIndex, check_count, enumerate_height_at_most
 from .polycalc import (
     Polynomial,
     RationalPoint,
@@ -85,7 +66,7 @@ from .polycalc import (
     convolution_mismatches,
     convolution_sum,
     convolution_table,
-    dalpha,
+    derivative_table,
     eval_poly,
     eval_poly_values,
     nonzero_grid_point,
@@ -94,6 +75,7 @@ from .polycalc import (
 from .funcmodel import (
     Domain,
     FuncExpr,
+    Jet,
     PolyLeaf,
     Product,
     SignedPower,
@@ -101,63 +83,69 @@ from .funcmodel import (
     TauMap,
     XLogAbs,
     as_polynomial,
+    contraction,
     convolution_column,
     eval_expr,
     expr_from_json,
-    grad_dot,
-    hess_quad,
     is_polynomial,
+    jet_height,
     judge_column,
+    substitute_jets,
     witness_float,
     worse,
 )
 from .coeffsolve import CoeffFamily
 
-Rule = Callable[[MultiIndex, Polynomial], FuncExpr]
-
 
 class OperatorFamily:
-    """Operators T_alpha for |alpha| <= order, applied to polynomials.
+    """Operators T_alpha for |alpha| <= order, each a tree over the probe's jets.
 
-    ``rule`` is any alpha-indexed rule.  Its indices have rank ``rank``;
-    the functions it acts on have ``dim`` variables, which defaults to
-    ``rank``.  Whether an instance is proved or sampled is decided by the
-    verifier from the expressions the rule returns.  ``point_map``
-    reparametrizes the evaluation point: T(f)(x) is the rule's expression
-    evaluated at point_map(x), which is how conjugation acts.
-    ``descriptor`` is the family's JSON form; the constructors below pass
-    their own, and any other rule is described as
-    ``{"kind": "custom", "r": dim, "N": order}``.  ``coeff_family`` holds
-    an identity-generated family's coefficients, their constraint
-    unchecked; like the rule's expressions, they are read at point_map(x).
+    ``operators`` holds the tree of T_alpha at every alpha of rank ``rank``
+    with |alpha| <= order, each of dim ``dim`` (``rank`` by default); both
+    are checked here.  ``probe_map`` is composed with each probe before its
+    jets are taken, and T(f)(x) is the tree read at ``point_map``(x), which
+    is how conjugation acts.  ``descriptor`` is the JSON form, by default
+    ``{"kind": "custom", "r": dim, "N": order}``; ``coeff_family`` holds an
+    identity-generated family's coefficients, their constraint unchecked.
     """
 
     def __init__(
-        self, rank: int, order: int, rule: Rule, point_map: Optional[TauMap] = None,
-        descriptor: Optional[dict] = None, dim: Optional[int] = None,
-        coeff_family: Optional[CoeffFamily] = None,
+        self, rank: int, order: int, operators: Mapping[MultiIndex, FuncExpr],
+        point_map: Optional[TauMap] = None, descriptor: Optional[dict] = None,
+        dim: Optional[int] = None, coeff_family: Optional[CoeffFamily] = None,
+        probe_map: Optional[TauMap] = None,
     ) -> None:
         self.rank = rank
         self.order = order
-        self.rule = rule
         self.point_map = point_map
         self.descriptor = descriptor
         self.dim = rank if dim is None else dim
         self.coeff_family = coeff_family
+        self.probe_map = probe_map
         check_count("rank", self.rank, 1)
         check_count("order", self.order, 0)
         check_count("dim", self.dim, 1)
+        alphas = enumerate_height_at_most(self.rank, self.order)
+        if operators.keys() != set(alphas):
+            raise ValueError(f"operators need a tree at each alpha of rank {rank} up to {order}")
+        self.operators = {alpha: operators[alpha] for alpha in alphas}
+        for alpha, tree in self.operators.items():
+            if tree.dim != self.dim:
+                raise ValueError(f"operator {alpha.to_json()} dim {tree.dim}, family dim {self.dim}")
+        height = max(map(jet_height, self.operators.values()))
+        # the indices of each probe's derivative table; none when no tree reads a jet
+        self._jets = enumerate_height_at_most(self.dim, height) if height >= 0 else []
         if self.descriptor is None:
             self.descriptor = {"kind": "custom", "r": self.dim, "N": self.order}
 
-    def apply(self, alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        if alpha.rank != self.rank:
-            raise ValueError(f"index rank {alpha.rank}, family rank {self.rank}")
-        if alpha.height > self.order:
-            raise ValueError(f"|alpha| = {alpha.height} exceeds order {self.order}")
+    def apply(self, f: Polynomial) -> Dict[MultiIndex, FuncExpr]:
+        """Every T_alpha(f): one derivative table of f (after ``probe_map``) put in every tree."""
         if f.dim != self.dim:
             raise ValueError(f"probe dim {f.dim}, family dim {self.dim}")
-        return self.rule(alpha, f)
+        if self.probe_map is not None:
+            f = compose(f, self.probe_map.components)
+        table = derivative_table(f, self._jets) if self._jets else {}
+        return dict(zip(self.operators, substitute_jets(self.operators.values(), table)))
 
     def eval_point(self, x: RationalPoint) -> RationalPoint:
         return x if self.point_map is None else self.point_map(x)
@@ -169,24 +157,19 @@ class OperatorFamily:
 def make_trivial(rank: int, order: int) -> OperatorFamily:
     """T_0(f) = 1 and T_alpha(f) = 0 for alpha != 0."""
     check_count("rank", rank, 1)
+    check_count("order", order, 0)
     one, zero = PolyLeaf(Polynomial.constant(rank, 1)), PolyLeaf(Polynomial.zero(rank))
-
-    def rule(alpha: MultiIndex, _f: Polynomial) -> FuncExpr:
-        return one if alpha.is_zero() else zero
-
+    operators = {a: zero if a.height else one for a in enumerate_height_at_most(rank, order)}
     descriptor = {"kind": "trivial", "r": rank, "N": order}
-    return OperatorFamily(rank, order, rule, descriptor=descriptor)
+    return OperatorFamily(rank, order, operators, descriptor=descriptor)
 
 
 def make_derivative(rank: int, order: int) -> OperatorFamily:
     """T_alpha(f) = D^alpha(f), with T_0 the identity map."""
     check_count("order", order, 1)
-
-    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        return PolyLeaf(dalpha(f, alpha))
-
+    operators = {alpha: Jet(alpha) for alpha in enumerate_height_at_most(rank, order)}
     descriptor = {"kind": "derivative", "r": rank, "N": order}
-    return OperatorFamily(rank, order, rule, descriptor=descriptor)
+    return OperatorFamily(rank, order, operators, descriptor=descriptor)
 
 
 def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
@@ -196,17 +179,11 @@ def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
     ``cf`` for ``check_constraint``, and ``verify_moment`` fails a family
     that breaks it.
     """
-    zero = PolyLeaf(Polynomial.zero(cf.rank))
-
-    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        if alpha.is_zero():
-            return PolyLeaf(f)
-        expr = cf.coefficients.get(alpha)
-        if expr is None:
-            return zero
-        return Product((expr, XLogAbs(PolyLeaf(f))))
-
-    return OperatorFamily(cf.rank, cf.order, rule, descriptor=cf.to_json(), coeff_family=cf)
+    f, zero = Jet(MultiIndex.zero(cf.rank)), PolyLeaf(Polynomial.zero(cf.rank))
+    operators = {alpha: zero for alpha in enumerate_height_at_most(cf.rank, cf.order)}
+    operators.update((alpha, Product((c, XLogAbs(f)))) for alpha, c in cf.coefficients.items())
+    operators[MultiIndex.zero(cf.rank)] = f
+    return OperatorFamily(cf.rank, cf.order, operators, descriptor=cf.to_json(), coeff_family=cf)
 
 
 def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
@@ -226,7 +203,7 @@ def make_first_order_leibniz(c: FuncExpr, rank: int) -> OperatorFamily:
 def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
     """The family x -> T_alpha(f)(tau(x)).
 
-    Keeps the inner family's expressions and ``coeff_family``, and
+    Keeps the inner family's trees, probe map and ``coeff_family``, and
     composes its point map with tau exactly (``polycalc.compose``), so a
     conjugate holds one map, at whose images both its operators and its
     coefficients are read, and conjugates of proved families are proved.
@@ -238,30 +215,17 @@ def conjugate(family: OperatorFamily, tau: TauMap) -> OperatorFamily:
     point_map = tau
     if family.point_map is not None:  # x -> inner(tau(x))
         point_map = TauMap(tuple(compose(p, tau.components) for p in family.point_map.components))
-    return OperatorFamily(
-        family.rank,
-        family.order,
-        family.rule,
-        point_map=point_map,
-        descriptor={
-            "kind": "conjugated",
-            "r": family.dim,
-            "N": family.order,
-            "tau": tau.to_json(),
-            "inner": family.descriptor,
-        },
-        dim=family.dim,
-        coeff_family=family.coeff_family,
-    )
+    descriptor = {"kind": "conjugated", "r": family.dim, "N": family.order, "tau": tau.to_json(),
+                  "inner": family.descriptor}
+    return OperatorFamily(family.rank, family.order, family.operators, point_map=point_map,
+                          descriptor=descriptor, dim=family.dim, coeff_family=family.coeff_family,
+                          probe_map=family.probe_map)
 
 
 def make_power_sign(exponent: FuncExpr, tau: TauMap) -> OperatorFamily:
-    """T_0(f)(x) = |f(tau(x))|^p(x) sgn(f(tau(x))), p the exponent; f o tau is exact."""
-
-    def rule(_alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        return SignedPower(PolyLeaf(compose(f, tau.components)), exponent)
-
-    return OperatorFamily(tau.rank, 0, rule)
+    """T_0(f)(x) = |f(tau(x))|^p(x) sgn(f(tau(x))), p the exponent, tau the (exact) probe map."""
+    zero = MultiIndex.zero(tau.rank)
+    return OperatorFamily(tau.rank, 0, {zero: SignedPower(Jet(zero), exponent)}, probe_map=tau)
 
 
 # ---- probes ----
@@ -303,8 +267,9 @@ def default_probe_pairs(
 class MomentReport:
     """Outcome of ``verify_moment`` over one family.
 
-    ``exact`` says that no instance was sampled: every probe's operators
-    expanded to polynomials, so every verdict is a proof in Q[x].
+    ``exact`` says that the family's trees are log-free, so no instance
+    was sampled and every verdict is a proof in Q[x].  A family with a log
+    node is sampled at every probe, even where each log term drops out.
     """
 
     def __init__(
@@ -349,19 +314,13 @@ def verify_moment(
     """Check the binomial moment identity on every probe pair and sample.
 
     The family is evaluated at ``domain.images(family.point_map)``, which
-    raises ValueError at an image outside the box.  Each probe's
-    operators are applied once.  If their trees are all log-free, they
-    are expanded and each alpha compares the polynomial T_alpha(fg) with the
-    convolution sum, on integer tables (``polycalc.convolution_mismatches``);
-    equal polynomials are equal at every point, so the instance passes with
-    residual 0.0 unevaluated.  An unequal one is summed again in Fractions
-    (``polycalc.convolution_sum``) for its witness values: both sides are
-    evaluated at the samples and must agree exactly there; if they agree
-    at every sample, their difference composed with the point map decides,
-    and a nonzero one fails once, at its grid point.  Otherwise the
-    same expressions are tabulated in floats and each instance is judged
-    by the relative residual |lhs - rhs| / (1 + |lhs|) against the domain
-    tolerance.  Failures carry the witnessing alpha, probe and point.
+    raises ValueError at an image outside the box, and ``apply`` runs once
+    on each of f, g and fg.  If every tree of the family is log-free, each
+    instance is proved or refuted in Q[x], with residual 0.0 or exact
+    witnesses; otherwise each is judged by the relative residual
+    |lhs - rhs| / (1 + |lhs|) against the domain tolerance (see the
+    module docstring).  Failures carry the witnessing alpha, probe and
+    point.
     """
     tol = domain.float_tolerance
     if domain.rank != family.dim:
@@ -372,17 +331,15 @@ def verify_moment(
     per_alpha = {_alpha_key(a): 0.0 for a in alphas}
     failures: List[dict] = []
     max_residual = 0.0
-    sampled = False
+    exact = all(map(is_polynomial, family.operators.values()))
     for k, (f, g) in enumerate(probes):
-        rows = [{b: family.apply(b, h) for b in alphas} for h in (f, g, f * g)]
-        exact = all(is_polynomial(e) for row in rows for e in row.values())
+        rows = [family.apply(h) for h in (f, g, f * g)]
         if exact:
             tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
             # equal sides pass unevaluated; only an unequal one is summed in Fractions
             judged = convolution_mismatches(tf, tg, tfg, terms)
         else:
             vf, vg, vfg = [{b: eval_expr(e, points) for b, e in row.items()} for row in rows]
-            sampled = True
             judged = alphas
         for alpha in judged:
             splits = terms[alpha]
@@ -419,27 +376,12 @@ def verify_moment(
             per_alpha[key] = worse(per_alpha[key], worst)
             max_residual = worse(max_residual, worst)
             for i in failing:
-                failures.append(
-                    {
-                        "alpha": alpha.to_json(),
-                        "probe": k,
-                        "point": xs[i].to_json(),
-                        "lhs": witness_float(lhs_vals[i]),
-                        "rhs": witness_float(rhs_vals[i]),
-                        "residual": residuals[i],
-                    }
-                )
-    return MomentReport(
-        family=family.descriptor,
-        probe_count=len(probes),
-        per_alpha_max_residual=per_alpha,
-        max_residual=max_residual,
-        passed=not failures,
-        failures=failures,
-        tolerance=tol,
-        exact=not sampled,
-        seed=seed,
-    )
+                failures.append({"alpha": alpha.to_json(), "probe": k, "point": xs[i].to_json(),
+                                 "lhs": witness_float(lhs_vals[i]), "rhs": witness_float(rhs_vals[i]),
+                                 "residual": residuals[i]})
+    return MomentReport(family=family.descriptor, probe_count=len(probes), max_residual=max_residual,
+                        per_alpha_max_residual=per_alpha, passed=not failures, failures=failures,
+                        tolerance=tol, exact=exact, seed=seed)
 
 
 def check_multiplicative(
@@ -527,25 +469,14 @@ def make_second_order_leibniz(
         # pair keeps its trees, whose float values its probes are judged by.
         b = tuple(map(PolyLeaf, b_polys))
         c = tuple(map(PolyLeaf, c_polys))
-    zero = PolyLeaf(Polynomial.zero(dim))
-
-    def rule(alpha: MultiIndex, f: Polynomial) -> FuncExpr:
-        if alpha.height == 0:
-            return PolyLeaf(f)
-        if alpha.height == 1:
-            return grad_dot(f, c)
-        terms = []
-        if not c_zero:
-            terms.append(hess_quad(f, c))
-        if not b_zero:
-            terms.append(grad_dot(f, b))
-        if not a_zero:
-            terms.append(Product((a, XLogAbs(PolyLeaf(f)))))
-        if not terms:
-            return zero
-        return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
-
-    return OperatorFamily(1, 2, rule, descriptor=descriptor, dim=dim)
+    f = Jet(MultiIndex.zero(dim))
+    terms = [contraction(c, 2, dim)] if not c_zero else []
+    terms += [contraction(b, 1, dim)] if not b_zero else []
+    terms += [Product((a, XLogAbs(f)))] if not a_zero else []
+    terms = terms or [PolyLeaf(Polynomial.zero(dim))]
+    t2 = Sum(tuple(terms)) if len(terms) > 1 else terms[0]
+    operators = {MultiIndex((0,)): f, MultiIndex((1,)): contraction(c, 1, dim), MultiIndex((2,)): t2}
+    return OperatorFamily(1, 2, operators, descriptor=descriptor, dim=dim)
 
 
 # ---- descriptors ----

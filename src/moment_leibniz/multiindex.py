@@ -25,6 +25,7 @@ after the ``<=`` check, a tuple drawn from ``range``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -192,11 +193,16 @@ def enumerate_height_at_most(rank: int, max_height: int) -> List[MultiIndex]:
 
     Exactly C(max_height + rank, rank) indices, generated directly: each
     prefix, in lexicographic order, is extended by every entry that keeps
-    its height at most max_height.
+    its height at most max_height.  Recent shapes are cached; each call gets a fresh list.
     """
     check_count("rank", rank, 1)
     check_count("max_height", max_height, 0)
+    return list(_height_at_most(rank, max_height))
+
+
+@functools.lru_cache(maxsize=32)
+def _height_at_most(rank: int, max_height: int) -> Tuple[MultiIndex, ...]:
     prefixes = [(e,) for e in range(max_height + 1)]
     for _ in range(rank - 1):
         prefixes = [t + (e,) for t in prefixes for e in range(max_height - sum(t) + 1)]
-    return [MultiIndex._trusted(t) for t in prefixes]
+    return tuple(map(MultiIndex._trusted, prefixes))

@@ -46,8 +46,9 @@ Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index set: D^alpha f is
 the one-step partial d_i of the entry at alpha - e_i, with i the last
 nonzero entry of alpha, so each step differentiates the few terms its
-parent still has.  ``check_leibniz_pairs`` builds it over every
-|alpha| <= max_height; ``dalpha`` is for single derivatives.
+parent still has.  ``check_leibniz_pairs`` builds it on integer maps,
+and ``derivative_table`` on a probe's own coefficients, unpacked, for
+an operator family's jets; ``dalpha`` is for single derivatives.
 
 Integer polynomials live in two functions, which compare packed maps
 and never unpack them.  ``check_leibniz_pairs`` runs on Python ints.
@@ -620,7 +621,8 @@ def _derivative_table(
 
     With i the last nonzero entry of alpha, D^alpha f = d_i D^(alpha - e_i) f,
     and alpha - e_i is in the list and comes before alpha, so each entry
-    differentiates its parent's surviving terms once.
+    differentiates its parent's surviving terms once; the empty entries
+    below an empty parent share its map.
     """
     table = {}
     for alpha in alphas:
@@ -630,9 +632,21 @@ def _derivative_table(
         if i < 0:
             table[alpha] = f
         else:
-            parent = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-            table[alpha] = _partial(table[parent], places[i], base)
+            parent = table[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]
+            table[alpha] = _partial(parent, places[i], base) if parent else parent
     return table
+
+
+def derivative_table(f: Polynomial, betas: Sequence[MultiIndex]) -> Dict[MultiIndex, Polynomial]:
+    """D^beta f for each beta of a down-closed, lexicographically ordered list, from one packed
+    ``_derivative_table``; D^0 f is f itself, and the zero entries share one zero polynomial."""
+    if len(betas) == 1:  # the list [0]: nothing to differentiate, nothing to pack
+        return {betas[0]: f}
+    base = _top(f) + 1
+    places = _places(f.dim, base)
+    packed, zero = _pack(f.terms, places), Polynomial._make(f.dim, {})
+    table = _derivative_table(packed, betas, places, base)
+    return {b: f if d is packed else _unpack(d, places) if d else zero for b, d in table.items()}
 
 
 def _cleared_terms(f: Polynomial, lcm: Optional[int] = None) -> Tuple[int, Dict[MultiIndex, int]]:

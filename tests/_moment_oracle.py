@@ -26,8 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 from moment_leibniz.funcmodel import (
     Domain,
     as_polynomial,
+    contraction,
     eval_expr,
-    grad_dot,
     witness_float,
     worse,
 )
@@ -80,9 +80,9 @@ def verify_moment_pointwise(
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         fg = f * g
-        vf = {b: _table(family.apply(b, f), points, exact) for b in alphas}
-        vg = {b: _table(family.apply(b, g), points, exact) for b in alphas}
-        vfg = {a: _table(family.apply(a, fg), points, exact) for a in alphas}
+        vf, vg, vfg = (
+            {b: _table(e, points, exact) for b, e in family.apply(h).items()} for h in (f, g, fg)
+        )
         for alpha, splits in terms.items():
             key = _alpha_key(alpha)
             instances = []
@@ -128,10 +128,11 @@ def _grid_instance(family: OperatorFamily, alpha, splits, f, g) -> list:
     family's point map; if that is nonzero, the instance is taken at the
     first grid point where it does not vanish, read through the map.
     """
-    lhs = as_polynomial(family.apply(alpha, f * g))
+    lhs = as_polynomial(family.apply(f * g)[alpha])
+    tf, tg = family.apply(f), family.apply(g)
     rhs = Polynomial.zero(family.dim)
     for w, beta, gamma in splits:
-        rhs = rhs + as_polynomial(family.apply(beta, f)) * as_polynomial(family.apply(gamma, g)) * w
+        rhs = rhs + as_polynomial(tf[beta]) * as_polynomial(tg[gamma]) * w
     diff = lhs - rhs
     if family.point_map is not None:
         diff = compose(diff, family.point_map.components)
@@ -159,7 +160,7 @@ def check_second_order_pointwise(
     max_residual = 0.0
     for k, (f, g) in enumerate(probes):
         tf, tg, tfg, af, ag = (
-            _table(family.apply(alpha, h), points, exact)
+            _table(family.apply(h)[alpha], points, exact)
             for alpha, h in ((two, f), (two, g), (two, f * g), (one, f), (one, g))
         )
         for i, x in enumerate(points):
@@ -189,9 +190,5 @@ def with_a_field(family: OperatorFamily, field) -> OperatorFamily:
     any such A is still a derivation.
     """
 
-    def rule(alpha, f):
-        if alpha.height == 1:
-            return grad_dot(f, tuple(field))
-        return family.rule(alpha, f)
-
-    return OperatorFamily(1, 2, rule, dim=family.dim)
+    operators = {**family.operators, MultiIndex((1,)): contraction(tuple(field), 1, family.dim)}
+    return OperatorFamily(1, 2, operators, dim=family.dim)

@@ -17,11 +17,14 @@ import sympy
 
 from moment_leibniz import (
     Domain,
+    Jet,
     MultiIndex,
     OperatorFamily,
     PolyLeaf,
     Polynomial,
+    Product,
     RationalPoint,
+    Sum,
     TauMap,
     XLogAbs,
     binom,
@@ -32,7 +35,6 @@ from moment_leibniz import (
     const_expr,
     constraint_indices,
     convolution_terms,
-    dalpha,
     default_probe_pairs,
     enumerate_below,
     enumerate_height_at_most,
@@ -119,28 +121,28 @@ def test_derivative_family_moment_identity():
 
 
 def _unit_candidate(perturb):
-    """Rank-1 family with T_0 = 1 and every other T_alpha perturbed."""
+    """Rank-1 family with T_0 = 1 and every other T_alpha a perturbation of f."""
+    f = Jet(_mi(0))
+    one, tail = const_expr(1, 1), perturb(f)
+    return OperatorFamily(1, 2, {_mi(0): one, _mi(1): tail, _mi(2): tail})
 
-    def rule(alpha, f):
-        if alpha.is_zero():
-            return PolyLeaf(Polynomial.constant(1, 1))
-        return perturb(f)
 
-    return OperatorFamily(1, 2, rule)
+def _times(c, f):
+    return Product((const_expr(1, c), f))
 
 
 _NONZERO_TAILS = [
-    ("f itself", lambda f: PolyLeaf(f)),
+    ("f itself", lambda f: f),
     ("constant 5", lambda f: const_expr(1, 5)),
-    ("f squared", lambda f: PolyLeaf(f * f)),
-    ("negated f", lambda f: PolyLeaf(f * -1)),
-    ("f plus 1", lambda f: PolyLeaf(f + Polynomial.constant(1, 1))),
-    ("first derivative", lambda f: PolyLeaf(dalpha(f, _mi(1)))),
-    ("coordinate times f", lambda f: PolyLeaf(Polynomial.variable(1, 0) * f)),
-    ("f log|f|", lambda f: XLogAbs(PolyLeaf(f))),
-    ("affine 2f + 3", lambda f: PolyLeaf(f * 2 + Polynomial.constant(1, 3))),
-    ("f cubed", lambda f: PolyLeaf(f * f * f)),
-    ("f / 10^12", lambda f: PolyLeaf(f * Fraction(1, 10**12))),
+    ("f squared", lambda f: Product((f, f))),
+    ("negated f", lambda f: _times(-1, f)),
+    ("f plus 1", lambda f: Sum((f, const_expr(1, 1)))),
+    ("first derivative", lambda f: Jet(_mi(1))),
+    ("coordinate times f", lambda f: Product((PolyLeaf(Polynomial.variable(1, 0)), f))),
+    ("f log|f|", lambda f: XLogAbs(f)),
+    ("affine 2f + 3", lambda f: Sum((_times(2, f), const_expr(1, 3)))),
+    ("f cubed", lambda f: Product((f, f, f))),
+    ("f / 10^12", lambda f: _times(Fraction(1, 10**12), f)),
 ]
 
 
@@ -230,11 +232,11 @@ def test_identity_generated_families_across_valid_supports():
                 for alpha in enumerate_height_at_most(rank, order):
                     if alpha.is_zero():
                         continue
-                    lhs = eval_expr(family.apply(alpha, product), (vanish_point,))[0]
+                    lhs = eval_expr(family.apply(product)[alpha], (vanish_point,))[0]
                     rhs = math.fsum(
                         binom(alpha, beta)
-                        * eval_expr(family.apply(beta, vanishing), (vanish_point,))[0]
-                        * eval_expr(family.apply(alpha - beta, partner), (vanish_point,))[0]
+                        * eval_expr(family.apply(vanishing)[beta], (vanish_point,))[0]
+                        * eval_expr(family.apply(partner)[alpha - beta], (vanish_point,))[0]
                         for beta in enumerate_below(alpha)
                     )
                     vanishing_pairs += 1
@@ -433,8 +435,8 @@ def test_conjugated_families_keep_the_identity():
         for alpha in enumerate_height_at_most(rank, 2):
             for x in domain.sample_points:
                 diff = abs(
-                    eval_expr(double.apply(alpha, probe), (double.eval_point(x),))[0]
-                    - eval_expr(base.apply(alpha, probe), (base.eval_point(x),))[0]
+                    eval_expr(double.apply(probe)[alpha], (double.eval_point(x),))[0]
+                    - eval_expr(base.apply(probe)[alpha], (base.eval_point(x),))[0]
                 )
                 worst_double = max(worst_double, diff)
 
@@ -458,8 +460,8 @@ def test_conjugated_families_keep_the_identity():
     for alpha in enumerate_height_at_most(1, 3):
         for x in strip.sample_points:
             diff = abs(
-                eval_expr(double.apply(alpha, probe), (double.eval_point(x),))[0]
-                - eval_expr(fam.apply(alpha, probe), (fam.eval_point(x),))[0]
+                eval_expr(double.apply(probe)[alpha], (double.eval_point(x),))[0]
+                - eval_expr(fam.apply(probe)[alpha], (fam.eval_point(x),))[0]
             )
             worst_double = max(worst_double, diff)
 
@@ -506,7 +508,7 @@ def test_power_sign_maps_multiplicative():
             combos += 1
             worst = max(worst, report.max_residual)
             # the sign survives: T_0(-1) is -1 at every sample
-            sign = make_power_sign(exponent, tau).apply(MultiIndex.zero(1), minus_one)
+            sign = make_power_sign(exponent, tau).apply(minus_one)[MultiIndex.zero(1)]
             signs_ok = signs_ok and set(eval_expr(sign, domain.sample_points)) == {-1.0}
             all_passed = all_passed and report.passed
     ok = combos == 6 and all_passed and signs_ok and worst <= 1e-9

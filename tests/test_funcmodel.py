@@ -27,6 +27,7 @@ from moment_leibniz.polycalc import (
 from moment_leibniz.funcmodel import (
     CheckReport,
     Domain,
+    Jet,
     NonFiniteValue,
     NotPolynomial,
     PolyLeaf,
@@ -640,13 +641,13 @@ def test_power_sign_pinned_values():
     family = make_power_sign(p, TauMap.identity(1))
     f, g = Polynomial.constant(1, 2), Polynomial.constant(1, -3)
     zero = MultiIndex.zero(1)
-    values = [eval_expr(family.apply(zero, h), x) for h in (f, g, f * g, Polynomial.zero(1))]
+    values = [eval_expr(family.apply(h)[zero], x) for h in (f, g, f * g, Polynomial.zero(1))]
     assert values == [[4.0], [-9.0], [-36.0], [0.0]]
     # f is read at tau(x) and p at x: at x = 1/4, (1 - x)^(1/2 + x) = (3/4)^(3/4)
     tau = TauMap.affine([[-1]], [1])
     half_plus_x = PolyLeaf(Polynomial.constant(1, Fraction(1, 2)) + _x())
     family = make_power_sign(half_plus_x, tau)
-    assert eval_expr(family.apply(zero, -_x()), (_pt(Fraction(1, 4)),)) == [-(0.75**0.75)]
+    assert eval_expr(family.apply(-_x())[zero], (_pt(Fraction(1, 4)),)) == [-(0.75**0.75)]
 
 
 def test_signed_power_overflow_names_the_node():
@@ -712,7 +713,7 @@ def test_check_multiplicative_passes():
             assert report.max_residual <= 1e-9
             assert not report.exact and report.per_alpha_max_residual.keys() == {"0"}
             # the sign survives: T_0(-1) is -1 at every sample
-            sign = make_power_sign(p, tau).apply(MultiIndex.zero(1), minus_one)
+            sign = make_power_sign(p, tau).apply(minus_one)[MultiIndex.zero(1)]
             signs = eval_expr(sign, dom.sample_points)
             assert signs == [-1.0] * len(dom.sample_points)
 
@@ -721,14 +722,13 @@ def test_check_multiplicative_catches_sign_stripping():
     # |f(tau(x))|^p = sgn(f^2) |f^2|^(p/2) is multiplicative too, so the
     # moment verifier passes it; only T_0(-1) = +1 tells it from the genuine map
     dom = Domain.unit(1)
-
-    def stripped(_alpha: MultiIndex, f: Polynomial) -> SignedPower:
-        return SignedPower(PolyLeaf(f * f), const_expr(1, 1))
-
+    zero = MultiIndex.zero(1)
+    f_squared = Product((Jet(zero), Jet(zero)))
+    stripped = OperatorFamily(1, 0, {zero: SignedPower(f_squared, const_expr(1, 1))})
     probes = default_probe_pairs(dom, 8, random.Random(0))
-    assert verify_moment(OperatorFamily(1, 0, stripped), probes, dom).passed
+    assert verify_moment(stripped, probes, dom).passed
     minus_one = Polynomial.constant(1, -1)
-    assert eval_expr(stripped(MultiIndex.zero(1), minus_one), dom.sample_points) == [1.0] * len(
+    assert eval_expr(stripped.apply(minus_one)[zero], dom.sample_points) == [1.0] * len(
         dom.sample_points
     )
 
@@ -750,7 +750,7 @@ def _constant_report(c, dom: Domain):
     """``verify_moment`` on the exact order-0 family T_0 = c, whose one
     instance c = c * c fails at every sample unless c is 0 or 1."""
     one = Polynomial.constant(1, 1)
-    return verify_moment(OperatorFamily(1, 0, lambda _alpha, _f: const_expr(1, c)), [(one, one)], dom)
+    return verify_moment(OperatorFamily(1, 0, {MultiIndex.zero(1): const_expr(1, c)}), [(one, one)], dom)
 
 
 def test_exact_residual_is_the_difference():

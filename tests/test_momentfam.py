@@ -2,27 +2,30 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from moment_leibniz import momentfam
+from moment_leibniz import funcmodel, momentfam, polycalc
 from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
 from moment_leibniz.polycalc import (
     Polynomial,
     RationalPoint,
-    dalpha,
     eval_poly,
     random_polynomial,
 )
 from moment_leibniz.funcmodel import (
     Domain,
     FuncExpr,
+    Jet,
     PolyLeaf,
     Product,
+    Sum,
     TauMap,
+    XLogAbs,
     as_polynomial,
     const_expr,
     eval_expr,
@@ -77,8 +80,8 @@ def test_trivial_family_values_and_exactness():
     fam = make_trivial(2, 2)
     f = Polynomial.variable(2, 0)
     x = RationalPoint.of(Fraction(1, 3), Fraction(1, 2))
-    assert eval_poly(as_polynomial(fam.apply(_mi(0, 0), f)), x) == 1
-    assert eval_poly(as_polynomial(fam.apply(_mi(1, 0), f)), x) == 0
+    assert eval_poly(as_polynomial(fam.apply(f)[_mi(0, 0)]), x) == 1
+    assert eval_poly(as_polynomial(fam.apply(f)[_mi(1, 0)]), x) == 0
     assert verify_moment(fam, [(f, f)], Domain.unit(2, seed=2)).exact
 
 
@@ -92,31 +95,66 @@ def test_trivial_family_verifies_with_zero_residual():
 
 
 def test_trivial_family_builds_its_leaves_once():
-    # the rule ignores the probe, so every apply returns one of two leaves
+    # the trees read no jet of the probe, so every apply returns one of two leaves
     fam = make_trivial(2, 2)
     f, g = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    assert fam.apply(_mi(0, 0), f) is fam.apply(_mi(0, 0), g)
-    assert fam.apply(_mi(1, 0), f) is fam.apply(_mi(0, 2), g)
+    assert fam.apply(f)[_mi(0, 0)] is fam.apply(g)[_mi(0, 0)]
+    assert fam.apply(f)[_mi(1, 0)] is fam.apply(g)[_mi(0, 2)]
 
 
-def test_apply_validates_index():
-    fam = make_trivial(2, 2)
-    with pytest.raises(ValueError):
-        fam.apply(_mi(2, 1), Polynomial.variable(2, 0))  # height 3 > order
-    with pytest.raises(ValueError):
-        fam.apply(_mi(1), Polynomial.variable(2, 0))  # wrong rank
+def test_family_refuses_operators_that_miss_an_alpha_or_have_another_dim():
+    operators = make_derivative(2, 2).operators
+    with pytest.raises(ValueError, match=r"^operators need a tree at each alpha"):
+        OperatorFamily(2, 2, {a: t for a, t in operators.items() if a != _mi(1, 1)})
+    with pytest.raises(ValueError, match=r"^operators need a tree at each alpha"):
+        OperatorFamily(2, 1, operators)  # height 2 > order
+    with pytest.raises(ValueError, match=r"^operators need a tree at each alpha"):
+        OperatorFamily(1, 2, operators)  # wrong rank
+    wide = {**operators, _mi(0, 1): Jet(_mi(0, 1, 0))}
+    with pytest.raises(ValueError, match=r"^operator \[0, 1\] dim 3, family dim 2$"):
+        OperatorFamily(2, 2, wide)
+    with pytest.raises(ValueError, match=r"^probe dim 1, family dim 2$"):
+        make_derivative(2, 2).apply(Polynomial.variable(1, 0))
+
+
+def test_a_bare_jet_has_no_values_and_no_expansion():
+    jet = Jet(_mi(1, 0))
+    with pytest.raises(ValueError, match="before substitution"):
+        eval_expr(jet, (RationalPoint.of(Fraction(1, 2), Fraction(1, 3)),))
+    with pytest.raises(ValueError, match="before substitution"):
+        as_polynomial(Product((const_expr(2, 1), jet)))
+
+
+def test_apply_leaves_no_reference_cycle():
+    # a cycle per call would keep each probe's table and trees alive until
+    # the collector runs, and make it run more often
+    b, c = _two_variable_fields()
+    families = [
+        make_derivative(2, 3),
+        make_second_order_leibniz(const_expr(2, 1), b, c, 2, 2),
+        make_first_order_leibniz(const_expr(2, 3), 2),
+    ]
+    f = Polynomial(2, {(2, 1): 3, (0, 1): Fraction(-1, 2), (0, 0): 1})
+    gc.collect()
+    gc.disable()
+    try:
+        for family in families:
+            family.apply(f)
+        funcmodel.hess_quad(f, c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---- collapse of candidates with T_0 = 1 ----
 
 
-def _with_unit_t0(rank, order, nonzero_rule):
-    def rule(alpha, f):
-        if alpha.is_zero():
-            return PolyLeaf(Polynomial.constant(rank, 1))
-        return nonzero_rule(alpha, f)
-
-    return OperatorFamily(rank, order, rule)
+def _with_unit_t0(rank, order, tail):
+    """T_0 = 1 and T_alpha = tail(f) for alpha != 0, f the probe's jet D^0."""
+    f = Jet(MultiIndex.zero(rank))
+    one = const_expr(rank, 1)
+    alphas = enumerate_height_at_most(rank, order)
+    return OperatorFamily(rank, order, {a: tail(f) if a.height else one for a in alphas})
 
 
 def _zero_paired(fs):
@@ -137,7 +175,7 @@ def test_collapse_rejects_identity_rule_via_product_instance():
     # T_alpha(f) = f: at (0, 3) the alpha = (1) instance reads
     # T_(1)(0) = T_0(0) T_(1)(3) + T_(1)(0) T_0(3), that is 0 = 3
     dom = Domain.unit(1, seed=4)
-    cand = _with_unit_t0(1, 1, lambda alpha, f: PolyLeaf(f))
+    cand = _with_unit_t0(1, 1, lambda f: f)
     report = verify_moment(cand, _zero_paired([Polynomial.constant(1, 3)]), dom)
     assert not report.passed
     assert report.exact
@@ -149,7 +187,7 @@ def test_collapse_rejects_identity_rule_via_product_instance():
 def test_collapse_rejects_constant_rule_via_zero_instance():
     # T_alpha = 5: the same instance reads 5 = 1 * 5 + 5 * 1
     dom = Domain.unit(1, seed=4)
-    cand = _with_unit_t0(1, 1, lambda alpha, f: const_expr(1, 5))
+    cand = _with_unit_t0(1, 1, lambda f: const_expr(1, 5))
     report = verify_moment(cand, _zero_paired([Polynomial.constant(1, 3)]), dom)
     assert not report.passed
     assert report.exact
@@ -162,7 +200,7 @@ def test_collapse_rejects_a_tail_below_the_float_tolerance():
     # T_(1)(f) = f / 10^12 is within 1e-9 of the trivial family at every
     # sample, but the instance 0 = f / 10^12 is proved false in Q[x]
     dom = Domain.unit(1, seed=4)
-    cand = _with_unit_t0(1, 1, lambda alpha, f: PolyLeaf(f * Fraction(1, 10**12)))
+    cand = _with_unit_t0(1, 1, lambda f: Product((f, const_expr(1, Fraction(1, 10**12)))))
     x = Polynomial.variable(1, 0)
     probes = _zero_paired([Polynomial.constant(1, 3), x + Polynomial.constant(1, 1)])
     report = verify_moment(cand, probes, dom)
@@ -182,8 +220,8 @@ def test_derivative_family_pinned_value():
     f = Polynomial.variable(2, 0)
     g = Polynomial.variable(2, 1)
     x = RationalPoint.of(Fraction(1, 4), Fraction(3, 4))
-    assert eval_poly(as_polynomial(fam.apply(_mi(1, 1), f * g)), x) == 1
-    assert eval_poly(as_polynomial(fam.apply(_mi(0, 0), f)), x) == Fraction(1, 4)  # T_0 = id
+    assert eval_poly(as_polynomial(fam.apply(f * g)[_mi(1, 1)]), x) == 1
+    assert eval_poly(as_polynomial(fam.apply(f)[_mi(0, 0)]), x) == Fraction(1, 4)  # T_0 = id
 
 
 def test_derivative_family_verifies_exactly():
@@ -199,7 +237,7 @@ def test_derivative_family_verifies_exactly():
 
 @pytest.mark.parametrize(
     "make",
-    [make_trivial, make_derivative, lambda rank, order: OperatorFamily(rank, order, None)],
+    [make_trivial, make_derivative, lambda rank, order: OperatorFamily(rank, order, {})],
     ids=["trivial", "derivative", "custom"],
 )
 @pytest.mark.parametrize(
@@ -219,21 +257,18 @@ def test_rank_and_order_are_checked_before_use(make, rank, order, message):
 
 
 def test_broken_derivative_rule_detected_exactly():
+    d2 = Jet(_mi(2))
     breaks = [
         # dropping the binomial weights breaks the identity at height 2
-        lambda d: d * 2,
+        Product((d2, const_expr(1, 2))),
         # far below the float tolerance: a sampled check would pass it
-        lambda d: d + Polynomial.constant(1, Fraction(1, 10**12)),
+        Sum((d2, const_expr(1, Fraction(1, 10**12)))),
     ]
     dom = Domain.unit(1, seed=6)
     probes = _probes(dom, 6, 2)
-    for break_t2 in breaks:
-        # the rule declares nothing: its operators expand, so it is proved
-        def rule(alpha, f):
-            d = dalpha(f, alpha)
-            return PolyLeaf(break_t2(d) if alpha.height == 2 else d)
-
-        fam = OperatorFamily(1, 2, rule)
+    for broken in breaks:
+        # the family declares nothing: its operators expand, so it is proved
+        fam = OperatorFamily(1, 2, {**make_derivative(1, 2).operators, _mi(2): broken})
         report = verify_moment(fam, probes, dom)
         assert report.exact and not report.passed
         assert _failing_alphas(report) == {(2,)}
@@ -241,10 +276,10 @@ def test_broken_derivative_rule_detected_exactly():
             # the witness is the exact difference at the sample point
             f, g = probes[failure["probe"]]
             x = RationalPoint.of(*(Fraction(v) for v in failure["point"]))
-            lhs = eval_poly(as_polynomial(fam.apply(_mi(2), f * g)), x)
+            lhs = eval_poly(as_polynomial(fam.apply(f * g)[_mi(2)]), x)
             rhs = sum(
-                w * eval_poly(as_polynomial(fam.apply(b, f)), x)
-                * eval_poly(as_polynomial(fam.apply(_mi(2) - b, g)), x)
+                w * eval_poly(as_polynomial(fam.apply(f)[b]), x)
+                * eval_poly(as_polynomial(fam.apply(g)[_mi(2) - b]), x)
                 for w, b in [(1, _mi(0)), (2, _mi(1)), (1, _mi(2))]
             )
             assert lhs != rhs
@@ -257,7 +292,7 @@ def test_exact_overflow_fails_with_infinite_witness(sign):
     # T_0 = +-10^400 misses multiplicativity by more than a float holds:
     # the instance fails with residual inf and witness sides +-inf
     huge = Polynomial.constant(1, sign * 10**400)
-    fam = OperatorFamily(1, 0, lambda alpha, f: PolyLeaf(huge))
+    fam = OperatorFamily(1, 0, {_mi(0): PolyLeaf(huge)})
     dom = Domain.unit(1, seed=22)
     one = Polynomial.constant(1, 1)
     report = verify_moment(fam, [(one, one)], dom)
@@ -287,7 +322,7 @@ def test_identity_generated_pinned_value():
     f = Polynomial.constant(1, 2)
     g = Polynomial.constant(1, 3)
     x = RationalPoint.of(Fraction(1, 2))
-    lhs = eval_expr(fam.apply(_mi(2), f * g), (x,))[0]
+    lhs = eval_expr(fam.apply(f * g)[_mi(2)], (x,))[0]
     assert lhs == pytest.approx(6 * math.log(6), rel=1e-15)
     report = verify_moment(fam, [(f, g)], dom)
     assert report.passed
@@ -360,12 +395,12 @@ def test_both_sides_exactly_zero_on_vanishing_product():
     g = Polynomial.constant(1, 2)
     assert eval_poly(f * g, s) == 0
     alpha = _mi(2)
-    lhs = eval_expr(fam.apply(alpha, f * g), (s,))[0]
+    lhs = eval_expr(fam.apply(f * g)[alpha], (s,))[0]
     assert lhs == 0.0
     rhs = sum(
         float(w)
-        * eval_expr(fam.apply(beta, f), (s,))[0]
-        * eval_expr(fam.apply(alpha - beta, g), (s,))[0]
+        * eval_expr(fam.apply(f)[beta], (s,))[0]
+        * eval_expr(fam.apply(g)[alpha - beta], (s,))[0]
         for w, beta in [(1, _mi(0)), (2, _mi(1)), (1, _mi(2))]
     )
     assert rhs == 0.0
@@ -384,9 +419,9 @@ def test_first_order_leibniz_family():
     f = Polynomial.constant(1, 2)
     g = Polynomial.constant(1, 5)
     x = dom.sample_points[0]
-    lhs = eval_expr(fam.apply(_mi(1), f * g), (x,))[0]
-    rhs = eval_expr(fam.apply(_mi(1), f), (x,))[0] * 5.0 + 2.0 * eval_expr(
-        fam.apply(_mi(1), g), (x,)
+    lhs = eval_expr(fam.apply(f * g)[_mi(1)], (x,))[0]
+    rhs = eval_expr(fam.apply(f)[_mi(1)], (x,))[0] * 5.0 + 2.0 * eval_expr(
+        fam.apply(g)[_mi(1)], (x,)
     )[0]
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -425,7 +460,7 @@ def test_conjugation_pinned_value():
     f = Polynomial.variable(1, 0)
     g = Polynomial.monomial((2,))
     x = RationalPoint.of(Fraction(1, 4))
-    value = eval_poly(as_polynomial(fam.apply(_mi(1), f * g)), fam.eval_point(x))
+    value = eval_poly(as_polynomial(fam.apply(f * g)[_mi(1)]), fam.eval_point(x))
     assert value == 3 * Fraction(3, 4) ** 2
 
 
@@ -464,8 +499,8 @@ def test_identity_tau_changes_nothing():
     conj = conjugate(fam, TauMap.identity(2))
     f = Polynomial.monomial((1, 1))
     for x in dom.sample_points:
-        assert eval_poly(as_polynomial(conj.apply(_mi(1, 0), f)), conj.eval_point(x)) == eval_poly(
-            as_polynomial(fam.apply(_mi(1, 0), f)), fam.eval_point(x)
+        assert eval_poly(as_polynomial(conj.apply(f)[_mi(1, 0)]), conj.eval_point(x)) == eval_poly(
+            as_polynomial(fam.apply(f)[_mi(1, 0)]), fam.eval_point(x)
         )
 
 
@@ -481,8 +516,8 @@ def test_double_conjugation_involution_restores_values():
     for alpha in enumerate_height_at_most(1, 2):
         for x in dom.sample_points:
             assert eval_poly(
-                as_polynomial(double.apply(alpha, f)), double.eval_point(x)
-            ) == eval_poly(as_polynomial(fam.apply(alpha, f)), fam.eval_point(x))
+                as_polynomial(double.apply(f)[alpha]), double.eval_point(x)
+            ) == eval_poly(as_polynomial(fam.apply(f)[alpha]), fam.eval_point(x))
 
 
 def _strip_points(seed: int) -> tuple:
@@ -511,8 +546,8 @@ def test_double_conjugation_with_inverse_pair():
     assert all(dom.contains(double.eval_point(x)) for x in dom.sample_points)
     f = Polynomial.monomial((3,), Fraction(2, 3))
     for x in dom.sample_points:
-        assert eval_poly(as_polynomial(double.apply(_mi(2), f)), double.eval_point(x)) == eval_poly(
-            as_polynomial(fam.apply(_mi(2), f)), fam.eval_point(x)
+        assert eval_poly(as_polynomial(double.apply(f)[_mi(2)]), double.eval_point(x)) == eval_poly(
+            as_polynomial(fam.apply(f)[_mi(2)]), fam.eval_point(x)
         )
 
 
@@ -552,9 +587,9 @@ def test_second_order_pinned_example():
     f = Polynomial.monomial((2,))
     g = Polynomial.monomial((3,))
     x = RationalPoint.of(Fraction(1, 2))
-    assert eval_poly(as_polynomial(fam.apply(_mi(2), f * g)), x) == 20 * Fraction(1, 8)
-    assert eval_poly(as_polynomial(fam.apply(_mi(1), f)), x) == 1
-    assert as_polynomial(fam.apply(_mi(0), f)) == f
+    assert eval_poly(as_polynomial(fam.apply(f * g)[_mi(2)]), x) == 20 * Fraction(1, 8)
+    assert eval_poly(as_polynomial(fam.apply(f)[_mi(1)]), x) == 1
+    assert as_polynomial(fam.apply(f)[_mi(0)]) == f
     assert verify_moment(fam, [(f, g)], Domain.unit(1, seed=18)).exact
 
 
@@ -701,17 +736,14 @@ def test_conjugated_second_order_family_on_two_variables():
 def test_rank_one_family_on_two_variable_probes():
     # T_(k) = d^k / dx_0^k is indexed by rank 1 yet acts on functions of two
     # variables; index rank and probe dimension are separate
-    def rule(alpha, f):
-        return PolyLeaf(dalpha(f, _mi(alpha[0], 0)))
-
-    fam = OperatorFamily(1, 3, rule, dim=2)
+    fam = OperatorFamily(1, 3, {_mi(k): Jet(_mi(k, 0)) for k in range(4)}, dim=2)
     assert fam.descriptor == {"kind": "custom", "r": 2, "N": 3}
     dom = Domain.unit(2, seed=23)
     report = verify_moment(fam, _probes(dom, 6, 23), dom)
     assert report.exact and report.passed and report.max_residual == 0.0
     assert set(report.per_alpha_max_residual) == {"0", "1", "2", "3"}
     with pytest.raises(ValueError, match="family dim"):
-        fam.apply(_mi(1), Polynomial.variable(1, 0))
+        fam.apply(Polynomial.variable(1, 0))
     with pytest.raises(ValueError, match="family dim"):
         verify_moment(fam, [], Domain.unit(1, seed=23))
 
@@ -720,28 +752,62 @@ def test_rank_one_family_on_two_variable_probes():
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_verify_moment_applies_each_operator_once_per_probe(exact):
-    # T_beta(f), T_beta(g) and T_alpha(fg) are built once per probe, then
-    # expanded or tabulated over the sample points; the custom rule declares
-    # nothing, and is proved when its operators expand, conjugated or not
+def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeypatch):
+    # f, g and fg each reach the operators through one apply, which takes
+    # one derivative table and no dalpha; the custom family declares
+    # nothing, and is proved when its trees expand, conjugated or not
     inner = make_derivative(2, 3) if exact else make_first_order_leibniz(const_expr(2, 3), 2)
-    calls = []
+    applied, dalphas = [], []
+    apply, dalpha = OperatorFamily.apply, polycalc.dalpha
 
-    def rule(alpha, f):
-        calls.append(alpha)
-        return inner.rule(alpha, f)
+    def counting_apply(family, f):
+        applied.append(f)
+        return apply(family, f)
 
+    def counting_dalpha(f, alpha):
+        dalphas.append(alpha)
+        return dalpha(f, alpha)
+
+    monkeypatch.setattr(OperatorFamily, "apply", counting_apply)
+    for module in (polycalc, funcmodel, momentfam):
+        if hasattr(module, "dalpha"):
+            monkeypatch.setattr(module, "dalpha", counting_dalpha)
     dom = Domain.unit(2, seed=7)
-    family = OperatorFamily(2, inner.order, rule)
+    family = OperatorFamily(2, inner.order, inner.operators)
     swap = TauMap((Polynomial.variable(2, 1), Polynomial.variable(2, 0)))
     probes = _probes(dom, 5, 9)
-    alphas = enumerate_height_at_most(2, inner.order)
     for fam in (family, conjugate(family, swap)):
-        calls.clear()
+        applied.clear()
         report = verify_moment(fam, probes, dom)
         assert report.passed and report.exact is exact
         assert report.max_residual == 0.0 if exact else report.max_residual <= 1e-9
-        assert len(calls) == 3 * len(alphas) * len(probes)
+        assert applied == [h for f, g in probes for h in (f, g, f * g)]
+    assert dalphas == []
+
+
+def test_one_log_tree_samples_every_probe(monkeypatch):
+    # T_(2) of the derivative family gains f ln|f|, a derivation, so the
+    # identity still holds; that one log tree makes every probe sampled,
+    # the zero and constant ones included, and no operator is expanded
+    log_t2 = Sum((Jet(_mi(2)), Product((const_expr(1, 1), XLogAbs(Jet(_mi(0)))))))
+    fam = OperatorFamily(1, 2, {**make_derivative(1, 2).operators, _mi(2): log_t2})
+    evaluated = []
+
+    def counting(expr, points):
+        evaluated.append(expr)
+        return eval_expr(expr, points)
+
+    def refuse(expr):
+        raise AssertionError("a sampled family's operator was expanded")
+
+    monkeypatch.setattr(momentfam, "eval_expr", counting)
+    monkeypatch.setattr(momentfam, "as_polynomial", refuse)
+    dom = Domain.unit(1, seed=12)
+    probes = _probes(dom, 4, 12)
+    report = verify_moment(fam, probes, dom)
+    assert report.passed and not report.exact
+    assert report.max_residual <= 1e-9
+    assert len(evaluated) == 3 * 3 * len(probes)
 
 
 def test_moment_report_json_shape():
@@ -761,13 +827,13 @@ def test_family_descriptor_roundtrip():
     rebuilt = family_from_json(fam.descriptor)
     x = dom.sample_points[0]
     f = Polynomial.constant(1, 2)
-    assert eval_expr(rebuilt.apply(_mi(2), f), (x,)) == eval_expr(fam.apply(_mi(2), f), (x,))
+    assert eval_expr(rebuilt.apply(f)[_mi(2)], (x,)) == eval_expr(fam.apply(f)[_mi(2)], (x,))
     tau = _tau_one_minus_x()
     conj = conjugate(fam, tau)
     rebuilt2 = family_from_json(conj.descriptor)
     assert eval_expr(
-        rebuilt2.apply(_mi(2), f), (rebuilt2.eval_point(x),)
-    ) == eval_expr(conj.apply(_mi(2), f), (conj.eval_point(x),))
+        rebuilt2.apply(f)[_mi(2)], (rebuilt2.eval_point(x),)
+    ) == eval_expr(conj.apply(f)[_mi(2)], (conj.eval_point(x),))
     with pytest.raises(ValueError):
         family_from_json({"kind": "unknown", "r": 1})
 

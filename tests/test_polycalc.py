@@ -13,9 +13,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moment_leibniz import momentfam, polycalc
+from moment_leibniz import funcmodel, momentfam, polycalc
 from moment_leibniz.cli import EXIT_FAIL, EXIT_PASS, main
-from moment_leibniz.funcmodel import Domain, PolyLeaf
+from moment_leibniz.funcmodel import Domain, PolyLeaf, Product, Sum, XLogAbs
 from moment_leibniz.multiindex import (
     DimensionMismatch,
     MultiIndex,
@@ -489,18 +489,6 @@ def test_a_product_of_another_dimension_is_a_mismatch():
     zero = {a: Polynomial.zero(1) for a in table}
     products = {**zero, _mi(2): Polynomial.zero(2)}
     assert polycalc.convolution_mismatches(zero, zero, products, table) == [_mi(2)]
-    # so verify_moment refuses a rule that returns one for T_alpha(fg)
-    # where the convolution is zero: D^3(x0^2) = 0
-    f = Polynomial(1, {(1,): 1})
-
-    def rule(alpha, h):
-        if alpha == _mi(3) and h == f * f:
-            return PolyLeaf(Polynomial.zero(2))
-        return PolyLeaf(dalpha(h, alpha))
-
-    family = momentfam.OperatorFamily(1, 3, rule)
-    with pytest.raises(DimensionMismatch):
-        momentfam.verify_moment(family, [(f, f)], Domain.unit(1, seed=0))
 
 
 def test_a_product_past_the_tables_reach_is_a_mismatch():
@@ -586,19 +574,83 @@ def test_public_results_keep_fraction_coefficients():
     drawn = [Polynomial(2, f.terms), Polynomial(2, g.terms)]
     assert check_leibniz_all(f, g, 3) == []
     assert [f, g] == drawn and _fraction_coefficients(f) and _fraction_coefficients(g)
-    # a family's rule and the caller's probes see Fraction polynomials only
+    # a family's derivative tables and the caller's probes hold Fraction polynomials only
+    family = momentfam.make_derivative(2, 2)
     seen = []
+    table = polycalc.derivative_table
 
-    def rule(b, h):
-        seen.append(h)
-        return PolyLeaf(dalpha(h, b))
+    def recording(h, betas):
+        seen.append(table(h, betas))
+        return seen[-1]
 
     dom = Domain.unit(2, seed=41)
     pairs = [(f, g), (g, f * g)]
-    report = momentfam.verify_moment(momentfam.OperatorFamily(2, 2, rule), pairs, dom)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(momentfam, "derivative_table", recording)
+        report = momentfam.verify_moment(family, pairs, dom)
     assert report.passed and report.exact
-    assert seen and all(map(_fraction_coefficients, seen))
+    assert len(seen) == 3 * len(pairs)
+    assert all(_fraction_coefficients(d) for entries in seen for d in entries.values())
     assert [f, g] == drawn and all(_fraction_coefficients(h) for pair in pairs for h in pair)
+
+
+@st.composite
+def _table_probes(draw, dim, max_exponent):
+    """A polynomial of ``_rational_polynomials``, or the zero or a constant one."""
+    kind = draw(st.sampled_from(["zero", "constant", "any"]))
+    if kind == "zero":
+        return Polynomial.zero(dim)
+    if kind == "constant":
+        return Polynomial.constant(dim, Fraction(draw(st.integers(-9, 9)) or 1, 7))
+    return draw(_rational_polynomials(dim, max_exponent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_derivative_table_is_dalpha_at_every_index(data):
+    dim = data.draw(st.integers(1, 4))
+    height = data.draw(st.integers(0, 4))
+    f = data.draw(_table_probes(dim, 12))
+    betas = enumerate_height_at_most(dim, height)
+    table = polycalc.derivative_table(f, betas)
+    assert list(table) == betas
+    assert table[MultiIndex.zero(dim)] is f
+    for beta, d in table.items():
+        assert d == dalpha(f, beta) and d.dim == dim and _fraction_coefficients(d)
+
+
+def _contraction_loop(poly, field, order):
+    """The contraction as one loop over the axis tuples in row order: a
+    product of d_(axes)(poly) and the field components, zero derivatives
+    skipped, one leaf per derivative; the zero leaf if no term is left."""
+    r = poly.dim
+    leaves, terms = {}, []
+    for axes in itertools.product(range(r), repeat=order):
+        alpha = MultiIndex(tuple(map(axes.count, range(r))))
+        if alpha not in leaves:
+            d = dalpha(poly, alpha)
+            leaves[alpha] = PolyLeaf(d) if d else None
+        if leaves[alpha] is not None:
+            terms.append(Product((leaves[alpha], *(field[i] for i in axes))))
+    return Sum(tuple(terms)) if terms else PolyLeaf(Polynomial.zero(r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substituted_contraction_is_the_loop(data):
+    # the jets of a contraction, filled from poly's table, give the loop's
+    # tree and its JSON: grad_dot and hess_quad are that substitution
+    dim = data.draw(st.integers(1, 3))
+    order = data.draw(st.sampled_from([1, 2]))
+    poly = data.draw(_table_probes(dim, 3))
+    leaves = [PolyLeaf(data.draw(_rational_polynomials(dim, 2))) for _ in range(dim)]
+    field = tuple(XLogAbs(c) if data.draw(st.booleans()) else c for c in leaves)
+    expected = _contraction_loop(poly, field, order)
+    table = polycalc.derivative_table(poly, enumerate_height_at_most(dim, order))
+    tree = funcmodel.substitute_jets([funcmodel.contraction(field, order, dim)], table)[0]
+    assert tree == expected and tree.to_json() == expected.to_json()
+    build = funcmodel.grad_dot if order == 1 else funcmodel.hess_quad
+    assert build(poly, field) == expected
 
 
 def _random_polynomial_validating(rng, dim, max_degree, terms, coeff_bound, denominators):

@@ -31,7 +31,7 @@ from moment_leibniz.coeffsolve import (
     check_constraint,
     random_valid_family,
 )
-from moment_leibniz.funcmodel import Domain, PolyLeaf, TauMap, const_expr
+from moment_leibniz.funcmodel import Domain, Jet, PolyLeaf, Product, Sum, TauMap, const_expr
 from moment_leibniz.momentfam import (
     OperatorFamily,
     conjugate,
@@ -44,7 +44,7 @@ from moment_leibniz.momentfam import (
     verify_moment,
 )
 from moment_leibniz.multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
-from moment_leibniz.polycalc import Polynomial, RationalPoint, dalpha, random_polynomial
+from moment_leibniz.polycalc import Polynomial, RationalPoint, random_polynomial
 
 from _moment_oracle import (
     check_second_order_pointwise,
@@ -89,22 +89,14 @@ def _affine_tau(rng: random.Random, rank: int) -> TauMap:
 
 def _tampered(rank: int, order: int, alpha0: MultiIndex, extra: Polynomial):
     """The derivative family with ``extra`` added to T_alpha0 of every function."""
-
-    def rule(alpha, f):
-        d = dalpha(f, alpha)
-        return PolyLeaf(d + extra if alpha == alpha0 else d)
-
-    return OperatorFamily(rank, order, rule)
+    tampered = Sum((Jet(alpha0), PolyLeaf(extra)))
+    return OperatorFamily(rank, order, {**make_derivative(rank, order).operators, alpha0: tampered})
 
 
 def _scaled(rank: int, order: int, alpha0: MultiIndex, factor: Fraction):
     """The derivative family with T_alpha0 scaled by ``factor``."""
-
-    def rule(alpha, f):
-        d = dalpha(f, alpha)
-        return PolyLeaf(d * factor if alpha == alpha0 else d)
-
-    return OperatorFamily(rank, order, rule)
+    scaled = Product((Jet(alpha0), const_expr(rank, factor)))
+    return OperatorFamily(rank, order, {**make_derivative(rank, order).operators, alpha0: scaled})
 
 
 def _sevenths(dom: Domain, count: int, rng: random.Random):
@@ -184,7 +176,7 @@ def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, p
 
 
 def _exact_side(family, alpha, h, y):
-    return polycalc.eval_poly(funcmodel.as_polynomial(family.apply(alpha, h)), y)
+    return polycalc.eval_poly(funcmodel.as_polynomial(family.apply(h)[alpha]), y)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -217,11 +209,12 @@ def test_tamper_vanishing_on_the_mapped_samples_fails_at_grid_points(
     assert not report.passed
     failing = []
     for k, (f, g) in enumerate(pairs):
+        tf, tg, tfg = (family.apply(h) for h in (f, g, f * g))
         for alpha in enumerate_height_at_most(rank, order):
-            diff = funcmodel.as_polynomial(family.apply(alpha, f * g))
+            diff = funcmodel.as_polynomial(tfg[alpha])
             for w, beta, gamma in convolution_terms(alpha):
-                diff = diff - w * funcmodel.as_polynomial(family.apply(beta, f)) * (
-                    funcmodel.as_polynomial(family.apply(gamma, g))
+                diff = diff - w * funcmodel.as_polynomial(tf[beta]) * (
+                    funcmodel.as_polynomial(tg[gamma])
                 )
             if polycalc.compose(diff, tau.components):
                 failing.append((k, alpha.to_json()))

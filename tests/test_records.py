@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from moment_leibniz.multiindex import MultiIndex
+from moment_leibniz.multiindex import MultiIndex, enumerate_height_at_most
 from moment_leibniz.polycalc import Polynomial, RationalPoint
 from moment_leibniz.funcmodel import (
     CheckReport,
     Domain,
+    Jet,
     PolyLeaf,
     Product,
     SignedPower,
@@ -28,10 +29,6 @@ def _samples(rank: int) -> tuple:
     return tuple(RationalPoint([Fraction(k, 16)] * rank) for k in range(1, 9))
 
 
-def _rule(_alpha, f):
-    return PolyLeaf(f)
-
-
 def _values(points):
     return [[1.0] * len(points)]
 
@@ -40,6 +37,12 @@ _X = Polynomial.variable(1, 0)
 _LEAF = PolyLeaf(_X)
 _TAU = TauMap((_X,))
 _CF = CoeffFamily(1, 2, {MultiIndex((2,)): _LEAF})
+
+
+def _operators(rank: int, order: int, dim: int) -> dict:
+    """T_alpha(f) = f at every alpha of rank ``rank`` up to ``order``."""
+    return {alpha: Jet(MultiIndex.zero(dim)) for alpha in enumerate_height_at_most(rank, order)}
+
 
 # each class with its fields, in parameter order
 FIELDS = [
@@ -68,11 +71,12 @@ FIELDS = [
         {
             "rank": 1,
             "order": 2,
-            "rule": _rule,
+            "operators": _operators(1, 2, 1),
             "point_map": _TAU,
             "descriptor": {"kind": "custom", "r": 1, "N": 2},
             "dim": 1,
             "coeff_family": _CF,
+            "probe_map": _TAU,
         },
     ),
     (
@@ -104,11 +108,11 @@ def test_defaults():
     assert Domain(1, _samples(1)).float_tolerance == 1e-9
     assert CheckReport("c", True, 0.0, 1e-9, [], {}).seed is None
     assert MomentReport({}, 1, {}, 0.0, True, [], 1e-9, True).seed is None
-    family = OperatorFamily(2, 3, _rule)
+    family = OperatorFamily(2, 3, _operators(2, 3, 2))
     assert family.dim == 2
     assert family.descriptor == {"kind": "custom", "r": 2, "N": 3}
-    assert family.point_map is None and family.coeff_family is None
-    wide = OperatorFamily(1, 3, _rule, dim=2)
+    assert family.point_map is None and family.coeff_family is None and family.probe_map is None
+    wide = OperatorFamily(1, 3, _operators(1, 3, 2), dim=2)
     assert wide.descriptor == {"kind": "custom", "r": 2, "N": 3}
 
 

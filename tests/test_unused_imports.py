@@ -26,6 +26,12 @@ refactor leaves without callers shows up.  Public methods are exempt.
 The caches of a ``polycalc.PointColumns`` (its ``coordinates``,
 ``grades`` and ``floats`` attributes) are keyed and filled by its own
 methods: no module under src/ other than ``polycalc.py`` names them.
+
+No module under src/ imports a private module-level name (a ``def``,
+``class`` or assignment at module level whose name starts with ``_``) of
+another module of the package, or reads one as ``module._name``.  What
+one layer uses of another is public, so the benchmark tracer, which
+wraps public names only, charges each call to the layer it runs in.
 """
 
 from __future__ import annotations
@@ -192,3 +198,65 @@ def test_point_column_caches_are_read_only_in_polycalc():
         if isinstance(node, ast.Attribute) and node.attr in caches
     ]
     assert named == []
+
+
+def _private_module_names(tree: ast.AST) -> set:
+    """The names starting with ``_``, dunders aside, a module defines at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _imported_module(node: ast.ImportFrom) -> str:
+    """The package module an ``import from`` reads, "" for the package itself or another one."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and (node.module or "").startswith("moment_leibniz."):
+        return node.module.split(".", 1)[1]
+    return ""
+
+
+def _private_reads(name: str, tree: ast.AST, private: dict) -> list:
+    """Where module ``name`` imports or reads another package module's private names."""
+    found, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _imported_module(node)
+            if module in private and module != name:
+                names = [a.name for a in node.names if a.name in private[module]]
+                found += [f"{name}:{node.lineno} {module}.{n}" for n in names]
+            elif module == "" and (node.level == 1 or node.module == "moment_leibniz"):
+                aliases.update({a.asname or a.name: a.name for a in node.names if a.name in private})
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                module = a.name.split(".", 1)[1] if a.name.startswith("moment_leibniz.") else ""
+                if a.asname and module in private:
+                    aliases[a.asname] = module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            if isinstance(value, ast.Name):
+                module = aliases.get(value.id, "")
+            elif isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                module = value.attr if value.value.id == "moment_leibniz" else ""
+            else:
+                module = ""
+            if module in private and module != name and node.attr in private[module]:
+                found.append(f"{name}:{node.lineno} {module}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "moment_leibniz").glob("*.py")
+    }
+    private = {name: _private_module_names(tree) for name, tree in trees.items()}
+    assert private["polycalc"]
+    found = [entry for name, tree in trees.items() for entry in _private_reads(name, tree, private)]
+    assert found == []
