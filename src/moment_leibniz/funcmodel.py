@@ -25,7 +25,8 @@ wrapped afresh), and a polynomial leaf keeps its float values there, so
 trees evaluated over one ``PointColumns`` convert each exact leaf value
 to floats once, from one set of power and monomial columns.  A tree
 without a t*ln|t| or signed-power node (``is_polynomial``) expands back
-to a ``Polynomial``, which the exact verifiers compare.
+to a ``Polynomial``, which the exact verifiers compare, and ``jet_form``
+writes one that reads jets as a polynomial in them over Q[x].
 
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
 seeded rational sample points and the float tolerance.  A family read
@@ -319,6 +320,31 @@ def as_polynomial(expr: FuncExpr) -> Polynomial:
     ``NotPolynomial`` is raised where the walk meets a u*ln|u| or signed-power node.
     """
     return expr._expand()
+
+
+def jet_form(expr: FuncExpr) -> Dict[Tuple[MultiIndex, ...], Polynomial]:
+    """A log-free tree as a polynomial in the jet symbols D^beta h, in one walk: a map from
+    each monomial, a sorted tuple of jet indices, to its nonzero coefficient in x."""
+    if isinstance(expr, Jet):
+        return {(expr.beta,): Polynomial.constant(expr.dim, 1)}
+    if isinstance(expr, Sum):
+        return _collect(term for child in expr.children for term in jet_form(child).items())
+    if isinstance(expr, Product):
+        out, *rest = map(jet_form, expr.children)
+        for form in rest:
+            pairs = itertools.product(out.items(), form.items())
+            out = _collect((tuple(sorted(m + n)), c * d) for (m, c), (n, d) in pairs)
+        return out
+    poly = expr._expand()  # a polynomial leaf; a log node raises NotPolynomial
+    return {(): poly} if poly else {}
+
+
+def _collect(terms: Iterable[Tuple[Tuple[MultiIndex, ...], Polynomial]]) -> Dict:
+    """The sum of (monomial, coefficient) terms, like monomials added, zero coefficients dropped."""
+    out: Dict[Tuple[MultiIndex, ...], Polynomial] = {}
+    for m, c in terms:
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
 
 
 def const_expr(dim: int, value: Scalar) -> PolyLeaf:

@@ -29,12 +29,14 @@ which refuses an image outside the unit box before anything is checked.
 
 How the instances are decided is read off the trees, once per family.
 When no tree has an f*ln|f| or signed-power node
-(``funcmodel.is_polynomial``), every T_alpha(h) expands to a polynomial,
-and ``polycalc.convolution_mismatches`` compares each T_alpha(fg) of a
-probe with the convolution over ``convolution_terms(alpha)`` in Q[x], on
-integer tables; an equal one passes with residual 0.0, unevaluated.
-Only an unequal one is summed in Fractions (``polycalc.convolution_sum``)
-and evaluated at the mapped samples, where its sides must agree exactly.
+(``funcmodel.is_polynomial``), ``funcmodel.jet_form`` writes each tree
+over the jets once per call, and ``polycalc.form_mismatches`` compares
+each T_alpha(fg) with the convolution over ``convolution_terms(alpha)``
+in Q[x], on integer tables; an equal one passes with residual 0.0,
+unevaluated.  Only a probe with an unequal one runs ``apply``: each
+unequal instance is expanded, summed in Fractions
+(``polycalc.convolution_sum``) and evaluated at the mapped samples,
+where its sides must agree exactly.
 If they agree at every sample, the difference composed with the point
 map decides: a nonzero one fails once, at its
 ``polycalc.nonzero_grid_point``, and a zero one (a map that is not
@@ -63,12 +65,12 @@ from .polycalc import (
     Polynomial,
     RationalPoint,
     compose,
-    convolution_mismatches,
     convolution_sum,
     convolution_table,
     derivative_table,
     eval_poly,
     eval_poly_values,
+    form_mismatches,
     nonzero_grid_point,
     random_polynomial,
 )
@@ -88,6 +90,7 @@ from .funcmodel import (
     eval_expr,
     expr_from_json,
     is_polynomial,
+    jet_form,
     jet_height,
     judge_column,
     substitute_jets,
@@ -138,13 +141,15 @@ class OperatorFamily:
         if self.descriptor is None:
             self.descriptor = {"kind": "custom", "r": self.dim, "N": self.order}
 
-    def apply(self, f: Polynomial) -> Dict[MultiIndex, FuncExpr]:
-        """Every T_alpha(f): one derivative table of f (after ``probe_map``) put in every tree."""
+    def probe(self, f: Polynomial) -> Polynomial:
+        """The probe f of the family's dim, composed with ``probe_map``."""
         if f.dim != self.dim:
             raise ValueError(f"probe dim {f.dim}, family dim {self.dim}")
-        if self.probe_map is not None:
-            f = compose(f, self.probe_map.components)
-        table = derivative_table(f, self._jets) if self._jets else {}
+        return f if self.probe_map is None else compose(f, self.probe_map.components)
+
+    def apply(self, f: Polynomial) -> Dict[MultiIndex, FuncExpr]:
+        """Every T_alpha(f): one derivative table of ``probe(f)`` put in every tree."""
+        table = derivative_table(self.probe(f), self._jets) if self._jets else {}
         return dict(zip(self.operators, substitute_jets(self.operators.values(), table)))
 
     def eval_point(self, x: RationalPoint) -> RationalPoint:
@@ -314,10 +319,11 @@ def verify_moment(
     """Check the binomial moment identity on every probe pair and sample.
 
     The family is evaluated at ``domain.images(family.point_map)``, which
-    raises ValueError at an image outside the box, and ``apply`` runs once
-    on each of f, g and fg.  If every tree of the family is log-free, each
-    instance is proved or refuted in Q[x], with residual 0.0 or exact
-    witnesses; otherwise each is judged by the relative residual
+    raises ValueError at an image outside the box.  If every tree of the
+    family is log-free, each instance is proved or refuted in Q[x], with
+    residual 0.0 or exact witnesses, and only a probe with a failing
+    instance runs ``apply`` on f, g and fg; otherwise every probe does,
+    and each instance is judged by the relative residual
     |lhs - rhs| / (1 + |lhs|) against the domain tolerance (see the
     module docstring).  Failures carry the witnessing alpha, probe and
     point.
@@ -332,15 +338,17 @@ def verify_moment(
     failures: List[dict] = []
     max_residual = 0.0
     exact = all(map(is_polynomial, family.operators.values()))
+    if exact:  # only a probe with a failing instance is applied and expanded
+        forms = {alpha: jet_form(tree) for alpha, tree in family.operators.items()}
+        mapped = [(family.probe(f), family.probe(g)) for f, g in probes]
+        mismatches = form_mismatches(forms, family._jets, mapped, terms)
     for k, (f, g) in enumerate(probes):
-        rows = [family.apply(h) for h in (f, g, f * g)]
-        if exact:
-            tf, tg, tfg = [{b: as_polynomial(e) for b, e in row.items()} for row in rows]
-            # equal sides pass unevaluated; only an unequal one is summed in Fractions
-            judged = convolution_mismatches(tf, tg, tfg, terms)
-        else:
-            vf, vg, vfg = [{b: eval_expr(e, points) for b, e in row.items()} for row in rows]
-            judged = alphas
+        judged = mismatches[k] if exact else alphas
+        if judged:  # expanded polynomials, or float columns at the mapped samples
+            tf, tg, tfg = [
+                {b: as_polynomial(e) if exact else eval_expr(e, points) for b, e in row.items()}
+                for row in [family.apply(h) for h in (f, g, f * g)]
+            ]
         for alpha in judged:
             splits = terms[alpha]
             if exact:
@@ -369,8 +377,8 @@ def verify_moment(
                 worst = max(residuals)
                 failing = [i for i, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
             else:
-                xs, lhs_vals = domain.sample_points, vfg[alpha]
-                rhs_vals = convolution_column(vf, vg, splits)
+                xs, lhs_vals = domain.sample_points, tfg[alpha]
+                rhs_vals = convolution_column(tf, tg, splits)
                 residuals, worst, failing = judge_column(lhs_vals, rhs_vals, tol)
             key = _alpha_key(alpha)
             per_alpha[key] = worse(per_alpha[key], worst)
@@ -464,9 +472,8 @@ def make_second_order_leibniz(
     if smoothness == 0 and not b_zero:
         raise ValueError("smoothness = 0 forces b = 0")
     if a_zero and b_polys is not None and c_polys is not None:
-        # every probe of an exact pair is expanded: build its operators from
-        # these expansions, so no field is expanded again per probe.  A log
-        # pair keeps its trees, whose float values its probes are judged by.
+        # an exact pair's jet forms then multiply leaves, not the fields' trees;
+        # a log pair keeps its trees, whose float values its probes are judged by
         b = tuple(map(PolyLeaf, b_polys))
         c = tuple(map(PolyLeaf, c_polys))
     f = Jet(MultiIndex.zero(dim))

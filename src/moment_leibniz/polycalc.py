@@ -25,9 +25,8 @@ product's key is then ka + kb, and a one-step partial in x_i reads the
 exponent as (k // B^(r-1-i)) % B and steps to k - B^(r-1-i).  Each call
 picks B once, as 1 plus the largest coordinate of its left operands plus
 the largest of its right ones, so no sum of exponents carries into the
-next digit; ``convolution_mismatches`` also lifts B above every
-coordinate of the products it compares, or two exponents could share a
-key.  Packing a table checks that its polynomials share one dimension.
+next digit; ``form_mismatches`` lifts B above every coordinate its
+operators form (below).  Tables are checked for one dimension first.
 Every product and convolution side comes from one accumulator,
 ``_convolve``: the sum of w * a * b over weighted pairs of packed maps,
 with zeros dropped.  ``*`` and ``convolution_sum`` pack their operands
@@ -46,23 +45,26 @@ Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index set: D^alpha f is
 the one-step partial d_i of the entry at alpha - e_i, with i the last
 nonzero entry of alpha, so each step differentiates the few terms its
-parent still has.  ``check_leibniz_pairs`` builds it on integer maps,
-and ``derivative_table`` on a probe's own coefficients, unpacked, for
-an operator family's jets; ``dalpha`` is for single derivatives.
+parent still has.  ``check_leibniz_pairs`` and ``form_mismatches``
+build it on integer maps, and ``derivative_table`` on a probe's own
+coefficients, unpacked, for an operator family's jets; ``dalpha`` is
+for single derivatives.
 
-Integer polynomials live in two functions, which compare packed maps
-and never unpack them.  ``check_leibniz_pairs`` runs on Python ints.
-D^alpha is linear, so both sides of the identity are bilinear in
-(f, g), and for the lcms L_f, L_g of the coefficient denominators
-(L_f L_g != 0) the identity holds for (f, g) at alpha exactly when it
-holds for (L_f f, L_g g), whose coefficients are integers.
-``convolution_mismatches`` needs no linearity: it clears each of its two
-tables with one lcm over every entry, L_l and L_r, and compares the
-integer convolution with L_l L_r times the product side, term by term,
-which scales both sides of each alpha by the same nonzero constant.  The
-accumulator and ``==`` work on ints unchanged.  Those integer maps never
-leave the two functions: they return indices only, and every public
-function returns ``Fraction`` coefficients.
+Those two functions decide identities on packed integer maps and return
+indices only; every public function returns ``Fraction`` coefficients.
+Write L_h for the lcm of h's coefficient denominators and H = L_h h.
+Both sides of the Leibniz identity are bilinear in (f, g), so
+``check_leibniz_pairs`` decides it for (F, G).  ``form_mismatches``
+reads operators as forms over the jets, T_alpha(h) = sum_m c_m
+prod_{b in m} D^b h, with K the lcm of the c_m's denominators and M the
+largest jet degree |m|.  Then S_h[alpha] = sum_m (K c_m) L_h^(M - |m|)
+prod_{b in m} D^b H = K L_h^M T_alpha(h) has integer coefficients,
+FG = F G, and K S_fg[alpha] = sum w S_f[beta] S_g[gamma] is the
+identity at alpha times K^2 (L_f L_g)^M != 0.  A coordinate of S_h is
+at most bound_h = max_m (top(c_m) + |m| top(h)), top being the largest
+coordinate, so B = 1 + max(bound_f + bound_g, bound_fg), which is
+1 + bound_f + bound_g since top(fg) <= top(f) + top(g).  A coefficient
+taller than the probes would otherwise carry into the next digit.
 
 ``eval_poly_ratios`` sums integer numerators over one common denominator
 per point, the lcm of the coefficient denominators times prod_i d_i^K
@@ -329,19 +331,6 @@ def _pack(terms: Mapping[MultiIndex, Coeff], places: List[int]) -> Packed:
     return {sum(map(mul, e, places)): c for e, c in terms.items()}
 
 
-def _packed_table(
-    table: Mapping[MultiIndex, Polynomial], dim: int, places: List[int], lcm: Optional[int] = None
-) -> Dict[MultiIndex, Packed]:
-    """Each entry of a table of ``dim``-variable polynomials, packed;
-    with ``lcm``, its coefficients times lcm, as ints."""
-    out = {}
-    for key, f in table.items():
-        if f.dim != dim:
-            raise DimensionMismatch(f"table entry {tuple(key)} has dim {f.dim}, expected {dim}")
-        out[key] = _pack(f.terms if lcm is None else _cleared_terms(f, lcm)[1], places)
-    return out
-
-
 def _unpack(packed: Packed, places: List[int]) -> Polynomial:
     """The polynomial on a packed term map without zeros: each key's base-B digits, wrapped once."""
     trusted, leading = MultiIndex._trusted, places[:-1]
@@ -554,52 +543,76 @@ def convolution_sum(
     # only the entries the splits name are packed, and they set the base
     left = {beta: left[beta] for _, beta, _ in splits}
     right = {gamma: right[gamma] for _, _, gamma in splits}
-    dim = left[splits[0][1]].dim  # the first split is (1, 0, alpha)
-    places = _places(dim, _top(*left.values()) + _top(*right.values()) + 1)
-    left, right = _packed_table(left, dim, places), _packed_table(right, dim, places)
+    first = left[splits[0][1]]  # the first split is (1, 0, alpha)
+    for f in itertools.chain(left.values(), right.values()):
+        first._check_dim(f)
+    places = _places(first.dim, _top(*left.values()) + _top(*right.values()) + 1)
+    left, right = [{k: _pack(f.terms, places) for k, f in side.items()} for side in (left, right)]
     return _unpack(_convolve((w, left[beta], right[gamma]) for w, beta, gamma in splits), places)
 
 
-def convolution_mismatches(
-    left: Mapping[MultiIndex, Polynomial],
-    right: Mapping[MultiIndex, Polynomial],
-    products: Mapping[MultiIndex, Polynomial],
+def form_mismatches(
+    forms: Mapping[MultiIndex, Mapping[Tuple[MultiIndex, ...], Polynomial]],
+    jets: Sequence[MultiIndex],
+    pairs: Sequence[Tuple[Polynomial, Polynomial]],
     table: Mapping[MultiIndex, Splits],
-) -> List[MultiIndex]:
-    """The alphas of ``table`` where products[alpha] != convolution_sum(left, right, table[alpha]).
+) -> List[List[MultiIndex]]:
+    """For each pair (f, g), the alphas of ``table`` where T_alpha(f*g) is not the sum of
+    w * T_beta(f) * T_gamma(g) over its splits, on integer tables (see the module docstring).
 
-    Decided on packed integer tables, whatever the tables hold (see the
-    module docstring).  Every polynomial of ``left`` and ``right`` has
-    one dimension.  As with ``Polynomial.__eq__``, a product of another
-    dimension than the convolution's differs from it, even when both are
-    zero.
+    T_alpha(h) = sum_m c_m prod_{b in m} D^b h for ``forms[alpha]``, a map from jet
+    monomials m (tuples of indices b) to coefficients c_m of the pairs' one dimension;
+    ``jets`` is a down-closed, lexicographically ordered list of every b met.
     """
-    dim = next(iter(left.values())).dim
-    reach = _top(*left.values()) + _top(*right.values())
-    base = max(reach, _top(*[products[alpha] for alpha in table])) + 1
-    places = _places(dim, base)
-    lcm_left, lcm_right = [
-        math.lcm(*[c.denominator for f in side.values() for c in f.terms.values()])
-        for side in (left, right)
-    ]
-    left = _packed_table(left, dim, places, lcm_left)
-    right = _packed_table(right, dim, places, lcm_right)
-    scale = lcm_left * lcm_right
+    if not pairs:
+        return []
+    dim = pairs[0][0].dim
+    coeffs = [c for form in forms.values() for c in form.values()]
+    for h in itertools.chain(coeffs, *pairs):
+        pairs[0][0]._check_dim(h)
+    lcm = math.lcm(*[c.denominator for h in coeffs for c in h.terms.values()])
+    degree = max([len(m) for form in forms.values() for m in form], default=0)
+    tops = {(_top(c), len(m)) for form in forms.values() for m, c in form.items()}
+    # T_alpha = D^b / K in forms of degree 1 gives S_h[alpha] = D^b H, the table entry itself
+    unit = {MultiIndex.zero(dim): Fraction(1, lcm)}
+    lone = {a: m[0] for a, form in forms.items() for m, c in form.items()
+            if degree == len(form) == len(m) == 1 and c.terms == unit}
+    cleared = {a: [(m, _cleared_terms(c, lcm)[1]) for m, c in form.items()]
+               for a, form in forms.items() if a not in lone}
     out = []
-    for alpha, splits in table.items():
-        rhs = _convolve((w, left[beta], right[gamma]) for w, beta, gamma in splits)
-        lhs = products[alpha]
-        # rhs == scale * lhs, term by term, cross-multiplied so that no
-        # Fraction is built; a key of lhs missing from rhs reads 0 != scale * c
-        if (
-            lhs.dim != dim
-            or len(rhs) != len(lhs.terms)
-            or any(
-                rhs.get(k, 0) * c.denominator != c.numerator * scale
-                for k, c in _pack(lhs.terms, places).items()
-            )
-        ):
-            out.append(alpha)
+    for f, g in pairs:
+        bound_f, bound_g = [max([t + k * _top(h) for t, k in tops], default=0) for h in (f, g)]
+        base = 1 + bound_f + bound_g  # bound_fg <= bound_f + bound_g (module docstring)
+        places = _places(dim, base)
+        packed = {a: [(m, _pack(c, places)) for m, c in form] for a, form in cleared.items()}
+        (lcm_f, fi), (lcm_g, gi) = _cleared_terms(f), _cleared_terms(g)
+        fi, gi = _pack(fi, places), _pack(gi, places)
+        side_f, side_g, side_fg = [
+            _form_values(packed, lone, _derivative_table(h, jets, places, base), scale, degree)
+            for h, scale in ((fi, lcm_f), (gi, lcm_g), (_convolve([(1, fi, gi)]), lcm_f * lcm_g))
+        ]
+        out.append([
+            alpha for alpha, splits in table.items()
+            if _convolve((w, side_f[beta], side_g[gamma]) for w, beta, gamma in splits)
+            != (side_fg[alpha] if lcm == 1 else {k: lcm * c for k, c in side_fg[alpha].items()})
+        ])
+    return out
+
+
+def _form_values(
+    forms: Mapping[MultiIndex, List[Tuple[Tuple[MultiIndex, ...], Packed]]],
+    lone: Mapping[MultiIndex, MultiIndex], jet: Mapping[MultiIndex, Packed], scale: int, degree: int,
+) -> Dict[MultiIndex, Packed]:
+    """Each alpha's sum of c_m * scale^(degree - |m|) * prod_{b in m} jet[b] over its packed
+    form, and jet[b] itself at an alpha that ``lone`` maps to b."""
+    out = {alpha: jet[b] for alpha, b in lone.items()}
+    for alpha, form in forms.items():
+        products = []
+        for m, c in form:
+            for b in m[:-1]:
+                c = _convolve([(1, c, jet[b])])
+            products.append((scale ** (degree - len(m)), c, jet[m[-1]] if m else {0: 1}))
+        out[alpha] = _convolve(products)
     return out
 
 
@@ -677,12 +690,8 @@ def check_leibniz(f: Polynomial, g: Polynomial, alpha: MultiIndex) -> bool:
 def check_leibniz_all(
     f: Polynomial, g: Polynomial, max_height: int
 ) -> List[MultiIndex]:
-    """Failing alphas of ``check_leibniz`` over all |alpha| <= max_height.
-
-    Decided for the integer multiples (L_f f, L_g g), which fail at the
-    same alphas (see the module docstring).  An empty list means the
-    identity held exactly everywhere.
-    """
+    """Failing alphas of ``check_leibniz`` over all |alpha| <= max_height, decided on
+    integer tables (see the module docstring); empty when the identity holds everywhere."""
     return check_leibniz_pairs([(f, g)], max_height)[0]
 
 
@@ -710,13 +719,10 @@ def check_leibniz_pairs(
         df = _derivative_table(fi, alphas, places, base)
         dg = _derivative_table(gi, alphas, places, base)
         dfg = _derivative_table(_convolve([(1, fi, gi)]), alphas, places, base)
-        out.append(
-            [
-                alpha
-                for alpha, splits in table.items()
-                if _convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits) != dfg[alpha]
-            ]
-        )
+        out.append([
+            alpha for alpha, splits in table.items()
+            if _convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits) != dfg[alpha]
+        ])
     return out
 
 

@@ -753,22 +753,30 @@ def test_rank_one_family_on_two_variable_probes():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeypatch):
-    # f, g and fg each reach the operators through one apply, which takes
-    # one derivative table and no dalpha; the custom family declares
-    # nothing, and is proved when its trees expand, conjugated or not
+    # a sampled probe's f, g and fg each reach the operators through one
+    # apply, which takes one derivative table and no dalpha.  An exact
+    # probe is decided on integer tables: a passing one calls no apply, no
+    # derivative_table and no dalpha, and only a failing one is applied,
+    # once per probe function.  The custom family declares nothing, and is
+    # proved when its trees expand, conjugated or not
     inner = make_derivative(2, 3) if exact else make_first_order_leibniz(const_expr(2, 3), 2)
-    applied, dalphas = [], []
-    apply, dalpha = OperatorFamily.apply, polycalc.dalpha
+    applied, tables, dalphas = [], [], []
+    apply, table, dalpha = OperatorFamily.apply, momentfam.derivative_table, polycalc.dalpha
 
     def counting_apply(family, f):
         applied.append(f)
         return apply(family, f)
+
+    def counting_table(f, betas):
+        tables.append(f)
+        return table(f, betas)
 
     def counting_dalpha(f, alpha):
         dalphas.append(alpha)
         return dalpha(f, alpha)
 
     monkeypatch.setattr(OperatorFamily, "apply", counting_apply)
+    monkeypatch.setattr(momentfam, "derivative_table", counting_table)
     for module in (polycalc, funcmodel, momentfam):
         if hasattr(module, "dalpha"):
             monkeypatch.setattr(module, "dalpha", counting_dalpha)
@@ -776,13 +784,25 @@ def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeyp
     family = OperatorFamily(2, inner.order, inner.operators)
     swap = TauMap((Polynomial.variable(2, 1), Polynomial.variable(2, 0)))
     probes = _probes(dom, 5, 9)
+    every = [h for f, g in probes for h in (f, g, f * g)]
     for fam in (family, conjugate(family, swap)):
         applied.clear()
+        tables.clear()
         report = verify_moment(fam, probes, dom)
         assert report.passed and report.exact is exact
         assert report.max_residual == 0.0 if exact else report.max_residual <= 1e-9
-        assert applied == [h for f, g in probes for h in (f, g, f * g)]
+        assert applied == tables == ([] if exact else every)
     assert dalphas == []
+    if exact:
+        # T_(1,1) tampered by exactly 101/100 fails on the probes whose
+        # D^(1,0) f D^(0,1) g + D^(0,1) f D^(1,0) g is nonzero
+        tamper = Product((const_expr(2, Fraction(101, 100)), Jet(_mi(1, 1))))
+        tampered = OperatorFamily(2, 3, {**family.operators, _mi(1, 1): tamper})
+        applied.clear()
+        report = verify_moment(tampered, probes, dom)
+        failing = sorted({failure["probe"] for failure in report.failures})
+        assert report.exact and 0 < len(failing) < len(probes)
+        assert applied == [h for f, g in map(probes.__getitem__, failing) for h in (f, g, f * g)]
 
 
 def test_one_log_tree_samples_every_probe(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from moment_leibniz import funcmodel, momentfam, polycalc
 from moment_leibniz.cli import EXIT_FAIL, EXIT_PASS, main
-from moment_leibniz.funcmodel import Domain, PolyLeaf, Product, Sum, XLogAbs
+from moment_leibniz.funcmodel import Domain, Jet, PolyLeaf, Product, Sum, XLogAbs
 from moment_leibniz.multiindex import (
     DimensionMismatch,
     MultiIndex,
@@ -457,66 +457,108 @@ def test_cli_failures_report_the_drawn_probes(capsys, monkeypatch):
     assert any("/" in c for c in coeffs)
 
 
-def _rational_table(draw, dim, alphas):
-    return {a: draw(_rational_polynomials(dim)) for a in alphas}
+def _form_values(forms, h):
+    """T_alpha(h) = sum_m c_m prod_{b in m} D^b h for each alpha, in Fractions."""
+    out = {}
+    for alpha, form in forms.items():
+        total = Polynomial.zero(h.dim)
+        for m, c in form.items():
+            for b in m:
+                c = c * dalpha(h, b)
+            total = total + c
+        out[alpha] = total
+    return out
+
+
+def _fraction_mismatches(forms, f, g, table):
+    tf, tg, tfg = (_form_values(forms, h) for h in (f, g, f * g))
+    return [a for a, splits in table.items() if tfg[a] != polycalc.convolution_sum(tf, tg, splits)]
+
+
+def _derivative_forms(table, dim):
+    return {alpha: {(alpha,): Polynomial.constant(dim, 1)} for alpha in table}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_integer_mismatches_match_the_fraction_sums(data):
-    # any tables, not only a linear family's: each products[alpha] is the
-    # Fraction convolution sum, or that sum plus a drawn polynomial whose
-    # exponents may pass every sum of the tables' exponents
+    # any forms, not only a family's: each alpha's form is the derivative
+    # D^alpha, or that with one drawn term of jet degree 0-2 (which may
+    # replace it) whose rational coefficient, zero included, may pass
+    # every exponent of the probes
     dim = data.draw(st.integers(1, 3))
-    table = polycalc.convolution_table(dim, data.draw(st.integers(0, 3)))
-    left = _rational_table(data.draw, dim, table)
-    right = _rational_table(data.draw, dim, table)
-    products = {}
-    for alpha, splits in table.items():
-        products[alpha] = polycalc.convolution_sum(left, right, splits)
+    table = polycalc.convolution_table(dim, data.draw(st.integers(0, 2)))
+    jets = enumerate_height_at_most(dim, 2)
+    forms = _derivative_forms(table, dim)
+    for alpha in table:
         if data.draw(st.booleans()):
-            products[alpha] = products[alpha] + data.draw(_rational_polynomials(dim, 12))
-    expected = [
-        a for a, splits in table.items() if products[a] != polycalc.convolution_sum(left, right, splits)
+            m = tuple(sorted(data.draw(st.lists(st.sampled_from(jets), max_size=2))))
+            forms[alpha] = {**forms[alpha], m: data.draw(_rational_polynomials(dim, 6))}
+    pairs = [
+        (data.draw(_rational_polynomials(dim)), data.draw(_rational_polynomials(dim)))
+        for _ in range(data.draw(st.integers(1, 3)))
     ]
-    assert polycalc.convolution_mismatches(left, right, products, table) == expected
+    expected = [_fraction_mismatches(forms, f, g, table) for f, g in pairs]
+    assert polycalc.form_mismatches(forms, jets, pairs, table) == expected
 
 
-def test_a_product_of_another_dimension_is_a_mismatch():
+def test_a_coefficient_of_another_dimension_is_refused():
     # as with Polynomial.__eq__, a zero of another dimension is not the
-    # zero convolution
+    # zero of the probes' dimension: a form holding one is refused, not
+    # read as the zero operator
     table = polycalc.convolution_table(1, 2)
-    zero = {a: Polynomial.zero(1) for a in table}
-    products = {**zero, _mi(2): Polynomial.zero(2)}
-    assert polycalc.convolution_mismatches(zero, zero, products, table) == [_mi(2)]
+    zero = Polynomial.zero(1)
+    forms = {**_derivative_forms(table, 1), _mi(2): {(): Polynomial.zero(2)}}
+    with pytest.raises(DimensionMismatch):
+        polycalc.form_mismatches(forms, list(table), [(zero, zero)], table)
 
 
 def test_a_product_past_the_tables_reach_is_a_mismatch():
-    # the tables' exponents alone give base 3, where (1, 3) and (2, 0)
-    # would pack to one key and x0 x1^3 would pass for x0 * x0
-    x0 = Polynomial(2, {(1, 0): 1})
+    # T_0(h) = h + x1^2 on f = -x0, g = 1: T_0(fg) - T_0(f) T_0(g) is
+    # -x1^2 (x1^2 - x0), which is not zero.  The probes' exponents alone
+    # give base 2, where x1^2 and x0 pack to one key and that difference
+    # would vanish: the coefficient's top must lift the base too
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     table = polycalc.convolution_table(2, 0)
-    products = {_mi(0, 0): Polynomial(2, {(1, 3): 1})}
-    tables = {_mi(0, 0): x0}
-    assert polycalc.convolution_mismatches(tables, tables, products, table) == [_mi(0, 0)]
-    products = {_mi(0, 0): x0 * x0}
-    assert polycalc.convolution_mismatches(tables, tables, products, table) == []
+    zero = _mi(0, 0)
+    forms = {zero: {(zero,): Polynomial.constant(2, 1), (): x1 * x1}}
+    pairs = [(-x0, Polynomial.constant(2, 1))]
+    assert _fraction_mismatches(forms, *pairs[0], table) == [zero]
+    assert polycalc.form_mismatches(forms, [zero], pairs, table) == [[zero]]
+    identity = {zero: {(zero,): Polynomial.constant(2, 1)}}
+    assert polycalc.form_mismatches(identity, [zero], pairs, table) == [[]]
+
+
+def test_each_term_is_scaled_to_the_forms_jet_degree():
+    # T_0(h) = h - x0 on f = 1/2, g = x0/3 fails: T_0(fg) = -5 x0/6, while
+    # T_0(f) T_0(g) = -x0/3 + 2 x0^2/3.  Read on the cleared probes 1 and
+    # x0 without scaling the degree-0 term by L_h, the check would hold
+    x0 = Polynomial.variable(1, 0)
+    table = polycalc.convolution_table(1, 0)
+    zero = _mi(0)
+    forms = {zero: {(zero,): Polynomial.constant(1, 1), (): -x0}}
+    pairs = [(Polynomial.constant(1, Fraction(1, 2)), x0 * Fraction(1, 3))]
+    assert _fraction_mismatches(forms, *pairs[0], table) == [zero]
+    assert polycalc.form_mismatches(forms, [zero], pairs, table) == [[zero]]
 
 
 def test_mixed_dimensions_raise():
-    # each table is checked for one dimension as it is packed; a stray
-    # entry packed with another rank's place values would read as some
-    # other exponent and be compared silently
+    # the probes and the coefficients are checked for one dimension before
+    # anything is packed; a stray one packed with another rank's place
+    # values would read as some other exponent and be compared silently
     x0 = Polynomial(1, {(1,): 1})
     stray = Polynomial(2, {(1, 0): 1})
     table = polycalc.convolution_table(1, 2)
+    forms = _derivative_forms(table, 1)
+    assert polycalc.form_mismatches(forms, list(table), [(x0, x0)], table) == [[]]
+    for pairs in ([(x0, stray)], [(stray, x0)], [(x0, x0), (stray, stray)]):
+        with pytest.raises(DimensionMismatch):
+            polycalc.form_mismatches(forms, list(table), pairs, table)
+    with pytest.raises(DimensionMismatch):
+        polycalc.form_mismatches({**forms, _mi(1): {(_mi(1),): stray}}, list(table), [(x0, x0)], table)
     ones = {alpha: x0 for alpha in table}
-    products = {a: polycalc.convolution_sum(ones, ones, splits) for a, splits in table.items()}
-    assert polycalc.convolution_mismatches(ones, ones, products, table) == []
     splits = table[_mi(2)]
     for left, right in [({**ones, _mi(1): stray}, ones), (ones, {**ones, _mi(1): stray})]:
-        with pytest.raises(DimensionMismatch):
-            polycalc.convolution_mismatches(left, right, products, table)
         with pytest.raises(DimensionMismatch):
             polycalc.convolution_sum(left, right, splits)
     with pytest.raises(DimensionMismatch):
@@ -574,8 +616,12 @@ def test_public_results_keep_fraction_coefficients():
     drawn = [Polynomial(2, f.terms), Polynomial(2, g.terms)]
     assert check_leibniz_all(f, g, 3) == []
     assert [f, g] == drawn and _fraction_coefficients(f) and _fraction_coefficients(g)
-    # a family's derivative tables and the caller's probes hold Fraction polynomials only
+    # a passing exact probe builds no derivative table; a failing one's
+    # tables, its witnesses' sources, and the caller's probes hold Fraction
+    # polynomials only
     family = momentfam.make_derivative(2, 2)
+    double = Product((PolyLeaf(Polynomial.constant(2, 2)), Jet(_mi(1, 1))))
+    tampered = momentfam.OperatorFamily(2, 2, {**family.operators, _mi(1, 1): double})
     seen = []
     table = polycalc.derivative_table
 
@@ -588,8 +634,10 @@ def test_public_results_keep_fraction_coefficients():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(momentfam, "derivative_table", recording)
         report = momentfam.verify_moment(family, pairs, dom)
-    assert report.passed and report.exact
-    assert len(seen) == 3 * len(pairs)
+        assert report.passed and report.exact and seen == []
+        report = momentfam.verify_moment(tampered, pairs, dom)
+    assert not report.passed and report.exact
+    assert len(seen) == 3 * len({failure["probe"] for failure in report.failures}) > 0
     assert all(_fraction_coefficients(d) for entries in seen for d in entries.values())
     assert [f, g] == drawn and all(_fraction_coefficients(h) for pair in pairs for h in pair)
 

@@ -175,6 +175,83 @@ def test_verify_moment_matches_pointwise_oracle(kind, rank, order, conjugated, p
         assert all(failure["point"] not in samples for failure in report.failures)
 
 
+def _derivation_powers(field, order: int, dim: int) -> OperatorFamily:
+    """T_(k) = A^k at rank 1, A = sum_i field_i d_i a derivation, so (*) holds.
+
+    A^k f = sum_b p_b D^b f is kept as its coefficients p_b, and
+    A(p_b D^b f) = sum_i field_i (d_i p_b D^b f + p_b D^(b + e_i) f).
+    """
+    power = {MultiIndex.zero(dim): Polynomial.constant(dim, 1)}
+    operators = {}
+    for k in range(order + 1):
+        terms = tuple(Product((PolyLeaf(p), Jet(b))) for b, p in power.items())
+        operators[MultiIndex((k,))] = Sum(terms) if terms else PolyLeaf(Polynomial.zero(dim))
+        step = {}
+        for b, p in power.items():
+            for i, c in enumerate(field):
+                e = MultiIndex.unit(dim, i)
+                step[b] = step.get(b, Polynomial.zero(dim)) + c * polycalc.dalpha(p, e)
+                step[b + e] = step.get(b + e, Polynomial.zero(dim)) + c * p
+        power = {b: p for b, p in step.items() if p}
+    return OperatorFamily(1, order, operators, dim=dim)
+
+
+def _jet_tree(rng: random.Random, dim: int, depth: int):
+    """A log-free tree over the jets of height <= 2, inhomogeneous in them,
+    with coefficient denominators from 1 to 7."""
+    kind = rng.choice(("jet", "poly", "sum", "product")[: 4 if depth else 2])
+    if kind == "jet":
+        return Jet(rng.choice(enumerate_height_at_most(dim, 2)))
+    if kind == "poly":
+        return PolyLeaf(random_polynomial(rng, dim, 5, 2, denominators=range(1, 8)))
+    children = tuple(_jet_tree(rng, dim, depth - 1) for _ in range(rng.randint(1, 3)))
+    return (Sum if kind == "sum" else Product)(children)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["derivation", "trees"]),
+    dim=st.integers(1, 2),
+    order=st.integers(0, 3),
+    conjugated=st.booleans(),
+    tamper=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_custom_exact_families_match_pointwise_oracle(kind, dim, order, conjugated, tamper, seed):
+    # custom families from Sum, Product, PolyLeaf and Jet trees, at rank 1
+    # on probes of dim 1 or 2 and at rank dim: the powers of a derivation,
+    # which hold, and random trees such as Jet(0) * Jet(e_1) + x0^5/3,
+    # which mostly fail; half get one T_alpha scaled by exactly 101/100
+    rng = random.Random(seed)
+    dom = Domain.unit(dim, n_samples=SAMPLES, seed=seed)
+    if kind == "derivation":
+        field = [random_polynomial(rng, dim, 2, 2, denominators=range(1, 8)) for _ in range(dim)]
+        family = _derivation_powers(field, order, dim)
+    else:
+        rank = rng.choice([1, dim])
+        alphas = enumerate_height_at_most(rank, order)
+        operators = {alpha: _jet_tree(rng, dim, 2) for alpha in alphas}
+        zero, x0 = MultiIndex.zero(dim), Polynomial.variable(dim, 0)
+        inhomogeneous = (Product((Jet(zero), Jet(MultiIndex.unit(dim, dim - 1)))),)
+        inhomogeneous += (PolyLeaf(x0 * x0 * x0 * x0 * x0 * Fraction(1, 3)),)
+        operators[rng.choice(alphas)] = Sum(inhomogeneous)
+        family = OperatorFamily(rank, order, operators, dim=dim)
+    if tamper:
+        alpha0 = rng.choice(list(family.operators))
+        scaled = Product((const_expr(dim, Fraction(101, 100)), family.operators[alpha0]))
+        family = OperatorFamily(
+            family.rank, order, {**family.operators, alpha0: scaled}, dim=dim
+        )
+    if conjugated:
+        family = conjugate(family, _affine_tau(rng, dim))
+    pairs = default_probe_pairs(dom, 3, rng)
+    report = verify_moment(family, pairs, dom, seed=seed)
+    assert report.exact
+    assert _dumps(report) == _dumps(verify_moment_pointwise(family, pairs, dom, True, seed=seed))
+    if kind == "derivation" and not tamper:
+        assert report.passed and report.max_residual == 0.0
+
+
 def _exact_side(family, alpha, h, y):
     return polycalc.eval_poly(funcmodel.as_polynomial(family.apply(h)[alpha]), y)
 
