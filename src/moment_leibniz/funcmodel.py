@@ -436,7 +436,8 @@ class Domain:
                 raise ValueError(f"sample {p.to_json()} not strictly inside the box")
 
     def contains(self, p: RationalPoint) -> bool:
-        return p.rank == self.rank and all(0 < c < 1 for c in p)
+        # a RationalPoint holds normalized Fractions, whose denominators are positive
+        return p.rank == self.rank and all(0 < c.numerator < c.denominator for c in p)
 
     def images(self, point_map: Optional[TauMap]) -> PointColumns:
         """The samples read through ``point_map``, themselves when there is no map.

@@ -42,17 +42,26 @@ for all its pairs or probes: ``check_leibniz_pairs`` does, and
 ``check_leibniz_all`` is its one-pair case.
 
 Multi-derivatives come from one packed table (``_derivative_table``)
-over a down-closed, lexicographically ordered index set: D^alpha f is
+over a down-closed, lexicographically ordered index list: D^alpha f is
 the one-step partial d_i of the entry at alpha - e_i, with i the last
 nonzero entry of alpha, so each step differentiates the few terms its
-parent still has.  ``check_leibniz_pairs`` and ``form_mismatches``
-build it on integer maps, and ``derivative_table`` on a probe's own
-coefficients, unpacked, for an operator family's jets; ``dalpha`` is
-for single derivatives.
+parent still has.  Each call plans its lists once: ``_plan`` gives every
+index its position and its step, the parent's position and the axis i,
+and a table is a list aligned with the plan, so building one makes no
+index and hashes no key.  ``check_leibniz_pairs`` and ``form_mismatches``
+rewrite each alpha's splits once into (w, position of beta, position of
+gamma), which every pair or probe of the call reads.  ``form_mismatches``
+also drops, once per call, each split whose beta or gamma has an empty
+form (T_beta = 0 on every probe), then each alpha left with no split
+whose own form is empty, which cannot mismatch.  Both build their tables
+on integer maps, and ``derivative_table`` on a probe's own coefficients,
+unpacked, for an operator family's jets; ``dalpha`` is for single
+derivatives.
 
-Those two functions decide identities on packed integer maps and return
-indices only; every public function returns ``Fraction`` coefficients.
-Write L_h for the lcm of h's coefficient denominators and H = L_h h.
+``check_leibniz_pairs`` and ``form_mismatches`` decide identities on
+packed integer maps and return indices only; every public function
+returns ``Fraction`` coefficients.  Write L_h for the lcm of h's
+coefficient denominators and H = L_h h.
 Both sides of the Leibniz identity are bilinear in (f, g), so
 ``check_leibniz_pairs`` decides it for (F, G).  ``form_mismatches``
 reads operators as forms over the jets, T_alpha(h) = sum_m c_m
@@ -94,7 +103,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .multiindex import (
     DimensionMismatch,
@@ -561,8 +570,9 @@ def form_mismatches(
     w * T_beta(f) * T_gamma(g) over its splits, on integer tables (see the module docstring).
 
     T_alpha(h) = sum_m c_m prod_{b in m} D^b h for ``forms[alpha]``, a map from jet
-    monomials m (tuples of indices b) to coefficients c_m of the pairs' one dimension;
-    ``jets`` is a down-closed, lexicographically ordered list of every b met.
+    monomials m (tuples of indices b) to nonzero coefficients c_m of the pairs' one
+    dimension, so an empty form is T_alpha = 0; ``jets`` is a down-closed,
+    lexicographically ordered list of every b met.
     """
     if not pairs:
         return []
@@ -573,46 +583,64 @@ def form_mismatches(
     lcm = math.lcm(*[c.denominator for h in coeffs for c in h.terms.values()])
     degree = max([len(m) for form in forms.values() for m in form], default=0)
     tops = {(_top(c), len(m)) for form in forms.values() for m, c in form.items()}
+    jet_at, steps = _plan(jets)
+    at = {alpha: k for k, alpha in enumerate(table)}
     # T_alpha = D^b / K in forms of degree 1 gives S_h[alpha] = D^b H, the table entry itself
     unit = {MultiIndex.zero(dim): Fraction(1, lcm)}
-    lone = {a: m[0] for a, form in forms.items() for m, c in form.items()
-            if degree == len(form) == len(m) == 1 and c.terms == unit}
-    cleared = {a: [(m, _cleared_terms(c, lcm)[1]) for m, c in form.items()]
-               for a, form in forms.items() if a not in lone}
+    lone, cleared = [], []
+    for alpha, form in forms.items():
+        if not form:
+            continue
+        m, c = next(iter(form.items()))
+        if degree == len(form) == len(m) == 1 and c.terms == unit:
+            lone.append((at[alpha], jet_at[m[0]]))
+        else:
+            cleared.append((at[alpha], [(tuple(jet_at[b] for b in m), _cleared_terms(c, lcm)[1])
+                                        for m, c in form.items()]))
+    # T_beta = 0 on every probe drops a split, and an alpha left with no split and T_alpha = 0
+    # cannot mismatch
+    checks = []
+    for alpha, splits in table.items():
+        kept = [(w, at[b], at[c]) for w, b, c in splits if forms[b] and forms[c]]
+        if kept or forms[alpha]:
+            checks.append((alpha, at[alpha], kept))
     out = []
     for f, g in pairs:
         bound_f, bound_g = [max([t + k * _top(h) for t, k in tops], default=0) for h in (f, g)]
         base = 1 + bound_f + bound_g  # bound_fg <= bound_f + bound_g (module docstring)
         places = _places(dim, base)
-        packed = {a: [(m, _pack(c, places)) for m, c in form] for a, form in cleared.items()}
+        packed = [(k, [(m, _pack(c, places)) for m, c in form]) for k, form in cleared]
         (lcm_f, fi), (lcm_g, gi) = _cleared_terms(f), _cleared_terms(g)
         fi, gi = _pack(fi, places), _pack(gi, places)
         side_f, side_g, side_fg = [
-            _form_values(packed, lone, _derivative_table(h, jets, places, base), scale, degree)
-            for h, scale in ((fi, lcm_f), (gi, lcm_g), (_convolve([(1, fi, gi)]), lcm_f * lcm_g))
+            _form_values(len(at), packed, lone, _derivative_table(h, steps, places, base), s, degree)
+            for h, s in ((fi, lcm_f), (gi, lcm_g), (_convolve([(1, fi, gi)]), lcm_f * lcm_g))
         ]
         out.append([
-            alpha for alpha, splits in table.items()
+            alpha for alpha, k, splits in checks
             if _convolve((w, side_f[beta], side_g[gamma]) for w, beta, gamma in splits)
-            != (side_fg[alpha] if lcm == 1 else {k: lcm * c for k, c in side_fg[alpha].items()})
+            != (side_fg[k] if lcm == 1 else {key: lcm * c for key, c in side_fg[k].items()})
         ])
     return out
 
 
 def _form_values(
-    forms: Mapping[MultiIndex, List[Tuple[Tuple[MultiIndex, ...], Packed]]],
-    lone: Mapping[MultiIndex, MultiIndex], jet: Mapping[MultiIndex, Packed], scale: int, degree: int,
-) -> Dict[MultiIndex, Packed]:
-    """Each alpha's sum of c_m * scale^(degree - |m|) * prod_{b in m} jet[b] over its packed
-    form, and jet[b] itself at an alpha that ``lone`` maps to b."""
-    out = {alpha: jet[b] for alpha, b in lone.items()}
-    for alpha, form in forms.items():
+    size: int, forms: List[Tuple[int, List[Tuple[Tuple[int, ...], Packed]]]],
+    lone: List[Tuple[int, int]], jet: List[Packed], scale: int, degree: int,
+) -> List[Packed]:
+    """At each form's position, the sum of c_m * scale^(degree - |m|) * prod_{b in m} jet[b]
+    over its packed form, with each b a position in ``jet``; at a ``lone`` position, the jet
+    entry it names; the empty map everywhere else."""
+    out: List[Packed] = [{}] * size
+    for k, b in lone:
+        out[k] = jet[b]
+    for k, form in forms:
         products = []
         for m, c in form:
             for b in m[:-1]:
                 c = _convolve([(1, c, jet[b])])
             products.append((scale ** (degree - len(m)), c, jet[m[-1]] if m else {0: 1}))
-        out[alpha] = _convolve(products)
+        out[k] = _convolve(products)
     return out
 
 
@@ -627,26 +655,40 @@ def _partial(f: Packed, place: int, base: int) -> Packed:
     return out
 
 
-def _derivative_table(
-    f: Packed, alphas: Sequence[MultiIndex], places: List[int], base: int
-) -> Dict[MultiIndex, Packed]:
-    """D^alpha f of a packed f for every alpha of a down-closed, lexicographically ordered list.
+def _plan(indices: Sequence[MultiIndex]) -> Tuple[Dict[MultiIndex, int], List[Tuple[int, int]]]:
+    """Each index's position in a down-closed, lexicographically ordered list, and per index
+    the step (parent position, axis) that ``_derivative_table`` takes to reach it.
 
-    With i the last nonzero entry of alpha, D^alpha f = d_i D^(alpha - e_i) f,
-    and alpha - e_i is in the list and comes before alpha, so each entry
-    differentiates its parent's surviving terms once; the empty entries
-    below an empty parent share its map.
+    With i the last nonzero entry of alpha, the parent is alpha - e_i, which
+    is in the list and comes before alpha; the zero index has step (-1, -1).
     """
-    table = {}
-    for alpha in alphas:
+    at: Dict[MultiIndex, int] = {}
+    steps = []
+    for k, alpha in enumerate(indices):
         i = len(alpha) - 1
         while i >= 0 and not alpha[i]:
             i -= 1
-        if i < 0:
-            table[alpha] = f
+        steps.append((at[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]], i) if i >= 0 else (-1, -1))
+        at[alpha] = k
+    return at, steps
+
+
+def _derivative_table(
+    f: Packed, steps: List[Tuple[int, int]], places: List[int], base: int
+) -> List[Packed]:
+    """D^alpha f of a packed f for every alpha of a ``_plan``, as a list aligned with its steps.
+
+    Each entry differentiates its parent's surviving terms once along its
+    axis, so the table costs one ``_partial`` per index and builds no index
+    or key; the empty entries below an empty parent share its map.
+    """
+    table = []
+    for parent, axis in steps:
+        if parent < 0:
+            table.append(f)
         else:
-            parent = table[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]
-            table[alpha] = _partial(parent, places[i], base) if parent else parent
+            d = table[parent]
+            table.append(_partial(d, places[axis], base) if d else d)
     return table
 
 
@@ -658,8 +700,10 @@ def derivative_table(f: Polynomial, betas: Sequence[MultiIndex]) -> Dict[MultiIn
     base = _top(f) + 1
     places = _places(f.dim, base)
     packed, zero = _pack(f.terms, places), Polynomial._make(f.dim, {})
-    table = _derivative_table(packed, betas, places, base)
-    return {b: f if d is packed else _unpack(d, places) if d else zero for b, d in table.items()}
+    table = _derivative_table(packed, _plan(betas)[1], places, base)
+    return {
+        b: f if d is packed else _unpack(d, places) if d else zero for b, d in zip(betas, table)
+    }
 
 
 def _cleared_terms(f: Polynomial, lcm: Optional[int] = None) -> Tuple[int, Dict[MultiIndex, int]]:
@@ -710,18 +754,20 @@ def check_leibniz_pairs(
         first._check_dim(f)
         f._check_dim(g)
     table = convolution_table(first.dim, max_height)
-    alphas = list(table)
+    at, steps = _plan(list(table))
+    # each alpha's splits as (w, position of beta, position of gamma), shared by every pair
+    checks = [[(w, at[beta], at[gamma]) for w, beta, gamma in splits] for splits in table.values()]
     out = []
     for f, g in pairs:
         base = _top(f) + _top(g) + 1
         places = _places(f.dim, base)
         fi, gi = _pack(_cleared_terms(f)[1], places), _pack(_cleared_terms(g)[1], places)
-        df = _derivative_table(fi, alphas, places, base)
-        dg = _derivative_table(gi, alphas, places, base)
-        dfg = _derivative_table(_convolve([(1, fi, gi)]), alphas, places, base)
+        df = _derivative_table(fi, steps, places, base)
+        dg = _derivative_table(gi, steps, places, base)
+        dfg = _derivative_table(_convolve([(1, fi, gi)]), steps, places, base)
         out.append([
-            alpha for alpha, splits in table.items()
-            if _convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits) != dfg[alpha]
+            alpha for alpha, splits, lhs in zip(table, checks, dfg)
+            if _convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits) != lhs
         ])
     return out
 
@@ -737,19 +783,42 @@ def random_polynomial(
     coeff_bound: int = 9,
     denominators: Sequence[int] = (1, 2, 3),
 ) -> Polynomial:
-    """Seeded random sparse polynomial with coefficients in [-coeff_bound, coeff_bound] cap Q."""
+    """Seeded random sparse polynomial with coefficients in [-coeff_bound, coeff_bound] cap Q.
+
+    Each term draws its degree, one axis per unit of it, a denominator and
+    a numerator straight from ``rng.getrandbits``, the same draws in the
+    same order as ``randint``, ``randrange`` and ``choice``, with their errors.
+    """
     _check_dim_value(dim)
-    trusted, dens = MultiIndex._trusted, list(denominators)
+    bits, trusted, dens = rng.getrandbits, MultiIndex._trusted, list(denominators)
+    k_dim = dim.bit_length()
     out: Dict[MultiIndex, Fraction] = {}
     for _ in range(terms):
-        total = rng.randint(0, max_degree)
+        total = _below(bits, max_degree + 1)
         exp = [0] * dim
         for _ in range(total):
-            exp[rng.randrange(dim)] += 1
-        den = rng.choice(dens)
-        num = rng.randint(-coeff_bound * den, coeff_bound * den)
+            i = bits(k_dim)
+            while i >= dim:
+                i = bits(k_dim)
+            exp[i] += 1
+        if not dens:
+            raise IndexError("Cannot choose from an empty sequence")
+        den = dens[_below(bits, len(dens))]
+        num = _below(bits, 2 * coeff_bound * den + 1) - coeff_bound * den
         if num == 0:
             continue
         # overwrite on collision so coefficients stay inside the bound
         out[trusted(tuple(exp))] = Fraction(num, den)
     return Polynomial._make(dim, out)
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n) by ``random.Random``'s own rejection rule: k = n.bit_length()
+    bits, drawn again while r >= n.  An empty range raises ValueError, as randrange does."""
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r

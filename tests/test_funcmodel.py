@@ -84,6 +84,15 @@ def test_domain_samples_strictly_inside():
     assert not dom.contains(_pt(Fraction(1, 2)))  # wrong rank
 
 
+def test_domain_contains_only_points_strictly_inside_of_its_rank():
+    dom = Domain.unit(2, n_samples=8, seed=1)
+    inside, near = Fraction(1, 2), Fraction(63, 64)
+    assert dom.contains(_pt(inside, near)) and dom.contains(_pt(near, Fraction(1, 64)))
+    for c in (0, 1, Fraction(-1, 2), Fraction(65, 64), Fraction(-63, 64)):
+        assert not dom.contains(_pt(inside, c)) and not dom.contains(_pt(c, near))
+    assert not dom.contains(_pt(inside)) and not dom.contains(_pt(inside, near, inside))
+
+
 def test_domain_rejects_boundary_sample():
     pts = tuple(_pt(Fraction(k, 10)) for k in range(1, 9))
     Domain(1, pts)  # ok

@@ -20,6 +20,7 @@ from moment_leibniz.multiindex import (
     DimensionMismatch,
     MultiIndex,
     convolution_terms,
+    enumerate_below,
     enumerate_height_at_most,
 )
 from moment_leibniz.polycalc import (
@@ -542,6 +543,37 @@ def test_each_term_is_scaled_to_the_forms_jet_degree():
     assert polycalc.form_mismatches(forms, [zero], pairs, table) == [[zero]]
 
 
+def _zeroed(forms, *alphas):
+    """The forms with T_alpha = 0, the empty form, at each of the alphas."""
+    return {**forms, **{alpha: {} for alpha in alphas}}
+
+
+def test_zero_operators_prune_splits_not_verdicts():
+    # rank 1, N 2 over nonconstant probes, so f' g' != 0
+    x0 = Polynomial.variable(1, 0)
+    f, g = x0 * x0 * Fraction(1, 2) + x0, x0 * x0 * x0 - Polynomial.constant(1, Fraction(2, 3))
+    table = polycalc.convolution_table(1, 2)
+    derivative, jets = _derivative_forms(table, 1), list(table)
+    # T_(1) = 0: (1) has no split left and T_(1) = 0, so it holds; (2) keeps
+    # f'' g + f g'' and misses the pruned 2 f' g'
+    forms = _zeroed(derivative, _mi(1))
+    assert _fraction_mismatches(forms, f, g, table) == [_mi(2)]
+    assert polycalc.form_mismatches(forms, jets, [(f, g)], table) == [[_mi(2)]]
+    # T_(2) = 0: an empty form whose split (2, (1), (1)) survives fails
+    forms = _zeroed(derivative, _mi(2))
+    assert _fraction_mismatches(forms, f, g, table) == [_mi(2)]
+    assert polycalc.form_mismatches(forms, jets, [(f, g)], table) == [[_mi(2)]]
+    # T_0 = 0, T_(1) = D^(1): every split of (1) is pruned, yet its form is
+    # not empty, so (fg)' != 0 is reported; (0) and its one split drop out
+    table = polycalc.convolution_table(1, 1)
+    forms = _zeroed(_derivative_forms(table, 1), _mi(0))
+    assert _fraction_mismatches(forms, f, g, table) == [_mi(1)]
+    assert polycalc.form_mismatches(forms, list(table), [(f, g)], table) == [[_mi(1)]]
+    # every operator zero: nothing is left to check, and nothing fails
+    forms = _zeroed(forms, _mi(1))
+    assert polycalc.form_mismatches(forms, [], [(f, g), (g, f)], table) == [[], []]
+
+
 def test_mixed_dimensions_raise():
     # the probes and the coefficients are checked for one dimension before
     # anything is packed; a stray one packed with another rank's place
@@ -656,10 +688,15 @@ def _table_probes(draw, dim, max_exponent):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_derivative_table_is_dalpha_at_every_index(data):
+    # the index lists are all heights up to a bound, or the box below an
+    # index: both are down-closed and lexicographically ordered
     dim = data.draw(st.integers(1, 4))
-    height = data.draw(st.integers(0, 4))
     f = data.draw(_table_probes(dim, 12))
-    betas = enumerate_height_at_most(dim, height)
+    if data.draw(st.booleans()):
+        betas = enumerate_height_at_most(dim, data.draw(st.integers(0, 4)))
+    else:
+        top = data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+        betas = enumerate_below(MultiIndex(top))
     table = polycalc.derivative_table(f, betas)
     assert list(table) == betas
     assert table[MultiIndex.zero(dim)] is f
@@ -721,11 +758,12 @@ def _random_polynomial_validating(rng, dim, max_degree, terms, coeff_bound, deno
 @pytest.mark.parametrize("seed", range(6))
 def test_random_polynomial_is_the_validating_build(seed):
     # the same polynomial from the same draws, made in the same order
+    # dims 1-5 cover the bit-length edges of the index draw (1, 2-3, 4-5)
     rng, oracle, shapes = random.Random(seed), random.Random(seed), random.Random(-seed)
-    for _ in range(40):
-        dim = shapes.randint(1, 3)
+    for _ in range(60):
+        dim = shapes.randint(1, 5)
         shape = [shapes.randint(0, 4), shapes.randint(0, 6), shapes.randint(0, 3)]
-        shape.append([1, 2, 7][: shapes.randint(1, 3)])
+        shape.append(shapes.choice([[1], [5], [1, 2], [1, 2, 7], [3, 4, 5, 6, 8]]))
         f = random_polynomial(rng, dim, *shape)
         assert f == _random_polynomial_validating(oracle, dim, *shape)
         assert Polynomial(dim, f.terms) == f and _fraction_coefficients(f)
@@ -736,6 +774,29 @@ def test_random_polynomial_is_the_validating_build(seed):
         with pytest.raises(ValueError, match="dim must be an integer"):
             random_polynomial(rng, dim)
         assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((2, -1, 5, 9, (1, 2, 3)), ValueError),  # randint(0, -1): an empty range
+        ((1, 3, 5, -1, (1, 2, 3)), ValueError),  # randint(den, -den) for every denominator
+        ((1, 3, 5, 9, (1, -2)), ValueError),  # a negative denominator, once drawn
+        ((2, 3, 5, 9, ()), IndexError),  # choice from no denominators
+    ],
+)
+def test_random_polynomial_refuses_what_the_stock_draws_refuse(args, error):
+    # the same error as the stock methods, raised after the same draws;
+    # a draw from an empty range must raise rather than loop
+    for seed in range(20):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        with pytest.raises(error):
+            random_polynomial(rng, *args)
+        with pytest.raises(error):
+            _random_polynomial_validating(oracle, *args)
+        assert rng.getstate() == oracle.getstate()
+    # with no term to draw, nothing is refused
+    assert random_polynomial(random.Random(0), 2, -1, 0).is_zero()
 
 
 def test_leibniz_rhs_matches_sympy_product_derivative():

@@ -252,6 +252,46 @@ def test_custom_exact_families_match_pointwise_oracle(kind, dim, order, conjugat
         assert report.passed and report.max_residual == 0.0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["derivative", "trivial", "derivation", "trees"]),
+    dim=st.integers(1, 3),
+    order=st.integers(1, 3),
+    conjugated=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_zeroed_operators_match_pointwise_oracle(kind, dim, order, conjugated, seed):
+    # exact families with T_alpha = 0 at random alphas, T_0 among them:
+    # the exact check skips the splits and alphas those zeros decide, and
+    # its reports must still be the pointwise oracle's, byte for byte
+    rng = random.Random(seed)
+    dom = Domain.unit(dim, n_samples=SAMPLES, seed=seed)
+    if kind == "derivative":
+        family = make_derivative(dim, order)
+    elif kind == "trivial":
+        family = make_trivial(dim, order)
+    elif kind == "derivation":
+        field = [random_polynomial(rng, dim, 2, 2, denominators=range(1, 8)) for _ in range(dim)]
+        family = _derivation_powers(field, order, dim)
+    else:
+        rank = rng.choice([1, dim])
+        alphas = enumerate_height_at_most(rank, order)
+        family = OperatorFamily(rank, order, {a: _jet_tree(rng, dim, 2) for a in alphas}, dim=dim)
+    alphas = list(family.operators)
+    zeroed = set(rng.sample(alphas, rng.randint(1, len(alphas))))
+    if rng.random() < 0.5:
+        zeroed.add(alphas[0])
+    zero = PolyLeaf(Polynomial.zero(dim))
+    operators = {a: zero if a in zeroed else tree for a, tree in family.operators.items()}
+    family = OperatorFamily(family.rank, order, operators, dim=dim)
+    if conjugated:
+        family = conjugate(family, _affine_tau(rng, dim))
+    pairs = default_probe_pairs(dom, 3, rng)
+    report = verify_moment(family, pairs, dom, seed=seed)
+    assert report.exact
+    assert _dumps(report) == _dumps(verify_moment_pointwise(family, pairs, dom, True, seed=seed))
+
+
 def _exact_side(family, alpha, h, y):
     return polycalc.eval_poly(funcmodel.as_polynomial(family.apply(h)[alpha]), y)
 
