@@ -324,7 +324,9 @@ def as_polynomial(expr: FuncExpr) -> Polynomial:
 
 def jet_form(expr: FuncExpr) -> Dict[Tuple[MultiIndex, ...], Polynomial]:
     """A log-free tree as a polynomial in the jet symbols D^beta h, in one walk: a map from
-    each monomial, a sorted tuple of jet indices, to its nonzero coefficient in x."""
+    each monomial, a tuple of jet indices in lexicographic order, to its nonzero coefficient
+    in x.  Indices sort as plain tuples (``MultiIndex``'s ``<`` is the componentwise partial
+    order), so a monomial has one key whatever the order of its factors."""
     if isinstance(expr, Jet):
         return {(expr.beta,): Polynomial.constant(expr.dim, 1)}
     if isinstance(expr, Sum):
@@ -333,7 +335,7 @@ def jet_form(expr: FuncExpr) -> Dict[Tuple[MultiIndex, ...], Polynomial]:
         out, *rest = map(jet_form, expr.children)
         for form in rest:
             pairs = itertools.product(out.items(), form.items())
-            out = _collect((tuple(sorted(m + n)), c * d) for (m, c), (n, d) in pairs)
+            out = _collect((tuple(sorted(m + n, key=tuple)), c * d) for (m, c), (n, d) in pairs)
         return out
     poly = expr._expand()  # a polynomial leaf; a log node raises NotPolynomial
     return {(): poly} if poly else {}

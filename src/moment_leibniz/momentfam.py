@@ -30,17 +30,19 @@ which refuses an image outside the unit box before anything is checked.
 How the instances are decided is read off the trees, once per family.
 When no tree has an f*ln|f| or signed-power node
 (``funcmodel.is_polynomial``), ``funcmodel.jet_form`` writes each tree
-over the jets once per call, and ``polycalc.form_mismatches`` compares
-each T_alpha(fg) with the convolution over ``convolution_terms(alpha)``
-in Q[x], on integer tables; an equal one passes with residual 0.0,
-unevaluated.  Only a probe with an unequal one runs ``apply``: each
-unequal instance is expanded, summed in Fractions
-(``polycalc.convolution_sum``) and evaluated at the mapped samples,
-where its sides must agree exactly.
-If they agree at every sample, the difference composed with the point
-map decides: a nonzero one fails once, at its
+over the jets once per call, and ``polycalc.form_failures`` decides
+every alpha for all f and g at once, as an identity in their jets over
+Q[x].  A formal pass proves (*) and is reported as a pass on every
+probe, each residual 0.0, with no probe applied or evaluated.  Only the
+alphas that fail formally are probed, on every probe: ``apply`` runs on
+f, g and fg, and each such instance is expanded and summed in Fractions
+(``polycalc.convolution_sum``).  Equal sides show nothing on that probe;
+unequal ones are evaluated at the mapped samples, where they must agree
+exactly.  If they agree at every sample, the difference composed with
+the point map decides: a nonzero one fails once, at its
 ``polycalc.nonzero_grid_point``, and a zero one (a map that is not
-injective) passes.  An exact residual is |lhs - rhs|, or inf when that
+injective) passes.  So a formal failure that no probe shows is still
+reported as a pass.  An exact residual is |lhs - rhs|, or inf when that
 is too large for a float.  Otherwise every probe is sampled, even one on
 which each log term drops out: the trees ``apply`` returns are tabulated
 in floats with ``funcmodel.eval_expr`` at the ``PointColumns`` of the
@@ -53,11 +55,12 @@ T_alpha(0) = T_alpha(f) + T_alpha(0) + sum_{0<beta<alpha} C(alpha, beta)
 T_beta(0) T_{alpha-beta}(f), so at the lowest alpha whose member is
 nonzero on f it demands T_alpha(f) = 0.  ``verify_moment`` on (0, f)
 pairs, which ``default_probe_pairs`` starts with, rejects such a family,
-as a proof in Q[x] whenever its operators expand.
+with an exact witness whenever its operators expand.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .multiindex import DimensionMismatch, MultiIndex, check_count, enumerate_height_at_most
@@ -70,7 +73,7 @@ from .polycalc import (
     derivative_table,
     eval_poly,
     eval_poly_values,
-    form_mismatches,
+    form_failures,
     nonzero_grid_point,
     random_polynomial,
 )
@@ -141,10 +144,14 @@ class OperatorFamily:
         if self.descriptor is None:
             self.descriptor = {"kind": "custom", "r": self.dim, "N": self.order}
 
-    def probe(self, f: Polynomial) -> Polynomial:
-        """The probe f of the family's dim, composed with ``probe_map``."""
+    def check_probe(self, f: Polynomial) -> None:
+        """Refuse a probe f unless it has the family's dim."""
         if f.dim != self.dim:
             raise ValueError(f"probe dim {f.dim}, family dim {self.dim}")
+
+    def probe(self, f: Polynomial) -> Polynomial:
+        """The probe f of the family's dim, composed with ``probe_map``."""
+        self.check_probe(f)
         return f if self.probe_map is None else compose(f, self.probe_map.components)
 
     def apply(self, f: Polynomial) -> Dict[MultiIndex, FuncExpr]:
@@ -273,8 +280,9 @@ class MomentReport:
     """Outcome of ``verify_moment`` over one family.
 
     ``exact`` says that the family's trees are log-free, so no instance
-    was sampled and every verdict is a proof in Q[x].  A family with a log
-    node is sampled at every probe, even where each log term drops out.
+    was sampled: a pass then proves the identity for all f and g, and a
+    failure carries exact witnesses on a probe.  A family with a log node
+    is sampled at every probe, even where each log term drops out.
     """
 
     def __init__(
@@ -320,10 +328,10 @@ def verify_moment(
 
     The family is evaluated at ``domain.images(family.point_map)``, which
     raises ValueError at an image outside the box.  If every tree of the
-    family is log-free, each instance is proved or refuted in Q[x], with
-    residual 0.0 or exact witnesses, and only a probe with a failing
-    instance runs ``apply`` on f, g and fg; otherwise every probe does,
-    and each instance is judged by the relative residual
+    family is log-free, each alpha is decided for all f and g in Q[x],
+    and only an alpha that fails there is probed, with exact witnesses;
+    otherwise every probe runs ``apply`` on f, g and fg, and each
+    instance is judged by the relative residual
     |lhs - rhs| / (1 + |lhs|) against the domain tolerance (see the
     module docstring).  Failures carry the witnessing alpha, probe and
     point.
@@ -338,12 +346,13 @@ def verify_moment(
     failures: List[dict] = []
     max_residual = 0.0
     exact = all(map(is_polynomial, family.operators.values()))
-    if exact:  # only a probe with a failing instance is applied and expanded
+    judged = alphas
+    if exact:  # only the alphas that fail formally are applied and expanded, on every probe
+        for h in itertools.chain.from_iterable(probes):
+            family.check_probe(h)
         forms = {alpha: jet_form(tree) for alpha, tree in family.operators.items()}
-        mapped = [(family.probe(f), family.probe(g)) for f, g in probes]
-        mismatches = form_mismatches(forms, family._jets, mapped, terms)
+        judged = form_failures(forms, family._jets, terms)
     for k, (f, g) in enumerate(probes):
-        judged = mismatches[k] if exact else alphas
         if judged:  # expanded polynomials, or float columns at the mapped samples
             tf, tg, tfg = [
                 {b: as_polynomial(e) if exact else eval_expr(e, points) for b, e in row.items()}
@@ -353,6 +362,8 @@ def verify_moment(
             splits = terms[alpha]
             if exact:
                 lhs_poly, rhs_poly = tfg[alpha], convolution_sum(tf, tg, splits)
+                if lhs_poly == rhs_poly:  # this probe shows no failure
+                    continue
                 # only a witness needs values: Fractions are canonical, so
                 # these equal the pointwise convolution sums
                 xs = list(domain.sample_points)

@@ -25,8 +25,8 @@ product's key is then ka + kb, and a one-step partial in x_i reads the
 exponent as (k // B^(r-1-i)) % B and steps to k - B^(r-1-i).  Each call
 picks B once, as 1 plus the largest coordinate of its left operands plus
 the largest of its right ones, so no sum of exponents carries into the
-next digit; ``form_mismatches`` lifts B above every coordinate its
-operators form (below).  Tables are checked for one dimension first.
+next digit; ``form_failures`` multiplies coefficients only, so its B is
+1 + 2 * top.  Tables are checked for one dimension first.
 Every product and convolution side comes from one accumulator,
 ``_convolve``: the sum of w * a * b over weighted pairs of packed maps,
 with zeros dropped.  ``*`` and ``convolution_sum`` pack their operands
@@ -48,32 +48,37 @@ nonzero entry of alpha, so each step differentiates the few terms its
 parent still has.  Each call plans its lists once: ``_plan`` gives every
 index its position and its step, the parent's position and the axis i,
 and a table is a list aligned with the plan, so building one makes no
-index and hashes no key.  ``check_leibniz_pairs`` and ``form_mismatches``
-rewrite each alpha's splits once into (w, position of beta, position of
-gamma), which every pair or probe of the call reads.  ``form_mismatches``
-also drops, once per call, each split whose beta or gamma has an empty
-form (T_beta = 0 on every probe), then each alpha left with no split
-whose own form is empty, which cannot mismatch.  Both build their tables
-on integer maps, and ``derivative_table`` on a probe's own coefficients,
-unpacked, for an operator family's jets; ``dalpha`` is for single
-derivatives.
+index and hashes no key.  ``check_leibniz_pairs`` rewrites each alpha's
+splits once into (w, position of beta, position of gamma), which every
+pair of the call reads, and builds its tables on integer maps;
+``derivative_table`` builds one on a probe's own coefficients, unpacked,
+for an operator family's jets; ``dalpha`` is for single derivatives.
 
-``check_leibniz_pairs`` and ``form_mismatches`` decide identities on
-packed integer maps and return indices only; every public function
-returns ``Fraction`` coefficients.  Write L_h for the lcm of h's
-coefficient denominators and H = L_h h.
-Both sides of the Leibniz identity are bilinear in (f, g), so
-``check_leibniz_pairs`` decides it for (F, G).  ``form_mismatches``
-reads operators as forms over the jets, T_alpha(h) = sum_m c_m
-prod_{b in m} D^b h, with K the lcm of the c_m's denominators and M the
-largest jet degree |m|.  Then S_h[alpha] = sum_m (K c_m) L_h^(M - |m|)
-prod_{b in m} D^b H = K L_h^M T_alpha(h) has integer coefficients,
-FG = F G, and K S_fg[alpha] = sum w S_f[beta] S_g[gamma] is the
-identity at alpha times K^2 (L_f L_g)^M != 0.  A coordinate of S_h is
-at most bound_h = max_m (top(c_m) + |m| top(h)), top being the largest
-coordinate, so B = 1 + max(bound_f + bound_g, bound_fg), which is
-1 + bound_f + bound_g since top(fg) <= top(f) + top(g).  A coefficient
-taller than the probes would otherwise carry into the next digit.
+``check_leibniz_pairs`` and ``form_failures`` decide identities on
+integer maps and return indices only; every public function returns
+``Fraction`` coefficients.  Both sides of the Leibniz identity are
+bilinear in (f, g), so ``check_leibniz_pairs`` decides it for the pair
+cleared of denominators.  ``form_failures`` reads operators as forms
+over the jets, T_alpha(h) = sum_m c_m prod_{b in m} D^b h, and decides
+(*) T_alpha(fg) = sum w T_beta(f) T_gamma(g) for all f and g at once:
+with u_b, v_b symbols for the jets of f and g, and the jets of fg
+written by Leibniz as (uv)_b = sum_{c <= b} C(b, c) u_c v_(b-c), it
+compares both sides as polynomials in the u, v over Q[x].  That is
+exact, because
+  - at a point, polynomial probes realize any jets of f and g,
+    independently;
+  - a polynomial in the u, v that vanishes at all their values is zero,
+    so (*) holds at x for all f, g exactly when every coefficient of the
+    difference vanishes at x;
+  - a polynomial in x that vanishes on the open box is zero.
+With K the lcm of every c_m's denominator, each K c_m is an integer map,
+and each alpha's difference, K^2 times that of (*), is one integer
+accumulator keyed by (u-monomial, v-monomial, packed x-exponent): K times
+the left side, minus the right side's products, whose coordinates are at
+most twice the largest coordinate top of any c_m, so below 1 + 2 * top.
+A point map composed after the operators, or a probe map before them,
+keeps a formal pass but may hide a formal failure (a map that is not
+injective), so a failure needs a probe that shows it.
 
 ``eval_poly_ratios`` sums integer numerators over one common denominator
 per point, the lcm of the coefficient denominators times prod_i d_i^K
@@ -560,87 +565,63 @@ def convolution_sum(
     return _unpack(_convolve((w, left[beta], right[gamma]) for w, beta, gamma in splits), places)
 
 
-def form_mismatches(
+def form_failures(
     forms: Mapping[MultiIndex, Mapping[Tuple[MultiIndex, ...], Polynomial]],
     jets: Sequence[MultiIndex],
-    pairs: Sequence[Tuple[Polynomial, Polynomial]],
     table: Mapping[MultiIndex, Splits],
-) -> List[List[MultiIndex]]:
-    """For each pair (f, g), the alphas of ``table`` where T_alpha(f*g) is not the sum of
-    w * T_beta(f) * T_gamma(g) over its splits, on integer tables (see the module docstring).
+) -> List[MultiIndex]:
+    """The alphas of ``table`` at which T_alpha(f*g) = sum w * T_beta(f) * T_gamma(g) over its
+    splits fails as an identity in the jets of f and g over Q[x] (see the module docstring).
 
     T_alpha(h) = sum_m c_m prod_{b in m} D^b h for ``forms[alpha]``, a map from jet
-    monomials m (tuples of indices b) to nonzero coefficients c_m of the pairs' one
-    dimension, so an empty form is T_alpha = 0; ``jets`` is a down-closed,
-    lexicographically ordered list of every b met.
+    monomials m (tuples of indices b) to nonzero coefficients c_m of one dimension, so an
+    empty form is T_alpha = 0; ``jets`` is a down-closed list of every b met.
     """
-    if not pairs:
-        return []
-    dim = pairs[0][0].dim
     coeffs = [c for form in forms.values() for c in form.values()]
-    for h in itertools.chain(coeffs, *pairs):
-        pairs[0][0]._check_dim(h)
-    lcm = math.lcm(*[c.denominator for h in coeffs for c in h.terms.values()])
-    degree = max([len(m) for form in forms.values() for m in form], default=0)
-    tops = {(_top(c), len(m)) for form in forms.values() for m, c in form.items()}
-    jet_at, steps = _plan(jets)
-    at = {alpha: k for k, alpha in enumerate(table)}
-    # T_alpha = D^b / K in forms of degree 1 gives S_h[alpha] = D^b H, the table entry itself
-    unit = {MultiIndex.zero(dim): Fraction(1, lcm)}
-    lone, cleared = [], []
-    for alpha, form in forms.items():
-        if not form:
-            continue
-        m, c = next(iter(form.items()))
-        if degree == len(form) == len(m) == 1 and c.terms == unit:
-            lone.append((at[alpha], jet_at[m[0]]))
-        else:
-            cleared.append((at[alpha], [(tuple(jet_at[b] for b in m), _cleared_terms(c, lcm)[1])
-                                        for m, c in form.items()]))
-    # T_beta = 0 on every probe drops a split, and an alpha left with no split and T_alpha = 0
-    # cannot mismatch
-    checks = []
-    for alpha, splits in table.items():
-        kept = [(w, at[b], at[c]) for w, b, c in splits if forms[b] and forms[c]]
-        if kept or forms[alpha]:
-            checks.append((alpha, at[alpha], kept))
+    if not coeffs:  # every T_alpha = 0
+        return []
+    for c in coeffs:
+        coeffs[0]._check_dim(c)
+    lcm = math.lcm(*[q.denominator for c in coeffs for q in c.terms.values()])
+    # a product of two coefficients has coordinates up to 2 * top, which must not carry
+    places = _places(coeffs[0].dim, 1 + 2 * _top(*coeffs))
+    at = {b: k for k, b in enumerate(jets)}
+    # each form as (sorted jet positions, K * c_m packed), K the lcm of every denominator
+    cleared = {
+        alpha: [(tuple(sorted(at[b] for b in m)), _pack(_cleared_terms(c, lcm)[1], places))
+                for m, c in form.items()]
+        for alpha, form in forms.items()
+    }
+    # Leibniz: (fg)_b = sum C(b, c) f_c g_(b-c), as (C(b, c), position of c, position of b - c);
+    # a jet of the table's rank has its splits listed there already
+    met = {b for form in forms.values() for m in form for b in m}
+    leibniz = {at[b]: [(w, at[c], at[d]) for w, c, d in table.get(b) or convolution_terms(b)]
+               for b in met}
     out = []
-    for f, g in pairs:
-        bound_f, bound_g = [max([t + k * _top(h) for t, k in tops], default=0) for h in (f, g)]
-        base = 1 + bound_f + bound_g  # bound_fg <= bound_f + bound_g (module docstring)
-        places = _places(dim, base)
-        packed = [(k, [(m, _pack(c, places)) for m, c in form]) for k, form in cleared]
-        (lcm_f, fi), (lcm_g, gi) = _cleared_terms(f), _cleared_terms(g)
-        fi, gi = _pack(fi, places), _pack(gi, places)
-        side_f, side_g, side_fg = [
-            _form_values(len(at), packed, lone, _derivative_table(h, steps, places, base), s, degree)
-            for h, s in ((fi, lcm_f), (gi, lcm_g), (_convolve([(1, fi, gi)]), lcm_f * lcm_g))
-        ]
-        out.append([
-            alpha for alpha, k, splits in checks
-            if _convolve((w, side_f[beta], side_g[gamma]) for w, beta, gamma in splits)
-            != (side_fg[k] if lcm == 1 else {key: lcm * c for key, c in side_fg[k].items()})
-        ])
-    return out
-
-
-def _form_values(
-    size: int, forms: List[Tuple[int, List[Tuple[Tuple[int, ...], Packed]]]],
-    lone: List[Tuple[int, int]], jet: List[Packed], scale: int, degree: int,
-) -> List[Packed]:
-    """At each form's position, the sum of c_m * scale^(degree - |m|) * prod_{b in m} jet[b]
-    over its packed form, with each b a position in ``jet``; at a ``lone`` position, the jet
-    entry it names; the empty map everywhere else."""
-    out: List[Packed] = [{}] * size
-    for k, b in lone:
-        out[k] = jet[b]
-    for k, form in forms:
-        products = []
-        for m, c in form:
-            for b in m[:-1]:
-                c = _convolve([(1, c, jet[b])])
-            products.append((scale ** (degree - len(m)), c, jet[m[-1]] if m else {0: 1}))
-        out[k] = _convolve(products)
+    for alpha, splits in table.items():
+        acc: Dict[Tuple[Tuple[int, ...], Tuple[int, ...], int], int] = {}
+        get = acc.get
+        # K T_alpha(fg), each jet of fg expanded by Leibniz
+        for m, c in cleared[alpha]:
+            for choice in itertools.product(*[leibniz[b] for b in m]):
+                w = lcm * math.prod([v for v, _, _ in choice])
+                mf = tuple(sorted([b for _, b, _ in choice]))
+                mg = tuple(sorted([d for _, _, d in choice]))
+                for k, x in c.items():
+                    key = (mf, mg, k)
+                    acc[key] = get(key, 0) + w * x
+        # minus each split's product of T_beta(f) and T_gamma(g)
+        for w, beta, gamma in splits:
+            right = cleared[gamma]
+            for mf, c in cleared[beta]:
+                for kc, xc in c.items():
+                    wc = w * xc
+                    for mg, d in right:
+                        for kd, xd in d.items():
+                            key = (mf, mg, kc + kd)
+                            acc[key] = get(key, 0) - wc * xd
+        if any(acc.values()):
+            out.append(alpha)
     return out
 
 

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moment_leibniz.multiindex import DimensionMismatch, MultiIndex
+from moment_leibniz.multiindex import DimensionMismatch, MultiIndex, enumerate_height_at_most
 from moment_leibniz.polycalc import (
     PointColumns,
     Polynomial,
@@ -45,6 +45,7 @@ from moment_leibniz.funcmodel import (
     grad_dot,
     hess_quad,
     is_polynomial,
+    jet_form,
     judge_column,
     worse,
 )
@@ -352,6 +353,40 @@ def test_exact_eval_matches_sympy_on_random_trees(dim):
         )
         assert exact == Fraction(int(value.p), int(value.q))
         assert math.isclose(eval_expr(expr, (x,))[0], float(exact), rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_jet_form_of_a_commutator_is_empty():
+    # (1, 0) and (0, 1) are incomparable under MultiIndex's componentwise <,
+    # yet J(e_0) J(e_1) and J(e_1) J(e_0) are one monomial, keyed once
+    e0, e1 = MultiIndex((1, 0)), MultiIndex((0, 1))
+    commutator = Sum((Product((Jet(e0), Jet(e1))), Product((const_expr(2, -1), Jet(e1), Jet(e0)))))
+    assert jet_form(commutator) == {}
+    assert jet_form(Product((Jet(e0), Jet(e1)))) == {(e1, e0): Polynomial.constant(2, 1)}
+
+
+def _jet_trees(dim: int):
+    """Log-free trees over the jets of height <= 2 and small polynomial leaves."""
+    jets = st.sampled_from([Jet(b) for b in enumerate_height_at_most(dim, 2)])
+    leaves = st.integers(0, 2**16).map(
+        lambda seed: PolyLeaf(random_polynomial(random.Random(seed), dim, 2, 2, denominators=(1, 3)))
+    )
+    return st.recursive(
+        jets | leaves,
+        lambda children: st.lists(children, min_size=1, max_size=3).flatmap(
+            lambda kids: st.sampled_from([Sum(tuple(kids)), Product(tuple(kids))])
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_products_jet_form_does_not_depend_on_factor_order(data):
+    dim = data.draw(st.integers(1, 3))
+    factors = data.draw(st.lists(_jet_trees(dim), min_size=1, max_size=4))
+    form = jet_form(Product(tuple(factors)))
+    assert jet_form(Product(tuple(data.draw(st.permutations(factors))))) == form
+    assert all(list(m) == sorted(m, key=tuple) for m in form)
 
 
 def test_non_finite_carries_node_path():

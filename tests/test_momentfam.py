@@ -306,6 +306,53 @@ def test_exact_overflow_fails_with_infinite_witness(sign):
     )
 
 
+def _top_tamper(alpha: MultiIndex) -> OperatorFamily:
+    """The r3 N4 derivative family with T_alpha scaled by exactly 101/100."""
+    operators = make_derivative(3, 4).operators
+    scaled = Product((const_expr(3, Fraction(101, 100)), operators[alpha]))
+    return OperatorFamily(3, 4, {**operators, alpha: scaled})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 25 stage 1: witness probes")
+def test_top_height_tamper_fails_on_the_drawn_probes():
+    # (*) fails at (4,0,0) (the formal check below names it), yet the 8
+    # drawn probes have degree <= 3, and none has the jets of height 1-3 in
+    # x0 on both sides that the difference (1/100) sum_{0<b<a} C(a, b)
+    # D^b f D^(a-b) g needs; so verify_moment reports a pass
+    dom = Domain.unit(3, seed=0)
+    pairs = default_probe_pairs(dom, 8, random.Random(0))
+    assert not verify_moment(_top_tamper(_mi(4, 0, 0)), pairs, dom).passed
+
+
+@pytest.mark.parametrize("alpha", [(4, 0, 0), (0, 4, 0), (1, 3, 0), (0, 3, 1)])
+def test_the_formal_check_names_each_top_height_tamper(alpha):
+    # T_alpha enters no other alpha's splits at N 4, so alpha alone fails in
+    # the jets; the pair (x^b, x^(alpha-b)) for a unit b <= alpha makes the
+    # difference alpha!/100 != 0, and verify_moment fails there
+    alpha = MultiIndex(alpha)
+    family = _top_tamper(alpha)
+    forms = {a: funcmodel.jet_form(tree) for a, tree in family.operators.items()}
+    table = polycalc.convolution_table(3, 4)
+    assert polycalc.form_failures(forms, family._jets, table) == [alpha]
+    b = MultiIndex.unit(3, next(i for i, k in enumerate(alpha) if k))
+    witness = (Polynomial.monomial(b), Polynomial.monomial(alpha - b))
+    report = verify_moment(family, [witness], Domain.unit(3, seed=0))
+    assert {tuple(w["alpha"]) for w in report.failures} == {tuple(alpha)}
+
+
+def test_verify_moment_refuses_a_probe_of_another_dim_on_a_formal_pass():
+    # the exact family passes in its jets, and no probe is applied, yet
+    # each probe's dim is still checked, as apply would
+    dom = Domain.unit(2, seed=3)
+    good, bad = Polynomial.variable(2, 0), Polynomial.variable(1, 0)
+    swap = TauMap((Polynomial.variable(2, 1), Polynomial.variable(2, 0)))
+    for family in (make_derivative(2, 2), conjugate(make_derivative(2, 2), swap)):
+        assert verify_moment(family, [(good, good)], dom).passed
+        for pairs in ([(bad, good)], [(good, bad)], [(good, good), (bad, bad)]):
+            with pytest.raises(ValueError, match=r"^probe dim 1, family dim 2$"):
+                verify_moment(family, pairs, dom)
+
+
 # ---- identity-generated families ----
 
 
@@ -755,10 +802,10 @@ def test_rank_one_family_on_two_variable_probes():
 def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeypatch):
     # a sampled probe's f, g and fg each reach the operators through one
     # apply, which takes one derivative table and no dalpha.  An exact
-    # probe is decided on integer tables: a passing one calls no apply, no
-    # derivative_table and no dalpha, and only a failing one is applied,
-    # once per probe function.  The custom family declares nothing, and is
-    # proved when its trees expand, conjugated or not
+    # family is decided once, in its jets: a formal pass calls no apply, no
+    # derivative_table and no dalpha, and a formal failure applies every
+    # probe, once per probe function.  The custom family declares nothing,
+    # and is proved when its trees expand, conjugated or not
     inner = make_derivative(2, 3) if exact else make_first_order_leibniz(const_expr(2, 3), 2)
     applied, tables, dalphas = [], [], []
     apply, table, dalpha = OperatorFamily.apply, momentfam.derivative_table, polycalc.dalpha
@@ -795,14 +842,15 @@ def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeyp
     assert dalphas == []
     if exact:
         # T_(1,1) tampered by exactly 101/100 fails on the probes whose
-        # D^(1,0) f D^(0,1) g + D^(0,1) f D^(1,0) g is nonzero
+        # D^(1,0) f D^(0,1) g + D^(0,1) f D^(1,0) g is nonzero, and every
+        # probe is applied to look for them
         tamper = Product((const_expr(2, Fraction(101, 100)), Jet(_mi(1, 1))))
         tampered = OperatorFamily(2, 3, {**family.operators, _mi(1, 1): tamper})
         applied.clear()
         report = verify_moment(tampered, probes, dom)
         failing = sorted({failure["probe"] for failure in report.failures})
         assert report.exact and 0 < len(failing) < len(probes)
-        assert applied == [h for f, g in map(probes.__getitem__, failing) for h in (f, g, f * g)]
+        assert applied == every
 
 
 def test_one_log_tree_samples_every_probe(monkeypatch):

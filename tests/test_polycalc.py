@@ -458,7 +458,7 @@ def test_cli_failures_report_the_drawn_probes(capsys, monkeypatch):
     assert any("/" in c for c in coeffs)
 
 
-def _form_values(forms, h):
+def _operator_values(forms, h):
     """T_alpha(h) = sum_m c_m prod_{b in m} D^b h for each alpha, in Fractions."""
     out = {}
     for alpha, form in forms.items():
@@ -472,75 +472,172 @@ def _form_values(forms, h):
 
 
 def _fraction_mismatches(forms, f, g, table):
-    tf, tg, tfg = (_form_values(forms, h) for h in (f, g, f * g))
+    tf, tg, tfg = (_operator_values(forms, h) for h in (f, g, f * g))
     return [a for a, splits in table.items() if tfg[a] != polycalc.convolution_sum(tf, tg, splits)]
 
 
-def _derivative_forms(table, dim):
-    return {alpha: {(alpha,): Polynomial.constant(dim, 1)} for alpha in table}
+def _formal_failures(forms, table):
+    """The alphas where T_alpha(fg) = sum w T_beta(f) T_gamma(g) fails in the jets of f and g,
+    summed in Fractions: each side a map from (f-monomial, g-monomial), its indices sorted as
+    tuples, to a coefficient, with the jets of fg written by Leibniz."""
+
+    def canonical(m):
+        return tuple(sorted(m, key=tuple))
+
+    out = []
+    for alpha, splits in table.items():
+        diff = {}
+        terms = [
+            ((canonical(c for _, c, _ in choice), canonical(d for _, _, d in choice)),
+             coeff * math.prod(w for w, _, _ in choice))
+            for m, coeff in forms[alpha].items()
+            for choice in itertools.product(*[convolution_terms(b) for b in m])
+        ]
+        terms += [
+            ((canonical(m), canonical(n)), -(c * d * w))
+            for w, beta, gamma in splits
+            for m, c in forms[beta].items()
+            for n, d in forms[gamma].items()
+        ]
+        for key, coeff in terms:
+            diff[key] = diff[key] + coeff if key in diff else coeff
+        if any(diff.values()):
+            out.append(alpha)
+    return out
+
+
+def _derivative_forms(table, dim, scale=1):
+    """T_alpha = scale^|alpha| D^alpha, which holds for every scale."""
+    return {alpha: {(alpha,): Polynomial.constant(dim, Fraction(scale) ** alpha.height)}
+            for alpha in table}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_integer_mismatches_match_the_fraction_sums(data):
-    # any forms, not only a family's: each alpha's form is the derivative
-    # D^alpha, or that with one drawn term of jet degree 0-2 (which may
-    # replace it) whose rational coefficient, zero included, may pass
-    # every exponent of the probes
+    # any forms, not only a family's: each alpha's form is c^|alpha| D^alpha,
+    # or that with one drawn term of jet degree 0-3, its factors in any order,
+    # whose rational coefficient, zero included, may pass every exponent of
+    # the others (which may replace it).  The integer check names the alphas
+    # the Fraction sums name, and every alpha a drawn probe pair fails on,
+    # summed in Fractions, is among them
     dim = data.draw(st.integers(1, 3))
     table = polycalc.convolution_table(dim, data.draw(st.integers(0, 2)))
     jets = enumerate_height_at_most(dim, 2)
-    forms = _derivative_forms(table, dim)
+    scale = Fraction(data.draw(st.integers(1, 3)), data.draw(st.sampled_from((1, 2, 3))))
+    forms = _derivative_forms(table, dim, scale)
     for alpha in table:
         if data.draw(st.booleans()):
-            m = tuple(sorted(data.draw(st.lists(st.sampled_from(jets), max_size=2))))
+            m = tuple(data.draw(st.lists(st.sampled_from(jets), max_size=3)))
             forms[alpha] = {**forms[alpha], m: data.draw(_rational_polynomials(dim, 6))}
-    pairs = [
-        (data.draw(_rational_polynomials(dim)), data.draw(_rational_polynomials(dim)))
-        for _ in range(data.draw(st.integers(1, 3)))
+    failing = polycalc.form_failures(forms, jets, table)
+    assert failing == _formal_failures(forms, table)
+    for _ in range(data.draw(st.integers(0, 2))):
+        f, g = data.draw(_rational_polynomials(dim)), data.draw(_rational_polynomials(dim))
+        assert set(_fraction_mismatches(forms, f, g, table)) <= set(failing)
+
+
+def _sympy_failures(forms, table, dim, height):
+    """The alphas where (*) fails, from sympy: symbols u_b, v_b for the jets of f and g up to
+    ``height``, the jets of fg by Leibniz, and each alpha's two sides expanded."""
+    xs = sympy.symbols(f"x0:{dim}")
+    jets = enumerate_height_at_most(dim, height)
+    u = {b: sympy.Symbol("u" + "_".join(map(str, b))) for b in jets}
+    v = {b: sympy.Symbol("v" + "_".join(map(str, b))) for b in jets}
+
+    def below(b):
+        return [MultiIndex(c) for c in itertools.product(*[range(k + 1) for k in b])]
+
+    def weight(b, c):
+        return math.prod(map(math.comb, b, c))
+
+    uv = {b: sympy.Add(*[weight(b, c) * u[c] * v[b - c] for c in below(b)]) for b in jets}
+
+    def value(form, jet):
+        return sympy.Add(*[_to_sympy(c, xs) * sympy.Mul(*[jet[b] for b in m]) for m, c in form.items()])
+
+    return [
+        alpha for alpha in table
+        if sympy.expand(value(forms[alpha], uv) - sympy.Add(*[
+            weight(alpha, beta) * value(forms[beta], u) * value(forms[alpha - beta], v)
+            for beta in below(alpha)
+        ]))
     ]
-    expected = [_fraction_mismatches(forms, f, g, table) for f, g in pairs]
-    assert polycalc.form_mismatches(forms, jets, pairs, table) == expected
+
+
+def test_form_failures_match_sympy():
+    # random forms at rank <= 2 and N <= 4: c^|alpha| D^alpha, or
+    # c^|alpha| D^alpha(h^2), whose monomials pair incomparable jets, with
+    # some operators scaled by 101/100 or given an extra term
+    rng = random.Random(41)
+    for dim, order, _ in itertools.product((1, 2), range(5), range(3)):
+        table = polycalc.convolution_table(dim, order)
+        jets = enumerate_height_at_most(dim, max(order, 2))
+        c = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 3]))
+        forms = _derivative_forms(table, dim, c)
+        if rng.random() < 0.5:
+            for alpha, form in forms.items():
+                (coeff,) = form.values()
+                square = {}
+                for w, beta, gamma in convolution_terms(alpha):
+                    m = tuple(sorted((beta, gamma), key=tuple))
+                    square[m] = square.get(m, Polynomial.zero(dim)) + coeff * w
+                forms[alpha] = square
+        for alpha in rng.sample(list(table), min(len(table), rng.randint(0, 2))):
+            if rng.random() < 0.5:
+                forms[alpha] = {m: p * Fraction(101, 100) for m, p in forms[alpha].items()}
+            else:
+                m = tuple(rng.choice(enumerate_height_at_most(dim, 2)) for _ in range(rng.randint(0, 2)))
+                extra = random_polynomial(rng, dim, 2, 2, denominators=(1, 2, 3))
+                forms[alpha] = {**forms[alpha], m: forms[alpha].get(m, Polynomial.zero(dim)) + extra}
+        assert polycalc.form_failures(forms, jets, table) == _sympy_failures(forms, table, dim, max(order, 2))
 
 
 def test_a_coefficient_of_another_dimension_is_refused():
     # as with Polynomial.__eq__, a zero of another dimension is not the
-    # zero of the probes' dimension: a form holding one is refused, not
+    # zero of the forms' dimension: a form holding one is refused, not
     # read as the zero operator
     table = polycalc.convolution_table(1, 2)
-    zero = Polynomial.zero(1)
     forms = {**_derivative_forms(table, 1), _mi(2): {(): Polynomial.zero(2)}}
     with pytest.raises(DimensionMismatch):
-        polycalc.form_mismatches(forms, list(table), [(zero, zero)], table)
+        polycalc.form_failures(forms, list(table), table)
 
 
 def test_a_product_past_the_tables_reach_is_a_mismatch():
-    # T_0(h) = h + x1^2 on f = -x0, g = 1: T_0(fg) - T_0(f) T_0(g) is
-    # -x1^2 (x1^2 - x0), which is not zero.  The probes' exponents alone
-    # give base 2, where x1^2 and x0 pack to one key and that difference
-    # would vanish: the coefficient's top must lift the base too
+    # T_(k) = x1^k D^k in x0 holds on two variables.  With T_(1) = x1 D and
+    # T_(2) = x0 D^2 it fails at (2) only, by 2 (x0 - x1^2) u_(1,0) v_(1,0):
+    # no coefficient has a coordinate above 1, yet the product x1 * x1 of two
+    # reaches 2, so on a base of 2 x0 and x1^2 would pack to one key and the
+    # failure would cancel; the base must be 1 + 2 * top
     x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    table = polycalc.convolution_table(2, 0)
-    zero = _mi(0, 0)
-    forms = {zero: {(zero,): Polynomial.constant(2, 1), (): x1 * x1}}
-    pairs = [(-x0, Polynomial.constant(2, 1))]
-    assert _fraction_mismatches(forms, *pairs[0], table) == [zero]
-    assert polycalc.form_mismatches(forms, [zero], pairs, table) == [[zero]]
-    identity = {zero: {(zero,): Polynomial.constant(2, 1)}}
-    assert polycalc.form_mismatches(identity, [zero], pairs, table) == [[]]
+    table = polycalc.convolution_table(1, 2)
+    jets = enumerate_height_at_most(2, 2)
+    d = [MultiIndex((k, 0)) for k in range(3)]
+    forms = {_mi(0): {(d[0],): Polynomial.constant(2, 1)}, _mi(1): {(d[1],): x1}, _mi(2): {(d[2],): x0}}
+    assert _formal_failures(forms, table) == [_mi(2)]
+    assert polycalc.form_failures(forms, jets, table) == [_mi(2)]
+    forms[_mi(2)] = {(d[2],): x1 * x1}
+    assert polycalc.form_failures(forms, jets, table) == []
 
 
-def test_each_term_is_scaled_to_the_forms_jet_degree():
-    # T_0(h) = h - x0 on f = 1/2, g = x0/3 fails: T_0(fg) = -5 x0/6, while
-    # T_0(f) T_0(g) = -x0/3 + 2 x0^2/3.  Read on the cleared probes 1 and
-    # x0 without scaling the degree-0 term by L_h, the check would hold
-    x0 = Polynomial.variable(1, 0)
-    table = polycalc.convolution_table(1, 0)
-    zero = _mi(0)
+def test_the_left_side_is_scaled_by_the_common_denominator():
+    # c^|alpha| D^alpha holds for every c; at c = 1/2 or 2/3 the forms clear
+    # to integers with K = 2^N or (3/2)^N's denominator, and only K times the
+    # left side matches the products of two cleared forms.  D/2 with D^2 / 2
+    # in place of D^2 / 4 fails at (2) alone
+    for dim, order, c in [(1, 3, Fraction(1, 2)), (1, 2, Fraction(2, 3)), (2, 2, Fraction(1, 2))]:
+        table = polycalc.convolution_table(dim, order)
+        forms = _derivative_forms(table, dim, c)
+        assert polycalc.form_failures(forms, list(table), table) == []
+    table = polycalc.convolution_table(1, 2)
+    forms = _derivative_forms(table, 1, Fraction(1, 2))
+    forms[_mi(2)] = {(_mi(2),): Polynomial.constant(1, Fraction(1, 2))}
+    assert _formal_failures(forms, table) == [_mi(2)]
+    assert polycalc.form_failures(forms, list(table), table) == [_mi(2)]
+    # T_0(h) = h - x0 fails: (uv - x0) - (u - x0)(v - x0) is not zero
+    x0, zero = Polynomial.variable(1, 0), _mi(0)
     forms = {zero: {(zero,): Polynomial.constant(1, 1), (): -x0}}
-    pairs = [(Polynomial.constant(1, Fraction(1, 2)), x0 * Fraction(1, 3))]
-    assert _fraction_mismatches(forms, *pairs[0], table) == [zero]
-    assert polycalc.form_mismatches(forms, [zero], pairs, table) == [[zero]]
+    assert polycalc.form_failures(forms, [zero], {zero: table[zero]}) == [zero]
 
 
 def _zeroed(forms, *alphas):
@@ -549,45 +646,38 @@ def _zeroed(forms, *alphas):
 
 
 def test_zero_operators_prune_splits_not_verdicts():
-    # rank 1, N 2 over nonconstant probes, so f' g' != 0
-    x0 = Polynomial.variable(1, 0)
-    f, g = x0 * x0 * Fraction(1, 2) + x0, x0 * x0 * x0 - Polynomial.constant(1, Fraction(2, 3))
+    # an empty form is T_alpha = 0 and adds no term to either side; the
+    # others are (D/2)^k, so each of their coefficients is cleared by K = 4
     table = polycalc.convolution_table(1, 2)
-    derivative, jets = _derivative_forms(table, 1), list(table)
-    # T_(1) = 0: (1) has no split left and T_(1) = 0, so it holds; (2) keeps
-    # f'' g + f g'' and misses the pruned 2 f' g'
-    forms = _zeroed(derivative, _mi(1))
-    assert _fraction_mismatches(forms, f, g, table) == [_mi(2)]
-    assert polycalc.form_mismatches(forms, jets, [(f, g)], table) == [[_mi(2)]]
-    # T_(2) = 0: an empty form whose split (2, (1), (1)) survives fails
-    forms = _zeroed(derivative, _mi(2))
-    assert _fraction_mismatches(forms, f, g, table) == [_mi(2)]
-    assert polycalc.form_mismatches(forms, jets, [(f, g)], table) == [[_mi(2)]]
-    # T_0 = 0, T_(1) = D^(1): every split of (1) is pruned, yet its form is
-    # not empty, so (fg)' != 0 is reported; (0) and its one split drop out
-    table = polycalc.convolution_table(1, 1)
-    forms = _zeroed(_derivative_forms(table, 1), _mi(0))
-    assert _fraction_mismatches(forms, f, g, table) == [_mi(1)]
-    assert polycalc.form_mismatches(forms, list(table), [(f, g)], table) == [[_mi(1)]]
-    # every operator zero: nothing is left to check, and nothing fails
-    forms = _zeroed(forms, _mi(1))
-    assert polycalc.form_mismatches(forms, [], [(f, g), (g, f)], table) == [[], []]
+    half, jets = _derivative_forms(table, 1, Fraction(1, 2)), list(table)
+    for zeroed, failing in [
+        # T_(1) = 0: (1) has no split left and T_(1) = 0, so it holds; (2)
+        # keeps (u_2 v_0 + u_0 v_2) / 4 and misses the pruned u_1 v_1 / 2
+        ((_mi(1),), [_mi(2)]),
+        # T_(2) = 0: an empty form whose split (2, (1), (1)) survives fails
+        ((_mi(2),), [_mi(2)]),
+        # T_0 = 0: every split of (1) and (2) but (1)'s pair for (2) is
+        # pruned, and both forms are not empty; (0) holds as 0 = 0
+        ((_mi(0),), [_mi(1), _mi(2)]),
+        # every operator zero: nothing fails
+        ((_mi(0), _mi(1), _mi(2)), []),
+    ]:
+        forms = _zeroed(half, *zeroed)
+        assert _formal_failures(forms, table) == failing
+        assert polycalc.form_failures(forms, jets, table) == failing
 
 
 def test_mixed_dimensions_raise():
-    # the probes and the coefficients are checked for one dimension before
-    # anything is packed; a stray one packed with another rank's place
-    # values would read as some other exponent and be compared silently
+    # the coefficients are checked for one dimension before anything is
+    # packed; a stray one packed with another rank's place values would
+    # read as some other exponent and be compared silently
     x0 = Polynomial(1, {(1,): 1})
     stray = Polynomial(2, {(1, 0): 1})
     table = polycalc.convolution_table(1, 2)
     forms = _derivative_forms(table, 1)
-    assert polycalc.form_mismatches(forms, list(table), [(x0, x0)], table) == [[]]
-    for pairs in ([(x0, stray)], [(stray, x0)], [(x0, x0), (stray, stray)]):
-        with pytest.raises(DimensionMismatch):
-            polycalc.form_mismatches(forms, list(table), pairs, table)
+    assert polycalc.form_failures(forms, list(table), table) == []
     with pytest.raises(DimensionMismatch):
-        polycalc.form_mismatches({**forms, _mi(1): {(_mi(1),): stray}}, list(table), [(x0, x0)], table)
+        polycalc.form_failures({**forms, _mi(1): {(_mi(1),): stray}}, list(table), table)
     ones = {alpha: x0 for alpha in table}
     splits = table[_mi(2)]
     for left, right in [({**ones, _mi(1): stray}, ones), (ones, {**ones, _mi(1): stray})]:

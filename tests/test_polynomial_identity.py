@@ -414,6 +414,40 @@ def test_passing_exact_family_evaluates_no_points(monkeypatch):
     assert report.passed and len(calls) == 2 * len(dom.sample_points)
 
 
+def test_a_formal_pass_applies_expands_and_evaluates_nothing(monkeypatch):
+    # exact families that hold in their jets: the probes are checked for
+    # their dim and nothing else, so no operator is applied, tabulated,
+    # expanded, summed or evaluated; only a conjugate's samples are mapped
+    dom = Domain.unit(2, seed=4)
+    rng = random.Random(4)
+    pairs = default_probe_pairs(dom, 8, rng)
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    fields = [PolyLeaf(x1), PolyLeaf(x0 * x0)], [PolyLeaf(x0 * x1), PolyLeaf(x1 + x0)]
+    families = [
+        make_derivative(2, 3),
+        make_trivial(2, 2),
+        _derivation_powers([x0 * x1, x1 * Fraction(2, 3)], 3, 2),
+        make_second_order_leibniz(const_expr(2, 0), *fields, 2, 2),
+    ]
+    families.append(conjugate(families[0], _affine_tau(rng, 2)))
+
+    def refuse(*args):
+        raise AssertionError("a formal pass reached the probes")
+
+    monkeypatch.setattr(momentfam.OperatorFamily, "apply", refuse)
+    for name in ("derivative_table", "as_polynomial", "convolution_sum", "eval_expr",
+                 "eval_poly", "eval_poly_values", "nonzero_grid_point"):
+        monkeypatch.setattr(momentfam, name, refuse)
+    calls = _count_point_evaluations(monkeypatch)
+    for family in families:
+        calls.clear()
+        report = verify_moment(family, pairs, dom)
+        assert report.exact and report.passed and report.max_residual == 0.0
+        maps = family.point_map.components if family.point_map else ()
+        assert len(calls) == len(maps) * len(dom.sample_points)
+        assert all(any(f is p for p in maps) for f, _ in calls)
+
+
 def _evaluated_twice(calls) -> list:
     seen = Counter((id(f), id(x)) for f, x in calls)
     return [key for key, n in seen.items() if n > 1]
@@ -543,28 +577,31 @@ def _record_fraction_sums(monkeypatch):
 
 @pytest.mark.parametrize("conjugated", [False, True])
 def test_exact_instances_are_decided_on_integer_tables(monkeypatch, conjugated):
-    # a passing family sums no Fraction convolution; a failing one sums
-    # each failing (probe, alpha) once, in Fractions, for its witness values
+    # a family that passes in its jets sums no Fraction convolution; one that
+    # fails there sums, on every probe, each alpha that fails in the jets,
+    # once, and fails only at those instances whose two sums differ
     rank, order = 2, 3
     dom = Domain.unit(rank, seed=9)
     rng = random.Random(9)
     tau = _affine_tau(rng, rank)
     pairs = default_probe_pairs(dom, 6, rng) + _sevenths(dom, 3, rng)
     alphas = _record_fraction_sums(monkeypatch)
-    for family, passed in (
-        (make_derivative(rank, order), True),
-        (_scaled(rank, order, MultiIndex((1, 1)), Fraction(101, 100)), False),
+    for family, formal in (
+        (make_derivative(rank, order), []),
+        # T_(1,1) enters the splits of (1,2) and (2,1) too
+        (_scaled(rank, order, MultiIndex((1, 1)), Fraction(101, 100)), [(1, 1), (1, 2), (2, 1)]),
     ):
         if conjugated:
             family = conjugate(family, tau)
         alphas.clear()
         report = verify_moment(family, pairs, dom)
-        assert report.exact and report.passed is passed
-        # the affine map is injective, so every unequal instance fails
+        assert report.exact and report.passed is not formal
+        assert [tuple(a) for a in alphas] == [alpha for _ in pairs for alpha in formal]
         failing = list(dict.fromkeys((w["probe"], tuple(w["alpha"])) for w in report.failures))
-        assert [tuple(a) for a in alphas] == [alpha for _, alpha in failing]
-        if not passed:
-            assert len({probe for probe, _ in failing}) > 1
+        assert {alpha for _, alpha in failing} <= set(formal)
+        if formal:
+            # the affine map is injective, so every unequal instance fails
+            assert 1 < len({probe for probe, _ in failing}) < len(pairs)
 
 
 def test_failing_exact_instances_share_one_set_of_power_columns(monkeypatch):
