@@ -327,8 +327,9 @@ def jet_form(expr: FuncExpr) -> Dict[Tuple[MultiIndex, ...], Polynomial]:
     each monomial, a tuple of jet indices in lexicographic order, to its nonzero coefficient
     in x.  Indices sort as plain tuples (``MultiIndex``'s ``<`` is the componentwise partial
     order), so a monomial has one key whatever the order of its factors."""
-    if isinstance(expr, Jet):
-        return {(expr.beta,): Polynomial.constant(expr.dim, 1)}
+    if isinstance(expr, Jet):  # the coefficient 1, built without the validating constructor
+        one = Polynomial._make(expr.dim, {MultiIndex._trusted((0,) * expr.dim): Fraction(1)})
+        return {(expr.beta,): one}
     if isinstance(expr, Sum):
         return _collect(term for child in expr.children for term in jet_form(child).items())
     if isinstance(expr, Product):

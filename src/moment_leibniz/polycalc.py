@@ -25,8 +25,8 @@ product's key is then ka + kb, and a one-step partial in x_i reads the
 exponent as (k // B^(r-1-i)) % B and steps to k - B^(r-1-i).  Each call
 picks B once, as 1 plus the largest coordinate of its left operands plus
 the largest of its right ones, so no sum of exponents carries into the
-next digit; ``form_failures`` multiplies coefficients only, so its B is
-1 + 2 * top.  Tables are checked for one dimension first.
+next digit; ``form_failures`` packs more digits (below).  Tables are
+checked for one dimension first.
 Every product and convolution side comes from one accumulator,
 ``_convolve``: the sum of w * a * b over weighted pairs of packed maps,
 with zeros dropped.  ``*`` and ``convolution_sum`` pack their operands
@@ -72,10 +72,14 @@ exact, because
     difference vanishes at x;
   - a polynomial in x that vanishes on the open box is zero.
 With K the lcm of every c_m's denominator, each K c_m is an integer map,
-and each alpha's difference, K^2 times that of (*), is one integer
-accumulator keyed by (u-monomial, v-monomial, packed x-exponent): K times
-the left side, minus the right side's products, whose coordinates are at
-most twice the largest coordinate top of any c_m, so below 1 + 2 * top.
+and each alpha's difference, K^2 times that of (*), is one ``_convolve``
+call: K times the left side minus each split's product.  Its key packs a
+term's x-exponent and u, v monomial: the x-digits, base 1 + 2 * top for
+top the largest coordinate of any c_m, then a count digit per jet of f
+and one per jet of g, base 1 + D for D the largest jet degree of any
+monomial.  No digit carries: a right-side product has x-coordinates up to
+2 * top, and every count is at most D, as a side's term comes from one
+monomial and a left-side term picks one Leibniz split per factor.
 A point map composed after the operators, or a probe map before them,
 keeps a formal pass but may hide a formal failure (a map that is not
 injective), so a failure needs a probe that shows it.
@@ -575,52 +579,45 @@ def form_failures(
 
     T_alpha(h) = sum_m c_m prod_{b in m} D^b h for ``forms[alpha]``, a map from jet
     monomials m (tuples of indices b) to nonzero coefficients c_m of one dimension, so an
-    empty form is T_alpha = 0; ``jets`` is a down-closed list of every b met.
+    empty form is T_alpha = 0; ``jets`` is a down-closed list of every b met.  A key packs
+    the x-digits, base 1 + 2 * top, then one count digit per jet of f and one per jet of g,
+    base 1 + D, and no digit carries (see the module docstring).  T_beta(f) and T_gamma(g)
+    are packed once, each jet b met has the Leibniz map {u_c + v_(b-c): C(b, c)}, and an
+    alpha's terms are (K, K c_m convolved with the map of each factor of m, {0: 1}) and
+    (-w, T_beta(f), T_gamma(g)) for each split with no empty side.
     """
     coeffs = [c for form in forms.values() for c in form.values()]
     if not coeffs:  # every T_alpha = 0
         return []
+    dim = coeffs[0].dim
     for c in coeffs:
         coeffs[0]._check_dim(c)
     lcm = math.lcm(*[q.denominator for c in coeffs for q in c.terms.values()])
-    # a product of two coefficients has coordinates up to 2 * top, which must not carry
-    places = _places(coeffs[0].dim, 1 + 2 * _top(*coeffs))
-    at = {b: k for k, b in enumerate(jets)}
-    # each form as (sorted jet positions, K * c_m packed), K the lcm of every denominator
-    cleared = {
-        alpha: [(tuple(sorted(at[b] for b in m)), _pack(_cleared_terms(c, lcm)[1], places))
-                for m, c in form.items()]
-        for alpha, form in forms.items()
-    }
-    # Leibniz: (fg)_b = sum C(b, c) f_c g_(b-c), as (C(b, c), position of c, position of b - c);
-    # a jet of the table's rank has its splits listed there already
+    x_base = 1 + 2 * _top(*coeffs)
+    places, span = _places(dim, x_base), x_base**dim
+    base = 1 + max(len(m) for form in forms.values() for m in form)
+    f_at = {b: span * base**k for k, b in enumerate(jets)}
+    g_at = {b: span * base ** (len(jets) + k) for k, b in enumerate(jets)}
+    # each form as (jet monomial, K * c_m packed in x), K the lcm of every denominator
+    cleared = {alpha: [(m, _pack(_cleared_terms(c, lcm)[1], places)) for m, c in form.items()]
+               for alpha, form in forms.items()}
+    tf, tg = [{alpha: _convolve([(1, c, {sum([at[b] for b in m]): 1}) for m, c in form])
+               for alpha, form in cleared.items()} for at in (f_at, g_at)]
+    # Leibniz: (fg)_b = sum C(b, c) f_c g_(b-c); a jet of the table's rank has its splits there
     met = {b for form in forms.values() for m in form for b in m}
-    leibniz = {at[b]: [(w, at[c], at[d]) for w, c, d in table.get(b) or convolution_terms(b)]
+    leibniz = {b: {f_at[c] + g_at[d]: w for w, c, d in table.get(b) or convolution_terms(b)}
                for b in met}
     out = []
     for alpha, splits in table.items():
-        acc: Dict[Tuple[Tuple[int, ...], Tuple[int, ...], int], int] = {}
-        get = acc.get
-        # K T_alpha(fg), each jet of fg expanded by Leibniz
+        # K T_alpha(fg), each jet of fg expanded by Leibniz, minus each split's T_beta(f) T_gamma(g)
+        products = []
         for m, c in cleared[alpha]:
-            for choice in itertools.product(*[leibniz[b] for b in m]):
-                w = lcm * math.prod([v for v, _, _ in choice])
-                mf = tuple(sorted([b for _, b, _ in choice]))
-                mg = tuple(sorted([d for _, _, d in choice]))
-                for k, x in c.items():
-                    key = (mf, mg, k)
-                    acc[key] = get(key, 0) + w * x
-        # minus each split's product of T_beta(f) and T_gamma(g)
-        for w, beta, gamma in splits:
-            right = cleared[gamma]
-            for mf, c in cleared[beta]:
-                for kc, xc in c.items():
-                    wc = w * xc
-                    for mg, d in right:
-                        for kd, xd in d.items():
-                            key = (mf, mg, kc + kd)
-                            acc[key] = get(key, 0) - wc * xd
-        if any(acc.values()):
+            for b in m:
+                c = _convolve([(1, c, leibniz[b])])
+            products.append((lcm, c, {0: 1}))
+        products += [(-w, tf[beta], tg[gamma])
+                     for w, beta, gamma in splits if tf[beta] and tg[gamma]]
+        if _convolve(products):
             out.append(alpha)
     return out
 

@@ -340,6 +340,22 @@ def test_the_formal_check_names_each_top_height_tamper(alpha):
     assert {tuple(w["alpha"]) for w in report.failures} == {tuple(alpha)}
 
 
+@pytest.mark.parametrize("rank,top_count", [(2, 7), (3, 28)])
+def test_the_formal_check_decides_the_derivative_family_at_order_6(rank, top_count):
+    # past the benchmark's N <= 4: make_derivative holds in the jets, and
+    # each top-height T_alpha scaled by 101/100, which enters no other
+    # alpha's splits, fails at its own alpha alone
+    family = make_derivative(rank, 6)
+    forms = {a: funcmodel.jet_form(tree) for a, tree in family.operators.items()}
+    table = polycalc.convolution_table(rank, 6)
+    assert polycalc.form_failures(forms, family._jets, table) == []
+    top = [alpha for alpha in table if alpha.height == 6]
+    assert len(top) == top_count
+    for alpha in top:
+        scaled = {m: c * Fraction(101, 100) for m, c in forms[alpha].items()}
+        assert polycalc.form_failures({**forms, alpha: scaled}, family._jets, table) == [alpha]
+
+
 def test_verify_moment_refuses_a_probe_of_another_dim_on_a_formal_pass():
     # the exact family passes in its jets, and no probe is applied, yet
     # each probe's dim is still checked, as apply would
