@@ -407,6 +407,9 @@ def expr_from_json(data: dict) -> FuncExpr:
 
 # ---- domains ----
 
+# the sample coordinates k/64 of ``Domain.unit``, indexed by k
+_SIXTY_FOURTHS = tuple(Fraction(k, 64) for k in range(64))
+
 
 def _check_rank(rank: int) -> None:
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
@@ -472,7 +475,7 @@ class Domain:
         _check_rank(rank)
         rng = random.Random(seed)
         points = tuple(
-            RationalPoint(Fraction(rng.randint(1, 63), 64) for _ in range(rank))
+            RationalPoint(_SIXTY_FOURTHS[rng.randint(1, 63)] for _ in range(rank))
             for _ in range(n_samples)
         )
         return cls(rank, points, float_tolerance)

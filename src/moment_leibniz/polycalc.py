@@ -36,21 +36,25 @@ w * left[beta] * right[gamma] over one alpha's ``convolution_terms``,
 from two tables of derivatives or operator values: ``leibniz_rhs`` is
 that sum over ``dalpha`` tables of f and g, and the exact moment
 verifier's witnesses build their sides with it.
-``convolution_table`` lists every alpha's splits up to a height, through
-this module's name ``convolution_terms``, so a caller builds them once
-for all its pairs or probes: ``check_leibniz_pairs`` does, and
-``check_leibniz_all`` is its one-pair case.
+Each shape (rank, height) is planned once per process, in a bounded memo
+of the 32 latest shapes, kept per split rule so that a patched
+``convolution_terms`` is read: a plan is every alpha's splits up to the
+height, through this module's name ``convolution_terms``, with their
+``_plan`` steps and the splits as positions, all immutable.
+``convolution_table`` hands out a fresh dict of fresh split lists from
+it, and ``check_leibniz_pairs`` reads the steps and positions for all
+its pairs; ``check_leibniz_all`` is its one-pair case.
 
 Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index list: D^alpha f is
 the one-step partial d_i of the entry at alpha - e_i, with i the last
 nonzero entry of alpha, so each step differentiates the few terms its
-parent still has.  Each call plans its lists once: ``_plan`` gives every
-index its position and its step, the parent's position and the axis i,
-and a table is a list aligned with the plan, so building one makes no
-index and hashes no key.  ``check_leibniz_pairs`` rewrites each alpha's
-splits once into (w, position of beta, position of gamma), which every
-pair of the call reads, and builds its tables on integer maps;
+parent still has.  ``_plan`` gives every index its position and its
+step, the parent's position and the axis i, and a table is a list
+aligned with the plan, so building one makes no index and hashes no
+key.  ``check_leibniz_pairs`` reads each alpha's splits as (w, position
+of beta, position of gamma) from the shape's plan, sums only the splits
+with no empty side, and builds its tables on integer maps;
 ``derivative_table`` builds one on a probe's own coefficients, unpacked,
 for an operator family's jets; ``dalpha`` is for single derivatives.
 
@@ -107,6 +111,7 @@ no sample shows a difference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -544,8 +549,23 @@ def compose(f: Polynomial, maps: Sequence[Polynomial]) -> Polynomial:
 
 def convolution_table(rank: int, max_height: int) -> Dict[MultiIndex, Splits]:
     """``convolution_terms(alpha)`` for every alpha of rank ``rank`` with |alpha| <= max_height,
-    in lexicographic order."""
-    return {alpha: convolution_terms(alpha) for alpha in enumerate_height_at_most(rank, max_height)}
+    in lexicographic order: a fresh dict of fresh split lists, read from the shape's plan."""
+    alphas, splits, _, _ = _shape_plan(convolution_terms, rank, max_height)
+    return {alpha: list(s) for alpha, s in zip(alphas, splits)}
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _shape_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
+    """(alphas, splits, steps, positions) for |alpha| <= max_height at rank ``rank``, all
+    immutable: the alphas in lexicographic order, each one's splits by ``rule``, their
+    ``_plan`` steps, and each alpha's splits as (w, position of beta, position of gamma).
+    ``typed`` keeps a bool or float shape off an int one's plan, so that
+    ``enumerate_height_at_most`` refuses it."""
+    alphas = tuple(enumerate_height_at_most(rank, max_height))
+    splits = tuple(tuple(rule(alpha)) for alpha in alphas)
+    at, steps = _plan(alphas)
+    checks = tuple(tuple((w, at[beta], at[gamma]) for w, beta, gamma in s) for s in splits)
+    return alphas, splits, tuple(steps), checks
 
 
 def convolution_sum(
@@ -583,8 +603,9 @@ def form_failures(
     the x-digits, base 1 + 2 * top, then one count digit per jet of f and one per jet of g,
     base 1 + D, and no digit carries (see the module docstring).  T_beta(f) and T_gamma(g)
     are packed once, each jet b met has the Leibniz map {u_c + v_(b-c): C(b, c)}, and an
-    alpha's terms are (K, K c_m convolved with the map of each factor of m, {0: 1}) and
-    (-w, T_beta(f), T_gamma(g)) for each split with no empty side.
+    alpha's terms are (K, K c_m convolved with the map of every factor of m but the last,
+    then that last map), or (K, K c_m, {0: 1}) for m = (), and (-w, T_beta(f), T_gamma(g))
+    for each split with no empty side.
     """
     coeffs = [c for form in forms.values() for c in form.values()]
     if not coeffs:  # every T_alpha = 0
@@ -612,9 +633,9 @@ def form_failures(
         # K T_alpha(fg), each jet of fg expanded by Leibniz, minus each split's T_beta(f) T_gamma(g)
         products = []
         for m, c in cleared[alpha]:
-            for b in m:
+            for b in m[:-1]:
                 c = _convolve([(1, c, leibniz[b])])
-            products.append((lcm, c, {0: 1}))
+            products.append((lcm, c, leibniz[m[-1]] if m else {0: 1}))
         products += [(-w, tf[beta], tg[gamma])
                      for w, beta, gamma in splits if tf[beta] and tg[gamma]]
         if _convolve(products):
@@ -722,8 +743,9 @@ def check_leibniz_pairs(
 ) -> List[List[MultiIndex]]:
     """``check_leibniz_all(f, g, max_height)`` for each pair (f, g), in order.
 
-    The pairs share one dimension, and every alpha's splits are built
-    once for all of them.
+    The pairs share one dimension and read one plan of the shape (rank,
+    max_height), built once per process; a split with an empty side is
+    left out of the sum.
     """
     if not pairs:
         return []
@@ -731,10 +753,7 @@ def check_leibniz_pairs(
     for f, g in pairs:
         first._check_dim(f)
         f._check_dim(g)
-    table = convolution_table(first.dim, max_height)
-    at, steps = _plan(list(table))
-    # each alpha's splits as (w, position of beta, position of gamma), shared by every pair
-    checks = [[(w, at[beta], at[gamma]) for w, beta, gamma in splits] for splits in table.values()]
+    alphas, _, steps, checks = _shape_plan(convolution_terms, first.dim, max_height)
     out = []
     for f, g in pairs:
         base = _top(f) + _top(g) + 1
@@ -744,8 +763,10 @@ def check_leibniz_pairs(
         dg = _derivative_table(gi, steps, places, base)
         dfg = _derivative_table(_convolve([(1, fi, gi)]), steps, places, base)
         out.append([
-            alpha for alpha, splits, lhs in zip(table, checks, dfg)
-            if _convolve((w, df[beta], dg[gamma]) for w, beta, gamma in splits) != lhs
+            alpha for alpha, splits, lhs in zip(alphas, checks, dfg)
+            if _convolve(
+                (w, df[beta], dg[gamma]) for w, beta, gamma in splits if df[beta] and dg[gamma]
+            ) != lhs
         ])
     return out
 

@@ -145,6 +145,31 @@ def test_domain_sampling_deterministic():
     assert a.sample_points == b.sample_points
 
 
+def test_domain_unit_draws_as_randint_over_64(monkeypatch):
+    # the k/64 come from a table, with the same randint draws, so the points
+    # and the generator's state after them are those of Fraction(randint, 64)
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    real = random.Random
+    monkeypatch.setattr(random, "Random", Recorded)
+    for rank in range(1, 5):
+        for n_samples in (8, 12, 20):
+            for seed in range(10):
+                made.clear()
+                got = Domain.unit(rank, n_samples=n_samples, seed=seed).sample_points
+                rng = real(seed)
+                drawn = tuple(
+                    RationalPoint(Fraction(rng.randint(1, 63), 64) for _ in range(rank))
+                    for _ in range(n_samples)
+                )
+                assert got == drawn and [m.getstate() for m in made] == [rng.getstate()]
+
+
 # ---- evaluation ----
 
 

@@ -693,6 +693,50 @@ def test_mixed_dimensions_raise():
         leibniz_rhs(x0, x0, _mi(1, 0))
 
 
+def test_convolution_table_hands_out_fresh_copies_of_one_plan():
+    # each shape is planned once per process, and every call gets its own
+    # dict and split lists, so a caller's edit reaches no later call
+    for rank in (1, 2, 3):
+        for height in range(6):
+            alphas = enumerate_height_at_most(rank, height)
+            table = polycalc.convolution_table(rank, height)
+            assert list(table) == alphas
+            assert table == {alpha: convolution_terms(alpha) for alpha in alphas}
+    first = polycalc.convolution_table(2, 3)
+    expected = {alpha: list(splits) for alpha, splits in first.items()}
+    first[_mi(1, 1)].append((7, _mi(0, 0), _mi(1, 1)))
+    first[_mi(0, 0)].clear()
+    del first[_mi(2, 1)]
+    first[_mi(9, 9)] = []
+    assert polycalc.convolution_table(2, 3) == expected
+    f = Polynomial(2, {(1, 1): Fraction(1, 2), (0, 3): Fraction(2, 3)})
+    assert check_leibniz_all(f, f, 3) == []
+    # a bool or a float shape is no int one, even with (1, 2) planned
+    polycalc.convolution_table(1, 2)
+    for rank, height in [(True, 2), (1, 2.0)]:
+        with pytest.raises(ValueError):
+            polycalc.convolution_table(rank, height)
+    zero = Polynomial.zero(1)
+    assert polycalc.check_leibniz_pairs([(zero, zero)], 2) == [[]]
+    with pytest.raises(ValueError):
+        polycalc.check_leibniz_pairs([(zero, zero)], 2.0)
+
+
+def test_a_split_rule_patched_after_its_shape_is_planned_is_read(monkeypatch):
+    # the plans are kept per split rule, so a faulty rule patched in after
+    # the real (2, 3) plan is built still reaches both of its readers
+    f = Polynomial(2, {(1, 1): Fraction(1, 2), (0, 3): Fraction(2, 3)})
+    g = Polynomial(2, {(1, 0): Fraction(1, 7), (0, 0): 3})
+    assert check_leibniz_all(f, g, 3) == []
+    real = polycalc.convolution_table(2, 3)
+    monkeypatch.setattr(polycalc, "convolution_terms", _bump_height_two)
+    assert check_leibniz_all(f, g, 3) == [_mi(0, 2), _mi(1, 1)]
+    bumped = polycalc.convolution_table(2, 3)
+    assert bumped == {alpha: _bump_height_two(alpha) for alpha in real} and bumped != real
+    monkeypatch.undo()
+    assert check_leibniz_all(f, g, 3) == [] and polycalc.convolution_table(2, 3) == real
+
+
 def test_verify_leibniz_builds_each_alphas_splits_once(capsys, monkeypatch):
     # the pairs share one split table: one convolution_terms call per alpha
     calls = []
