@@ -64,6 +64,7 @@ from .coeffsolve import (
 from .momentfam import (
     MomentReport,
     OperatorFamily,
+    ProbePairs,
     check_multiplicative,
     conjugate,
     default_probe_pairs,

@@ -52,7 +52,7 @@ from .coeffsolve import (
     support_json,
 )
 from .momentfam import (
-    default_probe_pairs,
+    ProbePairs,
     family_from_json,
     verify_moment,
 )
@@ -193,8 +193,8 @@ def run_verify_family(args: argparse.Namespace) -> dict:
                 "max_residual": constraint.max_residual,
                 "pass": False,
             }
-    rng = random.Random(args.seed)
-    probes = default_probe_pairs(domain, args.probes, rng)
+    # drawn only if a probe is applied: a formal pass of an exact family draws none
+    probes = ProbePairs(domain, args.probes, random.Random(args.seed))
     with _evaluating_descriptor():
         report = verify_moment(family, probes, domain, seed=args.seed)
     return {

@@ -33,7 +33,8 @@ When no tree has an f*ln|f| or signed-power node
 over the jets once per call, and ``polycalc.form_failures`` decides
 every alpha for all f and g at once, as an identity in their jets over
 Q[x].  A formal pass proves (*) and is reported as a pass on every
-probe, each residual 0.0, with no probe applied or evaluated.  Only the
+probe, each residual 0.0, with no probe read, so none is applied or
+evaluated, and a ``ProbePairs`` (the CLI's probes) draws none.  Only the
 alphas that fail formally are probed, on every probe: ``apply`` runs on
 f, g and fg, and each such instance is expanded and summed in Fractions
 (``polycalc.convolution_sum``).  Equal sides show nothing on that probe;
@@ -248,11 +249,12 @@ def default_probe_pairs(
     count: int,
     rng,
 ) -> List[Tuple[Polynomial, Polynomial]]:
-    """Seeded probe pairs; always includes the structured cases.
+    """Seeded probe pairs of dim ``domain.rank``, as a list; always has the structured cases.
 
     The fixed prefix covers the zero function, constants, coordinate
     monomials, and a factor vanishing at the first sample point, then
-    random sparse polynomials fill up to ``count`` pairs.
+    random sparse polynomials fill up to ``count`` pairs.  ``ProbePairs``
+    draws the same pairs only when one is read.
     """
     r = domain.rank
 
@@ -271,6 +273,35 @@ def default_probe_pairs(
     while len(pairs) < count:
         pairs.append((rand(), rand()))
     return pairs[:count]
+
+
+class ProbePairs(Sequence[Tuple[Polynomial, Polynomial]]):
+    """``default_probe_pairs(domain, count, rng)``, drawn in full on the first item read.
+
+    Its length is ``count`` without a draw, and its items are that list's,
+    the same draws from ``rng`` in the same order, drawn once.  Every pair
+    has dim ``dim``, the domain's rank, so ``verify_moment`` checks the
+    probes' dim with one comparison, and a formal pass draws nothing.
+    """
+
+    def __init__(self, domain: Domain, count: int, rng) -> None:
+        self.dim = domain.rank
+        self._domain, self._count, self._rng = domain, count, rng
+        self._pairs: Optional[List[Tuple[Polynomial, Polynomial]]] = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k):
+        return self._drawn()[k]
+
+    def __iter__(self):
+        return iter(self._drawn())
+
+    def _drawn(self) -> List[Tuple[Polynomial, Polynomial]]:
+        if self._pairs is None:
+            self._pairs = default_probe_pairs(self._domain, self._count, self._rng)
+        return self._pairs
 
 
 # ---- the verifier ----
@@ -330,7 +361,9 @@ def verify_moment(
     raises ValueError at an image outside the box.  If every tree of the
     family is log-free, each alpha is decided for all f and g in Q[x],
     and only an alpha that fails there is probed, with exact witnesses;
-    otherwise every probe runs ``apply`` on f, g and fg, and each
+    the probes' dim is checked first (with one comparison for a
+    ``ProbePairs``), and a formal pass reads no probe, so it draws none.
+    Otherwise every probe runs ``apply`` on f, g and fg, and each
     instance is judged by the relative residual
     |lhs - rhs| / (1 + |lhs|) against the domain tolerance (see the
     module docstring).  Failures carry the witnessing alpha, probe and
@@ -348,16 +381,21 @@ def verify_moment(
     exact = all(map(is_polynomial, family.operators.values()))
     judged = alphas
     if exact:  # only the alphas that fail formally are applied and expanded, on every probe
-        for h in itertools.chain.from_iterable(probes):
-            family.check_probe(h)
+        if isinstance(probes, ProbePairs):  # every pair it draws has its dim
+            if probes.dim != family.dim:
+                raise ValueError(f"probe dim {probes.dim}, family dim {family.dim}")
+        else:
+            for h in itertools.chain.from_iterable(probes):
+                family.check_probe(h)
         forms = {alpha: jet_form(tree) for alpha, tree in family.operators.items()}
         judged = form_failures(forms, family._jets, terms)
-    for k, (f, g) in enumerate(probes):
-        if judged:  # expanded polynomials, or float columns at the mapped samples
-            tf, tg, tfg = [
-                {b: as_polynomial(e) if exact else eval_expr(e, points) for b, e in row.items()}
-                for row in [family.apply(h) for h in (f, g, f * g)]
-            ]
+    # a formal pass reads no probe, so a ProbePairs draws none
+    for k, (f, g) in enumerate(probes if judged else []):
+        # expanded polynomials, or float columns at the mapped samples
+        tf, tg, tfg = [
+            {b: as_polynomial(e) if exact else eval_expr(e, points) for b, e in row.items()}
+            for row in [family.apply(h) for h in (f, g, f * g)]
+        ]
         for alpha in judged:
             splits = terms[alpha]
             if exact:

@@ -39,11 +39,13 @@ verifier's witnesses build their sides with it.
 Each shape (rank, height) is planned once per process, in a bounded memo
 of the 32 latest shapes, kept per split rule so that a patched
 ``convolution_terms`` is read: a plan is every alpha's splits up to the
-height, through this module's name ``convolution_terms``, with their
-``_plan`` steps and the splits as positions, all immutable.
-``convolution_table`` hands out a fresh dict of fresh split lists from
-it, and ``check_leibniz_pairs`` reads the steps and positions for all
-its pairs; ``check_leibniz_all`` is its one-pair case.
+height, through this module's name ``convolution_terms``, all
+immutable.  ``convolution_table`` hands out a fresh dict of fresh split
+lists from it.  ``check_leibniz_pairs`` alone reads the shape's
+``_plan`` steps and its splits as positions: they are built from the
+plan on its first call of a shape and kept in a second memo like it, so
+a process that never calls it never builds them.  ``check_leibniz_all``
+is its one-pair case.
 
 Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index list: D^alpha f is
@@ -550,22 +552,29 @@ def compose(f: Polynomial, maps: Sequence[Polynomial]) -> Polynomial:
 def convolution_table(rank: int, max_height: int) -> Dict[MultiIndex, Splits]:
     """``convolution_terms(alpha)`` for every alpha of rank ``rank`` with |alpha| <= max_height,
     in lexicographic order: a fresh dict of fresh split lists, read from the shape's plan."""
-    alphas, splits, _, _ = _shape_plan(convolution_terms, rank, max_height)
+    alphas, splits = _shape_plan(convolution_terms, rank, max_height)
     return {alpha: list(s) for alpha, s in zip(alphas, splits)}
 
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _shape_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
-    """(alphas, splits, steps, positions) for |alpha| <= max_height at rank ``rank``, all
-    immutable: the alphas in lexicographic order, each one's splits by ``rule``, their
-    ``_plan`` steps, and each alpha's splits as (w, position of beta, position of gamma).
-    ``typed`` keeps a bool or float shape off an int one's plan, so that
-    ``enumerate_height_at_most`` refuses it."""
+    """(alphas, splits) for |alpha| <= max_height at rank ``rank``, both immutable: the
+    alphas in lexicographic order and each one's splits by ``rule``.  ``typed`` keeps a
+    bool or float shape off an int one's plan, so that ``enumerate_height_at_most``
+    refuses it."""
     alphas = tuple(enumerate_height_at_most(rank, max_height))
-    splits = tuple(tuple(rule(alpha)) for alpha in alphas)
+    return alphas, tuple(tuple(rule(alpha)) for alpha in alphas)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _pairs_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
+    """(alphas, steps, positions) of the shape for ``check_leibniz_pairs``, all immutable:
+    the shape plan's alphas, their ``_plan`` steps, and each alpha's splits as
+    (w, position of beta, position of gamma)."""
+    alphas, splits = _shape_plan(rule, rank, max_height)
     at, steps = _plan(alphas)
     checks = tuple(tuple((w, at[beta], at[gamma]) for w, beta, gamma in s) for s in splits)
-    return alphas, splits, tuple(steps), checks
+    return alphas, tuple(steps), checks
 
 
 def convolution_sum(
@@ -622,8 +631,9 @@ def form_failures(
     # each form as (jet monomial, K * c_m packed in x), K the lcm of every denominator
     cleared = {alpha: [(m, _pack(_cleared_terms(c, lcm)[1], places)) for m, c in form.items()]
                for alpha, form in forms.items()}
+    # an empty form (T_alpha = 0) packs to {} with no call
     tf, tg = [{alpha: _convolve([(1, c, {sum([at[b] for b in m]): 1}) for m, c in form])
-               for alpha, form in cleared.items()} for at in (f_at, g_at)]
+               if form else {} for alpha, form in cleared.items()} for at in (f_at, g_at)]
     # Leibniz: (fg)_b = sum C(b, c) f_c g_(b-c); a jet of the table's rank has its splits there
     met = {b for form in forms.values() for m in form for b in m}
     leibniz = {b: {f_at[c] + g_at[d]: w for w, c, d in table.get(b) or convolution_terms(b)}
@@ -638,7 +648,7 @@ def form_failures(
             products.append((lcm, c, leibniz[m[-1]] if m else {0: 1}))
         products += [(-w, tf[beta], tg[gamma])
                      for w, beta, gamma in splits if tf[beta] and tg[gamma]]
-        if _convolve(products):
+        if products and _convolve(products):  # an alpha with no term holds
             out.append(alpha)
     return out
 
@@ -753,7 +763,7 @@ def check_leibniz_pairs(
     for f, g in pairs:
         first._check_dim(f)
         f._check_dim(g)
-    alphas, _, steps, checks = _shape_plan(convolution_terms, first.dim, max_height)
+    alphas, steps, checks = _pairs_plan(convolution_terms, first.dim, max_height)
     out = []
     for f, g in pairs:
         base = _top(f) + _top(g) + 1

@@ -1276,6 +1276,51 @@ def test_input_only_kinds_read_as_sums_and_products(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# (descriptor, seed, sha256 of stdout) of exact families that pass in their
+# jets.  The digests were recorded while every probe pair was drawn before
+# the family was checked.
+FORMAL_PASSES = [
+    (
+        {"kind": "derivative", "r": 3, "N": 3},
+        0,
+        "ea2d9b8ef40fd2f7f27a52619b8b573ad5065ca1578ddb56c20f28597443b2f5",
+    ),
+    (
+        {"kind": "trivial", "r": 2, "N": 4},
+        2,
+        "c6ddaf6df8203f7f0df4745bb494402e77e63e85314af0ef2cc3b0ea62150d18",
+    ),
+    (
+        _conjugated({"kind": "derivative", "r": 1, "N": 2}),
+        0,
+        "e6cfe59620bb7808a8925e99c5ca814de4e886b1d7fc6c590f0d6ac23cf95d99",
+    ),
+    (
+        SUGAR[2][0],  # the exact pair, a = 0 * x0
+        1,
+        "cf068ba2ab43fcc55d0e61c811defecd53d075d37c675b15f2fd35496b1dbe42",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "descriptor,seed,digest",
+    FORMAL_PASSES,
+    ids=["derivative", "trivial", "conjugated-derivative", "exact-pair"],
+)
+def test_a_formal_pass_draws_no_probe(capsys, monkeypatch, tmp_path, descriptor, seed, digest):
+    # no probe is applied, so none is drawn, and the report keeps its bytes
+    def refuse(*args, **kwargs):
+        pytest.fail("a probe pair was drawn on a formal pass")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps(descriptor))
+    monkeypatch.setattr(moment_leibniz.momentfam, "random_polynomial", refuse)
+    assert main(["verify-family", "family.json", "--seed", str(seed)]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reports_are_byte_identical_for_same_config(tmp_path):
     argv = ["verify-semigroup", "--rank", "2", "--order", "2", "--seed", "9", "--probes", "20"]
     out_a = tmp_path / "a.json"

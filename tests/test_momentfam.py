@@ -33,6 +33,7 @@ from moment_leibniz.funcmodel import (
 from moment_leibniz.coeffsolve import CoeffFamily, check_constraint
 from moment_leibniz.momentfam import (
     OperatorFamily,
+    ProbePairs,
     conjugate,
     default_probe_pairs,
     family_from_json,
@@ -322,6 +323,85 @@ def test_top_height_tamper_fails_on_the_drawn_probes():
     dom = Domain.unit(3, seed=0)
     pairs = default_probe_pairs(dom, 8, random.Random(0))
     assert not verify_moment(_top_tamper(_mi(4, 0, 0)), pairs, dom).passed
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Patch ``momentfam.random_polynomial`` to log each draw; returns the log."""
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(args[1:])
+        return random_polynomial(*args, **kwargs)
+
+    monkeypatch.setattr(momentfam, "random_polynomial", counting)
+    return draws
+
+
+def test_probe_pairs_are_the_default_pairs_drawn_on_the_first_read(monkeypatch):
+    # the same pairs as the list, in the same order: its length draws
+    # nothing, and its first item draws them all, once
+    draws = _counting_draws(monkeypatch)
+    for rank in (1, 2, 3):
+        for count in range(1, 13):
+            for seed in range(10):
+                dom = Domain.unit(rank, seed=seed)
+                draws.clear()
+                expected = default_probe_pairs(dom, count, random.Random(seed))
+                drawn = len(draws)
+                lazy = ProbePairs(dom, count, random.Random(seed))
+                assert len(lazy) == count == len(expected) and lazy.dim == rank
+                assert len(draws) == drawn
+                assert lazy[-1] == expected[-1]
+                assert len(draws) == 2 * drawn
+                assert list(lazy) == expected and list(lazy) == expected
+                assert [lazy[k] for k in range(count)] == expected
+                assert lazy[1:] == expected[1:]
+                assert len(draws) == 2 * drawn
+
+
+def test_a_formal_pass_draws_no_probe(monkeypatch):
+    # the exact families pass in their jets, so no pair is drawn; a formal
+    # failure and a sampled family draw every pair, once
+    draws = _counting_draws(monkeypatch)
+    swap = TauMap((Polynomial.variable(2, 1), Polynomial.variable(2, 0)))
+    tamper = Product((const_expr(2, Fraction(101, 100)), Jet(_mi(1, 1))))
+    tampered = OperatorFamily(2, 3, {**make_derivative(2, 3).operators, _mi(1, 1): tamper})
+    sampled = make_first_order_leibniz(const_expr(2, 3), 2)
+    dom = Domain.unit(2, seed=5)
+    for family in (make_trivial(2, 4), make_derivative(2, 3), conjugate(make_derivative(2, 2), swap)):
+        report = verify_moment(family, ProbePairs(dom, 8, random.Random(5)), dom)
+        assert report.passed and report.exact and report.probe_count == 8
+    assert draws == []
+    for family, passed in ((tampered, False), (sampled, True)):
+        assert verify_moment(family, ProbePairs(dom, 8, random.Random(5)), dom).passed is passed
+        assert len(draws) == 10
+        draws.clear()
+    # the drawn pairs' dim is checked with one comparison, as the list's are one by one
+    for probes in (ProbePairs(Domain.unit(1, seed=5), 8, random.Random(5)),
+                   _probes(Domain.unit(1, seed=5), 8, 5)):
+        with pytest.raises(ValueError, match=r"^probe dim 1, family dim 2$"):
+            verify_moment(make_derivative(2, 2), probes, dom)
+
+
+def test_probe_pairs_report_as_the_list_does():
+    # a formal failure, whether its probes show it or not, and a sampled
+    # family report the same bytes on the lazy pairs as on the list
+    tamper = Product((const_expr(2, Fraction(101, 100)), Jet(_mi(1, 1))))
+    cf = CoeffFamily(1, 3, {(2,): const_expr(1, 1), (3,): PolyLeaf(Polynomial.variable(1, 0))})
+    cases = [
+        (_top_tamper(_mi(4, 0, 0)), 3, 0),
+        (OperatorFamily(2, 3, {**make_derivative(2, 3).operators, _mi(1, 1): tamper}), 2, 4),
+        (make_identity_generated(cf), 1, 7),
+    ]
+    verdicts = []
+    for family, rank, seed in cases:
+        dom = Domain.unit(rank, seed=seed)
+        lazy = verify_moment(family, ProbePairs(dom, 8, random.Random(seed)), dom, seed=seed)
+        listed = verify_moment(family, _probes(dom, 8, seed), dom, seed=seed)
+        assert lazy.to_json() == listed.to_json()
+        verdicts.append((lazy.passed, lazy.exact))
+    # the drawn probes miss the (4,0,0) tamper (see the strict xfail above)
+    assert verdicts == [(True, True), (False, True), (True, False)]
 
 
 @pytest.mark.parametrize("alpha", [(4, 0, 0), (0, 4, 0), (1, 3, 0), (0, 3, 1)])
