@@ -24,9 +24,11 @@ the point.  The points are a ``polycalc.PointColumns``, whose rank
 wrapped afresh), and a polynomial leaf keeps its float values there, so
 trees evaluated over one ``PointColumns`` convert each exact leaf value
 to floats once, from one set of power and monomial columns.  A tree
-without a t*ln|t| or signed-power node (``is_polynomial``) expands back
-to a ``Polynomial``, which the exact verifiers compare, and ``jet_form``
-writes one that reads jets as a polynomial in them over Q[x].
+built of polynomial leaves and jets by sums and products
+(``is_polynomial``) has one exact walk, ``jet_form``, which writes it as
+a polynomial in the jets over Q[x]; ``as_polynomial`` expands a tree with
+no jet monomial left to that form's jet-free part, the ``Polynomial``
+which the exact verifiers compare.
 
 Every sampled check reads one ``Domain``: the open unit box (0,1)^r, its
 seeded rational sample points and the float tolerance.  A family read
@@ -66,16 +68,16 @@ class NonFiniteValue(ArithmeticError):
 
 
 class NotPolynomial(ValueError):
-    """Expansion met a tree with a u*ln|u| or signed-power node, which is not polynomial."""
+    """Expansion met a node other than a polynomial leaf, a jet, a sum or a product."""
 
 
 # ---- expression nodes ----
 
 
 class FuncExpr:
-    """Base class; nodes implement _eval_points (float values) and, if polynomial, _expand.
+    """Base class; nodes implement _eval_points (float values).
 
-    There is no exact per-node evaluator: exact values come from _expand.
+    There is no exact per-node evaluator: exact values come from ``jet_form``.
     ``children`` are the operands of a sum or a product.
     """
 
@@ -91,9 +93,6 @@ class FuncExpr:
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
         raise NotImplementedError
-
-    def _expand(self) -> Polynomial:
-        raise NotPolynomial("u*ln|u| and sgn(u)|u|^p are not polynomial")
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -115,9 +114,6 @@ class PolyLeaf(FuncExpr):
             return points.float_values(self.poly)
         except OverflowError as exc:
             raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
-
-    def _expand(self) -> Polynomial:
-        return self.poly
 
     def to_json(self) -> dict:
         return {"kind": "poly", "dim": self.dim, "terms": self.poly.to_json()}
@@ -141,12 +137,6 @@ class Sum(FuncExpr):
         except OverflowError as exc:  # finite children whose sum leaves the range
             raise NonFiniteValue(f"non-finite value at {path}.sum") from exc
 
-    def _expand(self) -> Polynomial:
-        out = Polynomial.zero(self.dim)
-        for c in self.children:
-            out = out + c._expand()
-        return out
-
     def to_json(self) -> dict:
         return {"kind": "sum", "children": [c.to_json() for c in self.children]}
 
@@ -169,12 +159,6 @@ class Product(FuncExpr):
             out = list(map(operator.mul, out, values))
         if not all(map(math.isfinite, out)):
             raise NonFiniteValue(f"non-finite value at {path}.product")
-        return out
-
-    def _expand(self) -> Polynomial:
-        out, *rest = [c._expand() for c in self.children]
-        for p in rest:
-            out = out * p
         return out
 
     def to_json(self) -> dict:
@@ -242,9 +226,6 @@ class Jet(FuncExpr):
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
         raise ValueError(f"jet {self.beta.to_json()} at {path} has no value before substitution")
 
-    def _expand(self) -> Polynomial:
-        raise ValueError(f"jet {self.beta.to_json()} has no expansion before substitution")
-
 
 def _check_children(children: Sequence[FuncExpr], label: str) -> None:
     if not children:
@@ -269,8 +250,12 @@ def eval_expr(expr: FuncExpr, points: Sequence[RationalPoint]) -> List[float]:
 
 
 def is_polynomial(expr: FuncExpr) -> bool:
-    """Whether the tree expands to a polynomial: it has no XLogAbs or SignedPower node."""
-    return not isinstance(expr, (XLogAbs, SignedPower)) and all(map(is_polynomial, expr.children))
+    """Whether ``jet_form`` accepts the tree: polynomial leaves and jets under sums and products.
+
+    A tree with any other node (u*ln|u|, a signed power, a float-only class) is sampled."""
+    if isinstance(expr, (Sum, Product)):
+        return all(map(is_polynomial, expr.children))
+    return isinstance(expr, (PolyLeaf, Jet))
 
 
 def jet_height(expr: FuncExpr) -> int:
@@ -315,18 +300,26 @@ def _substitute(node: FuncExpr, leaves: Dict[MultiIndex, PolyLeaf]) -> FuncExpr:
 
 
 def as_polynomial(expr: FuncExpr) -> Polynomial:
-    """Symbolic expansion of a tree back to a Polynomial, in one walk.
+    """Symbolic expansion of a tree back to a Polynomial: the jet-free part of its ``jet_form``.
 
-    ``NotPolynomial`` is raised where the walk meets a u*ln|u| or signed-power node.
+    ``NotPolynomial`` is raised where the walk meets a node ``is_polynomial`` refuses, and a
+    ValueError when a jet monomial is left; a tree whose jet terms cancel expands to the rest.
     """
-    return expr._expand()
+    form = jet_form(expr)
+    for m in form:
+        if m:
+            raise ValueError(f"jet {m[0].to_json()} has no expansion before substitution")
+    return form[()] if form else Polynomial.zero(expr.dim)
 
 
 def jet_form(expr: FuncExpr) -> Dict[Tuple[MultiIndex, ...], Polynomial]:
     """A log-free tree as a polynomial in the jet symbols D^beta h, in one walk: a map from
     each monomial, a tuple of jet indices in lexicographic order, to its nonzero coefficient
     in x.  Indices sort as plain tuples (``MultiIndex``'s ``<`` is the componentwise partial
-    order), so a monomial has one key whatever the order of its factors."""
+    order), so a monomial has one key whatever the order of its factors.  It is the one exact
+    walk of a tree, and raises ``NotPolynomial`` at a node ``is_polynomial`` refuses."""
+    if isinstance(expr, PolyLeaf):
+        return {(): expr.poly} if expr.poly else {}
     if isinstance(expr, Jet):  # the coefficient 1, built without the validating constructor
         one = Polynomial._make(expr.dim, {MultiIndex._trusted((0,) * expr.dim): Fraction(1)})
         return {(expr.beta,): one}
@@ -338,8 +331,7 @@ def jet_form(expr: FuncExpr) -> Dict[Tuple[MultiIndex, ...], Polynomial]:
             pairs = itertools.product(out.items(), form.items())
             out = _collect((tuple(sorted(m + n, key=tuple)), c * d) for (m, c), (n, d) in pairs)
         return out
-    poly = expr._expand()  # a polynomial leaf; a log node raises NotPolynomial
-    return {(): poly} if poly else {}
+    raise NotPolynomial(f"{type(expr).__name__} is not polynomial")
 
 
 def _collect(terms: Iterable[Tuple[Tuple[MultiIndex, ...], Polynomial]]) -> Dict:

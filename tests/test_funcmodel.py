@@ -19,6 +19,7 @@ from moment_leibniz.polycalc import (
     Polynomial,
     RationalPoint,
     dalpha,
+    derivative_table,
     eval_poly,
     eval_poly_ratios,
     eval_poly_values,
@@ -27,6 +28,7 @@ from moment_leibniz.polycalc import (
 from moment_leibniz.funcmodel import (
     CheckReport,
     Domain,
+    FuncExpr,
     Jet,
     NonFiniteValue,
     NotPolynomial,
@@ -47,6 +49,7 @@ from moment_leibniz.funcmodel import (
     is_polynomial,
     jet_form,
     judge_column,
+    substitute_jets,
     worse,
 )
 from moment_leibniz.momentfam import (
@@ -389,6 +392,14 @@ def test_jet_form_of_a_commutator_is_empty():
     assert jet_form(Product((Jet(e0), Jet(e1)))) == {(e1, e0): Polynomial.constant(2, 1)}
 
 
+def test_a_tree_whose_jet_terms_cancel_expands_to_the_rest():
+    e = MultiIndex((1,))
+    cancelling = Sum((Jet(e), PolyLeaf(_x()), Product((const_expr(1, -1), Jet(e)))))
+    assert as_polynomial(cancelling) == _x()
+    with pytest.raises(ValueError, match=r"^jet \[1\] has no expansion before substitution$"):
+        as_polynomial(Sum((Jet(e), PolyLeaf(_x()))))
+
+
 def _jet_trees(dim: int):
     """Log-free trees over the jets of height <= 2 and small polynomial leaves."""
     jets = st.sampled_from([Jet(b) for b in enumerate_height_at_most(dim, 2)])
@@ -412,6 +423,63 @@ def test_a_products_jet_form_does_not_depend_on_factor_order(data):
     form = jet_form(Product(tuple(factors)))
     assert jet_form(Product(tuple(data.draw(st.permutations(factors))))) == form
     assert all(list(m) == sorted(m, key=tuple) for m in form)
+
+
+class _FloatOnly(FuncExpr):
+    """A node with float values and no exact kind, as a caller may define one."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+
+    def _eval_points(self, points, path):
+        return [0.5] * len(points)
+
+
+def _trees_of_every_kind(dim: int):
+    """Trees over log-free subtrees and a float-only node, under every node kind."""
+    return st.recursive(
+        _jet_trees(dim) | st.just(_FloatOnly(dim)),
+        lambda children: st.one_of(
+            st.lists(children, min_size=1, max_size=3).map(tuple).flatmap(
+                lambda kids: st.sampled_from([Sum(kids), Product(kids)])
+            ),
+            children.map(XLogAbs),
+            st.tuples(children, children).map(lambda pair: SignedPower(*pair)),
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_is_polynomial_holds_exactly_where_jet_form_walks(data):
+    dim = data.draw(st.integers(1, 3))
+    tree = data.draw(_jet_trees(dim) | _trees_of_every_kind(dim))  # about half are log-free
+    try:
+        jet_form(tree)
+    except NotPolynomial:
+        assert not is_polynomial(tree)
+    else:
+        assert is_polynomial(tree)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_substituting_a_probe_commutes_with_the_jet_form(data):
+    # the exact witness path (substitute, then expand) reads the form that
+    # the formal decider reads: each monomial's coefficient times its jets of the probe
+    dim = data.draw(st.integers(1, 3))
+    tree = data.draw(_jet_trees(dim))
+    probe = random_polynomial(random.Random(data.draw(st.integers(0, 2**16))), dim, 3, 3)
+    table = derivative_table(probe, enumerate_height_at_most(dim, 2))
+    expected = Polynomial.zero(dim)
+    for m, c in jet_form(tree).items():
+        for beta in m:
+            c = c * table[beta]
+        expected = expected + c
+    assert as_polynomial(substitute_jets([tree], table)[0]) == expected
 
 
 def test_non_finite_carries_node_path():

@@ -570,22 +570,36 @@ def test_first_order_leibniz_family():
 
 
 class _Unexpandable(FuncExpr):
-    """A constant coefficient that fails the test if it is ever expanded."""
+    """A constant coefficient, which the test below forbids ``jet_form`` to visit."""
 
     dim = 1
 
     def _eval_points(self, points, path):
         return [0.5] * len(points)
 
-    def _expand(self):
-        raise AssertionError("the coefficient of f ln|f| was expanded")
-
     def to_json(self):
         return {"kind": "unexpandable"}
 
 
-def test_log_term_stops_expansion_before_its_coefficient():
+def _guard_jet_form(monkeypatch, visit):
+    """Call ``visit`` on every node the exact walk reaches, from momentfam or within funcmodel."""
+    walk = funcmodel.jet_form
+
+    def guarded(expr):
+        visit(expr)
+        return walk(expr)
+
+    monkeypatch.setattr(funcmodel, "jet_form", guarded)
+    monkeypatch.setattr(momentfam, "jet_form", guarded)
+
+
+def test_log_term_stops_expansion_before_its_coefficient(monkeypatch):
     # c * f ln|f| cannot expand whatever c is, so c is never expanded
+    def refuse(expr):
+        if isinstance(expr, _Unexpandable):
+            raise AssertionError("the coefficient of f ln|f| was expanded")
+
+    _guard_jet_form(monkeypatch, refuse)
     dom = Domain.unit(1, seed=11)
     fam = make_first_order_leibniz(_Unexpandable(), 1)
     report = verify_moment(fam, _probes(dom, 8, 4), dom)
@@ -841,16 +855,19 @@ def test_log_pair_is_decided_without_expanding(monkeypatch):
     assert calls == []
 
 
-def test_exact_pair_expands_its_fields_once():
+def test_exact_pair_expands_its_fields_once(monkeypatch):
     # the fields are expanded when the pair is built, and its operators
     # are built from those expansions, so no probe expands c_0 again
     expansions = []
 
     class Counting(Product):
-        def _expand(self):
-            expansions.append(self)
-            return super()._expand()
+        pass
 
+    def count(expr):
+        if isinstance(expr, Counting):
+            expansions.append(expr)
+
+    _guard_jet_form(monkeypatch, count)
     b, c = _two_variable_fields()
     c = (Counting(c), c[1])
     fam = make_second_order_leibniz(const_expr(2, 0), b, c, 2, 2)
