@@ -23,7 +23,13 @@ the point.  The points are a ``polycalc.PointColumns``, whose rank
 ``eval_expr`` checks once against the tree's dim (a plain sequence is
 wrapped afresh), and a polynomial leaf keeps its float values there, so
 trees evaluated over one ``PointColumns`` convert each exact leaf value
-to floats once, from one set of power and monomial columns.  A tree
+to floats once, from one set of power and monomial columns.  Over a
+``polycalc.JetColumns``, the points once per probe function h with each h's
+derivative table bound, a ``Jet(beta)`` reads the column of D^beta h
+for every h, and a polynomial leaf its one column at the points,
+repeated per h: one walk evaluates the tree for every h, each row with
+the float operations of that h's ``substitute_jets`` copy, and a sum
+leaves out a term that substitution drops for every h.  A tree
 built of polynomial leaves and jets by sums and products
 (``is_polynomial``) has one exact walk, ``jet_form``, which writes it as
 a polynomial in the jets over Q[x]; ``as_polynomial`` expands a tree with
@@ -53,6 +59,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .multiindex import DimensionMismatch, MultiIndex, enumerate_height_at_most
 from .polycalc import (
+    JetColumns,
     PointColumns,
     Polynomial,
     RationalPoint,
@@ -131,7 +138,16 @@ class Sum(FuncExpr):
         return self.children[0].dim
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
-        columns = [c._eval_points(points, f"{path}.sum[{i}]") for i, c in enumerate(self.children)]
+        # a term substitute_jets drops for every bound function is not evaluated; on
+        # the rows of a function that drops it, a product with a zero jet is +-0.0,
+        # which changes no fsum, and fsum of zeros alone is +0.0, the zero leaf's value
+        tables = points.tables if isinstance(points, JetColumns) else ()
+        columns = [
+            c._eval_points(points, f"{path}.sum[{i}]") for i, c in enumerate(self.children)
+            if not (tables and all(_drops(c, t) for t in tables))
+        ]
+        if not columns:
+            return [0.0] * len(points)
         try:
             return list(map(math.fsum, zip(*columns)))
         except OverflowError as exc:  # finite children whose sum leaves the range
@@ -212,7 +228,8 @@ class SignedPower(FuncExpr):
 
 
 class Jet(FuncExpr):
-    """D^beta of the probe, which ``substitute_jets`` fills in; a bare jet has no value."""
+    """D^beta of the probe: ``substitute_jets`` fills it in, and over a ``JetColumns`` it
+    reads the column of D^beta h for every bound function h; elsewhere it has no value."""
 
     __slots__ = ("beta",)
 
@@ -224,7 +241,21 @@ class Jet(FuncExpr):
         return self.beta.rank
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
-        raise ValueError(f"jet {self.beta.to_json()} at {path} has no value before substitution")
+        if not isinstance(points, JetColumns):
+            beta = self.beta.to_json()
+            raise ValueError(f"jet {beta} at {path} has no value before substitution")
+        try:  # the message of the leaf substitute_jets puts here
+            return points.jet_values(self.beta)
+        except OverflowError as exc:
+            raise NonFiniteValue(f"overflow converting exact value at {path}") from exc
+
+
+def _drops(term: FuncExpr, table: Mapping[MultiIndex, Polynomial]) -> bool:
+    """Whether ``substitute_jets`` drops the sum term ``term`` for ``table``: a product
+    with a jet factor whose entry is zero."""
+    return isinstance(term, Product) and any(
+        isinstance(j, Jet) and not table[j.beta] for j in term.children
+    )
 
 
 def _check_children(children: Sequence[FuncExpr], label: str) -> None:
@@ -277,25 +308,24 @@ def substitute_jets(
     f is the tree ``grad_dot`` or ``hess_quad`` builds for f.
     """
     leaves = {beta: PolyLeaf(d) for beta, d in table.items()}
-    return [_substitute(tree, leaves) for tree in trees]
+    return [_substitute(tree, table, leaves) for tree in trees]
 
 
-def _substitute(node: FuncExpr, leaves: Dict[MultiIndex, PolyLeaf]) -> FuncExpr:
+def _substitute(
+    node: FuncExpr, table: Mapping[MultiIndex, Polynomial], leaves: Dict[MultiIndex, PolyLeaf]
+) -> FuncExpr:
     # a module-level walk: a nested recursive closure would be a reference cycle per call
     if isinstance(node, PolyLeaf):
         return node
     if isinstance(node, Jet):
         return leaves[node.beta]
     if isinstance(node, Product):
-        return Product(tuple([_substitute(c, leaves) for c in node.children]))
+        return Product(tuple([_substitute(c, table, leaves) for c in node.children]))
     if isinstance(node, Sum):
-        kept = [
-            _substitute(c, leaves) for c in node.children if not isinstance(c, Product)
-            or all(leaves[j.beta].poly for j in c.children if isinstance(j, Jet))
-        ]
+        kept = [_substitute(c, table, leaves) for c in node.children if not _drops(c, table)]
         return Sum(tuple(kept)) if kept else PolyLeaf(Polynomial.zero(node.dim))
     if isinstance(node, (XLogAbs, SignedPower)):
-        return type(node)(*[_substitute(getattr(node, s), leaves) for s in node.__slots__])
+        return type(node)(*[_substitute(getattr(node, s), table, leaves) for s in node.__slots__])
     return node
 
 
@@ -420,6 +450,15 @@ class Domain:
     def __init__(
         self, rank: int, sample_points: Tuple[RationalPoint, ...], float_tolerance: float = 1e-9
     ) -> None:
+        self._set(rank, sample_points, float_tolerance)
+        for p in self.sample_points:
+            if not self.contains(p):
+                raise ValueError(f"sample {p.to_json()} not strictly inside the box")
+
+    def _set(
+        self, rank: int, sample_points: Tuple[RationalPoint, ...], float_tolerance: float
+    ) -> None:
+        """Keep the fields, after checking the rank, the tolerance and the sample count."""
         self.rank = rank
         self.sample_points = sample_points
         self.float_tolerance = float_tolerance
@@ -429,9 +468,6 @@ class Domain:
             raise ValueError(
                 f"need at least 8 sample points, got {len(self.sample_points)}"
             )
-        for p in self.sample_points:
-            if not self.contains(p):
-                raise ValueError(f"sample {p.to_json()} not strictly inside the box")
 
     def contains(self, p: RationalPoint) -> bool:
         # a RationalPoint holds normalized Fractions, whose denominators are positive
@@ -463,14 +499,18 @@ class Domain:
         seed: int = 0,
         float_tolerance: float = 1e-9,
     ) -> "Domain":
-        """Seeded samples of (0,1)^rank: coordinates k/64, 0 < k < 64, drawn point by point."""
+        """Seeded samples of (0,1)^rank: coordinates k/64, 0 < k < 64, drawn point by point.
+
+        Such points are inside the box by construction, so none is checked."""
         _check_rank(rank)
-        rng = random.Random(seed)
-        points = tuple(
-            RationalPoint(_SIXTY_FOURTHS[rng.randint(1, 63)] for _ in range(rank))
+        randint = random.Random(seed).randint
+        points = tuple([
+            RationalPoint._trusted([_SIXTY_FOURTHS[randint(1, 63)] for _ in range(rank)])
             for _ in range(n_samples)
-        )
-        return cls(rank, points, float_tolerance)
+        ])
+        domain = cls.__new__(cls)
+        domain._set(rank, points, float_tolerance)
+        return domain
 
 
 # ---- reparametrization maps ----

@@ -10,11 +10,13 @@ over an ``operators`` map, one ``funcmodel`` tree per alpha, built once,
 in which ``Jet(beta)`` stands for D^beta of the probe: the ``make_*``
 constructors and ``conjugate`` build the described kinds, and any other
 map goes straight to ``OperatorFamily(rank, order, operators)``.
-``apply(f)`` substitutes one ``polycalc.derivative_table`` of f into
-every tree.  The index rank and the number of variables are separate:
-second-order pairs are order-2 families indexed by rank 1 on functions
-of r variables, with T_(1) = A and T_(2) = T, whose alpha = (2) instance
-is T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  A power-sign map M, from an
+``apply(f)`` takes one ``polycalc.derivative_table`` of f and returns
+a read-only map of the trees (``Applied``), which substitutes that table
+into every tree on the first read of one.  The index rank and the
+number of variables are separate: second-order pairs are order-2
+families indexed by rank 1 on functions of r variables, with T_(1) = A
+and T_(2) = T, whose alpha = (2) instance is
+T(fg) = T(f) g + f T(g) + 2 A(f) A(g).  A power-sign map M, from an
 exponent p and a map tau, is the order-0 family T_0 = M with probe map
 tau (``make_power_sign``); ``check_multiplicative(p, tau, ...)`` checks
 tau's rank, p > 0 at the samples and tau's images, then runs
@@ -45,10 +47,16 @@ the point map decides: a nonzero one fails once, at its
 injective) passes.  So a formal failure that no probe shows is still
 reported as a pass.  An exact residual is |lhs - rhs|, or inf when that
 is too large for a float.  Otherwise every probe is sampled, even one on
-which each log term drops out: the trees ``apply`` returns are tabulated
-in floats with ``funcmodel.eval_expr`` at the ``PointColumns`` of the
+which each log term drops out: ``apply`` runs on f, g and fg of every
+probe, in that order, and only the derivative tables it takes are read.
+Every tree is evaluated in floats once, with ``funcmodel.eval_expr``
+over one ``polycalc.JetColumns`` that binds all those tables to the
 images, and ``funcmodel.judge_column`` judges each alpha's column of
-``funcmodel.convolution_column`` sums against the domain tolerance.
+``funcmodel.convolution_column`` sums, over all the probes, against the
+domain tolerance; failures are reported in (probe, alpha, point) order.
+Each value is the one the tree substituted for that probe function
+takes alone, but the first non-finite node, which the error names, is
+found alpha by alpha over all the probe functions, not probe by probe.
 
 The collapse lemma needs no verifier of its own.  For a family with
 T_0 = 1, the alpha instance at the probe pair (0, f) reads
@@ -62,10 +70,12 @@ with an exact witness whenever its operators expand.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .multiindex import DimensionMismatch, MultiIndex, check_count, enumerate_height_at_most
 from .polycalc import (
+    JetColumns,
     Polynomial,
     RationalPoint,
     compose,
@@ -155,13 +165,43 @@ class OperatorFamily:
         self.check_probe(f)
         return f if self.probe_map is None else compose(f, self.probe_map.components)
 
-    def apply(self, f: Polynomial) -> Dict[MultiIndex, FuncExpr]:
-        """Every T_alpha(f): one derivative table of ``probe(f)`` put in every tree."""
+    def apply(self, f: Polynomial) -> "Applied":
+        """Every T_alpha(f): one derivative table of ``probe(f)``, put in every tree when one
+        is first read."""
         table = derivative_table(self.probe(f), self._jets) if self._jets else {}
-        return dict(zip(self.operators, substitute_jets(self.operators.values(), table)))
+        return Applied(self.operators, table)
 
     def eval_point(self, x: RationalPoint) -> RationalPoint:
         return x if self.point_map is None else self.point_map(x)
+
+
+class Applied(Mapping[MultiIndex, FuncExpr]):
+    """The read-only map alpha -> T_alpha(f) that ``OperatorFamily.apply`` returns.
+
+    It holds f's derivative table (``table``) and the family's trees, and
+    substitutes the table into every tree (``funcmodel.substitute_jets``)
+    on the first read of one; ``verify_moment``'s sampled branch reads the
+    table alone.
+    """
+
+    def __init__(
+        self, operators: Mapping[MultiIndex, FuncExpr], table: Dict[MultiIndex, Polynomial]
+    ) -> None:
+        self.table = table
+        self._operators = operators
+        self._trees: Optional[Dict[MultiIndex, FuncExpr]] = None
+
+    def __getitem__(self, alpha: MultiIndex) -> FuncExpr:
+        if self._trees is None:
+            trees = substitute_jets(self._operators.values(), self.table)
+            self._trees = dict(zip(self._operators, trees))
+        return self._trees[alpha]
+
+    def __iter__(self):
+        return iter(self._operators)
+
+    def __len__(self) -> int:
+        return len(self._operators)
 
 
 # ---- constructors ----
@@ -363,82 +403,109 @@ def verify_moment(
     and only an alpha that fails there is probed, with exact witnesses;
     the probes' dim is checked first (with one comparison for a
     ``ProbePairs``), and a formal pass reads no probe, so it draws none.
-    Otherwise every probe runs ``apply`` on f, g and fg, and each
-    instance is judged by the relative residual
-    |lhs - rhs| / (1 + |lhs|) against the domain tolerance (see the
-    module docstring).  Failures carry the witnessing alpha, probe and
-    point.
+    Otherwise every probe runs ``apply`` on f, g and fg, each tree is
+    evaluated once over all those probe functions, and each instance is
+    judged by the relative residual |lhs - rhs| / (1 + |lhs|) against the
+    domain tolerance (see the module docstring); a value that does not
+    evaluate raises ``NonFiniteValue`` at the first such node, alpha by
+    alpha over all the probe functions.  Failures carry the witnessing
+    alpha, probe and point, in (probe, alpha, point) order.
     """
     tol = domain.float_tolerance
     if domain.rank != family.dim:
         raise ValueError(f"domain rank {domain.rank}, family dim {family.dim}")
     terms = convolution_table(family.rank, family.order)
-    alphas = list(terms)
     points = domain.images(family.point_map)
-    per_alpha = {_alpha_key(a): 0.0 for a in alphas}
+    per_alpha = {_alpha_key(a): 0.0 for a in terms}
     failures: List[dict] = []
     max_residual = 0.0
     exact = all(map(is_polynomial, family.operators.values()))
-    judged = alphas
-    if exact:  # only the alphas that fail formally are applied and expanded, on every probe
-        if isinstance(probes, ProbePairs):  # every pair it draws has its dim
-            if probes.dim != family.dim:
-                raise ValueError(f"probe dim {probes.dim}, family dim {family.dim}")
-        else:
-            for h in itertools.chain.from_iterable(probes):
-                family.check_probe(h)
-        forms = {alpha: jet_form(tree) for alpha, tree in family.operators.items()}
-        judged = form_failures(forms, family._jets, terms)
-    # a formal pass reads no probe, so a ProbePairs draws none
-    for k, (f, g) in enumerate(probes if judged else []):
-        # expanded polynomials, or float columns at the mapped samples
-        tf, tg, tfg = [
-            {b: as_polynomial(e) if exact else eval_expr(e, points) for b, e in row.items()}
-            for row in [family.apply(h) for h in (f, g, f * g)]
-        ]
-        for alpha in judged:
-            splits = terms[alpha]
-            if exact:
-                lhs_poly, rhs_poly = tfg[alpha], convolution_sum(tf, tg, splits)
-                if lhs_poly == rhs_poly:  # this probe shows no failure
-                    continue
-                # only a witness needs values: Fractions are canonical, so
-                # these equal the pointwise convolution sums
-                xs = list(domain.sample_points)
-                lhs_vals = eval_poly_values(lhs_poly, points)
-                rhs_vals = eval_poly_values(rhs_poly, points)
-                if lhs_vals == rhs_vals:
-                    # unequal polynomials that agree at every mapped sample: unless
-                    # their difference composed with the map is zero, it fails at
-                    # the first grid point where that composition is nonzero
-                    diff = lhs_poly - rhs_poly
-                    if family.point_map is not None:
-                        diff = compose(diff, family.point_map.components)
-                    if diff:
-                        x = nonzero_grid_point(diff)
-                        y = family.eval_point(x)
-                        xs.append(x)
-                        lhs_vals.append(eval_poly(lhs_poly, y))
-                        rhs_vals.append(eval_poly(rhs_poly, y))
-                # an exact residual is never NaN, so the builtin max is the worst
-                pairs = list(zip(lhs_vals, rhs_vals))
-                residuals = [witness_float(abs(lhs - rhs)) for lhs, rhs in pairs]
-                worst = max(residuals)
-                failing = [i for i, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
-            else:
-                xs, lhs_vals = domain.sample_points, tfg[alpha]
-                rhs_vals = convolution_column(tf, tg, splits)
-                residuals, worst, failing = judge_column(lhs_vals, rhs_vals, tol)
-            key = _alpha_key(alpha)
-            per_alpha[key] = worse(per_alpha[key], worst)
-            max_residual = worse(max_residual, worst)
-            for i in failing:
-                failures.append({"alpha": alpha.to_json(), "probe": k, "point": xs[i].to_json(),
-                                 "lhs": witness_float(lhs_vals[i]), "rhs": witness_float(rhs_vals[i]),
-                                 "residual": residuals[i]})
+    instances = _exact_instances if exact else _sampled_instances
+    for alpha, worst, found in instances(family, probes, domain, points, terms):
+        key = _alpha_key(alpha)
+        per_alpha[key] = worse(per_alpha[key], worst)
+        max_residual = worse(max_residual, worst)
+        failures += found
+    failures.sort(key=operator.itemgetter("probe"))  # stable: (probe, alpha, point) order
     return MomentReport(family=family.descriptor, probe_count=len(probes), max_residual=max_residual,
                         per_alpha_max_residual=per_alpha, passed=not failures, failures=failures,
                         tolerance=tol, exact=exact, seed=seed)
+
+
+def _failure(alpha: MultiIndex, k: int, x: RationalPoint, lhs, rhs, residual: float) -> dict:
+    return {"alpha": alpha.to_json(), "probe": k, "point": x.to_json(),
+            "lhs": witness_float(lhs), "rhs": witness_float(rhs), "residual": residual}
+
+
+def _exact_instances(family: OperatorFamily, probes, domain: Domain, points, terms):
+    """(alpha, worst residual, failures) of each probe's alphas that fail formally, in
+    (probe, alpha) order: the sides are expanded and summed in Fractions, and only
+    unequal ones are evaluated, at the samples and, when they agree there, at a grid point."""
+    if isinstance(probes, ProbePairs):  # every pair it draws has its dim
+        if probes.dim != family.dim:
+            raise ValueError(f"probe dim {probes.dim}, family dim {family.dim}")
+    else:
+        for h in itertools.chain.from_iterable(probes):
+            family.check_probe(h)
+    forms = {alpha: jet_form(tree) for alpha, tree in family.operators.items()}
+    judged = form_failures(forms, family._jets, terms)
+    # a formal pass reads no probe, so a ProbePairs draws none
+    for k, (f, g) in enumerate(probes if judged else []):
+        tf, tg, tfg = [
+            {b: as_polynomial(e) for b, e in family.apply(h).items()} for h in (f, g, f * g)
+        ]
+        for alpha in judged:
+            lhs_poly, rhs_poly = tfg[alpha], convolution_sum(tf, tg, terms[alpha])
+            if lhs_poly == rhs_poly:  # this probe shows no failure
+                continue
+            # only a witness needs values: Fractions are canonical, so
+            # these equal the pointwise convolution sums
+            xs = list(domain.sample_points)
+            lhs_vals = eval_poly_values(lhs_poly, points)
+            rhs_vals = eval_poly_values(rhs_poly, points)
+            if lhs_vals == rhs_vals:
+                # unequal polynomials that agree at every mapped sample: unless
+                # their difference composed with the map is zero, it fails at
+                # the first grid point where that composition is nonzero
+                diff = lhs_poly - rhs_poly
+                if family.point_map is not None:
+                    diff = compose(diff, family.point_map.components)
+                if diff:
+                    x = nonzero_grid_point(diff)
+                    y = family.eval_point(x)
+                    xs.append(x)
+                    lhs_vals.append(eval_poly(lhs_poly, y))
+                    rhs_vals.append(eval_poly(rhs_poly, y))
+            # an exact residual is never NaN, so the builtin max is the worst
+            pairs = list(zip(lhs_vals, rhs_vals))
+            residuals = [witness_float(abs(lhs - rhs)) for lhs, rhs in pairs]
+            found = [_failure(alpha, k, xs[i], lhs, rhs, residuals[i])
+                     for i, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
+            yield alpha, max(residuals), found
+
+
+def _sampled_instances(family: OperatorFamily, probes, domain: Domain, points, terms):
+    """(alpha, worst residual, failures) of every alpha over all the probes, in alpha order.
+
+    Each probe function goes through one ``apply``, in probe order (f, g, fg), and
+    every tree is evaluated once over a ``polycalc.JetColumns`` of their tables:
+    every f first, then every g, then every fg.  Each alpha's column of
+    ``convolution_column`` sums is then judged at once, row k * len(points) + i
+    being probe k at sample i.
+    """
+    tables = [family.apply(h).table for f, g in probes for h in (f, g, f * g)]
+    if not tables:
+        return
+    columns = JetColumns(points, tables[0::3] + tables[1::3] + tables[2::3])
+    values = {alpha: eval_expr(tree, columns) for alpha, tree in family.operators.items()}
+    m, n = len(columns) // 3, len(points)
+    tf, tg, tfg = ({b: v[j * m:(j + 1) * m] for b, v in values.items()} for j in range(3))
+    xs = domain.sample_points
+    for alpha, splits in terms.items():
+        lhs_vals, rhs_vals = tfg[alpha], convolution_column(tf, tg, splits)
+        residuals, worst, failing = judge_column(lhs_vals, rhs_vals, domain.float_tolerance)
+        yield alpha, worst, [_failure(alpha, i // n, xs[i % n], lhs_vals[i], rhs_vals[i],
+                                      residuals[i]) for i in failing]
 
 
 def check_multiplicative(

@@ -98,10 +98,12 @@ over the whole point tuple.  A ``PointColumns`` is such a tuple, its one
 rank checked when it is built, and it keeps the power and monomial
 columns it has built, so every polynomial evaluated at the same object
 reads them; ``funcmodel`` keeps its polynomial leaves' float values
-there too.  The evaluators take a plain sequence of points as well and
-wrap it afresh.  ``eval_poly_values`` makes each pair one ``Fraction``,
-and ``eval_poly`` is that at a single point; both equal a term-by-term
-Fraction sum.  The float evaluator divides a pair as ints, which is
+there too.  A ``JetColumns`` is the points once per probe function,
+each function's derivative table bound to it, whose float columns are
+the points' own, repeated per function.  The evaluators take a plain
+sequence of points as well and wrap it afresh.  ``eval_poly_values``
+makes each pair one ``Fraction``, and ``eval_poly`` is that at a single
+point; both equal a term-by-term Fraction sum.  The float evaluator divides a pair as ints, which is
 correctly rounded whatever the pair that names the rational, so it
 equals ``float(Fraction(...))``, ``OverflowError`` included.
 
@@ -159,6 +161,11 @@ class RationalPoint(tuple):
     @classmethod
     def of(cls, *values: Scalar) -> "RationalPoint":
         return cls(values)
+
+    @classmethod
+    def _trusted(cls, coords: Iterable[Fraction]) -> "RationalPoint":
+        """A point on coordinates known to be Fractions, at least one; no checks."""
+        return tuple.__new__(cls, coords)
 
     @property
     def rank(self) -> int:
@@ -517,6 +524,44 @@ class PointColumns(tuple):
                 column = built[e] = list(column)
             out.append(column)
         return out
+
+
+class JetColumns(PointColumns):
+    """The points once per probe function h_k, with every h_k's jets bound to their values.
+
+    Row ``k * len(points) + i`` is h_k at point i: ``jet_values(beta)`` reads
+    D^beta h_k from the k-th table, a ``derivative_table`` of h_k, and
+    ``float_values(f)`` repeats the points' own memoized column of f once per
+    function, so an expression tree (``funcmodel``) evaluated here takes,
+    row by row, the float operations its copy with h_k's derivatives in
+    place of its jets takes at point i.
+    """
+
+    def __new__(
+        cls, points: PointColumns, tables: Sequence[Mapping[MultiIndex, Polynomial]]
+    ) -> "JetColumns":
+        self = tuple.__new__(cls, points * len(tables))
+        self.rank = points.rank
+        self.coordinates = [column * len(tables) for column in points.coordinates]
+        self.grades, self.floats, self.jets = {}, {}, {}
+        self.points, self.tables = points, tables
+        return self
+
+    def float_values(self, f: Polynomial) -> List[float]:
+        """f's column at the points, computed there once, repeated once per function."""
+        hit = self.floats.get(id(f))
+        if hit is None:
+            hit = self.floats[id(f)] = (f, self.points.float_values(f) * len(self.tables))
+        return hit[1]
+
+    def jet_values(self, beta: MultiIndex) -> List[float]:
+        """The column of D^beta h_k at the points, function after function; OverflowError
+        where a value is too large for a float."""
+        column = self.jets.get(beta)
+        if column is None:
+            values = self.points.float_values
+            column = self.jets[beta] = [v for t in self.tables for v in values(t[beta])]
+        return column
 
 
 def nonzero_grid_point(f: Polynomial) -> RationalPoint:

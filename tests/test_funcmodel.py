@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from moment_leibniz.multiindex import DimensionMismatch, MultiIndex, enumerate_height_at_most
 from moment_leibniz.polycalc import (
+    JetColumns,
     PointColumns,
     Polynomial,
     RationalPoint,
@@ -480,6 +481,54 @@ def test_substituting_a_probe_commutes_with_the_jet_form(data):
             c = c * table[beta]
         expected = expected + c
     assert as_polynomial(substitute_jets([tree], table)[0]) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_tree_over_jet_columns_takes_its_substituted_copies_operations(data):
+    # one walk over every probe's jets gives, row by row, the bits of the tree
+    # with each probe substituted, the zero and constant probes included, whose
+    # sums drop the terms with a zero jet; where a copy raises, the walk does
+    dim = data.draw(st.integers(1, 3))
+    tree = data.draw(_trees_of_every_kind(dim))
+    degrees = data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=6))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    probes = [Polynomial.zero(dim) if d < 0 else random_polynomial(rng, dim, d, 3) for d in degrees]
+    tables = [derivative_table(h, enumerate_height_at_most(dim, 2)) for h in probes]
+    points = PointColumns(Domain.unit(dim, n_samples=8, seed=len(probes)).sample_points)
+    expected, errors = [], []
+    for table in tables:
+        try:
+            expected += eval_expr(substitute_jets([tree], table)[0], points)
+        except Exception as exc:
+            errors.append(type(exc))
+    columns = JetColumns(points, tables)
+    assert len(columns) == len(tables) * len(points)
+    if errors:
+        with pytest.raises(tuple(errors)):
+            eval_expr(tree, columns)
+    else:
+        assert _bits(eval_expr(tree, columns)) == _bits(expected)
+
+
+def test_a_sum_term_no_probe_reaches_is_not_evaluated():
+    # D^(0,1) is zero for every probe, so substitution drops the product that
+    # holds the overflowing leaf from every copy: over their jet columns it
+    # is not evaluated either, and a product that one probe keeps reads +-0.0
+    # on the others' rows, as their dropped terms would
+    e0, e1 = MultiIndex((1, 0)), MultiIndex((0, 1))
+    huge = PolyLeaf(Polynomial.constant(2, 2**1100))
+    tree = Sum((Product((Jet(e1), huge)), Product((Jet(e0), const_expr(2, -3)))))
+    probes = [Polynomial.zero(2), _x(2, 0) * 5, Polynomial.constant(2, 7)]
+    tables = [derivative_table(h, enumerate_height_at_most(2, 1)) for h in probes]
+    points = PointColumns(Domain.unit(2, n_samples=8).sample_points)
+    expected = [0.0] * 8 + [-15.0] * 8 + [0.0] * 8
+    assert _bits(eval_expr(tree, JetColumns(points, tables))) == _bits(expected)
+    reaching = tables + [derivative_table(_x(2, 1), enumerate_height_at_most(2, 1))]
+    with pytest.raises(NonFiniteValue, match=r"^overflow converting exact value at root\.sum\[0\]\.product\[1\]$"):
+        eval_expr(tree, JetColumns(points, reaching))
+    with pytest.raises(ValueError, match=r"^jet \[0, 1\] at root\.sum\[0\]\.product\[0\] has no value"):
+        eval_expr(tree, points)
 
 
 def test_non_finite_carries_node_path():

@@ -969,14 +969,16 @@ def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeyp
 def test_one_log_tree_samples_every_probe(monkeypatch):
     # T_(2) of the derivative family gains f ln|f|, a derivation, so the
     # identity still holds; that one log tree makes every probe sampled,
-    # the zero and constant ones included, and no operator is expanded
+    # the zero and constant ones included, and no operator is expanded; each
+    # tree is evaluated once, over f, g and fg of every probe at every sample
     log_t2 = Sum((Jet(_mi(2)), Product((const_expr(1, 1), XLogAbs(Jet(_mi(0)))))))
     fam = OperatorFamily(1, 2, {**make_derivative(1, 2).operators, _mi(2): log_t2})
     evaluated = []
 
     def counting(expr, points):
-        evaluated.append(expr)
-        return eval_expr(expr, points)
+        values = eval_expr(expr, points)
+        evaluated.append((expr, len(values)))
+        return values
 
     def refuse(expr):
         raise AssertionError("a sampled family's operator was expanded")
@@ -988,7 +990,9 @@ def test_one_log_tree_samples_every_probe(monkeypatch):
     report = verify_moment(fam, probes, dom)
     assert report.passed and not report.exact
     assert report.max_residual <= 1e-9
-    assert len(evaluated) == 3 * 3 * len(probes)
+    trees = list(fam.operators.values())
+    assert [tree for tree, _ in evaluated] == trees
+    assert [n for _, n in evaluated] == [3 * len(probes) * len(dom.sample_points)] * len(trees)
 
 
 def test_moment_report_json_shape():

@@ -23,15 +23,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moment_leibniz.coeffsolve import CoeffFamily, band, check_constraint
-from moment_leibniz.funcmodel import Domain, PolyLeaf, Sum, TauMap, XLogAbs
+from moment_leibniz.funcmodel import (
+    Domain,
+    FuncExpr,
+    PolyLeaf,
+    Product,
+    Sum,
+    TauMap,
+    XLogAbs,
+    const_expr,
+)
 from moment_leibniz.momentfam import (
+    check_multiplicative,
     conjugate,
     default_probe_pairs,
+    make_first_order_leibniz,
     make_identity_generated,
+    make_power_sign,
+    make_second_order_leibniz,
     verify_moment,
 )
 from moment_leibniz.multiindex import enumerate_height_at_most
-from moment_leibniz.polycalc import random_polynomial
+from moment_leibniz.polycalc import Polynomial, random_polynomial
 from moment_leibniz.semigroup import (
     MomentSeq,
     make_exponential_moment_seq,
@@ -116,6 +129,105 @@ def test_identity_generated_reports_match_unshared_loops(
     # every support is nonempty, so every family carries a log term
     oracle = verify_moment_pointwise(family, pairs, dom, False, seed=seed)
     assert _dumps(report) == _dumps(oracle)
+
+
+class _Wave(FuncExpr):
+    """A float-only node, 1/2 + x_0/4 at each point, which no exact walk reads."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+
+    def _eval_points(self, points, path):
+        return [0.5 + float(x[0]) / 4 for x in points]
+
+    def to_json(self) -> dict:
+        return {"kind": "wave", "dim": self.dim}
+
+
+def _field(rng: random.Random, dim: int, kinds: str) -> FuncExpr:
+    """A random coefficient of one of ``kinds``: a leaf (p), zero (0), a log term (l), the
+    float-only node (w), or one that overflows (o): a leaf too large for a float, a
+    product past the range, or u ln|u| past it."""
+
+    def leaf():
+        return PolyLeaf(random_polynomial(rng, dim, 2, 3))
+
+    kind = rng.choice(kinds)
+    if kind == "p":
+        return leaf()
+    if kind == "0":
+        return const_expr(dim, 0)
+    if kind == "l":
+        return Sum((leaf(), XLogAbs(leaf())))
+    if kind == "w":
+        return Product((_Wave(dim), leaf()))
+    return rng.choice([
+        const_expr(dim, 2**1100),
+        Product((const_expr(dim, 10**200), _Wave(dim), const_expr(dim, 10**200))),
+        XLogAbs(const_expr(dim, 10**308)),
+    ])
+
+
+def _sampled_family(rng: random.Random, kind: str, rank: int, overflow: bool):
+    """A family with a log, signed-power or float-only node, and its check: a second-order
+    log pair, a log-generated family on any support, a first-order one, or a power-sign
+    map, which ``check_multiplicative`` checks."""
+    overflows = "o" if overflow else ""
+    some = "pp0lw" + overflows
+    if kind == "second_order":  # a is nonzero, so T_(2) holds f ln|f| and is sampled
+        a = _field(rng, rank, "lw" + overflows)
+        b, c = ([_field(rng, rank, some) for _ in range(rank)] for _ in "bc")
+        family = make_second_order_leibniz(a, b, c, 2, rank)
+    elif kind == "identity":
+        order = rng.randint(1, 3)
+        alphas = enumerate_height_at_most(rank, order)[1:]
+        support = rng.sample(alphas, rng.randint(1, len(alphas)))
+        coefficients = {a: _field(rng, rank, some) for a in support}
+        family = make_identity_generated(CoeffFamily(rank, order, coefficients))
+    elif kind == "first_order":
+        family = make_first_order_leibniz(_field(rng, rank, some), rank)
+    else:  # an exponent positive at every sample, read through a probe map
+        x = Polynomial.variable(rank, 0)
+        base = Polynomial.constant(rank, Fraction(rng.randint(1, 12), 4))
+        positive = x * x * rng.randint(0, 3) + base
+        exponent = rng.choice([_Wave(rank), PolyLeaf(positive)])
+        return make_power_sign(exponent, _shrink(rng, rank)), exponent
+    return family, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["second_order", "identity", "first_order", "power_sign"]),
+    rank=st.integers(1, 3),
+    conjugated=st.booleans(),
+    overflow=st.booleans(),
+    probes=st.integers(0, 8),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_sampled_families_match_the_per_probe_loop(kind, rank, conjugated, overflow, probes, seed):
+    # every tree evaluated once over all the probes' jets, against each
+    # probe's substituted trees evaluated alone at one point: the same report
+    # bytes, failure order included, or the same exception type where a
+    # descriptor overflows (the node named may be another one)
+    rng = random.Random(seed)
+    dom = Domain.unit(rank, n_samples=SAMPLES, seed=seed)
+    family, exponent = _sampled_family(rng, kind, rank, overflow and kind != "power_sign")
+    if conjugated:
+        family = conjugate(family, _shrink(rng, rank))
+    pairs = default_probe_pairs(dom, probes, rng)
+    if exponent is not None and not conjugated:  # which reports no seed
+        seed = None
+        report = _outcome(lambda: check_multiplicative(exponent, family.probe_map, pairs, dom))
+    else:
+        report = _outcome(lambda: verify_moment(family, pairs, dom, seed=seed))
+    oracle = _outcome(lambda: verify_moment_pointwise(family, pairs, dom, False, seed=seed))
+    assert report[0] == oracle[0]
+    if oracle[0]:
+        assert report[1].partition(":")[0] == oracle[1].partition(":")[0]
+    else:
+        assert report == oracle
 
 
 def _nan_at_nonnegative(fn):
