@@ -173,12 +173,12 @@ def check_constraint(
     ``convolution_column`` sums them; each coefficient is evaluated at all
     the samples at once, the first time a sum needs it, and all of them
     at the one ``PointColumns`` that ``domain.images`` returns, which
-    keeps their leaf values and power columns.  An evaluation error is
-    that of the first coefficient to fail in the order (alpha, split),
-    beta before gamma.  If the samples show no failure,
-    ``_below_band_witness`` may still prove one, whose value is the exact
-    sum C(2g, g) c_gamma(x)^2 as ``witness_float`` writes it, c_gamma
-    composed with the map, and whose residual is |value|.
+    keeps their power columns.  An evaluation error is that of the first
+    coefficient to fail in the order (alpha, split), beta before gamma.
+    If the samples show no failure, ``_below_band_witness`` may still
+    prove one, whose value is the exact sum C(2g, g) c_gamma(x)^2 as
+    ``witness_float`` writes it, c_gamma composed with the map, and whose
+    residual is |value|.
     """
     if domain.rank != cf.rank:
         raise ValueError(f"domain rank {domain.rank}, coefficients rank {cf.rank}")

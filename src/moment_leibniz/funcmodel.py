@@ -21,12 +21,12 @@ Children are evaluated in order before their parent, so a
 ``NonFiniteValue`` names the first node whose column fails, whatever
 the point.  The points are a ``polycalc.PointColumns``, whose rank
 ``eval_expr`` checks once against the tree's dim (a plain sequence is
-wrapped afresh), and a polynomial leaf keeps its float values there, so
-trees evaluated over one ``PointColumns`` convert each exact leaf value
-to floats once, from one set of power and monomial columns.  Over a
-``polycalc.JetColumns``, the points once per probe function h with each h's
-derivative table bound, a ``Jet(beta)`` reads the column of D^beta h
-for every h, and a polynomial leaf its one column at the points,
+wrapped afresh), and every polynomial leaf evaluated there reads its one
+set of power and monomial columns.  Over a ``polycalc.JetColumns``, the
+points once per probe function h with each h's derivative table bound
+(``points.tables``, empty on plain points, where a jet has no value), a
+``Jet(beta)`` reads the column of D^beta h for every h, and a polynomial
+leaf its one column at the points, converted to floats once and
 repeated per h: one walk evaluates the tree for every h, each row with
 the float operations of that h's ``substitute_jets`` copy, and a sum
 leaves out a term that substitution drops for every h.  A tree
@@ -59,11 +59,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .multiindex import DimensionMismatch, MultiIndex, enumerate_height_at_most
 from .polycalc import (
-    JetColumns,
     PointColumns,
     Polynomial,
     RationalPoint,
     Scalar,
+    check_positive_int,
     derivative_table,
     eval_poly,
     eval_poly_values,
@@ -116,7 +116,7 @@ class PolyLeaf(FuncExpr):
         return self.poly.dim
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
-        """The float values of poly at the points, which ``points`` keeps."""
+        """The float values of poly at the points, from ``points.float_values``."""
         try:
             return points.float_values(self.poly)
         except OverflowError as exc:
@@ -141,7 +141,7 @@ class Sum(FuncExpr):
         # a term substitute_jets drops for every bound function is not evaluated; on
         # the rows of a function that drops it, a product with a zero jet is +-0.0,
         # which changes no fsum, and fsum of zeros alone is +0.0, the zero leaf's value
-        tables = points.tables if isinstance(points, JetColumns) else ()
+        tables = points.tables
         columns = [
             c._eval_points(points, f"{path}.sum[{i}]") for i, c in enumerate(self.children)
             if not (tables and all(_drops(c, t) for t in tables))
@@ -228,8 +228,9 @@ class SignedPower(FuncExpr):
 
 
 class Jet(FuncExpr):
-    """D^beta of the probe: ``substitute_jets`` fills it in, and over a ``JetColumns`` it
-    reads the column of D^beta h for every bound function h; elsewhere it has no value."""
+    """D^beta of the probe: ``substitute_jets`` fills it in, and over points with bound
+    functions (a ``JetColumns``) it reads the column of D^beta h for every bound function
+    h; elsewhere it has no value."""
 
     __slots__ = ("beta",)
 
@@ -241,7 +242,7 @@ class Jet(FuncExpr):
         return self.beta.rank
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
-        if not isinstance(points, JetColumns):
+        if not points.tables:
             beta = self.beta.to_json()
             raise ValueError(f"jet {beta} at {path} has no value before substitution")
         try:  # the message of the leaf substitute_jets puts here
@@ -272,8 +273,8 @@ def _check_children(children: Sequence[FuncExpr], label: str) -> None:
 def eval_expr(expr: FuncExpr, points: Sequence[RationalPoint]) -> List[float]:
     """Float values of the tree at each point; raises NonFiniteValue with node path.
 
-    Every evaluation at one ``PointColumns`` shares its leaf values and
-    power columns; a plain sequence of points is wrapped afresh.
+    Every evaluation at one ``PointColumns`` shares its power and monomial
+    columns; a plain sequence of points is wrapped afresh.
     """
     points = PointColumns.of(points)
     points.check_dim(expr.dim, "expr")
@@ -433,11 +434,6 @@ def expr_from_json(data: dict) -> FuncExpr:
 _SIXTY_FOURTHS = tuple(Fraction(k, 64) for k in range(64))
 
 
-def _check_rank(rank: int) -> None:
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-        raise ValueError(f"domain rank must be an integer >= 1, got {rank!r}")
-
-
 def check_tolerance(name: str, tol: float) -> None:
     """Refuse a float tolerance that is not finite and > 0."""
     if not (math.isfinite(tol) and tol > 0):
@@ -462,7 +458,7 @@ class Domain:
         self.rank = rank
         self.sample_points = sample_points
         self.float_tolerance = float_tolerance
-        _check_rank(self.rank)
+        check_positive_int("domain rank", self.rank)
         check_tolerance("float_tolerance", self.float_tolerance)
         if len(self.sample_points) < 8:
             raise ValueError(
@@ -502,7 +498,7 @@ class Domain:
         """Seeded samples of (0,1)^rank: coordinates k/64, 0 < k < 64, drawn point by point.
 
         Such points are inside the box by construction, so none is checked."""
-        _check_rank(rank)
+        check_positive_int("domain rank", rank)
         randint = random.Random(seed).randint
         points = tuple([
             RationalPoint._trusted([_SIXTY_FOURTHS[randint(1, 63)] for _ in range(rank)])

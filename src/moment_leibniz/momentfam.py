@@ -29,7 +29,7 @@ composes the inner map with tau exactly.  ``verify_moment``, and
 inner one, unchanged), both evaluate at ``Domain.images(point_map)``,
 which refuses an image outside the unit box before anything is checked.
 
-How the instances are decided is read off the trees, once per family.
+How the instances are decided is read off the trees, once per call.
 When no tree has an f*ln|f| or signed-power node
 (``funcmodel.is_polynomial``), ``funcmodel.jet_form`` writes each tree
 over the jets once per call, and ``polycalc.form_failures`` decides

@@ -97,13 +97,13 @@ exponent.  It works by columns: each term adds its monomial's column
 over the whole point tuple.  A ``PointColumns`` is such a tuple, its one
 rank checked when it is built, and it keeps the power and monomial
 columns it has built, so every polynomial evaluated at the same object
-reads them; ``funcmodel`` keeps its polynomial leaves' float values
-there too.  A ``JetColumns`` is the points once per probe function,
+reads them.  A ``JetColumns`` is the points once per probe function,
 each function's derivative table bound to it, whose float columns are
-the points' own, repeated per function.  The evaluators take a plain
-sequence of points as well and wrap it afresh.  ``eval_poly_values``
-makes each pair one ``Fraction``, and ``eval_poly`` is that at a single
-point; both equal a term-by-term Fraction sum.  The float evaluator divides a pair as ints, which is
+the points' own, each computed once per object and repeated per
+function.  The evaluators take a plain sequence of points as well and
+wrap it afresh.  ``eval_poly_values`` makes each pair one ``Fraction``,
+and ``eval_poly`` is that at a single point; both equal a term-by-term
+Fraction sum.  The float evaluator divides a pair as ints, which is
 correctly rounded whatever the pair that names the rational, so it
 equals ``float(Fraction(...))``, ``OverflowError`` included.
 
@@ -179,10 +179,11 @@ class RationalPoint(tuple):
         return cls(data)
 
 
-def _check_dim_value(dim: int) -> None:
+def check_positive_int(name: str, value: int) -> None:
+    """Refuse a ``value`` that is not an int >= 1, naming it ``name``."""
     # a bool or a float would pass dim checks that compare with ==
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class Polynomial:
@@ -200,7 +201,7 @@ class Polynomial:
         dim: int,
         terms: Mapping[Union[MultiIndex, Tuple[int, ...]], Scalar] = (),
     ) -> None:
-        _check_dim_value(dim)
+        check_positive_int("dim", dim)
         canonical: Dict[MultiIndex, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
@@ -465,10 +466,11 @@ class PointColumns(tuple):
     The rank is checked once, when the tuple is built.  For each K met,
     ``grades[K]`` holds, per coordinate, the columns of n_i^k d_i^(K - k)
     for k <= K, and the columns of prod_i n_i^e_i d_i^(K - e_i) built
-    from them, each built once.  ``floats`` maps id(f) to f and its float
-    values at the points, which ``float_values`` fills for ``funcmodel``'s
-    polynomial leaves; the entry keeps f alive, so its id is not reused.
+    from them, each built once.  ``tables`` is empty: no probe function's
+    jets are bound here (see ``JetColumns``).
     """
+
+    tables: Sequence[Mapping[MultiIndex, Polynomial]] = ()
 
     def __new__(cls, points: Iterable[RationalPoint]) -> "PointColumns":
         self = tuple.__new__(cls, points)
@@ -480,7 +482,6 @@ class PointColumns(tuple):
             [(c.numerator, c.denominator) for c in column] for column in zip(*self)
         ]
         self.grades: Dict[int, Tuple[List[list], Dict[Tuple[int, ...], List[int]]]] = {}
-        self.floats: Dict[int, Tuple[Polynomial, List[float]]] = {}
         return self
 
     @classmethod
@@ -494,14 +495,9 @@ class PointColumns(tuple):
             raise DimensionMismatch(f"{what} dim {dim} vs point rank {self.rank}")
 
     def float_values(self, f: Polynomial) -> List[float]:
-        """f's float values at the points, computed on the first request only.
-
-        Each is n / d of ``eval_poly_ratios`` correctly rounded, or OverflowError.
-        """
-        hit = self.floats.get(id(f))
-        if hit is None:
-            hit = self.floats[id(f)] = (f, [n / d for n, d in eval_poly_ratios(f, self)])
-        return hit[1]
+        """f's float values at the points: each n / d of ``eval_poly_ratios`` correctly
+        rounded, or OverflowError."""
+        return [n / d for n, d in eval_poly_ratios(f, self)]
 
     def monomials(self, exponents: Iterable[Tuple[int, ...]], top: int) -> List[List[int]]:
         """The column of prod_i n_i^e_i d_i^(top - e_i) for each exponent e."""
@@ -531,10 +527,14 @@ class JetColumns(PointColumns):
 
     Row ``k * len(points) + i`` is h_k at point i: ``jet_values(beta)`` reads
     D^beta h_k from the k-th table, a ``derivative_table`` of h_k, and
-    ``float_values(f)`` repeats the points' own memoized column of f once per
-    function, so an expression tree (``funcmodel``) evaluated here takes,
-    row by row, the float operations its copy with h_k's derivatives in
-    place of its jets takes at point i.
+    ``float_values(f)`` repeats f's column at the points once per function,
+    so an expression tree (``funcmodel``) evaluated here takes, row by row,
+    the float operations its copy with h_k's derivatives in place of its
+    jets takes at point i.  Each column is computed at the points, once per
+    object: ``floats`` maps id(f) to f and its column (the entry keeps f
+    alive, so its id is not reused), and ``jets`` maps beta to its column.
+    No polynomial is evaluated at the repeated rows, so they build no
+    power columns.
     """
 
     def __new__(
@@ -542,13 +542,14 @@ class JetColumns(PointColumns):
     ) -> "JetColumns":
         self = tuple.__new__(cls, points * len(tables))
         self.rank = points.rank
-        self.coordinates = [column * len(tables) for column in points.coordinates]
-        self.grades, self.floats, self.jets = {}, {}, {}
+        self.floats: Dict[int, Tuple[Polynomial, List[float]]] = {}
+        self.jets: Dict[MultiIndex, List[float]] = {}
         self.points, self.tables = points, tables
         return self
 
     def float_values(self, f: Polynomial) -> List[float]:
-        """f's column at the points, computed there once, repeated once per function."""
+        """f's column at the points, computed there on the first request only, repeated
+        once per function."""
         hit = self.floats.get(id(f))
         if hit is None:
             hit = self.floats[id(f)] = (f, self.points.float_values(f) * len(self.tables))
@@ -843,7 +844,7 @@ def random_polynomial(
     a numerator straight from ``rng.getrandbits``, the same draws in the
     same order as ``randint``, ``randrange`` and ``choice``, with their errors.
     """
-    _check_dim_value(dim)
+    check_positive_int("dim", dim)
     bits, trusted, dens = rng.getrandbits, MultiIndex._trusted, list(denominators)
     k_dim = dim.bit_length()
     out: Dict[MultiIndex, Fraction] = {}

@@ -249,7 +249,9 @@ def test_hessquad_pinned():
     points = PointColumns((_pt(1, 1),))
     assert eval_expr(h, points)[0] == pytest.approx(6.0)
     # float values for 2 x1, 2 x0, 1 and x0: the shared leaf is converted once
-    assert len(points.floats) == 4
+    columns = JetColumns(points, [{}])
+    assert eval_expr(h, columns)[0] == pytest.approx(6.0)
+    assert len(columns.floats) == 4
     assert eval_poly(as_polynomial(h), _pt(1, 1)) == 6
 
 

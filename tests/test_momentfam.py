@@ -126,6 +126,27 @@ def test_a_bare_jet_has_no_values_and_no_expansion():
         as_polynomial(Product((const_expr(2, 1), jet)))
 
 
+def test_a_probe_value_past_the_float_range_names_its_jet():
+    # a sampled family reads D^0 f under its log term; f = 2^1100 has no
+    # float value, so the error names that jet, the first node that fails
+    zero = _mi(0)
+    log_term = XLogAbs(Product((const_expr(1, 2), Jet(zero))))
+    fam = OperatorFamily(1, 1, {zero: const_expr(1, 1), _mi(1): log_term})
+    huge = Polynomial.constant(1, 2**1100)
+    with pytest.raises(
+        funcmodel.NonFiniteValue,
+        match=r"^overflow converting exact value at root\.xlogabs\.product\[1\]$",
+    ):
+        verify_moment(fam, [(huge, Polynomial.variable(1, 0))], Domain.unit(1, seed=1))
+
+
+def test_apply_is_a_map_over_the_familys_alphas():
+    fam = make_derivative(2, 2)
+    applied = fam.apply(Polynomial.variable(2, 0))
+    assert len(applied) == len(fam.operators) == 6
+    assert list(applied) == list(fam.operators)
+
+
 def test_apply_leaves_no_reference_cycle():
     # a cycle per call would keep each probe's table and trees alive until
     # the collector runs, and make it run more often
