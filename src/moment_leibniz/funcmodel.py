@@ -25,11 +25,11 @@ wrapped afresh), and every polynomial leaf evaluated there reads its one
 set of power and monomial columns.  Over a ``polycalc.JetColumns``, the
 points once per probe function h with each h's derivative table bound
 (``points.tables``, empty on plain points, where a jet has no value), a
-``Jet(beta)`` reads the column of D^beta h for every h, and a polynomial
-leaf its one column at the points, converted to floats once and
-repeated per h: one walk evaluates the tree for every h, each row with
-the float operations of that h's ``substitute_jets`` copy, and a sum
-leaves out a term that substitution drops for every h.  A tree
+``Jet(beta)`` reads the column of D^beta h for every h, and each leaf's
+polynomial, each beta and each u*ln|u| node is evaluated once, however
+many trees hold it: one walk evaluates the tree for every h, each row
+with the float operations of that h's ``substitute_jets`` copy, and a
+sum leaves out a term that substitution drops for every h.  A tree
 built of polynomial leaves and jets by sums and products
 (``is_polynomial``) has one exact walk, ``jet_form``, which writes it as
 a polynomial in the jets over Q[x]; ``as_polynomial`` expands a tree with
@@ -194,6 +194,11 @@ class XLogAbs(FuncExpr):
         return self.child.dim
 
     def _eval_points(self, points: PointColumns, path: str) -> List[float]:
+        if not points.tables:  # plain points keep no column
+            return self._values(points, path)
+        return points.column(self, lambda: self._values(points, path))
+
+    def _values(self, points: PointColumns, path: str) -> List[float]:
         values = self.child._eval_points(points, f"{path}.xlogabs")
         out = [0.0 if v == 0.0 else v * math.log(abs(v)) for v in values]
         if not all(map(math.isfinite, out)):

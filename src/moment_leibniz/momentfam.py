@@ -47,11 +47,11 @@ the point map decides: a nonzero one fails once, at its
 injective) passes.  So a formal failure that no probe shows is still
 reported as a pass.  An exact residual is |lhs - rhs|, or inf when that
 is too large for a float.  Otherwise every probe is sampled, even one on
-which each log term drops out: ``apply`` runs on f, g and fg of every
-probe, in that order, and only the derivative tables it takes are read.
-Every tree is evaluated in floats once, with ``funcmodel.eval_expr``
-over one ``polycalc.JetColumns`` that binds all those tables to the
-images, and ``funcmodel.judge_column`` judges each alpha's column of
+which each log term drops out: ``apply`` takes the derivative tables of
+f and g of every probe.  Every tree is evaluated in floats once, with
+``funcmodel.eval_expr`` over one ``polycalc.JetColumns`` that binds
+them, and fg's as their ``polycalc.ProductTable``, to the images, and
+``funcmodel.judge_column`` judges each alpha's column of
 ``funcmodel.convolution_column`` sums, over all the probes, against the
 domain tolerance; failures are reported in (probe, alpha, point) order.
 Each value is the one the tree substituted for that probe function
@@ -77,6 +77,7 @@ from .multiindex import DimensionMismatch, MultiIndex, check_count, enumerate_he
 from .polycalc import (
     JetColumns,
     Polynomial,
+    ProductTable,
     RationalPoint,
     compose,
     convolution_sum,
@@ -234,7 +235,8 @@ def make_identity_generated(cf: CoeffFamily) -> OperatorFamily:
     """
     f, zero = Jet(MultiIndex.zero(cf.rank)), PolyLeaf(Polynomial.zero(cf.rank))
     operators = {alpha: zero for alpha in enumerate_height_at_most(cf.rank, cf.order)}
-    operators.update((alpha, Product((c, XLogAbs(f)))) for alpha, c in cf.coefficients.items())
+    f_log_f = XLogAbs(f)  # one node, so a sampled check evaluates it once
+    operators.update((alpha, Product((c, f_log_f))) for alpha, c in cf.coefficients.items())
     operators[MultiIndex.zero(cf.rank)] = f
     return OperatorFamily(cf.rank, cf.order, operators, descriptor=cf.to_json(), coeff_family=cf)
 
@@ -403,8 +405,8 @@ def verify_moment(
     and only an alpha that fails there is probed, with exact witnesses;
     the probes' dim is checked first (with one comparison for a
     ``ProbePairs``), and a formal pass reads no probe, so it draws none.
-    Otherwise every probe runs ``apply`` on f, g and fg, each tree is
-    evaluated once over all those probe functions, and each instance is
+    Otherwise every probe runs ``apply`` on f and g, each tree is evaluated
+    once over f, g and fg of every probe, and each instance is
     judged by the relative residual |lhs - rhs| / (1 + |lhs|) against the
     domain tolerance (see the module docstring); a value that does not
     evaluate raises ``NonFiniteValue`` at the first such node, alpha by
@@ -487,16 +489,17 @@ def _exact_instances(family: OperatorFamily, probes, domain: Domain, points, ter
 def _sampled_instances(family: OperatorFamily, probes, domain: Domain, points, terms):
     """(alpha, worst residual, failures) of every alpha over all the probes, in alpha order.
 
-    Each probe function goes through one ``apply``, in probe order (f, g, fg), and
-    every tree is evaluated once over a ``polycalc.JetColumns`` of their tables:
-    every f first, then every g, then every fg.  Each alpha's column of
+    f and g of each probe go through one ``apply`` each, in probe order, and every
+    tree is evaluated once over a ``polycalc.JetColumns`` of their tables: every f,
+    every g, then every fg as a ``ProductTable``.  Each alpha's column of
     ``convolution_column`` sums is then judged at once, row k * len(points) + i
     being probe k at sample i.
     """
-    tables = [family.apply(h).table for f, g in probes for h in (f, g, f * g)]
+    tables = [family.apply(h).table for f, g in probes for h in (f, g)]
     if not tables:
         return
-    columns = JetColumns(points, tables[0::3] + tables[1::3] + tables[2::3])
+    fs, gs = tables[0::2], tables[1::2]
+    columns = JetColumns(points, fs + gs + list(map(ProductTable, fs, gs)))
     values = {alpha: eval_expr(tree, columns) for alpha, tree in family.operators.items()}
     m, n = len(columns) // 3, len(points)
     tf, tg, tfg = ({b: v[j * m:(j + 1) * m] for b, v in values.items()} for j in range(3))

@@ -98,14 +98,13 @@ over the whole point tuple.  A ``PointColumns`` is such a tuple, its one
 rank checked when it is built, and it keeps the power and monomial
 columns it has built, so every polynomial evaluated at the same object
 reads them.  A ``JetColumns`` is the points once per probe function,
-each function's derivative table bound to it, whose float columns are
-the points' own, each computed once per object and repeated per
-function.  The evaluators take a plain sequence of points as well and
-wrap it afresh.  ``eval_poly_values`` makes each pair one ``Fraction``,
-and ``eval_poly`` is that at a single point; both equal a term-by-term
-Fraction sum.  The float evaluator divides a pair as ints, which is
-correctly rounded whatever the pair that names the rational, so it
-equals ``float(Fraction(...))``, ``OverflowError`` included.
+each function's derivative table bound to it.  The evaluators take a
+plain sequence of points as well and wrap it afresh.
+``eval_poly_values`` makes each pair one ``Fraction``, and ``eval_poly``
+is that at a single point; both equal a term-by-term Fraction sum.  The
+float evaluator divides a pair as ints, which is correctly rounded
+whatever the pair that names the rational, so it equals
+``float(Fraction(...))``, ``OverflowError`` included.
 
 ``compose`` substitutes polynomials for the variables exactly, and
 ``nonzero_grid_point`` names a point of the open unit box where a nonzero
@@ -128,6 +127,7 @@ from .multiindex import (
     MultiIndex,
     as_multiindex,
     convolution_terms,
+    enumerate_below,
     enumerate_height_at_most,
 )
 
@@ -525,44 +525,73 @@ class PointColumns(tuple):
 class JetColumns(PointColumns):
     """The points once per probe function h_k, with every h_k's jets bound to their values.
 
-    Row ``k * len(points) + i`` is h_k at point i: ``jet_values(beta)`` reads
-    D^beta h_k from the k-th table, a ``derivative_table`` of h_k, and
-    ``float_values(f)`` repeats f's column at the points once per function,
-    so an expression tree (``funcmodel``) evaluated here takes, row by row,
-    the float operations its copy with h_k's derivatives in place of its
-    jets takes at point i.  Each column is computed at the points, once per
-    object: ``floats`` maps id(f) to f and its column (the entry keeps f
-    alive, so its id is not reused), and ``jets`` maps beta to its column.
-    No polynomial is evaluated at the repeated rows, so they build no
-    power columns.
+    Row ``k * len(points) + i`` is h_k at point i, and ``tables[k]`` a
+    ``derivative_table`` of h_k or, for h_k = fg, a ``ProductTable``.
+    ``jet_values(beta)`` reads D^beta h_k, and ``column`` keeps a node's or
+    a leaf's column, so an expression tree (``funcmodel``) evaluated here
+    takes, row by row, the float operations its copy with h_k's derivatives
+    in place of its jets takes at point i.  ``floats`` maps id(key) to key
+    (kept alive, so its id is not reused) and its column, ``jets`` beta to
+    its column and ``ratios`` (id(table), beta) to a table's exact values.
     """
 
-    def __new__(
-        cls, points: PointColumns, tables: Sequence[Mapping[MultiIndex, Polynomial]]
-    ) -> "JetColumns":
+    def __new__(cls, points: PointColumns, tables: Sequence) -> "JetColumns":
         self = tuple.__new__(cls, points * len(tables))
         self.rank = points.rank
-        self.floats: Dict[int, Tuple[Polynomial, List[float]]] = {}
+        self.floats: Dict[int, Tuple[object, List[float]]] = {}
         self.jets: Dict[MultiIndex, List[float]] = {}
+        self.ratios: Dict[Tuple[int, MultiIndex], List[Tuple[int, int]]] = {}
         self.points, self.tables = points, tables
         return self
 
-    def float_values(self, f: Polynomial) -> List[float]:
-        """f's column at the points, computed there on the first request only, repeated
-        once per function."""
-        hit = self.floats.get(id(f))
+    def column(self, key: object, compute: Callable[[], List[float]]) -> List[float]:
+        """``compute()``, the column of a node or a leaf ``key``, on the first request only."""
+        hit = self.floats.get(id(key))
         if hit is None:
-            hit = self.floats[id(f)] = (f, self.points.float_values(f) * len(self.tables))
+            hit = self.floats[id(key)] = (key, compute())
         return hit[1]
+
+    def float_values(self, f: Polynomial) -> List[float]:
+        return self.column(f, lambda: self.points.float_values(f) * len(self.tables))
 
     def jet_values(self, beta: MultiIndex) -> List[float]:
         """The column of D^beta h_k at the points, function after function; OverflowError
         where a value is too large for a float."""
         column = self.jets.get(beta)
-        if column is None:
-            values = self.points.float_values
-            column = self.jets[beta] = [v for t in self.tables for v in values(t[beta])]
+        if column is None:  # fg's splits are enumerated here, not by the rule a check tests
+            splits = [(math.prod(map(math.comb, beta, c)), c, beta - c)
+                      for c in enumerate_below(beta)]
+            ratios = [self._ratios(t, beta, splits) for t in self.tables]
+            column = self.jets[beta] = [n / d for pairs in ratios for n, d in pairs]
         return column
+
+    def _ratios(self, table, beta: MultiIndex, splits=()) -> List[Tuple[int, int]]:
+        """D^beta h at the points as unreduced ``eval_poly_ratios`` pairs, kept per table; for
+        fg, the sum of w D^c f D^(beta-c) g over its ``splits`` (w, c, beta - c)."""
+        if not isinstance(table, ProductTable):
+            if (id(table), beta) not in self.ratios:
+                self.ratios[id(table), beta] = eval_poly_ratios(table[beta], self.points)
+            return self.ratios[id(table), beta]
+        (tf, tg), out = table.factors, [(0, 1)] * len(self.points)
+        for w, c, e in splits:
+            out = [(n * df * dg + w * nf * ng * d, d * df * dg) for (n, d), (nf, df), (ng, dg)
+                   in zip(out, self._ratios(tf, c), self._ratios(tg, e))]
+        return out
+
+
+class ProductTable(dict):
+    """fg's derivative table, for f's and g's tables (``factors``), built on the first read: a
+    sum reads it only where every f and g drops a term, and ``JetColumns`` reads the factors."""
+
+    def __init__(self, tf: Mapping[MultiIndex, Polynomial], tg: Mapping[MultiIndex, Polynomial]):
+        super().__init__()
+        self.factors = tf, tg
+
+    def __missing__(self, beta: MultiIndex) -> Polynomial:
+        (tf, tg), zero = self.factors, next(iter(self.factors[0]))
+        table = derivative_table(tf[zero] * tg[zero], list(tf))
+        self.update(table)
+        return table[beta]
 
 
 def nonzero_grid_point(f: Polynomial) -> RationalPoint:

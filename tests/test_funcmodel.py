@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import struct
@@ -18,7 +19,9 @@ from moment_leibniz.polycalc import (
     JetColumns,
     PointColumns,
     Polynomial,
+    ProductTable,
     RationalPoint,
+    compose,
     dalpha,
     derivative_table,
     eval_poly,
@@ -531,6 +534,62 @@ def test_a_sum_term_no_probe_reaches_is_not_evaluated():
         eval_expr(tree, JetColumns(points, reaching))
     with pytest.raises(ValueError, match=r"^jet \[0, 1\] at root\.sum\[0\]\.product\[0\] has no value"):
         eval_expr(tree, points)
+
+
+def _bound_pair(f: Polynomial, g: Polynomial, jets, tau=None):
+    """The tables of f and g composed with tau, and fg's own table."""
+    f, g = [h if tau is None else compose(h, tau.components) for h in (f, g)]
+    return derivative_table(f, jets), derivative_table(g, jets), derivative_table(f * g, jets)
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+@pytest.mark.parametrize("height", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_product_tables_jets_are_the_products_bit_for_bit(dim, height, mapped):
+    # the jets of a ProductTable of f's and g's tables are the Leibniz sums of
+    # their exact values, divided once: the floats of fg's own table, and its
+    # entries are that table's, for the zero and constant probes too
+    rng = random.Random(100 * dim + 10 * height + mapped)
+    jets = enumerate_height_at_most(dim, height)
+    tau = TauMap(tuple(random_polynomial(rng, dim, 2, 3, denominators=(2, 3)) for _ in range(dim)))
+    points = PointColumns(Domain.unit(dim, n_samples=8, seed=dim).sample_points)
+    probes = [Polynomial.zero(dim), Polynomial.constant(dim, Fraction(-5, 3))]
+    probes += [random_polynomial(rng, dim, 3, 4, denominators=(2, 3, 7)) for _ in range(4)]
+    for f, g in itertools.product(probes, repeat=2):
+        tf, tg, tfg = _bound_pair(f, g, jets, tau if mapped else None)
+        pair, product = JetColumns(points, [ProductTable(tf, tg)]), JetColumns(points, [tfg])
+        for beta in jets:
+            assert _bits(pair.jet_values(beta)) == _bits(product.jet_values(beta))
+            assert bool(pair.tables[0][beta]) is bool(tfg[beta])
+
+
+def test_a_product_tables_cancelling_jet_still_drops_its_sum_term():
+    # D^(1,1) of (x0 + x1)(x0 - x1) = x0^2 - x1^2 is zero though its Leibniz
+    # terms are not: the sum asks the product's own table, so the term that
+    # holds the overflowing leaf is dropped for every bound function
+    jets = enumerate_height_at_most(2, 2)
+    tf, tg, tfg = _bound_pair(_x(2, 0) + _x(2, 1), _x(2, 0) - _x(2, 1), jets)
+    huge = PolyLeaf(Polynomial.constant(2, 2**1100))
+    e11, e10 = MultiIndex((1, 1)), MultiIndex((1, 0))
+    assert tf[e10] and tg[MultiIndex((0, 1))] and not (tf[e11] or tg[e11] or tfg[e11])
+    tree = Sum((Product((Jet(e11), huge)), Product((Jet(e10), PolyLeaf(_x(2, 1))))))
+    points = PointColumns(Domain.unit(2, n_samples=8).sample_points)
+    values = eval_expr(tree, JetColumns(points, [tf, tg, ProductTable(tf, tg)]))
+    assert _bits(values) == _bits(eval_expr(tree, JetColumns(points, [tf, tg, tfg])))
+
+
+def test_a_product_tables_value_past_the_float_range_names_its_jet():
+    # f = g = 2^600 fit in a float and fg = 2^1200 does not: its row raises
+    # where the product's own table raised, at the jet's node
+    jets = enumerate_height_at_most(1, 1)
+    tf, tg, tfg = _bound_pair(*[Polynomial.constant(1, 2**600)] * 2, jets)
+    points = PointColumns(Domain.unit(1, n_samples=8).sample_points)
+    tree = Sum((Product((const_expr(1, 3), Jet(MultiIndex((0,))))), Jet(MultiIndex((1,)))))
+    for bound in ([tf, tg, ProductTable(tf, tg)], [tf, tg, tfg]):
+        path = r"root\.sum\[0\]\.product\[1\]"
+        with pytest.raises(NonFiniteValue, match=rf"^overflow converting exact value at {path}$"):
+            eval_expr(tree, JetColumns(points, bound))
+    assert eval_expr(tree, JetColumns(points, [tf, tg]))[0] == 3.0 * 2.0**600
 
 
 def test_non_finite_carries_node_path():

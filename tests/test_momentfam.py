@@ -140,6 +140,44 @@ def test_a_probe_value_past_the_float_range_names_its_jet():
         verify_moment(fam, [(huge, Polynomial.variable(1, 0))], Domain.unit(1, seed=1))
 
 
+def test_a_probe_product_past_the_float_range_names_its_jet():
+    # f = g = 2^600 have float values and fg = 2^1200 has none: fg's row, the
+    # Leibniz sum of f's and g's exact values, fails where the product's own
+    # table did, at T_0's jet
+    big = Polynomial.constant(1, 2**600)
+    family = make_first_order_leibniz(const_expr(1, 1), 1)
+    overflow = r"^overflow converting exact value at root$"
+    with pytest.raises(funcmodel.NonFiniteValue, match=overflow):
+        verify_moment(family, [(big, big)], Domain.unit(1, seed=1))
+
+
+def test_a_sampled_check_multiplies_no_polynomial(monkeypatch):
+    # once the probes are drawn, fg's jets come from f's and g's exact values
+    # at the samples, so a sampled family with no probe map forms no product;
+    # a sum asks fg's own table only where every f and g drops its term
+    dom = Domain.unit(2, seed=4)
+    probes = _probes(dom, 6, 4)
+    b, c = _two_variable_fields()
+    cf = CoeffFamily(2, 2, {(1, 0): const_expr(2, 2), (0, 1): PolyLeaf(Polynomial.variable(2, 1))})
+    families = [
+        make_first_order_leibniz(const_expr(2, 3), 2),
+        make_identity_generated(cf),
+        make_second_order_leibniz(const_expr(2, 1), b, c, 2, 2),
+    ]
+    products = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    for family in families:
+        report = verify_moment(family, probes, dom)
+        assert not report.exact and report.max_residual > 0.0
+    assert products == []
+
+
 def test_apply_is_a_map_over_the_familys_alphas():
     fam = make_derivative(2, 2)
     applied = fam.apply(Polynomial.variable(2, 0))
@@ -491,6 +529,30 @@ def test_identity_generated_pinned_value():
     report = verify_moment(fam, [(f, g)], dom)
     assert report.passed
     assert report.max_residual <= 1e-12
+
+
+def test_identity_generated_trees_share_one_log_node(monkeypatch):
+    # every coefficient's tree holds the same f ln|f| node, which a sampled
+    # check evaluates once; a value it cannot take is named where the first
+    # tree reads it
+    cf = CoeffFamily(1, 3, {(2,): const_expr(1, 1), (3,): PolyLeaf(Polynomial.variable(1, 0))})
+    fam = make_identity_generated(cf)
+    assert fam.operators[_mi(2)].children[1] is fam.operators[_mi(3)].children[1]
+    paths = []
+    values = XLogAbs._values
+
+    def counting(node, points, path):
+        paths.append(path)
+        return values(node, points, path)
+
+    monkeypatch.setattr(XLogAbs, "_values", counting)
+    dom = Domain.unit(1, seed=2)
+    assert verify_moment(fam, _probes(dom, 6, 2), dom).passed
+    assert paths == ["root.product[1]"]
+    big = Polynomial.constant(1, 2**1020)
+    path = r"root\.product\[1\]\.xlogabs"
+    with pytest.raises(funcmodel.NonFiniteValue, match=rf"^non-finite value at {path}$"):
+        verify_moment(fam, [(big, Polynomial.constant(1, 1))], dom)
 
 
 def test_identity_generated_randomized():
@@ -934,8 +996,9 @@ def test_rank_one_family_on_two_variable_probes():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeypatch):
-    # a sampled probe's f, g and fg each reach the operators through one
-    # apply, which takes one derivative table and no dalpha.  An exact
+    # a sampled probe's f and g each reach the operators through one apply,
+    # which takes one derivative table and no dalpha; fg's jets are their
+    # Leibniz sums, so fg is not applied.  An exact
     # family is decided once, in its jets: a formal pass calls no apply, no
     # derivative_table and no dalpha, and a formal failure applies every
     # probe, once per probe function.  The custom family declares nothing,
@@ -966,13 +1029,14 @@ def test_verify_moment_applies_the_family_once_per_probe_function(exact, monkeyp
     swap = TauMap((Polynomial.variable(2, 1), Polynomial.variable(2, 0)))
     probes = _probes(dom, 5, 9)
     every = [h for f, g in probes for h in (f, g, f * g)]
+    sampled = [h for f, g in probes for h in (f, g)]
     for fam in (family, conjugate(family, swap)):
         applied.clear()
         tables.clear()
         report = verify_moment(fam, probes, dom)
         assert report.passed and report.exact is exact
         assert report.max_residual == 0.0 if exact else report.max_residual <= 1e-9
-        assert applied == tables == ([] if exact else every)
+        assert applied == tables == ([] if exact else sampled)
     assert dalphas == []
     if exact:
         # T_(1,1) tampered by exactly 101/100 fails on the probes whose

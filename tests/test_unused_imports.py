@@ -190,7 +190,7 @@ def test_no_unread_private_methods():
 def test_point_column_caches_are_read_only_in_polycalc():
     files = [path for path in FILES if path.is_relative_to(ROOT / "src") and path.name != "polycalc.py"]
     assert files
-    caches = {"coordinates", "grades", "floats", "jets"}
+    caches = {"coordinates", "grades", "floats", "jets", "ratios"}
     named = [
         f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}"
         for path in files
