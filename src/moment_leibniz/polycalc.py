@@ -27,11 +27,12 @@ picks B once, as 1 plus the largest coordinate of its left operands plus
 the largest of its right ones, so no sum of exponents carries into the
 next digit; ``form_failures`` packs more digits (below).  Tables are
 checked for one dimension first.
-Every product and convolution side comes from one accumulator,
-``_convolve``: the sum of w * a * b over weighted pairs of packed maps,
-with zeros dropped.  ``*`` and ``convolution_sum`` pack their operands
-once on the way in and unpack the result once (``_unpack``), wrapping
-each key in a ``MultiIndex``.  ``convolution_sum`` sums
+Every single sum comes from one accumulator, ``_convolve``: the sum of
+w * a * b over weighted pairs of packed maps, with zeros dropped;
+``check_leibniz_pairs`` walks all of a pair's sums at once (below).
+``*`` and ``convolution_sum`` pack their operands once on the way in and
+unpack the result once (``_unpack``), wrapping each key in a
+``MultiIndex``.  ``convolution_sum`` sums
 w * left[beta] * right[gamma] over one alpha's ``convolution_terms``,
 from two tables of derivatives or operator values: ``leibniz_rhs`` is
 that sum over ``dalpha`` tables of f and g, and the exact moment
@@ -42,10 +43,10 @@ of the 32 latest shapes, kept per split rule so that a patched
 height, through this module's name ``convolution_terms``, all
 immutable.  ``convolution_table`` hands out a fresh dict of fresh split
 lists from it.  ``check_leibniz_pairs`` alone reads the shape's
-``_plan`` steps and its splits as positions: they are built from the
-plan on its first call of a shape and kept in a second memo like it, so
-a process that never calls it never builds them.  ``check_leibniz_all``
-is its one-pair case.
+``_plan`` steps and its splits filed by beta as positions: they are
+built from the plan on its first call of a shape and kept in a second
+memo like it, so a process that never calls it never builds them.
+``check_leibniz_all`` is its one-pair case.
 
 Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index list: D^alpha f is
@@ -54,9 +55,11 @@ nonzero entry of alpha, so each step differentiates the few terms its
 parent still has.  ``_plan`` gives every index its position and its
 step, the parent's position and the axis i, and a table is a list
 aligned with the plan, so building one makes no index and hashes no
-key.  ``check_leibniz_pairs`` reads each alpha's splits as (w, position
-of beta, position of gamma) from the shape's plan, sums only the splits
-with no empty side, and builds its tables on integer maps;
+key.  ``check_leibniz_pairs`` builds its tables on integer maps, starts
+each alpha's sum at D^alpha(fg), and walks beta by beta: the
+shape's plan files each split under its beta as (position of gamma,
+position of alpha, -w), and every split with no empty side adds
+-w D^beta f D^gamma g into its alpha's sum, which must end all zero;
 ``derivative_table`` builds one on a probe's own coefficients, unpacked,
 for an operator family's jets; ``dalpha`` is for single derivatives.
 
@@ -572,8 +575,10 @@ class JetColumns(PointColumns):
             if (id(table), beta) not in self.ratios:
                 self.ratios[id(table), beta] = eval_poly_ratios(table[beta], self.points)
             return self.ratios[id(table), beta]
-        (tf, tg), out = table.factors, [(0, 1)] * len(self.points)
-        for w, c, e in splits:
+        (tf, tg), ((w, c, e), *rest) = table.factors, splits
+        out = [(w * nf * ng, df * dg) for (nf, df), (ng, dg)
+               in zip(self._ratios(tf, c), self._ratios(tg, e))]
+        for w, c, e in rest:
             out = [(n * df * dg + w * nf * ng * d, d * df * dg) for (n, d), (nf, df), (ng, dg)
                    in zip(out, self._ratios(tf, c), self._ratios(tg, e))]
         return out
@@ -643,13 +648,17 @@ def _shape_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _pairs_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
-    """(alphas, steps, positions) of the shape for ``check_leibniz_pairs``, all immutable:
-    the shape plan's alphas, their ``_plan`` steps, and each alpha's splits as
-    (w, position of beta, position of gamma)."""
+    """(alphas, steps, by_beta) of the shape for ``check_leibniz_pairs``, all immutable:
+    the shape plan's alphas, their ``_plan`` steps, and for each beta position the splits
+    (w, beta, gamma) of every alpha that name it, as (position of gamma, position of alpha,
+    -w), in alpha order."""
     alphas, splits = _shape_plan(rule, rank, max_height)
     at, steps = _plan(alphas)
-    checks = tuple(tuple((w, at[beta], at[gamma]) for w, beta, gamma in s) for s in splits)
-    return alphas, tuple(steps), checks
+    by_beta: List[list] = [[] for _ in alphas]
+    for k, s in enumerate(splits):
+        for w, beta, gamma in s:
+            by_beta[at[beta]].append((at[gamma], k, -w))
+    return alphas, tuple(steps), tuple(map(tuple, by_beta))
 
 
 def convolution_sum(
@@ -829,8 +838,12 @@ def check_leibniz_pairs(
     """``check_leibniz_all(f, g, max_height)`` for each pair (f, g), in order.
 
     The pairs share one dimension and read one plan of the shape (rank,
-    max_height), built once per process; a split with an empty side is
-    left out of the sum.
+    max_height), built once per process.  Per pair, each alpha's sum starts
+    at D^alpha(fg): the table's own map, which nothing else reads, or a
+    fresh one where the table's empty entries share a map.  The walk goes
+    beta by beta: every split with no empty side subtracts
+    w * D^beta f * D^gamma g from its alpha's sum, so an alpha fails
+    exactly when a nonzero coefficient is left.
     """
     if not pairs:
         return []
@@ -838,21 +851,29 @@ def check_leibniz_pairs(
     for f, g in pairs:
         first._check_dim(f)
         f._check_dim(g)
-    alphas, steps, checks = _pairs_plan(convolution_terms, first.dim, max_height)
+    alphas, steps, by_beta = _pairs_plan(convolution_terms, first.dim, max_height)
     out = []
     for f, g in pairs:
         base = _top(f) + _top(g) + 1
         places = _places(f.dim, base)
         fi, gi = _pack(_cleared_terms(f)[1], places), _pack(_cleared_terms(g)[1], places)
-        df = _derivative_table(fi, steps, places, base)
         dg = _derivative_table(gi, steps, places, base)
-        dfg = _derivative_table(_convolve([(1, fi, gi)]), steps, places, base)
-        out.append([
-            alpha for alpha, splits, lhs in zip(alphas, checks, dfg)
-            if _convolve(
-                (w, df[beta], dg[gamma]) for w, beta, gamma in splits if df[beta] and dg[gamma]
-            ) != lhs
-        ])
+        sums = [d or {} for d in _derivative_table(_convolve([(1, fi, gi)]), steps, places, base)]
+        for a, splits in zip(_derivative_table(fi, steps, places, base), by_beta):
+            if not a:
+                continue
+            a_terms = a.items()
+            for gamma, alpha, w in splits:
+                b_terms = dg[gamma].items()
+                if b_terms:
+                    acc = sums[alpha]
+                    get = acc.get
+                    for ka, ca in a_terms:
+                        wa = w * ca
+                        for kb, cb in b_terms:
+                            key = ka + kb
+                            acc[key] = get(key, 0) + wa * cb
+        out.append([alpha for alpha, s in zip(alphas, sums) if any(s.values())])
     return out
 
 

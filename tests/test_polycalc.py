@@ -377,6 +377,18 @@ def _bracket(alpha):
     return [zero, (wj - 1, ej, gj), (wi + 1, ei, gi), top]
 
 
+def _cross_unit_splits(alpha):
+    # one more split (1, e_0, e_0) at alpha = 3 e_0 and (-1, e_0, e_0) at
+    # 4 e_0: where D^alpha(fg) is empty at both, their sums start from the
+    # one empty map the derivative table shares, and must not merge
+    splits = convolution_terms(alpha)
+    w = {3: 1, 4: -1}.get(alpha[0]) if alpha.height == alpha[0] else None
+    if w is None:
+        return splits
+    e = MultiIndex.unit(alpha.rank, 0)
+    return splits + [(w, e, e)]
+
+
 @st.composite
 def _rational_polynomials(draw, dim, max_exponent=4):
     terms = draw(
@@ -402,7 +414,7 @@ def test_integer_path_matches_fraction_path(data):
     height = data.draw(st.integers(0, 4))
     f = data.draw(_rational_polynomials(dim))
     g = data.draw(_rational_polynomials(dim))
-    fault = data.draw(st.sampled_from([None, _bump_height_two, _bracket]))
+    fault = data.draw(st.sampled_from([None, _bump_height_two, _bracket, _cross_unit_splits]))
     with pytest.MonkeyPatch.context() as mp:
         if fault is not None:
             mp.setattr(polycalc, "convolution_terms", fault)
@@ -427,6 +439,17 @@ def test_integer_path_detects_a_bumped_weight(monkeypatch):
             a for a in enumerate_height_at_most(dim, 4) if a.height == 2 and dalpha(f, a) * g
         ]
         assert check_leibniz_all(f, g, 4) == changed
+
+
+def test_alphas_sharing_an_empty_product_entry_keep_separate_sums(monkeypatch):
+    # D^3(x^2) and D^4(x^2) are both empty, one shared map in the table;
+    # their extra splits cancel only if the two sums are one
+    monkeypatch.setattr(polycalc, "convolution_terms", _cross_unit_splits)
+    x = Polynomial.variable(1, 0)
+    assert [a for a in enumerate_height_at_most(1, 4) if not check_leibniz(x, x, a)] == [
+        _mi(3), _mi(4)
+    ]
+    assert check_leibniz_all(x, x, 4) == [_mi(3), _mi(4)]
 
 
 def test_integer_path_keeps_each_probes_coefficient_ratios(monkeypatch):
@@ -755,6 +778,23 @@ def test_verify_leibniz_builds_each_alphas_splits_once(capsys, monkeypatch):
     with pytest.raises(DimensionMismatch):
         polycalc.check_leibniz_pairs([(f, f), (g, g)], 2)
     assert polycalc.check_leibniz_pairs([], 2) == []
+
+
+def test_verify_leibniz_convolves_once_per_pair(capsys, monkeypatch):
+    # the product f*g is the one _convolve call of a pair; the alphas' sums
+    # are walked in check_leibniz_pairs, with no call per alpha
+    calls = []
+    real = polycalc._convolve
+
+    def counting(products):
+        products = list(products)
+        calls.append(len(products))
+        return real(products)
+
+    monkeypatch.setattr(polycalc, "_convolve", counting)
+    code = main(["verify-leibniz", "--rank", "3", "--order", "4", "--pairs", "4", "--seed", "2"])
+    assert code == EXIT_PASS and json.loads(capsys.readouterr().out)["failures"] == []
+    assert calls == [1] * 4
 
 
 def _fraction_coefficients(f: Polynomial) -> bool:
