@@ -38,9 +38,9 @@ import sys
 from itertools import chain, repeat
 from typing import List, Optional
 
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_count
 from .polycalc import check_leibniz_pairs, random_polynomial
-from .funcmodel import Domain, worse
+from .funcmodel import Domain, check_tolerance, worse
 from .coeffsolve import (
     BudgetExceeded,
     InvalidSupport,
@@ -75,18 +75,20 @@ class InputError(ValueError):
     """Bad configuration or malformed descriptor input."""
 
 
-def _positive_int(name: str, value: int, minimum: int) -> None:
-    if value < minimum:
-        raise InputError(f"--{name} must be >= {minimum}, got {value}")
+# the least value of each integer flag; a subcommand checks the ones it has
+_LEAST = dict(rank=1, order=0, samples=8, budget=1, pairs=1, degree=0, probes=1, max_support_size=0)
 
 
 def _validate_common(args: argparse.Namespace) -> None:
-    _positive_int("rank", args.rank, 1)
-    _positive_int("order", args.order, 0)
-    _positive_int("samples", args.samples, 8)
-    _positive_int("budget", args.budget, 1)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise InputError(f"--tol must be finite and > 0, got {args.tol}")
+    """Check the flags by the package's own rules, before the subcommand reads anything."""
+    try:
+        for flag, least in _LEAST.items():
+            value = getattr(args, flag, None)
+            if value is not None:  # an absent flag, or --max-support-size left out
+                check_count("--" + flag.replace("_", "-"), value, least)
+        check_tolerance("--tol", args.tol)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _config_dict(args: argparse.Namespace, command: str) -> dict:
@@ -109,8 +111,6 @@ def _config_hash(config: dict) -> str:
 
 
 def run_verify_leibniz(args: argparse.Namespace) -> dict:
-    _positive_int("pairs", args.pairs, 1)
-    _positive_int("degree", args.degree, 0)
     rng = random.Random(args.seed)
     pairs = [
         (
@@ -172,9 +172,10 @@ def run_verify_family(args: argparse.Namespace) -> dict:
     if not isinstance(data, dict) or "r" not in data:
         raise InputError("descriptor must be a JSON object with an 'r' field")
     rank = data["r"]
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-        raise InputError(f"descriptor 'r' must be an integer >= 1, got {rank!r}")
-    _positive_int("probes", args.probes, 1)
+    try:
+        check_count("descriptor 'r'", rank, 1)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     try:
         family = family_from_json(data)
     except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
@@ -206,8 +207,6 @@ def run_verify_family(args: argparse.Namespace) -> dict:
 
 
 def run_search_supports(args: argparse.Namespace) -> dict:
-    if args.max_support_size is not None:
-        _positive_int("max-support-size", args.max_support_size, 0)
     supports = enumerate_valid_constant_supports(
         args.rank, args.order, args.max_support_size, args.budget
     )
@@ -222,7 +221,6 @@ def run_search_supports(args: argparse.Namespace) -> dict:
 
 
 def run_verify_semigroup(args: argparse.Namespace) -> dict:
-    _positive_int("probes", args.probes, 1)
     # the alpha = e instances are linear in a height-1 f_e, so scaling one
     # changes no verdict: the tampered member has height 2
     if args.tamper and args.order < 2:

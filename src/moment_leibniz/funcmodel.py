@@ -57,13 +57,12 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .multiindex import DimensionMismatch, MultiIndex, enumerate_height_at_most
+from .multiindex import DimensionMismatch, MultiIndex, check_count, enumerate_height_at_most
 from .polycalc import (
     PointColumns,
     Polynomial,
     RationalPoint,
     Scalar,
-    check_positive_int,
     derivative_table,
     eval_poly,
     eval_poly_values,
@@ -463,7 +462,7 @@ class Domain:
         self.rank = rank
         self.sample_points = sample_points
         self.float_tolerance = float_tolerance
-        check_positive_int("domain rank", self.rank)
+        check_count("domain rank", self.rank, 1)
         check_tolerance("float_tolerance", self.float_tolerance)
         if len(self.sample_points) < 8:
             raise ValueError(
@@ -503,7 +502,7 @@ class Domain:
         """Seeded samples of (0,1)^rank: coordinates k/64, 0 < k < 64, drawn point by point.
 
         Such points are inside the box by construction, so none is checked."""
-        check_positive_int("domain rank", rank)
+        check_count("domain rank", rank, 1)
         randint = random.Random(seed).randint
         points = tuple([
             RationalPoint._trusted([_SIXTY_FOURTHS[randint(1, 63)] for _ in range(rank)])

@@ -40,13 +40,11 @@ verifier's witnesses build their sides with it.
 Each shape (rank, height) is planned once per process, in a bounded memo
 of the 32 latest shapes, kept per split rule so that a patched
 ``convolution_terms`` is read: a plan is every alpha's splits up to the
-height, through this module's name ``convolution_terms``, all
+height, through this module's name ``convolution_terms``, the alphas'
+``_plan`` steps, and the splits filed by beta as positions, all
 immutable.  ``convolution_table`` hands out a fresh dict of fresh split
-lists from it.  ``check_leibniz_pairs`` alone reads the shape's
-``_plan`` steps and its splits filed by beta as positions: they are
-built from the plan on its first call of a shape and kept in a second
-memo like it, so a process that never calls it never builds them.
-``check_leibniz_all`` is its one-pair case.
+lists from it, and ``check_leibniz_pairs`` walks its steps and its splits
+by beta.  ``check_leibniz_all`` is its one-pair case.
 
 Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index list: D^alpha f is
@@ -129,6 +127,7 @@ from .multiindex import (
     DimensionMismatch,
     MultiIndex,
     as_multiindex,
+    check_count,
     convolution_terms,
     enumerate_below,
     enumerate_height_at_most,
@@ -182,13 +181,6 @@ class RationalPoint(tuple):
         return cls(data)
 
 
-def check_positive_int(name: str, value: int) -> None:
-    """Refuse a ``value`` that is not an int >= 1, naming it ``name``."""
-    # a bool or a float would pass dim checks that compare with ==
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 class Polynomial:
     """Sparse polynomial in ``dim`` variables with Fraction coefficients.
 
@@ -204,7 +196,7 @@ class Polynomial:
         dim: int,
         terms: Mapping[Union[MultiIndex, Tuple[int, ...]], Scalar] = (),
     ) -> None:
-        check_positive_int("dim", dim)
+        check_count("dim", dim, 1)
         canonical: Dict[MultiIndex, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
@@ -632,33 +624,26 @@ def compose(f: Polynomial, maps: Sequence[Polynomial]) -> Polynomial:
 def convolution_table(rank: int, max_height: int) -> Dict[MultiIndex, Splits]:
     """``convolution_terms(alpha)`` for every alpha of rank ``rank`` with |alpha| <= max_height,
     in lexicographic order: a fresh dict of fresh split lists, read from the shape's plan."""
-    alphas, splits = _shape_plan(convolution_terms, rank, max_height)
+    alphas, splits, _, _ = _shape_plan(convolution_terms, rank, max_height)
     return {alpha: list(s) for alpha, s in zip(alphas, splits)}
 
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _shape_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
-    """(alphas, splits) for |alpha| <= max_height at rank ``rank``, both immutable: the
-    alphas in lexicographic order and each one's splits by ``rule``.  ``typed`` keeps a
-    bool or float shape off an int one's plan, so that ``enumerate_height_at_most``
+    """(alphas, splits, steps, by_beta) for |alpha| <= max_height at rank ``rank``, all
+    immutable: the alphas in lexicographic order, each one's splits by ``rule``, their
+    ``_plan`` steps, and for each beta position the splits (w, beta, gamma) of every alpha
+    that name it, as (position of gamma, position of alpha, -w), in alpha order.  ``typed``
+    keeps a bool or float shape off an int one's plan, so that ``enumerate_height_at_most``
     refuses it."""
     alphas = tuple(enumerate_height_at_most(rank, max_height))
-    return alphas, tuple(tuple(rule(alpha)) for alpha in alphas)
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _pairs_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
-    """(alphas, steps, by_beta) of the shape for ``check_leibniz_pairs``, all immutable:
-    the shape plan's alphas, their ``_plan`` steps, and for each beta position the splits
-    (w, beta, gamma) of every alpha that name it, as (position of gamma, position of alpha,
-    -w), in alpha order."""
-    alphas, splits = _shape_plan(rule, rank, max_height)
+    splits = tuple(tuple(rule(alpha)) for alpha in alphas)
     at, steps = _plan(alphas)
     by_beta: List[list] = [[] for _ in alphas]
     for k, s in enumerate(splits):
         for w, beta, gamma in s:
             by_beta[at[beta]].append((at[gamma], k, -w))
-    return alphas, tuple(steps), tuple(map(tuple, by_beta))
+    return alphas, splits, tuple(steps), tuple(map(tuple, by_beta))
 
 
 def convolution_sum(
@@ -694,7 +679,11 @@ def form_failures(
     monomials m (tuples of indices b) to nonzero coefficients c_m of one dimension, so an
     empty form is T_alpha = 0; ``jets`` is a down-closed list of every b met.  A key packs
     the x-digits, base 1 + 2 * top, then one count digit per jet of f and one per jet of g,
-    base 1 + D, and no digit carries (see the module docstring).  T_beta(f) and T_gamma(g)
+    base 1 + D, and no digit carries (see the module docstring).  The layout invariant:
+    with X = 1 + 2 * top, B = 1 + D and n = len(jets), every key of every map built here is
+    sum_i e_i X^(r-1-i) + X^r (sum_k a_k B^k + sum_k b_k B^(n+k)) for e the x-exponent and
+    a_k, b_k the counts of the k-th jet of f and of g, each digit below its base, so a key
+    reads back as exactly one (e, a, b).  T_beta(f) and T_gamma(g)
     are packed once, each jet b met has the Leibniz map {u_c + v_(b-c): C(b, c)}, and an
     alpha's terms are (K, K c_m convolved with the map of every factor of m but the last,
     then that last map), or (K, K c_m, {0: 1}) for m = (), and (-w, T_beta(f), T_gamma(g))
@@ -837,13 +826,14 @@ def check_leibniz_pairs(
 ) -> List[List[MultiIndex]]:
     """``check_leibniz_all(f, g, max_height)`` for each pair (f, g), in order.
 
-    The pairs share one dimension and read one plan of the shape (rank,
-    max_height), built once per process.  Per pair, each alpha's sum starts
-    at D^alpha(fg): the table's own map, which nothing else reads, or a
-    fresh one where the table's empty entries share a map.  The walk goes
-    beta by beta: every split with no empty side subtracts
-    w * D^beta f * D^gamma g from its alpha's sum, so an alpha fails
-    exactly when a nonzero coefficient is left.
+    The pairs share one dimension and read the steps and the splits by
+    beta of one ``_shape_plan`` of the shape (rank, max_height), built once
+    per process.  Per pair, each alpha's sum starts at D^alpha(fg): the
+    table's own map, which nothing else reads, or a fresh one where the
+    table's empty entries share a map.  The walk goes beta by beta, over
+    the term views of g's table taken once per pair: every split with no
+    empty side subtracts w * D^beta f * D^gamma g from its alpha's sum, so
+    an alpha fails exactly when a nonzero coefficient is left.
     """
     if not pairs:
         return []
@@ -851,20 +841,20 @@ def check_leibniz_pairs(
     for f, g in pairs:
         first._check_dim(f)
         f._check_dim(g)
-    alphas, steps, by_beta = _pairs_plan(convolution_terms, first.dim, max_height)
+    alphas, _, steps, by_beta = _shape_plan(convolution_terms, first.dim, max_height)
     out = []
     for f, g in pairs:
         base = _top(f) + _top(g) + 1
         places = _places(f.dim, base)
         fi, gi = _pack(_cleared_terms(f)[1], places), _pack(_cleared_terms(g)[1], places)
-        dg = _derivative_table(gi, steps, places, base)
+        dg = [d.items() for d in _derivative_table(gi, steps, places, base)]
         sums = [d or {} for d in _derivative_table(_convolve([(1, fi, gi)]), steps, places, base)]
         for a, splits in zip(_derivative_table(fi, steps, places, base), by_beta):
             if not a:
                 continue
             a_terms = a.items()
             for gamma, alpha, w in splits:
-                b_terms = dg[gamma].items()
+                b_terms = dg[gamma]
                 if b_terms:
                     acc = sums[alpha]
                     get = acc.get
@@ -894,7 +884,7 @@ def random_polynomial(
     a numerator straight from ``rng.getrandbits``, the same draws in the
     same order as ``randint``, ``randrange`` and ``choice``, with their errors.
     """
-    check_positive_int("dim", dim)
+    check_count("dim", dim, 1)
     bits, trusted, dens = rng.getrandbits, MultiIndex._trusted, list(denominators)
     k_dim = dim.bit_length()
     out: Dict[MultiIndex, Fraction] = {}

@@ -776,7 +776,7 @@ def _scaled_xlogx(coeff: str) -> dict:
     }
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 18/21")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 31 stage B")
 def test_small_coefficient_below_the_band_fails(capsys, tmp_path):
     # S_(2) = 2 c_(1)^2 != 0, but every sampled sum and residual is under --tol
     path = _family_file(tmp_path, _scaled_xlogx("1/1000000"))

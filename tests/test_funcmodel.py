@@ -115,19 +115,33 @@ def test_domain_rejects_bad_tolerance_and_box():
             Domain.unit(1, float_tolerance=tol)
     # the box (0,1)^rank needs an integer rank >= 1; a bool or a float is refused
     pts = tuple(_pt(Fraction(k, 10)) for k in range(1, 9))
-    for rank in (True, 0, 1.0):
-        with pytest.raises(ValueError, match="integer >= 1"):
+    for rank, message in (
+        (True, "domain rank must be an integer, got True"),
+        (0, "domain rank must be >= 1, got 0"),
+        (1.0, "domain rank must be an integer, got 1.0"),
+    ):
+        with pytest.raises(ValueError) as refused:
             Domain(rank, pts)
+        assert str(refused.value) == message
 
 
-@pytest.mark.parametrize("rank", [True, 0, -1, 1.0])
-def test_domain_unit_checks_rank_before_drawing(rank):
+@pytest.mark.parametrize(
+    "rank, message",
+    [
+        (True, "domain rank must be an integer, got True"),
+        (0, "domain rank must be >= 1, got 0"),
+        (-1, "domain rank must be >= 1, got -1"),
+        (1.0, "domain rank must be an integer, got 1.0"),
+    ],
+    ids=["True", "0", "-1", "1.0"],
+)
+def test_domain_unit_checks_rank_before_drawing(rank, message):
     pts = tuple(_pt(Fraction(k, 10)) for k in range(1, 9))
     with pytest.raises(ValueError) as built:
         Domain(rank, pts)
     with pytest.raises(ValueError) as drawn:
         Domain.unit(rank)
-    assert str(drawn.value) == str(built.value) == f"domain rank must be an integer >= 1, got {rank!r}"
+    assert str(drawn.value) == str(built.value) == message
 
 
 def test_domain_images_are_the_samples_read_through_the_map():

@@ -373,7 +373,7 @@ def _top_tamper(alpha: MultiIndex) -> OperatorFamily:
     return OperatorFamily(3, 4, {**operators, alpha: scaled})
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 25 stage 1: witness probes")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 28")
 def test_top_height_tamper_fails_on_the_drawn_probes():
     # (*) fails at (4,0,0) (the formal check below names it), yet the 8
     # drawn probes have degree <= 3, and none has the jets of height 1-3 in
@@ -598,7 +598,7 @@ def test_constraint_bypass_fails_at_pinned_alpha():
     assert failure["residual"] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 18/21")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 31 stage A")
 def test_band_coefficient_of_size_1e12_passes():
     # c_(2) = 10^12 is in the band N/2 < |alpha| <= N, so (*) holds exactly
     # for every pair; on (3, 1/3) the sampled alpha = (2) instance still

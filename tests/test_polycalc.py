@@ -410,10 +410,21 @@ def test_integer_path_matches_fraction_path(data):
     # check_leibniz_all clears denominators and works over the integers;
     # check_leibniz works over the rationals, one alpha at a time.  Both
     # read convolution_terms, so with a faulty one they must still agree.
-    dim = data.draw(st.integers(1, 3))
-    height = data.draw(st.integers(0, 4))
-    f = data.draw(_rational_polynomials(dim))
-    g = data.draw(_rational_polynomials(dim))
+    if data.draw(st.booleans()):
+        dim = data.draw(st.integers(1, 3))
+        height = data.draw(st.integers(0, 4))
+        f = data.draw(_rational_polynomials(dim))
+        g = data.draw(_rational_polynomials(dim))
+    else:
+        # linear f and g at height 4: D^3(fg) and D^4(fg) are both empty,
+        # one shared map in the table, while D f * D g is not
+        linear = st.builds(
+            lambda a, b, d: Polynomial(1, {(1,): Fraction(a, d), (0,): b}),
+            st.integers(-9, 9).filter(bool),
+            st.integers(-9, 9),
+            st.sampled_from((1, 2, 3, 7)),
+        )
+        dim, height, f, g = 1, 4, data.draw(linear), data.draw(linear)
     fault = data.draw(st.sampled_from([None, _bump_height_two, _bracket, _cross_unit_splits]))
     with pytest.MonkeyPatch.context() as mp:
         if fault is not None:
@@ -661,6 +672,148 @@ def test_the_left_side_is_scaled_by_the_common_denominator():
     x0, zero = Polynomial.variable(1, 0), _mi(0)
     forms = {zero: {(zero,): Polynomial.constant(1, 1), (): -x0}}
     assert polycalc.form_failures(forms, [zero], {zero: table[zero]}) == [zero]
+
+
+def test_a_form_whose_x_products_cancel_on_a_negative_base_fails_everywhere():
+    # T_0(h) = x0 x1 h with T_(e_i) = D_i at r2 N1 is not multiplicative, so
+    # (*) fails at every alpha.  On x_base = 1 - 2 * top = -1 the places are
+    # [-1, 1], and x0 x1 and x0^2 x1^2 pack to the constant's key 0: every
+    # difference would cancel and each alpha would pass
+    table = polycalc.convolution_table(2, 1)
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    forms = {**_derivative_forms(table, 2), _mi(0, 0): {(_mi(0, 0),): x0 * x1}}
+    assert _formal_failures(forms, table) == list(table)
+    assert polycalc.form_failures(forms, list(table), table) == list(table)
+
+
+def _key_layout(forms, jets):
+    """(dim, x_base, base, jet count) of the key layout ``form_failures`` documents for these
+    forms: x-digits base 1 + 2 * top, then per jet of f and then per jet of g a count digit
+    base 1 + D, with top the largest coordinate of any coefficient and D the largest degree
+    of any jet monomial."""
+    coeffs = [c for form in forms.values() for c in form.values()]
+    top = max([max(e) for c in coeffs for e in c.terms], default=0)
+    base = 1 + max(len(m) for form in forms.values() for m in form)
+    return coeffs[0].dim, 1 + 2 * top, base, len(jets)
+
+
+def _decoded(packed, layout):
+    """A packed term map keyed instead by flat tuples: the x-exponents, then the count of
+    each jet of f, then of each jet of g, read digit by digit in ``layout``."""
+    dim, x_base, base, n = layout
+    out = {}
+    for key, coeff in packed.items():
+        assert key >= 0, f"key {key} is negative"
+        rest, x = divmod(key, x_base**dim)
+        digits = []
+        for _ in range(dim):
+            x, d = divmod(x, x_base)
+            digits.append(d)
+        digits.reverse()
+        for _ in range(2 * n):
+            rest, d = divmod(rest, base)
+            digits.append(d)
+        assert rest == 0, f"key {key} has a digit past the last jet of g"
+        out[tuple(digits)] = coeff
+    return out
+
+
+def _tuple_convolve(products):
+    """The sum of w * a * b over weighted pairs of tuple-keyed maps, zeros dropped."""
+    acc = {}
+    for w, a, b in products:
+        for key, c in _ref_product(a, b).items():
+            acc[key] = acc.get(key, 0) + w * c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _tuple_differences(forms, jets, table):
+    """Each alpha's difference K^2 (T_alpha(fg) - sum w T_beta(f) T_gamma(g)), K the lcm of
+    every coefficient's denominators, as a map keyed by flat tuples (x-exponents, f's jet
+    counts, g's jet counts), with the jets of fg written by Leibniz."""
+    coeffs = [c for form in forms.values() for c in form.values()]
+    dim, n = coeffs[0].dim, len(jets)
+    lcm = math.lcm(*[q.denominator for c in coeffs for q in c.terms.values()])
+    at = {b: k for k, b in enumerate(jets)}
+    one = {(0,) * (dim + 2 * n): 1}
+
+    def monomial(m, side):
+        key = [0] * (dim + 2 * n)
+        for b in m:
+            key[dim + side * n + at[b]] += 1
+        return {tuple(key): 1}
+
+    def cleared(c):
+        return {tuple(e) + (0,) * (2 * n): int(q * lcm) for e, q in c.terms.items()}
+
+    def value(form, side):
+        return _tuple_convolve([(1, cleared(c), monomial(m, side)) for m, c in form.items()])
+
+    def leibniz(b):
+        return _tuple_convolve(
+            [(w, monomial((c,), 0), monomial((d,), 1)) for w, c, d in convolution_terms(b)]
+        )
+
+    out = {}
+    for alpha, splits in table.items():
+        products = []
+        for m, c in forms[alpha].items():
+            term = cleared(c)
+            for b in m:
+                term = _tuple_convolve([(1, term, leibniz(b))])
+            products.append((lcm, term, one))
+        products += [(-w, value(forms[beta], 0), value(forms[gamma], 1)) for w, beta, gamma in splits]
+        out[alpha] = _tuple_convolve(products)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_form_keys_read_back_by_the_documented_layout(data):
+    # scaled derivative forms at rank 2 or 3, some given a drawn term of jet
+    # degree 0-3, and one a term whose coefficient reaches 3 in x0 and x1
+    # (in place of any it had).
+    # Every _convolve result form_failures builds, each key read by the
+    # layout its docstring states, is the tuple-keyed sum of the keys it
+    # came from: no digit carries and no two monomials share a key.  Each
+    # failing alpha's difference reads as the tuple-keyed reference's
+    dim = data.draw(st.integers(2, 3))
+    table = polycalc.convolution_table(dim, data.draw(st.integers(1, 2)))
+    jets = enumerate_height_at_most(dim, 2)
+    scale = Fraction(data.draw(st.integers(1, 3)), data.draw(st.sampled_from((1, 2, 3))))
+    forms = _derivative_forms(table, dim, scale)
+    monomials = st.lists(st.sampled_from(jets), max_size=3).map(tuple)
+    for alpha in table:
+        if data.draw(st.booleans()):
+            m = data.draw(monomials)
+            forms[alpha] = {**forms[alpha], m: data.draw(_rational_polynomials(dim, 3))}
+    alpha, m = data.draw(st.sampled_from(list(table))), data.draw(monomials)
+    cubes = [tuple(3 if j == i else 0 for j in range(dim)) for i in (0, 1)]
+    reach = Polynomial(dim, {e: data.draw(st.integers(1, 9)) for e in cubes})
+    forms[alpha] = {**forms[alpha], m: reach}
+    calls = []
+    convolve = polycalc._convolve
+
+    def recording(products):
+        products = list(products)
+        calls.append((products, convolve(products)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycalc, "_convolve", recording)
+        failing = polycalc.form_failures(forms, jets, table)
+    layout = _key_layout(forms, jets)
+    assert layout[1] >= 7
+    results = []
+    for products, result in calls:
+        results.append(_decoded(result, layout))
+        assert results[-1] == _tuple_convolve(
+            [(w, _decoded(a, layout), _decoded(b, layout)) for w, a, b in products]
+        )
+    expected = _tuple_differences(forms, jets, table)
+    assert failing == [alpha for alpha, diff in expected.items() if diff]
+    for diff in expected.values():
+        assert not diff or diff in results
 
 
 def _zeroed(forms, *alphas):
@@ -943,10 +1096,15 @@ def test_random_polynomial_is_the_validating_build(seed):
         assert Polynomial(dim, f.terms) == f and _fraction_coefficients(f)
         assert rng.getstate() == oracle.getstate()
     # the dim is refused before anything is drawn
-    for dim in (0, True, 1.0):
+    for dim, message in (
+        (0, "dim must be >= 1, got 0"),
+        (True, "dim must be an integer, got True"),
+        (1.0, "dim must be an integer, got 1.0"),
+    ):
         state = rng.getstate()
-        with pytest.raises(ValueError, match="dim must be an integer"):
+        with pytest.raises(ValueError) as refused:
             random_polynomial(rng, dim)
+        assert str(refused.value) == message
         assert rng.getstate() == state
 
 
