@@ -40,11 +40,13 @@ verifier's witnesses build their sides with it.
 Each shape (rank, height) is planned once per process, in a bounded memo
 of the 32 latest shapes, kept per split rule so that a patched
 ``convolution_terms`` is read: a plan is every alpha's splits up to the
-height, through this module's name ``convolution_terms``, the alphas'
-``_plan`` steps, and the splits filed by beta as positions, all
+height, through this module's name ``convolution_terms``, all
 immutable.  ``convolution_table`` hands out a fresh dict of fresh split
-lists from it, and ``check_leibniz_pairs`` walks its steps and its splits
-by beta.  ``check_leibniz_all`` is its one-pair case.
+lists from it.  ``check_leibniz_pairs`` alone reads the shape's
+``_plan`` steps and its splits filed by beta as positions: they are
+built from the plan on its first call of a shape and kept in a second
+memo like it, so a process that never calls it never builds them.
+``check_leibniz_all`` is its one-pair case.
 
 Multi-derivatives come from one packed table (``_derivative_table``)
 over a down-closed, lexicographically ordered index list: D^alpha f is
@@ -624,26 +626,33 @@ def compose(f: Polynomial, maps: Sequence[Polynomial]) -> Polynomial:
 def convolution_table(rank: int, max_height: int) -> Dict[MultiIndex, Splits]:
     """``convolution_terms(alpha)`` for every alpha of rank ``rank`` with |alpha| <= max_height,
     in lexicographic order: a fresh dict of fresh split lists, read from the shape's plan."""
-    alphas, splits, _, _ = _shape_plan(convolution_terms, rank, max_height)
+    alphas, splits = _shape_plan(convolution_terms, rank, max_height)
     return {alpha: list(s) for alpha, s in zip(alphas, splits)}
 
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _shape_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
-    """(alphas, splits, steps, by_beta) for |alpha| <= max_height at rank ``rank``, all
-    immutable: the alphas in lexicographic order, each one's splits by ``rule``, their
-    ``_plan`` steps, and for each beta position the splits (w, beta, gamma) of every alpha
-    that name it, as (position of gamma, position of alpha, -w), in alpha order.  ``typed``
-    keeps a bool or float shape off an int one's plan, so that ``enumerate_height_at_most``
+    """(alphas, splits) for |alpha| <= max_height at rank ``rank``, both immutable: the
+    alphas in lexicographic order and each one's splits by ``rule``.  ``typed`` keeps a
+    bool or float shape off an int one's plan, so that ``enumerate_height_at_most``
     refuses it."""
     alphas = tuple(enumerate_height_at_most(rank, max_height))
-    splits = tuple(tuple(rule(alpha)) for alpha in alphas)
+    return alphas, tuple(tuple(rule(alpha)) for alpha in alphas)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _pairs_plan(rule: Callable[[MultiIndex], Splits], rank: int, max_height: int) -> tuple:
+    """(alphas, steps, by_beta) of the shape for ``check_leibniz_pairs``, all immutable:
+    the shape plan's alphas, their ``_plan`` steps, and for each beta position the splits
+    (w, beta, gamma) of every alpha that name it, as (position of gamma, position of alpha,
+    -w), in alpha order."""
+    alphas, splits = _shape_plan(rule, rank, max_height)
     at, steps = _plan(alphas)
     by_beta: List[list] = [[] for _ in alphas]
     for k, s in enumerate(splits):
         for w, beta, gamma in s:
             by_beta[at[beta]].append((at[gamma], k, -w))
-    return alphas, splits, tuple(steps), tuple(map(tuple, by_beta))
+    return alphas, tuple(steps), tuple(map(tuple, by_beta))
 
 
 def convolution_sum(
@@ -826,14 +835,14 @@ def check_leibniz_pairs(
 ) -> List[List[MultiIndex]]:
     """``check_leibniz_all(f, g, max_height)`` for each pair (f, g), in order.
 
-    The pairs share one dimension and read the steps and the splits by
-    beta of one ``_shape_plan`` of the shape (rank, max_height), built once
-    per process.  Per pair, each alpha's sum starts at D^alpha(fg): the
-    table's own map, which nothing else reads, or a fresh one where the
-    table's empty entries share a map.  The walk goes beta by beta, over
-    the term views of g's table taken once per pair: every split with no
-    empty side subtracts w * D^beta f * D^gamma g from its alpha's sum, so
-    an alpha fails exactly when a nonzero coefficient is left.
+    The pairs share one dimension and read one plan of the shape (rank,
+    max_height), built once per process.  Per pair, each alpha's sum starts
+    at D^alpha(fg): the table's own map, which nothing else reads, or a
+    fresh one where the table's empty entries share a map.  The walk goes
+    beta by beta, over the term views of g's table taken once per pair:
+    every split with no empty side subtracts w * D^beta f * D^gamma g from
+    its alpha's sum, so an alpha fails exactly when a nonzero coefficient
+    is left.
     """
     if not pairs:
         return []
@@ -841,7 +850,7 @@ def check_leibniz_pairs(
     for f, g in pairs:
         first._check_dim(f)
         f._check_dim(g)
-    alphas, _, steps, by_beta = _shape_plan(convolution_terms, first.dim, max_height)
+    alphas, steps, by_beta = _pairs_plan(convolution_terms, first.dim, max_height)
     out = []
     for f, g in pairs:
         base = _top(f) + _top(g) + 1

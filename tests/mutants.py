@@ -5,7 +5,6 @@ Run from the repository root:
     python tests/mutants.py WORKDIR                 # every mutant of TARGETS
     python tests/mutants.py WORKDIR --list          # number and label each mutant, run nothing
     python tests/mutants.py WORKDIR --only 3 17     # the mutants with these numbers
-    python tests/mutants.py WORKDIR --target polycalc.form_failures
 
 WORKDIR receives a copy of the repository; nothing under the repository
 itself is written.  Each target module is first written back through
@@ -14,7 +13,7 @@ Each mutant then changes one site of one target function, the suite runs
 with ``pytest -x``, and the baseline is restored.  A mutant whose suite
 passes survives; the survivors that ``EQUIVALENT`` records are listed
 apart, with the reason each one changes no result.  The suite is the
-whole of ``tests/`` unless ``--tests`` names a narrower one.
+whole of ``tests/``.
 
 The mutations, one per site: an arithmetic operator swapped by
 ``BINARY``, a comparison swapped by ``COMPARE``, ``and`` and ``or``
@@ -47,6 +46,7 @@ TARGETS: Dict[str, List[str]] = {
     "polycalc": [
         "_convolve",
         "_shape_plan",
+        "_pairs_plan",
         "form_failures",
         "check_leibniz_pairs",
         "JetColumns",
@@ -105,6 +105,7 @@ COMPARE = {
 # the survivors of a full run that change no result, by label, with the reason
 EQUIVALENT: Dict[str, str] = {
     "polycalc._shape_plan: maxsize=32 -> maxsize=33": "a larger memo keeps one more shape",
+    "polycalc._pairs_plan: maxsize=32 -> maxsize=33": "a larger memo keeps one more shape",
     "polycalc.form_failures: tf[beta] and tg[gamma] -> tf[beta] or tg[gamma]":
         "a split with an empty side adds an empty product",
     "polycalc.check_leibniz_pairs: pairs[0][0] -> pairs[0][1]":
@@ -188,10 +189,10 @@ def _functions(tree: ast.Module, name: str) -> List[ast.AST]:
     raise SystemExit(f"no target {name}")
 
 
-def mutants(targets: Dict[str, List[str]]) -> List[Tuple[str, str, int, str]]:
-    """(module, target, site number within the target, label) for every mutant."""
+def mutants() -> List[Tuple[str, str, int, str]]:
+    """(module, target, site number within the target, label) for every mutant of TARGETS."""
     out = []
-    for module, names in targets.items():
+    for module, names in TARGETS.items():
         tree = ast.parse((REPO / PACKAGE / f"{module}.py").read_text())
         for name in names:
             counter = _Mutator(None)
@@ -214,9 +215,9 @@ def mutated_source(source: str, name: str, site: int) -> str:
     return ast.unparse(tree)
 
 
-def _run(work: Path, tests: List[str], timeout: Optional[float]) -> Tuple[bool, str]:
+def _run(work: Path, timeout: Optional[float]) -> Tuple[bool, str]:
     """Whether the suite passes in ``work``, and its last line; a timeout is a failure."""
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
     # no bytecode cache: a mutant as long as the source before it, written within the
     # same second, would otherwise load the other one's cached code
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(work / "src"), "HOME": str(work),
@@ -235,16 +236,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("work", type=Path, help="directory for the copy (made fresh)")
     parser.add_argument("--list", action="store_true", help="label every mutant, run nothing")
     parser.add_argument("--only", type=int, nargs="*", help="run the mutants with these numbers")
-    parser.add_argument("--target", nargs="*", help="module.function targets to keep")
-    parser.add_argument("--tests", nargs="*", default=["tests"], help="pytest arguments")
     args = parser.parse_args(argv)
-    targets = TARGETS
-    if args.target:
-        targets = {}
-        for item in args.target:
-            module, _, name = item.partition(".")
-            targets.setdefault(module, []).append(name)
-    listed = mutants(targets)
+    listed = mutants()
     if args.list:
         for k, (_, _, _, label) in enumerate(listed):
             print(f"{k:4d}  {label}")
@@ -261,7 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         baseline[path] = ast.unparse(ast.parse(path.read_text()))
         path.write_text(baseline[path])
     start = time.monotonic()
-    passed, last = _run(args.work, args.tests, None)
+    passed, last = _run(args.work, None)
     if not passed:
         raise SystemExit(f"the baseline fails: {last}")
     timeout = 3 * (time.monotonic() - start) + 30
@@ -269,7 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for k, (module, name, site, label) in enumerate(chosen):
         path = args.work / PACKAGE / f"{module}.py"
         path.write_text(mutated_source(baseline[path], name, site))
-        passed, last = _run(args.work, args.tests, timeout)
+        passed, last = _run(args.work, timeout)
         path.write_text(baseline[path])
         print(f"{'SURVIVED' if passed else 'killed  '}  {label}  ({last})", flush=True)
         if passed:

@@ -64,6 +64,7 @@ def test_bad_rank_is_input_error(capsys):
     captured = capsys.readouterr()
     assert code == EXIT_INPUT
     assert "rank" in captured.err
+    assert captured.err == "error: --rank must be >= 1, got 0\n"
 
 
 def test_negative_degree_is_input_error(capsys):
@@ -72,6 +73,7 @@ def test_negative_degree_is_input_error(capsys):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert "degree" in captured.err
+    assert captured.err == "error: --degree must be >= 0, got -1\n"
 
 
 def test_bad_samples_is_input_error(capsys):
@@ -528,6 +530,9 @@ def test_verify_family_bad_values_are_input_errors(capsys, tmp_path, request, de
     message = _BAD_VALUE_MESSAGES.get(request.node.callspec.id)
     if message is not None:
         assert captured.err == f"error: bad family descriptor: {message}\n"
+    message = _BAD_R_MESSAGES.get(request.node.callspec.id)
+    if message is not None:
+        assert captured.err == f"error: {message}\n"
 
 
 # the error line of the cases above that name a malformed N or conjugated r:
@@ -542,6 +547,15 @@ _BAD_VALUE_MESSAGES = {
     "N-str-second-order": "second_order N must be 2, got 'x'",
     "N-str-conjugated": "conjugated N must be the inner order 2, got 'x'",
     "r-mismatch-conjugated": "conjugated r must be the inner dim 1, got 5",
+}
+
+# the error line of the cases above whose 'r' is not a count: it is checked
+# before the family is built
+_BAD_R_MESSAGES = {
+    "r-str": "descriptor 'r' must be an integer, got 'x'",
+    "r-zero": "descriptor 'r' must be >= 1, got 0",
+    "r-negative": "descriptor 'r' must be >= 1, got -1",
+    "r-bool": "descriptor 'r' must be an integer, got True",
 }
 
 
@@ -963,6 +977,16 @@ def test_search_supports_negative_max_size_is_input_error(capsys):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert "max-support-size" in captured.err
+    assert captured.err == "error: --max-support-size must be >= 0, got -1\n"
+
+
+def test_a_bad_flag_is_reported_before_the_descriptor_is_read(capsys, tmp_path):
+    # every integer flag is checked before a subcommand reads anything
+    code = main(["verify-family", str(tmp_path / "missing.json"), "--probes", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: --probes must be >= 1, got 0\n"
 
 
 # ---- verify-semigroup ----

@@ -410,21 +410,10 @@ def test_integer_path_matches_fraction_path(data):
     # check_leibniz_all clears denominators and works over the integers;
     # check_leibniz works over the rationals, one alpha at a time.  Both
     # read convolution_terms, so with a faulty one they must still agree.
-    if data.draw(st.booleans()):
-        dim = data.draw(st.integers(1, 3))
-        height = data.draw(st.integers(0, 4))
-        f = data.draw(_rational_polynomials(dim))
-        g = data.draw(_rational_polynomials(dim))
-    else:
-        # linear f and g at height 4: D^3(fg) and D^4(fg) are both empty,
-        # one shared map in the table, while D f * D g is not
-        linear = st.builds(
-            lambda a, b, d: Polynomial(1, {(1,): Fraction(a, d), (0,): b}),
-            st.integers(-9, 9).filter(bool),
-            st.integers(-9, 9),
-            st.sampled_from((1, 2, 3, 7)),
-        )
-        dim, height, f, g = 1, 4, data.draw(linear), data.draw(linear)
+    dim = data.draw(st.integers(1, 3))
+    height = data.draw(st.integers(0, 4))
+    f = data.draw(_rational_polynomials(dim))
+    g = data.draw(_rational_polynomials(dim))
     fault = data.draw(st.sampled_from([None, _bump_height_two, _bracket, _cross_unit_splits]))
     with pytest.MonkeyPatch.context() as mp:
         if fault is not None:
@@ -433,6 +422,26 @@ def test_integer_path_matches_fraction_path(data):
             a for a in enumerate_height_at_most(dim, height) if not check_leibniz(f, g, a)
         ]
         assert check_leibniz_all(f, g, height) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_path_matches_fraction_path_where_product_entries_are_empty(data):
+    # linear f and g at height 4: D^3(fg) and D^4(fg) are both empty, one
+    # shared map in the table, while D f * D g is not
+    linear = st.builds(
+        lambda a, b, d: Polynomial(1, {(1,): Fraction(a, d), (0,): b}),
+        st.integers(-9, 9).filter(bool),
+        st.integers(-9, 9),
+        st.sampled_from((1, 2, 3, 7)),
+    )
+    f, g = data.draw(linear), data.draw(linear)
+    fault = data.draw(st.sampled_from([None, _bump_height_two, _bracket, _cross_unit_splits]))
+    with pytest.MonkeyPatch.context() as mp:
+        if fault is not None:
+            mp.setattr(polycalc, "convolution_terms", fault)
+        expected = [a for a in enumerate_height_at_most(1, 4) if not check_leibniz(f, g, a)]
+        assert check_leibniz_all(f, g, 4) == expected
 
 
 def test_integer_path_detects_a_bumped_weight(monkeypatch):
