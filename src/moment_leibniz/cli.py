@@ -14,7 +14,10 @@ mathematical check failed (the report carries a witness), 2 invalid
 input, 3 enumeration budget exceeded.
 
 ``main`` may be called repeatedly in one process; it parses with a parser
-built once, at import.
+built once, at import.  A command-line call starts a fresh interpreter
+and pays for every module it imports, so this module imports only
+``multiindex`` and ``polycalc``, all that ``verify-leibniz`` runs; each
+other handler imports the modules it runs when it is called.
 
 Reports are written by columns.  The values at one place in many records
 (every ``lhs`` of a failure list, say) form one column, and a column of
@@ -38,30 +41,8 @@ import sys
 from itertools import chain, repeat
 from typing import List, Optional
 
-from .multiindex import MultiIndex, check_count
+from .multiindex import MultiIndex, check_count, check_tolerance
 from .polycalc import check_leibniz_pairs, random_polynomial
-from .funcmodel import Domain, check_tolerance, worse
-from .coeffsolve import (
-    BudgetExceeded,
-    InvalidSupport,
-    band,
-    check_constraint,
-    enumerate_valid_constant_supports,
-    index_set_size,
-    random_valid_family,
-    support_json,
-)
-from .momentfam import (
-    ProbePairs,
-    family_from_json,
-    verify_moment,
-)
-from .semigroup import (
-    make_exponential_moment_seq,
-    random_probe_pairs,
-    tampered,
-    verify_moment_seq,
-)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -73,6 +54,10 @@ SEMIGROUP_RATES = (0.0, 1.0, -1.0)
 
 class InputError(ValueError):
     """Bad configuration or malformed descriptor input."""
+
+
+class BudgetError(RuntimeError):
+    """An enumeration larger than --budget."""
 
 
 # the least value of each integer flag; a subcommand checks the ones it has
@@ -155,6 +140,10 @@ def _evaluating_descriptor():
 
 
 def run_verify_family(args: argparse.Namespace) -> dict:
+    from .coeffsolve import check_constraint
+    from .funcmodel import Domain
+    from .momentfam import ProbePairs, family_from_json, verify_moment
+
     try:
         if args.descriptor == "-":
             raw = sys.stdin.read()
@@ -207,9 +196,19 @@ def run_verify_family(args: argparse.Namespace) -> dict:
 
 
 def run_search_supports(args: argparse.Namespace) -> dict:
-    supports = enumerate_valid_constant_supports(
-        args.rank, args.order, args.max_support_size, args.budget
+    from .coeffsolve import (
+        BudgetExceeded,
+        enumerate_valid_constant_supports,
+        index_set_size,
+        support_json,
     )
+
+    try:
+        supports = enumerate_valid_constant_supports(
+            args.rank, args.order, args.max_support_size, args.budget
+        )
+    except BudgetExceeded as exc:
+        raise BudgetError(str(exc)) from exc
     return {
         "patterns": [support_json(args.rank, args.order, s) for s in supports],
         "count": len(supports),
@@ -221,6 +220,14 @@ def run_search_supports(args: argparse.Namespace) -> dict:
 
 
 def run_verify_semigroup(args: argparse.Namespace) -> dict:
+    from .funcmodel import worse
+    from .semigroup import (
+        make_exponential_moment_seq,
+        random_probe_pairs,
+        tampered,
+        verify_moment_seq,
+    )
+
     # the alpha = e instances are linear in a height-1 f_e, so scaling one
     # changes no verdict: the tampered member has height 2
     if args.tamper and args.order < 2:
@@ -264,6 +271,8 @@ def run_verify_semigroup(args: argparse.Namespace) -> dict:
 
 
 def run_gen_family(args: argparse.Namespace) -> dict:
+    from .coeffsolve import InvalidSupport, band, random_valid_family, support_json
+
     if args.support is None:
         support = band(args.rank, args.order)
     else:
@@ -475,7 +484,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetExceeded as exc:
+    except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     config = _config_dict(args, args.command)

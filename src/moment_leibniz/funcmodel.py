@@ -57,7 +57,13 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .multiindex import DimensionMismatch, MultiIndex, check_count, enumerate_height_at_most
+from .multiindex import (
+    DimensionMismatch,
+    MultiIndex,
+    check_count,
+    check_tolerance,
+    enumerate_height_at_most,
+)
 from .polycalc import (
     PointColumns,
     Polynomial,
@@ -436,12 +442,6 @@ def expr_from_json(data: dict) -> FuncExpr:
 
 # the sample coordinates k/64 of ``Domain.unit``, indexed by k
 _SIXTY_FOURTHS = tuple(Fraction(k, 64) for k in range(64))
-
-
-def check_tolerance(name: str, tol: float) -> None:
-    """Refuse a float tolerance that is not finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
 class Domain:

@@ -150,6 +150,12 @@ def check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_tolerance(name: str, tol: float) -> None:
+    """Refuse a float tolerance that is not finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {tol}")
+
+
 def binom(a: MultiIndex, b: MultiIndex) -> int:
     """Entrywise binomial product C(a, b) = prod_i C(a_i, b_i).
 

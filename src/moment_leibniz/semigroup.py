@@ -34,8 +34,8 @@ import operator
 import random
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .multiindex import MultiIndex, convolution_terms, enumerate_height_at_most
-from .funcmodel import CheckReport, NonFiniteValue, check_tolerance, convolution_products
+from .multiindex import MultiIndex, check_tolerance, convolution_terms, enumerate_height_at_most
+from .funcmodel import CheckReport, NonFiniteValue, convolution_products
 from .funcmodel import judge_column, worse
 
 Columns = List[List[float]]

@@ -1409,6 +1409,37 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+# the package modules a call of each subcommand leaves unimported
+UNLOADED = [
+    (["verify-leibniz", "--pairs", "1"], ["coeffsolve", "funcmodel", "momentfam", "semigroup"]),
+    (["search-supports", "--order", "2"], ["momentfam", "semigroup"]),
+    (["gen-family", "--order", "2"], ["momentfam", "semigroup"]),
+    (["verify-family", "family.json", "--probes", "1"], ["semigroup"]),
+    (["verify-semigroup", "--probes", "1"], ["coeffsolve", "momentfam"]),
+]
+
+
+@pytest.mark.parametrize("argv,unloaded", UNLOADED, ids=[argv[0] for argv, _ in UNLOADED])
+def test_a_call_imports_only_the_modules_it_runs(tmp_path, argv, unloaded):
+    (tmp_path / "family.json").write_text(json.dumps({"kind": "derivative", "r": 1, "N": 2}))
+    package_root = str(Path(moment_leibniz.__file__).parents[1])
+    code = (
+        "import sys\n"
+        "from moment_leibniz.cli import main\n"
+        f"code = main({argv + ['--out', 'report.json']!r})\n"
+        f"print(code, sorted(m for m in {unloaded!r} if 'moment_leibniz.' + m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],  # -S: no site hook imports anything first
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{EXIT_PASS} []\n"
+
+
 def test_main_does_not_build_a_parser(capsys, monkeypatch):
     argv = ["search-supports", "--rank", "1", "--order", "2"]
     assert main(argv) == EXIT_PASS
